@@ -626,7 +626,8 @@ let chaos () =
       Printf.printf "  %-6s %d/%d events fired, %d live paths after replay\n%!" name
         (Fault.Injector.fired inj) total after;
       check (name ^ ": all events fired") (Fault.Injector.fired inj = total && total > 0);
-      check (name ^ ": control plane up") (Fault.Injector.control_up inj);
+      check (name ^ ": control plane up")
+        (Fault.Scenario.control_up (Fault.Injector.events inj));
       check (name ^ ": delivery recovered") (after > 0))
     [ ("jan21", Sciera.Incidents.jan21); ("feb6", Sciera.Incidents.feb6) ];
   if !failures > 0 then begin

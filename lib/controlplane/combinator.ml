@@ -1,7 +1,6 @@
 module Path = Scion_dataplane.Path
 module Ia = Scion_addr.Ia
 module Hop_pred = Scion_addr.Hop_pred
-module M = Telemetry.Metrics
 
 type fullpath = {
   src : Ia.t;
@@ -317,19 +316,9 @@ module Memo = struct
     mutable cur_gen : int;
     mutable hits : int;
     mutable misses : int;
-    m_hit : M.counter option;
-    m_miss : M.counter option;
   }
 
-  let create ?metrics () =
-    {
-      tbl = Hashtbl.create 256;
-      cur_gen = 0;
-      hits = 0;
-      misses = 0;
-      m_hit = Option.map (fun r -> M.counter r "combinator.memo_hit") metrics;
-      m_miss = Option.map (fun r -> M.counter r "combinator.memo_miss") metrics;
-    }
+  let create () = { tbl = Hashtbl.create 256; cur_gen = 0; hits = 0; misses = 0 }
 
   (* Generation moves forward only; a change drops every cached entry at
      once (the registry they were built from no longer exists). *)
@@ -344,11 +333,9 @@ module Memo = struct
     match Hashtbl.find_opt t.tbl (src, dst) with
     | Some e when e.e_gen = generation ->
         t.hits <- t.hits + 1;
-        (match t.m_hit with None -> () | Some c -> M.inc c);
         Some e.e_paths
     | _ ->
         t.misses <- t.misses + 1;
-        (match t.m_miss with None -> () | Some c -> M.inc c);
         None
 
   let store t ~generation ~src ~dst paths =

@@ -60,13 +60,11 @@ val build :
 
     [build] is pure in the segment registries, so its result can be reused
     until the registries change; the owner bumps [generation] on every
-    beaconing run and the memo drops all stale entries in one sweep. With
-    [?metrics], hits and misses publish as [combinator.memo_hit] /
-    [combinator.memo_miss]. *)
+    beaconing run and the memo drops all stale entries in one sweep. *)
 module Memo : sig
   type t
 
-  val create : ?metrics:Telemetry.Metrics.registry -> unit -> t
+  val create : unit -> t
 
   val find :
     t ->

@@ -47,7 +47,6 @@ type config = {
   verify_pcbs : bool;
   cert_validity : float;
   fanout_cap : int option;
-  scale_obs : bool;
   quarantine : quarantine_policy option;
 }
 
@@ -61,7 +60,6 @@ let default_config =
     verify_pcbs = true;
     cert_validity = 3.0 *. 24.0 *. 3600.0;
     fanout_cap = None;
-    scale_obs = false;
     quarantine = None;
   }
 
@@ -112,24 +110,20 @@ type obs = {
   o_cert_renewals : M.counter;
   o_sigcache_hits : M.gauge;
   o_sigcache_misses : M.gauge;
-  o_beacon_fanout : M.counter option;
-      (** Only under [scale_obs]: existing figures pin their snapshot
-          bytes, so the scale-sweep series must stay out of their
-          registries. *)
   o_quarantine_events : M.counter option;
-      (** Only when [config.quarantine] is set, for the same reason. *)
+      (** Only when [config.quarantine] is set: existing figures pin their
+          snapshot bytes, so the containment series must stay out of
+          their registries. *)
   o_quarantine_drops : M.counter option;
 }
 
-let make_obs ~scale_obs ~quarantine registry =
+let make_obs ~quarantine registry =
   {
     o_verif_failures = M.counter registry "mesh.verification_failures";
     o_beaconing_runs = M.counter registry "mesh.beaconing_runs";
     o_cert_renewals = M.counter registry "mesh.cert_renewals";
     o_sigcache_hits = M.gauge registry ~labels:[ ("result", "hit") ] "mesh.sigcache";
     o_sigcache_misses = M.gauge registry ~labels:[ ("result", "miss") ] "mesh.sigcache";
-    o_beacon_fanout =
-      (if scale_obs then Some (M.counter registry "mesh.beacon_fanout") else None);
     o_quarantine_events =
       (if quarantine then Some (M.counter registry "mesh.quarantine_events") else None);
     o_quarantine_drops =
@@ -391,16 +385,11 @@ let create ?(config = default_config) ?metrics ~now ~ases ~links () =
     verif_failures = 0;
     restorations = 0;
     generation = 0;
-    memo =
-      Combinator.Memo.create
-        ?metrics:(if config.scale_obs then metrics else None)
-        ();
+    memo = Combinator.Memo.create ();
     fanout_sends = 0;
     fanout_capped = 0;
     obs =
-      Option.map
-        (make_obs ~scale_obs:config.scale_obs ~quarantine:(config.quarantine <> None))
-        metrics;
+      Option.map (make_obs ~quarantine:(config.quarantine <> None)) metrics;
   }
 
 (* --- Certificates --- *)
@@ -610,12 +599,6 @@ let run_beaconing t ~now =
   let per_round_budget =
     match t.cfg.fanout_cap with Some c -> c | None -> max_int
   in
-  let count_send () =
-    t.fanout_sends <- t.fanout_sends + 1;
-    match t.obs with
-    | Some { o_beacon_fanout = Some c; _ } -> M.inc c
-    | Some _ | None -> ()
-  in
   for _round = 1 to t.cfg.rounds do
     List.iter
       (fun ia ->
@@ -632,7 +615,7 @@ let run_beaconing t ~now =
                   | None -> ()
                   | Some ingress ->
                       decr budget;
-                      count_send ();
+                      t.fanout_sends <- t.fanout_sends + 1;
                       let ext = extend_from n pcb ~ingress ~egress:nb.n_ifid in
                       receive t (node t nb.n_ia) ~expected_role ext ~now
                         (store_of (node t nb.n_ia)))

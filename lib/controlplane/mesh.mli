@@ -40,11 +40,6 @@ type config = {
           costs a signature, so this is the throttle that keeps dense
           generated meshes tractable; drops beyond the budget are counted
           by {!fanout_capped}. *)
-  scale_obs : bool;
-      (** Publish the scale-sweep series ([mesh.beacon_fanout],
-          [combinator.memo_hit]/[combinator.memo_miss]) into [?metrics].
-          Off by default so existing figures' telemetry stays
-          byte-identical. *)
   quarantine : quarantine_policy option;
       (** Beacon-origin containment: with [Some p], a neighbor interface
           whose beacons keep failing verification is quarantined for an

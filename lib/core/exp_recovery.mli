@@ -7,7 +7,7 @@
     Each trial picks an AS pair and one fabric link of its best path,
     schedules a link outage through the {!Fault.Injector} (down at onset,
     repaired [12..40] s later, the repair re-originating beacons via
-    {!Network.apply_fault}), and drives a prober whose per-attempt costs
+    {!Network.inject}), and drives a prober whose per-attempt costs
     are simulated milliseconds: a dead path costs the SCMP answer's
     partial-path RTT when healed, a full ack timeout when not. Recovery is
     the time from fault onset to the first successful send; afterwards the

@@ -187,15 +187,6 @@ let scenario_of_incident ~origin_day (i : incident) =
   | Link_degraded { a; b; label; extra_ms } ->
       compile (a, b, label) (fun link -> Fault.Scenario.window ~link ~from_s ~to_s ~extra_ms)
 
-let scenario_of_window ~from_day ~to_day =
-  Fault.Scenario.seq
-    (List.filter_map
-       (fun i ->
-         if i.from_day < to_day && i.to_day > from_day then
-           Some (scenario_of_incident ~origin_day:from_day i)
-         else None)
-       calendar)
-
 let titled prefix =
   List.filter
     (fun i -> String.length i.title >= String.length prefix

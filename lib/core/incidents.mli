@@ -64,11 +64,6 @@ val links_between :
     parallel circuit ([None] means all of them) — empty when no such link
     exists. *)
 
-val scenario_of_window : from_day:float -> to_day:float -> Fault.Scenario.t
-(** Every calendar incident overlapping [\[from_day, to_day)] as a
-    scenario whose clock starts at [from_day] (events before it are
-    clamped to time 0). *)
-
 val jan21 : Fault.Scenario.t
 (** The Jan 21 maintenance replay (day 3): the transatlantic GEANT link,
     the GEANT Singapore link and the KREONET SG–AMS ring segment go down

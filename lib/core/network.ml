@@ -77,11 +77,15 @@ let apply_day t day =
     t.topo.Topology.spec_links;
   !changed_up
 
-let rebeacon t =
-  Mesh.run_beaconing t.mesh ~now:(now_unix t);
+(* The control plane re-converged: cached paths are stale. *)
+let reconverged t =
   Hashtbl.reset t.path_cache;
   t.last_beacon_day <- t.day;
   t.rebeacons <- t.rebeacons + 1
+
+let rebeacon t =
+  Mesh.run_beaconing t.mesh ~now:(now_unix t);
+  reconverged t
 
 let set_day t day =
   t.day <- day;
@@ -90,7 +94,7 @@ let set_day t day =
 
 let create ?(seed = 0x5C1E_7A5EL) ?(per_origin = 20) ?(verify_pcbs = true)
     ?(topology = Topology.sciera) ?(rounds = 10) ?propagate_k ?fanout_cap
-    ?(scale_obs = false) ?quarantine ?telemetry () =
+    ?quarantine ?telemetry () =
   let config =
     {
       Mesh.default_config with
@@ -100,7 +104,6 @@ let create ?(seed = 0x5C1E_7A5EL) ?(per_origin = 20) ?(verify_pcbs = true)
       rounds;
       verify_pcbs;
       fanout_cap;
-      scale_obs;
       quarantine;
     }
   in
@@ -220,11 +223,7 @@ let apply_fault t op =
       Mesh.set_link_state t.mesh id ~up:false
   | Fault.Scenario.Link_up id ->
       Net.set_link_up t.net id true;
-      if Mesh.restore_link t.mesh id ~now:(now_unix t) then begin
-        Hashtbl.reset t.path_cache;
-        t.last_beacon_day <- t.day;
-        t.rebeacons <- t.rebeacons + 1
-      end
+      if Mesh.restore_link t.mesh id ~now:(now_unix t) then reconverged t
   | Fault.Scenario.Extra_latency { link; ms } -> Net.set_extra_latency t.net link ms
   | Fault.Scenario.Loss_burst { link; loss } -> Net.set_extra_loss t.net link loss
   | Fault.Scenario.Node_down n ->
@@ -241,15 +240,11 @@ let apply_fault t op =
             Mesh.restore_link t.mesh id ~now:(now_unix t) || acc)
           false (Net.links_of t.net n)
       in
-      if restored then begin
-        Hashtbl.reset t.path_cache;
-        t.last_beacon_day <- t.day;
-        t.rebeacons <- t.rebeacons + 1
-      end
+      if restored then reconverged t
   | Fault.Scenario.Control_down | Fault.Scenario.Control_up -> ()
 
 let inject t ~engine ~rng scenario =
-  Fault.Injector.attach ~engine ~rng ~apply:(apply_fault t) scenario
+  Fault.Injector.attach ~engine ~apply:(apply_fault t) (Fault.Scenario.elaborate scenario ~rng)
 
 (* --- Adversary interpretation ---------------------------------------- *)
 
@@ -449,8 +444,7 @@ let attach_adversary t ~engine ~rng ?(defended = false) adversary =
             stats.adv_seized <- victim :: stats.adv_seized)
     | Fault.Adversary.Trc_rotate { isd } -> Mesh.rotate_trc t.mesh ~isd ~now:(now ())
   in
-  let inj = Fault.Injector.attach_adversary ~engine ~rng ~apply adversary in
-  (inj, stats)
+  (Fault.Injector.attach ~engine ~apply (Fault.Adversary.elaborate adversary ~rng), stats)
 
 let paths t ~src ~dst =
   let key = Ia.to_string src ^ ">" ^ Ia.to_string dst in

@@ -19,7 +19,6 @@ val create :
   ?rounds:int ->
   ?propagate_k:int ->
   ?fanout_cap:int ->
-  ?scale_obs:bool ->
   ?quarantine:Mesh.quarantine_policy ->
   ?telemetry:Obs.t ->
   unit ->
@@ -31,8 +30,8 @@ val create :
     instantiate a generated mesh — the incident calendar then matches no
     links and day changes only trigger periodic re-beaconing. [?rounds]
     and [?propagate_k] tune beaconing (defaults 10 and [per_origin]);
-    [?fanout_cap] and [?scale_obs] forward to
-    {!Scion_controlplane.Mesh.config} for large generated meshes.
+    [?fanout_cap] forwards to {!Scion_controlplane.Mesh.config} for
+    large generated meshes.
     [?quarantine] arms per-neighbor beacon-origin containment
     ({!Scion_controlplane.Mesh.quarantine_policy}); omitted means no
     quarantine, the historic behaviour.
@@ -53,21 +52,19 @@ val set_day : t -> float -> unit
     both link models, and re-run beaconing when the set of *up* links
     changed or the last convergence is older than the hop-field expiry. *)
 
-val apply_fault : t -> Fault.Scenario.op -> unit
-(** Apply one fault-injector op to both the link fabric and the control
-    plane. Bringing a down link (or node) back triggers an immediate
-    beacon re-origination ({!Scion_controlplane.Mesh.restore_link}) and
-    drops the memoised path cache; [Control_*] ops are bookkept by the
-    injector, not the fabric. *)
-
 (* scion-lint: rng-stream fault -- elaboration of the scenario draws from the injector's fault stream *)
 val inject :
   t ->
   engine:Netsim.Engine.t ->
   rng:Scion_util.Rng.t ->
   Fault.Scenario.t ->
-  Fault.Injector.t
-(** Attach a fault scenario to this network on the given engine.
+  Fault.Scenario.op Fault.Injector.t
+(** Attach a fault scenario to this network on the given engine. Each op
+    drives both the link fabric and the control plane: bringing a down
+    link (or node) back triggers an immediate beacon re-origination
+    ({!Scion_controlplane.Mesh.restore_link}) and drops the memoised path
+    cache; [Control_*] ops touch neither (read them back with
+    {!Fault.Scenario.control_up}).
     Determinism contract: [rng] must be a stream of its own (e.g.
     [Rng.of_label seed "fault"]), never the network's workload stream —
     then attaching any scenario leaves every workload draw, and therefore
@@ -107,7 +104,7 @@ val attach_adversary :
   rng:Scion_util.Rng.t ->
   ?defended:bool ->
   Fault.Adversary.t ->
-  Fault.Injector.adv * adversary_stats
+  Fault.Adversary.op Fault.Injector.t * adversary_stats
 (** Attach an adversary campaign. Same determinism contract as {!inject}:
     [rng] must be the dedicated adversary stream
     ([Rng.of_label seed "fault.adv"]) and then attaching perturbs no

@@ -312,13 +312,6 @@ let scmp_allow t ~now ~bytes =
         false
       end
 
-let scmp_answer_limited t ~now reason =
-  match scmp_answer t reason with
-  | None -> None
-  | Some msg ->
-      let bytes = String.length (Scmp.encode msg) in
-      if scmp_allow t ~now ~bytes then Some msg else None
-
 let scmp_rate_limited t =
   match t.scmp_limiter with
   | None -> (0, 0)

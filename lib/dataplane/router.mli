@@ -103,11 +103,6 @@ val scmp_allow : t -> now:float -> bytes:int -> bool
     containing [now]; [false] means the message must be suppressed (and
     was counted). Always [true] when no limiter is configured. *)
 
-val scmp_answer_limited : t -> now:float -> drop_reason -> Scmp.t option
-(** {!scmp_answer} gated by the throttle: the encoded reply's bytes are
-    charged via {!scmp_allow}, and a budget miss turns the answer into
-    silence. *)
-
 val scmp_rate_limited : t -> int * int
 (** (messages, bytes) suppressed by the throttle so far ([0, 0] when none
     is configured). *)

@@ -1,4 +1,3 @@
-module Rng = Scion_util.Rng
 module Ia = Scion_addr.Ia
 
 type op =
@@ -35,65 +34,28 @@ let op_to_string = function
   | Trc_compromise { isd } -> Printf.sprintf "compromise ISD %d root key" isd
   | Trc_rotate { isd } -> Printf.sprintf "rotate ISD %d TRC" isd
 
-type event = { at_s : float; op : op }
+include Campaign.Make (struct
+  type t = op
 
-(* Same contract as Scenario.t: elaboration is the only place draws
-   happen, and combinator order is fixed, so (adversary, seed) always
-   yields the same attack schedule. *)
-type t = Rng.t -> event list
-
-let check_time name v =
-  if not (Float.is_finite v) || v < 0.0 then
-    invalid_arg (Printf.sprintf "Adversary.%s: time must be finite and >= 0 (got %g)" name v)
-
-let check_count name v =
-  if v < 0 then invalid_arg (Printf.sprintf "Adversary.%s: count must be >= 0 (got %d)" name v)
-
-let nothing : t = fun _rng -> []
-
-let at t ops =
-  check_time "at" t;
-  fun _rng -> List.map (fun op -> { at_s = t; op }) ops
-
-let every ~period_s ~until_s start ops =
-  check_time "every" start;
-  check_time "every" until_s;
-  if not (Float.is_finite period_s) || period_s <= 0.0 then
-    invalid_arg (Printf.sprintf "Adversary.every: period must be > 0 (got %g)" period_s);
-  fun _rng ->
-    let rec go t acc =
-      if t >= until_s then List.rev acc
-      else go (t +. period_s) (List.rev_append (List.map (fun op -> { at_s = t; op }) ops) acc)
-    in
-    go start []
+  let name = "Adversary"
+end)
 
 let salvo ?(jitter_s = 0.0) ~start_s ~rounds ~period_s ops =
   check_time "salvo" start_s;
   check_count "salvo" rounds;
-  if not (Float.is_finite period_s) || period_s <= 0.0 then
-    invalid_arg (Printf.sprintf "Adversary.salvo: period must be > 0 (got %g)" period_s);
-  if not (Float.is_finite jitter_s) || jitter_s < 0.0 then
-    invalid_arg (Printf.sprintf "Adversary.salvo: jitter must be finite and >= 0 (got %g)" jitter_s);
+  check_period "salvo" period_s;
+  let stretch = jitter "salvo" jitter_s in
   fun rng ->
-    let stretch () = if jitter_s > 0.0 then Rng.float rng jitter_s else 0.0 in
     let rec go i t acc =
       if i >= rounds then List.rev acc
       else
-        let acc = List.rev_append (List.map (fun op -> { at_s = t; op }) ops) acc in
-        go (i + 1) (t +. period_s +. stretch ()) acc
+        let acc = List.rev_append (List.map (fun op -> { Campaign.at_s = t; op }) ops) acc in
+        go (i + 1) (t +. period_s +. stretch rng) acc
     in
     go 0 start_s []
 
-let span name ~from_s ~to_s ~up ~down =
-  check_time name from_s;
-  check_time name to_s;
-  if to_s < from_s then
-    invalid_arg
-      (Printf.sprintf "Adversary.%s: window ends (%g) before it starts (%g)" name to_s from_s);
-  fun _rng -> [ { at_s = from_s; op = up }; { at_s = to_s; op = down } ]
-
 let wormhole ~a ~b ~from_s ~to_s =
-  span "wormhole" ~from_s ~to_s ~up:(Wormhole_up { a; b }) ~down:(Wormhole_down { a; b })
+  span "wormhole" ~from_s ~to_s (Wormhole_up { a; b }) (Wormhole_down { a; b })
 
 let beacon_corruption ~compromised ~from_s ~until_s ~period_s ~count =
   check_count "beacon_corruption" count;
@@ -119,8 +81,7 @@ let reflection ~reflector ~victim ~from_s ~until_s ~period_s ~count =
 let flood ~attacker ~target ~from_s ~until_s ~period_s ~packets ~duplicate_pct =
   check_count "flood" packets;
   if duplicate_pct < 0 || duplicate_pct > 100 then
-    invalid_arg
-      (Printf.sprintf "Adversary.flood: duplicate_pct must be in [0, 100] (got %d)" duplicate_pct);
+    invalid "flood" "duplicate_pct must be in [0, 100] (got %d)" duplicate_pct;
   every ~period_s ~until_s from_s [ Volumetric_flood { attacker; target; packets; duplicate_pct } ]
 
 let compromise_drill ~isd ~at_s ~rotate_after_s =
@@ -128,14 +89,6 @@ let compromise_drill ~isd ~at_s ~rotate_after_s =
   check_time "compromise_drill" rotate_after_s;
   fun _rng ->
     [
-      { at_s; op = Trc_compromise { isd } };
+      { Campaign.at_s; op = Trc_compromise { isd } };
       { at_s = at_s +. rotate_after_s; op = Trc_rotate { isd } };
     ]
-
-let seq adversaries rng =
-  let events = List.concat_map (fun a -> a rng) adversaries in
-  List.stable_sort (fun a b -> Float.compare a.at_s b.at_s) events
-
-let ( ++ ) a b = seq [ a; b ]
-
-let elaborate t ~rng = seq [ t ] rng

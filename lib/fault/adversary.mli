@@ -7,13 +7,12 @@
     pair tunneling traffic, reflection and volumetric floods, and a CA
     key compromise with its TRC-rotation drill.
 
-    The determinism contract matches {!Scenario}: an adversary elaborates
-    into a finite list of timed {!op}s, drawing only from its own RNG
-    stream — conventionally [Rng.of_label seed "fault.adv"] — so
-    attaching an adversary never perturbs workload draws. The op payloads
-    are pure data (AS identifiers and counts); interpretation against a
-    concrete mesh lives in the applier passed to
-    {!Injector.attach_adversary}. *)
+    Both are a {!Campaign} over their own op type. An adversary draws
+    (salvo jitter) only from its own stream — conventionally
+    [Rng.of_label seed "fault.adv"] — so attaching one never perturbs
+    workload draws. The op payloads are pure data (AS identifiers and
+    counts); interpretation against a concrete mesh lives in the applier
+    passed to {!Injector.attach}. *)
 
 (** One primitive adversary action. *)
 type op =
@@ -40,28 +39,9 @@ type op =
 
 val op_to_string : op -> string
 
-type event = { at_s : float; op : op }
-(** A concrete timer event after elaboration. *)
+include Campaign.S with type op := op
 
-type t
-(** An adversary campaign (composable, not yet elaborated). *)
-
-(* scion-lint: rng-stream fault.adv -- all adversary draws come from the dedicated adversary stream *)
-val elaborate : t -> rng:Scion_util.Rng.t -> event list
-(** Expand into concrete events, sorted by time (ties keep combinator
-    order). All random draws come from [rng]. *)
-
-(** {1 Combinators} *)
-
-val nothing : t
-
-val at : float -> op list -> t
-(** [at t ops] fires every op at time [t] (seconds, [>= 0.]). *)
-
-val every : period_s:float -> until_s:float -> float -> op list -> t
-(** [every ~period_s ~until_s start ops] repeats [ops] at [start],
-    [start + period_s], ... strictly before [until_s]. Requires
-    [period_s > 0.]. *)
+(** {1 Attack combinators} *)
 
 val salvo : ?jitter_s:float -> start_s:float -> rounds:int -> period_s:float -> op list -> t
 (** [rounds] repetitions of [ops] starting at [start_s], [period_s]
@@ -135,9 +115,3 @@ val flood :
 val compromise_drill : isd:int -> at_s:float -> rotate_after_s:float -> t
 (** {!Trc_compromise} at [at_s] followed by {!Trc_rotate} once the
     operators notice, [rotate_after_s] later. *)
-
-val seq : t list -> t
-(** Superpose campaigns (events interleave by time). *)
-
-val ( ++ ) : t -> t -> t
-(** [a ++ b] is [seq [a; b]]. *)

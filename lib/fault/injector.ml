@@ -1,63 +1,16 @@
 module Engine = Netsim.Engine
-module Net = Netsim.Net
 
-type t = {
-  events : Scenario.event list;
-  mutable fired : int;
-  mutable control : bool;
-}
+type 'op t = { events : 'op Campaign.event list; mutable fired : int }
 
-let attach ~engine ~rng ~apply scenario =
-  let events = Scenario.elaborate scenario ~rng in
-  let t = { events; fired = 0; control = true } in
+let attach ~engine ~apply events =
+  let t = { events; fired = 0 } in
   List.iter
-    (fun (ev : Scenario.event) ->
-      Engine.schedule_at engine ~time:ev.Scenario.at_s (fun () ->
-          (match ev.Scenario.op with
-          | Scenario.Control_down -> t.control <- false
-          | Scenario.Control_up -> t.control <- true
-          | Scenario.Link_down _ | Scenario.Link_up _ | Scenario.Extra_latency _
-          | Scenario.Loss_burst _ | Scenario.Node_down _ | Scenario.Node_up _ ->
-              ());
-          apply ev.Scenario.op;
+    (fun (ev : _ Campaign.event) ->
+      Engine.schedule_at engine ~time:ev.at_s (fun () ->
+          apply ev.op;
           t.fired <- t.fired + 1))
     events;
   t
 
-let net_apply net op =
-  match op with
-  | Scenario.Link_down l -> Net.set_link_up net l false
-  | Scenario.Link_up l -> Net.set_link_up net l true
-  | Scenario.Extra_latency { link; ms } -> Net.set_extra_latency net link ms
-  | Scenario.Loss_burst { link; loss } -> Net.set_extra_loss net link loss
-  | Scenario.Node_down n -> List.iter (fun l -> Net.set_link_up net l false) (Net.links_of net n)
-  | Scenario.Node_up n -> List.iter (fun l -> Net.set_link_up net l true) (Net.links_of net n)
-  | Scenario.Control_down | Scenario.Control_up -> ()
-
-let attach_net ~engine ~rng ~net ?(on_op = fun _ -> ()) scenario =
-  attach ~engine ~rng scenario ~apply:(fun op ->
-      net_apply net op;
-      on_op op)
-
 let events t = t.events
 let fired t = t.fired
-let control_up t = t.control
-
-type adv = {
-  adv_events : Adversary.event list;
-  mutable adv_fired : int;
-}
-
-let attach_adversary ~engine ~rng ~apply adversary =
-  let adv_events = Adversary.elaborate adversary ~rng in
-  let t = { adv_events; adv_fired = 0 } in
-  List.iter
-    (fun (ev : Adversary.event) ->
-      Engine.schedule_at engine ~time:ev.Adversary.at_s (fun () ->
-          apply ev.Adversary.op;
-          t.adv_fired <- t.adv_fired + 1))
-    adv_events;
-  t
-
-let adv_events t = t.adv_events
-let adv_fired t = t.adv_fired

@@ -1,75 +1,25 @@
-(** The deterministic fault injector: compiles a {!Scenario.t} into
-    {!Netsim.Engine.t} timer events.
+(** The deterministic injector: compiles an elaborated campaign — a
+    {!Scenario} or an {!Adversary} — into {!Netsim.Engine.t} timer events.
 
-    Determinism contract: the scenario elaborates against the RNG stream
-    passed to {!attach} — conventionally [Rng.of_label seed "fault"] —
-    and the injector itself draws nothing afterwards. Attaching (or not
-    attaching) an injector therefore leaves every workload RNG stream
-    byte-identical; only the link/control state transitions it applies can
-    change what the workload observes. [test/test_golden.ml] pins this
-    property against the checked-in evidence. *)
+    Determinism contract: the caller elaborates against the campaign's own
+    stream ([Scenario.elaborate s ~rng:(Rng.of_label seed "fault")], or
+    ["fault.adv"] for an adversary) and the injector itself draws nothing.
+    Attaching (or not attaching) an injector therefore leaves every
+    workload RNG stream byte-identical; only the transitions [apply]
+    performs can change what the workload observes. [test/test_golden.ml]
+    pins this property against the checked-in evidence. *)
 
-type t
+type 'op t
 
-(* scion-lint: rng-stream fault -- scenario elaboration draws only from the dedicated fault stream *)
 val attach :
-  engine:Netsim.Engine.t ->
-  rng:Scion_util.Rng.t ->
-  apply:(Scenario.op -> unit) ->
-  Scenario.t ->
-  t
-(** Elaborate the scenario with [rng] and schedule one engine event per
-    fault op; each event calls [apply]. Ops scheduled before the engine's
-    current time are rejected with [Invalid_argument] (a scenario is
-    attached at or before its first op, never mid-flight). *)
+  engine:Netsim.Engine.t -> apply:('op -> unit) -> 'op Campaign.event list -> 'op t
+(** Schedule one engine event per elaborated op; each event calls
+    [apply]. Ops scheduled before the engine's current time are rejected
+    with [Invalid_argument] (a campaign is attached at or before its
+    first op, never mid-flight). *)
 
-(* scion-lint: rng-stream fault -- scenario elaboration draws only from the dedicated fault stream *)
-val attach_net :
-  engine:Netsim.Engine.t ->
-  rng:Scion_util.Rng.t ->
-  net:Netsim.Net.t ->
-  ?on_op:(Scenario.op -> unit) ->
-  Scenario.t ->
-  t
-(** {!attach} with the standard fabric applier: link ops drive
-    {!Netsim.Net.set_link_up} / [set_extra_latency] / [set_extra_loss];
-    node ops toggle every incident link; control ops flip {!control_up}.
-    [on_op] observes each op after it is applied (telemetry, logging). *)
-
-val events : t -> Scenario.event list
+val events : 'op t -> 'op Campaign.event list
 (** The full elaborated schedule, sorted by time. *)
 
-val fired : t -> int
+val fired : 'op t -> int
 (** Ops applied so far (grows as the engine runs). *)
-
-val control_up : t -> bool
-(** False between [Control_down] and [Control_up] ops — hosts model
-    path-fetch failures against this flag. Starts true. *)
-
-(** {1 Adversaries}
-
-    The same timer machinery compiles {!Adversary.t} campaigns. The
-    determinism contract is identical: elaboration draws only from the
-    stream passed here — conventionally [Rng.of_label seed "fault.adv"]
-    — and attaching an adversary leaves every workload stream
-    byte-identical. *)
-
-type adv
-(** An attached adversary campaign. *)
-
-(* scion-lint: rng-stream fault.adv -- campaign elaboration draws only from the dedicated adversary stream *)
-val attach_adversary :
-  engine:Netsim.Engine.t ->
-  rng:Scion_util.Rng.t ->
-  apply:(Adversary.op -> unit) ->
-  Adversary.t ->
-  adv
-(** Elaborate the campaign with [rng] and schedule one engine event per
-    adversary op; each event calls [apply]. Ops scheduled before the
-    engine's current time are rejected with [Invalid_argument]. *)
-
-val adv_events : adv -> Adversary.event list
-(** The full elaborated attack schedule, sorted by time. *)
-
-val adv_fired : adv -> int
-(** Adversary ops applied so far (grows as the engine runs). *)

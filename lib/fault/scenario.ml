@@ -1,5 +1,3 @@
-module Rng = Scion_util.Rng
-
 type op =
   | Link_down of Netsim.Net.link_id
   | Link_up of Netsim.Net.link_id
@@ -20,83 +18,50 @@ let op_to_string = function
   | Control_down -> "control service down"
   | Control_up -> "control service up"
 
-type event = { at_s : float; op : op }
+include Campaign.Make (struct
+  type t = op
 
-(* A scenario elaborates to events given the fault stream. Elaboration is
-   the only place random draws happen, and combinator order is fixed, so
-   the same (scenario, seed) pair always yields the same schedule. *)
-type t = Rng.t -> event list
-
-let check_time name v =
-  if not (Float.is_finite v) || v < 0.0 then
-    invalid_arg (Printf.sprintf "Scenario.%s: time must be finite and >= 0 (got %g)" name v)
-
-let nothing : t = fun _rng -> []
-
-let at t ops =
-  check_time "at" t;
-  fun _rng -> List.map (fun op -> { at_s = t; op }) ops
-
-let every ~period_s ~until_s start ops =
-  check_time "every" start;
-  check_time "every" until_s;
-  if not (Float.is_finite period_s) || period_s <= 0.0 then
-    invalid_arg (Printf.sprintf "Scenario.every: period must be > 0 (got %g)" period_s);
-  fun _rng ->
-    let rec go t acc =
-      if t >= until_s then List.rev acc
-      else go (t +. period_s) (List.rev_append (List.map (fun op -> { at_s = t; op }) ops) acc)
-    in
-    go start []
+  let name = "Scenario"
+end)
 
 let flap ?(jitter_s = 0.0) ~link ~start_s ~count ~down_s ~up_s () =
   check_time "flap" start_s;
   check_time "flap" down_s;
   check_time "flap" up_s;
-  if count < 0 then invalid_arg "Scenario.flap: count must be >= 0";
-  if not (Float.is_finite jitter_s) || jitter_s < 0.0 then
-    invalid_arg (Printf.sprintf "Scenario.flap: jitter must be finite and >= 0 (got %g)" jitter_s);
+  check_count "flap" count;
+  let stretch = jitter "flap" jitter_s in
   fun rng ->
-    let stretch () = if jitter_s > 0.0 then Rng.float rng jitter_s else 0.0 in
     let rec go i t acc =
       if i >= count then List.rev acc
       else begin
         let down_at = t in
-        let up_at = down_at +. down_s +. stretch () in
-        let next = up_at +. up_s +. stretch () in
+        let up_at = down_at +. down_s +. stretch rng in
+        let next = up_at +. up_s +. stretch rng in
         go (i + 1) next
-          ({ at_s = up_at; op = Link_up link } :: { at_s = down_at; op = Link_down link } :: acc)
+          ({ Campaign.at_s = up_at; op = Link_up link } :: { at_s = down_at; op = Link_down link }
+          :: acc)
       end
     in
     go 0 start_s []
 
-let span name ~from_s ~to_s ~down ~up =
-  check_time name from_s;
-  check_time name to_s;
-  if to_s < from_s then
-    invalid_arg (Printf.sprintf "Scenario.%s: window ends (%g) before it starts (%g)" name to_s from_s);
-  fun _rng -> [ { at_s = from_s; op = down }; { at_s = to_s; op = up } ]
-
 let window ~link ~from_s ~to_s ~extra_ms =
   span "window" ~from_s ~to_s
-    ~down:(Extra_latency { link; ms = extra_ms })
-    ~up:(Extra_latency { link; ms = 0.0 })
+    (Extra_latency { link; ms = extra_ms })
+    (Extra_latency { link; ms = 0.0 })
 
-let outage ~link ~from_s ~to_s = span "outage" ~from_s ~to_s ~down:(Link_down link) ~up:(Link_up link)
+let outage ~link ~from_s ~to_s = span "outage" ~from_s ~to_s (Link_down link) (Link_up link)
 
 let burst ~link ~from_s ~to_s ~loss =
-  span "burst" ~from_s ~to_s ~down:(Loss_burst { link; loss }) ~up:(Loss_burst { link; loss = 0.0 })
+  span "burst" ~from_s ~to_s (Loss_burst { link; loss }) (Loss_burst { link; loss = 0.0 })
 
-let partition ~node ~from_s ~to_s =
-  span "partition" ~from_s ~to_s ~down:(Node_down node) ~up:(Node_up node)
+let partition ~node ~from_s ~to_s = span "partition" ~from_s ~to_s (Node_down node) (Node_up node)
+let blackout ~from_s ~to_s = span "blackout" ~from_s ~to_s Control_down Control_up
 
-let blackout ~from_s ~to_s = span "blackout" ~from_s ~to_s ~down:Control_down ~up:Control_up
-
-let seq scenarios rng =
-  let events = List.concat_map (fun s -> s rng) scenarios in
-  (* Stable sort keeps combinator order for simultaneous events. *)
-  List.stable_sort (fun a b -> Float.compare a.at_s b.at_s) events
-
-let ( ++ ) a b = seq [ a; b ]
-
-let elaborate t ~rng = seq [ t ] rng
+let control_up events =
+  List.fold_left
+    (fun up (e : event) ->
+      match e.op with
+      | Control_down -> false
+      | Control_up -> true
+      | Link_down _ | Link_up _ | Extra_latency _ | Loss_burst _ | Node_down _ | Node_up _ -> up)
+    true events

@@ -1,19 +1,14 @@
-(** Declarative fault scenarios for the deterministic injector.
+(** Declarative fault scenarios: infrastructure failing.
 
-    A scenario is a recipe: given the scenario's own {!Scion_util.Rng.t}
-    stream it elaborates into a finite list of timed {!op}s. All
-    randomness a scenario uses (flap-duration jitter, burst placement)
-    comes from that stream and nothing else, so attaching a scenario to a
-    running simulation never perturbs the workload's draws — the
-    determinism rule the golden evidence depends on.
-
-    Times are seconds on the simulation clock of the {!Netsim.Engine.t}
-    the scenario is eventually attached to. Link and node ids are the
-    target fabric's ({!Netsim.Net.link_id} / {!Netsim.Net.node}). *)
+    A {!Campaign} over fault {!op}s. A scenario elaborates against its own
+    stream — conventionally [Rng.of_label seed "fault"] — and draws
+    (flap jitter) from nothing else, so attaching a scenario never
+    perturbs the workload's draws: the determinism rule the golden
+    evidence depends on. Link and node ids are the target fabric's
+    ({!Netsim.Net.link_id} / {!Netsim.Net.node}). *)
 
 (** One primitive fault transition. [Node_*] and [Control_*] ops are
-    resolved by the applier ({!Injector.attach}'s [apply], or the built-in
-    fabric applier of {!Injector.attach_net}). *)
+    resolved by the applier ({!Injector.attach}'s [apply]). *)
 type op =
   | Link_down of Netsim.Net.link_id
   | Link_up of Netsim.Net.link_id
@@ -30,28 +25,9 @@ type op =
 
 val op_to_string : op -> string
 
-type event = { at_s : float; op : op }
-(** A concrete timer event after elaboration. *)
+include Campaign.S with type op := op
 
-type t
-(** A scenario (composable, not yet elaborated). *)
-
-(* scion-lint: rng-stream fault -- all scenario draws come from the injector's fault stream *)
-val elaborate : t -> rng:Scion_util.Rng.t -> event list
-(** Expand into concrete events, sorted by time (ties keep combinator
-    order). All random draws come from [rng]. *)
-
-(** {1 Combinators} *)
-
-val nothing : t
-
-val at : float -> op list -> t
-(** [at t ops] fires every op at time [t] (seconds, [>= 0.]). *)
-
-val every : period_s:float -> until_s:float -> float -> op list -> t
-(** [every ~period_s ~until_s start ops] repeats [ops] at [start],
-    [start + period_s], ... strictly before [until_s]. Requires
-    [period_s > 0.]. *)
+(** {1 Fault combinators} *)
 
 val flap :
   ?jitter_s:float ->
@@ -85,8 +61,7 @@ val partition : node:Netsim.Net.node -> from_s:float -> to_s:float -> t
 val blackout : from_s:float -> to_s:float -> t
 (** Control-service blackout window. *)
 
-val seq : t list -> t
-(** Superpose scenarios (events interleave by time). *)
-
-val ( ++ ) : t -> t -> t
-(** [a ++ b] is [seq [a; b]]. *)
+val control_up : event list -> bool
+(** Whether the control service is up after the given events: the last
+    [Control_*] op wins, and with none it is up. Pass the fired prefix of
+    an injector's schedule to read the state mid-replay. *)

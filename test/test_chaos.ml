@@ -228,7 +228,7 @@ let mixed_property (pair_idx, seed, fault_specs, adv_specs) =
   Netsim.Engine.run engine;
   if Fault.Injector.fired injector <> List.length (Fault.Injector.events injector) then
     QCheck.Test.fail_reportf "fault scenario did not fully replay";
-  if Fault.Injector.adv_fired adv <> List.length (Fault.Injector.adv_events adv) then
+  if Fault.Injector.fired adv <> List.length (Fault.Injector.events adv) then
     QCheck.Test.fail_reportf "adversary campaign did not fully detach";
   (* Both injectors drained: the fabric is healed and the adversary gone;
      delivery must come back within the re-probe budget. *)
@@ -295,8 +295,8 @@ let test_adversary_rng_isolation () =
   Netsim.Engine.run engine;
   Alcotest.(check int)
     "campaign drained"
-    (List.length (Fault.Injector.adv_events adv))
-    (Fault.Injector.adv_fired adv);
+    (List.length (Fault.Injector.events adv))
+    (Fault.Injector.fired adv);
   Alcotest.(check (list string)) "workload draws identical" (sample_seq quiet)
     (sample_seq attacked)
 

@@ -1,6 +1,6 @@
-(* The deterministic fault-injection subsystem: scenario elaboration,
-   combinator semantics, the injector's engine wiring, and the canned
-   incident replays. *)
+(* The deterministic fault-injection subsystem: scenario and adversary
+   elaboration, combinator semantics, the injector's engine wiring, and
+   the canned incident replays. *)
 
 module Rng = Scion_util.Rng
 module Net = Netsim.Net
@@ -73,52 +73,6 @@ let test_combinator_validation () =
   Alcotest.(check bool) "zero period rejected" true
     (raises (fun () -> Scenario.every ~period_s:0.0 ~until_s:1.0 0.0 [ Scenario.Control_down ]))
 
-(* --- Injector ------------------------------------------------------------ *)
-
-let two_node_net () =
-  let net = Net.create ~rng:(Rng.of_label 7L "fabric") in
-  let a = Net.add_node net "a" in
-  let b = Net.add_node net "b" in
-  let l = Net.add_link net a b { Net.default_params with latency_ms = 5.0 } in
-  (net, a, b, l)
-
-let test_attach_net_applies_ops () =
-  let net, _, _, l = two_node_net () in
-  let engine = Engine.create () in
-  let seen = ref [] in
-  let inj =
-    Injector.attach_net ~engine ~rng:(rng ()) ~net
-      ~on_op:(fun op -> seen := Scenario.op_to_string op :: !seen)
-      Scenario.(
-        outage ~link:l ~from_s:1.0 ~to_s:3.0
-        ++ window ~link:l ~from_s:1.0 ~to_s:3.0 ~extra_ms:25.0
-        ++ blackout ~from_s:2.0 ~to_s:2.5)
-  in
-  Alcotest.(check int) "nothing fired before the engine runs" 0 (Injector.fired inj);
-  Alcotest.(check bool) "link up initially" true (Net.link_up net l);
-  Engine.run engine ~until:1.5;
-  Alcotest.(check bool) "link down mid-outage" false (Net.link_up net l);
-  Alcotest.(check (float 1e-9)) "extra latency applied" 25.0 (Net.extra_latency net l);
-  Alcotest.(check bool) "control up before blackout" true (Injector.control_up inj);
-  Engine.run engine ~until:2.2;
-  Alcotest.(check bool) "control down during blackout" false (Injector.control_up inj);
-  Engine.run engine;
-  Alcotest.(check bool) "link restored" true (Net.link_up net l);
-  Alcotest.(check (float 1e-9)) "extra latency cleared" 0.0 (Net.extra_latency net l);
-  Alcotest.(check bool) "control restored" true (Injector.control_up inj);
-  let total = List.length (Injector.events inj) in
-  Alcotest.(check int) "every op fired exactly once" total (Injector.fired inj);
-  Alcotest.(check int) "on_op observed every op" total (List.length !seen)
-
-let test_attach_rejects_past_ops () =
-  let net, _, _, l = two_node_net () in
-  let engine = Engine.create ~start:100.0 () in
-  match
-    Injector.attach_net ~engine ~rng:(rng ()) ~net (Scenario.outage ~link:l ~from_s:1.0 ~to_s:2.0)
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "attaching a scenario behind the engine clock must be rejected"
-
 (* --- Adversary campaigns -------------------------------------------------- *)
 
 module Adversary = Fault.Adversary
@@ -178,23 +132,32 @@ let test_adversary_validation () =
          Adversary.flood ~attacker:(ia "71-225") ~target:(ia "71-88") ~from_s:0.0 ~until_s:1.0
            ~period_s:1.0 ~packets:10 ~duplicate_pct:101))
 
-let test_attach_adversary_fires_in_order () =
+(* --- Injector ------------------------------------------------------------ *)
+
+(* One timer path serves both campaign kinds; a recording applier sees
+   every op once, in schedule order. *)
+let test_attach_fires_in_order () =
   let engine = Engine.create () in
   let seen = ref [] in
-  let adv =
-    Injector.attach_adversary ~engine ~rng:(adv_rng ())
+  let inj =
+    Injector.attach ~engine
       ~apply:(fun op -> seen := Adversary.op_to_string op :: !seen)
-      Adversary.(
-        at 2.0 [ Adversary.Trc_compromise { isd = 71 } ]
-        ++ beacon_corruption ~compromised:(ia "71-20965") ~from_s:1.0 ~until_s:4.0 ~period_s:1.0
-             ~count:2
-        ++ at 3.0 [ Adversary.Trc_rotate { isd = 71 } ])
+      (Adversary.elaborate
+         Adversary.(
+           at 2.0 [ Adversary.Trc_compromise { isd = 71 } ]
+           ++ beacon_corruption ~compromised:(ia "71-20965") ~from_s:1.0 ~until_s:4.0
+                ~period_s:1.0 ~count:2
+           ++ at 3.0 [ Adversary.Trc_rotate { isd = 71 } ])
+         ~rng:(adv_rng ()))
   in
-  Alcotest.(check int) "nothing fired before the engine runs" 0 (Injector.adv_fired adv);
+  Alcotest.(check int) "nothing fired before the engine runs" 0 (Injector.fired inj);
   Engine.run engine;
-  let total = List.length (Injector.adv_events adv) in
-  Alcotest.(check int) "every op fired exactly once" total (Injector.adv_fired adv);
-  Alcotest.(check int) "apply observed every op" total (List.length !seen);
+  let total = List.length (Injector.events inj) in
+  Alcotest.(check int) "every op fired exactly once" total (Injector.fired inj);
+  Alcotest.(check (list string))
+    "apply observed the schedule in order"
+    (List.map (fun (e : Adversary.event) -> Adversary.op_to_string e.op) (Injector.events inj))
+    (List.rev !seen);
   (* The drill ordering survives the timer compilation: the compromise
      (t=2) applies before the rotation (t=3). *)
   let pos needle =
@@ -208,15 +171,64 @@ let test_attach_adversary_fires_in_order () =
     (pos (Adversary.op_to_string (Adversary.Trc_compromise { isd = 71 }))
     < pos (Adversary.op_to_string (Adversary.Trc_rotate { isd = 71 })))
 
-let test_attach_adversary_rejects_past_ops () =
+let test_attach_rejects_past_ops () =
   let engine = Engine.create ~start:100.0 () in
   match
-    Injector.attach_adversary ~engine ~rng:(adv_rng ())
+    Injector.attach ~engine
       ~apply:(fun _ -> ())
-      (Adversary.at 1.0 [ Adversary.Trc_compromise { isd = 71 } ])
+      (Scenario.elaborate (Scenario.outage ~link:0 ~from_s:1.0 ~to_s:2.0) ~rng:(rng ()))
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "attaching a campaign behind the engine clock must be rejected"
+
+(* The same clock check holds for an adversary schedule. *)
+let test_attach_adversary_rejects_past_ops () =
+  let engine = Engine.create ~start:100.0 () in
+  match
+    Injector.attach ~engine
+      ~apply:(fun _ -> ())
+      (Adversary.elaborate
+         (Adversary.at 1.0 [ Adversary.Trc_compromise { isd = 71 } ])
+         ~rng:(adv_rng ()))
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "attaching a campaign behind the engine clock must be rejected"
+
+(* [Network.inject] drives the fabric and reads control state back from
+   the fired prefix of the schedule. *)
+let test_network_inject_applies_ops () =
+  let net = Sciera.Network.create ~per_origin:4 ~verify_pcbs:false () in
+  let fabric = Sciera.Network.scion_fabric net in
+  let l = 0 in
+  let engine = Engine.create () in
+  let inj =
+    Sciera.Network.inject net ~engine ~rng:(rng ())
+      Scenario.(
+        outage ~link:l ~from_s:1.0 ~to_s:3.0
+        ++ window ~link:l ~from_s:1.0 ~to_s:3.0 ~extra_ms:25.0
+        ++ blackout ~from_s:2.0 ~to_s:2.5)
+  in
+  let control_up () =
+    Scenario.control_up (List.filteri (fun i _ -> i < Injector.fired inj) (Injector.events inj))
+  in
+  let rebeacons = Sciera.Network.rebeacon_count net in
+  Alcotest.(check int) "nothing fired before the engine runs" 0 (Injector.fired inj);
+  Alcotest.(check bool) "link up initially" true (Net.link_up fabric l);
+  Engine.run engine ~until:1.5;
+  Alcotest.(check bool) "link down mid-outage" false (Net.link_up fabric l);
+  Alcotest.(check (float 1e-9)) "extra latency applied" 25.0 (Net.extra_latency fabric l);
+  Alcotest.(check bool) "control up before blackout" true (control_up ());
+  Engine.run engine ~until:2.2;
+  Alcotest.(check bool) "control down during blackout" false (control_up ());
+  Engine.run engine;
+  Alcotest.(check bool) "link restored" true (Net.link_up fabric l);
+  Alcotest.(check (float 1e-9)) "extra latency cleared" 0.0 (Net.extra_latency fabric l);
+  Alcotest.(check bool) "control restored" true (control_up ());
+  Alcotest.(check bool) "repair re-converged the control plane" true
+    (Sciera.Network.rebeacon_count net > rebeacons);
+  Alcotest.(check int) "every op fired exactly once"
+    (List.length (Injector.events inj))
+    (Injector.fired inj)
 
 (* --- Canned incident replays --------------------------------------------- *)
 
@@ -263,11 +275,6 @@ let () =
           Alcotest.test_case "every excludes until" `Quick test_every_excludes_until;
           Alcotest.test_case "combinator validation" `Quick test_combinator_validation;
         ] );
-      ( "injector",
-        [
-          Alcotest.test_case "attach_net applies ops" `Quick test_attach_net_applies_ops;
-          Alcotest.test_case "past ops rejected" `Quick test_attach_rejects_past_ops;
-        ] );
       ( "adversary",
         [
           Alcotest.test_case "elaborate sorted + deterministic" `Quick
@@ -275,8 +282,13 @@ let () =
           Alcotest.test_case "burst window excludes until" `Quick test_adversary_burst_window;
           Alcotest.test_case "wormhole up/down shape" `Quick test_adversary_wormhole_shape;
           Alcotest.test_case "combinator validation" `Quick test_adversary_validation;
-          Alcotest.test_case "attach fires in order" `Quick test_attach_adversary_fires_in_order;
           Alcotest.test_case "past ops rejected" `Quick test_attach_adversary_rejects_past_ops;
+        ] );
+      ( "injector",
+        [
+          Alcotest.test_case "attach fires in order" `Quick test_attach_fires_in_order;
+          Alcotest.test_case "past ops rejected" `Quick test_attach_rejects_past_ops;
+          Alcotest.test_case "Network.inject applies ops" `Quick test_network_inject_applies_ops;
         ] );
       ( "incidents",
         [

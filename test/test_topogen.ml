@@ -1,14 +1,11 @@
 (* Property tests for the synthetic topology generator: connectivity and
    core reachability by construction, byte-identity in the (seed, params)
    pair, and the Topogen -> Topology.of_topogen -> Network.create path
-   carrying a real multiping workload. Also pins the scale-observability
-   gate: the mesh.beacon_fanout / combinator.memo_* series exist only when
-   a network opts in with [scale_obs], keeping every pre-existing golden
-   metrics snapshot byte-identical. *)
+   carrying a real multiping workload. Also pins the scale accessors the
+   scaling figure reads: memo hit/miss counts and fan-out-cap drops. *)
 
 module Ia = Scion_addr.Ia
 module Mesh = Scion_controlplane.Mesh
-module M = Telemetry.Metrics
 
 let generate ~seed ~n =
   Topogen.generate ~seed:(Int64.of_int (seed + 1)) (Topogen.default ~n_ases:n)
@@ -123,52 +120,17 @@ let test_network_multiping_smoke () =
     true
     (float_of_int ok >= 0.8 *. float_of_int total)
 
-(* --- Scale observability gate --------------------------------------------- *)
+(* --- Scale accessors ------------------------------------------------------- *)
 
-let counter_value samples name =
-  List.find_map
-    (fun (s : M.sample) ->
-      if s.M.sample_name = name then
-        match s.M.value with M.Counter c -> Some c | _ -> None
-      else None)
-    samples
-
-let test_scale_obs_counters () =
-  let obs = Sciera.Obs.create () in
-  let net =
-    Sciera.Network.create ~per_origin:2 ~verify_pcbs:false ~fanout_cap:2 ~scale_obs:true
-      ~telemetry:obs ()
-  in
+let test_memo_and_fanout_cap () =
+  let net = Sciera.Network.create ~per_origin:2 ~verify_pcbs:false ~fanout_cap:2 () in
   let mesh = Sciera.Network.mesh net in
   let src = Ia.of_string "71-225" and dst = Ia.of_string "71-2:0:5c" in
   ignore (Mesh.paths mesh ~src ~dst);
   ignore (Mesh.paths mesh ~src ~dst);
   let hits, misses = Mesh.memo_stats mesh in
   Alcotest.(check bool) "memo miss then hit" true (hits >= 1 && misses >= 1);
-  Alcotest.(check bool) "tight cap dropped sends" true (Mesh.fanout_capped mesh > 0);
-  let samples = Sciera.Obs.samples obs in
-  let at_least name n =
-    match counter_value samples name with
-    | Some c -> c >= n
-    | None -> Alcotest.failf "series %s missing under scale_obs" name
-  in
-  Alcotest.(check bool) "mesh.beacon_fanout counted" true (at_least "mesh.beacon_fanout" 1);
-  Alcotest.(check bool) "combinator.memo_hit counted" true (at_least "combinator.memo_hit" 1);
-  Alcotest.(check bool) "combinator.memo_miss counted" true
-    (at_least "combinator.memo_miss" 1)
-
-let test_scale_obs_off_by_default () =
-  let obs = Sciera.Obs.create () in
-  let net = Sciera.Network.create ~per_origin:2 ~verify_pcbs:false ~telemetry:obs () in
-  let mesh = Sciera.Network.mesh net in
-  let src = Ia.of_string "71-225" and dst = Ia.of_string "71-2:0:5c" in
-  ignore (Mesh.paths mesh ~src ~dst);
-  let samples = Sciera.Obs.samples obs in
-  List.iter
-    (fun name ->
-      if Option.is_some (counter_value samples name) then
-        Alcotest.failf "series %s must not exist without scale_obs" name)
-    [ "mesh.beacon_fanout"; "combinator.memo_hit"; "combinator.memo_miss" ]
+  Alcotest.(check bool) "tight cap dropped sends" true (Mesh.fanout_capped mesh > 0)
 
 let () =
   Alcotest.run "topogen"
@@ -183,7 +145,6 @@ let () =
       ( "network",
         [
           Alcotest.test_case "multiping smoke (N=100)" `Quick test_network_multiping_smoke;
-          Alcotest.test_case "scale_obs counters" `Quick test_scale_obs_counters;
-          Alcotest.test_case "scale_obs off by default" `Quick test_scale_obs_off_by_default;
+          Alcotest.test_case "memo and fanout-cap accessors" `Quick test_memo_and_fanout_cap;
         ] );
     ]
