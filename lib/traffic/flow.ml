@@ -1,6 +1,6 @@
 (* The fluid flow layer: active flows hold a max-min fair share of every
-   capacity-armed link they cross, recomputed on each arrival, departure
-   and reroute, and pushed into [Net.set_fluid_load] so the packet-level
+   capacity-armed link they cross, recomputed on each arrival and
+   departure, and pushed into [Net.set_fluid_load] so the packet-level
    foreground sees the background load as consumed capacity (hybrid
    fidelity). The engine drives completions with a single pending timer
    for the earliest-finishing flow; a generation counter invalidates
@@ -14,9 +14,30 @@ module M = Telemetry.Metrics
 
 type hop = { link : Net.link_id; from : Net.node }
 
+(* A directed link is the integer [2 * link + side], where [side] is 0
+   when it is entered from the lower-numbered endpoint and 1 otherwise, so
+   ascending directed-link order is ascending [(link, from)] order. *)
+let dir_of net { link; from } =
+  let a, b = Net.endpoints net link in
+  if from = Int.min a b then 2 * link
+  else if from = Int.max a b then (2 * link) + 1
+  else
+    invalid_arg
+      (Printf.sprintf "Flow.offer: node %d is not an endpoint of link %d" from link)
+
+let link_of_dir d = d lsr 1
+
+let from_of_dir net d =
+  let a, b = Net.endpoints net (link_of_dir d) in
+  if d land 1 = 0 then Int.min a b else Int.max a b
+
 type flow = {
   id : int;
-  mutable hops : hop array;
+  (* Directed links crossed, one per hop in hop order (a link crossed
+     twice appears twice: it takes two shares of that capacity). *)
+  dirs : int array;
+  (* The same set without repeats: what the admission counts track. *)
+  distinct : int array;
   size : float;  (* bytes, as offered *)
   t_start : float;
   (* Bits left to deliver: rates are bps, so integration stays in bits and
@@ -48,20 +69,42 @@ type metrics = {
   m_recomputes : M.counter;
 }
 
+(* Per-directed-link state, indexed by directed link and grown on demand.
+   [crossing] lives across recomputes; the rest is recompute scratch, valid
+   only for the directed links the current recompute uses. *)
+type links = {
+  mutable crossing : int array;  (* distinct active flows crossing *)
+  mutable count : int array;  (* hop entries this recompute; 0 outside it *)
+  mutable first : int array;  (* offset of the link's entries in [entries] *)
+  mutable unfrozen : int array;
+  mutable stamp : int array;  (* last round that queued the link as touched *)
+  mutable cap : float array;
+  mutable frozen_load : float array;
+  mutable share : float array;
+}
+
 type t = {
   engine : Engine.t;
   net : Net.t;
   min_rate_bps : float;
   mutable next_id : int;
-  (* Active flows in ascending id order (append at tail): the recompute
-     and tie-breaks iterate this order, never a hash order. *)
-  mutable active : flow list;
+  (* Active flows in ascending id order in [active.(0 .. n_active-1)]
+     (append at tail): the recompute and tie-breaks iterate this order,
+     never a hash order. *)
+  mutable active : flow array;
   mutable n_active : int;
   mutable last_update : float;
   mutable generation : int;
-  (* Directed links that carried fluid load after the last push, zeroed
-     before each new push so departures release their capacity. *)
-  mutable loaded : (Net.link_id * Net.node) list;
+  links : links;
+  (* Per recompute, each used directed link's entries (indices into
+     [active]) stored contiguously in ascending flow order. *)
+  mutable entries : int array;
+  (* [used] collects this recompute's directed links; [loaded] holds the
+     last push's, ascending, zeroed before each new push so departures
+     release their capacity. *)
+  mutable used : int array;
+  mutable loaded : int array;
+  mutable round : int;
   mutable started : int;
   mutable completed : int;
   mutable rejected : int;
@@ -100,11 +143,25 @@ let create ?metrics ?labels ?(min_rate_bps = 0.0) ?on_complete ~engine net =
     net;
     min_rate_bps;
     next_id = 0;
-    active = [];
+    active = [||];
     n_active = 0;
     last_update = Engine.now engine;
     generation = 0;
-    loaded = [];
+    links =
+      {
+        crossing = [||];
+        count = [||];
+        first = [||];
+        unfrozen = [||];
+        stamp = [||];
+        cap = [||];
+        frozen_load = [||];
+        share = [||];
+      };
+    entries = [||];
+    used = [||];
+    loaded = [||];
+    round = 0;
     started = 0;
     completed = 0;
     rejected = 0;
@@ -117,6 +174,31 @@ let create ?metrics ?labels ?(min_rate_bps = 0.0) ?on_complete ~engine net =
 
 let with_metrics t f = match t.metrics with None -> () | Some m -> f m
 
+(* [a] extended (doubling) to hold index [n - 1], new cells set to [fill]. *)
+let grow a n fill =
+  let len = Array.length a in
+  if n <= len then a
+  else begin
+    let b = Array.make (Int.max n (2 * len)) fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
+(* Make every per-directed-link array cover directed link [d]; the first
+   call sizes them to every directed link [net] has. *)
+let cover net l d =
+  if d >= Array.length l.crossing then begin
+    let n = Int.max (d + 1) (2 * Net.num_links net) in
+    l.crossing <- grow l.crossing n 0;
+    l.count <- grow l.count n 0;
+    l.first <- grow l.first n 0;
+    l.unfrozen <- grow l.unfrozen n 0;
+    l.stamp <- grow l.stamp n 0;
+    l.cap <- grow l.cap n 0.0;
+    l.frozen_load <- grow l.frozen_load n 0.0;
+    l.share <- grow l.share n 0.0
+  end
+
 (* Advance every active flow by the time since the last allocation change
    at its current rate. Rates are constant between recomputes, so this is
    exact fluid integration, not an approximation. *)
@@ -124,115 +206,162 @@ let elapse t =
   let now = Engine.now t.engine in
   let dt = now -. t.last_update in
   if dt > 0.0 then
-    List.iter
-      (fun f -> f.remaining <- Float.max 0.0 (f.remaining -. (f.rate *. dt)))
-      t.active;
+    for i = 0 to t.n_active - 1 do
+      let f = t.active.(i) in
+      f.remaining <- Float.max 0.0 (f.remaining -. (f.rate *. dt))
+    done;
   t.last_update <- now
 
-(* Max-min fair share by progressive filling. Directed links are keyed
-   (link, from) and processed in ascending key order; each round freezes
-   the flows of the link with the smallest fair share. O(L^2 + L*F) per
-   recompute — flows are bulk background load, deliberately off the
-   per-packet hot path. *)
-module LMap = Map.Make (struct
-  type t = Net.link_id * Net.node
+(* The fair share left on directed link [d] for its unfrozen entries. *)
+let refresh_share l d =
+  l.share.(d) <- Float.max 0.0 (l.cap.(d) -. l.frozen_load.(d)) /. float_of_int l.unfrozen.(d)
 
-  let compare = compare
-end)
-
-let allocate t =
-  List.iter (fun f -> f.frozen <- false) t.active;
-  (* Directed links in use → the flows crossing them, keyed and iterated
-     in ascending (link, from) order. Flow lists keep arrival (id) order. *)
-  let usage =
-    List.fold_left
-      (fun acc f ->
-        Array.fold_left
-          (fun acc h ->
-            LMap.update (h.link, h.from)
-              (fun prev -> Some (f :: Option.value prev ~default:[]))
-              acc)
-          acc f.hops)
-      LMap.empty t.active
-  in
-  let links =
-    List.map
-      (fun ((link, from), flows) ->
-        let cap =
-          match Net.capacity t.net link with
-          | Some (bps, _) -> bps
-          | None ->
-              invalid_arg
-                (Printf.sprintf "Flow: link %d crossed by a flow has no capacity armed" link)
-        in
-        ((link, from), cap, List.rev flows))
-      (LMap.bindings usage)
-  in
-  (* Progressive filling: each round the link with the smallest fair share
-     over its unfrozen flows (ties to the smallest key, by iteration
-     order) freezes those flows at that share. *)
-  let remaining = ref links in
-  let continue = ref true in
-  while !continue do
-    remaining :=
-      List.filter
-        (fun (_, _, flows) -> List.exists (fun f -> not f.frozen) flows)
-        !remaining;
-    match !remaining with
-    | [] -> continue := false
-    | live ->
-        let best = ref None in
-        List.iter
-          (fun (_key, cap, flows) ->
-            let frozen_load, unfrozen =
-              List.fold_left
-                (fun (load, n) f -> if f.frozen then (load +. f.rate, n) else (load, n + 1))
-                (0.0, 0) flows
-            in
-            if unfrozen > 0 then begin
-              let share = Float.max 0.0 (cap -. frozen_load) /. float_of_int unfrozen in
-              match !best with
-              | Some (s, _) when s <= share -> ()
-              | _ -> best := Some (share, flows)
-            end)
-          live;
-        (match !best with
-        | None -> continue := false
-        | Some (share, flows) ->
-            List.iter
-              (fun f ->
-                if not f.frozen then begin
-                  f.frozen <- true;
-                  f.rate <- share
-                end)
-              flows)
+(* The frozen load on [d], summed from 0.0 over its entries in ascending
+   flow order: the summation order fixes the bits of every share. *)
+let refresh_frozen_load t d =
+  let l = t.links in
+  let load = ref 0.0 in
+  for e = l.first.(d) to l.first.(d) + l.count.(d) - 1 do
+    let f = t.active.(t.entries.(e)) in
+    if f.frozen then load := !load +. f.rate
   done;
-  (* Any flow crossing no armed link at all (impossible today: hops are
-     validated at offer) would stay unfrozen; pin it to zero rate. *)
-  List.iter (fun f -> if not f.frozen then f.rate <- 0.0) t.active;
-  (* Push the per-directed-link sums into the fabric, releasing links that
-     no longer carry load. *)
-  List.iter (fun (link, from) -> Net.set_fluid_load t.net link ~from ~bps:0.0) t.loaded;
-  let sums =
-    List.fold_left
-      (fun acc f ->
-        Array.fold_left
-          (fun acc h ->
-            LMap.update (h.link, h.from)
-              (fun prev -> Some (f.rate +. Option.value prev ~default:0.0))
-              acc)
-          acc f.hops)
-      LMap.empty t.active
-  in
-  LMap.iter (fun (link, from) bps -> Net.set_fluid_load t.net link ~from ~bps) sums;
-  t.loaded <- List.map fst (LMap.bindings sums);
+  l.frozen_load.(d) <- !load
+
+(* Max-min fair share by progressive filling over flat arrays. Each round
+   freezes the unfrozen flows of the directed link with the smallest fair
+   share (ties to the smallest directed link), then re-sums the frozen
+   load only on the links those flows cross. Per recompute: O(H + U log U)
+   to group the H hop entries by the U used directed links, then per round
+   (at most U of them) an O(U) minimum scan plus a re-sum of the touched
+   links' entries — flows are bulk background load, deliberately off the
+   per-packet hot path. *)
+let allocate t =
+  let l = t.links in
+  (* Count the entries per directed link and collect the links in use. *)
+  let n_used = ref 0 and n_entries = ref 0 in
+  for i = 0 to t.n_active - 1 do
+    let f = t.active.(i) in
+    f.frozen <- false;
+    for k = 0 to Array.length f.dirs - 1 do
+      let d = f.dirs.(k) in
+      if l.count.(d) = 0 then begin
+        t.used <- grow t.used (!n_used + 1) 0;
+        t.used.(!n_used) <- d;
+        incr n_used
+      end;
+      l.count.(d) <- l.count.(d) + 1
+    done;
+    n_entries := !n_entries + Array.length f.dirs
+  done;
+  let used = Array.sub t.used 0 !n_used in
+  Array.sort Int.compare used;
+  let n_used = Array.length used in
+  (* CSR offsets in directed-link order, then the entries in flow order
+     ([unfrozen] doubles as the fill cursor). *)
+  t.entries <- grow t.entries !n_entries 0;
+  let next = ref 0 in
+  for k = 0 to n_used - 1 do
+    let d = used.(k) in
+    let link = link_of_dir d in
+    (match Net.capacity t.net link with
+    | Some (bps, _) -> l.cap.(d) <- bps
+    | None ->
+        Array.iter (fun d -> l.count.(d) <- 0) used;
+        invalid_arg (Printf.sprintf "Flow: link %d crossed by a flow has no capacity armed" link));
+    l.first.(d) <- !next;
+    next := !next + l.count.(d);
+    l.unfrozen.(d) <- 0
+  done;
+  for i = 0 to t.n_active - 1 do
+    let dirs = t.active.(i).dirs in
+    for k = 0 to Array.length dirs - 1 do
+      let d = dirs.(k) in
+      t.entries.(l.first.(d) + l.unfrozen.(d)) <- i;
+      l.unfrozen.(d) <- l.unfrozen.(d) + 1
+    done
+  done;
+  for k = 0 to n_used - 1 do
+    let d = used.(k) in
+    l.frozen_load.(d) <- 0.0;
+    refresh_share l d
+  done;
+  (* Progressive filling. [live] holds the directed links that still have
+     unfrozen entries, ascending; each scan compacts it and picks the
+     smallest share with a strict [<], so ties go to the smallest link. *)
+  let live = Array.copy used and touched = Array.make n_used 0 in
+  let n_live = ref n_used in
+  while !n_live > 0 do
+    let best = ref (-1) and best_share = ref 0.0 and kept = ref 0 in
+    for k = 0 to !n_live - 1 do
+      let d = live.(k) in
+      if l.unfrozen.(d) > 0 then begin
+        live.(!kept) <- d;
+        incr kept;
+        if !best < 0 || l.share.(d) < !best_share then begin
+          best := d;
+          best_share := l.share.(d)
+        end
+      end
+    done;
+    n_live := !kept;
+    if !best >= 0 then begin
+      let d = !best and share = !best_share in
+      t.round <- t.round + 1;
+      let n_touched = ref 0 in
+      for e = l.first.(d) to l.first.(d) + l.count.(d) - 1 do
+        let f = t.active.(t.entries.(e)) in
+        if not f.frozen then begin
+          f.frozen <- true;
+          f.rate <- share;
+          for k = 0 to Array.length f.dirs - 1 do
+            let d' = f.dirs.(k) in
+            l.unfrozen.(d') <- l.unfrozen.(d') - 1;
+            if l.stamp.(d') <> t.round then begin
+              l.stamp.(d') <- t.round;
+              touched.(!n_touched) <- d';
+              incr n_touched
+            end
+          done
+        end
+      done;
+      for k = 0 to !n_touched - 1 do
+        let d' = touched.(k) in
+        refresh_frozen_load t d';
+        if l.unfrozen.(d') > 0 then refresh_share l d'
+      done
+    end
+  done;
+  (* Every flow is frozen now, so each used link's frozen load is its full
+     sum in flow order. Release the links the last push loaded, then push
+     in ascending directed-link order. *)
+  Array.iter
+    (fun d -> Net.set_fluid_load t.net (link_of_dir d) ~from:(from_of_dir t.net d) ~bps:0.0)
+    t.loaded;
+  Array.iter
+    (fun d ->
+      Net.set_fluid_load t.net (link_of_dir d) ~from:(from_of_dir t.net d) ~bps:l.frozen_load.(d);
+      l.count.(d) <- 0)
+    used;
+  t.loaded <- used;
   with_metrics t (fun m -> M.inc m.m_recomputes)
 
 let rec finish_due t =
   let now = Engine.now t.engine in
-  let due, still = List.partition (fun f -> f.remaining <= eps_bits) t.active in
-  t.active <- still;
-  t.n_active <- List.length still;
+  (* Compact the survivors in place, releasing each finished flow's
+     admission counts before any callback can offer a new flow. *)
+  let due = ref [] and kept = ref 0 in
+  for i = 0 to t.n_active - 1 do
+    let f = t.active.(i) in
+    if f.remaining <= eps_bits then begin
+      Array.iter (fun d -> t.links.crossing.(d) <- t.links.crossing.(d) - 1) f.distinct;
+      due := f :: !due
+    end
+    else begin
+      t.active.(!kept) <- f;
+      incr kept
+    end
+  done;
+  t.n_active <- !kept;
   List.iter
     (fun f ->
       t.completed <- t.completed + 1;
@@ -244,28 +373,26 @@ let rec finish_due t =
           M.record m.m_fct fct;
           M.set m.m_active (float_of_int t.n_active));
       match t.on_complete with None -> () | Some cb -> cb ~fct_s:fct ~size_bytes:f.size)
-    due
+    (List.rev !due)
 
 and schedule_next t =
-  match t.active with
-  | [] -> ()
-  | flows ->
-      let soonest =
-        List.fold_left
-          (fun acc f ->
-            if f.rate <= 0.0 then acc
-            else
-              let eta = f.remaining /. f.rate in
-              match acc with Some best when best <= eta -> acc | _ -> Some eta)
-          None flows
-      in
-      (match soonest with
-      | None -> ()
-      | Some eta ->
-          let gen = t.generation in
-          let now = Engine.now t.engine in
-          Engine.schedule_at t.engine ~time:(now +. eta) (fun () ->
-              if gen = t.generation then recompute t))
+  let soonest = ref Float.infinity and found = ref false in
+  for i = 0 to t.n_active - 1 do
+    let f = t.active.(i) in
+    if f.rate > 0.0 then begin
+      let eta = f.remaining /. f.rate in
+      if (not !found) || eta < !soonest then begin
+        found := true;
+        soonest := eta
+      end
+    end
+  done;
+  if !found then begin
+    let gen = t.generation in
+    let now = Engine.now t.engine in
+    Engine.schedule_at t.engine ~time:(now +. !soonest) (fun () ->
+        if gen = t.generation then recompute t)
+  end
 
 and recompute t =
   t.generation <- t.generation + 1;
@@ -278,41 +405,35 @@ and recompute t =
    can be no better than capacity over the flows already there plus
    itself. Rejecting below [min_rate_bps] models access-queue overflow for
    background load — the fluid analogue of a tail drop. *)
-let admissible t hops =
+let admissible t dirs caps =
   t.min_rate_bps <= 0.0
-  || Array.for_all
-       (fun h ->
-         match Net.capacity t.net h.link with
-         | None -> false
-         | Some (bps, _) ->
-             let crossing =
-               List.fold_left
-                 (fun acc f ->
-                   if Array.exists (fun h' -> h'.link = h.link && h'.from = h.from) f.hops then
-                     acc + 1
-                   else acc)
-                 0 t.active
-             in
-             bps /. float_of_int (crossing + 1) >= t.min_rate_bps)
-       hops
+  || Array.for_all2
+       (fun d cap -> cap /. float_of_int (t.links.crossing.(d) + 1) >= t.min_rate_bps)
+       dirs caps
 
 let offer t ~hops ~size_bytes =
   if not (Float.is_finite size_bytes) || size_bytes <= 0.0 then
     invalid_arg (Printf.sprintf "Flow.offer: size_bytes must be finite and > 0 (got %g)" size_bytes);
   if hops = [] then invalid_arg "Flow.offer: empty hop list";
+  (* Resolve every hop before any state changes, so an invalid hop leaves
+     the engine and the fabric untouched. *)
   let hops = Array.of_list hops in
-  Array.iter
-    (fun h ->
-      match Net.capacity t.net h.link with
-      | Some _ -> ()
-      | None ->
-          invalid_arg
-            (Printf.sprintf "Flow.offer: link %d has no capacity armed (call Net.set_capacity)"
-               h.link))
-    hops;
+  let caps =
+    Array.map
+      (fun h ->
+        match Net.capacity t.net h.link with
+        | Some (bps, _) -> bps
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Flow.offer: link %d has no capacity armed (call Net.set_capacity)"
+                 h.link))
+      hops
+  in
+  let dirs = Array.map (dir_of t.net) hops in
+  Array.iter (cover t.net t.links) dirs;
   t.offered_bytes <- t.offered_bytes +. size_bytes;
   with_metrics t (fun m -> M.add m.m_offered (int_of_float size_bytes));
-  if not (admissible t hops) then begin
+  if not (admissible t dirs caps) then begin
     t.rejected <- t.rejected + 1;
     t.rejected_bytes <- t.rejected_bytes +. size_bytes;
     with_metrics t (fun m -> M.inc m.m_rejected);
@@ -321,10 +442,12 @@ let offer t ~hops ~size_bytes =
   else begin
     let id = t.next_id in
     t.next_id <- id + 1;
+    let distinct = Array.of_list (List.sort_uniq Int.compare (Array.to_list dirs)) in
     let f =
       {
         id;
-        hops;
+        dirs;
+        distinct;
         size = size_bytes;
         t_start = Engine.now t.engine;
         remaining = size_bytes *. 8.0;
@@ -335,8 +458,10 @@ let offer t ~hops ~size_bytes =
     (* Elapse the others before the population changes, then append in id
        order and reallocate. *)
     elapse t;
-    t.active <- t.active @ [ f ];
+    t.active <- grow t.active (t.n_active + 1) f;
+    t.active.(t.n_active) <- f;
     t.n_active <- t.n_active + 1;
+    Array.iter (fun d -> t.links.crossing.(d) <- t.links.crossing.(d) + 1) distinct;
     t.started <- t.started + 1;
     with_metrics t (fun m ->
         M.inc m.m_started;
@@ -347,27 +472,17 @@ let offer t ~hops ~size_bytes =
     `Started id
   end
 
-let reroute t id ~hops =
-  if hops = [] then invalid_arg "Flow.reroute: empty hop list";
-  let hops = Array.of_list hops in
-  Array.iter
-    (fun h ->
-      match Net.capacity t.net h.link with
-      | Some _ -> ()
-      | None -> invalid_arg (Printf.sprintf "Flow.reroute: link %d has no capacity armed" h.link))
-    hops;
-  match List.find_opt (fun f -> f.id = id) t.active with
-  | None -> invalid_arg (Printf.sprintf "Flow.reroute: no active flow %d" id)
-  | Some f ->
-      elapse t;
-      f.hops <- hops;
-      t.generation <- t.generation + 1;
-      allocate t;
-      schedule_next t
-
 let recompute_now t = recompute t
 let active_count t = t.n_active
-let rate t id = Option.map (fun f -> f.rate) (List.find_opt (fun f -> f.id = id) t.active)
+
+let rate t id =
+  let rec find i =
+    if i >= t.n_active then None
+    else
+      let f = t.active.(i) in
+      if f.id = id then Some f.rate else find (i + 1)
+  in
+  find 0
 
 let stats t =
   {

@@ -1,11 +1,20 @@
 (** The fluid (flow-level) half of the hybrid-fidelity traffic model.
 
     Active flows split every capacity-armed link they cross by max-min
-    fair share (progressive filling), recomputed on each arrival,
-    departure and reroute; between recomputes every rate is constant, so
-    per-flow byte integration is exact, not sampled. The allocation is
-    pushed into {!Netsim.Net.set_fluid_load}, which is how the
-    packet-level foreground sees background load as consumed capacity.
+    fair share, recomputed on each arrival and departure; between
+    recomputes every rate is constant, so per-flow byte integration is
+    exact, not sampled. The allocator is progressive filling over flat
+    arrays: each recompute groups the flows' hops per directed link
+    (ascending flow order), then each round freezes the flows of the
+    directed link with the smallest fair share (ties to the lowest
+    [(link, from)]) and re-sums the frozen load only on the links those
+    flows cross. Shares and pushed loads are summed in ascending flow
+    order, so the allocation is a deterministic function of the active
+    set, bit for bit. Admission reads a per-directed-link count of the
+    active flows crossing it, kept on start and completion. The
+    allocation is pushed into {!Netsim.Net.set_fluid_load}, which is how
+    the packet-level foreground sees background load as consumed
+    capacity.
 
     Determinism contract: the flow engine draws {b no} randomness — every
     stochastic choice lives in {!Workload} on its private ["traffic"]
@@ -37,14 +46,11 @@ val create :
 
 val offer : t -> hops:hop list -> size_bytes:float -> [ `Started of int | `Rejected ]
 (** Offer a flow of [size_bytes] over the directed hop sequence. Every hop
-    link must be capacity-armed ([Invalid_argument] otherwise, as is an
-    empty hop list or a non-positive/non-finite size). Returns
-    [`Rejected] (counted, with its bytes) when the admission floor would
-    be violated; otherwise starts the flow and reallocates. *)
-
-val reroute : t -> int -> hops:hop list -> unit
-(** Move an active flow onto a new hop sequence and reallocate. Raises
-    [Invalid_argument] if the flow is not active or a hop is unarmed. *)
+    link must be capacity-armed and every hop's [from] an endpoint of its
+    [link] ([Invalid_argument] otherwise, as is an empty hop list or a
+    non-positive/non-finite size; nothing is counted or changed then).
+    Returns [`Rejected] (counted, with its bytes) when the admission
+    floor would be violated; otherwise starts the flow and reallocates. *)
 
 val recompute_now : t -> unit
 (** Force an elapse + completion sweep + reallocation at the engine's

@@ -1,6 +1,8 @@
 (* The traffic engine's contracts: capacity/queueing knob validation on
    Netsim.Net, max-min fair shares never oversubscribing a link (qcheck),
-   byte conservation (offered = delivered + rejected, qcheck), the
+   the array allocator bit-identical to the reference list-and-map
+   progressive filling (differential qcheck) and max-min fair, byte
+   conservation (offered = delivered + rejected, qcheck), the
    bandwidth-aware pathmon surface, and the two determinism pins — the
    load figure is byte-identical across runs at a fixed seed, and
    attaching traffic perturbs no fabric workload draw. *)
@@ -168,6 +170,55 @@ let test_offer_validation () =
       ignore
         (Flow.offer flows ~hops:[ { Flow.link = unarmed; from = nodes.(0) } ] ~size_bytes:1.0))
 
+let test_offer_bad_endpoint_untouched () =
+  let net, nodes, links = chain 2 in
+  let engine = Engine.create () in
+  let flows = Flow.create ~engine net in
+  (match Flow.offer flows ~hops:(hops_of links nodes 0 1) ~size_bytes:1e9 with
+  | `Started _ -> ()
+  | `Rejected -> Alcotest.fail "first flow rejected");
+  let loads () =
+    Array.to_list links
+    |> List.concat_map (fun l ->
+           let a, b = Net.endpoints net l in
+           [ Net.fluid_load net l ~from:a; Net.fluid_load net l ~from:b ])
+  in
+  let stats0 = Flow.stats flows and loads0 = loads () in
+  (* A valid first hop, then a hop entered from a node that is not an
+     endpoint of its link: nothing may be counted, started or pushed. *)
+  let hops = [ { Flow.link = links.(0); from = nodes.(0) }; { Flow.link = links.(1); from = nodes.(0) } ] in
+  Alcotest.check_raises "bad endpoint"
+    (Invalid_argument
+       (Printf.sprintf "Flow.offer: node %d is not an endpoint of link %d" nodes.(0) links.(1)))
+    (fun () -> ignore (Flow.offer flows ~hops ~size_bytes:1e6));
+  Alcotest.(check bool) "stats unchanged" true (Flow.stats flows = stats0);
+  Alcotest.(check int) "active unchanged" 1 (Flow.active_count flows);
+  Alcotest.(check (list (float 0.0))) "fluid loads unchanged" loads0 (loads ());
+  Alcotest.(check (float 0.0)) "first flow still holds the link" 1e6
+    (Net.fluid_load net links.(0) ~from:nodes.(0))
+
+let test_admission_counts () =
+  let net, nodes, links = chain ~cap:1e6 1 in
+  let engine = Engine.create () in
+  let flows = Flow.create ~min_rate_bps:300_000.0 ~engine net in
+  let fwd = [ { Flow.link = links.(0); from = nodes.(0) } ]
+  and back = [ { Flow.link = links.(0); from = nodes.(1) } ] in
+  let admitted hops size_bytes =
+    match Flow.offer flows ~hops ~size_bytes with `Started _ -> true | `Rejected -> false
+  in
+  (* Three flows fit each direction above the floor (1e6 / 3 >= 3e5); the
+     small first one drains early. *)
+  Alcotest.(check (list bool)) "forward fills to the floor" [ true; true; true; false ]
+    (List.map (admitted fwd) [ 1_000.0; 1e9; 1e9; 1e9 ]);
+  Alcotest.(check (list bool)) "reverse counted independently" [ true; true; true; false ]
+    (List.map (admitted back) [ 1e9; 1e9; 1e9; 1e9 ]);
+  let late = ref None in
+  Engine.schedule_at engine ~time:1.0 (fun () -> late := Some (admitted fwd 1e9));
+  Engine.run ~until:1.0 engine;
+  Alcotest.(check int) "the small flow completed" 1 (Flow.stats flows).Flow.completed;
+  Alcotest.(check (option bool)) "its count is released" (Some true) !late;
+  Alcotest.(check bool) "and the floor holds again" false (admitted fwd 1e9)
+
 (* qcheck: random flow populations over a random chain — no directed link
    ever carries more than its capacity, and once the engine drains, every
    offered byte is accounted as delivered or rejected. *)
@@ -208,6 +259,242 @@ let qcheck_fair_share_and_conservation =
           "conservation violated: offered %.1f <> delivered %.1f + rejected %.1f"
           s.Flow.offered_bytes s.Flow.delivered_bytes s.Flow.rejected_bytes;
       true)
+
+(* --- Differential test against the reference allocator ------------------ *)
+
+(* The list-and-map progressive filling the array allocator replaced, kept
+   as its oracle. Directed links are keyed (link, from) and processed in
+   ascending key order; each round freezes the flows of the link with the
+   smallest fair share over its unfrozen flows (ties to the smallest key).
+   Takes the active flows' hops in ascending id order; returns their rates
+   in that order and each loaded directed link's summed load. *)
+module LMap = Map.Make (struct
+  type t = Net.link_id * Net.node
+
+  let compare (l1, f1) (l2, f2) = match Int.compare l1 l2 with 0 -> Int.compare f1 f2 | c -> c
+end)
+
+type ref_flow = { r_hops : Flow.hop array; mutable r_rate : float; mutable r_frozen : bool }
+
+let reference_allocate net hops_in_id_order =
+  let active =
+    List.map (fun hops -> { r_hops = hops; r_rate = 0.0; r_frozen = false }) hops_in_id_order
+  in
+  let usage =
+    List.fold_left
+      (fun acc f ->
+        Array.fold_left
+          (fun acc (h : Flow.hop) ->
+            LMap.update (h.Flow.link, h.Flow.from)
+              (fun prev -> Some (f :: Option.value prev ~default:[]))
+              acc)
+          acc f.r_hops)
+      LMap.empty active
+  in
+  let links =
+    List.map
+      (fun ((link, _), flows) ->
+        let cap = match Net.capacity net link with Some (bps, _) -> bps | None -> 0.0 in
+        (cap, List.rev flows))
+      (LMap.bindings usage)
+  in
+  let remaining = ref links in
+  let continue = ref true in
+  while !continue do
+    remaining := List.filter (fun (_, flows) -> List.exists (fun f -> not f.r_frozen) flows) !remaining;
+    match !remaining with
+    | [] -> continue := false
+    | live -> (
+        let best = ref None in
+        List.iter
+          (fun (cap, flows) ->
+            let frozen_load, unfrozen =
+              List.fold_left
+                (fun (load, n) f -> if f.r_frozen then (load +. f.r_rate, n) else (load, n + 1))
+                (0.0, 0) flows
+            in
+            if unfrozen > 0 then begin
+              let share = Float.max 0.0 (cap -. frozen_load) /. float_of_int unfrozen in
+              match !best with Some (s, _) when s <= share -> () | _ -> best := Some (share, flows)
+            end)
+          live;
+        match !best with
+        | None -> continue := false
+        | Some (share, flows) ->
+            List.iter
+              (fun f ->
+                if not f.r_frozen then begin
+                  f.r_frozen <- true;
+                  f.r_rate <- share
+                end)
+              flows)
+  done;
+  let sums =
+    List.fold_left
+      (fun acc f ->
+        Array.fold_left
+          (fun acc (h : Flow.hop) ->
+            LMap.update (h.Flow.link, h.Flow.from)
+              (fun prev -> Some (f.r_rate +. Option.value prev ~default:0.0))
+              acc)
+          acc f.r_hops)
+      LMap.empty active
+  in
+  (List.map (fun f -> f.r_rate) active, sums)
+
+(* The reference admission bound: scan every active flow's hops for every
+   hop of the newcomer. *)
+let reference_admissible net ~min_rate_bps active (hops : Flow.hop array) =
+  min_rate_bps <= 0.0
+  || Array.for_all
+       (fun (h : Flow.hop) ->
+         match Net.capacity net h.Flow.link with
+         | None -> false
+         | Some (bps, _) ->
+             let crossing =
+               List.length
+                 (List.filter
+                    (fun (_, hops') ->
+                      Array.exists
+                        (fun (h' : Flow.hop) -> h'.Flow.link = h.Flow.link && h'.Flow.from = h.Flow.from)
+                        hops')
+                    active)
+             in
+             bps /. float_of_int (crossing + 1) >= min_rate_bps)
+       hops
+
+(* A random armed mesh on [n] nodes: a ring (so every node has a link)
+   plus chords (possibly parallel to a ring link), each link added with a random endpoint order and one of a
+   few capacities, so equal shares and exact ties are common. *)
+let random_mesh rng n extra =
+  let net = mk_net () in
+  let nodes = Array.init n (fun i -> Net.add_node net (Printf.sprintf "m%d" i)) in
+  let add a b =
+    let a, b = if Rng.bool rng then (a, b) else (b, a) in
+    let id = Net.add_link net nodes.(a) nodes.(b) Net.default_params in
+    let caps = [| 1e6; 1e6; 2e6; 5e5; 3e6 |] in
+    Net.set_capacity net id ~bps:caps.(Rng.int rng (Array.length caps)) ~queue_pkts:8;
+    id
+  in
+  let ring = List.init n (fun i -> add i ((i + 1) mod n)) in
+  let chords =
+    List.init extra (fun _ ->
+        let a = Rng.int rng n in
+        add a ((a + 1 + Rng.int rng (n - 1)) mod n))
+  in
+  (net, Array.of_list (ring @ chords))
+
+(* A random walk of [len] hops from [start]: every hop enters its link
+   from the walker's current node, so links are crossed in both
+   directions and may be crossed twice by one flow. *)
+let random_walk net rng links ~start ~len =
+  let incident node =
+    List.filter
+      (fun l ->
+        let a, b = Net.endpoints net l in
+        a = node || b = node)
+      (Array.to_list links)
+  in
+  let rec go node k acc =
+    if k = 0 then List.rev acc
+    else
+      match incident node with
+      | [] -> List.rev acc
+      | ls ->
+          let l = List.nth ls (Rng.int rng (List.length ls)) in
+          let a, b = Net.endpoints net l in
+          go (if a = node then b else a) (k - 1) ({ Flow.link = l; from = node } :: acc)
+  in
+  go start len []
+
+let qcheck_differential =
+  QCheck.Test.make ~name:"array allocator matches the reference, bit for bit" ~count:200
+    QCheck.(triple (int_bound 100_000) (int_range 3 6) (int_range 2 30))
+    (fun (seed, n, n_flows) ->
+      let rng = Rng.of_label (Int64.of_int seed) "test.traffic.differential" in
+      let net, links = random_mesh rng n (Rng.int rng 4) in
+      let min_rate_bps = if Rng.bool rng then 0.0 else 150_000.0 in
+      let engine = Engine.create () in
+      let flows = Flow.create ~min_rate_bps ~engine net in
+      (* The model: active (id, hops) in id order, pruned to what the
+         engine still carries after each event. *)
+      let active = ref [] in
+      let check_allocation what =
+        active := List.filter (fun (id, _) -> Flow.rate flows id <> None) !active;
+        if List.length !active <> Flow.active_count flows then
+          QCheck.Test.fail_reportf "%s: model holds %d flows, engine %d" what
+            (List.length !active) (Flow.active_count flows);
+        let rates, sums = reference_allocate net (List.map snd !active) in
+        List.iter2
+          (fun (id, _) r ->
+            match Flow.rate flows id with
+            | Some r' when Float.equal r r' -> ()
+            | got ->
+                QCheck.Test.fail_reportf "%s: flow %d rate %s, reference %h" what id
+                  (match got with Some x -> Printf.sprintf "%h" x | None -> "none")
+                  r)
+          !active rates;
+        Array.iter
+          (fun l ->
+            let a, b = Net.endpoints net l in
+            List.iter
+              (fun from ->
+                let want = Option.value (LMap.find_opt (l, from) sums) ~default:0.0 in
+                let got = Net.fluid_load net l ~from in
+                if not (Float.equal want got) then
+                  QCheck.Test.fail_reportf "%s: link %d from %d carries %h, reference %h" what l
+                    from got want)
+              [ a; b ])
+          links;
+        (* Max-min: each flow is bottlenecked on a saturated link where no
+           flow gets more than it does. *)
+        List.iter2
+          (fun (id, (hops : Flow.hop array)) r ->
+            let bottleneck (h : Flow.hop) =
+              let cap = match Net.capacity net h.Flow.link with Some (c, _) -> c | None -> 0.0 in
+              let load = Net.fluid_load net h.Flow.link ~from:h.Flow.from in
+              Float.abs (load -. cap) <= 1e-9 *. cap
+              && List.for_all2
+                   (fun (_, hops') r' ->
+                     (not
+                        (Array.exists
+                           (fun (h' : Flow.hop) ->
+                             h'.Flow.link = h.Flow.link && h'.Flow.from = h.Flow.from)
+                           hops'))
+                     || r' <= r *. (1.0 +. 1e-9))
+                   !active rates
+            in
+            if not (Array.exists bottleneck hops) then
+              QCheck.Test.fail_reportf "%s: flow %d (rate %g) has no bottleneck link" what id r)
+          !active rates
+      in
+      (* Two flows enter link 0 from either end, then random walks. *)
+      let l0 = links.(0) in
+      let a0, b0 = Net.endpoints net l0 in
+      let specs =
+        [ [ { Flow.link = l0; from = a0 } ]; [ { Flow.link = l0; from = b0 } ] ]
+        @ List.init n_flows (fun _ ->
+              random_walk net rng links ~start:(Rng.int rng n) ~len:(1 + Rng.int rng 4))
+      in
+      List.iteri
+        (fun i hops ->
+          let at = if i < 2 then 0.0 else float_of_int (Rng.int rng 2000) /. 1000.0 in
+          let size_bytes = float_of_int (1 + Rng.int rng 200) *. 1000.0 in
+          Engine.schedule_at engine ~time:at (fun () ->
+              let arr = Array.of_list hops in
+              let expect = reference_admissible net ~min_rate_bps !active arr in
+              (match Flow.offer flows ~hops ~size_bytes with
+              | `Started id ->
+                  if not expect then QCheck.Test.fail_reportf "flow %d admitted, reference rejects" id;
+                  active := !active @ [ (id, arr) ]
+              | `Rejected ->
+                  if expect then QCheck.Test.fail_report "flow rejected, reference admits");
+              check_allocation "offer"))
+        specs;
+      while Engine.step engine do
+        check_allocation "event"
+      done;
+      Flow.active_count flows = 0)
 
 (* --- Workload generator ------------------------------------------------ *)
 
@@ -511,7 +798,11 @@ let () =
           Alcotest.test_case "fair share split" `Quick test_fair_share_split;
           Alcotest.test_case "admission floor rejects" `Quick test_min_rate_rejects;
           Alcotest.test_case "offer validation" `Quick test_offer_validation;
+          Alcotest.test_case "bad endpoint leaves state untouched" `Quick
+            test_offer_bad_endpoint_untouched;
+          Alcotest.test_case "admission counts per direction" `Quick test_admission_counts;
           QCheck_alcotest.to_alcotest qcheck_fair_share_and_conservation;
+          QCheck_alcotest.to_alcotest qcheck_differential;
         ] );
       ( "workload",
         [
