@@ -313,9 +313,12 @@ let micro ?(json = false) ?(check = false) () =
                now := !now +. 1.0;
                ignore (Sciera.Science_dmz.Filter.check_batch filter ~now:!now frames))) );
       ( "pcb_verify_forged_ns",
-        (* Steady-state cost of rejecting a forged beacon: the genuine
-           prefix entries hit the signature cache, so each iteration pays
-           only the Schnorr fallback on the tampered entry. *)
+        (* Steady-state cost of rejecting a forged beacon from a warm
+           cache. After the first iteration every verdict is cached: the
+           genuine prefix entries, the tampered entry's [false], and both
+           certificate-chain signatures of every entry. So no Schnorr
+           verification runs; each iteration pays the chain's non-signature
+           checks, the signed-message rebuild and the cache-key hashing. *)
         Test.make ~name:"pcb verify (forged entry, cached prefix)"
           (let net = Sciera.Network.create () in
            let mesh = Sciera.Network.mesh net in

@@ -141,17 +141,22 @@ let verify t ~cache ~lookup ~now =
   if t.entries = [] then Error Empty
   else begin
     (* Pass 1: certificate-chain checks and signed-message reconstruction
-       for every entry. Pass 2: one batched signature verification over the
-       whole PCB — the common case (all signatures valid, most already
-       cached) costs a single random-linear-combination check instead of
-       one full Schnorr verification per entry. *)
+       for every entry; both certificate signatures go through [cache], so
+       an unchanged chain is verified once per key epoch. Pass 2: the entry
+       signatures go through one [Sigcache.verify_batch]. In steady state a
+       received PCB extends an already-verified prefix by one entry, so
+       there is a single miss and it costs one plain Schnorr verification;
+       only a PCB with several unseen entries pays a batched check. *)
     let rec collect i acc = function
       | [] -> Ok (List.rev acc)
       | e :: rest -> (
           match lookup e.ia with
           | None -> Error (Unknown_as e.ia)
           | Some (as_cert, ca_cert, trc) -> (
-              match Scion_cppki.Verify.chain ~trc ~ca_cert ~as_cert ~now with
+              match
+                Scion_cppki.Verify.chain ~verify:(Sigcache.verify cache) ~trc ~ca_cert ~as_cert
+                  ~now
+              with
               | Error err -> Error (Bad_signature (e.ia, Scion_cppki.Verify.error_to_string err))
               | Ok () ->
                   let msg = signed_bytes_upto t i in

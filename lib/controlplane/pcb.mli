@@ -90,7 +90,9 @@ val verify :
   (unit, check_error) result
 (** Cryptographic verification of every entry signature through the
     CP-PKI: [lookup ia] returns the AS certificate, its CA certificate and
-    the relevant TRC. *)
+    the relevant TRC. Entry signatures and the certificate-chain signatures
+    are all answered through [cache]; validity windows and the other chain
+    checks are re-run against [now] on every call. *)
 
 val interface_fingerprint : t -> string
 (** Identity of the segment as a sequence of (IA, ingress, egress)

@@ -4,7 +4,17 @@
     triples many times: every PCB received by an AS contains the signatures
     of all upstream ASes, and the same PCB prefix flows down every branch of
     the ISD. Verification results are immutable facts, so a global cache is
-    sound and turns the beaconing cost from quadratic to linear in practice. *)
+    sound and turns the beaconing cost from quadratic to linear in practice.
+
+    The same table also holds the certificate-chain signature verdicts
+    ({!Pcb.verify} passes {!verify} to [Scion_cppki.Verify.chain]): the TRC
+    root key over the CA certificate and the CA key over the AS
+    certificate, keyed like every other entry by epoch, issuer key,
+    signature and the digest of {!Scion_cppki.Cert.signed_bytes}. A
+    renewed, re-issued or seized certificate has different bytes and
+    misses; a TRC rotation ({!set_epoch}) makes every earlier verdict
+    unreachable. Only signature verdicts are cached: validity windows and
+    the other chain checks run on every call. *)
 
 type t
 

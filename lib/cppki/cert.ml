@@ -73,9 +73,6 @@ let sign ~kind ~profile ~serial ~subject ~pubkey ~validity:(not_before, not_afte
   in
   { unsigned with signature = Schnorr.sign issuer_priv (signed_bytes unsigned) }
 
-let verify_with issuer_pub t =
-  Schnorr.verify issuer_pub ~msg:(signed_bytes { t with signature = "" }) ~signature:t.signature
-
 let in_validity t now = now >= t.not_before && now <= t.not_after
 
 let remaining_fraction t now =

@@ -40,7 +40,6 @@ val sign :
   issuer_priv:Scion_crypto.Schnorr.private_key ->
   t
 
-val verify_with : Scion_crypto.Schnorr.public_key -> t -> bool
 val in_validity : t -> float -> bool
 val remaining_fraction : t -> float -> float
 (** Fraction of the validity period still ahead at the given time (clamped

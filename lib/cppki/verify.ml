@@ -10,7 +10,12 @@ let error_to_string = function
 
 let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
 
-let chain ~trc ~ca_cert ~as_cert ~now =
+(* The one signature check; [verify] may answer from a verdict cache, so
+   nothing else in [chain] goes through it. *)
+let signed_by ~verify key cert =
+  verify key ~msg:(Cert.signed_bytes cert) ~signature:cert.Cert.signature
+
+let chain ~verify ~trc ~ca_cert ~as_cert ~now =
   let* () = if Trc.in_validity trc now then Ok () else Error (Trc_invalid "outside validity window") in
   let* () =
     if ca_cert.Cert.kind = Cert.Ca then Ok () else Error (Ca_cert_invalid "not a CA certificate")
@@ -25,7 +30,7 @@ let chain ~trc ~ca_cert ~as_cert ~now =
     | None -> Error (Ca_cert_invalid ("unknown TRC root key " ^ ca_cert.Cert.issuer_key_name))
   in
   let* () =
-    if Cert.verify_with root.Trc.key ca_cert then Ok ()
+    if signed_by ~verify root.Trc.key ca_cert then Ok ()
     else Error (Ca_cert_invalid "signature does not verify under the TRC root key")
   in
   let* () =
@@ -40,13 +45,8 @@ let chain ~trc ~ca_cert ~as_cert ~now =
     else Error (As_cert_invalid "issuer does not match the CA certificate subject")
   in
   let* () =
-    if Cert.verify_with ca_cert.Cert.pubkey as_cert then Ok ()
+    if signed_by ~verify ca_cert.Cert.pubkey as_cert then Ok ()
     else Error (As_cert_invalid "signature does not verify under the CA key")
   in
   if Cert.in_validity as_cert now then Ok ()
   else Error (As_cert_invalid "outside validity window")
-
-let pcb_signature ~trc ~ca_cert ~as_cert ~now ~msg ~signature =
-  let* () = chain ~trc ~ca_cert ~as_cert ~now in
-  if Scion_crypto.Schnorr.verify as_cert.Cert.pubkey ~msg ~signature then Ok ()
-  else Error (As_cert_invalid "PCB signature does not verify")

@@ -10,19 +10,20 @@ type error =
 val error_to_string : error -> string
 
 val chain :
-  trc:Trc.t -> ca_cert:Cert.t -> as_cert:Cert.t -> now:float -> (unit, error) result
-(** Full chain check: the TRC is within validity; the CA certificate's
-    subject is an authorized CA AS of the TRC and its signature verifies
-    under the named TRC root key; the AS certificate verifies under the CA
-    key and is within validity; issuers line up. *)
-
-val pcb_signature :
+  verify:(Scion_crypto.Schnorr.public_key -> msg:string -> signature:string -> bool) ->
   trc:Trc.t ->
   ca_cert:Cert.t ->
   as_cert:Cert.t ->
   now:float ->
-  msg:string ->
-  signature:string ->
   (unit, error) result
-(** [chain] plus verification of [signature] over [msg] under the AS
-    certificate's public key. *)
+(** Full chain check: the TRC is within validity; the CA certificate's
+    subject is an authorized CA AS of the TRC and its signature verifies
+    under the named TRC root key; the AS certificate verifies under the CA
+    key and is within validity; issuers line up.
+
+    Both certificate signatures are checked with [verify] over
+    {!Cert.signed_bytes}: pass {!Scion_crypto.Schnorr.verify} for an
+    uncached check, or a verdict cache's lookup (the control plane passes
+    [Sigcache.verify]). Schnorr verification is a pure function of key,
+    message and signature, so a cached verdict is exact; every other check
+    runs on every call, whatever [verify] is. *)

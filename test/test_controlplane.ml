@@ -491,6 +491,194 @@ let test_seize_rotate_epoch () =
   Mesh.run_beaconing m ~now;
   Alcotest.(check bool) "honest paths survive rotation" true (Mesh.paths m ~src:e ~dst:f <> [])
 
+(* --- Certificate-chain verdicts in the shared sigcache ------------------- *)
+
+module Verify = Scion_cppki.Verify
+module Schnorr = Scion_crypto.Schnorr
+module SS = Set.Make (String)
+
+(* Every registered segment of a verifying mesh: up, down and core. *)
+let registered_segments m =
+  List.concat_map
+    (fun x -> Mesh.up_segments m x @ Mesh.down_segments m x @ Mesh.core_segments_at m x)
+    (Mesh.ases m)
+
+let material m ia =
+  match Mesh.cert_material m ia with
+  | Some mat -> mat
+  | None -> Alcotest.fail ("no certificate material for " ^ Ia.to_string ia)
+
+let verify_all cache m segs =
+  List.iter
+    (fun pcb ->
+      match Pcb.verify pcb ~cache ~lookup:(Mesh.cert_material m) ~now with
+      | Ok () -> ()
+      | Error err -> Alcotest.fail ("genuine segment rejected: " ^ Pcb.check_error_to_string err))
+    segs
+
+let test_warm_path_zero_misses () =
+  let m = build_mesh ~config:{ Mesh.default_config with Mesh.verify_pcbs = true } () in
+  let segs = registered_segments m in
+  Alcotest.(check bool) "segments registered" true (List.length segs > 10);
+  (* The distinct signature checks a cold pass must make: one per distinct
+     entry signature, plus the AS and CA certificate signatures of every
+     chain those entries name. *)
+  let entry_sigs = ref SS.empty and cert_sigs = ref SS.empty in
+  List.iter
+    (fun pcb ->
+      List.iteri
+        (fun i (en : Pcb.as_entry) ->
+          let as_cert, ca_cert, _ = material m en.Pcb.ia in
+          let entry_key = Ia.to_string en.Pcb.ia ^ en.Pcb.signature ^ Pcb.signed_bytes_upto pcb i in
+          entry_sigs := SS.add entry_key !entry_sigs;
+          List.iter
+            (fun (c : Cert.t) ->
+              cert_sigs := SS.add (c.Cert.signature ^ Cert.signed_bytes c) !cert_sigs)
+            [ as_cert; ca_cert ])
+        pcb.Pcb.entries)
+    segs;
+  let cache = Sigcache.create () in
+  verify_all cache m segs;
+  Alcotest.(check int) "cold pass: one miss per distinct entry and certificate signature"
+    (SS.cardinal !entry_sigs + SS.cardinal !cert_sigs)
+    (Sigcache.misses cache);
+  let cold = Sigcache.misses cache in
+  verify_all cache m segs;
+  (* Sigcache only reaches Schnorr on a miss: zero new misses is zero
+     signature verifications on the warm pass. *)
+  Alcotest.(check int) "warm pass adds no misses" cold (Sigcache.misses cache)
+
+let other_profile = function
+  | Cert.Open_source -> Cert.Proprietary
+  | Cert.Proprietary -> Cert.Open_source
+
+let resign (c : Cert.t) ~priv =
+  Cert.sign ~kind:c.Cert.kind ~profile:c.Cert.profile ~serial:c.Cert.serial ~subject:c.Cert.subject
+    ~pubkey:c.Cert.pubkey
+    ~validity:(c.Cert.not_before, c.Cert.not_after)
+    ~issuer:c.Cert.issuer ~issuer_key_name:c.Cert.issuer_key_name ~issuer_priv:priv
+
+(* Flips the top bit of the first byte. *)
+let flip_byte s = String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 0x80) else c) s
+
+let flip_sig (c : Cert.t) = { c with Cert.signature = flip_byte c.Cert.signature }
+
+let mallory, _ = Schnorr.derive ~seed:"mallory"
+
+(* A cache warmed on genuine material must not accept anything a cold
+   check rejects. *)
+let test_warm_cache_never_widens_acceptance () =
+  let m = Lazy.force mesh in
+  let cache = Sigcache.create () in
+  verify_all cache m (registered_segments m);
+  let as_cert, ca_cert, trc = material m e in
+  let warm = Sigcache.verify cache in
+  let chain ?(ca_cert = ca_cert) ?(as_cert = as_cert) ~now verify =
+    Verify.chain ~verify ~trc ~ca_cert ~as_cert ~now
+  in
+  let m0 = Sigcache.misses cache in
+  Alcotest.(check bool) "warm chain verifies" true (Result.is_ok (chain ~now warm));
+  Alcotest.(check int) "warm chain is all hits" m0 (Sigcache.misses cache);
+  Sigcache.set_epoch cache "chain-test";
+  Alcotest.(check bool) "chain verifies after epoch change" true (Result.is_ok (chain ~now warm));
+  Alcotest.(check int) "epoch change: both certificate signatures miss again" (m0 + 2)
+    (Sigcache.misses cache);
+  let late = as_cert.Cert.not_after +. 1.0 in
+  (match chain ~now:late warm with
+  | Error (Verify.As_cert_invalid "outside validity window") -> ()
+  | Ok () -> Alcotest.fail "expired AS certificate accepted from a warm cache"
+  | Error err -> Alcotest.fail ("wrong error: " ^ Verify.error_to_string err));
+  (match
+     Mesh.up_segments m e
+     |> List.map (fun pcb -> Pcb.verify pcb ~cache ~lookup:(Mesh.cert_material m) ~now:late)
+   with
+  | [] -> Alcotest.fail "no up segments"
+  | results ->
+      List.iter
+        (function
+          | Error (Pcb.Bad_signature (_, "AS certificate invalid: outside validity window")) -> ()
+          | Ok () -> Alcotest.fail "segment with expired certificates accepted"
+          | Error err -> Alcotest.fail ("wrong error: " ^ Pcb.check_error_to_string err))
+        results);
+  (match chain ~ca_cert:(flip_sig ca_cert) ~now warm with
+  | Error (Verify.Ca_cert_invalid _) -> ()
+  | Ok () -> Alcotest.fail "CA certificate with a flipped signature byte accepted"
+  | Error err -> Alcotest.fail ("wrong error: " ^ Verify.error_to_string err));
+  match chain ~as_cert:(resign as_cert ~priv:mallory) ~now warm with
+  | Error (Verify.As_cert_invalid _) -> ()
+  | Ok () -> Alcotest.fail "AS certificate signed by the wrong key accepted"
+  | Error err -> Alcotest.fail ("wrong error: " ^ Verify.error_to_string err)
+
+(* The reference: every signature re-verified with plain Schnorr. *)
+let cold_verify pcb ~lookup ~now =
+  let rec go i = function
+    | [] -> Ok ()
+    | (e : Pcb.as_entry) :: rest -> (
+        match lookup e.Pcb.ia with
+        | None -> Error "unknown AS"
+        | Some (as_cert, ca_cert, trc) -> (
+            match Verify.chain ~verify:Schnorr.verify ~trc ~ca_cert ~as_cert ~now with
+            | Error err -> Error (Verify.error_to_string err)
+            | Ok () ->
+                if
+                  Schnorr.verify as_cert.Cert.pubkey ~msg:(Pcb.signed_bytes_upto pcb i)
+                    ~signature:e.Pcb.signature
+                then go (i + 1) rest
+                else Error "entry signature"))
+  in
+  go 0 pcb.Pcb.entries
+
+let qcheck_warm_matches_cold =
+  let m = Lazy.force mesh in
+  let segs = Array.of_list (registered_segments m) in
+  (* One cache shared by every case, warmed on genuine material, so each
+     case also runs against verdicts left behind by earlier tampering. *)
+  let cache = Sigcache.create () in
+  verify_all cache m (Array.to_list segs);
+  let gen = QCheck.Gen.(triple (0 -- (Array.length segs - 1)) (0 -- 9) (0 -- 15)) in
+  QCheck.Test.make ~name:"warm Pcb.verify agrees with a cold Schnorr check" ~count:200
+    (QCheck.make gen) (fun (si, kind, pick) ->
+      let pcb = segs.(si) in
+      let victim = (List.nth pcb.Pcb.entries (pick mod List.length pcb.Pcb.entries)).Pcb.ia in
+      let as_cert, _, _ = material m victim in
+      (* Tamper with the victim's chain, one of its PCB entries, or the clock. *)
+      let genuine = Mesh.cert_material m in
+      let chain f =
+        let lookup ia = Option.map (fun mat -> if Ia.equal ia victim then f mat else mat) (genuine ia) in
+        (lookup, pcb, now)
+      in
+      let entry f =
+        let entries =
+          List.map
+            (fun (en : Pcb.as_entry) -> if Ia.equal en.Pcb.ia victim then f en else en)
+            pcb.Pcb.entries
+        in
+        (genuine, { pcb with Pcb.entries }, now)
+      in
+      let lookup, pcb, now =
+        match kind with
+        | 0 -> (genuine, pcb, now)
+        | 1 -> chain (fun (a, c, t) -> (a, flip_sig c, t))
+        | 2 -> chain (fun (a, c, t) -> (flip_sig a, c, t))
+        | 3 -> chain (fun (a, c, t) -> (resign a ~priv:mallory, c, t))
+        | 4 -> chain (fun (a, c, t) -> ({ a with Cert.not_after = a.Cert.not_after +. 1.0 }, c, t))
+        | 5 -> chain (fun (a, c, t) -> ({ a with Cert.profile = other_profile a.Cert.profile }, c, t))
+        | 6 -> chain (fun (a, c, t) -> (a, { c with Cert.kind = Cert.As_signing }, t))
+        | 7 -> (genuine, pcb, as_cert.Cert.not_after +. 1.0)
+        | 8 -> entry (fun en -> { en with Pcb.signature = flip_byte en.Pcb.signature })
+        | _ -> entry (fun en -> { en with Pcb.mtu = en.Pcb.mtu + 1 })
+      in
+      let warm = Pcb.verify pcb ~cache ~lookup ~now in
+      let cold = Pcb.verify pcb ~cache:(Sigcache.create ()) ~lookup ~now in
+      let reference = cold_verify pcb ~lookup ~now in
+      Result.is_ok warm = Result.is_ok reference
+      && (kind = 0) = Result.is_ok warm
+      &&
+      match (warm, cold) with
+      | Ok (), Ok () -> true
+      | Error a, Error b -> String.equal (Pcb.check_error_to_string a) (Pcb.check_error_to_string b)
+      | Ok (), Error _ | Error _, Ok () -> false)
+
 let () =
   Alcotest.run "scion_controlplane"
     [
@@ -522,6 +710,13 @@ let () =
           Alcotest.test_case "quarantine contains corruption" `Quick
             test_quarantine_contains_corruption;
           Alcotest.test_case "seize, rotate, re-contain" `Quick test_seize_rotate_epoch;
+        ] );
+      ( "chain cache",
+        [
+          Alcotest.test_case "warm path adds no misses" `Quick test_warm_path_zero_misses;
+          Alcotest.test_case "warm cache never widens acceptance" `Quick
+            test_warm_cache_never_widens_acceptance;
+          QCheck_alcotest.to_alcotest qcheck_warm_matches_cold;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest qcheck_random_topology_paths_valid ]);
     ]

@@ -7,6 +7,9 @@ let day = 86400.0
 let year = 365.0 *. day
 let ia = Ia.of_string
 
+(* The uncached chain check: every certificate signature is verified. *)
+let chain = Verify.chain ~verify:Schnorr.verify
+
 let roots n = List.init n (fun i ->
     let name = Printf.sprintf "root-%d" i in
     let priv, pub = Schnorr.derive ~seed:("trc-" ^ name) in
@@ -125,11 +128,11 @@ let test_issue_and_chain () =
   let _, pub = subject_keys in
   let cert = Ca.issue ca ~subject:(ia "71-559") ~pubkey:pub ~profile:Cert.Open_source ~now in
   Alcotest.(check bool) "short-lived" true (cert.Cert.not_after -. cert.Cert.not_before <= 3.0 *. day +. 1.0);
-  (match Verify.chain ~trc ~ca_cert:(Ca.ca_cert ca) ~as_cert:cert ~now:(now +. day) with
+  (match chain ~trc ~ca_cert:(Ca.ca_cert ca) ~as_cert:cert ~now:(now +. day) with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Verify.error_to_string e));
   (* Expired AS cert fails. *)
-  (match Verify.chain ~trc ~ca_cert:(Ca.ca_cert ca) ~as_cert:cert ~now:(now +. (10.0 *. day)) with
+  (match chain ~trc ~ca_cert:(Ca.ca_cert ca) ~as_cert:cert ~now:(now +. (10.0 *. day)) with
   | Ok () -> Alcotest.fail "accepted expired cert"
   | Error (Verify.As_cert_invalid _) -> ()
   | Error e -> Alcotest.fail ("wrong error: " ^ Verify.error_to_string e));
@@ -140,7 +143,7 @@ let test_issue_and_chain () =
       ~pubkey:pub ~validity:(now, now +. day) ~issuer:(Ca.ia ca) ~issuer_key_name:"ca"
       ~issuer_priv:mallory
   in
-  match Verify.chain ~trc ~ca_cert:(Ca.ca_cert ca) ~as_cert:forged ~now with
+  match chain ~trc ~ca_cert:(Ca.ca_cert ca) ~as_cert:forged ~now with
   | Ok () -> Alcotest.fail "accepted forged cert"
   | Error (Verify.As_cert_invalid _) -> ()
   | Error e -> Alcotest.fail ("wrong error: " ^ Verify.error_to_string e)
@@ -153,7 +156,7 @@ let test_profiles_interop () =
   List.iter
     (fun profile ->
       let cert = Ca.issue ca ~subject:(ia "71-559") ~pubkey:pub ~profile ~now in
-      match Verify.chain ~trc ~ca_cert:(Ca.ca_cert ca) ~as_cert:cert ~now with
+      match chain ~trc ~ca_cert:(Ca.ca_cert ca) ~as_cert:cert ~now with
       | Ok () -> ()
       | Error e -> Alcotest.fail (Verify.error_to_string e))
     [ Cert.Open_source; Cert.Proprietary ];
@@ -172,7 +175,7 @@ let test_renewal_flow () =
   (match Ca.renew ca ~current:cert ~pubkey:pub ~now:later with
   | Ok fresh -> (
       Alcotest.(check bool) "new serial" true (fresh.Cert.serial > cert.Cert.serial);
-      match Verify.chain ~trc ~ca_cert:(Ca.ca_cert ca) ~as_cert:fresh ~now:(later +. day) with
+      match chain ~trc ~ca_cert:(Ca.ca_cert ca) ~as_cert:fresh ~now:(later +. day) with
       | Ok () -> ()
       | Error e -> Alcotest.fail (Verify.error_to_string e))
   | Error e -> Alcotest.fail e);
@@ -209,7 +212,7 @@ let test_unauthorized_ca_rejected () =
       ~core_ases:[ ia "71-2:0:1" ] ~ca_ases:[ ia "71-2:0:99" ] ~quorum:1
       ~roots:[ ("root-0", root_priv, root_pub) ]
   in
-  match Verify.chain ~trc:other_trc ~ca_cert:(Ca.ca_cert ca) ~as_cert:cert ~now with
+  match chain ~trc:other_trc ~ca_cert:(Ca.ca_cert ca) ~as_cert:cert ~now with
   | Ok () -> Alcotest.fail "accepted unauthorized CA"
   | Error (Verify.Ca_cert_invalid _) -> ignore trc
   | Error e -> Alcotest.fail ("wrong error: " ^ Verify.error_to_string e)
