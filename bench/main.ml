@@ -132,7 +132,7 @@ let micro ?(json = false) ?(check = false) () =
       ~ifaces:[ { Scion_dataplane.Router.ifid = 7; remote_ia = ia "71-11"; remote_ifid = 1 } ]
       ()
   in
-  let mk_packet () =
+  let sample_packet =
     let beta1 = Scion_dataplane.Path.chain_seg_id ~seg_id:7 ~mac:hop.Scion_dataplane.Path.mac in
     let last_proto =
       { Scion_dataplane.Path.exp_time = 255; cons_ingress = 1; cons_egress = 0; mac = String.make 6 '\x00' }
@@ -153,7 +153,6 @@ let micro ?(json = false) ?(check = false) () =
       ~path:(Scion_dataplane.Packet.Standard (Scion_dataplane.Path.create [ seg ]))
       (String.make 1000 'x')
   in
-  let sample_packet = mk_packet () in
   let encoded = Scion_dataplane.Packet.encode sample_packet in
   let priv, pub = Scion_crypto.Schnorr.derive ~seed:"bench" in
   let signature = Scion_crypto.Schnorr.sign priv "msg" in
@@ -169,12 +168,6 @@ let micro ?(json = false) ?(check = false) () =
         Test.make ~name:"hop-field MAC (AES-CMAC)"
           (Staged.stage (fun () ->
                ignore (Scion_dataplane.Path.compute_mac cmac ~seg_id:7 ~timestamp:ts hop))) );
-      ( "border_router_forward_ns",
-        Test.make ~name:"border-router forward (verify+advance)"
-          (Staged.stage (fun () ->
-               ignore
-                 (Scion_dataplane.Router.process router ~now:(Int32.to_float ts) ~ingress:0
-                    (mk_packet ())))) );
       ( "border_router_forward_view_ns",
         Test.make ~name:"border-router forward (zero-copy view)"
           (Staged.stage (fun () ->

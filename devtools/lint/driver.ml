@@ -1,6 +1,8 @@
 (* Two-phase driver: reads and parses every source file exactly once, runs
    the per-file rules over the shared ASTs, builds Summary data for lib/ and
-   bin/ modules, links the summaries and runs the interprocedural passes
+   bin/ modules (plus the references of every implementation and the
+   exports of every lib/ interface), links the summaries and runs the
+   interprocedural passes
    (Ipa), then applies per-file suppressions and the optional baseline
    ratchet. The CLI and the test suite both call [analyze]. *)
 
@@ -80,12 +82,18 @@ let analyze ?baseline_file ~rules ~root ~dirs () =
         | _ -> None)
       parsed
   in
+  let refs =
+    List.filter_map
+      (fun (file, _, ast, _) ->
+        match ast with Ok (Lint.Impl str) -> Some (Summary.refs_of_structure ~file str) | _ -> None)
+      parsed
+  in
   let telemetry_registry =
     let path = Filename.concat root registry_rel in
     if Sys.file_exists path then Some (registry_rel, parse_registry (Lint.read_file path))
     else None
   in
-  let pass_findings = List.rev !tree_findings @ Ipa.run ~summaries ~intfs ~telemetry_registry in
+  let pass_findings = List.rev !tree_findings @ Ipa.run ~summaries ~intfs ~refs ~telemetry_registry in
   (* Per-file [allow] suppressions apply to tree and link findings too;
      findings anchored in non-source files (the registry itself) have no
      directives. *)

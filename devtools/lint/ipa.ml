@@ -1,5 +1,5 @@
 (* Phase 2 of the whole-program analyzer: link the per-file summaries from
-   Summary into a module-level call graph and run the three interprocedural
+   Summary into a module-level call graph and run the four interprocedural
    passes over it:
 
    - rng-stream-provenance: stream labels must be unique per subsystem,
@@ -18,6 +18,10 @@
    - telemetry-registry: metric-name literals must be unique across
      modules, literal (never computed) in lib/, and in bijection with the
      checked-in devtools/lint/telemetry.registry.
+
+   - dead-export: every value a lib/ interface exports must be referenced
+     by some other module of the analyzed tree (tests never count), so the
+     public surface is what the program actually uses.
 
    Everything here iterates lists in source order, never hash order, so
    lint output is deterministic. *)
@@ -39,6 +43,11 @@ let pass_docs =
       "Whole-program: metric/series names must be string literals in lib/, unique across \
        modules, and exactly the set declared in devtools/lint/telemetry.registry — renaming a \
        series without updating the registry breaks the build, not the goldens." );
+    ( "dead-export",
+      "Whole-program: reports every val of a lib/ .mli that no other module in lib/, bin/, \
+       bench/, examples/ or devtools/ references (test/ never counts). Opens, includes, \
+       functor arguments and packed modules count as uses, so a report is never a false \
+       positive. Delete the value, or drop it from the .mli when only its own module uses it." );
   ]
 
 type entry = { e_fn : Summary.fn; e_file : string; e_subsystem : string }
@@ -443,10 +452,76 @@ let telemetry_pass p ~registry_file =
   List.rev !out
 
 (* ------------------------------------------------------------------ *)
+(* Pass: dead-export. *)
 
-let run ~summaries ~intfs ~telemetry_registry =
+(* Two paths name the same thing when one is a suffix of the other: a
+   qualified reference may carry a library prefix the export lacks, or
+   drop module prefixes an open or alias supplied. *)
+let overlaps a b = a <> [] && b <> [] && (is_suffix ~of_:a b || is_suffix ~of_:b a)
+
+let dead_export_pass p ~refs =
+  let refs =
+    List.filter (fun (r : Summary.file_refs) -> not (starts_with ~prefix:"test/" r.Summary.rf_file)) refs
+  in
+  (* Qualified references indexed by their last component, unqualified
+     names by the opens of the file that mentions them. *)
+  let qualified = Hashtbl.create 1024 and unqualified = Hashtbl.create 1024 in
+  let push tbl k v = Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k)) in
+  List.iter
+    (fun (r : Summary.file_refs) ->
+      List.iter
+        (fun path ->
+          match List.rev path with
+          | [ name ] ->
+              if r.Summary.rf_opens <> [] then push unqualified name (r.Summary.rf_file, r.Summary.rf_opens)
+          | name :: _ -> push qualified name (r.Summary.rf_file, path)
+          | [] -> ())
+        r.Summary.rf_values)
+    refs;
+  let whole =
+    List.concat_map (fun (r : Summary.file_refs) -> List.map (fun m -> (r.Summary.rf_file, m)) r.Summary.rf_whole) refs
+    @ List.concat_map
+        (fun (im : Summary.intf_summary) -> List.map (fun m -> (im.Summary.im_file, m)) im.Summary.im_whole)
+        p.intfs
+  in
+  let out = ref [] in
+  List.iter
+    (fun (im : Summary.intf_summary) ->
+      let file = im.Summary.im_file in
+      if in_lib file then begin
+        (* A module's own implementation never keeps its export alive. *)
+        let own = Filename.remove_extension file ^ ".ml" in
+        let others l = List.filter (fun (f, _) -> f <> own && f <> file) l in
+        List.iter
+          (fun (ex : Summary.export) ->
+            let name = ex.Summary.ex_name and mpath = ex.Summary.ex_path in
+            let find tbl = others (Option.value ~default:[] (Hashtbl.find_opt tbl name)) in
+            let used =
+              List.exists (fun (_, path) -> overlaps path (mpath @ [ name ])) (find qualified)
+              || List.exists (fun (_, opens) -> List.exists (overlaps mpath) opens) (find unqualified)
+              || List.exists (fun (_, m) -> overlaps mpath m) (others whole)
+            in
+            if not used then
+              out :=
+                finding ~file ~line:ex.Summary.ex_line ~rule:"dead-export"
+                  ~symbol:(String.concat "." (mpath @ [ name ]))
+                  (Printf.sprintf
+                     "val %s is exported but nothing outside its module references it (tests do \
+                      not count); delete it, or drop it from the interface if its own module \
+                      still uses it"
+                     (String.concat "." (mpath @ [ name ])))
+                :: !out)
+          im.Summary.im_exports
+      end)
+    p.intfs;
+  List.rev !out
+
+(* ------------------------------------------------------------------ *)
+
+let run ~summaries ~intfs ~refs ~telemetry_registry =
   let p = link summaries intfs in
   rng_pass p @ hotpath_pass p @ telemetry_pass p ~registry_file:telemetry_registry
+  @ dead_export_pass p ~refs
 
 (* Series-name collection for --write-telemetry-registry. *)
 let live_series summaries =

@@ -137,7 +137,8 @@ let cut_before s sep = match find_substring s sep with None -> s | Some i -> Str
 
 (* The whole-program passes run by Driver; their ids are valid in [allow]
    lists everywhere, and Ipa emits findings under them. *)
-let pass_rule_ids = [ "rng-stream-provenance"; "hotpath-allocation"; "telemetry-registry" ]
+let pass_rule_ids =
+  [ "rng-stream-provenance"; "hotpath-allocation"; "telemetry-registry"; "dead-export" ]
 
 (* Findings the engine itself can produce, also valid in [allow] lists. *)
 let builtin_rule_ids = [ "lint-directive"; "parse" ] @ pass_rule_ids

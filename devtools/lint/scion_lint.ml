@@ -7,8 +7,9 @@
    Runs the two-phase analyzer over every .ml/.mli under the given
    directories (default: lib bin bench examples devtools, relative to
    --root): the per-file rules, then the interprocedural passes
-   (rng-stream-provenance, hotpath-allocation, telemetry-registry) over the
-   linked lib/ + bin/ call graph. With --baseline, findings already
+   (rng-stream-provenance, hotpath-allocation, telemetry-registry,
+   dead-export) over the linked lib/ + bin/ call graph and the references
+   of every analyzed file. With --baseline, findings already
    recorded in FILE are forgiven and only new ones fail (the ratchet);
    --write-baseline regenerates FILE from the current findings and
    --write-telemetry-registry regenerates devtools/lint/telemetry.registry

@@ -3,7 +3,9 @@
    Ipa need — defined values, outgoing calls, Rng.of_label stream labels
    created and the callees each stream is handed to, Telemetry metric-name
    string literals (including the local `let counter ?extra name = M.counter
-   ...` wrapper idiom), allocating constructs, and hotpath annotations.
+   ...` wrapper idiom), allocating constructs, and hotpath annotations; for
+   interfaces, the exported values; and for every implementation, the
+   value paths, opens and whole-module uses it references.
    Summaries are pure data: linking them into a call graph and judging them
    is Ipa's job, so each source file is parsed (and summarised) exactly
    once no matter how many passes consume it. *)
@@ -68,7 +70,22 @@ type file_summary = {
 
 type intf_val = { iv_name : string; iv_line : int; iv_stream : string option }
 
-type intf_summary = { im_file : string; im_vals : intf_val list }
+type export = { ex_path : string list; ex_name : string; ex_line : int }
+(* [ex_path] is the module path of an exported value, file module first. *)
+
+type intf_summary = {
+  im_file : string;
+  im_vals : intf_val list;  (* vals exposing an Rng.t *)
+  im_exports : export list;  (* every val, in source order *)
+  im_whole : string list list;  (* modules the interface re-exports whole *)
+}
+
+type file_refs = {
+  rf_file : string;
+  rf_values : string list list;  (* every value path mentioned, raw and alias-resolved *)
+  rf_opens : string list list;
+  rf_whole : string list list;  (* modules used as a whole: included, applied, packed *)
+}
 
 (* ------------------------------------------------------------------ *)
 
@@ -459,21 +476,91 @@ let type_mentions_rng (ty : Parsetree.core_type) =
   it.typ it ty;
   !found
 
+(* Only plain vals and vals of nested [sig ... end] modules are exports;
+   vals inside functor or module-type signatures fill a signature, so the
+   dead-export pass never judges them. *)
 let of_signature ~file ~directives (sg : Parsetree.signature) =
-  let vals = ref [] in
-  let rec items (l : Parsetree.signature) = List.iter item l
-  and item (si : Parsetree.signature_item) =
+  let vals = ref [] and exports = ref [] and whole = ref [] in
+  let rec items path (l : Parsetree.signature) = List.iter (item path) l
+  and item path (si : Parsetree.signature_item) =
     match si.psig_desc with
     | Psig_value vd ->
-        if type_mentions_rng vd.pval_type then begin
-          let line = line_of vd.pval_loc in
+        let line = line_of vd.pval_loc in
+        exports := { ex_path = path; ex_name = vd.pval_name.txt; ex_line = line } :: !exports;
+        if type_mentions_rng vd.pval_type then
           vals :=
             { iv_name = vd.pval_name.txt; iv_line = line;
               iv_stream = Lint.stream_annotation directives ~line }
             :: !vals
-        end
-    | Psig_module { pmd_type = { pmty_desc = Pmty_signature s; _ }; _ } -> items s
+    | Psig_module { pmd_name = { txt = Some m; _ }; pmd_type = { pmty_desc = Pmty_signature s; _ }; _ }
+      ->
+        items (path @ [ m ]) s
+    | Psig_module { pmd_name = { txt = Some m; _ }; pmd_type = { pmty_desc = Pmty_alias { txt; _ }; _ }; _ }
+      -> (
+        (* [module M = P] re-exports P; under its own name, suffix matching
+           already sees through it. *)
+        match List.rev (Lint.flatten_longident txt) with
+        | last :: _ when last = m -> ()
+        | _ -> whole := Lint.flatten_longident txt :: !whole)
+    | Psig_include { pincl_mod = { pmty_desc = Pmty_typeof { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }; _ }
+      ->
+        whole := Lint.flatten_longident txt :: !whole
     | _ -> ()
   in
-  items sg;
-  { im_file = file; im_vals = List.rev !vals }
+  items [ module_of file ] sg;
+  { im_file = file; im_vals = List.rev !vals; im_exports = List.rev !exports; im_whole = List.rev !whole }
+
+(* ------------------------------------------------------------------ *)
+(* Reference facts for the dead-export pass. Aliases are collected
+   file-wide and applied flow-insensitively; every path is kept both raw
+   and resolved, so an unresolvable reference errs toward "used". *)
+
+let refs_of_structure ~file (str : Parsetree.structure) =
+  let aliases = Hashtbl.create 8 in
+  let values = ref [] and opens = ref [] and whole = ref [] in
+  let lid_path (lid : Longident.t Location.loc) = Lint.flatten_longident lid.txt in
+  let alias_or_use name (me : Parsetree.module_expr) k =
+    match (name, me.pmod_desc) with
+    | Some m, Pmod_ident lid -> Hashtbl.replace aliases m (lid_path lid)
+    | _ -> k ()
+  in
+  let open_of (od : Parsetree.open_declaration) k =
+    match od.popen_expr.pmod_desc with Pmod_ident lid -> opens := lid_path lid :: !opens | _ -> k ()
+  in
+  let default = Ast_iterator.default_iterator in
+  let expr it (e : Parsetree.expression) =
+    match e.pexp_desc with
+    | Pexp_ident lid ->
+        values := lid_path lid :: !values
+    | Pexp_open (od, body) ->
+        open_of od (fun () -> it.Ast_iterator.open_declaration it od);
+        it.expr it body
+    | Pexp_letmodule ({ txt; _ }, me, body) ->
+        alias_or_use txt me (fun () -> it.module_expr it me);
+        it.expr it body
+    | _ -> default.expr it e
+  in
+  let structure_item it (si : Parsetree.structure_item) =
+    match si.pstr_desc with
+    | Pstr_open od -> open_of od (fun () -> default.structure_item it si)
+    | Pstr_module { pmb_name = { txt; _ }; pmb_expr; _ } ->
+        alias_or_use txt pmb_expr (fun () -> default.structure_item it si)
+    | _ -> default.structure_item it si
+  in
+  let module_expr it (me : Parsetree.module_expr) =
+    (match me.pmod_desc with Pmod_ident lid -> whole := lid_path lid :: !whole | _ -> ());
+    default.module_expr it me
+  in
+  let it = { default with expr; structure_item; module_expr } in
+  it.structure it str;
+  let rec resolve depth = function
+    | hd :: rest when depth < 8 -> (
+        match Hashtbl.find_opt aliases hd with
+        | Some expansion -> resolve (depth + 1) (expansion @ rest)
+        | None -> hd :: rest)
+    | p -> p
+  in
+  let both paths =
+    List.concat_map (fun p -> match resolve 0 p with r when r = p -> [ p ] | r -> [ p; r ]) paths
+  in
+  { rf_file = file; rf_values = both !values; rf_opens = both !opens; rf_whole = both !whole }

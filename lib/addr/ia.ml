@@ -51,7 +51,6 @@ let of_string s =
 let to_string t = Printf.sprintf "%d-%s" t.isd (asn_to_string t.asn)
 let equal a b = a.isd = b.isd && a.asn = b.asn
 let compare a b = if a.isd <> b.isd then Stdlib.compare a.isd b.isd else Stdlib.compare a.asn b.asn
-let hash t = Hashtbl.hash (t.isd, t.asn)
 let wildcard = { isd = 0; asn = 0 }
 let is_wildcard t = t.isd = 0 && t.asn = 0
 
@@ -65,8 +64,6 @@ let decode r =
   let hi = Scion_util.Rw.Reader.u16 r in
   let lo = Scion_util.Rw.Reader.u32_to_int r in
   { isd; asn = (hi lsl 32) lor lo }
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Ord = struct
   type nonrec t = t

@@ -15,15 +15,7 @@ type asn
 type t = { isd : isd; asn : asn }
 (** An ISD-AS pair. *)
 
-val asn_of_int : int -> asn
-(** Raises [Invalid_argument] outside \[0, 2^48). *)
-
 val asn_to_int : asn -> int
-val asn_of_string : string -> asn
-(** Parses both decimal ("559") and hex-group ("2:0:3b") forms. Raises
-    [Invalid_argument] on malformed input. *)
-
-val asn_to_string : asn -> string
 
 val make : int -> int -> t
 (** [make isd asn_int] builds an IA from raw integers. *)
@@ -34,7 +26,6 @@ val of_string : string -> t
 val to_string : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val wildcard : t
 (** ["0-0"], matching any IA in predicates. *)
@@ -45,8 +36,6 @@ val encode : Scion_util.Rw.Writer.t -> t -> unit
 (** 8-byte wire form: 16-bit ISD then 48-bit AS, big-endian. *)
 
 val decode : Scion_util.Rw.Reader.t -> t
-
-val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t

@@ -20,7 +20,6 @@ let to_string v =
     (u land 0xFF)
 
 let equal = Int32.equal
-let compare = Int32.compare
 
 let in_subnet a ~prefix ~bits =
   if bits < 0 || bits > 32 then invalid_arg "Ipv4.in_subnet: bad prefix length";
@@ -29,8 +28,6 @@ let in_subnet a ~prefix ~bits =
     let mask = Int32.shift_left (-1l) (32 - bits) in
     Int32.equal (Int32.logand a mask) (Int32.logand prefix mask)
   end
-
-let pp fmt v = Format.pp_print_string fmt (to_string v)
 
 type endpoint = { host : t; port : int }
 
@@ -48,5 +45,3 @@ let endpoint_of_string s =
       | None -> invalid_arg (Printf.sprintf "Ipv4.endpoint_of_string: bad port in %S" s))
 
 let endpoint_to_string e = Printf.sprintf "%s:%d" (to_string e.host) e.port
-let endpoint_equal a b = equal a.host b.host && a.port = b.port
-let pp_endpoint fmt e = Format.pp_print_string fmt (endpoint_to_string e)

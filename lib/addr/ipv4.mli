@@ -15,21 +15,15 @@ val of_int32 : int32 -> t
 val to_int32 : t -> int32
 val to_string : t -> string
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val in_subnet : t -> prefix:t -> bits:int -> bool
 (** [in_subnet a ~prefix ~bits] tests membership of [a] in [prefix/bits]. *)
 
-val pp : Format.formatter -> t -> unit
-
 type endpoint = { host : t; port : int }
 (** A UDP endpoint. *)
 
-val endpoint : t -> int -> endpoint
 val endpoint_of_string : string -> endpoint
 (** Parses ["10.0.0.1:30041"]. Raises [Invalid_argument] on malformed
     input. *)
 
 val endpoint_to_string : endpoint -> string
-val endpoint_equal : endpoint -> endpoint -> bool
-val pp_endpoint : Format.formatter -> endpoint -> unit

@@ -8,7 +8,6 @@ type obs = {
   o_replaced : M.counter;
   o_rej_full : M.counter;
   o_rej_dup : M.counter;
-  o_expired : M.counter;
 }
 
 type t = { mutable buckets : entry list IaMap.t; per_origin : int; obs : obs option }
@@ -16,12 +15,14 @@ type t = { mutable buckets : entry list IaMap.t; per_origin : int; obs : obs opt
 let make_obs registry ~name =
   let base = [ ("store", name) ] in
   let counter ?(extra = []) metric = M.counter registry ~labels:(base @ extra) metric in
+  (* Registered for snapshot shape only: nothing expires stored beacons in
+     place, so the series stays 0. *)
+  ignore (counter "beacon_store.expired");
   {
     o_added = counter ~extra:[ ("outcome", "added") ] "beacon_store.inserted";
     o_replaced = counter ~extra:[ ("outcome", "replaced") ] "beacon_store.inserted";
     o_rej_full = counter ~extra:[ ("reason", "full") ] "beacon_store.rejected";
     o_rej_dup = counter ~extra:[ ("reason", "duplicate") ] "beacon_store.rejected";
-    o_expired = counter "beacon_store.expired";
   }
 
 let create ?(per_origin = 8) ?metrics ?(name = "") () =
@@ -30,8 +31,6 @@ let create ?(per_origin = 8) ?metrics ?(name = "") () =
     per_origin;
     obs = Option.map (fun registry -> make_obs registry ~name) metrics;
   }
-
-let per_origin t = t.per_origin
 
 type outcome = Added | Replaced | Rejected_full | Rejected_duplicate
 
@@ -99,17 +98,5 @@ let best t ~k =
 let all t = IaMap.fold (fun _ bucket acc -> List.map (fun e -> e.pcb) bucket @ acc) t.buckets []
 let count t = IaMap.fold (fun _ bucket acc -> acc + List.length bucket) t.buckets 0
 let origins t = IaMap.fold (fun origin _ acc -> origin :: acc) t.buckets []
-
-let remove_expired t ~now =
-  let removed = ref 0 in
-  t.buckets <-
-    IaMap.filter_map
-      (fun _ bucket ->
-        let keep, drop = List.partition (fun e -> Pcb.expiry e.pcb > now) bucket in
-        removed := !removed + List.length drop;
-        if keep = [] then None else Some keep)
-      t.buckets;
-  (match t.obs with None -> () | Some o -> M.add o.o_expired !removed);
-  !removed
 
 let clear t = t.buckets <- IaMap.empty

@@ -17,8 +17,6 @@ val create :
     [beacon_store.expired{store}]; [?name] is the [store] label value
     (e.g. ["1-13/intra"]). *)
 
-val per_origin : t -> int
-
 type outcome = Added | Replaced | Rejected_full | Rejected_duplicate
 
 val insert : t -> Pcb.t -> outcome
@@ -32,7 +30,5 @@ val best : t -> k:int -> Pcb.t list
 val all : t -> Pcb.t list
 val count : t -> int
 val origins : t -> Scion_addr.Ia.t list
-val remove_expired : t -> now:float -> int
-(** Drop beacons whose segment expiry has passed; returns how many. *)
 
 val clear : t -> unit

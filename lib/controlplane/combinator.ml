@@ -344,5 +344,4 @@ module Memo = struct
 
   let hits t = t.hits
   let misses t = t.misses
-  let size t = Hashtbl.length t.tbl
 end

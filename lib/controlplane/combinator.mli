@@ -84,6 +84,4 @@ module Memo : sig
 
   val hits : t -> int
   val misses : t -> int
-  val size : t -> int
-  (** Entries cached for the current generation. *)
 end

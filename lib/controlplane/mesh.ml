@@ -152,7 +152,6 @@ type t = {
   mutable quarantine_events : int;
   mutable quarantine_drops : int;
   mutable verif_failures : int;
-  mutable restorations : int;
   mutable generation : int;  (** Bumped per beaconing run; keys the memo. *)
   memo : Combinator.Memo.t;
   mutable fanout_sends : int;
@@ -171,12 +170,6 @@ let node t ia =
 let is_core t ia = (node t ia).nd_core
 let trc t isd = match Hashtbl.find_opt t.trcs isd with Some x -> x | None -> raise Not_found
 let cert_of t ia = (node t ia).cert
-let fwkey_of t ia = (node t ia).fwkey
-
-let router_ifaces t ia =
-  List.map
-    (fun n -> { Router.ifid = n.n_ifid; remote_ia = n.n_ia; remote_ifid = n.n_remote_ifid })
-    (node t ia).nbrs
 
 let neighbors t ia = List.map (fun n -> (n.n_ifid, n.n_ia, n.n_cls)) (node t ia).nbrs
 
@@ -206,7 +199,6 @@ let set_link_state t id ~up =
   Router.set_interface_state (router t l.spec.l_a) l.a_if ~up;
   Router.set_interface_state (router t l.spec.l_b) l.b_if ~up
 
-let link_up t id = t.link_arr.(id).l_up
 let verification_failures t = t.verif_failures
 
 (* --- Construction --- *)
@@ -383,7 +375,6 @@ let create ?(config = default_config) ?metrics ~now ~ases ~links () =
     quarantine_events = 0;
     quarantine_drops = 0;
     verif_failures = 0;
-    restorations = 0;
     generation = 0;
     memo = Combinator.Memo.create ();
     fanout_sends = 0;
@@ -685,13 +676,8 @@ let restore_link t id ~now =
   let l = t.link_arr.(id) in
   let was_down = not l.l_up in
   set_link_state t id ~up:true;
-  if was_down then begin
-    t.restorations <- t.restorations + 1;
-    run_beaconing t ~now
-  end;
+  if was_down then run_beaconing t ~now;
   was_down
-
-let restorations t = t.restorations
 
 let up_segments t ia = (node t ia).ups
 let core_segments_at t ia = (node t ia).cores_terminated
@@ -769,7 +755,6 @@ let paths t ~src ~dst =
         built
   end
 
-let generation t = t.generation
 let memo_stats t = (Combinator.Memo.hits t.memo, Combinator.Memo.misses t.memo)
 let beacon_fanout t = t.fanout_sends
 let fanout_capped t = t.fanout_capped

@@ -99,9 +99,6 @@ val cert_of : t -> Ia.t -> Scion_cppki.Cert.t
     before trusting a beacon entry. *)
 val cert_material :
   t -> Ia.t -> (Scion_cppki.Cert.t * Scion_cppki.Cert.t * Scion_cppki.Trc.t) option
-val fwkey_of : t -> Ia.t -> Scion_dataplane.Fwkey.t
-val router_ifaces : t -> Ia.t -> Scion_dataplane.Router.iface list
-(** Interface table for building this AS's border router. *)
 
 val neighbors : t -> Ia.t -> (int * Ia.t * link_class) list
 (** (local interface id, neighbor, class) triples. *)
@@ -117,7 +114,6 @@ val find_links : t -> Ia.t -> Ia.t -> link_id list
 (** All links between two ASes (either orientation). *)
 
 val set_link_state : t -> link_id -> up:bool -> unit
-val link_up : t -> link_id -> bool
 
 val restore_link : t -> link_id -> now:float -> bool
 (** Bring a link back up and, when it was actually down, immediately
@@ -125,9 +121,6 @@ val restore_link : t -> link_id -> now:float -> bool
     waiting for the next scheduled run (self-healing on restoration).
     Returns whether a re-origination happened ([false] when the link was
     already up — restoring an up link is a no-op). *)
-
-val restorations : t -> int
-(** Number of repair-triggered re-originations performed. *)
 
 val run_beaconing : t -> now:float -> unit
 (** Clear all beacon state, originate at core ASes, propagate for
@@ -145,10 +138,6 @@ val paths : t -> src:Ia.t -> dst:Ia.t -> Combinator.fullpath list
     per (src, dst) until the next beaconing run invalidates them (see
     {!generation}), so repeated lookups — the access pattern of the
     scaling sweeps — pay the combinator cost once. *)
-
-val generation : t -> int
-(** Beaconing-run count; bumped by every {!run_beaconing} (and so by
-    repair-triggered re-originations). The memo key for {!paths}. *)
 
 val memo_stats : t -> int * int
 (** (hits, misses) of the {!paths} memo since mesh creation. *)
@@ -277,8 +266,3 @@ val register_rogue_segments :
     honest routers drop the traffic — poisoned paths are served until the
     daemon's feedback loop revokes them. Invalidates the {!paths} memo. *)
 
-val inject_pcb : t -> receiver:Ia.t -> Pcb.t -> now:float -> bool
-(** Deliver one PCB at [receiver] through the normal acceptance pipeline
-    (arrival-link match, quarantine, verification, store insert); the
-    arrival link and expected role are inferred from the PCB's last entry.
-    Returns whether it was accepted. *)

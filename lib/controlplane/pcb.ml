@@ -194,8 +194,3 @@ let expiry t =
     (fun acc e -> Float.min acc (Path.hop_expiry info e.hop))
     Float.max_float t.entries
 
-let mtu t = List.fold_left (fun acc e -> min acc e.mtu) max_int t.entries
-
-let pp fmt t =
-  Format.fprintf fmt "pcb[%s]"
-    (String.concat "->" (List.map (fun e -> Scion_addr.Ia.to_string e.ia) t.entries))

@@ -102,5 +102,3 @@ val interface_fingerprint : t -> string
 val expiry : t -> float
 (** Earliest hop-field expiry. *)
 
-val mtu : t -> int
-val pp : Format.formatter -> t -> unit

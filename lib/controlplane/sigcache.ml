@@ -23,8 +23,6 @@ let set_epoch t epoch =
     Hashtbl.reset t.table
   end
 
-let epoch t = t.epoch
-
 let verify t pub ~msg ~signature =
   let key = cache_key t pub ~msg ~signature in
   match Hashtbl.find_opt t.table key with

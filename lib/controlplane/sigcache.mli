@@ -29,9 +29,6 @@ val set_epoch : t -> string -> unit
     rotated-out (possibly compromised) trust root cannot keep validating
     signatures after a TRC update. Setting the current epoch is a no-op. *)
 
-val epoch : t -> string
-(** The current key epoch ([""] until {!set_epoch} is called). *)
-
 val verify :
   t -> Scion_crypto.Schnorr.public_key -> msg:string -> signature:string -> bool
 

@@ -17,8 +17,6 @@ type event = {
 val timeline : event list
 (** The 22 deployments of Figure 3 in chronological order. *)
 
-val base_effort : kind -> float
-val learning_rate : float
 val orchestrator_available : string -> bool
 
 type scored = { event : event; effort : float }

@@ -15,9 +15,6 @@
 
 type attack = Corrupt | Replay | Forge | Rogue | Wormhole | Reflect | Flood | Compromise
 
-val attacks : attack list
-(** Execution order (state-polluting classes last). *)
-
 val attack_name : attack -> string
 
 type cell = {

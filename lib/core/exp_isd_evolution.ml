@@ -4,10 +4,6 @@ module Combinator = Scion_controlplane.Combinator
 
 type governance = Current_single_isd | Regional_isds
 
-let governance_to_string = function
-  | Current_single_isd -> "single ISD 71"
-  | Regional_isds -> "regional ISDs"
-
 (* The regional split of Section 3.3: each continent's academic networks
    govern their own TRC and CA. ISD 64 (the Swiss ISD) already exists and
    stays as is in both models. *)

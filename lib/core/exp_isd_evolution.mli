@@ -13,11 +13,6 @@
 
 type governance = Current_single_isd | Regional_isds
 
-val governance_to_string : governance -> string
-
-val domain_of : governance -> Scion_addr.Ia.t -> string
-(** The governance (CA) domain an AS belongs to. *)
-
 type scenario = {
   failed_domain : string;
   dead_ases : int;  (** ASes whose certificates cannot renew. *)

@@ -21,8 +21,6 @@
 
 type mode = Adaptive | Static
 
-val mode_name : mode -> string
-
 type mode_result = {
   degraded_s : float array;  (** Per-trial time spent on a degraded path, s. *)
   median_degraded_s : float;

@@ -21,8 +21,6 @@
 
 type mode = Healed | Baseline
 
-val mode_name : mode -> string
-
 type mode_result = {
   recovery_s : float array;  (** Per-trial time-to-recover, seconds. *)
   median_s : float;

@@ -70,10 +70,8 @@ let attach network ~ia ?(daemon_available = true) ?(bootstrapper_available = tru
               host_daemon;
             })
 
-let ia t = t.host_ia
 let mode t = t.host_mode
 let bootstrap_timing t = t.timing
-let daemon t = t.host_daemon
 
 let paths t ~dst = fst (Daemon.lookup t.host_daemon ~now:(Network.now_unix t.network) ~dst)
 let latency_estimate t fp = Network.scion_rtt_base t.network fp

@@ -17,21 +17,14 @@ val attach :
     fetch and verify the signed topology and the TRC, and set up path
     lookup. The operating mode follows {!Scion_endhost.Pan.choose_mode}. *)
 
-val ia : t -> Scion_addr.Ia.t
 val mode : t -> Scion_endhost.Pan.mode
 val bootstrap_timing : t -> Scion_endhost.Bootstrap.timing
-val daemon : t -> Scion_endhost.Daemon.t
 
 val paths : t -> dst:Scion_addr.Ia.t -> Scion_controlplane.Combinator.fullpath list
 (** Daemon-cached path lookup. *)
 
 val latency_estimate : t -> Scion_controlplane.Combinator.fullpath -> float
 (** Deterministic RTT estimate used for preference sorting. *)
-
-val transport : t -> Scion_endhost.Pan.Conn.transport
-(** Sends a UDP payload through the border routers along the path; outcome
-    carries a sampled RTT. Failures (down links, expired hops) surface as
-    [Send_failed], which {!Scion_endhost.Pan.Conn} turns into failover. *)
 
 val dial :
   t ->

@@ -28,7 +28,6 @@ type t = {
 
 let mesh t = t.mesh
 let topology t = t.topo
-let current_day t = t.day
 let now_unix t = Incidents.window_start_unix +. (t.day *. day_seconds)
 let scion_fabric t = t.net
 let rng t = t.ip_rng
@@ -516,13 +515,6 @@ let path_headroom_bps t ~src fp =
       | None -> acc
       | Some (cap, _) -> Float.min acc (cap -. Net.fluid_load t.net h.link ~from:h.from))
     infinity (path_hops t ~src fp)
-
-let path_load_signal t ~src fp =
-  List.fold_left
-    (fun (u, q) (h : Traffic.Flow.hop) ->
-      ( Float.max u (Net.utilisation t.net h.link ~from:h.from),
-        Float.max q (Net.queueing_delay_ms t.net h.link ~from:h.from) ))
-    (0.0, 0.0) (path_hops t ~src fp)
 
 let scion_rtt_sample t fp = Net.path_rtt t.net (path_links t fp)
 let scion_rtt_base t fp = 2.0 *. Net.path_base_latency t.net (path_links t fp)

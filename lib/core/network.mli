@@ -45,7 +45,6 @@ val topology : t -> Topology.spec
 (** The description this network was instantiated from. *)
 
 val now_unix : t -> float
-val current_day : t -> float
 
 val set_day : t -> float -> unit
 (** Advance (or rewind) the calendar: apply the incident set of that day to
@@ -144,11 +143,6 @@ val path_headroom_bps : t -> src:Scion_addr.Ia.t -> Combinator.fullpath -> float
 (** Spare bottleneck capacity along the directed path: min over hops of
     (capacity − fluid load), ignoring unarmed hops ([infinity] if none is
     armed). The signal {!Scion_endhost.Pan.pick_flow_path} ranks by. *)
-
-val path_load_signal : t -> src:Scion_addr.Ia.t -> Combinator.fullpath -> float * float
-(** (max hop utilisation, max hop queueing delay ms) along the directed
-    path — the bandwidth signal fed to
-    {!Pathmon.Estimator.observe_bandwidth}. (0., 0.) on unarmed paths. *)
 
 val scion_rtt_sample : t -> Combinator.fullpath -> [ `Rtt of float | `Lost ]
 (** One SCMP ping over the path (analytic mode: per-link jitter and loss). *)

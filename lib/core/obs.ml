@@ -14,15 +14,6 @@ let create () = { registry = M.create (); trace = Trace.create () }
 let registry t = t.registry
 let trace t = t.trace
 
-let wire_engine t engine =
-  let events = M.counter t.registry "engine.events_processed" in
-  let depth = M.gauge t.registry "engine.queue_depth" in
-  let clock = M.gauge t.registry "engine.sim_time_s" in
-  Engine.on_event engine (fun ~time ~pending ->
-      M.inc events;
-      M.set depth (float_of_int pending);
-      M.set clock time)
-
 (* Serialisation-wait buckets in seconds: microseconds to one second. *)
 let wait_buckets = [ 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.0 ]
 

@@ -10,10 +10,6 @@ val create : unit -> t
 val registry : t -> Telemetry.Metrics.registry
 val trace : t -> Telemetry.Trace.t
 
-val wire_engine : t -> Netsim.Engine.t -> unit
-(** Maintain [engine.events_processed], [engine.queue_depth] and
-    [engine.sim_time_s] from the engine's event hook. *)
-
 val wire_fabric : t -> name:string -> Netsim.Net.t -> unit
 (** Install a link monitor counting [net.tx_packets]/[net.tx_bytes],
     [net.rx_packets]/[net.rx_bytes], [net.dropped{cause}] and the

@@ -23,8 +23,6 @@ type respondent = {
   vendor_contacts_per_year : int;
 }
 
-val respondents : respondent list
-
 type aggregates = {
   n : int;
   decade_plus : float;

@@ -4,14 +4,6 @@ module Cert = Scion_cppki.Cert
 
 type region = Europe | North_america | Asia | South_america | Africa | Middle_east
 
-let region_to_string = function
-  | Europe -> "Europe"
-  | North_america -> "North America"
-  | Asia -> "Asia"
-  | South_america -> "South America"
-  | Africa -> "Africa"
-  | Middle_east -> "Middle East"
-
 type tier = Tier1 | Tier2 | Tier3
 
 type as_info = {

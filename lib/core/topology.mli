@@ -9,8 +9,6 @@
 
 type region = Europe | North_america | Asia | South_america | Africa | Middle_east
 
-val region_to_string : region -> string
-
 type tier = Tier1 | Tier2 | Tier3
 
 type as_info = {

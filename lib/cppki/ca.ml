@@ -4,7 +4,6 @@ type t = {
   cert : Cert.t;
   default_validity : float;
   mutable next_serial : int;
-  mutable issued : int;
   revoked : (int, unit) Hashtbl.t;
 }
 
@@ -12,7 +11,7 @@ let create ~ia ~priv ~cert ?(default_validity = 3.0 *. 24.0 *. 3600.0) () =
   if cert.Cert.kind <> Cert.Ca then invalid_arg "Ca.create: certificate is not a CA certificate";
   if not (Scion_addr.Ia.equal cert.Cert.subject ia) then
     invalid_arg "Ca.create: certificate subject does not match CA identity";
-  { ia; priv; cert; default_validity; next_serial = 1; issued = 0; revoked = Hashtbl.create 8 }
+  { ia; priv; cert; default_validity; next_serial = 1; revoked = Hashtbl.create 8 }
 
 let ia t = t.ia
 let ca_cert t = t.cert
@@ -20,7 +19,6 @@ let ca_cert t = t.cert
 let issue t ~subject ~pubkey ~profile ~now =
   let serial = t.next_serial in
   t.next_serial <- serial + 1;
-  t.issued <- t.issued + 1;
   Cert.sign ~kind:Cert.As_signing ~profile ~serial ~subject ~pubkey
     ~validity:(now, now +. t.default_validity)
     ~issuer:t.ia ~issuer_key_name:"ca" ~issuer_priv:t.priv
@@ -34,5 +32,4 @@ let renew t ~current ~pubkey ~now =
 
 let revoke t ~serial = Hashtbl.replace t.revoked serial ()
 let is_revoked t ~serial = Hashtbl.mem t.revoked serial
-let issued_count t = t.issued
 let needs_renewal cert ~now = Cert.remaining_fraction cert now < 1.0 /. 3.0

@@ -45,5 +45,3 @@ val remaining_fraction : t -> float -> float
 (** Fraction of the validity period still ahead at the given time (clamped
     to \[0, 1\]); renewal policies trigger below a threshold. *)
 
-val fingerprint : t -> string
-val pp : Format.formatter -> t -> unit

@@ -22,9 +22,6 @@ type t = {
   signatures : (string * string) list;  (** (root name, signature). *)
 }
 
-val signed_bytes : t -> string
-(** Canonical encoding of everything except the signatures. *)
-
 val sign_base :
   isd:int ->
   validity:float * float ->

@@ -208,4 +208,3 @@ let of_hex s =
 let to_hex a = Scion_util.Hex.encode (to_bytes_be a)
 let limbs a = Array.copy a
 let of_limbs a = normalize (Array.copy a)
-let pp fmt a = Format.pp_print_string fmt (to_hex a)

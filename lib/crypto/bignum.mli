@@ -20,7 +20,6 @@ val is_odd : t -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val bit_length : t -> int
-val bit : t -> int -> bool
 
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -54,4 +53,3 @@ val limbs : t -> int array
 val of_limbs : int array -> t
 (** Inverse of [limbs]; normalises leading zeros. *)
 
-val pp : Format.formatter -> t -> unit

@@ -22,8 +22,6 @@ val derive : seed:string -> private_key * public_key
 (** Derive a key pair from a seed string (used to give every simulated AS a
     stable identity). *)
 
-val public_of_private : private_key -> public_key
-
 val sign : private_key -> string -> string
 (** [sign priv msg] returns a 64-byte signature. *)
 

@@ -1,7 +1,6 @@
 (* SHA-256 over OCaml's native 63-bit ints: every word is kept masked to 32
    bits, which avoids boxed Int32 arithmetic in the compression loop. *)
 
-let digest_size = 32
 let mask = 0xFFFFFFFF
 
 let k =

@@ -2,9 +2,6 @@
     available in this environment, so the hash is implemented here and
     validated against the NIST test vectors in the test suite. *)
 
-val digest_size : int
-(** 32 bytes. *)
-
 val digest : string -> string
 (** [digest msg] returns the 32-byte binary digest of [msg]. *)
 

@@ -11,12 +11,6 @@ let host_equal a b =
   | Service x, Service y -> x = y
   | Ipv4 _, Service _ | Service _, Ipv4 _ -> false
 
-let host_to_string = function
-  | Ipv4 a -> Scion_addr.Ipv4.to_string a
-  | Service s when s = svc_cs -> "CS"
-  | Service s when s = svc_ds -> "DS"
-  | Service s -> Printf.sprintf "SVC:%d" s
-
 type proto = Udp | Scmp | Bfd
 
 let proto_to_int = function Udp -> 17 | Scmp -> 202 | Bfd -> 203

@@ -16,12 +16,9 @@ val svc_ds : int
 (** Discovery-service anycast address. *)
 
 val host_equal : host -> host -> bool
-val host_to_string : host -> string
 
 type proto = Udp | Scmp | Bfd
 (** L4 protocols carried in this reproduction. *)
-
-val proto_to_int : proto -> int
 
 type path = Empty | Standard of Path.t
 (** [Empty] is used for intra-AS communication (no inter-AS forwarding). *)
@@ -64,7 +61,7 @@ val reply_skeleton : t -> payload:string -> t
     Forwarding only mutates the path-meta position byte and the current
     segment identifier, so a border router can process the encoded buffer
     in place instead of decode / mutate / re-encode. All accessors are
-    allocation-free; validation happens once in [of_bytes]. The buffer is
+    allocation-free; validation happens once, when the view is built. The buffer is
     the single source of truth: [to_packet]/[contents] at any point yield
     exactly what an on-wire observer would see. *)
 module View : sig
@@ -74,12 +71,9 @@ module View : sig
   (** Encode once and view the result (no defensive copy; the encoded
       string is fresh). *)
 
-  val of_bytes : Bytes.t -> view
-  (** Validate and view [buf], taking ownership (forwarding mutates it).
-      Raises [Malformed] on anything {!decode} would reject structurally. *)
-
   val of_string : string -> view
-  (** Copying variant of {!of_bytes}. *)
+  (** Validate and view a copy of the bytes. Raises [Malformed] on
+      anything {!decode} would reject structurally. *)
 
   val validate : string -> (view, string) result
   (** Exception-free acceptance of untrusted wire bytes: [Ok] is a view
@@ -101,8 +95,6 @@ module View : sig
   val dst_isd : view -> int
   val dst_asn : view -> int
 
-  val curr_inf : view -> int
-  val curr_hf : view -> int
   val curr_cons_dir : view -> bool
   val curr_peer : view -> bool
   val curr_seg_id : view -> int
@@ -128,7 +120,8 @@ module View : sig
   val at_last_hop : view -> bool
 
   val advance : view -> unit
-  (** In-place {!Path.advance}: patches the path-meta position byte.
+  (** Move to the next hop field, crossing into the next segment after
+      the last hop of one, by patching the path-meta position byte.
       Raises [Malformed] when already at the last hop. *)
 
   val traversal_ingress : view -> int

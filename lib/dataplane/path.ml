@@ -60,18 +60,6 @@ let hop_expiry_ts ~timestamp ~exp_time =
 let hop_expiry info hop =
   hop_expiry_ts ~timestamp:(Int32.to_int info.timestamp land 0xFFFFFFFF) ~exp_time:hop.exp_time
 
-let mac_input ~seg_id ~timestamp hop =
-  let w = Rw.Writer.create () in
-  Rw.Writer.u16 w 0;
-  Rw.Writer.u16 w seg_id;
-  Rw.Writer.u32 w timestamp;
-  Rw.Writer.u8 w 0;
-  Rw.Writer.u8 w hop.exp_time;
-  Rw.Writer.u16 w hop.cons_ingress;
-  Rw.Writer.u16 w hop.cons_egress;
-  Rw.Writer.u16 w 0;
-  Rw.Writer.contents w
-
 (* The MAC input is exactly one AES block, so the hot path stages the 16
    bytes straight into the CMAC key's scratch block and verifies in place:
    no Writer, no intermediate strings, one AES call. *)
@@ -174,10 +162,6 @@ let decode s =
   with Rw.Truncated -> malformed "truncated path"
 
 let encoded_length t = 4 + (8 * Array.length t.infos) + (12 * Array.length t.hops)
-let current_info t = t.infos.(t.curr_inf)
-let current_hop t = t.hops.(t.curr_hf)
-
-let set_seg_id t v = t.infos.(t.curr_inf).seg_id <- v land 0xFFFF
 
 let seg_start t inf =
   let start = ref 0 in
@@ -187,29 +171,6 @@ let seg_start t inf =
   !start
 
 let num_hops t = Array.length t.hops
-let at_last_hop t = t.curr_hf = num_hops t - 1
-let curr_is_seg_first t = t.curr_hf = seg_start t t.curr_inf
-let curr_is_seg_last t = t.curr_hf = seg_start t t.curr_inf + t.lens.(t.curr_inf) - 1
-
-let advance t =
-  if at_last_hop t then malformed "advance past last hop";
-  if curr_is_seg_last t then t.curr_inf <- t.curr_inf + 1;
-  t.curr_hf <- t.curr_hf + 1
-
-let traversal_interfaces t =
-  let hop = current_hop t in
-  if (current_info t).cons_dir then (hop.cons_ingress, hop.cons_egress)
-  else (hop.cons_egress, hop.cons_ingress)
-
-(* Scalar variants of [traversal_interfaces] for the forwarding fast path:
-   no tuple allocation per packet. *)
-let traversal_ingress t =
-  let hop = current_hop t in
-  if (current_info t).cons_dir then hop.cons_ingress else hop.cons_egress
-
-let traversal_egress t =
-  let hop = current_hop t in
-  if (current_info t).cons_dir then hop.cons_egress else hop.cons_ingress
 
 let reverse t =
   let nsegs = Array.length t.infos in
@@ -225,6 +186,3 @@ let reverse t =
   in
   create segments
 
-let pp fmt t =
-  Format.fprintf fmt "path[inf=%d hf=%d segs=%s]" t.curr_inf t.curr_hf
-    (String.concat "," (Array.to_list (Array.map string_of_int t.lens)))

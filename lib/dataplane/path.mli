@@ -57,9 +57,6 @@ val max_exp_time : int
 val mac_len : int
 (** Length of the truncated hop MAC on the wire (6 bytes). *)
 
-val mac_input : seg_id:int -> timestamp:int32 -> hop -> string
-(** The canonical 16-byte MAC input block for a hop field. *)
-
 val compute_mac : Scion_crypto.Cmac.key -> seg_id:int -> timestamp:int32 -> hop -> string
 (** 6-byte truncated hop MAC. *)
 
@@ -89,31 +86,7 @@ val decode : string -> t
 (** Raises [Malformed]. *)
 
 val encoded_length : t -> int
-val current_info : t -> info
-val current_hop : t -> hop
-val set_seg_id : t -> int -> unit
-val advance : t -> unit
-(** Move to the next hop field, incrementing [curr_inf] across a segment
-    boundary. Raises [Malformed] when already at the last hop. *)
-
-val at_last_hop : t -> bool
 val num_hops : t -> int
-
-val curr_is_seg_first : t -> bool
-(** Whether the current hop is the first hop field of its segment. *)
-
-val curr_is_seg_last : t -> bool
-(** Whether the current hop is the last hop field of its segment. *)
-
-val traversal_interfaces : t -> int * int
-(** [(ingress, egress)] of the current hop in traversal direction: for a
-    segment traversed against construction direction the constructed
-    ingress/egress roles are swapped. *)
-
-val traversal_ingress : t -> int
-val traversal_egress : t -> int
-(** Scalar variants of {!traversal_interfaces} — the forwarding fast path
-    reads each side separately to avoid a per-packet tuple. *)
 
 val reverse : t -> t
 (** The path as seen by the replying end host: segments and hops in reverse
@@ -121,4 +94,3 @@ val reverse : t -> t
     hop. [seg_id] values are preserved per segment as left by forwarding,
     which is exactly the state a reply needs. *)
 
-val pp : Format.formatter -> t -> unit

@@ -152,112 +152,12 @@ let create ?metrics ~ia ~key ~ifaces () =
     scmp_limiter = None;
   }
 
-let ia t = t.ia
 let interfaces t =
   List.rev (Scion_util.Table.fold_sorted (fun _ i acc -> i :: acc) t.ifaces [])
 let interface t ifid = Hashtbl.find_opt t.ifaces ifid
 let set_interface_state t ifid ~up = Hashtbl.replace t.iface_state ifid up
 
 let interface_up t ifid = Scion_util.Table.find_or ~default:true t.iface_state ifid
-
-type verdict =
-  | Deliver of Packet.t
-  | Forward of { egress : int; packet : Packet.t }
-  | Drop of drop_reason
-
-(* Verify the current hop field and fold/unfold the segment identifier.
-   Returns [true] on success; on failure stashes the drop reason in
-   [t.last_drop] and returns [false]. The MAC check is fully staged
-   ({!Path.verify_mac}): one AES call, no intermediate strings, so a valid
-   hop verifies without allocating. *)
-(* scion-lint: hotpath -- per-packet hop-MAC verification; the ROADMAP allocation-free fast path lands against this ratchet *)
-let verify_current t ~now path =
-  let info = Path.current_info path in
-  let hop = Path.current_hop path in
-  let expiry = Path.hop_expiry info hop in
-  if now > expiry then begin
-    (* scion-lint: allow hotpath-allocation -- cold drop path: payload-carrying reason built only for rejected packets *)
-    t.last_drop <- Expired_hop { expired_at = expiry };
-    false
-  end
-  else begin
-    let is_peer_hop =
-      info.Path.peer
-      &&
-      if info.Path.cons_dir then Path.curr_is_seg_first path else Path.curr_is_seg_last path
-    in
-    if is_peer_hop then
-      Path.verify_mac t.key ~seg_id:info.Path.seg_id ~timestamp:info.Path.timestamp hop
-      || begin
-           t.last_drop <- Invalid_mac;
-           false
-         end
-    else if info.Path.cons_dir then begin
-      if Path.verify_mac t.key ~seg_id:info.Path.seg_id ~timestamp:info.Path.timestamp hop then begin
-        Path.set_seg_id path (Path.chain_seg_id ~seg_id:info.Path.seg_id ~mac:hop.Path.mac);
-        true
-      end
-      else begin
-        t.last_drop <- Invalid_mac;
-        false
-      end
-    end
-    else begin
-      let beta = Path.chain_seg_id ~seg_id:info.Path.seg_id ~mac:hop.Path.mac in
-      if Path.verify_mac t.key ~seg_id:beta ~timestamp:info.Path.timestamp hop then begin
-        Path.set_seg_id path beta;
-        true
-      end
-      else begin
-        t.last_drop <- Invalid_mac;
-        false
-      end
-    end
-  end
-
-(* Count a drop and stash the reason. Shared by the structured and the
-   view-based entry points; only the former then wraps the reason in a
-   [Drop] verdict. *)
-let record_drop t reason =
-  t.last_drop <- reason;
-  t.stats.dropped <- t.stats.dropped + 1;
-  (match reason with Invalid_mac -> t.stats.mac_failures <- t.stats.mac_failures + 1 | _ -> ());
-  match t.obs with
-  | None -> ()
-  | Some o ->
-      obs_inc o.o_dropped (drop_slug reason);
-      obs_inc o.o_scmp (scmp_type reason);
-      (match reason with Invalid_mac -> M.inc o.o_mac_failures | _ -> ())
-
-let drop t reason =
-  record_drop t reason;
-  Drop reason
-
-let record_deliver t =
-  t.stats.delivered <- t.stats.delivered + 1;
-  match t.obs with None -> () | Some o -> M.inc o.o_delivered
-
-let deliver t pkt =
-  record_deliver t;
-  Deliver pkt
-
-let count_forwarded t egress =
-  t.stats.forwarded <- t.stats.forwarded + 1;
-  match t.obs with
-  | None -> ()
-  | Some o ->
-      M.inc o.o_forwarded;
-      obs_inc o.o_tx egress
-
-let forward_out t pkt path egress =
-  if egress = 0 then drop t (Path_malformed "no egress interface on a transit hop")
-  else if not (interface_up t egress) then drop t (Interface_down egress)
-  else if not (Hashtbl.mem t.ifaces egress) then drop t (Unknown_interface egress)
-  else begin
-    if not (Path.at_last_hop path) then Path.advance path;
-    count_forwarded t egress;
-    Forward { egress; packet = pkt }
-  end
 
 let scmp_answer t = function
   | Interface_down ifid | Unknown_interface ifid ->
@@ -317,46 +217,7 @@ let scmp_rate_limited t =
   | None -> (0, 0)
   | Some sl -> (sl.sl_limited, sl.sl_limited_bytes)
 
-(* scion-lint: hotpath -- the per-packet forwarding entry point *)
-let process t ~now ~ingress pkt =
-  (match t.obs with
-  | Some o when ingress <> 0 -> obs_inc o.o_rx ingress
-  | Some _ | None -> ());
-  match pkt.Packet.path with
-  | Packet.Empty ->
-      if Scion_addr.Ia.equal pkt.Packet.dst_ia t.ia then deliver t pkt else drop t Not_for_us
-  | Packet.Standard path ->
-      let hop_ingress = Path.traversal_ingress path in
-      (* The ingress interface is checked only for packets arriving from
-         outside; locally originated traffic (ingress 0) may start anywhere
-         on its first hop field. *)
-      if ingress <> 0 && hop_ingress <> ingress then
-        (* scion-lint: allow hotpath-allocation -- cold drop path: payload-carrying reason built only for rejected packets *)
-        drop t (Ingress_mismatch { expected = hop_ingress; actual = ingress })
-      else if not (verify_current t ~now path) then drop t t.last_drop
-      else if Path.at_last_hop path then
-        (* Terminal hop: delivery is positional, which also covers
-           on-path destinations whose cut segment ends mid-tree. *)
-        if Scion_addr.Ia.equal pkt.Packet.dst_ia t.ia then deliver t pkt
-        else drop t Not_for_us
-      else if Path.curr_is_seg_last path && not (Path.current_info path).Path.peer then begin
-        (* Segment crossover: this AS joins two segments. Verify the
-           next segment's first hop (same AS) and leave through its
-           egress; the current hop's own egress is not used. Peering
-           segments are excluded — there the segment switch happens on
-           the wire, across the peering link. *)
-        Path.advance path;
-        if not (verify_current t ~now path) then drop t t.last_drop
-        else if Path.at_last_hop path then
-          (* The joint AS is itself the destination (degenerate
-             segment cut): positional delivery applies. *)
-          if Scion_addr.Ia.equal pkt.Packet.dst_ia t.ia then deliver t pkt
-          else drop t Not_for_us
-        else forward_out t pkt path (Path.traversal_egress path)
-      end
-      else forward_out t pkt path (Path.traversal_egress path)
-
-(* --- zero-copy view fast path ------------------------------------------ *)
+(* --- forwarding over the zero-copy wire view ----------------------------- *)
 
 module V = Packet.View
 
@@ -364,10 +225,12 @@ let deliver_verdict = 0
 let drop_verdict = -1
 let last_drop t = t.last_drop
 
-(* Mirror of [verify_current] over the wire buffer: hop fields are read
-   straight out of the encoded packet and the MAC is checked in place
-   against the staged CMAC block — zero allocation for accepted hops. *)
-(* scion-lint: hotpath -- view-based hop-MAC verification, the allocation-free twin of verify_current *)
+(* Verify the current hop field and fold/unfold the segment identifier. Hop
+   fields are read straight out of the encoded packet and the MAC is checked
+   in place against the staged CMAC block — zero allocation for accepted
+   hops. Returns [true] on success; on failure stashes the drop reason in
+   [t.last_drop] and returns [false]. *)
+(* scion-lint: hotpath -- per-packet hop-MAC verification over the wire buffer *)
 let verify_current_view t ~now v =
   let timestamp = V.curr_timestamp v in
   let exp_time = V.curr_exp_time v in
@@ -399,37 +262,48 @@ let verify_current_view t ~now v =
     end
   end
 
+(* Count a drop and stash the reason for {!last_drop}. *)
+let drop_view t reason =
+  t.last_drop <- reason;
+  t.stats.dropped <- t.stats.dropped + 1;
+  (match reason with Invalid_mac -> t.stats.mac_failures <- t.stats.mac_failures + 1 | _ -> ());
+  (match t.obs with
+  | None -> ()
+  | Some o ->
+      obs_inc o.o_dropped (drop_slug reason);
+      obs_inc o.o_scmp (scmp_type reason);
+      (match reason with Invalid_mac -> M.inc o.o_mac_failures | _ -> ()));
+  drop_verdict
+
+let deliver_view t =
+  t.stats.delivered <- t.stats.delivered + 1;
+  (match t.obs with None -> () | Some o -> M.inc o.o_delivered);
+  deliver_verdict
+
 let forward_out_view t v egress =
-  if egress = 0 then begin
+  if egress = 0 then
     (* scion-lint: allow hotpath-allocation -- cold drop path: payload-carrying reason built only for rejected packets *)
-    record_drop t (Path_malformed "no egress interface on a transit hop");
-    drop_verdict
-  end
-  else if not (interface_up t egress) then begin
+    drop_view t (Path_malformed "no egress interface on a transit hop")
+  else if not (interface_up t egress) then
     (* scion-lint: allow hotpath-allocation -- cold drop path: payload-carrying reason built only for rejected packets *)
-    record_drop t (Interface_down egress);
-    drop_verdict
-  end
-  else if not (Hashtbl.mem t.ifaces egress) then begin
+    drop_view t (Interface_down egress)
+  else if not (Hashtbl.mem t.ifaces egress) then
     (* scion-lint: allow hotpath-allocation -- cold drop path: payload-carrying reason built only for rejected packets *)
-    record_drop t (Unknown_interface egress);
-    drop_verdict
-  end
+    drop_view t (Unknown_interface egress)
   else begin
     if not (V.at_last_hop v) then V.advance v;
-    count_forwarded t egress;
+    t.stats.forwarded <- t.stats.forwarded + 1;
+    (match t.obs with
+    | None -> ()
+    | Some o ->
+        M.inc o.o_forwarded;
+        obs_inc o.o_tx egress);
     egress
   end
 
-let deliver_view t = record_deliver t; deliver_verdict
-
-let drop_view t reason =
-  record_drop t reason;
-  drop_verdict
-
 let view_for_us t v = V.dst_isd v = t.ia_isd && V.dst_asn v = t.ia_asn
 
-(* scion-lint: hotpath -- allocation-free forwarding over the wire buffer; decision-for-decision twin of [process] *)
+(* scion-lint: hotpath -- the per-packet forwarding entry point, allocation-free over the wire buffer *)
 let process_view t ~now ~ingress v =
   (match t.obs with
   | Some o when ingress <> 0 -> obs_inc o.o_rx ingress
@@ -438,11 +312,9 @@ let process_view t ~now ~ingress v =
     if view_for_us t v then deliver_view t else drop_view t Not_for_us
   else begin
     let hop_ingress = V.traversal_ingress v in
-    if ingress <> 0 && hop_ingress <> ingress then begin
+    if ingress <> 0 && hop_ingress <> ingress then
       (* scion-lint: allow hotpath-allocation -- cold drop path: payload-carrying reason built only for rejected packets *)
-      record_drop t (Ingress_mismatch { expected = hop_ingress; actual = ingress });
-      drop_verdict
-    end
+      drop_view t (Ingress_mismatch { expected = hop_ingress; actual = ingress })
     else if not (verify_current_view t ~now v) then drop_view t t.last_drop
     else if V.at_last_hop v then
       if view_for_us t v then deliver_view t else drop_view t Not_for_us

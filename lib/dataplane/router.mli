@@ -34,7 +34,6 @@ val create :
     [router.iface_tx_packets{ifid}] — all labelled with the router's
     [ia]. *)
 
-val ia : t -> Scion_addr.Ia.t
 val interfaces : t -> iface list
 val interface : t -> int -> iface option
 val set_interface_state : t -> int -> up:bool -> unit
@@ -54,29 +53,22 @@ type drop_reason =
 
 val drop_reason_to_string : drop_reason -> string
 
-type verdict =
-  | Deliver of Packet.t  (** Hand to the local end-host (dst host). *)
-  | Forward of { egress : int; packet : Packet.t }
-  | Drop of drop_reason
-
-val process : t -> now:float -> ingress:int -> Packet.t -> verdict
-(** [process t ~now ~ingress pkt] forwards one packet. [ingress] is the
-    interface the packet arrived on, 0 meaning "from inside the AS" (an
-    end host or gateway). The returned packet shares the (mutated) path. *)
-
 val process_view : t -> now:float -> ingress:int -> Packet.View.view -> int
-(** Allocation-free twin of {!process} over a zero-copy wire view: the hop
-    field is read and verified in place and the path position / segment id
-    are patched back into the buffer, so forwarding a packet allocates
-    nothing. The verdict is int-coded to stay flat: [0] delivers to the
-    local AS, a positive value forwards out of that egress interface, and a
-    negative value drops — the reason is retrieved with {!last_drop}.
-    Decision-for-decision identical to {!process} (same checks, same
-    counters and telemetry), which the conformance suite pins. *)
+(** [process_view t ~now ~ingress v] forwards one packet held as a
+    zero-copy wire view. [ingress] is the interface the packet arrived on,
+    0 meaning "from inside the AS" (an end host or gateway). The hop field
+    is read and verified in place and the path position / segment id are
+    patched back into the buffer, so forwarding a packet allocates nothing.
+    The verdict is int-coded to stay flat: [0] delivers to the local AS, a
+    positive value forwards out of that egress interface, and a negative
+    value drops — the reason is retrieved with {!last_drop}. The test suite
+    keeps a structured reference engine over decoded packets and pins this
+    function to it decision for decision (verdicts, drop reasons, counters
+    and wire bytes). *)
 
 val last_drop : t -> drop_reason
-(** The reason behind the most recent drop verdict from {!process_view}
-    (or {!process}). Only meaningful immediately after a drop. *)
+(** The reason behind the most recent drop verdict from {!process_view}.
+    Only meaningful immediately after a drop. *)
 
 val scmp_answer : t -> drop_reason -> Scmp.t option
 (** The SCMP error message this router sends back to the source for a

@@ -21,6 +21,3 @@ val echo_reply_for : string -> string option
     anything else — what an end host's SCMP responder sends back without
     caring about the rest of the message zoo. *)
 
-val type_code : t -> int * int
-(** (type, code) pair, mirroring the SCMP numbering: echo request 128,
-    echo reply 129, errors in the 1-100 range. *)

@@ -14,8 +14,6 @@ type topology_file = {
   signature : string;  (** By the AS certificate key. *)
 }
 
-val topology_signed_bytes : topology_file -> string
-
 val sign_topology :
   ia:Scion_addr.Ia.t ->
   border_routers:Scion_addr.Ipv4.endpoint list ->
@@ -71,11 +69,6 @@ type retry_info = { attempts : int; backoff_ms : float }
 (** How hard {!run_with_retry} had to work: attempts made and simulated
     milliseconds spent waiting between them. *)
 
-val transient_error : error -> bool
-(** Whether retrying can help: [No_hint_available] and
-    [Server_unreachable] are transient; signature and TRC-chain failures
-    are permanent (retrying cannot make forged material verify). *)
-
 (* scion-lint: rng-stream bootstrap -- retries reuse the same bootstrap stream as [run] *)
 val run_with_retry :
   rng:Scion_util.Rng.t ->
@@ -99,6 +92,3 @@ val run_with_retry :
 (* scion-lint: rng-stream bootstrap -- the latency model draws from the bootstrap stream *)
 val hint_latency_ms : rng:Scion_util.Rng.t -> os:os -> Hints.mechanism -> float
 (** The latency model itself, exposed for the Figure 4 experiment. *)
-
-(* scion-lint: rng-stream bootstrap -- the latency model draws from the bootstrap stream *)
-val config_latency_ms : rng:Scion_util.Rng.t -> os:os -> float

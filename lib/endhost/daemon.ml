@@ -24,8 +24,6 @@ type t = {
   mutable revocation_count : int;
   mutable poisoned_count : int;
   mutable evicted_count : int;
-  mutable fetch_attempts : int;
-  mutable fetch_wait_ms : float;
   quality : Pathmon.Cache.t;
   obs : obs option;
 }
@@ -61,13 +59,10 @@ let create ~ia ~fetch ?(cache_ttl = 300.0) ?(expiry_margin = 60.0) ?(revocation_
     revocation_count = 0;
     poisoned_count = 0;
     evicted_count = 0;
-    fetch_attempts = 0;
-    fetch_wait_ms = 0.0;
     quality = (match quality with Some c -> c | None -> Pathmon.Cache.create ());
     obs = Option.map (fun registry -> make_obs registry ~ia) metrics;
   }
 
-let ia t = t.ia
 let quality t = t.quality
 
 type source = From_cache | Fetched
@@ -91,22 +86,17 @@ let crosses_revoked t ~now (p : Combinator.fullpath) =
 
 (* Retry transient fetch failures (an empty answer from the control
    service) through the shared capped-exponential backoff; waits are
-   simulated time, accounted in [fetch_wait_ms], never slept. *)
+   simulated time, never slept. *)
 let fetch_paths t ~dst =
   match t.retry with
   | None -> t.fetch ~dst
   | Some (policy, rng) -> (
-      let on_wait ~attempt:_ ~delay_ms = t.fetch_wait_ms <- t.fetch_wait_ms +. delay_ms in
       match
-        Scion_util.Backoff.retry policy ~rng ~on_wait (fun ~attempt:_ ->
+        Scion_util.Backoff.retry policy ~rng (fun ~attempt:_ ->
             match t.fetch ~dst with [] -> Error `Empty | paths -> Ok paths)
       with
-      | Ok (paths, attempts) ->
-          t.fetch_attempts <- t.fetch_attempts + attempts;
-          paths
-      | Error give_up ->
-          t.fetch_attempts <- t.fetch_attempts + give_up.Scion_util.Backoff.attempts;
-          [])
+      | Ok (paths, _) -> paths
+      | Error _ -> [])
 
 let path_poisoned t ~now (p : Combinator.fullpath) =
   Hashtbl.length t.poisoned > 0
@@ -217,8 +207,6 @@ let handle_scmp t ~now ?path msg =
 let revocations t = t.revocation_count
 let poisoned_revocations t = t.poisoned_count
 let evicted_paths t = t.evicted_count
-let fetch_attempts t = t.fetch_attempts
-let fetch_wait_ms t = t.fetch_wait_ms
 
 let store_trc t trc =
   let isd = trc.Scion_cppki.Trc.isd in

@@ -30,13 +30,11 @@ val create :
     is trusted again (the data plane re-answers if it is still dead).
     With [?retry] (and its mandatory [?rng] for jitter draws), a fetch
     that returns no paths is retried under the given
-    {!Scion_util.Backoff} policy; the backoff waits are simulated
-    milliseconds accumulated in {!fetch_wait_ms}, never slept. Raises
+    {!Scion_util.Backoff} policy; the backoff waits are simulated, never
+    slept. Raises
     [Invalid_argument] when [?retry] is given without [?rng]. With
     [?metrics], every lookup counts into [daemon.lookups{ia,source}] with
     source [cache] or [fetch]. *)
-
-val ia : t -> Scion_addr.Ia.t
 
 val quality : t -> Pathmon.Cache.t
 (** The host's shared per-destination path-quality cache: probers feed it,
@@ -50,28 +48,16 @@ val lookup : t -> now:float -> dst:Scion_addr.Ia.t -> Scion_controlplane.Combina
 (** Valid paths to [dst]: non-near-expiry and not crossing an actively
     revoked interface. *)
 
-val revoke : t -> now:float -> ia:Scion_addr.Ia.t -> ifid:int -> int
-(** Learn that interface [ifid] of AS [ia] is down (an SCMP
-    external-interface-down answer): records the revocation for
-    [revocation_ttl] seconds, evicts every cached path whose hop sequence
-    crosses the interface, and eagerly re-fetches destinations whose
-    cached set was emptied. Returns the number of evicted paths. *)
-
-val report_poisoned : t -> now:float -> Scion_controlplane.Combinator.fullpath -> int
-(** MAC-verification feedback: traffic sent over [path] died with an
-    invalid-hop-field-MAC error, so the path was served from poisoned
-    control-plane state (e.g. a rogue down-segment registration). Revokes
-    the path by fingerprint for [revocation_ttl] seconds — its interfaces
-    may be entirely fictional, so interface revocation cannot express
-    this — evicts it from the cache, and re-fetches the destination if
-    that emptied its entry. Returns the number of evicted paths. *)
-
 val handle_scmp :
   t -> now:float -> ?path:Scion_controlplane.Combinator.fullpath -> Scion_dataplane.Scmp.t -> int option
-(** Dispatch an SCMP message: [External_interface_down] triggers
-    {!revoke} (returning [Some evicted]); [Invalid_hop_field_mac] with
-    [?path] (the path the failed probe travelled) triggers
-    {!report_poisoned}; every other message is ignored ([None]). *)
+(** Dispatch an SCMP message, returning [Some evicted] cached paths;
+    every other message is ignored ([None]). [External_interface_down]
+    revokes the interface for [revocation_ttl] seconds and evicts every
+    cached path crossing it. [Invalid_hop_field_mac] with [?path] (the path
+    the failed probe travelled) means poisoned control-plane state (e.g. a
+    rogue down-segment registration), whose interfaces may be fictional:
+    that path is revoked by fingerprint instead. Destinations left with no
+    cached path are re-fetched eagerly. *)
 
 val flush : t -> unit
 val cache_entries : t -> int
@@ -79,21 +65,14 @@ val hits : t -> int
 val misses : t -> int
 
 val revocations : t -> int
-(** Revocations learnt via {!revoke} (including re-announcements). *)
+(** Interface revocations learnt via {!handle_scmp} (including
+    re-announcements). *)
 
 val poisoned_revocations : t -> int
-(** Paths revoked by fingerprint via {!report_poisoned}. *)
+(** Paths revoked by fingerprint after an invalid-MAC report. *)
 
 val evicted_paths : t -> int
 (** Total cached paths evicted by revocations. *)
-
-val fetch_attempts : t -> int
-(** Backend fetch attempts made under the retry policy (successful
-    attempts included; 0 when no [?retry] was configured). *)
-
-val fetch_wait_ms : t -> float
-(** Simulated milliseconds spent in backoff waits between fetch
-    attempts. *)
 
 val store_trc : t -> Scion_cppki.Trc.t -> unit
 val trc_for : t -> isd:int -> Scion_cppki.Trc.t option

@@ -1,7 +1,5 @@
 type family = Scion | Ipv6 | Ipv4
 
-let family_to_string = function Scion -> "SCION" | Ipv6 -> "IPv6" | Ipv4 -> "IPv4"
-
 type candidate = { family : family; available : bool; connect_ms : float }
 
 type outcome = {

@@ -8,8 +8,6 @@
 
 type family = Scion | Ipv6 | Ipv4
 
-val family_to_string : family -> string
-
 type candidate = {
   family : family;
   available : bool;  (** Destination reachable over this family. *)

@@ -57,14 +57,3 @@ let preferred_order env =
 
 type hint = { server : Scion_addr.Ipv4.endpoint; via : mechanism }
 
-let env_to_string env =
-  let flags =
-    [
-      (env.static_ips_only, "static");
-      (env.dhcp, "dhcp");
-      (env.dhcpv6, "dhcpv6");
-      (env.ipv6_ras, "ra");
-      (env.dns_search_domain, "dns");
-    ]
-  in
-  String.concat "+" (List.filter_map (fun (b, s) -> if b then Some s else None) flags)

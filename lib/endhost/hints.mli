@@ -42,4 +42,3 @@ val preferred_order : network_env -> mechanism list
 
 type hint = { server : Scion_addr.Ipv4.endpoint; via : mechanism }
 
-val env_to_string : network_env -> string

@@ -11,14 +11,6 @@ let preference_of_string = function
   | "expiry" -> Ok Expiry
   | s -> Error (Printf.sprintf "unknown preference %S" s)
 
-let preference_to_string = function
-  | Latency -> "latency"
-  | Hops -> "hops"
-  | Mtu -> "mtu"
-  | Expiry -> "expiry"
-
-let available_preference_policies = [ "latency"; "hops"; "mtu"; "expiry" ]
-
 type policy = {
   sequence : Hop_pred.sequence option;
   deny_transit : Ia.Set.t;

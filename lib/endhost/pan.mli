@@ -11,10 +11,6 @@ module Combinator = Scion_controlplane.Combinator
 type preference = Latency | Hops | Mtu | Expiry
 (** Sorting criteria; [Latency] uses the estimator given to {!sort_paths}. *)
 
-val preference_of_string : string -> (preference, string) result
-val preference_to_string : preference -> string
-val available_preference_policies : string list
-
 type policy = {
   sequence : Scion_addr.Hop_pred.sequence option;
   deny_transit : Scion_addr.Ia.Set.t;

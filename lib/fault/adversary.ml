@@ -40,20 +40,6 @@ include Campaign.Make (struct
   let name = "Adversary"
 end)
 
-let salvo ?(jitter_s = 0.0) ~start_s ~rounds ~period_s ops =
-  check_time "salvo" start_s;
-  check_count "salvo" rounds;
-  check_period "salvo" period_s;
-  let stretch = jitter "salvo" jitter_s in
-  fun rng ->
-    let rec go i t acc =
-      if i >= rounds then List.rev acc
-      else
-        let acc = List.rev_append (List.map (fun op -> { Campaign.at_s = t; op }) ops) acc in
-        go (i + 1) (t +. period_s +. stretch rng) acc
-    in
-    go 0 start_s []
-
 let wormhole ~a ~b ~from_s ~to_s =
   span "wormhole" ~from_s ~to_s (Wormhole_up { a; b }) (Wormhole_down { a; b })
 

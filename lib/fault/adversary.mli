@@ -8,7 +8,7 @@
     key compromise with its TRC-rotation drill.
 
     Both are a {!Campaign} over their own op type. An adversary draws
-    (salvo jitter) only from its own stream — conventionally
+    only from its own stream — conventionally
     [Rng.of_label seed "fault.adv"] — so attaching one never perturbs
     workload draws. The op payloads are pure data (AS identifiers and
     counts); interpretation against a concrete mesh lives in the applier
@@ -42,11 +42,6 @@ val op_to_string : op -> string
 include Campaign.S with type op := op
 
 (** {1 Attack combinators} *)
-
-val salvo : ?jitter_s:float -> start_s:float -> rounds:int -> period_s:float -> op list -> t
-(** [rounds] repetitions of [ops] starting at [start_s], [period_s]
-    apart; with [jitter_s] each gap is stretched by a uniform draw in
-    [\[0, jitter_s)] from the adversary stream. *)
 
 val wormhole :
   a:Scion_addr.Ia.t -> b:Scion_addr.Ia.t -> from_s:float -> to_s:float -> t

@@ -12,9 +12,9 @@
 
     Figures sharing a dataset (Figures 5-7; Figures 8-10b) share one
     memoised experiment run per process. Evidence scale is reduced
-    relative to the full EXPERIMENTS.md run — see {!connectivity_days}
-    and {!resilience_runs} — so the tier-1 suite stays fast; the paper's
-    shape claims hold at this scale. *)
+    relative to the full EXPERIMENTS.md run — {!use_full_scale} switches
+    to it — so the tier-1 suite stays fast; the paper's shape claims hold
+    at this scale. *)
 
 type t = {
   id : string;  (** Figure id, e.g. ["fig5"]. *)
@@ -28,36 +28,6 @@ val figures : (string * string) list
     order. *)
 
 val ids : string list
-
-val connectivity_days : float ref
-(** Simulated multiping days behind Figures 5-7 (full run: 20). *)
-
-val resilience_runs : int ref
-(** Link-failure trials behind Figure 10c (full run: 100). *)
-
-val recovery_trials : int ref
-(** Fault-injection trials behind the recovery figure (full run: 40). *)
-
-val pathmon_trials : int ref
-(** Soft-degradation trials behind the pathmon figure (full run: 30). *)
-
-val scaling_sizes : int list ref
-(** Topogen AS counts swept by the scaling figure (full run adds 3000). *)
-
-val adversary_topogen : int ref
-(** Topogen mesh size for the containment figure's second scale (full
-    run: 600). *)
-
-val load_loads : float list ref
-(** Offered-load multipliers swept by the load figure (full run adds
-    2.0). *)
-
-val load_duration : float ref
-(** Per-cell simulated seconds for the load figure (full run: 45). *)
-
-val load_topogen : int ref
-(** Topogen mesh size for the load figure's second scale (full run:
-    600). *)
 
 val use_full_scale : unit -> unit
 (** Switch every scale knob to the full EXPERIMENTS.md campaign (20 days,

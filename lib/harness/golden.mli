@@ -12,9 +12,6 @@ type file = {
   diff : string option;  (** [None] when the golden matches byte-for-byte. *)
 }
 
-val paths : dir:string -> string -> string * string
-(** [(table_path, metrics_path)] for a figure id under [dir]. *)
-
 val check_figure : dir:string -> string -> file list
 (** Regenerate one figure's evidence and diff it against its two golden
     files. A missing golden reports a diff pointing at the promote

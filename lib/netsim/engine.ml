@@ -131,4 +131,3 @@ let run ?until t =
     end
   done
 
-let pending t = t.size

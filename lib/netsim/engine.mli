@@ -22,8 +22,6 @@ val run : ?until:float -> t -> unit
 val step : t -> bool
 (** Process a single event; [false] when the queue is empty. *)
 
-val pending : t -> int
-
 val events_processed : t -> int
 (** Total events executed since [create]. *)
 

@@ -196,7 +196,6 @@ let endpoints t id =
   let l = get t id in
   (l.a, l.b)
 
-let params t id = (get t id).p
 let num_links t = t.nlinks
 
 let links_of t n =
@@ -289,16 +288,6 @@ let utilisation t id ~from =
    dividing by zero — congestion then shows up as queueing delay and
    tail drops, which is what the experiment measures. *)
 let avail_bps c fluid = Float.max (0.01 *. c.cap_bps) (c.cap_bps -. fluid)
-
-let queueing_delay_ms t id ~from =
-  let l = get t id in
-  match l.cap with
-  | None -> 0.0
-  | Some c ->
-      let ab = dir_ab "Net.queueing_delay_ms" l from in
-      let fluid = if ab then c.fluid_ab else c.fluid_ba in
-      let qbytes = if ab then c.qbytes_ab else c.qbytes_ba in
-      float_of_int qbytes *. 8.0 /. avail_bps c fluid *. 1000.0
 
 (* Effective per-traversal loss. The base + burst sum keeps the RNG draw
    discipline of [transmit]/[sample_one_way] intact: with no burst active

@@ -43,7 +43,6 @@ val add_link : t -> node -> node -> link_params -> link_id
     outside [\[0, 1\]], or non-positive [bandwidth_mbps]. *)
 
 val endpoints : t -> link_id -> node * node
-val params : t -> link_id -> link_params
 val num_links : t -> int
 val links_of : t -> node -> link_id list
 
@@ -105,21 +104,8 @@ val utilisation : t -> link_id -> from:node -> float
 (** Fluid load as a fraction of capacity, clamped to [\[0, 1\]]; [0.] when
     unarmed. The bandwidth signal pathmon's estimator consumes. *)
 
-val queueing_delay_ms : t -> link_id -> from:node -> float
-(** Time for the currently queued bytes to drain at the residual (after
-    fluid load) capacity, in ms; [0.] when unarmed. The queueing-delay
-    component a latency sample over the link would incur right now. *)
-
 val sample_one_way : t -> link_id -> [ `Delivered of float | `Lost ]
 (** One traversal: [`Delivered ms] or [`Lost]. Down links always lose. *)
-
-(* scion-lint: rng-stream caller -- draws come from the observer's private stream, never the fabric's *)
-val sample_one_way_with :
-  t -> rng:Scion_util.Rng.t -> link_id -> [ `Delivered of float | `Lost ]
-(** {!sample_one_way}, but the loss and jitter draws come from the caller's
-    [rng] instead of the fabric's own stream. Observers with private
-    streams (the [pathmon] prober) use this so their sampling never
-    perturbs workload draws. *)
 
 val path_rtt : t -> link_id list -> [ `Rtt of float | `Lost ]
 (** Round trip over the link sequence (forward then back, independent

@@ -54,8 +54,8 @@ val loss_rate : t -> float
 
 val observe_bandwidth : t -> utilisation:float -> queue_delay_ms:float -> unit
 (** Feed one bandwidth signal sample — typically the worst per-hop
-    {!Netsim.Net.utilisation} / {!Netsim.Net.queueing_delay_ms} along the
-    monitored path. Both are EWMA-smoothed with [rtt_alpha]; with
+    {!Netsim.Net.utilisation} and queueing delay along the monitored
+    path. Both are EWMA-smoothed with [rtt_alpha]; with
     [?metrics] the smoothed values export as the [pathmon.utilisation] and
     [pathmon.queue_delay_ms] gauges (created on the first sample, so
     estimators never fed a signal keep their historic snapshot). Raises

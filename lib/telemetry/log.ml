@@ -1,55 +1,24 @@
-(* Leveled, sink-redirectable logging plus the sanctioned report-output
-   channel. This module is the one place in lib/ allowed to touch stdout /
-   stderr directly (scion-lint's naked-printf rule exempts lib/telemetry/):
-   everything else routes diagnostics through the level functions and
-   experiment/report output through [out]. *)
-
-type level = Debug | Info | Warn | Error
-
-let level_to_string = function
-  | Debug -> "debug"
-  | Info -> "info"
-  | Warn -> "warn"
-  | Error -> "error"
-
-let level_of_string = function
-  | "debug" -> Ok Debug
-  | "info" -> Ok Info
-  | "warn" | "warning" -> Ok Warn
-  | "error" -> Ok Error
-  | s -> Result.Error (Printf.sprintf "unknown log level %S" s)
-
-let rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
-
-let threshold = ref Warn
-let set_level l = threshold := l
-let level () = !threshold
-let enabled l = rank l >= rank !threshold
+(* Diagnostics plus the sanctioned report-output channel. This module is
+   the one place in lib/ allowed to touch stdout / stderr directly
+   (scion-lint's naked-printf rule exempts lib/telemetry/): everything else
+   routes diagnostics through [debug]/[warn] and experiment/report output
+   through [out]. *)
 
 (* Diagnostics default to stderr so they interleave with, but do not
    corrupt, report output on stdout. *)
 let diag_sink = ref (fun line -> prerr_string line)
 let report_sink = ref (fun s -> print_string s)
 
-let set_sink f = diag_sink := f
-let set_report_sink f = report_sink := f
-
 (* Table.print is report output too: route it through the report sink so
-   [capture_report] (and any redirected sink) sees the table bodies the
-   experiments emit, not just their Log.out lines. Scion_util cannot
+   [capture_report] sees the table bodies the experiments emit, not just
+   their Log.out lines. Scion_util cannot
    depend on telemetry, hence the indirection lives there and is pointed
    here once at link time. *)
 let () = Scion_util.Table.set_printer (fun s -> !report_sink s)
 
-let logf lvl fmt =
-  Printf.ksprintf
-    (fun msg -> if enabled lvl then !diag_sink (Printf.sprintf "[%s] %s\n" (level_to_string lvl) msg))
-    fmt
-
-let debug fmt = logf Debug fmt
-let info fmt = logf Info fmt
-let warn fmt = logf Warn fmt
-let error fmt = logf Error fmt
+(* Diagnostics below warning level are dropped. *)
+let debug fmt = Printf.ksprintf ignore fmt
+let warn fmt = Printf.ksprintf (fun msg -> !diag_sink (Printf.sprintf "[warn] %s\n" msg)) fmt
 
 let out fmt = Printf.ksprintf (fun s -> !report_sink s) fmt
 

@@ -1,34 +1,14 @@
-(** Leveled structured-ish logging and the sanctioned report channel.
+(** Diagnostics and the sanctioned report channel.
 
     [lib/] code must not print directly (scion-lint's [naked-printf] rule):
-    diagnostics go through {!debug}/{!info}/{!warn}/{!error} (stderr by
-    default, level-filtered, redirectable), and experiment/report output —
-    the tables and figures the harness emits — goes through {!out} (stdout
-    by default, redirectable, never filtered). Keeping the two streams
-    separate means diagnostics can be enabled without corrupting checked-in
-    report output. *)
-
-type level = Debug | Info | Warn | Error
-
-val level_to_string : level -> string
-val level_of_string : string -> (level, string) result
-
-val set_level : level -> unit
-(** Default threshold is [Warn]. *)
-
-val level : unit -> level
-val enabled : level -> bool
-
-val set_sink : (string -> unit) -> unit
-(** Redirect diagnostic lines (each already newline-terminated). *)
-
-val set_report_sink : (string -> unit) -> unit
-(** Redirect report output (raw chunks, exactly as formatted). *)
+    diagnostics go through {!debug}/{!warn} (stderr by default; [debug]
+    lines are dropped), and experiment/report output — the tables and
+    figures the harness emits — goes through {!out} (stdout by default,
+    never filtered). Both streams can be captured. Keeping them separate
+    means diagnostics never corrupt checked-in report output. *)
 
 val debug : ('a, unit, string, unit) format4 -> 'a
-val info : ('a, unit, string, unit) format4 -> 'a
 val warn : ('a, unit, string, unit) format4 -> 'a
-val error : ('a, unit, string, unit) format4 -> 'a
 
 val out : ('a, unit, string, unit) format4 -> 'a
 (** Report output: the replacement for [Printf.printf] in [lib/]. *)

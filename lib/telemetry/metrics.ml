@@ -92,7 +92,6 @@ let gauge t ?(labels = []) name =
     ~cast:(function M_gauge g -> Some g | M_counter _ | M_histogram _ | M_summary _ -> None)
 
 let set g v = g.gauge_value <- v
-let gauge_value g = g.gauge_value
 
 let histogram t ?(labels = []) ~buckets name =
   (match buckets with [] -> invalid_arg "Metrics.histogram: no buckets" | _ :: _ -> ());
@@ -147,7 +146,6 @@ let record s v =
   s.s_sum <- s.s_sum +. v
 
 let summary_count s = s.n
-let summary_sum s = s.s_sum
 
 let quantile s p =
   if s.n = 0 then None else Some (Stats.percentile (Array.sub s.samples 0 s.n) p)

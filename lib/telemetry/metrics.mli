@@ -41,7 +41,6 @@ type gauge
 
 val gauge : registry -> ?labels:labels -> string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** {1 Fixed-bucket histograms} *)
 
@@ -61,7 +60,6 @@ type summary
 val summary : registry -> ?labels:labels -> string -> summary
 val record : summary -> float -> unit
 val summary_count : summary -> int
-val summary_sum : summary -> float
 
 val quantile : summary -> float -> float option
 (** [quantile s p] is the [p]-th percentile ([0..100]) of everything
@@ -83,13 +81,10 @@ type value =
   | Summary of {
       count : int;
       sum : float;
-      quantiles : (float * float) array;  (** (percentile, value); see {!export_quantiles} *)
+      quantiles : (float * float) array;  (** (percentile, value) for 50, 90, 99 *)
     }
 
 type sample = { sample_name : string; sample_labels : labels; value : value }
-
-val export_quantiles : float array
-(** The percentiles every summary exports: 50, 90, 99. *)
 
 val snapshot : registry -> sample list
 (** Point-in-time copy of every series, in ascending (name, labels) order.

@@ -16,18 +16,11 @@ type record = {
 type t = {
   mutable records : record list;  (* newest first *)
   mutable next_seq : int;
-  mutable open_spans : int;
 }
 
 type span = { tr : t; span_seq : int; span_name : string; started : float; mutable closed : bool }
 
-let create () = { records = []; next_seq = 0; open_spans = 0 }
-
-let count t = List.length t.records
-let clear t =
-  t.records <- [];
-  t.next_seq <- 0;
-  t.open_spans <- 0
+let create () = { records = []; next_seq = 0 }
 
 let norm_fields fields =
   List.sort (fun (a, _) (b, _) -> String.compare a b) fields
@@ -41,14 +34,12 @@ let event t ~now ?(fields = []) name =
 let span t ~now name =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  t.open_spans <- t.open_spans + 1;
   { tr = t; span_seq = seq; span_name = name; started = now; closed = false }
 
 let finish sp ~now ?(fields = []) () =
   if sp.closed then invalid_arg "Trace.finish: span already finished";
   sp.closed <- true;
   let t = sp.tr in
-  t.open_spans <- t.open_spans - 1;
   t.records <-
     {
       seq = sp.span_seq;
@@ -58,8 +49,6 @@ let finish sp ~now ?(fields = []) () =
       fields = norm_fields fields;
     }
     :: t.records
-
-let open_spans t = t.open_spans
 
 let value_to_json = function
   | Str s -> "\"" ^ Json.escape s ^ "\""
@@ -89,4 +78,3 @@ let to_jsonl t =
     (List.rev t.records);
   Buffer.contents buf
 
-let records t = List.rev t.records

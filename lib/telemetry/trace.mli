@@ -20,8 +20,6 @@ type record = {
 }
 
 val create : unit -> t
-val count : t -> int
-val clear : t -> unit
 
 val event : t -> now:float -> ?fields:(string * value) list -> string -> unit
 (** Record a point event at simulated time [now]. *)
@@ -37,12 +35,8 @@ val finish : span -> now:float -> ?fields:(string * value) list -> unit -> unit
 (** Close the span, recording start/end/duration. Raises [Invalid_argument]
     if the span was already finished. *)
 
-val open_spans : t -> int
-
 (** {1 Serialisation} *)
 
 val to_jsonl : t -> string
 (** One JSON object per line, chronological (sequence) order. *)
 
-val records : t -> record list
-(** Chronological order. *)

@@ -90,13 +90,6 @@ let hours_at c now =
   let n = float_of_int (Array.length c.diurnal) in
   Float.rem now c.day_s /. c.day_s *. n
 
-let mean_flow_bytes c =
-  (* Untruncated Pareto mean (alpha > 1); with alpha <= 1 the mean is
-     capped by the truncation, so report the cap as the scale. *)
-  if c.pareto_alpha > 1.0 then
-    Float.min c.max_flow_bytes (c.pareto_alpha *. c.pareto_xm_bytes /. (c.pareto_alpha -. 1.0))
-  else c.max_flow_bytes
-
 let pareto_size c rng =
   let u = Rng.float rng 1.0 in
   let raw = c.pareto_xm_bytes *. ((1.0 -. u) ** (-1.0 /. c.pareto_alpha)) in

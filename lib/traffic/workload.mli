@@ -24,10 +24,6 @@ type config = {
   day_s : float;  (** Simulated seconds per diurnal day. *)
 }
 
-val default_config : config
-(** ~4 flows/s, Pareto(1.4, 30 KB) capped at 30 MB, a mild 24-point day
-    curve with mean ≈ 1, 86 400 s day. *)
-
 val make_config :
   ?base_rate_per_s:float ->
   ?pareto_alpha:float ->
@@ -40,15 +36,6 @@ val make_config :
 (** Raises [Invalid_argument] on non-positive/non-finite rates, shapes,
     sizes or day length, a cap below the scale, or an empty/negative/
     all-zero diurnal curve. *)
-
-val mean_flow_bytes : config -> float
-(** Mean of the (untruncated) size distribution when [pareto_alpha > 1],
-    clamped to the cap — the scale used to convert arrival rates into
-    offered bps. *)
-
-val diurnal_at : config -> float -> float
-(** Interpolated curve multiplier at an hour-equivalent position
-    (wraps). *)
 
 type t
 

@@ -44,10 +44,6 @@ val delay_ms : policy -> rng:Rng.t -> attempt:int -> float
     otherwise — so a zero-jitter policy leaves the stream untouched.
     Requires [attempt >= 1]. *)
 
-val exhausted : policy -> attempt:int -> bool
-(** [exhausted p ~attempt] is true when attempt number [attempt] (1-based)
-    exceeds the policy's budget — time to give up, not retry. *)
-
 type 'e give_up = { attempts : int; waited_ms : float; last_error : 'e }
 (** How a retried operation failed for good: total tries made, total
     simulated backoff delay accumulated between them, and the error the

@@ -25,7 +25,6 @@ module Writer = struct
     u32 t (Int64.to_int32 v)
 
   let raw t s = Buffer.add_string t s
-  let raw_bytes t b = Buffer.add_bytes t b
   let contents = Buffer.contents
 end
 
@@ -33,7 +32,6 @@ module Reader = struct
   type t = { src : string; mutable pos : int }
 
   let of_string s = { src = s; pos = 0 }
-  let pos t = t.pos
   let remaining t = String.length t.src - t.pos
 
   let u8 t =
@@ -68,6 +66,5 @@ module Reader = struct
     t.pos <- t.pos + n;
     s
 
-  let skip t n = ignore (raw t n)
   let expect_end t = if remaining t <> 0 then raise Truncated
 end

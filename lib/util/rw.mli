@@ -15,7 +15,6 @@ module Writer : sig
   val u32_of_int : t -> int -> unit
   val u64 : t -> int64 -> unit
   val raw : t -> string -> unit
-  val raw_bytes : t -> bytes -> unit
 
   val contents : t -> string
   (** Snapshot of everything written so far. *)
@@ -25,7 +24,6 @@ module Reader : sig
   type t
 
   val of_string : string -> t
-  val pos : t -> int
   val remaining : t -> int
   val u8 : t -> int
   val u16 : t -> int
@@ -33,7 +31,6 @@ module Reader : sig
   val u32_to_int : t -> int
   val u64 : t -> int64
   val raw : t -> int -> string
-  val skip : t -> int -> unit
   val expect_end : t -> unit
   (** Raises [Truncated] if any bytes remain. *)
 end

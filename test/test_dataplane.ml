@@ -40,8 +40,8 @@ let test_path_multi_segment_roundtrip () =
   let s2 = mk_segment ~seg_id:2 [ (0, 3); (4, 5); (6, 0) ] in
   let s3 = mk_segment ~seg_id:3 [ (0, 7); (8, 0) ] in
   let p = Path.create [ s1; s2; s3 ] in
-  Path.advance p;
-  Path.advance p;
+  Ref_router.advance p;
+  Ref_router.advance p;
   let p' = Path.decode (Path.encode p) in
   Alcotest.(check int) "curr_hf preserved" 2 p'.Path.curr_hf;
   Alcotest.(check int) "curr_inf preserved" 1 p'.Path.curr_inf;
@@ -65,17 +65,17 @@ let test_advance_and_bounds () =
   let s1 = mk_segment ~seg_id:1 [ (0, 1); (2, 0) ] in
   let s2 = mk_segment ~seg_id:2 [ (0, 3); (4, 0) ] in
   let p = Path.create [ s1; s2 ] in
-  Alcotest.(check bool) "seg first" true (Path.curr_is_seg_first p);
-  Alcotest.(check bool) "not seg last" false (Path.curr_is_seg_last p);
-  Path.advance p;
-  Alcotest.(check bool) "seg last" true (Path.curr_is_seg_last p);
-  Path.advance p;
+  Alcotest.(check bool) "seg first" true (Ref_router.curr_is_seg_first p);
+  Alcotest.(check bool) "not seg last" false (Ref_router.curr_is_seg_last p);
+  Ref_router.advance p;
+  Alcotest.(check bool) "seg last" true (Ref_router.curr_is_seg_last p);
+  Ref_router.advance p;
   Alcotest.(check int) "crossed into segment 1" 1 p.Path.curr_inf;
-  Alcotest.(check bool) "first of second" true (Path.curr_is_seg_first p);
-  Path.advance p;
-  Alcotest.(check bool) "at last hop" true (Path.at_last_hop p);
+  Alcotest.(check bool) "first of second" true (Ref_router.curr_is_seg_first p);
+  Ref_router.advance p;
+  Alcotest.(check bool) "at last hop" true (Ref_router.at_last_hop p);
   Alcotest.check_raises "advance past end" (Path.Malformed "advance past last hop") (fun () ->
-      Path.advance p)
+      Ref_router.advance p)
 
 let test_hop_expiry () =
   let info = { Path.cons_dir = true; peer = false; seg_id = 0; timestamp = ts } in
@@ -106,7 +106,7 @@ let test_reverse () =
   Alcotest.(check int) "same hops" (Path.num_hops p) (Path.num_hops r);
   Alcotest.(check (array int)) "lens reversed" [| 2; 2 |] (Path.seg_lens r);
   (* The reversed path starts with the old last segment (C=1), flipped. *)
-  Alcotest.(check bool) "first info flipped" false (Path.current_info r).Path.cons_dir;
+  Alcotest.(check bool) "first info flipped" false (Ref_router.current_info r).Path.cons_dir;
   Alcotest.(check int) "positioned at start" 0 r.Path.curr_hf;
   let rr = Path.reverse r in
   Alcotest.(check string) "double reverse" (Path.encode p) (Path.encode rr)
@@ -194,13 +194,26 @@ let test_router_empty_path_delivery () =
       ~dst:(local_ia, Packet.Ipv4 (Ipv4.of_string "10.0.0.2"))
       ~path:Packet.Empty "intra"
   in
-  (match Router.process r ~now:0.0 ~ingress:0 pkt with
-  | Router.Deliver _ -> ()
+  let oracle =
+    Ref_router.create ~ia:local_ia ~key
+      ~ifaces:[ { Router.ifid = 1; remote_ia = neighbor_ia; remote_ifid = 7 } ]
+  in
+  (* The reference engine and the wire-view router must agree. *)
+  (match Ref_router.process oracle ~now:0.0 ~ingress:0 pkt with
+  | Ref_router.Deliver _ -> ()
   | _ -> Alcotest.fail "expected delivery");
+  Alcotest.(check int) "view delivers" 0
+    (Router.process_view r ~now:0.0 ~ingress:0 (Packet.View.of_packet pkt));
   let foreign = { pkt with Packet.dst_ia = neighbor_ia } in
-  match Router.process r ~now:0.0 ~ingress:0 foreign with
-  | Router.Drop Router.Not_for_us -> ()
-  | _ -> Alcotest.fail "expected Not_for_us"
+  (match Ref_router.process oracle ~now:0.0 ~ingress:0 foreign with
+  | Ref_router.Drop Router.Not_for_us -> ()
+  | _ -> Alcotest.fail "expected Not_for_us");
+  Alcotest.(check bool) "view drops" true
+    (Router.process_view r ~now:0.0 ~ingress:0 (Packet.View.of_packet foreign) < 0);
+  (match Router.last_drop r with
+  | Router.Not_for_us -> ()
+  | _ -> Alcotest.fail "view: expected Not_for_us");
+  Alcotest.(check bool) "counters agree" true (Ref_router.counters_agree oracle r)
 
 let test_router_duplicate_iface () =
   let iface = { Router.ifid = 1; remote_ia = neighbor_ia; remote_ifid = 7 } in
@@ -310,8 +323,8 @@ let qcheck_hop_mac_after_encode =
       in
       let info = { Path.cons_dir = true; peer = false; seg_id; timestamp = ts } in
       let p' = Path.decode (Path.encode (Path.create [ (info, [ hop; next ]) ])) in
-      let info' = Path.current_info p' in
-      let hop' = Path.current_hop p' in
+      let info' = Ref_router.current_info p' in
+      let hop' = Ref_router.current_hop p' in
       String.equal hop'.Path.mac
         (Path.compute_mac cmac ~seg_id:info'.Path.seg_id ~timestamp:info'.Path.timestamp hop'))
 

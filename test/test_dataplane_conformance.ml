@@ -1,12 +1,14 @@
 (* Differential conformance suite for the zero-copy forwarding fast path.
 
    [Router.process_view] must be decision-for-decision identical to the
-   structured [Router.process], and the wire buffer it patches in place
-   must stay byte-identical to what re-encoding the structured packet
-   would produce after every hop. These properties drive both engines in
-   lockstep over randomized paths — valid chains, corrupted MACs, expired
-   hops, ingress mismatches, segment crossovers — and compare verdicts,
-   bytes, drop reasons and counters at every step. *)
+   structured reference engine [Ref_router.process], and the wire buffer it
+   patches in place must stay byte-identical to what re-encoding the
+   structured packet would produce after every hop. These properties drive
+   both engines in lockstep over randomized paths — valid chains, corrupted
+   MACs, expired hops, ingress mismatches, segment crossovers, segments
+   traversed against construction direction, peering segments and downed
+   egress interfaces — and compare verdicts, bytes, drop reasons and
+   counters at every step. *)
 
 open Scion_dataplane
 module Ia = Scion_addr.Ia
@@ -28,23 +30,33 @@ let mk_hop ?(exp_time = 255) ~ingress ~egress ~seg_id () =
   let mac = Path.compute_mac cmac ~seg_id ~timestamp:ts proto in
   { proto with Path.mac }
 
-(* A chained construction-direction segment, like beaconing builds them. *)
+(* A chained segment, like beaconing builds them: hop [k] (construction
+   order) is MAC'd with beta_k, beta_(k+1) = beta_k xor mac_k. [specs] gives
+   (ingress, egress) in traversal order. Against construction direction the
+   hops are reversed and the info field carries the fully folded beta, as in
+   the combinator's up pieces. A peering segment's first construction hop is
+   the peer hop, MAC'd with the seg_id it is verified against unfolded. *)
 let mk_segment ?(cons_dir = true) ?(peer = false) ~seg_id specs =
-  let hops, _ =
-    List.fold_left
-      (fun (acc, beta) (ingress, egress) ->
-        let hop = mk_hop ~ingress ~egress ~seg_id:beta () in
-        (hop :: acc, Path.chain_seg_id ~seg_id:beta ~mac:hop.Path.mac))
-      ([], seg_id) specs
+  let cons_specs = if cons_dir then specs else List.rev_map (fun (i, e) -> (e, i)) specs in
+  let fold (acc, beta) (ingress, egress) =
+    let hop = mk_hop ~ingress ~egress ~seg_id:beta () in
+    (hop :: acc, Path.chain_seg_id ~seg_id:beta ~mac:hop.Path.mac)
   in
-  ({ Path.cons_dir; peer; seg_id; timestamp = ts }, List.rev hops)
+  let rev_hops, beta_end =
+    match cons_specs with
+    | (ingress, egress) :: rest when peer ->
+        List.fold_left fold ([ mk_hop ~ingress ~egress ~seg_id () ], seg_id) rest
+    | _ -> List.fold_left fold ([], seg_id) cons_specs
+  in
+  let hops = if cons_dir then List.rev rev_hops else rev_hops in
+  let seg_id = if cons_dir then seg_id else beta_end in
+  ({ Path.cons_dir; peer; seg_id; timestamp = ts }, hops)
 
-let mk_router () =
-  let ifaces =
-    List.init max_ifid (fun i ->
-        { Router.ifid = i + 1; remote_ia = other_ia; remote_ifid = i + 1 })
-  in
-  Router.create ~ia:local_ia ~key ~ifaces ()
+let ifaces =
+  List.init max_ifid (fun i -> { Router.ifid = i + 1; remote_ia = other_ia; remote_ifid = i + 1 })
+
+let mk_router () = Router.create ~ia:local_ia ~key ~ifaces ()
+let mk_ref () = Ref_router.create ~ia:local_ia ~key ~ifaces
 
 let mk_packet ~dst_ia path =
   Packet.make ~proto:Packet.Udp ~flow_id:0x5C10 ~traffic_class:7
@@ -61,27 +73,33 @@ let corrupt_hop path i =
 
 let drop_eq a b = Router.drop_reason_to_string a = Router.drop_reason_to_string b
 
-(* Drive both engines in lockstep on independent routers. Returns an error
+(* Drive both engines in lockstep on independent routers, with interface
+   [down] (if any) administratively down on both. Returns an error
    description on the first divergence, and the number of forwards taken. *)
-let lockstep ~now ~mismatch_at pkt =
-  let ra = mk_router () and rb = mk_router () in
+let lockstep ?down ~now ~mismatch_at pkt =
+  let ra = mk_ref () and rb = mk_router () in
+  Option.iter
+    (fun ifid ->
+      Ref_router.set_interface_state ra ifid ~up:false;
+      Router.set_interface_state rb ifid ~up:false)
+    down;
   let v = View.of_packet pkt in
   let path = match pkt.Packet.path with Packet.Standard p -> Some p | Packet.Empty -> None in
   let rec step ingress forwards =
     if forwards > 32 then Error "loop"
     else begin
-      let verdict = Router.process ra ~now ~ingress pkt in
+      let verdict = Ref_router.process ra ~now ~ingress pkt in
       let code = Router.process_view rb ~now ~ingress v in
       let bytes_agree = String.equal (Packet.encode pkt) (View.contents v) in
       if not bytes_agree then Error (Printf.sprintf "wire bytes diverge after step %d" forwards)
       else begin
         match verdict with
-        | Router.Deliver p ->
+        | Ref_router.Deliver p ->
             if code <> 0 then Error (Printf.sprintf "deliver vs code %d" code)
             else if not (String.equal (Packet.encode p) (Packet.encode (View.to_packet v))) then
               Error "delivered packets differ"
             else Ok forwards
-        | Router.Drop reason ->
+        | Ref_router.Drop reason ->
             if code >= 0 then Error (Printf.sprintf "drop vs code %d" code)
             else if not (drop_eq reason (Router.last_drop rb)) then
               Error
@@ -89,13 +107,13 @@ let lockstep ~now ~mismatch_at pkt =
                    (Router.drop_reason_to_string reason)
                    (Router.drop_reason_to_string (Router.last_drop rb)))
             else Ok forwards
-        | Router.Forward { egress; packet = _ } ->
+        | Ref_router.Forward { egress; packet = _ } ->
             if code <> egress then Error (Printf.sprintf "egress %d vs code %d" egress code)
             else begin
               let next_ingress =
                 match path with
                 | Some p ->
-                    let i = Path.traversal_ingress p in
+                    let i = Ref_router.traversal_ingress p in
                     if forwards = mismatch_at then i + 1 else i
                 | None -> 0
               in
@@ -104,34 +122,19 @@ let lockstep ~now ~mismatch_at pkt =
       end
     end
   in
-  let result = step 0 0 in
-  let ca = Router.counters ra and cb = Router.counters rb in
-  match result with
-  | Error _ -> result
-  | Ok _
-    when ca.Router.forwarded <> cb.Router.forwarded
-         || ca.Router.delivered <> cb.Router.delivered
-         || ca.Router.dropped <> cb.Router.dropped
-         || ca.Router.mac_failures <> cb.Router.mac_failures ->
-      Error "counters diverge"
-  | Ok _ -> result
+  match step 0 0 with
+  | Ok _ when not (Ref_router.counters_agree ra rb) -> Error "counters diverge"
+  | result -> result
 
-(* Random walk scenarios: 1-2 chained segments, interface ids in range,
-   optional MAC corruption / expiry / ingress mismatch, delivery or
-   wrong-destination terminal. *)
-let gen_walk_spec =
-  QCheck.Gen.(
-    let* nsegs = 1 -- 2 in
-    let* lens = list_repeat nsegs (2 -- 5) in
-    let* seg_ids = list_repeat nsegs (0 -- 0xFFFF) in
-    let* iface_seed = list_repeat 24 (1 -- max_ifid) in
-    let* deliver_here = bool in
-    let* expired = frequency [ (5, return false); (1, return true) ] in
-    let* corrupt = frequency [ (3, return (-1)); (1, 0 -- 11) ] in
-    let* mismatch_at = frequency [ (5, return (-1)); (1, 0 -- 3) ] in
-    return (lens, seg_ids, iface_seed, deliver_here, expired, corrupt, mismatch_at))
+(* One segment of a walk: hop count, initial beta, traversal direction and
+   peering flag. *)
+type seg_spec = { len : int; beta : int; cons_dir : bool; peer : bool }
 
-let build_path lens seg_ids iface_seed =
+(* Construction-direction, non-peering segments. *)
+let plain_segs lens seg_ids =
+  List.map2 (fun len beta -> { len; beta; cons_dir = true; peer = false }) lens seg_ids
+
+let build_segs segs iface_seed =
   let iface = Array.of_list iface_seed in
   let pick = ref 0 in
   let next_ifid () =
@@ -139,31 +142,74 @@ let build_path lens seg_ids iface_seed =
     incr pick;
     v
   in
-  let nsegs = List.length lens in
+  let nsegs = List.length segs in
   let segments =
     List.mapi
-      (fun si len ->
-        let seg_id = List.nth seg_ids si in
+      (fun si { len; beta; cons_dir; peer } ->
         let specs =
           List.init len (fun i ->
               let ingress = if si = 0 && i = 0 then 0 else next_ifid () in
               let egress = if si = nsegs - 1 && i = len - 1 then 0 else next_ifid () in
               (ingress, egress))
         in
-        mk_segment ~seg_id specs)
-      lens
+        mk_segment ~cons_dir ~peer ~seg_id:beta specs)
+      segs
   in
   Path.create segments
 
+let build_path lens seg_ids iface_seed = build_segs (plain_segs lens seg_ids) iface_seed
+
+(* Random walk scenarios: 1-2 chained segments, each in or against
+   construction direction and optionally peering, interface ids in range,
+   optional MAC corruption / expiry / ingress mismatch / downed interface,
+   delivery or wrong-destination terminal. *)
+type walk = {
+  segs : seg_spec list;
+  iface_seed : int list;
+  deliver_here : bool;
+  expired : bool;
+  corrupt : int;
+  mismatch_at : int;
+  down : int option;
+}
+
+let gen_walk =
+  QCheck.Gen.(
+    let seg =
+      let* len = 2 -- 5 in
+      let* beta = 0 -- 0xFFFF in
+      let* cons_dir = frequency [ (2, return true); (1, return false) ] in
+      let* peer = frequency [ (3, return false); (1, return true) ] in
+      return { len; beta; cons_dir; peer }
+    in
+    let* nsegs = 1 -- 2 in
+    let* segs = list_repeat nsegs seg in
+    let* iface_seed = list_repeat 24 (1 -- max_ifid) in
+    let* deliver_here = bool in
+    let* expired = frequency [ (5, return false); (1, return true) ] in
+    let* corrupt = frequency [ (3, return (-1)); (1, 0 -- 11) ] in
+    let* mismatch_at = frequency [ (5, return (-1)); (1, 0 -- 3) ] in
+    let* down = frequency [ (3, return None); (1, map Option.some (1 -- max_ifid)) ] in
+    return { segs; iface_seed; deliver_here; expired; corrupt; mismatch_at; down })
+
+let print_walk w =
+  Printf.sprintf "segs=[%s] deliver_here=%b expired=%b corrupt=%d mismatch_at=%d down=%s"
+    (String.concat ";"
+       (List.map
+          (fun s -> Printf.sprintf "len=%d,beta=%d,cons_dir=%b,peer=%b" s.len s.beta s.cons_dir s.peer)
+          w.segs))
+    w.deliver_here w.expired w.corrupt w.mismatch_at
+    (match w.down with Some i -> string_of_int i | None -> "none")
+
 let qcheck_lockstep =
   QCheck.Test.make ~name:"process_view is decision- and byte-identical to process" ~count:400
-    (QCheck.make gen_walk_spec) (fun (lens, seg_ids, iface_seed, deliver_here, expired, corrupt, mismatch_at) ->
-      let path = build_path lens seg_ids iface_seed in
-      if corrupt >= 0 then corrupt_hop path (corrupt mod Path.num_hops path);
-      let dst_ia = if deliver_here then local_ia else other_ia in
+    (QCheck.make ~print:print_walk gen_walk) (fun w ->
+      let path = build_segs w.segs w.iface_seed in
+      if w.corrupt >= 0 then corrupt_hop path (w.corrupt mod Path.num_hops path);
+      let dst_ia = if w.deliver_here then local_ia else other_ia in
       let pkt = mk_packet ~dst_ia (Packet.Standard path) in
-      let now = if expired then now_valid +. (2.0 *. 86400.0) else now_valid in
-      match lockstep ~now ~mismatch_at pkt with
+      let now = if w.expired then now_valid +. (2.0 *. 86400.0) else now_valid in
+      match lockstep ?down:w.down ~now ~mismatch_at:w.mismatch_at pkt with
       | Ok _ -> true
       | Error e -> QCheck.Test.fail_reportf "%s" e)
 
@@ -185,6 +231,37 @@ let qcheck_clean_chain_delivers =
       match lockstep ~now:now_valid ~mismatch_at:(-1) pkt with
       | Ok forwards -> forwards = nhops - 1
       | Error e -> QCheck.Test.fail_reportf "%s" e)
+
+(* Every combination of traversal direction and peering flag on a
+   two-segment path must verify end to end: a guard against the new walk
+   shapes passing the lockstep property vacuously on first-hop drops. *)
+let test_reversed_and_peer_chains_deliver () =
+  List.iter
+    (fun (cons_dir, peer) ->
+      let segs =
+        [ { len = 3; beta = 0x1234; cons_dir; peer }; { len = 3; beta = 0xBEEF; cons_dir; peer } ]
+      in
+      let path = build_segs segs (List.init 24 (fun i -> 1 + (i mod max_ifid))) in
+      let nhops = Path.num_hops path in
+      (* A non-peering boundary is a crossover: one router handles both
+         joint hops, so the walk takes one forward fewer. *)
+      let expected = if peer then nhops - 1 else nhops - 2 in
+      let pkt = mk_packet ~dst_ia:local_ia (Packet.Standard path) in
+      match lockstep ~now:now_valid ~mismatch_at:(-1) pkt with
+      | Ok forwards ->
+          Alcotest.(check int)
+            (Printf.sprintf "cons_dir=%b peer=%b forwards" cons_dir peer)
+            expected forwards
+      | Error e -> Alcotest.failf "cons_dir=%b peer=%b: %s" cons_dir peer e)
+    [ (true, false); (false, false); (true, true); (false, true) ];
+  (* A downed egress interface drops the walk where it is first used. *)
+  let path = build_path [ 3 ] [ 0x4242 ] (List.init 24 (fun i -> 1 + (i mod max_ifid))) in
+  let egress = Ref_router.traversal_egress path in
+  let pkt = mk_packet ~dst_ia:local_ia (Packet.Standard path) in
+  match lockstep ~down:egress ~now:now_valid ~mismatch_at:(-1) pkt with
+  | Ok 0 -> ()
+  | Ok n -> Alcotest.failf "expected a first-hop drop, got %d forwards" n
+  | Error e -> Alcotest.fail e
 
 (* View parse/re-emit is the identity on every valid encoded packet, and
    the structured round trip through the view preserves bytes exactly. *)
@@ -234,8 +311,8 @@ let qcheck_mac_verifies_after_forward =
         match pkt'.Packet.path with
         | Packet.Empty -> false
         | Packet.Standard p ->
-            let info = Path.current_info p in
-            let hop = Path.current_hop p in
+            let info = Ref_router.current_info p in
+            let hop = Ref_router.current_hop p in
             Path.verify_mac cmac ~seg_id:info.Path.seg_id ~timestamp:info.Path.timestamp hop
       end)
 
@@ -317,9 +394,9 @@ let qcheck_validate_fuzz =
             match pkt with
             | Error e -> QCheck.Test.fail_reportf "validate accepted what decode rejects: %s" e
             | Ok pkt -> (
-                let ra = mk_router () and rb = mk_router () in
+                let ra = mk_ref () and rb = mk_router () in
                 let verdict =
-                  try Ok (Router.process ra ~now:now_valid ~ingress:0 pkt)
+                  try Ok (Ref_router.process ra ~now:now_valid ~ingress:0 pkt)
                   with e -> Error (Printexc.to_string e)
                 in
                 let code =
@@ -332,10 +409,10 @@ let qcheck_validate_fuzz =
                     QCheck.Test.fail_reportf "process_view raised on validated mutant: %s" e
                 | Ok verdict, Ok code -> (
                     match verdict with
-                    | Router.Deliver _ ->
+                    | Ref_router.Deliver _ ->
                         if code = 0 then true
                         else QCheck.Test.fail_reportf "deliver vs code %d" code
-                    | Router.Forward { egress; packet } ->
+                    | Ref_router.Forward { egress; packet } ->
                         if code <> egress then
                           QCheck.Test.fail_reportf "egress %d vs code %d" egress code
                         else if
@@ -348,7 +425,7 @@ let qcheck_validate_fuzz =
                                (Packet.encode (Packet.decode (View.contents v))))
                         then QCheck.Test.fail_reportf "forwarded packets diverge semantically"
                         else true
-                    | Router.Drop reason ->
+                    | Ref_router.Drop reason ->
                         if code >= 0 then
                           QCheck.Test.fail_reportf "drop %s vs code %d"
                             (Router.drop_reason_to_string reason)
@@ -396,6 +473,8 @@ let () =
           to_alcotest_seeded qcheck_mac_verifies_after_forward;
           to_alcotest_seeded qcheck_validate_fuzz;
           Alcotest.test_case "empty path agreement" `Quick test_empty_path_agreement;
+          Alcotest.test_case "reversed and peering chains deliver" `Quick
+            test_reversed_and_peer_chains_deliver;
           Alcotest.test_case "view rejects garbage" `Quick test_view_rejects_garbage;
         ] );
     ]

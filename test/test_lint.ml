@@ -6,6 +6,7 @@ module Lint = Scion_lint_lib.Lint
 module Lint_rules = Scion_lint_lib.Lint_rules
 module Driver = Scion_lint_lib.Driver
 module Baseline = Scion_lint_lib.Baseline
+module Ipa = Scion_lint_lib.Ipa
 
 let rules = Lint_rules.rules
 
@@ -274,10 +275,14 @@ let test_rng_duplicate_label () =
       Alcotest.(check (list string)) "same subsystem clean" []
         (pass_ids (lint_tree ~root ~dirs:[ "lib" ] ())))
 
+(* A caller keeps [Api.sample] a live export, so only the escape check can
+   fire on these fixtures. *)
+let api_caller = ("lib/b/user.ml", "let draw rng = Api.sample rng\n")
+
 let test_rng_interface_escape () =
   with_temp_tree
     [ ("lib/a/api.ml", "let sample rng = Scion_util.Rng.float rng 1.0\n");
-      ("lib/a/api.mli", "val sample : Scion_util.Rng.t -> float\n") ]
+      ("lib/a/api.mli", "val sample : Scion_util.Rng.t -> float\n"); api_caller ]
     (fun root ->
       let hits = pass_findings (lint_tree ~root ~dirs:[ "lib" ] ()) in
       Alcotest.(check (list string)) "unannotated escape flagged" [ "rng-stream-provenance" ]
@@ -286,7 +291,8 @@ let test_rng_interface_escape () =
   with_temp_tree
     [ ("lib/a/api.ml", "let sample rng = Scion_util.Rng.float rng 1.0\n");
       ( "lib/a/api.mli",
-        stream_directive "caller" ^ "\nval sample : Scion_util.Rng.t -> float\n" ) ]
+        stream_directive "caller" ^ "\nval sample : Scion_util.Rng.t -> float\n" );
+      api_caller ]
     (fun root ->
       Alcotest.(check (list string)) "annotated escape clean" []
         (pass_ids (lint_tree ~root ~dirs:[ "lib" ] ())))
@@ -410,6 +416,53 @@ let test_json_link_fields () =
         [ {|"pass":"link"|}; {|"rule":"hotpath-allocation"|}; {|"symbol":"Fast.helper2"|};
           {|"kind":"tuple"|}; {|"chain":["Fast.entry","Fast.helper","Fast.helper2"]|} ])
 
+let dead_symbols findings =
+  List.filter_map
+    (fun (f : Lint.finding) -> if f.Lint.rule = "dead-export" then Some f.Lint.symbol else None)
+    findings
+
+(* [M.used] has a real caller, [M.test_only] is reached only from test/. *)
+let dead_export_fixture =
+  [ ("lib/x/m.ml", "let used x = x\nlet test_only x = x\n");
+    ("lib/x/m.mli", "val used : int -> int\nval test_only : int -> int\n");
+    ("bin/main.ml", "let () = ignore (Scion_x.M.used 1)\n");
+    ("test/test_m.ml", "let () = ignore (M.test_only 1)\n") ]
+
+let test_dead_export_test_only () =
+  with_temp_tree dead_export_fixture (fun root ->
+      let findings = lint_tree ~root ~dirs:[ "lib"; "bin"; "test" ] () in
+      Alcotest.(check (list string)) "test-only export reported" [ "M.test_only" ]
+        (dead_symbols findings);
+      let json = Lint.report_json findings in
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) (Printf.sprintf "json has %s" needle) true (contains json needle))
+        [ {|"rule":"dead-export"|}; {|"symbol":"M.test_only"|}; {|"file":"lib/x/m.mli"|} ])
+
+(* Every reference the pass cannot resolve by name still counts as a use:
+   only [Dead.unused], the control, may be reported. *)
+let test_dead_export_indirect_uses () =
+  let intf name = (Printf.sprintf "lib/a/%s.mli" name, "val f : int -> int\n") in
+  let impl name = (Printf.sprintf "lib/a/%s.ml" name, "let f x = x\n") in
+  let modules = [ "fc"; "op"; "lo"; "inc"; "fa"; "be"; "dead" ] in
+  with_temp_tree
+    (List.map intf modules @ List.map impl modules
+    @ [ ("bin/first_class.ml", "let xs = List.map Fc.f [ 1 ]\n");
+        ("bin/opened.ml", "open Op\nlet x = f 1\n");
+        ("bin/local_open.ml", "let x = let open Lo in f 1\n");
+        ("lib/b/wrap.ml", "include Inc\n");
+        ("bin/functor_arg.ml", "module S = Wrap.Make (Fa)\n");
+        ("bench/e2e/run.ml", "let () = ignore (Be.f 1)\n") ])
+    (fun root ->
+      Alcotest.(check (list string)) "only the unreferenced control" [ "Dead.f" ]
+        (dead_symbols (lint_tree ~root ~dirs:[ "lib"; "bin"; "bench" ] ())))
+
+let test_dead_export_rule_listed () =
+  Alcotest.(check bool) "--list-rules documents dead-export" true
+    (List.mem_assoc "dead-export" Ipa.pass_docs);
+  Alcotest.(check bool) "dead-export is an allow-able pass id" true
+    (List.mem "dead-export" Lint.pass_rule_ids)
+
 (* --- Baseline ratchet ---------------------------------------------------- *)
 
 let with_baseline_of findings k =
@@ -435,6 +488,27 @@ let test_baseline_ratchet () =
               let after = lint_tree ~baseline_file ~root:root2 ~dirs:[ "lib" ] () in
               Alcotest.(check (list string)) "new finding rejected" [ "hotpath-allocation" ]
                 (List.map (fun (f : Lint.finding) -> f.Lint.rule) after))))
+
+let test_baseline_both_passes () =
+  let tree extra = hotpath_fixture "(x, x)" @ dead_export_fixture @ extra in
+  let dirs = [ "lib"; "bin"; "test" ] in
+  with_temp_tree (tree []) (fun root ->
+      let before = lint_tree ~root ~dirs () in
+      (* What --write-baseline writes carries entries for both passes. *)
+      let written = Baseline.to_string before in
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) (Printf.sprintf "baseline has %s" key) true (contains written key))
+        [ "hotpath-allocation|lib/x/fast.ml|Fast.helper2|tuple"; "dead-export|lib/x/m.mli|M.test_only|" ];
+      with_baseline_of before (fun baseline_file ->
+          Alcotest.(check (list string)) "old findings accepted" []
+            (List.map Lint.to_text (lint_tree ~baseline_file ~root ~dirs ()));
+          (* One more unreferenced export fails under the old baseline. *)
+          with_temp_tree
+            (tree [ ("lib/x/n.ml", "let g x = x\n"); ("lib/x/n.mli", "val g : int -> int\n") ])
+            (fun root2 ->
+              Alcotest.(check (list string)) "new dead export rejected" [ "N.g" ]
+                (dead_symbols (lint_tree ~baseline_file ~root:root2 ~dirs ())))))
 
 (* --- Phase 1 parses each file exactly once ------------------------------- *)
 
@@ -467,16 +541,16 @@ let test_repo_clean () =
       [ "lib"; "bin"; "bench"; "examples"; "devtools" ]
   in
   Alcotest.(check bool) "source tree present" true (List.mem "lib" dirs);
-  (* Without the ratchet, the interprocedural passes must fire on the real
-     tree: the checked-in baseline records the hot path's current
-     allocations, so its findings are present and are all hotpath ones. *)
-  let raw = lint_tree ~root ~dirs () in
-  let raw_pass = pass_findings raw in
-  Alcotest.(check bool) "hotpath pass fires on the real tree" true
-    (List.exists (fun (f : Lint.finding) -> f.Lint.rule = "hotpath-allocation") raw_pass);
-  Alcotest.(check (list string)) "only baselined hotpath findings remain pre-ratchet" []
+  (* Even without the ratchet, the forwarding hot path allocates nothing
+     (the fixtures above prove the pass fires), and the only interprocedural
+     findings are the ratcheted dead exports. *)
+  let raw_pass = pass_findings (lint_tree ~root ~dirs ()) in
+  Alcotest.(check (list string)) "no hotpath allocations, even without the baseline" []
     (List.map Lint.to_text
-       (List.filter (fun (f : Lint.finding) -> f.Lint.rule <> "hotpath-allocation") raw_pass));
+       (List.filter (fun (f : Lint.finding) -> f.Lint.rule = "hotpath-allocation") raw_pass));
+  Alcotest.(check (list string)) "only baselined dead exports remain pre-ratchet" []
+    (List.map Lint.to_text
+       (List.filter (fun (f : Lint.finding) -> f.Lint.rule <> "dead-export") raw_pass));
   (* With the checked-in baseline — exactly what `dune build @lint` runs —
      the tree is clean. *)
   let findings = lint_tree ~baseline_file:"../devtools/lint/baseline.json" ~root ~dirs () in
@@ -488,12 +562,12 @@ let test_repo_clean () =
 
 (* The ratchet rejects new findings, but nothing in `dune build @lint` stops
    the checked-in allowance itself from quietly growing back through a
-   regenerated baseline. Pin the high-water mark: the number of baseline
-   entries and the total allowed findings may only go down. Deliberately
-   adding a hot-path allocation means raising these numbers in the same
-   change, which makes the regression explicit in review. *)
-let baseline_max_entries = 4
-let baseline_max_allowance = 7
+   regenerated baseline. Pin a high-water mark per rule, as (entries, total
+   allowance): both may only go down. Deliberately adding a hot-path
+   allocation or an unused export means raising these numbers in the same
+   change, which makes the regression explicit in review. A rule missing
+   here may have no baseline entries at all. *)
+let baseline_high_water = [ ("hotpath-allocation", (0, 0)); ("dead-export", (139, 139)) ]
 
 let test_baseline_high_water () =
   let src = In_channel.with_open_bin "../devtools/lint/baseline.json" In_channel.input_all in
@@ -502,14 +576,29 @@ let test_baseline_high_water () =
     | Ok b -> b
     | Error e -> Alcotest.failf "cannot parse checked-in baseline: %s" e
   in
-  let entries = Hashtbl.length base in
-  let allowance = Hashtbl.fold (fun _ n acc -> acc + n) base 0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "baseline entries %d <= high-water mark %d" entries baseline_max_entries)
-    true (entries <= baseline_max_entries);
-  Alcotest.(check bool)
-    (Printf.sprintf "baseline allowance %d <= high-water mark %d" allowance baseline_max_allowance)
-    true (allowance <= baseline_max_allowance);
+  let rule_of k = match String.split_on_char '|' k with r :: _ -> r | [] -> k in
+  Hashtbl.iter
+    (fun k _ ->
+      Alcotest.(check bool)
+        (Printf.sprintf "baseline entry %s has a high-water mark" k)
+        true
+        (List.mem_assoc (rule_of k) baseline_high_water))
+    base;
+  List.iter
+    (fun (rule, (max_entries, max_allowance)) ->
+      let entries, allowance =
+        Hashtbl.fold
+          (fun k n (e, a) -> if rule_of k = rule then (e + 1, a + n) else (e, a))
+          base (0, 0)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s baseline entries %d <= high-water mark %d" rule entries max_entries)
+        true (entries <= max_entries);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s baseline allowance %d <= high-water mark %d" rule allowance
+           max_allowance)
+        true (allowance <= max_allowance))
+    baseline_high_water;
   (* No zombie allowances: every baselined count must still be backed by
      that many live findings. A fixed finding whose allowance lingers would
      let an unrelated regression of the same key slip in unnoticed, so the
@@ -570,6 +659,12 @@ let () =
           Alcotest.test_case "json link fields" `Quick test_json_link_fields;
           Alcotest.test_case "baseline ratchet" `Quick test_baseline_ratchet;
           Alcotest.test_case "phase 1 parses each file once" `Quick test_parse_once;
+          Alcotest.test_case "dead-export: test-only caller reported" `Quick
+            test_dead_export_test_only;
+          Alcotest.test_case "dead-export: indirect uses count" `Quick
+            test_dead_export_indirect_uses;
+          Alcotest.test_case "dead-export: rule listed" `Quick test_dead_export_rule_listed;
+          Alcotest.test_case "baseline ratchet: both passes" `Quick test_baseline_both_passes;
         ] );
       ( "repo",
         [
