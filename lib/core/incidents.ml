@@ -29,26 +29,15 @@ let degraded ?label a b extra_ms = Link_degraded { a; b; label; extra_ms }
 let bridges_flaps =
   List.concat_map
     (fun day ->
-      [
-        {
-          title = "BRIDGES routing instability";
-          from_day = day;
-          to_day = day +. 0.25;
-          effect = degraded bridges uva 22.0;
-        };
-        {
-          title = "BRIDGES routing instability";
-          from_day = day;
-          to_day = day +. 0.25;
-          effect = degraded bridges princeton 22.0;
-        };
-        {
-          title = "BRIDGES routing instability";
-          from_day = day +. 0.1;
-          to_day = day +. 0.35;
-          effect = degraded bridges equinix 18.0;
-        };
-      ])
+      List.map
+        (fun (other, from_off, to_off, ms) ->
+          {
+            title = "BRIDGES routing instability";
+            from_day = day +. from_off;
+            to_day = day +. to_off;
+            effect = degraded bridges other ms;
+          })
+        [ (uva, 0.0, 0.25, 22.0); (princeton, 0.0, 0.25, 22.0); (equinix, 0.1, 0.35, 18.0) ])
     [ 2.0; 5.5; 9.0; 12.5; 16.0 ]
 
 let calendar =
@@ -155,49 +144,70 @@ let calendar =
 let active_at day =
   List.filter (fun i -> day >= i.from_day && day < i.to_day) calendar
 
-(* --- Canned fault-injection replays --- *)
+(* --- The compiled calendar --- *)
 
 let day_seconds = 86400.0
 
-(* Topology link ids equal the link's index in [Topology.links] (the
-   fabric and the mesh are both built in that order), so an (a, b, label)
-   incident endpoint pair resolves to fabric link ids by position. *)
-let links_between ?label a b =
-  List.rev
-    (snd
-       (List.fold_left
-          (fun (idx, acc) (l : Topology.link_info) ->
-            let matches =
-              ((Ia.equal a l.Topology.a && Ia.equal b l.Topology.b)
-              || (Ia.equal a l.Topology.b && Ia.equal b l.Topology.a))
-              && match label with None -> true | Some lb -> lb = l.Topology.label
-            in
-            (idx + 1, if matches then idx :: acc else acc))
-          (0, []) Topology.links))
+type state = { up : bool; extra_ms : float }
 
-let scenario_of_incident ~origin_day (i : incident) =
-  let span_s d = Float.max 0.0 ((d -. origin_day) *. day_seconds) in
-  let from_s = span_s i.from_day and to_s = span_s i.to_day in
-  let compile (a, b, label) f =
-    Fault.Scenario.seq (List.map f (links_between ?label a b))
+(* Per link, in day order: each start or end day of the incidents that
+   hit it, with the state that holds from it to the next. *)
+type timeline = (float * state) list array
+
+let nominal = { up = true; extra_ms = 0.0 }
+
+let compile incidents links =
+  let hits (l : Topology.link_info) (Link_down { a; b; label } | Link_degraded { a; b; label; _ }) =
+    ((Ia.equal a l.Topology.a && Ia.equal b l.Topology.b)
+    || (Ia.equal a l.Topology.b && Ia.equal b l.Topology.a))
+    && match label with None -> true | Some lb -> lb = l.Topology.label
   in
-  match i.effect with
-  | Link_down { a; b; label } ->
-      compile (a, b, label) (fun link -> Fault.Scenario.outage ~link ~from_s ~to_s)
-  | Link_degraded { a; b; label; extra_ms } ->
-      compile (a, b, label) (fun link -> Fault.Scenario.window ~link ~from_s ~to_s ~extra_ms)
+  let state_on mine day =
+    List.fold_left
+      (fun st i ->
+        match i.effect with
+        | _ when not (day >= i.from_day && day < i.to_day) -> st
+        | Link_down _ -> { st with up = false }
+        | Link_degraded { extra_ms; _ } -> { st with extra_ms = st.extra_ms +. extra_ms })
+      nominal mine
+  in
+  Array.of_list
+    (List.map
+       (fun l ->
+         let mine = List.filter (fun i -> hits l i.effect) incidents in
+         List.concat_map (fun i -> [ i.from_day; i.to_day ]) mine
+         |> List.sort_uniq Float.compare
+         |> List.map (fun d -> (d, state_on mine d)))
+       links)
 
-let titled prefix =
-  List.filter
-    (fun i -> String.length i.title >= String.length prefix
-              && String.sub i.title 0 (String.length prefix) = prefix)
-    calendar
+let state_at timeline link day =
+  List.fold_left (fun st (d, s) -> if d <= day then s else st) nominal timeline.(link)
 
-let scenario_of_titled ~origin_day prefix =
-  Fault.Scenario.seq (List.map (scenario_of_incident ~origin_day) (titled prefix))
+let replay timeline ~origin_day =
+  let at_s d = Float.max 0.0 ((d -. origin_day) *. day_seconds) in
+  let changes link steps =
+    List.fold_left
+      (fun (prev, acc) (d, st) ->
+        let open Fault.Scenario in
+        let ops =
+          (if st.up = prev.up then [] else [ (if st.up then Link_up link else Link_down link) ])
+          @
+          if Float.equal st.extra_ms prev.extra_ms then []
+          else [ Extra_latency { link; ms = st.extra_ms } ]
+        in
+        (st, if ops = [] then acc else at (at_s d) ops :: acc))
+      (nominal, []) steps
+    |> snd
+  in
+  (* [seq] sorts stably by time: simultaneous changes fire in link order. *)
+  Fault.Scenario.seq (List.concat (Array.to_list (Array.mapi changes timeline)))
 
-let jan21 = scenario_of_titled ~origin_day:3.0 "Jan 21"
-let feb6 = scenario_of_titled ~origin_day:19.0 "Feb 6"
+let jan21, feb6 =
+  let slice prefix ~origin_day =
+    replay ~origin_day
+      (compile (List.filter (fun i -> String.starts_with ~prefix i.title) calendar) Topology.links)
+  in
+  (slice "Jan 21" ~origin_day:3.0, slice "Feb 6" ~origin_day:19.0)
 
 let change_points =
   let points =

@@ -51,18 +51,31 @@ val change_points : float list
     changes (including 0 and [window_days]) — the epochs at which the
     control plane re-converges. *)
 
-(** {1 Canned fault-injection replays}
+(** {1 The compiled calendar}
 
-    The calendar compiled into {!Fault.Scenario.t} recipes, for driving a
-    {!Fault.Injector} over the SCION fabric (link ids are positions in
-    [Topology.links], which is also the order the fabric adds them). Times
-    are seconds from the scenario's origin day. *)
+    The only place an incident's (a, b, label) is matched to links. *)
 
-val links_between :
-  ?label:string -> Scion_addr.Ia.t -> Scion_addr.Ia.t -> Netsim.Net.link_id list
-(** Fabric link ids between two ASes, optionally narrowed to one labelled
-    parallel circuit ([None] means all of them) — empty when no such link
-    exists. *)
+val day_seconds : float
+
+type state = { up : bool; extra_ms : float }
+
+type timeline
+(** Per-link state over days; link ids are positions in the link list. *)
+
+val compile : incident list -> Topology.link_info list -> timeline
+(** An incident hits the links between its endpoints (either order) with
+    its label, if it names one, and is active on [\[from_day, to_day)]. A
+    link is down while any hit is active, and its [extra_ms] sums the
+    active degradations in list order from [0.]. *)
+
+val state_at : timeline -> Netsim.Net.link_id -> float -> state
+(** Raises [Invalid_argument] on an unknown link. *)
+
+val replay : timeline -> origin_day:float -> Fault.Scenario.t
+(** A scenario with one event per state change of each link (from [up],
+    [0.] ms): [Link_down]/[Link_up], then [Extra_latency] with the summed
+    latency. Day [d] fires at [max 0 ((d - origin_day) * day_seconds)]
+    seconds; simultaneous changes fire in ascending link id order. *)
 
 val jan21 : Fault.Scenario.t
 (** The Jan 21 maintenance replay (day 3): the transatlantic GEANT link,

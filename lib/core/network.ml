@@ -4,8 +4,6 @@ module Ia = Scion_addr.Ia
 module Net = Netsim.Net
 module Rng = Scion_util.Rng
 
-let day_seconds = 86400.0
-
 type t = {
   topo : Topology.spec;  (** The instantiated description (Figure 1 or generated). *)
   mesh : Mesh.t;
@@ -15,6 +13,7 @@ type t = {
   node : (Ia.t, Net.node) Hashtbl.t;
   ipnode : (Ia.t, Net.node) Hashtbl.t;
   iface_link : (Ia.t * int, int) Hashtbl.t;  (** (ia, ifid) -> shared link index *)
+  calendar : Incidents.timeline;  (** The incident calendar over the fabric's links. *)
   mutable day : float;
   mutable last_beacon_day : float;
   path_cache : (string, Combinator.fullpath list) Hashtbl.t;
@@ -28,7 +27,7 @@ type t = {
 
 let mesh t = t.mesh
 let topology t = t.topo
-let now_unix t = Incidents.window_start_unix +. (t.day *. day_seconds)
+let now_unix t = Incidents.window_start_unix +. (t.day *. Incidents.day_seconds)
 let scion_fabric t = t.net
 let rng t = t.ip_rng
 let rebeacon_count t = t.rebeacons
@@ -42,39 +41,9 @@ let lookup what to_string tbl key =
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Network: unknown %s %s" what (to_string key))
 
-(* Which incident effects apply to a given topology link. *)
-let effects_for (link : Topology.link_info) day =
-  List.filter_map
-    (fun (i : Incidents.incident) ->
-      let matches a b label =
-        ((Ia.equal a link.Topology.a && Ia.equal b link.Topology.b)
-        || (Ia.equal a link.Topology.b && Ia.equal b link.Topology.a))
-        && match label with None -> true | Some l -> l = link.Topology.label
-      in
-      match i.Incidents.effect with
-      | Incidents.Link_down { a; b; label } when matches a b label -> Some `Down
-      | Incidents.Link_degraded { a; b; label; extra_ms } when matches a b label ->
-          Some (`Degraded extra_ms)
-      | Incidents.Link_down _ | Incidents.Link_degraded _ -> None)
-    (Incidents.active_at day)
-
-let apply_day t day =
-  let changed_up = ref false in
-  List.iteri
-    (fun idx link ->
-      let effects = effects_for link day in
-      let want_up = not (List.mem `Down effects) in
-      let extra =
-        List.fold_left (fun acc e -> match e with `Degraded ms -> acc +. ms | `Down -> acc) 0.0 effects
-      in
-      if Net.link_up t.net idx <> want_up then begin
-        changed_up := true;
-        Net.set_link_up t.net idx want_up;
-        Mesh.set_link_state t.mesh idx ~up:want_up
-      end;
-      if Net.extra_latency t.net idx <> extra then Net.set_extra_latency t.net idx extra)
-    t.topo.Topology.spec_links;
-  !changed_up
+let set_link_up t id up =
+  Net.set_link_up t.net id up;
+  Mesh.set_link_state t.mesh id ~up
 
 (* The control plane re-converged: cached paths are stale. *)
 let reconverged t =
@@ -86,10 +55,23 @@ let rebeacon t =
   Mesh.run_beaconing t.mesh ~now:(now_unix t);
   reconverged t
 
+(* Write only the link state that differs from the calendar's for [day]. *)
 let set_day t day =
+  if not (Float.is_finite day) then
+    invalid_arg (Printf.sprintf "Network.set_day: day must be finite (got %g)" day);
   t.day <- day;
-  let changed = apply_day t day in
-  if changed || day -. t.last_beacon_day > 0.8 || day < t.last_beacon_day then rebeacon t
+  let changed = ref false in
+  List.iteri
+    (fun id _ ->
+      let { Incidents.up; extra_ms } = Incidents.state_at t.calendar id day in
+      if Net.link_up t.net id <> up then begin
+        changed := true;
+        set_link_up t id up
+      end;
+      if not (Float.equal (Net.extra_latency t.net id) extra_ms) then
+        Net.set_extra_latency t.net id extra_ms)
+    t.topo.Topology.spec_links;
+  if !changed || day -. t.last_beacon_day > 0.8 || day < t.last_beacon_day then rebeacon t
 
 let create ?(seed = 0x5C1E_7A5EL) ?(per_origin = 20) ?(verify_pcbs = true)
     ?(topology = Topology.sciera) ?(rounds = 10) ?propagate_k ?fanout_cap
@@ -198,6 +180,7 @@ let create ?(seed = 0x5C1E_7A5EL) ?(per_origin = 20) ?(verify_pcbs = true)
       node;
       ipnode;
       iface_link;
+      calendar = Incidents.compile Incidents.calendar topology.Topology.spec_links;
       day = 0.0;
       last_beacon_day = -1.0;
       path_cache = Hashtbl.create 256;
@@ -207,8 +190,7 @@ let create ?(seed = 0x5C1E_7A5EL) ?(per_origin = 20) ?(verify_pcbs = true)
       obs = telemetry;
     }
   in
-  ignore (apply_day t 0.0);
-  rebeacon t;
+  set_day t 0.0;
   t
 
 (* Apply one fault-injector op to the network: both the link fabric and
@@ -217,20 +199,13 @@ let create ?(seed = 0x5C1E_7A5EL) ?(per_origin = 20) ?(verify_pcbs = true)
    scheduled convergence. *)
 let apply_fault t op =
   match op with
-  | Fault.Scenario.Link_down id ->
-      Net.set_link_up t.net id false;
-      Mesh.set_link_state t.mesh id ~up:false
+  | Fault.Scenario.Link_down id -> set_link_up t id false
   | Fault.Scenario.Link_up id ->
       Net.set_link_up t.net id true;
       if Mesh.restore_link t.mesh id ~now:(now_unix t) then reconverged t
   | Fault.Scenario.Extra_latency { link; ms } -> Net.set_extra_latency t.net link ms
   | Fault.Scenario.Loss_burst { link; loss } -> Net.set_extra_loss t.net link loss
-  | Fault.Scenario.Node_down n ->
-      List.iter
-        (fun id ->
-          Net.set_link_up t.net id false;
-          Mesh.set_link_state t.mesh id ~up:false)
-        (Net.links_of t.net n)
+  | Fault.Scenario.Node_down n -> List.iter (fun id -> set_link_up t id false) (Net.links_of t.net n)
   | Fault.Scenario.Node_up n ->
       let restored =
         List.fold_left

@@ -47,9 +47,11 @@ val topology : t -> Topology.spec
 val now_unix : t -> float
 
 val set_day : t -> float -> unit
-(** Advance (or rewind) the calendar: apply the incident set of that day to
-    both link models, and re-run beaconing when the set of *up* links
-    changed or the last convergence is older than the hop-field expiry. *)
+(** Advance (or rewind) the calendar: give every link its state on that day
+    in the calendar compiled at {!create} ({!Incidents.compile}); outside
+    the window all links are up. Re-run beaconing when the up set changed,
+    the last convergence is older than 0.8 day, or the day moves backward.
+    Raises [Invalid_argument] on a non-finite day. *)
 
 (* scion-lint: rng-stream fault -- elaboration of the scenario draws from the injector's fault stream *)
 val inject :

@@ -249,15 +249,148 @@ let test_canned_replays () =
       Alcotest.(check int) (name ^ " repairs every outage") 0 (Hashtbl.length downs))
     [ ("jan21", Sciera.Incidents.jan21); ("feb6", Sciera.Incidents.feb6) ]
 
+module Incidents = Sciera.Incidents
+module Topology = Sciera.Topology
+
+(* The replay compiler before the calendar was compiled per link, kept as
+   the oracle: every incident became set-then-clear spans on each link its
+   endpoints and label name. *)
+let ref_links_between ?label a b =
+  List.concat
+    (List.mapi
+       (fun idx (l : Topology.link_info) ->
+         if
+           ((Scion_addr.Ia.equal a l.Topology.a && Scion_addr.Ia.equal b l.Topology.b)
+           || (Scion_addr.Ia.equal a l.Topology.b && Scion_addr.Ia.equal b l.Topology.a))
+           && match label with None -> true | Some lb -> lb = l.Topology.label
+         then [ idx ]
+         else [])
+       Topology.links)
+
+let ref_scenario_of_incident ~origin_day (i : Incidents.incident) =
+  let span_s d = Float.max 0.0 ((d -. origin_day) *. Incidents.day_seconds) in
+  let from_s = span_s i.Incidents.from_day and to_s = span_s i.Incidents.to_day in
+  let compile (a, b, label) f = Scenario.seq (List.map f (ref_links_between ?label a b)) in
+  match i.Incidents.effect with
+  | Incidents.Link_down { a; b; label } ->
+      compile (a, b, label) (fun link -> Scenario.outage ~link ~from_s ~to_s)
+  | Incidents.Link_degraded { a; b; label; extra_ms } ->
+      compile (a, b, label) (fun link -> Scenario.window ~link ~from_s ~to_s ~extra_ms)
+
+let ref_replay ~origin_day incidents =
+  Scenario.seq (List.map (ref_scenario_of_incident ~origin_day) incidents)
+
+let link_of = function
+  | Scenario.Link_down l | Scenario.Link_up l
+  | Scenario.Extra_latency { link = l; _ }
+  | Scenario.Loss_burst { link = l; _ } -> l
+  | Scenario.Node_down _ | Scenario.Node_up _ | Scenario.Control_down | Scenario.Control_up -> -1
+
+(* Events as (time bits, link, op), simultaneous ones sorted by link. *)
+let by_time_then_link evs =
+  List.sort compare
+    (List.map (fun (e : Scenario.event) -> (Int64.bits_of_float e.at_s, link_of e.op, e.op)) evs)
+
+let test_replays_match_oracle () =
+  List.iter
+    (fun (name, scenario, prefix, origin_day, count) ->
+      let titled =
+        List.filter (fun i -> String.starts_with ~prefix i.Incidents.title) Incidents.calendar
+      in
+      let got = Scenario.elaborate scenario ~rng:(rng ()) in
+      let want = Scenario.elaborate (ref_replay ~origin_day titled) ~rng:(rng ()) in
+      Alcotest.(check int) (name ^ " event count") count (List.length got);
+      Alcotest.(check bool)
+        (name ^ " events bit-equal to the oracle")
+        true
+        (by_time_then_link got = by_time_then_link want))
+    [
+      ("jan21", Incidents.jan21, "Jan 21", 3.0, 6);
+      ("feb6", Incidents.feb6, "Feb 6", 19.0, 12);
+    ]
+
+(* An outage and two overlapping degradations on one link: the replay
+   carries the summed latency while the windows overlap, where the oracle's
+   set-then-clear spans drop to 0 ms with a window still open. *)
+let test_replay_sums_overlaps () =
+  let label = "GEANT transatlantic" in
+  let link, ref_id =
+    match
+      List.concat
+        (List.mapi (fun id (l : Topology.link_info) -> if l.Topology.label = label then [ (l, id) ] else [])
+           Topology.links)
+    with
+    | [ found ] -> found
+    | _ -> Alcotest.fail "expected one GEANT transatlantic link"
+  in
+  let a = link.Topology.a and b = link.Topology.b and label = Some label in
+  let incident from_day to_day effect = { Incidents.title = "synthetic"; from_day; to_day; effect } in
+  let incidents =
+    [
+      incident 1.0 2.0 (Incidents.Link_down { a; b; label });
+      incident 0.5 1.5 (Incidents.Link_degraded { a; b; label; extra_ms = 10.0 });
+      incident 1.25 3.0 (Incidents.Link_degraded { a; b; label; extra_ms = 5.0 });
+    ]
+  in
+  let evs =
+    Scenario.elaborate
+      (Incidents.replay (Incidents.compile incidents [ link ]) ~origin_day:0.0)
+      ~rng:(rng ())
+  in
+  let d = Incidents.day_seconds in
+  Alcotest.(check (list (pair (float 0.0) string)))
+    "one event per state change, latency summed"
+    [
+      (0.5 *. d, "link 0 extra latency 10 ms");
+      (1.0 *. d, "link 0 down");
+      (1.25 *. d, "link 0 extra latency 15 ms");
+      (1.5 *. d, "link 0 extra latency 5 ms");
+      (2.0 *. d, "link 0 up");
+      (3.0 *. d, "link 0 extra latency 0 ms");
+    ]
+    (op_strings evs);
+  (* (up, extra ms) of [id] after the events up to [day]. *)
+  let state_after id day evs =
+    List.fold_left
+      (fun (up, ms) (e : Scenario.event) ->
+        if e.at_s > day *. d || link_of e.op <> id then (up, ms)
+        else
+          match e.op with
+          | Scenario.Link_down _ -> (false, ms)
+          | Scenario.Link_up _ -> (true, ms)
+          | Scenario.Extra_latency { ms; _ } -> (up, ms)
+          | Scenario.Loss_burst _ | Scenario.Node_down _ | Scenario.Node_up _
+          | Scenario.Control_down | Scenario.Control_up ->
+              (up, ms))
+      (true, 0.0) evs
+  in
+  let state = Alcotest.(pair bool (float 0.0)) in
+  Alcotest.(check state) "heals: up at 0 ms" (true, 0.0) (state_after 0 4.0 evs);
+  Alcotest.(check state) "day 1.6: down, second window open" (false, 5.0) (state_after 0 1.6 evs);
+  let old = Scenario.elaborate (ref_replay ~origin_day:0.0 incidents) ~rng:(rng ()) in
+  Alcotest.(check state)
+    "the oracle clears latency with a window still open" (false, 0.0) (state_after ref_id 1.6 old)
+
+(* Links an incident between [a] and [b] hits: compile one outage against
+   the fabric and read back which links it takes down. *)
+let links_hit ?label a b =
+  let timeline =
+    Incidents.compile
+      [ { Incidents.title = "probe"; from_day = 0.0; to_day = 1.0; effect = Incidents.Link_down { a; b; label } } ]
+      Topology.links
+  in
+  List.filter
+    (fun id -> not (Incidents.state_at timeline id 0.5).Incidents.up)
+    (List.init (List.length Topology.links) Fun.id)
+
 let test_links_between () =
   let geant = Scion_addr.Ia.of_string "71-20965" in
   let uva = Scion_addr.Ia.of_string "71-225" in
-  Alcotest.(check bool) "no link between non-adjacent ASes" true
-    (Sciera.Incidents.links_between geant uva = []);
+  Alcotest.(check bool) "no link between non-adjacent ASes" true (links_hit geant uva = []);
   let bridges = Scion_addr.Ia.of_string "71-2:0:35" in
-  let all = Sciera.Incidents.links_between geant bridges in
+  let all = links_hit geant bridges in
   Alcotest.(check bool) "parallel circuits found" true (List.length all >= 2);
-  let one = Sciera.Incidents.links_between ~label:"GEANT transatlantic" geant bridges in
+  let one = links_hit ~label:"GEANT transatlantic" geant bridges in
   Alcotest.(check int) "label narrows to one circuit" 1 (List.length one);
   Alcotest.(check bool) "labelled circuit is among all" true
     (List.for_all (fun l -> List.mem l all) one)
@@ -294,5 +427,7 @@ let () =
         [
           Alcotest.test_case "jan21/feb6 replays heal" `Quick test_canned_replays;
           Alcotest.test_case "links_between" `Quick test_links_between;
+          Alcotest.test_case "jan21/feb6 match the span oracle" `Quick test_replays_match_oracle;
+          Alcotest.test_case "replay sums overlapping windows" `Quick test_replay_sums_overlaps;
         ] );
     ]

@@ -100,6 +100,123 @@ let test_incidents_calendar () =
        (fun i -> i.Incidents.title = "RNP-BRIDGES circuit not yet in service")
        (Incidents.active_at 10.0))
 
+(* The per-day incident matcher [Network.set_day] ran before the calendar
+   was compiled per link, kept as the oracle: on every call it matched each
+   link against every active incident and summed the latencies. It read
+   [Incidents.active_at]; here the incident list is a parameter. *)
+let ref_effects_for incidents (link : Topology.link_info) day =
+  List.filter_map
+    (fun (i : Incidents.incident) ->
+      let matches a b label =
+        ((Ia.equal a link.Topology.a && Ia.equal b link.Topology.b)
+        || (Ia.equal a link.Topology.b && Ia.equal b link.Topology.a))
+        && match label with None -> true | Some l -> l = link.Topology.label
+      in
+      match i.Incidents.effect with
+      | Incidents.Link_down { a; b; label } when matches a b label -> Some `Down
+      | Incidents.Link_degraded { a; b; label; extra_ms } when matches a b label ->
+          Some (`Degraded extra_ms)
+      | Incidents.Link_down _ | Incidents.Link_degraded _ -> None)
+    (List.filter (fun (i : Incidents.incident) -> day >= i.from_day && day < i.to_day) incidents)
+
+(* (up, extra latency) of one link on [day], as the old [apply_day] set it. *)
+let ref_state ?(incidents = Incidents.calendar) link day =
+  let effects = ref_effects_for incidents link day in
+  ( not (List.mem `Down effects),
+    List.fold_left (fun acc e -> match e with `Degraded ms -> acc +. ms | `Down -> acc) 0.0 effects )
+
+(* Every 600 s of the window, every change point and its 1e-9 neighbours,
+   and a day on each side of the window. *)
+let oracle_days incidents =
+  let change_points = List.concat_map (fun (i : Incidents.incident) -> [ i.from_day; i.to_day ]) incidents in
+  List.init 2881 (fun k -> float_of_int k *. 600.0 /. Incidents.day_seconds)
+  @ List.concat_map (fun d -> [ d -. 1e-9; d; d +. 1e-9 ]) change_points
+  @ [ -1.0; 25.0 ]
+
+(* The calendar has no two degradations open on one link at once, so a
+   copy with two windows overlapping the first BRIDGES-UVa flap checks
+   the summing as well. *)
+let overlapping_calendar =
+  let bridges = ia "71-2:0:35" and uva = ia "71-225" in
+  let degraded from_day to_day extra_ms =
+    {
+      Incidents.title = "synthetic overlap";
+      from_day;
+      to_day;
+      effect = Incidents.Link_degraded { a = uva; b = bridges; label = None; extra_ms };
+    }
+  in
+  Incidents.calendar @ [ degraded 1.9 2.2 7.0; degraded 2.1 2.4 0.3 ]
+
+let test_compiled_calendar_matches_oracle () =
+  List.iter
+    (fun incidents ->
+      let timeline = Incidents.compile incidents Topology.links in
+      List.iter
+        (fun day ->
+          List.iteri
+            (fun id (l : Topology.link_info) ->
+              let up, extra = ref_state ~incidents l day in
+              let st = Incidents.state_at timeline id day in
+              if st.Incidents.up <> up || not (Float.equal st.Incidents.extra_ms extra) then
+                Alcotest.failf "link %d (%s) on day %.17g: compiled (%b, %.17g ms), oracle (%b, %.17g ms)"
+                  id l.Topology.label day st.Incidents.up st.Incidents.extra_ms up extra)
+            Topology.links)
+        (oracle_days incidents))
+    [ Incidents.calendar; overlapping_calendar ]
+
+(* Drive [set_day] through every change point, a backward seek, and days
+   past either end of the window (all links up). After each call the
+   fabric must hold the oracle's link state, and the re-beacon count must
+   follow the old rule: up set changed, last convergence older than 0.8
+   day, or seeking backward. *)
+let check_set_day_against_oracle net =
+  let links = (Network.topology net).Topology.spec_links in
+  let fabric = Network.scion_fabric net in
+  let last_beacon = ref 0.0 and rebeacons = ref (Network.rebeacon_count net) in
+  let check day =
+    List.iteri
+      (fun id l ->
+        let up, extra = ref_state l day in
+        Alcotest.(check bool) (Printf.sprintf "day %g link %d up" day id) up (Netsim.Net.link_up fabric id);
+        if not (Float.equal extra (Netsim.Net.extra_latency fabric id)) then
+          Alcotest.failf "day %g link %d: extra latency %.17g, oracle %.17g" day id
+            (Netsim.Net.extra_latency fabric id) extra)
+      links;
+    Alcotest.(check int) (Printf.sprintf "day %g re-beacons" day) !rebeacons (Network.rebeacon_count net)
+  in
+  check 0.0;
+  let mid = List.nth Incidents.change_points (List.length Incidents.change_points / 2) in
+  List.iter
+    (fun day ->
+      let changed =
+        List.exists (fun (id, l) -> fst (ref_state l day) <> Netsim.Net.link_up fabric id)
+          (List.mapi (fun id l -> (id, l)) links)
+      in
+      Network.set_day net day;
+      if changed || day -. !last_beacon > 0.8 || day < !last_beacon then begin
+        incr rebeacons;
+        last_beacon := day
+      end;
+      check day)
+    (Incidents.change_points @ [ mid; 25.0; -1.0 ])
+
+let test_set_day_matches_oracle () =
+  check_set_day_against_oracle (Network.create ~per_origin:4 ~verify_pcbs:false ());
+  let gen = Topogen.generate ~seed:0x5E7DL (Topogen.default ~n_ases:30) in
+  check_set_day_against_oracle
+    (Network.create ~topology:(Topology.of_topogen gen) ~per_origin:2 ~propagate_k:2
+       ~rounds:(Topogen.max_depth gen + 2) ~verify_pcbs:false ())
+
+let test_set_day_rejects_non_finite () =
+  let net = Lazy.force network in
+  List.iter
+    (fun day ->
+      match Network.set_day net day with
+      | () -> Alcotest.failf "set_day accepted day %g" day
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 (* --- Network --- *)
 
 let test_network_paths_exist () =
@@ -463,7 +580,12 @@ let () =
           Alcotest.test_case "ip overlay" `Quick test_topology_ip_overlay;
           Alcotest.test_case "find by name" `Quick test_find_by_name;
         ] );
-      ("incidents", [ Alcotest.test_case "calendar" `Quick test_incidents_calendar ]);
+      ( "incidents",
+        [
+          Alcotest.test_case "calendar" `Quick test_incidents_calendar;
+          Alcotest.test_case "compiled state matches the per-day oracle" `Quick
+            test_compiled_calendar_matches_oracle;
+        ] );
       ( "network",
         [
           Alcotest.test_case "paths exist" `Quick test_network_paths_exist;
@@ -471,6 +593,8 @@ let () =
           Alcotest.test_case "ip baseline" `Quick test_network_ip_baseline;
           Alcotest.test_case "incident day" `Slow test_network_incident_day;
           Alcotest.test_case "ufms detour" `Quick test_network_ufms_detour;
+          Alcotest.test_case "set_day matches the per-day oracle" `Quick test_set_day_matches_oracle;
+          Alcotest.test_case "set_day rejects a non-finite day" `Quick test_set_day_rejects_non_finite;
         ] );
       ( "multiping",
         [
