@@ -3,9 +3,9 @@
    design choices DESIGN.md calls out.
 
    Usage:
-     dune exec bench/main.exe              # everything (the EXPERIMENTS.md run)
+     dune exec bench/main.exe              # every figure, then micro
      dune exec bench/main.exe -- fig5      # one artefact
-     dune exec bench/main.exe -- fast      # reduced-scale smoke run
+     dune exec bench/main.exe -- fig5 --full    # one artefact at full scale
      dune exec bench/main.exe -- micro     # microbenchmarks only
      dune exec bench/main.exe -- micro --json   # also write BENCH_micro.json
      dune exec bench/main.exe -- micro --check  # fast key-set guard vs BENCH_micro.json
@@ -16,56 +16,18 @@
      dune exec bench/main.exe -- adversary-smoke  # reduced containment grid, defences on/off
      dune exec bench/main.exe -- load-smoke  # reduced load sweep, multipath vs single-path
      dune exec bench/main.exe -- topogen [N] [SEED]  # dump a generated topology
-   Artefacts: table1 table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10a
-   fig10b fig10c app_effort survey isd_evolution recovery pathmon scaling
-   load containment micro *)
+   Artefacts: every id of Harness.Evidence.ids, plus micro. A figure's
+   stdout is its Harness.Evidence table, byte-identical to
+   test/golden/<id>/table.txt (test/golden-full/<id>/table.txt under
+   --full); its wall-clock timing line goes to stderr. *)
 
 let time_section name f =
   (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
-  Printf.printf "[%s took %.1f s]\n\n%!" name (Unix.gettimeofday () -. t0);
+  Printf.eprintf "[%s took %.1f s]\n%!" name (Unix.gettimeofday () -. t0);
   r
-
-(* --- Table 1 ------------------------------------------------------------ *)
-
-let table1 () =
-  Printf.printf "== Table 1: SCIERA PoPs and collaborating networks ==\n";
-  Scion_util.Table.print ~header:[ "Location"; "Peering NRENs"; "Partner Networks" ]
-    ~rows:(List.map (fun (a, b, c) -> [ a; b; c ]) Sciera.Topology.pops);
-  Printf.printf "%d ASes in the modelled deployment, %d Layer-2 links\n\n"
-    (List.length Sciera.Topology.ases)
-    (List.length Sciera.Topology.links)
-
-(* --- Connectivity study (Figures 5-7) — shared dataset ------------------ *)
-
-let connectivity_result : Sciera.Exp_connectivity.result option ref = ref None
-
-let connectivity ~days () =
-  match !connectivity_result with
-  | Some r -> r
-  | None ->
-      let r =
-        time_section "connectivity study (multiping campaign)" (fun () ->
-            Sciera.Exp_connectivity.run ~days ())
-      in
-      connectivity_result := Some r;
-      r
-
-(* --- Multipath study (Figures 8-10b) — shared dataset ------------------- *)
-
-let multipath_result : Sciera.Exp_multipath.result option ref = ref None
-
-let multipath () =
-  match !multipath_result with
-  | Some r -> r
-  | None ->
-      let r =
-        time_section "multipath study (epoch sweep)" (fun () -> Sciera.Exp_multipath.run ())
-      in
-      multipath_result := Some r;
-      r
 
 (* --- Microbenchmarks ----------------------------------------------------- *)
 
@@ -540,18 +502,16 @@ let micro ?(json = false) ?(check = false) () =
 (* `main.exe golden [--promote] [--full] [--dir DIR]`: check (default) or
    refresh the checked-in per-figure evidence under test/golden/. Checking
    exits non-zero and prints unified diffs when any golden is stale;
-   promoting rewrites only the files that changed. `--full` switches the
-   scale knobs to the full EXPERIMENTS.md campaign and defaults the golden
-   directory to test/golden-full (the opt-in @golden-full tier). *)
-let golden rest =
-  let full = List.mem "--full" rest in
+   promoting rewrites only the files that changed. Under `--full` the
+   golden directory defaults to test/golden-full (the opt-in @golden-full
+   tier). *)
+let golden ~full rest =
   let rec dir_of = function
     | "--dir" :: d :: _ -> d
     | _ :: tl -> dir_of tl
     | [] -> Filename.concat "test" (if full then "golden-full" else "golden")
   in
   let dir = dir_of rest in
-  if full then Harness.Evidence.use_full_scale ();
   if List.mem "--promote" rest then begin
     let results = Harness.Golden.promote ~dir () in
     List.iter
@@ -585,6 +545,29 @@ let golden rest =
     else Printf.printf "\nall %d golden files match\n" (List.length files)
   end
 
+(* --- Smoke checks ------------------------------------------------------------ *)
+
+(* [check name ok] prints a FAIL line for each failed check as it runs;
+   [verdict ?failed passed] closes the smoke with "<smoke> smoke: N
+   check(s) failed" plus [failed] and exit 1, or "all checks passed" plus
+   [passed]. *)
+let smoke_checks smoke =
+  let failures = ref 0 in
+  let check name ok =
+    if not ok then begin
+      incr failures;
+      Printf.printf "  FAIL %s\n%!" name
+    end
+  in
+  let verdict ?(failed = "") passed =
+    if !failures > 0 then begin
+      Printf.printf "\n%s smoke: %d check(s) failed%s\n" smoke !failures failed;
+      exit 1
+    end
+    else Printf.printf "\n%s smoke: all checks passed%s\n" smoke passed
+  in
+  (check, verdict)
+
 (* --- Chaos smoke --------------------------------------------------------- *)
 
 (* `main.exe chaos`: replay the canned Jan 21 and Feb 6 incident scenarios
@@ -602,13 +585,7 @@ let chaos () =
   let src = Scion_addr.Ia.of_string "71-20965" (* GEANT *) in
   let dst = Scion_addr.Ia.of_string "71-225" (* UVa *) in
   let live () = List.length (Sciera.Network.live_paths net ~src ~dst) in
-  let failures = ref 0 in
-  let check name ok =
-    if not ok then begin
-      incr failures;
-      Printf.printf "  FAIL %s\n%!" name
-    end
-  in
+  let check, verdict = smoke_checks "chaos" in
   let before = live () in
   check "delivery before replay" (before > 0);
   List.iter
@@ -626,13 +603,7 @@ let chaos () =
         (Fault.Scenario.control_up (Fault.Injector.events inj));
       check (name ^ ": delivery recovered") (after > 0))
     [ ("jan21", Sciera.Incidents.jan21); ("feb6", Sciera.Incidents.feb6) ];
-  if !failures > 0 then begin
-    Printf.printf "\nchaos smoke: %d check(s) failed\n" !failures;
-    exit 1
-  end
-  else
-    Printf.printf "\nchaos smoke: all checks passed (%d live GEANT->UVa paths pre-replay)\n"
-      before
+  verdict (Printf.sprintf " (%d live GEANT->UVa paths pre-replay)" before)
 
 (* --- Pathmon smoke -------------------------------------------------------- *)
 
@@ -669,17 +640,11 @@ let scaling_smoke () =
   Printf.printf "== Scaling smoke: topogen sweep under the 60 s budget ==\n%!";
   (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
   let t0 = Unix.gettimeofday () in
-  let r = Sciera.Exp_scaling.run () in
+  let r = Sciera.Exp_scaling.run ~sizes:[ 100; 300; 1000 ] () in
   (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
   let dt = Unix.gettimeofday () -. t0 in
   Sciera.Exp_scaling.print_scaling r;
-  let failures = ref 0 in
-  let check name ok =
-    if not ok then begin
-      incr failures;
-      Printf.printf "  FAIL %s\n%!" name
-    end
-  in
+  let check, verdict = smoke_checks "scaling" in
   List.iter
     (fun (w : Sciera.Exp_scaling.row) ->
       check
@@ -690,11 +655,8 @@ let scaling_smoke () =
         (w.Sciera.Exp_scaling.delivered_pct > 80.0))
     r.Sciera.Exp_scaling.rows;
   check "sweep under 60 s wall clock" (dt < 60.0);
-  if !failures > 0 then begin
-    Printf.printf "\nscaling smoke: %d check(s) failed (sweep took %.1f s)\n" !failures dt;
-    exit 1
-  end
-  else Printf.printf "\nscaling smoke: all checks passed (sweep took %.1f s)\n" dt
+  let took = Printf.sprintf " (sweep took %.1f s)" dt in
+  verdict ~failed:took took
 
 (* --- Adversary smoke ------------------------------------------------------ *)
 
@@ -733,13 +695,7 @@ let load_smoke () =
         Sciera.Exp_load.run ~loads:[ 0.5; 1.5 ] ~duration_s:10.0 ~topogen_ases:60 ())
   in
   Sciera.Exp_load.print_load r;
-  let failures = ref 0 in
-  let check name ok =
-    if not ok then begin
-      incr failures;
-      Printf.printf "  FAIL %s\n%!" name
-    end
-  in
+  let check, verdict = smoke_checks "load" in
   List.iter
     (fun (c : Sciera.Exp_load.cell) ->
       check
@@ -760,13 +716,9 @@ let load_smoke () =
   check "p99 FCT ratio is finite and positive"
     (Float.is_finite r.Sciera.Exp_load.mp_p99_fct_ratio
     && r.Sciera.Exp_load.mp_p99_fct_ratio > 0.0);
-  if !failures > 0 then begin
-    Printf.printf "\nload smoke: %d check(s) failed\n" !failures;
-    exit 1
-  end
-  else
-    Printf.printf "\nload smoke: all checks passed (mp %.2fx goodput, sp/mp p99 ratio %.2f)\n"
-      r.Sciera.Exp_load.mp_goodput_gain r.Sciera.Exp_load.mp_p99_fct_ratio
+  verdict
+    (Printf.sprintf " (mp %.2fx goodput, sp/mp p99 ratio %.2f)" r.Sciera.Exp_load.mp_goodput_gain
+       r.Sciera.Exp_load.mp_p99_fct_ratio)
 
 (* --- Topogen dump ---------------------------------------------------------- *)
 
@@ -784,77 +736,31 @@ let topogen_cli rest =
 
 (* --- Driver -------------------------------------------------------------- *)
 
-let run_artifact ~days ~json ~check = function
-  | "table1" -> table1 ()
-  | "table2" -> Sciera.Exp_bootstrap.print_table2 ()
-  | "fig3" -> Sciera.Deployment.print_fig3 ()
-  | "fig4" ->
-      let r = time_section "bootstrap experiment" (fun () -> Sciera.Exp_bootstrap.run ()) in
-      Sciera.Exp_bootstrap.print_fig4 r
-  | "fig5" -> Sciera.Exp_connectivity.print_fig5 (connectivity ~days ())
-  | "fig6" -> Sciera.Exp_connectivity.print_fig6 (connectivity ~days ())
-  | "fig7" -> Sciera.Exp_connectivity.print_fig7 (connectivity ~days ())
-  | "fig8" -> Sciera.Exp_multipath.print_fig8 (multipath ())
-  | "fig9" -> Sciera.Exp_multipath.print_fig9 (multipath ())
-  | "fig10a" -> Sciera.Exp_multipath.print_fig10a (multipath ())
-  | "fig10b" -> Sciera.Exp_multipath.print_fig10b (multipath ())
-  | "fig10c" ->
-      let r = time_section "resilience simulation" (fun () -> Sciera.Exp_resilience.run ()) in
-      Sciera.Exp_resilience.print_fig10c r
-  | "app_effort" -> Sciera.App_effort.print_app_effort ()
-  | "isd_evolution" ->
-      let r = time_section "ISD evolution study" (fun () -> Sciera.Exp_isd_evolution.run ()) in
-      Sciera.Exp_isd_evolution.print_report r
-  | "recovery" ->
-      let r = time_section "recovery experiment" (fun () -> Sciera.Exp_recovery.run ()) in
-      Sciera.Exp_recovery.print_recovery r
-  | "pathmon" ->
-      let r = time_section "pathmon experiment" (fun () -> Sciera.Exp_pathmon.run ~trials:30 ()) in
-      Sciera.Exp_pathmon.print_pathmon r
-  | "scaling" ->
-      let r =
-        time_section "scaling sweep (topogen meshes)" (fun () -> Sciera.Exp_scaling.run ())
-      in
-      Sciera.Exp_scaling.print_scaling r
-  | "containment" ->
-      let r =
-        time_section "adversary containment grid" (fun () -> Sciera.Exp_adversary.run ())
-      in
-      Sciera.Exp_adversary.print_containment r
-  | "load" ->
-      let r = time_section "load sweep (traffic engine)" (fun () -> Sciera.Exp_load.run ()) in
-      Sciera.Exp_load.print_load r
-  | "survey" -> Sciera.Survey.print_survey ()
+(* A figure prints its Harness.Evidence table, so the output is the golden
+   evidence of the scale in use. *)
+let artefact ~json ~check = function
   | "micro" -> micro ~json ~check ()
+  | id when List.mem id Harness.Evidence.ids ->
+      let e = time_section id (fun () -> Harness.Evidence.run id) in
+      Printf.printf "%s%!" e.Harness.Evidence.table
   | other ->
       Printf.eprintf "unknown artefact %S\n" other;
       exit 1
-
-let all_artifacts =
-  [
-    "table1"; "fig3"; "fig4"; "table2"; "app_effort"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9";
-    "fig10a"; "fig10b"; "fig10c"; "survey"; "isd_evolution"; "recovery"; "pathmon"; "scaling";
-    "load"; "containment"; "micro";
-  ]
 
 let () =
   let args = match Array.to_list Sys.argv with [] -> [] | _exe :: rest -> rest in
   let json = List.mem "--json" args in
   let check = List.mem "--check" args in
-  let args = List.filter (fun a -> a <> "--json" && a <> "--check") args in
+  let full = List.mem "--full" args in
+  let args = List.filter (fun a -> not (List.mem a [ "--json"; "--check"; "--full" ])) args in
+  if full then Harness.Evidence.use_full_scale ();
   match args with
-  | "golden" :: rest -> golden rest
+  | "golden" :: rest -> golden ~full rest
   | [ "chaos" ] -> chaos ()
   | [ "pathmon-smoke" ] -> pathmon_smoke ()
   | [ "scaling-smoke" ] -> scaling_smoke ()
   | [ "adversary-smoke" ] -> adversary_smoke ()
   | [ "load-smoke" ] -> load_smoke ()
   | "topogen" :: rest -> topogen_cli rest
-  | [] ->
-      Printf.printf "SCIERA reproduction — full evaluation run (Section 5)\n\n%!";
-      List.iter (run_artifact ~days:Sciera.Incidents.window_days ~json ~check) all_artifacts
-  | [ "fast" ] ->
-      Printf.printf "SCIERA reproduction — fast run (4 simulated days)\n\n%!";
-      List.iter (run_artifact ~days:4.0 ~json ~check) all_artifacts
-  | artifacts ->
-      List.iter (run_artifact ~days:Sciera.Incidents.window_days ~json ~check) artifacts
+  | [] -> List.iter (artefact ~json ~check) (Harness.Evidence.ids @ [ "micro" ])
+  | ids -> List.iter (artefact ~json ~check) ids

@@ -2,7 +2,7 @@ module Log = Telemetry.Log
 (* The containment figure: per adversary class, blast radius (degraded
    pairs, bogus control-plane state accepted, amplification bytes, flood
    frames through) and time-to-containment, with the defence stack on
-   versus off, at the 29-AS deployment and a 300-AS Topogen mesh.
+   versus off, at the 29-AS deployment and a generated Topogen mesh.
 
    Defences on means: PCB verification + freshness, per-neighbor beacon
    quarantine, the daemon's poisoned-path feedback loop, the SCMP
@@ -442,7 +442,7 @@ let strictly_contained cells scales attack =
       | _ -> false)
     scales
 
-let run ?(seed = 0xADD5_EC4EL) ?(topogen_ases = 300) ?telemetry () =
+let run ?(seed = 0xADD5_EC4EL) ~topogen_ases ?telemetry () =
   (* Dedicated streams: attaching the adversary never touches a workload
      stream, and measurement sampling never touches the adversary's. *)
   let rng_adv = Rng.of_label seed "fault.adv" in

@@ -3,7 +3,7 @@
     forged hop-field MACs, rogue down-segment registrations, a wormhole
     pair, SCMP reflection, a volumetric flood, and a CA compromise with
     rotation drill — each run with the defence stack on and off, at the
-    29-AS deployment and a 300-AS Topogen mesh. Per cell the figure
+    29-AS deployment and a generated Topogen mesh. Per cell the figure
     reports the class's blast radius (degraded pairs, bogus control-plane
     state accepted, amplification bytes, flood frames through) and the
     time from attack onset to neutralisation.
@@ -48,8 +48,9 @@ val blast_scalar : cell -> float
 (** The class-specific blast-radius scalar of a cell. *)
 
 (* scion-lint: rng-stream fault.adv -- the experiment builds the adversary stream itself; workload sampling uses a private stream *)
-val run : ?seed:int64 -> ?topogen_ases:int -> ?telemetry:Obs.t -> unit -> result
-(** Run the full grid (8 classes x 2 scales x defences on/off). With
+val run : ?seed:int64 -> topogen_ases:int -> ?telemetry:Obs.t -> unit -> result
+(** Run the full grid (8 classes x 2 scales x defences on/off), the second
+    scale a [topogen_ases]-AS generated mesh. With
     [?telemetry], aggregate counters land under [exp.adversary.*]. *)
 
 val print_containment : result -> unit

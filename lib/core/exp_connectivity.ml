@@ -21,8 +21,7 @@ type result = {
   timeseries : (float * float) list;
 }
 
-let run ?(days = Incidents.window_days) ?(config = Multiping.default_config) ?seed
-    ?(verify_pcbs = false) ?telemetry () =
+let run ~days ?(config = Multiping.default_config) ?seed ?(verify_pcbs = false) ?telemetry () =
   let net = Network.create ?seed ~per_origin:8 ~verify_pcbs ?telemetry () in
   let raw = Multiping.run net ~config ~days () in
   let ds = Multiping.excluded_ip_majority raw in

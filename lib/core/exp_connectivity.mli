@@ -30,14 +30,15 @@ type result = {
 }
 
 val run :
-  ?days:float ->
+  days:float ->
   ?config:Multiping.config ->
   ?seed:int64 ->
   ?verify_pcbs:bool ->
   ?telemetry:Obs.t ->
   unit ->
   result
-(** [?telemetry] threads an observability bundle through the underlying
+(** A [days]-long multiping campaign ({!Incidents.window_days} is the
+    paper's). [?telemetry] threads an observability bundle through the underlying
     {!Network.create}, so the campaign's router/beacon/link counters land in
     the bundle's registry — the per-figure metrics evidence the golden
     harness checks in. Attaching telemetry never changes RNG draw order. *)

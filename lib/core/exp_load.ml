@@ -345,8 +345,7 @@ let find_cell cells ~scale ~arm ~load =
       && Float.abs (c.c_load -. load) < 1e-9)
     cells
 
-let run ?(seed = 0x10AD_CAFEL) ?(loads = [ 0.3; 0.6; 1.0; 1.5 ]) ?(duration_s = 20.0)
-    ?(topogen_ases = 300) ?telemetry () =
+let run ?(seed = 0x10AD_CAFEL) ~loads ~duration_s ~topogen_ases ?telemetry () =
   (match loads with [] -> invalid_arg "Exp_load.run: empty load sweep" | _ :: _ -> ());
   List.iter
     (fun l ->

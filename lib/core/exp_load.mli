@@ -48,17 +48,17 @@ type result = {
 
 val run :
   ?seed:int64 ->
-  ?loads:float list ->
-  ?duration_s:float ->
-  ?topogen_ases:int ->
+  loads:float list ->
+  duration_s:float ->
+  topogen_ases:int ->
   ?telemetry:Obs.t ->
   unit ->
   result
-(** Run the sweep (defaults: loads [0.3;0.6;1.0;1.5], 20 s cells, a
-    300-AS generated mesh beside the 29-AS one). One engine per scale
-    carries its cells sequentially; the workload stream is re-derived from
-    [seed] for every cell, so both arms see identical arrivals at each
-    load point. [?telemetry] wires the 29-AS network stack, the
+(** Run the sweep: [duration_s] cells at each offered-load multiplier of
+    [loads], on a [topogen_ases]-AS generated mesh beside the 29-AS one.
+    One engine per scale carries its cells sequentially; the workload
+    stream is re-derived from [seed] for every cell, so both arms see
+    identical arrivals at each load point. [?telemetry] wires the 29-AS network stack, the
     [traffic.*] series (labelled [scale]/[arm]) and the [exp.load.*]
     aggregates. Raises [Invalid_argument] on an empty sweep or
     non-positive load/duration. *)

@@ -212,18 +212,14 @@ let summarize rows =
     probes;
   }
 
-let run ?(trials = 10) ?(seed = 0x9A7A_40BFL) ?(per_origin = 8) ?(verify_pcbs = false)
+let run ~trials ?(seed = 0x9A7A_40BFL) ?(per_origin = 8) ?(verify_pcbs = false)
     ?telemetry () =
   (* Label-derived streams: fault, probe and sender draws are independent
      of each other and of every workload stream. *)
   let fault_rng = Rng.of_label seed "fault" in
   let probe_rng = Rng.of_label seed "pathmon.probe" in
   let sender_rng = Rng.of_label seed "sender" in
-  let net =
-    match telemetry with
-    | Some o -> Network.create ~seed ~per_origin ~verify_pcbs ~telemetry:o ()
-    | None -> Network.create ~seed ~per_origin ~verify_pcbs ()
-  in
+  let net = Network.create ~seed ~per_origin ~verify_pcbs ?telemetry () in
   let metrics = Option.map Obs.registry telemetry in
   let latency_of = Network.scion_rtt_base net in
   let ias = List.map (fun (a : Topology.as_info) -> a.Topology.ia) Topology.ases in

@@ -37,14 +37,15 @@ type mode_result = {
 type result = { trials : int; adaptive : mode_result; static_ : mode_result }
 
 val run :
-  ?trials:int ->
+  trials:int ->
   ?seed:int64 ->
   ?per_origin:int ->
   ?verify_pcbs:bool ->
   ?telemetry:Obs.t ->
   unit ->
   result
-(** Default 10 trials over a [per_origin = 8], unverified-PCB network.
+(** [trials] soft degradations over a [per_origin = 8], unverified-PCB
+    network.
     With [?telemetry], publishes [exp.pathmon.trials],
     [exp.pathmon.soft_switches], [exp.pathmon.probes], the
     [exp.pathmon.time_in_degraded_s{mode}] and

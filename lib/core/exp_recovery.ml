@@ -204,18 +204,13 @@ let summarize outcomes =
     returned_to_preferred = float_of_int returned /. float_of_int (Array.length outcomes);
   }
 
-let run ?(trials = 30) ?(seed = 0x5EC0_4E4FL) ?(per_origin = 8) ?(verify_pcbs = false)
+let run ~trials ?(seed = 0x5EC0_4E4FL) ?(per_origin = 8) ?(verify_pcbs = false)
     ?telemetry () =
   (* The fault stream is derived by label, never split from a workload
      stream: attaching the injector cannot perturb any workload draw. *)
   let fault_rng = Rng.of_label seed "fault" in
   let sender_rng = Rng.of_label seed "sender" in
-  let obs = match telemetry with Some o -> Some o | None -> None in
-  let net =
-    match obs with
-    | Some o -> Network.create ~seed ~per_origin ~verify_pcbs ~telemetry:o ()
-    | None -> Network.create ~seed ~per_origin ~verify_pcbs ()
-  in
+  let net = Network.create ~seed ~per_origin ~verify_pcbs ?telemetry () in
   let ias = List.map (fun (a : Topology.as_info) -> a.Topology.ia) Topology.ases in
   let pairs =
     List.concat_map
@@ -260,7 +255,7 @@ let run ?(trials = 30) ?(seed = 0x5EC0_4E4FL) ?(per_origin = 8) ?(verify_pcbs = 
   let healed, revocations, evicted_paths, reprobes = run_mode Healed in
   let baseline, _, _, _ = run_mode Baseline in
   let result = { trials; healed; baseline; revocations; evicted_paths; reprobes } in
-  (match obs with
+  (match telemetry with
   | None -> ()
   | Some o ->
       let module M = Telemetry.Metrics in

@@ -40,14 +40,14 @@ type result = {
 }
 
 val run :
-  ?trials:int ->
+  trials:int ->
   ?seed:int64 ->
   ?per_origin:int ->
   ?verify_pcbs:bool ->
   ?telemetry:Obs.t ->
   unit ->
   result
-(** Default 30 trials over a [per_origin = 8], unverified-PCB network
+(** [trials] link failures over a [per_origin = 8], unverified-PCB network
     (the same speed/fidelity trade the other figure experiments make —
     every repair re-runs beaconing, so beaconing cost dominates).
     With [?telemetry], publishes

@@ -1,7 +1,7 @@
 module Log = Telemetry.Log
 (* Figure 10c: impact of link failures on AS connectivity — multipath vs a
-   single-path (BGP-like) alternative. 100 runs; each removes links one by
-   one in random order and tracks the fraction of AS pairs still connected. *)
+   single-path (BGP-like) alternative. Each of [runs] runs removes links one
+   by one in random order and tracks the fraction of AS pairs still connected. *)
 
 module Ia = Scion_addr.Ia
 module Net = Netsim.Net
@@ -39,7 +39,7 @@ let build_fabric rng =
     Topology.links;
   (net, nodes)
 
-let run ?(runs = 100) ?(seed = 0xF1C5EEDL) ?telemetry () =
+let run ~runs ?(seed = 0xF1C5EEDL) ?telemetry () =
   let rng = Rng.create seed in
   let probe = build_fabric (Rng.split rng) in
   let net0, nodes0 = probe in

@@ -10,8 +10,9 @@ type result = {
   runs : int;
 }
 
-val run : ?runs:int -> ?seed:int64 -> ?telemetry:Obs.t -> unit -> result
-(** [?telemetry] records the sweep into the bundle's registry
+val run : runs:int -> ?seed:int64 -> ?telemetry:Obs.t -> unit -> result
+(** [runs] random link-removal orders per fraction. [?telemetry] records
+    the sweep into the bundle's registry
     ([exp.fig10c.runs], [exp.fig10c.links] and per-mode
     [exp.fig10c.connectivity{mode}] summaries); this experiment drives a
     bare fabric, so the stack-level router/link instrumentation does not

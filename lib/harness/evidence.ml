@@ -8,12 +8,13 @@
    figures by construction, and each figure adds its own
    [exp.<figure>.<key>] headline gauges on top.
 
-   Evidence scale is deliberately smaller than the full EXPERIMENTS.md
-   run so the tier-1 golden suite stays fast: 4 simulated days of
-   multiping instead of 20 (the shape claims survive, the wall-clock
-   drops ~5x) and 25 link-failure runs instead of 100. The multipath
-   sweep keeps its full per_origin = 16: fewer origins would drop the
-   best pair below the paper's ">100 paths" claim. *)
+   There are two scales, [evidence] and [full] below. Evidence scale is
+   deliberately smaller than the full EXPERIMENTS.md run so the tier-1
+   golden suite stays fast: 4 simulated days of multiping instead of 20
+   (the shape claims survive, the wall-clock drops ~5x) and 25
+   link-failure runs instead of 100. The multipath sweep keeps its full
+   per_origin = 16 at both scales: fewer origins would drop the best pair
+   below the paper's ">100 paths" claim. *)
 
 module M = Telemetry.Metrics
 module Export = Telemetry.Export
@@ -22,97 +23,103 @@ module Table = Scion_util.Table
 
 type t = { id : string; title : string; table : string; metrics : string }
 
-let figures =
-  [
-    ("table1", "Table 1: SCIERA PoPs and collaborating networks");
-    ("fig3", "Figure 3: deployment timeline and per-AS effort");
-    ("fig4", "Figure 4: end-host bootstrapping latency per platform");
-    ("table2", "Table 2: hinting mechanisms vs network environment");
-    ("app_effort", "Section 5.2: application enablement effort");
-    ("fig5", "Figure 5: SCION vs IP RTT distributions");
-    ("fig6", "Figure 6: per-pair RTT ratio CDF");
-    ("fig7", "Figure 7: RTT ratio over time");
-    ("fig8", "Figure 8: maximum active paths per AS pair");
-    ("fig9", "Figure 9: median deviation from maximum paths");
-    ("fig10a", "Figure 10a: latency inflation CDF");
-    ("fig10b", "Figure 10b: path disjointness CDF");
-    ("fig10c", "Figure 10c: connectivity under link failure");
-    ("survey", "Section 5.6: operator survey");
-    ("isd_evolution", "Section 3.3: ISD evolution blast radius");
-    ("recovery", "Self-healing: time to recover from link failure");
-    ("pathmon", "Pathmon: adaptive vs static selection under soft degradation");
-    ("scaling", "Scaling: synthetic Topogen meshes vs the 29-AS deployment");
-    ("load", "Load: goodput and FCT vs offered load — multipath vs single-path endpoints");
-    ("containment", "Containment: adversarial chaos — blast radius and time to containment");
-  ]
+(* --- Scale (documented in EXPERIMENTS.md, "Recording") --------------- *)
 
-let ids = List.map fst figures
+type scale = {
+  connectivity_days : float;
+  resilience_runs : int;
+  recovery_trials : int;
+  pathmon_trials : int;
+  scaling_sizes : int list;
+  adversary_topogen : int;
+  load_loads : float list;
+  load_duration : float;
+  load_topogen : int;
+}
 
-let title_of id =
-  match List.assoc_opt id figures with
-  | Some t -> t
-  | None -> invalid_arg (Printf.sprintf "Evidence.run: unknown figure %S" id)
+let evidence =
+  {
+    connectivity_days = 4.0;
+    resilience_runs = 25;
+    recovery_trials = 12;
+    pathmon_trials = 10;
+    scaling_sizes = [ 100; 300; 1000 ];
+    adversary_topogen = 300;
+    load_loads = [ 0.3; 0.6; 1.0; 1.5 ];
+    load_duration = 20.0;
+    load_topogen = 300;
+  }
 
-(* --- Evidence scale (documented in EXPERIMENTS.md, "Recording") ------- *)
+let full =
+  {
+    connectivity_days = 20.0;
+    resilience_runs = 100;
+    recovery_trials = 40;
+    pathmon_trials = 30;
+    scaling_sizes = [ 100; 300; 1000; 3000 ];
+    adversary_topogen = 600;
+    load_loads = [ 0.3; 0.6; 1.0; 1.5; 2.0 ];
+    load_duration = 45.0;
+    load_topogen = 600;
+  }
 
-let connectivity_days = ref 4.0
-let resilience_runs = ref 25
-let recovery_trials = ref 12
-let pathmon_trials = ref 10
-let scaling_sizes = ref [ 100; 300; 1000 ]
-let adversary_topogen = ref 300
-let load_loads = ref [ 0.3; 0.6; 1.0; 1.5 ]
-let load_duration = ref 20.0
-let load_topogen = ref 300
+let current_scale = ref evidence
+let scale_read = ref false
+
+(* Every scale-dependent dataset reads its size through here, so
+   [use_full_scale] can tell that one has been memoised. *)
+let scale () =
+  scale_read := true;
+  !current_scale
+
+(* Opting into full scale after a dataset has been memoised would silently
+   mix scales within one process, so it is a programming error. *)
+let use_full_scale () =
+  if !scale_read then
+    invalid_arg "Evidence.use_full_scale: a dataset is already memoised at evidence scale";
+  current_scale := full
 
 (* --- Memoised datasets ------------------------------------------------ *)
 
-let connectivity =
+(* A dataset run against a fresh telemetry bundle, paired with the
+   stack-level samples it recorded. *)
+let observed run =
   lazy
     (let obs = Sciera.Obs.create () in
-     let r = Sciera.Exp_connectivity.run ~days:!connectivity_days ~telemetry:obs () in
+     let r = run obs in
      (r, Sciera.Obs.samples obs))
 
-let multipath =
-  lazy
-    (let obs = Sciera.Obs.create () in
-     let r = Sciera.Exp_multipath.run ~telemetry:obs () in
-     (r, Sciera.Obs.samples obs))
+let connectivity =
+  observed (fun telemetry ->
+      Sciera.Exp_connectivity.run ~days:(scale ()).connectivity_days ~telemetry ())
+
+let multipath = observed (fun telemetry -> Sciera.Exp_multipath.run ~telemetry ())
 
 let resilience =
-  lazy
-    (let obs = Sciera.Obs.create () in
-     let r = Sciera.Exp_resilience.run ~runs:!resilience_runs ~telemetry:obs () in
-     (r, Sciera.Obs.samples obs))
+  observed (fun telemetry ->
+      Sciera.Exp_resilience.run ~runs:(scale ()).resilience_runs ~telemetry ())
 
 let recovery_data =
-  lazy
-    (let obs = Sciera.Obs.create () in
-     let r = Sciera.Exp_recovery.run ~trials:!recovery_trials ~telemetry:obs () in
-     (r, Sciera.Obs.samples obs))
+  observed (fun telemetry ->
+      Sciera.Exp_recovery.run ~trials:(scale ()).recovery_trials ~telemetry ())
 
 let pathmon_data =
-  lazy
-    (let obs = Sciera.Obs.create () in
-     let r = Sciera.Exp_pathmon.run ~trials:!pathmon_trials ~telemetry:obs () in
-     (r, Sciera.Obs.samples obs))
+  observed (fun telemetry ->
+      Sciera.Exp_pathmon.run ~trials:(scale ()).pathmon_trials ~telemetry ())
 
 (* No stack telemetry: the mesh registers per-AS labelled series (beacon
    stores, border routers), which at N=1000 would explode the metrics
    snapshot. Scale observability flows through Mesh accessors into the
    rows and headline gauges instead. *)
-let scaling_data = lazy (Sciera.Exp_scaling.run ~sizes:!scaling_sizes ())
+let scaling_data = lazy (Sciera.Exp_scaling.run ~sizes:(scale ()).scaling_sizes ())
 
 (* Stack telemetry only for the 29-AS mesh (the topogen-scale mesh inside
    the experiment stays telemetry-less — per-AS series, as for scaling). *)
 let load_data =
-  lazy
-    (let obs = Sciera.Obs.create () in
-     let r =
-       Sciera.Exp_load.run ~loads:!load_loads ~duration_s:!load_duration
-         ~topogen_ases:!load_topogen ~telemetry:obs ()
-     in
-     (r, Sciera.Obs.samples obs))
+  observed (fun telemetry ->
+      let s = scale () in
+      Sciera.Exp_load.run ~loads:s.load_loads ~duration_s:s.load_duration
+        ~topogen_ases:s.load_topogen ~telemetry ())
 
 (* Runs LAST in figure order and keeps its meshes telemetry-less for the
    same per-AS-series reason as scaling; the [exp.adversary.*] aggregate
@@ -120,40 +127,11 @@ let load_data =
    means its (adversarial) use of the process-wide signature cache cannot
    reorder any earlier figure's hit/miss sequence. *)
 let adversary_data =
-  lazy
-    (let obs = Sciera.Obs.create () in
-     let r = Sciera.Exp_adversary.run ~topogen_ases:!adversary_topogen ~telemetry:obs () in
-     (r, Sciera.Obs.samples obs))
+  observed (fun telemetry ->
+      Sciera.Exp_adversary.run ~topogen_ases:(scale ()).adversary_topogen ~telemetry ())
 
-let bootstrap =
-  lazy
-    (let obs = Sciera.Obs.create () in
-     let r = Sciera.Exp_bootstrap.run ~telemetry:obs () in
-     (r, Sciera.Obs.samples obs))
-
-let isd_evolution =
-  lazy
-    (let obs = Sciera.Obs.create () in
-     let r = Sciera.Exp_isd_evolution.run ~telemetry:obs () in
-     (r, Sciera.Obs.samples obs))
-
-(* Opting into full scale after a dataset has been memoised would silently
-   mix scales within one process, so it is a programming error. *)
-let use_full_scale () =
-  if
-    Lazy.is_val connectivity || Lazy.is_val resilience || Lazy.is_val recovery_data
-    || Lazy.is_val pathmon_data || Lazy.is_val scaling_data || Lazy.is_val adversary_data
-    || Lazy.is_val load_data
-  then invalid_arg "Evidence.use_full_scale: a dataset is already memoised at evidence scale";
-  connectivity_days := 20.0;
-  resilience_runs := 100;
-  recovery_trials := 40;
-  pathmon_trials := 30;
-  scaling_sizes := [ 100; 300; 1000; 3000 ];
-  adversary_topogen := 600;
-  load_loads := [ 0.3; 0.6; 1.0; 1.5; 2.0 ];
-  load_duration := 45.0;
-  load_topogen := 600
+let bootstrap = observed (fun telemetry -> Sciera.Exp_bootstrap.run ~telemetry ())
+let isd_evolution = observed (fun telemetry -> Sciera.Exp_isd_evolution.run ~telemetry ())
 
 (* --- Assembly --------------------------------------------------------- *)
 
@@ -166,8 +144,7 @@ let headline_table headline =
 (* [headline] becomes both the table footer (rendered with the canonical
    %.6g of Table.fmt_float) and one exp.<id>.<key> gauge per entry in the
    metrics snapshot, merged with the dataset's stack-level samples. *)
-let make ~id ~samples:stack_samples ~headline print =
-  let title = title_of id in
+let make ~id ~title ~samples:stack_samples ~headline print =
   let reg = M.create () in
   (* scion-lint: allow telemetry-registry -- exp.<id>.<key> gauges are scoped to one figure's private registry and pinned by the checked-in goldens, not the tree-wide registry *)
   List.iter (fun (k, v) -> M.set (M.gauge reg (Printf.sprintf "exp.%s.%s" id k)) v) headline;
@@ -188,8 +165,8 @@ let print_table1 () =
     (List.length Sciera.Topology.ases)
     (List.length Sciera.Topology.links)
 
-let table1 () =
-  make ~id:"table1" ~samples:[]
+let table1 make =
+  make ~samples:[]
     ~headline:
       [
         ("pops", float_of_int (List.length Sciera.Topology.pops));
@@ -198,7 +175,7 @@ let table1 () =
       ]
     print_table1
 
-let fig3 () =
+let fig3 make =
   let open Sciera.Deployment in
   (* Learning-curve headline: relative effort drop from the first to the
      last deployment of each kind with at least two instances. *)
@@ -220,11 +197,11 @@ let fig3 () =
     ]
   in
   let drops = List.filter_map (fun (k, key) -> Option.map (fun d -> (key, d)) (drop k)) kinds in
-  make ~id:"fig3" ~samples:[]
+  make ~samples:[]
     ~headline:(("deployments", float_of_int (List.length timeline)) :: drops)
     print_fig3
 
-let fig4 () =
+let fig4 make =
   let r, samples = Lazy.force bootstrap in
   let per_os =
     List.map
@@ -233,23 +210,23 @@ let fig4 () =
           s.total.Scion_util.Stats.med ))
       r.Sciera.Exp_bootstrap.per_os
   in
-  make ~id:"fig4" ~samples
+  make ~samples
     ~headline:
       (("runs_per_mechanism", float_of_int r.Sciera.Exp_bootstrap.runs_per_mechanism)
       :: ("all_medians_under_ms", r.Sciera.Exp_bootstrap.all_medians_under_ms)
       :: per_os)
     (fun () -> Sciera.Exp_bootstrap.print_fig4 r)
 
-let table2 () =
-  make ~id:"table2" ~samples:[]
+let table2 make =
+  make ~samples:[]
     ~headline:[ ("mechanisms", float_of_int (List.length Scion_endhost.Hints.all)) ]
     Sciera.Exp_bootstrap.print_table2
 
-let app_effort () =
+let app_effort make =
   let total =
     List.fold_left (fun acc c -> acc + c.Sciera.App_effort.loc_delta) 0 Sciera.App_effort.cases
   in
-  make ~id:"app_effort" ~samples:[]
+  make ~samples:[]
     ~headline:
       [
         ("cases", float_of_int (List.length Sciera.App_effort.cases));
@@ -257,10 +234,10 @@ let app_effort () =
       ]
     Sciera.App_effort.print_app_effort
 
-let fig5 () =
+let fig5 make =
   let r, samples = Lazy.force connectivity in
   let open Sciera.Exp_connectivity in
-  make ~id:"fig5" ~samples
+  make ~samples
     ~headline:
       [
         ("scion_median_ms", r.scion_median);
@@ -272,10 +249,10 @@ let fig5 () =
       ]
     (fun () -> print_fig5 r)
 
-let fig6 () =
+let fig6 make =
   let r, samples = Lazy.force connectivity in
   let open Sciera.Exp_connectivity in
-  make ~id:"fig6" ~samples
+  make ~samples
     ~headline:
       [
         ("pairs", float_of_int (List.length r.pair_ratios));
@@ -284,13 +261,13 @@ let fig6 () =
       ]
     (fun () -> print_fig6 r)
 
-let fig7 () =
+let fig7 make =
   let r, samples = Lazy.force connectivity in
   let open Sciera.Exp_connectivity in
   let ratios = List.map snd r.timeseries in
   let rmin = List.fold_left min infinity ratios in
   let rmax = List.fold_left max neg_infinity ratios in
-  make ~id:"fig7" ~samples
+  make ~samples
     ~headline:
       [
         ("buckets", float_of_int (List.length r.timeseries));
@@ -299,29 +276,29 @@ let fig7 () =
       ]
     (fun () -> print_fig7 r)
 
-let fig8 () =
+let fig8 make =
   let r, samples = Lazy.force multipath in
   let open Sciera.Exp_multipath in
   let _, _, best = r.best_pair in
-  make ~id:"fig8" ~samples
+  make ~samples
     ~headline:
       [ ("min_paths", float_of_int r.min_paths); ("best_pair_paths", float_of_int best) ]
     (fun () -> print_fig8 r)
 
-let fig9 () =
+let fig9 make =
   let r, samples = Lazy.force multipath in
   let open Sciera.Exp_multipath in
   let maxdev =
     Array.fold_left (fun acc row -> Array.fold_left max acc row) 0 r.median_deviation
   in
-  make ~id:"fig9" ~samples
+  make ~samples
     ~headline:[ ("max_median_deviation", float_of_int maxdev) ]
     (fun () -> print_fig9 r)
 
-let fig10a () =
+let fig10a make =
   let r, samples = Lazy.force multipath in
   let open Sciera.Exp_multipath in
-  make ~id:"fig10a" ~samples
+  make ~samples
     ~headline:
       [
         ("frac_inflation_close_to_1", r.frac_inflation_close_to_1);
@@ -329,10 +306,10 @@ let fig10a () =
       ]
     (fun () -> print_fig10a r)
 
-let fig10b () =
+let fig10b make =
   let r, samples = Lazy.force multipath in
   let open Sciera.Exp_multipath in
-  make ~id:"fig10b" ~samples
+  make ~samples
     ~headline:
       [
         ("frac_fully_disjoint", r.frac_fully_disjoint);
@@ -340,11 +317,11 @@ let fig10b () =
       ]
     (fun () -> print_fig10b r)
 
-let fig10c () =
+let fig10c make =
   let r, samples = Lazy.force resilience in
   let open Sciera.Exp_resilience in
   let m20, s20 = connectivity_at r 0.2 in
-  make ~id:"fig10c" ~samples
+  make ~samples
     ~headline:
       [
         ("runs", float_of_int r.runs);
@@ -353,9 +330,9 @@ let fig10c () =
       ]
     (fun () -> print_fig10c r)
 
-let survey () =
+let survey make =
   let a = Sciera.Survey.aggregates in
-  make ~id:"survey" ~samples:[]
+  make ~samples:[]
     ~headline:
       [
         ("respondents", float_of_int a.Sciera.Survey.n);
@@ -365,10 +342,10 @@ let survey () =
       ]
     Sciera.Survey.print_survey
 
-let isd () =
+let isd make =
   let r, samples = Lazy.force isd_evolution in
   let open Sciera.Exp_isd_evolution in
-  make ~id:"isd_evolution" ~samples
+  make ~samples
     ~headline:
       [
         ("single_avg_blast", r.single_avg_blast);
@@ -377,10 +354,10 @@ let isd () =
       ]
     (fun () -> print_report r)
 
-let recovery () =
+let recovery make =
   let r, samples = Lazy.force recovery_data in
   let open Sciera.Exp_recovery in
-  make ~id:"recovery" ~samples
+  make ~samples
     ~headline:
       [
         ("trials", float_of_int r.trials);
@@ -395,10 +372,10 @@ let recovery () =
       ]
     (fun () -> print_recovery r)
 
-let pathmon () =
+let pathmon make =
   let r, samples = Lazy.force pathmon_data in
   let open Sciera.Exp_pathmon in
-  make ~id:"pathmon" ~samples
+  make ~samples
     ~headline:
       [
         ("trials", float_of_int r.trials);
@@ -413,7 +390,7 @@ let pathmon () =
       ]
     (fun () -> print_pathmon r)
 
-let scaling () =
+let scaling make =
   let r = Lazy.force scaling_data in
   let open Sciera.Exp_scaling in
   let slug label = String.map (fun c -> if c = '-' then '_' else c) label in
@@ -433,14 +410,14 @@ let scaling () =
         ])
       r.rows
   in
-  make ~id:"scaling" ~samples:[]
+  make ~samples:[]
     ~headline:
       (("sizes", float_of_int (List.length r.sizes))
       :: ("pairs_per_size", float_of_int r.pairs_per_size)
       :: per_row)
     (fun () -> print_scaling r)
 
-let load () =
+let load make =
   let r, samples = Lazy.force load_data in
   let open Sciera.Exp_load in
   let slug s = String.map (fun ch -> if ch = '-' then '_' else ch) s in
@@ -461,7 +438,7 @@ let load () =
         ])
       r.cells
   in
-  make ~id:"load" ~samples
+  make ~samples
     ~headline:
       (("loads", float_of_int (List.length r.loads))
       :: ("cell_duration_s", r.duration_s)
@@ -470,7 +447,7 @@ let load () =
       :: per_cell)
     (fun () -> print_load r)
 
-let containment () =
+let containment make =
   let r, samples = Lazy.force adversary_data in
   let open Sciera.Exp_adversary in
   let slug s = String.map (fun ch -> if ch = '-' then '_' else ch) s in
@@ -485,7 +462,7 @@ let containment () =
         [ (key "blast", blast_scalar c); (key "contain_s", c.c_contain_s) ])
       r.cells
   in
-  make ~id:"containment" ~samples
+  make ~samples
     ~headline:
       (("classes_contained", float_of_int r.classes_contained)
       :: ("quarantine_events", float_of_int r.quarantine_events)
@@ -496,26 +473,43 @@ let containment () =
       :: per_cell)
     (fun () -> print_containment r)
 
+(* --- The figure table: EXPERIMENTS.md summary-table order ------------ *)
+
+(* A runner computes its figure and hands [make], already applied to the
+   figure's id and title, the dataset's stack-level samples, the headline
+   and the report printer. *)
+let artefacts =
+  [
+    ("table1", "Table 1: SCIERA PoPs and collaborating networks", table1);
+    ("fig3", "Figure 3: deployment timeline and per-AS effort", fig3);
+    ("fig4", "Figure 4: end-host bootstrapping latency per platform", fig4);
+    ("table2", "Table 2: hinting mechanisms vs network environment", table2);
+    ("app_effort", "Section 5.2: application enablement effort", app_effort);
+    ("fig5", "Figure 5: SCION vs IP RTT distributions", fig5);
+    ("fig6", "Figure 6: per-pair RTT ratio CDF", fig6);
+    ("fig7", "Figure 7: RTT ratio over time", fig7);
+    ("fig8", "Figure 8: maximum active paths per AS pair", fig8);
+    ("fig9", "Figure 9: median deviation from maximum paths", fig9);
+    ("fig10a", "Figure 10a: latency inflation CDF", fig10a);
+    ("fig10b", "Figure 10b: path disjointness CDF", fig10b);
+    ("fig10c", "Figure 10c: connectivity under link failure", fig10c);
+    ("survey", "Section 5.6: operator survey", survey);
+    ("isd_evolution", "Section 3.3: ISD evolution blast radius", isd);
+    ("recovery", "Self-healing: time to recover from link failure", recovery);
+    ("pathmon", "Pathmon: adaptive vs static selection under soft degradation", pathmon);
+    ("scaling", "Scaling: synthetic Topogen meshes vs the 29-AS deployment", scaling);
+    ( "load",
+      "Load: goodput and FCT vs offered load — multipath vs single-path endpoints",
+      load );
+    ( "containment",
+      "Containment: adversarial chaos — blast radius and time to containment",
+      containment );
+  ]
+
+let figures = List.map (fun (id, title, _) -> (id, title)) artefacts
+let ids = List.map fst figures
+
 let run id =
-  match id with
-  | "table1" -> table1 ()
-  | "fig3" -> fig3 ()
-  | "fig4" -> fig4 ()
-  | "table2" -> table2 ()
-  | "app_effort" -> app_effort ()
-  | "fig5" -> fig5 ()
-  | "fig6" -> fig6 ()
-  | "fig7" -> fig7 ()
-  | "fig8" -> fig8 ()
-  | "fig9" -> fig9 ()
-  | "fig10a" -> fig10a ()
-  | "fig10b" -> fig10b ()
-  | "fig10c" -> fig10c ()
-  | "survey" -> survey ()
-  | "isd_evolution" -> isd ()
-  | "recovery" -> recovery ()
-  | "pathmon" -> pathmon ()
-  | "scaling" -> scaling ()
-  | "load" -> load ()
-  | "containment" -> containment ()
-  | other -> invalid_arg (Printf.sprintf "Evidence.run: unknown figure %S" other)
+  match List.find_opt (fun (i, _, _) -> String.equal i id) artefacts with
+  | Some (_, title, runner) -> runner (make ~id ~title)
+  | None -> invalid_arg (Printf.sprintf "Evidence.run: unknown figure %S" id)

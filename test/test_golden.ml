@@ -83,6 +83,14 @@ let test_injector_rng_isolation () =
   Alcotest.(check (array int64))
     "workload draws identical with and without injected faults" quiet faulted
 
+(* Switching to full scale after a scale-dependent dataset has been
+   memoised would mix scales in one process, so it must be refused. *)
+let test_full_scale_after_memo () =
+  ignore (Harness.Evidence.run "containment");
+  Alcotest.check_raises "use_full_scale refused"
+    (Invalid_argument "Evidence.use_full_scale: a dataset is already memoised at evidence scale")
+    Harness.Evidence.use_full_scale
+
 let () =
   Alcotest.run "golden"
     [
@@ -96,4 +104,8 @@ let () =
         List.map
           (fun (id, _title) -> Alcotest.test_case id `Slow (check_figure id))
           Harness.Evidence.figures );
+      ( "scale",
+        [
+          Alcotest.test_case "full scale refused once memoised" `Slow test_full_scale_after_memo;
+        ] );
     ]

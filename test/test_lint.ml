@@ -567,7 +567,7 @@ let test_repo_clean () =
    allocation or an unused export means raising these numbers in the same
    change, which makes the regression explicit in review. A rule missing
    here may have no baseline entries at all. *)
-let baseline_high_water = [ ("hotpath-allocation", (0, 0)); ("dead-export", (138, 138)) ]
+let baseline_high_water = [ ("hotpath-allocation", (0, 0)); ("dead-export", (137, 137)) ]
 
 let test_baseline_high_water () =
   let src = In_channel.with_open_bin "../devtools/lint/baseline.json" In_channel.input_all in

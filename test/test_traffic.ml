@@ -690,7 +690,7 @@ let test_load_deterministic () =
     a.cells;
   Alcotest.(check bool) "validation: empty sweep rejected" true
     (try
-       ignore (run ~loads:[] ());
+       ignore (run ~loads:[] ~duration_s:5.0 ~topogen_ases:40 ());
        false
      with Invalid_argument _ -> true)
 
