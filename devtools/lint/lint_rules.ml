@@ -293,9 +293,9 @@ let naked_printf =
     doc =
       "Bans direct stdout/stderr printing (Printf.printf, print_endline, ...) in lib/ outside \
        lib/telemetry/: report output goes through Telemetry.Log.out (redirectable, capturable \
-       in tests) and diagnostics through Telemetry.Log.debug/warn (leveled), so \
-       experiment output stays clean and machine-checkable. Executables in bin/, bench/ and \
-       examples/ may print freely.";
+       in tests) and lib/ has no diagnostics stream (return failures as values or count them \
+       in telemetry), so experiment output stays clean and machine-checkable. Executables in \
+       bin/, bench/ and examples/ may print freely.";
     scope = (fun file -> in_dir "lib/" file && not (in_dir "lib/telemetry/" file));
     on_expr =
       Some
@@ -307,7 +307,7 @@ let naked_printf =
                 emit loc
                   (Printf.sprintf
                      "%s prints directly from library code; route report output through \
-                      Telemetry.Log.out and diagnostics through Telemetry.Log.debug/warn"
+                      Telemetry.Log.out, and return failures as values or count them in telemetry"
                      name)
           | _ -> ());
   }

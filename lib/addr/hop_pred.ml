@@ -1,8 +1,6 @@
 type hop = { ia : Ia.t; ingress : int; egress : int }
 type t = { pred_ia : Ia.t; if1 : int; if2 : int option }
 
-let any = { pred_ia = Ia.wildcard; if1 = 0; if2 = None }
-
 let parse s =
   let ia_part, if_part =
     match String.index_opt s '#' with

@@ -15,16 +15,6 @@ type hop = { ia : Ia.t; ingress : int; egress : int }
 (** One traversed AS with its entry/exit interface ids (0 when the AS is an
     endpoint of the path). *)
 
-type t
-(** A single hop predicate. *)
-
-val parse : string -> (t, string) result
-val to_string : t -> string
-val any : t
-(** ["0-0#0"]. *)
-
-val matches : t -> hop -> bool
-
 type sequence
 
 val parse_sequence : string -> (sequence, string) result

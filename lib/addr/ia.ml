@@ -51,8 +51,6 @@ let of_string s =
 let to_string t = Printf.sprintf "%d-%s" t.isd (asn_to_string t.asn)
 let equal a b = a.isd = b.isd && a.asn = b.asn
 let compare a b = if a.isd <> b.isd then Stdlib.compare a.isd b.isd else Stdlib.compare a.asn b.asn
-let wildcard = { isd = 0; asn = 0 }
-let is_wildcard t = t.isd = 0 && t.asn = 0
 
 let encode w t =
   Scion_util.Rw.Writer.u16 w t.isd;

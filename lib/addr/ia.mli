@@ -27,11 +27,6 @@ val to_string : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val wildcard : t
-(** ["0-0"], matching any IA in predicates. *)
-
-val is_wildcard : t -> bool
-
 val encode : Scion_util.Rw.Writer.t -> t -> unit
 (** 8-byte wire form: 16-bit ISD then 48-bit AS, big-endian. *)
 

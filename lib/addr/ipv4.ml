@@ -19,15 +19,6 @@ let to_string v =
   Printf.sprintf "%d.%d.%d.%d" ((u lsr 24) land 0xFF) ((u lsr 16) land 0xFF) ((u lsr 8) land 0xFF)
     (u land 0xFF)
 
-let equal = Int32.equal
-
-let in_subnet a ~prefix ~bits =
-  if bits < 0 || bits > 32 then invalid_arg "Ipv4.in_subnet: bad prefix length";
-  if bits = 0 then true
-  else begin
-    let mask = Int32.shift_left (-1l) (32 - bits) in
-    Int32.equal (Int32.logand a mask) (Int32.logand prefix mask)
-  end
 
 type endpoint = { host : t; port : int }
 

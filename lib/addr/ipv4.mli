@@ -14,10 +14,6 @@ val of_string : string -> t
 val of_int32 : int32 -> t
 val to_int32 : t -> int32
 val to_string : t -> string
-val equal : t -> t -> bool
-
-val in_subnet : t -> prefix:t -> bits:int -> bool
-(** [in_subnet a ~prefix ~bits] tests membership of [a] in [prefix/bits]. *)
 
 type endpoint = { host : t; port : int }
 (** A UDP endpoint. *)

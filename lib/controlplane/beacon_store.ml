@@ -96,7 +96,5 @@ let best t ~k =
     t.buckets []
 
 let all t = IaMap.fold (fun _ bucket acc -> List.map (fun e -> e.pcb) bucket @ acc) t.buckets []
-let count t = IaMap.fold (fun _ bucket acc -> acc + List.length bucket) t.buckets 0
-let origins t = IaMap.fold (fun origin _ acc -> origin :: acc) t.buckets []
 
 let clear t = t.buckets <- IaMap.empty

@@ -28,7 +28,5 @@ val best : t -> k:int -> Pcb.t list
 (** Up to [k] best beacons per origin, for propagation. *)
 
 val all : t -> Pcb.t list
-val count : t -> int
-val origins : t -> Scion_addr.Ia.t list
 
 val clear : t -> unit

@@ -776,12 +776,6 @@ let state_bytes t ia =
 let quarantine_events t = t.quarantine_events
 let quarantine_drops t = t.quarantine_drops
 
-let quarantined_neighbors t ia ~now =
-  let n = node t ia in
-  List.filter_map
-    (fun nb -> if quarantined n nb.n_ifid ~now then Some (nb.n_ifid, nb.n_ia) else None)
-    n.nbrs
-
 (* --- TRC rotation drill --- *)
 
 let seed_str t = Int64.to_string t.cfg.seed
@@ -793,7 +787,6 @@ let key_epoch t =
     t.trcs ""
 
 let rotations t = t.rotations
-let seized t ia = Hashtbl.mem t.seized ia
 
 let rotate_trc t ~isd ~now =
   let prev = trc t isd in

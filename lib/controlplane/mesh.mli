@@ -209,10 +209,6 @@ val quarantine_events : t -> int
 val quarantine_drops : t -> int
 (** Beacons skipped because their arrival interface was quarantined. *)
 
-val quarantined_neighbors : t -> Ia.t -> now:float -> (int * Ia.t) list
-(** The (local interface, neighbor) pairs of [ia] currently inside a
-    quarantine window. *)
-
 val rotate_trc : t -> isd:int -> now:float -> unit
 (** Emergency key-rotation drill for one ISD: vote in a successor TRC with
     a fresh root (signed by the previous root, per TRC chaining), stand up
@@ -223,9 +219,6 @@ val rotate_trc : t -> isd:int -> now:float -> unit
 
 val rotations : t -> int
 (** TRC rotations performed so far (across all ISDs). *)
-
-val key_epoch : t -> string
-(** The current key epoch: every ISD's [isd:serial] pair, sorted. *)
 
 (** {1 Byzantine surface}
 
@@ -238,8 +231,6 @@ val seize_as : t -> ia:Ia.t -> now:float -> unit
 (** CA-compromise model: the attacker uses the ISD's (compromised) CA to
     issue itself a certificate for [ia] and takes over the AS identity —
     beacons it signs from [ia] now verify. Undone by {!rotate_trc}. *)
-
-val seized : t -> Ia.t -> bool
 
 (* scion-lint: rng-stream fault.adv -- attack payload draws come from the adversary stream *)
 val inject_corrupt_beacons :

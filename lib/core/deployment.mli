@@ -4,8 +4,6 @@
 
 type kind = Core_backbone | Nren_attach | Campus_vlan | Reused_circuit
 
-val kind_to_string : kind -> string
-
 type event = {
   who : string;
   as_str : string;
@@ -16,8 +14,6 @@ type event = {
 
 val timeline : event list
 (** The 22 deployments of Figure 3 in chronological order. *)
-
-val orchestrator_available : string -> bool
 
 type scored = { event : event; effort : float }
 

@@ -1,11 +1,10 @@
-(* Glue between the generic netsim hooks and the telemetry subsystem: one
+(* Glue between the generic netsim hook and the telemetry subsystem: one
    bundle holding a metrics registry and a tracer, plus wiring helpers for
-   the engine and the link fabrics. netsim itself has no telemetry
-   dependency; everything flows through Engine.on_event / Net.set_monitor. *)
+   the link fabrics. netsim itself has no telemetry dependency; link events
+   flow through Net.set_monitor. *)
 
 module M = Telemetry.Metrics
 module Trace = Telemetry.Trace
-module Engine = Netsim.Engine
 module Net = Netsim.Net
 
 type t = { registry : M.registry; trace : Trace.t }

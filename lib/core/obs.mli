@@ -1,8 +1,8 @@
 (** Observability bundle for a SCIERA simulation: a deterministic metrics
     registry plus a simulated-clock tracer, with wiring helpers that attach
-    them to the generic [netsim] hooks ({!Netsim.Engine.on_event},
-    {!Netsim.Net.set_monitor}). The same bundle is what
-    {!Network.create}'s [?telemetry] threads through the whole stack. *)
+    them to the generic [netsim] link hook ({!Netsim.Net.set_monitor}). The
+    same bundle is what {!Network.create}'s [?telemetry] threads through the
+    whole stack. *)
 
 type t
 

@@ -332,7 +332,6 @@ let ip_access_for (a : as_info) =
   | "ETH Zurich" -> ("EU", 3.0)
   | _ -> (regional_hub a.region, tier_access_ms a.tier)
 
-let ip_access q = ip_access_for (find q)
 
 (* --- Instantiable topology descriptions --- *)
 

@@ -59,16 +59,11 @@ val ip_hubs : ip_hub list
 val ip_hub_links : (string * string * float) list
 (** (hub, hub, one-way ms). *)
 
-val ip_access : Scion_addr.Ia.t -> string * float
-(** The hub an AS homes onto and its access latency. Raises [Not_found]
-    for an AS outside the Figure-1 table; generated topologies must go
-    through {!ip_access_for}. *)
-
 val ip_access_for : as_info -> string * float
-(** {!ip_access} by record: the hand-built table for the Figure-1 names,
-    otherwise a region hub (Africa homes via Europe, like WACREN) with a
-    tier-scaled access latency — total over any [as_info], so generated
-    meshes always get an IP-baseline homing. *)
+(** The hub an AS homes onto and its access latency: the hand-built table
+    for the Figure-1 names, otherwise a region hub (Africa homes via
+    Europe, like WACREN) with a tier-scaled access latency — total over any
+    [as_info], so generated meshes always get an IP-baseline homing. *)
 
 (** {1 Instantiable topology descriptions}
 

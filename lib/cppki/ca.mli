@@ -33,9 +33,6 @@ val renew : t -> current:Cert.t -> pubkey:Scion_crypto.Schnorr.public_key -> now
     still within validity, and names the same subject. The new certificate
     keeps the subject's profile. *)
 
-val revoke : t -> serial:int -> unit
-val is_revoked : t -> serial:int -> bool
-
 val needs_renewal : Cert.t -> now:float -> bool
 (** Renewal policy used by the orchestrator: renew when less than one third
     of the validity period remains. *)

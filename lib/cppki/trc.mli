@@ -44,16 +44,11 @@ val update :
 (** Produce the successor TRC (serial + 1) signed by the given voters,
     which must be roots of [prev] and reach [prev.quorum]. *)
 
-val verify_base : t -> bool
-(** A base TRC must be signed by all of its own roots. *)
-
-val verify_update : prev:t -> t -> (unit, string) result
-(** Check serial continuity, ISD match and a quorum of valid signatures by
-    [prev]'s roots. *)
-
 val verify_chain : base:t -> t list -> (t, string) result
 (** Walk [base -> updates...] and return the latest TRC if every link
-    verifies. *)
+    verifies: the base must be signed by all of its own roots, and each
+    update needs serial continuity, the same ISD and a quorum of valid
+    signatures by its predecessor's roots. *)
 
 val in_validity : t -> float -> bool
 val find_root : t -> string -> root option

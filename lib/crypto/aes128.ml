@@ -3,10 +3,10 @@
    SubBytes, ShiftRows and MixColumns; the last round uses the plain S-box. *)
 
 let sbox =
-  (* hex rows inlined by hand (not via Scion_util.Hex) so that this constant
-     keeps the lint's hot-path reachability chain — Filter.check / the border
-     router reach [encrypt_into] and therefore this binding — free of the
-     allocating hex helpers *)
+  (* hex rows decoded in place (not through a shared decoding helper) so
+     that this constant keeps the lint's hot-path reachability chain —
+     Filter.check / the border router reach [encrypt_into] and therefore
+     this binding — free of allocating helpers *)
   let s = Bytes.create 256 in
   let hexrows =
     [|

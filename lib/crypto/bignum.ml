@@ -22,16 +22,7 @@ let of_int v =
   let rec limbs v = if v = 0 then [] else (v land base_mask) :: limbs (v lsr base_bits) in
   Array.of_list (limbs v)
 
-let to_int a =
-  let v = ref 0 in
-  for i = Array.length a - 1 downto 0 do
-    if !v > (max_int - a.(i)) lsr base_bits then invalid_arg "Bignum.to_int: overflow";
-    v := (!v lsl base_bits) lor a.(i)
-  done;
-  !v
-
 let is_zero a = Array.length a = 0
-let is_odd a = Array.length a > 0 && a.(0) land 1 = 1
 
 let compare a b =
   let la = Array.length a and lb = Array.length b in
@@ -40,8 +31,6 @@ let compare a b =
     let rec go i = if i < 0 then 0 else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i) else go (i - 1) in
     go (la - 1)
   end
-
-let equal a b = compare a b = 0
 
 let bit_length a =
   if is_zero a then 0
@@ -123,60 +112,20 @@ let shift_left a n =
     normalize out
   end
 
-let shift_right a n =
-  if is_zero a || n = 0 then a
-  else begin
-    let limb_shift = n / base_bits and bit_shift = n mod base_bits in
-    let la = Array.length a in
-    if limb_shift >= la then zero
-    else begin
-      let out = Array.make (la - limb_shift) 0 in
-      for i = 0 to la - limb_shift - 1 do
-        let lo = a.(i + limb_shift) lsr bit_shift in
-        let hi =
-          if bit_shift = 0 || i + limb_shift + 1 >= la then 0
-          else (a.(i + limb_shift + 1) lsl (base_bits - bit_shift)) land base_mask
-        in
-        out.(i) <- lo lor hi
-      done;
-      normalize out
-    end
-  end
-
-(* Binary long division: adequate because divisions are rare (exponent-field
-   reductions and serial-number bookkeeping), while the hot group arithmetic
-   uses Modp's special-form reduction. *)
-let divmod a b =
+(* Binary long division keeping only the remainder: adequate because
+   reductions by a generic modulus are rare (key derivation), while the hot
+   group arithmetic uses Modp's special-form reduction. *)
+let modulo a b =
   if is_zero b then raise Division_by_zero;
-  if compare a b < 0 then (zero, a)
+  if compare a b < 0 then a
   else begin
-    let n = bit_length a in
-    let q = Array.make (Array.length a) 0 in
     let r = ref zero in
-    for i = n - 1 downto 0 do
+    for i = bit_length a - 1 downto 0 do
       r := shift_left !r 1;
       if bit a i then r := add !r one;
-      if compare !r b >= 0 then begin
-        r := sub !r b;
-        q.(i / base_bits) <- q.(i / base_bits) lor (1 lsl (i mod base_bits))
-      end
+      if compare !r b >= 0 then r := sub !r b
     done;
-    (normalize q, !r)
-  end
-
-let modulo a b = snd (divmod a b)
-
-let modpow base_v exp m =
-  if equal m one then zero
-  else begin
-    let result = ref one in
-    let acc = ref (modulo base_v m) in
-    let n = bit_length exp in
-    for i = 0 to n - 1 do
-      if bit exp i then result := modulo (mul !result !acc) m;
-      if i < n - 1 then acc := modulo (mul !acc !acc) m
-    done;
-    !result
+    !r
   end
 
 let of_bytes_be s =
@@ -201,10 +150,5 @@ let to_bytes_be ?width a =
       if limb >= Array.length a then '\x00'
       else Char.chr ((a.(limb) lsr (bitpos mod base_bits)) land 0xFF))
 
-let of_hex s =
-  let s = if String.length s mod 2 = 1 then "0" ^ s else s in
-  of_bytes_be (Scion_util.Hex.decode s)
-
-let to_hex a = Scion_util.Hex.encode (to_bytes_be a)
 let limbs a = Array.copy a
 let of_limbs a = normalize (Array.copy a)

@@ -2,8 +2,7 @@
    carries two 16-byte scratch buffers (CBC state and staging block), so a
    border router verifying hop MACs at line rate never allocates. The
    scratch makes a key single-threaded — exactly the simulator's usage —
-   and [mac]/[mac_truncated] stay as thin allocating wrappers for cold
-   callers. *)
+   and [mac_truncated] stays a thin allocating wrapper for cold callers. *)
 
 type key = {
   aes : Aes128.key;
@@ -72,10 +71,6 @@ let mac_into key msg =
   end;
   Aes128.encrypt_into key.aes ~src:key.block ~dst:key.state
 
-let mac key msg =
-  mac_into key msg;
-  Bytes.to_string key.state
-
 let mac_truncated key msg n =
   mac_into key msg;
   Bytes.sub_string key.state 0 n
@@ -108,18 +103,6 @@ let encrypt_staged key =
          (Char.code (Bytes.unsafe_get key.block j) lxor Char.code (String.unsafe_get key.k1 j)))
   done;
   Aes128.encrypt_into key.aes ~src:key.block ~dst:key.state
-
-let verify_staged_string key ~tag =
-  let n = String.length tag in
-  if n > 16 || n = 0 then false
-  else begin
-    encrypt_staged key;
-    let diff = ref 0 in
-    for i = 0 to n - 1 do
-      diff := !diff lor (Char.code (String.unsafe_get tag i) lxor Char.code (Bytes.unsafe_get key.state i))
-    done;
-    !diff = 0
-  end
 
 let verify_staged_bytes key ~buf ~off ~len =
   if len > 16 || len = 0 || off < 0 || off + len > Bytes.length buf then false

@@ -8,9 +8,6 @@ val of_string : string -> key
 (** [of_string k] prepares a CMAC key from a 16-byte AES key (subkey
     derivation included). Raises [Invalid_argument] on other lengths. *)
 
-val mac : key -> string -> string
-(** [mac key msg] returns the full 16-byte tag. *)
-
 val mac_truncated : key -> string -> int -> string
 (** [mac_truncated key msg n] returns the first [n] bytes of the tag. *)
 
@@ -32,13 +29,9 @@ val stage : key -> Bytes.t
     call one of the staged operations below. Contents are clobbered by every
     CMAC operation on this key. *)
 
-val verify_staged_string : key -> tag:string -> bool
-(** Constant-time tag check of the staged block against a string tag of
-    1-16 bytes. *)
-
 val verify_staged_bytes : key -> buf:Bytes.t -> off:int -> len:int -> bool
-(** Same, against [len] tag bytes at [off] in [buf] (e.g. the MAC field of
-    an encoded packet). *)
+(** Constant-time check of the staged block's tag against [len] (1-16) tag
+    bytes at [off] in [buf] (e.g. the MAC field of an encoded packet). *)
 
 val mac_staged_into : key -> dst:Bytes.t -> off:int -> len:int -> unit
 (** CMAC the staged block and write the first [len] tag bytes at [off] in

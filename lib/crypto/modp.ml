@@ -229,18 +229,6 @@ let of_limbs16_any l =
 
 let of_bignum x = of_limbs16_any (Bignum.limbs x)
 
-let to_bignum (x : felem) =
-  (* inverse repacking: radix 24 -> radix 16 *)
-  let l = Array.make 16 0 in
-  for i = 0 to 15 do
-    let bit = 16 * i in
-    let limb = bit / dbits and sh = bit mod dbits in
-    let v = x.(limb) lsr sh in
-    let v = if sh > dbits - 16 && limb + 1 < dlimbs then v lor (x.(limb + 1) lsl (dbits - sh)) else v in
-    l.(i) <- v land 0xFFFF
-  done;
-  Bignum.of_limbs l
-
 let of_int v =
   assert (v >= 0);
   of_bignum (Bignum.of_int v)
@@ -249,7 +237,7 @@ let of_int v =
 
 (* Fold the base-2^16 limbs of [t] above position 16 back into the low half
    using 2^256 === c + 1 (mod p - 1), repeating until the top clears, then
-   conditionally subtract. Replaces the bit-by-bit Bignum.divmod on the
+   conditionally subtract. Replaces the bit-by-bit Bignum.modulo on the
    Schnorr signing/verification path, where every challenge and every
    s-component needs an exponent-field reduction. A wide (e.g. 32-limb)
    tail folds limb-wise — limb h at position 16 + i contributes h*978 at

@@ -3,7 +3,7 @@
     pseudo-Mersenne form allows multiplication-free reduction). This is the
     group in which {!Schnorr} signatures live; signing and verification are
     frequent (every PCB AS entry is signed and re-verified at each hop), so
-    the generic {!Bignum.modpow} would be too slow. *)
+    generic square-and-multiply over {!Bignum.modulo} would be too slow. *)
 
 type felem
 (** A field element, always fully reduced (< p). *)
@@ -11,10 +11,6 @@ type felem
 val p : Bignum.t
 val zero : felem
 val one : felem
-val of_bignum : Bignum.t -> felem
-(** Reduces modulo p. *)
-
-val to_bignum : felem -> Bignum.t
 val of_int : int -> felem
 val equal : felem -> felem -> bool
 val add : felem -> felem -> felem

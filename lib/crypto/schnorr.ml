@@ -204,4 +204,3 @@ let verify_batch items =
 
 let public_to_string = Modp.to_bytes
 let public_of_string = Modp.of_bytes
-let fingerprint pub = Scion_util.Hex.short ~n:12 (Sha256.digest (Modp.to_bytes pub))

@@ -42,8 +42,3 @@ val public_to_string : public_key -> string
 (** 32-byte encoding, suitable for embedding in certificates. *)
 
 val public_of_string : string -> public_key option
-val fingerprint : public_key -> string
-(** Short hex fingerprint for logs and subject key identifiers. *)
-
-val signature_size : int
-(** 64 bytes. *)

@@ -132,4 +132,3 @@ let digest msg =
   update ctx msg;
   finalize ctx
 
-let hexdigest msg = Scion_util.Hex.encode (digest msg)

@@ -5,9 +5,6 @@
 val digest : string -> string
 (** [digest msg] returns the 32-byte binary digest of [msg]. *)
 
-val hexdigest : string -> string
-(** Lower-case hex of [digest]. *)
-
 type ctx
 (** Streaming interface for incremental hashing. *)
 

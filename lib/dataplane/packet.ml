@@ -2,15 +2,6 @@ module Rw = Scion_util.Rw
 
 type host = Ipv4 of Scion_addr.Ipv4.t | Service of int
 
-let svc_cs = 0x0002
-let svc_ds = 0x0001
-
-let host_equal a b =
-  match (a, b) with
-  | Ipv4 x, Ipv4 y -> Scion_addr.Ipv4.equal x y
-  | Service x, Service y -> x = y
-  | Ipv4 _, Service _ | Service _, Ipv4 _ -> false
-
 type proto = Udp | Scmp | Bfd
 
 let proto_to_int = function Udp -> 17 | Scmp -> 202 | Bfd -> 203
@@ -212,7 +203,6 @@ module View = struct
     match of_string s with
     | v -> Ok v
     | exception Malformed reason -> Error reason
-  let contents v = Bytes.to_string v.buf
   let to_packet v = decode (Bytes.to_string v.buf)
   let has_path v = v.nsegs > 0
 

@@ -7,15 +7,7 @@
 
 type host = Ipv4 of Scion_addr.Ipv4.t | Service of int
 (** End-host address within an AS: a concrete IPv4 address or a well-known
-    anycast service (see {!svc_cs}, {!svc_ds}). *)
-
-val svc_cs : int
-(** Control-service anycast address. *)
-
-val svc_ds : int
-(** Discovery-service anycast address. *)
-
-val host_equal : host -> host -> bool
+    anycast service number. *)
 
 type proto = Udp | Scmp | Bfd
 (** L4 protocols carried in this reproduction. *)
@@ -62,7 +54,7 @@ val reply_skeleton : t -> payload:string -> t
     segment identifier, so a border router can process the encoded buffer
     in place instead of decode / mutate / re-encode. All accessors are
     allocation-free; validation happens once, when the view is built. The buffer is
-    the single source of truth: [to_packet]/[contents] at any point yield
+    the single source of truth: [to_packet]/[buffer] at any point yield
     exactly what an on-wire observer would see. *)
 module View : sig
   type view
@@ -84,9 +76,6 @@ module View : sig
 
   val to_packet : view -> t
   (** Full decode of the current buffer state (delivery path). *)
-
-  val contents : view -> string
-  (** The current wire bytes. *)
 
   val has_path : view -> bool
   (** [false] for an empty (intra-AS) path. All path accessors below must

@@ -21,7 +21,6 @@ let max_exp_time = 255
 let mac_len = 6
 let max_seg_hops = 63
 
-let seg_lens t = Array.copy t.lens
 
 let create segments =
   let n = List.length segments in
@@ -82,11 +81,6 @@ let stage_mac_fields key ~seg_id ~timestamp ~exp_time ~cons_ingress ~cons_egress
   Bytes.unsafe_set b 13 (Char.unsafe_chr (cons_egress land 0xFF));
   Bytes.unsafe_set b 14 '\x00';
   Bytes.unsafe_set b 15 '\x00'
-
-let verify_mac key ~seg_id ~timestamp hop =
-  stage_mac_fields key ~seg_id ~timestamp:(Int32.to_int timestamp) ~exp_time:hop.exp_time
-    ~cons_ingress:hop.cons_ingress ~cons_egress:hop.cons_egress;
-  Scion_crypto.Cmac.verify_staged_string key ~tag:hop.mac
 
 let compute_mac key ~seg_id ~timestamp hop =
   stage_mac_fields key ~seg_id ~timestamp:(Int32.to_int timestamp) ~exp_time:hop.exp_time
@@ -161,16 +155,12 @@ let decode s =
     { curr_inf; curr_hf; infos; hops; lens = Array.sub lens 0 nsegs }
   with Rw.Truncated -> malformed "truncated path"
 
-let encoded_length t = 4 + (8 * Array.length t.infos) + (12 * Array.length t.hops)
-
 let seg_start t inf =
   let start = ref 0 in
   for i = 0 to inf - 1 do
     start := !start + t.lens.(i)
   done;
   !start
-
-let num_hops t = Array.length t.hops
 
 let reverse t =
   let nsegs = Array.length t.infos in

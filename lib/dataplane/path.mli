@@ -34,9 +34,6 @@ type t = {
 (** Decoded standard path. [infos] has 1-3 entries; [lens] gives the number
     of hop fields per segment. The [hops] array is flat: segment 0 first. *)
 
-val seg_lens : t -> int array
-(** Number of hop fields per segment — encoded in the path meta header. *)
-
 exception Malformed of string
 
 val create : (info * hop list) list -> t
@@ -74,19 +71,12 @@ val stage_mac_fields :
     unsigned 32-bit int) so the packet-view fast path can verify hops read
     directly out of a wire buffer. *)
 
-val verify_mac : Scion_crypto.Cmac.key -> seg_id:int -> timestamp:int32 -> hop -> bool
-(** Allocation-free check of [hop.mac]: stages the input block and compares
-    the truncated tag in place (one AES call, no intermediate strings). *)
-
 val chain_seg_id : seg_id:int -> mac:string -> int
 (** [beta xor mac[0..1]]. *)
 
 val encode : t -> string
 val decode : string -> t
 (** Raises [Malformed]. *)
-
-val encoded_length : t -> int
-val num_hops : t -> int
 
 val reverse : t -> t
 (** The path as seen by the replying end host: segments and hops in reverse

@@ -21,8 +21,6 @@ val sign_topology :
   signer:Scion_crypto.Schnorr.private_key ->
   topology_file
 
-val verify_topology : topology_file -> key:Scion_crypto.Schnorr.public_key -> bool
-
 (** A bootstrapping server: topology plus the TRCs of the local ISD. *)
 type server = {
   endpoint : Scion_addr.Ipv4.endpoint;
@@ -88,7 +86,3 @@ val run_with_retry :
     mid-blackout is found); permanent errors abort at once. On success the
     accumulated backoff wait is folded into [timing.total_ms] — recovery
     time is visible in the bootstrap timing, nothing sleeps. *)
-
-(* scion-lint: rng-stream bootstrap -- the latency model draws from the bootstrap stream *)
-val hint_latency_ms : rng:Scion_util.Rng.t -> os:os -> Hints.mechanism -> float
-(** The latency model itself, exposed for the Figure 4 experiment. *)

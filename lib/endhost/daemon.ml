@@ -19,8 +19,6 @@ type t = {
   revoked : (string, float) Hashtbl.t;  (** "ia#ifid" -> active until *)
   poisoned : (string, float) Hashtbl.t;  (** path fingerprint -> active until *)
   trcs : (int, Scion_cppki.Trc.t) Hashtbl.t;
-  mutable hit_count : int;
-  mutable miss_count : int;
   mutable revocation_count : int;
   mutable poisoned_count : int;
   mutable evicted_count : int;
@@ -54,8 +52,6 @@ let create ~ia ~fetch ?(cache_ttl = 300.0) ?(expiry_margin = 60.0) ?(revocation_
     revoked = Hashtbl.create 8;
     poisoned = Hashtbl.create 8;
     trcs = Hashtbl.create 4;
-    hit_count = 0;
-    miss_count = 0;
     revocation_count = 0;
     poisoned_count = 0;
     evicted_count = 0;
@@ -115,7 +111,6 @@ let usable t ~now paths =
 
 let lookup t ~now ~dst =
   let refresh () =
-    t.miss_count <- t.miss_count + 1;
     (match t.obs with None -> () | Some o -> M.inc o.o_misses);
     let paths = fetch_paths t ~dst in
     Hashtbl.replace t.cache dst { paths; fetched_at = now };
@@ -126,15 +121,9 @@ let lookup t ~now ~dst =
       match usable t ~now entry.paths with
       | [] -> refresh ()
       | live ->
-          t.hit_count <- t.hit_count + 1;
           (match t.obs with None -> () | Some o -> M.inc o.o_hits);
           (live, From_cache))
   | Some _ | None -> refresh ()
-
-let flush t = Hashtbl.reset t.cache
-let cache_entries t = Hashtbl.length t.cache
-let hits t = t.hit_count
-let misses t = t.miss_count
 
 (* Learn that (ia, ifid) is dead: remember the revocation, evict every
    cached path crossing the interface, and eagerly re-fetch destinations

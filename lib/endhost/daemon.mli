@@ -59,11 +59,6 @@ val handle_scmp :
     that path is revoked by fingerprint instead. Destinations left with no
     cached path are re-fetched eagerly. *)
 
-val flush : t -> unit
-val cache_entries : t -> int
-val hits : t -> int
-val misses : t -> int
-
 val revocations : t -> int
 (** Interface revocations learnt via {!handle_scmp} (including
     re-announcements). *)

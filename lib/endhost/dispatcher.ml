@@ -1,9 +1,6 @@
-type t = {
-  table : (int, string) Hashtbl.t;
-  mutable dispatched : int;
-}
+type t = { table : (int, string) Hashtbl.t }
 
-let create () = { table = Hashtbl.create 16; dispatched = 0 }
+let create () = { table = Hashtbl.create 16 }
 
 let register t ~port ~app =
   match Hashtbl.find_opt t.table port with
@@ -11,9 +8,6 @@ let register t ~port ~app =
   | None ->
       Hashtbl.replace t.table port app;
       Ok ()
-
-let unregister t ~port = Hashtbl.remove t.table port
-let registered t = Hashtbl.length t.table
 
 type delivery = Delivered of string | No_listener
 
@@ -27,13 +21,10 @@ let overhead_touch payload =
   !acc
 
 let dispatch t ~dst_port ~payload =
-  t.dispatched <- t.dispatched + 1;
   let _checksum = overhead_touch payload in
   match Hashtbl.find_opt t.table dst_port with
   | Some _app -> Delivered (String.sub payload 0 (String.length payload)) (* UDS copy *)
   | None -> No_listener
-
-let packets_dispatched t = t.dispatched
 
 module Direct = struct
   type socket = { port : int }

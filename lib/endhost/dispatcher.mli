@@ -9,7 +9,7 @@
 
     This module implements both data paths so the ablation benchmark can
     quantify the difference the paper describes:
-    - {!t}: the dispatcher's demux table and per-packet bookkeeping;
+    - {!t}: the dispatcher's demux table and per-packet overhead;
     - {!Direct}: the dispatcherless path (per-app socket, a table lookup
       the kernel does, modelled as a no-overhead delivery);
     - {!model_throughput}: the RSS scaling model — dispatcherd traffic is
@@ -22,16 +22,11 @@ val create : unit -> t
 val register : t -> port:int -> app:string -> (unit, string) result
 (** Claim a UDP port for an application (errors on conflicts). *)
 
-val unregister : t -> port:int -> unit
-val registered : t -> int
-
 type delivery = Delivered of string | No_listener
 
 val dispatch : t -> dst_port:int -> payload:string -> delivery
 (** The dispatcher data path: demux-table lookup plus per-packet overhead
     (header re-parse + UDS copy, modelled as real work on the payload). *)
-
-val packets_dispatched : t -> int
 
 module Direct : sig
   type socket

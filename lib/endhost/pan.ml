@@ -190,7 +190,6 @@ module Conn = struct
     match t.ranked with p :: _ -> p | [] -> invalid_arg "Conn: no paths left"
 
   let candidates t = List.length t.ranked
-  let dead_candidates t = List.length t.dead
 
   let rank_of t (p : Combinator.fullpath) =
     Scion_util.Table.find_or ~default:max_int t.rank p.Combinator.fingerprint

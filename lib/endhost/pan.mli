@@ -109,9 +109,6 @@ module Conn : sig
   val current_path : t -> Combinator.fullpath
   val candidates : t -> int
 
-  val dead_candidates : t -> int
-  (** Paths currently parked awaiting their re-probe timer. *)
-
   val send : ?now:float -> t -> payload:string -> send_outcome
   (** On failure, fails over to the next candidate path (if any) and
       retries, so a single link failure does not surface to the caller —

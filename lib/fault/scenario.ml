@@ -54,9 +54,6 @@ let outage ~link ~from_s ~to_s = span "outage" ~from_s ~to_s (Link_down link) (L
 let burst ~link ~from_s ~to_s ~loss =
   span "burst" ~from_s ~to_s (Loss_burst { link; loss }) (Loss_burst { link; loss = 0.0 })
 
-let partition ~node ~from_s ~to_s = span "partition" ~from_s ~to_s (Node_down node) (Node_up node)
-let blackout ~from_s ~to_s = span "blackout" ~from_s ~to_s Control_down Control_up
-
 let control_up events =
   List.fold_left
     (fun up (e : event) ->

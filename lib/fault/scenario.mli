@@ -54,13 +54,6 @@ val burst : link:Netsim.Net.link_id -> from_s:float -> to_s:float -> loss:float 
 (** Loss burst window: add [loss] per-traversal probability during
     [\[from_s, to_s)]. *)
 
-val partition : node:Netsim.Net.node -> from_s:float -> to_s:float -> t
-(** Node outage window: all links incident to [node] go down at [from_s]
-    and come back at [to_s]. *)
-
-val blackout : from_s:float -> to_s:float -> t
-(** Control-service blackout window. *)
-
 val control_up : event list -> bool
 (** Whether the control service is up after the given events: the last
     [Control_*] op wins, and with none it is up. Pass the fired prefix of

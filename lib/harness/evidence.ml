@@ -244,8 +244,8 @@ let fig5 make =
         ("ip_median_ms", r.ip_median);
         ("scion_p90_ms", r.scion_p90);
         ("ip_p90_ms", r.ip_p90);
-        ("kept_scion_pings", float_of_int (Array.length r.scion_rtts));
-        ("kept_ip_pings", float_of_int (Array.length r.ip_rtts));
+        ("kept_scion_pings", float_of_int r.dataset.Sciera.Multiping.scion_pings);
+        ("kept_ip_pings", float_of_int r.dataset.Sciera.Multiping.ip_pings);
       ]
     (fun () -> print_fig5 r)
 

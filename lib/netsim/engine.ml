@@ -9,13 +9,6 @@ type t = {
   mutable clock : float;
   mutable next_seq : int;
   mutable processed : int;
-  (* Observers are prepended here in O(1) and normalised into
-     [observers] (registration order) once, at the first step after a
-     registration — appending with [@] per registration is O(n^2) across
-     a fleet of monitors. *)
-  mutable observers_rev : (time:float -> pending:int -> unit) list;
-  mutable observers : (time:float -> pending:int -> unit) array;
-  mutable observers_stale : bool;
 }
 
 let create ?(start = 0.0) () =
@@ -25,9 +18,6 @@ let create ?(start = 0.0) () =
     clock = start;
     next_seq = 0;
     processed = 0;
-    observers_rev = [];
-    observers = [||];
-    observers_stale = false;
   }
 
 let now t = t.clock
@@ -90,22 +80,7 @@ let schedule_at t ~time action =
   t.next_seq <- seq + 1;
   push t { time; seq; action }
 
-let schedule t ~after action =
-  if after < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~time:(t.clock +. after) action
-
-let on_event t f =
-  t.observers_rev <- f :: t.observers_rev;
-  t.observers_stale <- true
-
 let events_processed t = t.processed
-
-let observer_array t =
-  if t.observers_stale then begin
-    t.observers <- Array.of_list (List.rev t.observers_rev);
-    t.observers_stale <- false
-  end;
-  t.observers
 
 let step t =
   if t.size = 0 then false
@@ -114,7 +89,6 @@ let step t =
     t.clock <- ev.time;
     ev.action ();
     t.processed <- t.processed + 1;
-    Array.iter (fun f -> f ~time:ev.time ~pending:t.size) (observer_array t);
     true
   end
 

@@ -7,12 +7,9 @@ type t
 
 val create : ?start:float -> unit -> t
 val now : t -> float
-val schedule : t -> after:float -> (unit -> unit) -> unit
-(** [schedule t ~after f] runs [f] at [now t +. after]. [after] must be
-    non-negative. *)
-
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
-(** Absolute-time variant; [time] must not be in the past. *)
+(** [schedule_at t ~time f] runs [f] at simulated [time], which must not be
+    in the past. *)
 
 val run : ?until:float -> t -> unit
 (** Process events in order until the queue drains or simulated time would
@@ -24,9 +21,3 @@ val step : t -> bool
 
 val events_processed : t -> int
 (** Total events executed since [create]. *)
-
-val on_event : t -> (time:float -> pending:int -> unit) -> unit
-(** Register an observer called after every processed event with the event's
-    simulated time and the remaining queue depth. Observers run in
-    registration order and must not raise; telemetry hooks attach here so
-    the engine itself stays free of any telemetry dependency. *)

@@ -51,7 +51,6 @@ type link_event =
 
 type t = {
   rng : Rng.t;
-  mutable names : string array;
   name_index : (string, node) Hashtbl.t;
   mutable nodes : int;
   mutable links : link array;
@@ -72,7 +71,6 @@ type t = {
 let create ~rng =
   {
     rng;
-    names = Array.make 16 "";
     name_index = Hashtbl.create 64;
     nodes = 0;
     links = [||];
@@ -92,10 +90,6 @@ let add_monitor t f =
   t.monitors_rev <- f :: t.monitors_rev;
   t.monitors_stale <- true
 
-let clear_monitor t =
-  t.monitors_rev <- [];
-  t.monitors_stale <- true
-
 let monitor_array t =
   if t.monitors_stale then begin
     t.monitors <- Array.of_list (List.rev t.monitors_rev);
@@ -108,10 +102,7 @@ let notify t ev = Array.iter (fun f -> f ev) (monitor_array t)
 let add_node t name =
   if Hashtbl.mem t.name_index name then
     invalid_arg (Printf.sprintf "Net.add_node: duplicate node %S" name);
-  if t.nodes = Array.length t.names then begin
-    let names = Array.make (2 * t.nodes) "" in
-    Array.blit t.names 0 names 0 t.nodes;
-    t.names <- names;
+  if t.nodes = Array.length t.adj then begin
     let adj = Array.make (2 * t.nodes) [||] in
     Array.blit t.adj 0 adj 0 t.nodes;
     t.adj <- adj;
@@ -120,18 +111,11 @@ let add_node t name =
     t.adj_len <- adj_len
   end;
   let id = t.nodes in
-  t.names.(id) <- name;
   t.nodes <- id + 1;
   Hashtbl.replace t.name_index name id;
   id
 
 let node_of_name t name = Hashtbl.find_opt t.name_index name
-
-let name_of_node t n =
-  if n < 0 || n >= t.nodes then invalid_arg "Net.name_of_node: bad node id";
-  t.names.(n)
-
-let num_nodes t = t.nodes
 
 (* Parameter validation: a NaN or negative latency silently corrupts every
    RTT sample drawn over the link, and an out-of-range loss either never or
@@ -242,8 +226,6 @@ let set_capacity t id ~bps ~queue_pkts =
 let capacity t id =
   match (get t id).cap with None -> None | Some c -> Some (c.cap_bps, c.q_limit)
 
-let clear_capacity t id = (get t id).cap <- None
-
 (* Direction resolution shared by the fluid/queue accessors: [from] names
    the sending endpoint, so state is per transmit direction. *)
 let dir_ab name l from =
@@ -268,12 +250,6 @@ let fluid_load t id ~from =
   match l.cap with
   | None -> 0.0
   | Some c -> if dir_ab "Net.fluid_load" l from then c.fluid_ab else c.fluid_ba
-
-let queue_depth t id ~from =
-  let l = get t id in
-  match l.cap with
-  | None -> 0
-  | Some c -> if dir_ab "Net.queue_depth" l from then c.q_ab else c.q_ba
 
 let utilisation t id ~from =
   let l = get t id in

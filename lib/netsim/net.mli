@@ -25,8 +25,6 @@ val add_node : t -> string -> node
 (** Raises [Invalid_argument] on duplicate names. *)
 
 val node_of_name : t -> string -> node option
-val name_of_node : t -> node -> string
-val num_nodes : t -> int
 
 type link_params = {
   latency_ms : float;  (** One-way propagation delay. *)
@@ -82,9 +80,6 @@ val set_capacity : t -> link_id -> bps:float -> queue_pkts:int -> unit
 val capacity : t -> link_id -> (float * int) option
 (** [(bps, queue_pkts)] when armed. *)
 
-val clear_capacity : t -> link_id -> unit
-(** Return the link to the legacy latency/loss-only model. *)
-
 val set_fluid_load : t -> link_id -> from:node -> bps:float -> unit
 (** Declare the aggregate fluid (flow-level) load crossing the link in the
     direction leaving [from]. The packet path serialises over what the
@@ -95,10 +90,6 @@ val set_fluid_load : t -> link_id -> from:node -> bps:float -> unit
 
 val fluid_load : t -> link_id -> from:node -> float
 (** Current fluid load in bps leaving [from]; [0.] when unarmed. *)
-
-val queue_depth : t -> link_id -> from:node -> int
-(** Packets currently queued/serialising in the direction leaving [from];
-    [0] when unarmed. *)
 
 val utilisation : t -> link_id -> from:node -> float
 (** Fluid load as a fraction of capacity, clamped to [\[0, 1\]]; [0.] when
@@ -148,8 +139,6 @@ val add_monitor : t -> (link_event -> unit) -> unit
 (** Register an additional monitor without displacing existing ones.
     Monitors run in registration order. Registration is O(1); the
     fan-out array is rebuilt lazily at the next event. *)
-
-val clear_monitor : t -> unit
 
 val transmit :
   t ->

@@ -37,11 +37,4 @@ let find t ~dst ~fingerprint =
 let peek t ~dst ~fingerprint =
   Option.bind (Hashtbl.find_opt t.by_dst dst) (fun table -> Hashtbl.find_opt table fingerprint)
 
-let destinations t = Table.sorted_keys t.by_dst
 
-let paths t ~dst =
-  match Hashtbl.find_opt t.by_dst dst with
-  | None -> []
-  | Some table -> Table.sorted_keys table
-
-let size t = Table.fold_sorted (fun _ table acc -> acc + Hashtbl.length table) t.by_dst 0

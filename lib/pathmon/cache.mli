@@ -28,12 +28,3 @@ val find : t -> dst:string -> fingerprint:string -> Estimator.t
 
 val peek : t -> dst:string -> fingerprint:string -> Estimator.t option
 (** Like {!find} but never creates. *)
-
-val destinations : t -> string list
-(** Destinations with at least one estimator, ascending. *)
-
-val paths : t -> dst:string -> string list
-(** Fingerprints cached for [dst], ascending; [[]] for unknown [dst]. *)
-
-val size : t -> int
-(** Total estimators held across all destinations. *)

@@ -41,7 +41,6 @@ type t = {
   mutable window_next : int;
   mutable window_filled : int;
   mutable probe_count : int;
-  mutable loss_count : int;
   (* Optional bandwidth signal (queue/utilisation along the path), EWMA
      smoothed with the same gain as the RTT — absent until the first
      [observe_bandwidth]. *)
@@ -76,7 +75,6 @@ let create ?metrics ?(labels = []) ?(config = default_config) () =
     window_next = 0;
     window_filled = 0;
     probe_count = 0;
-    loss_count = 0;
     util = 0.0;
     queue_ms = 0.0;
     bw_count = 0;
@@ -102,7 +100,6 @@ let observe t outcome =
   t.probe_count <- t.probe_count + 1;
   (match outcome with
   | `Lost ->
-      t.loss_count <- t.loss_count + 1;
       push_window t true;
       (match t.obs with None -> () | Some o -> M.inc o.o_lost)
   | `Rtt ms ->
@@ -152,8 +149,6 @@ let observe_bandwidth t ~utilisation ~queue_delay_ms =
 
 let utilisation t = t.util
 let queue_delay_ms t = t.queue_ms
-let bandwidth_samples t = t.bw_count
 let rtt_ewma_ms t = t.srtt_ms
 let rtt_deviation_ms t = t.dev_ms
 let probes t = t.probe_count
-let losses t = t.loss_count

@@ -24,11 +24,6 @@ type config = {
 val default_config : config
 (** alpha 1/4, beta 1/8 (the TCP SRTT constants), 16-probe loss window. *)
 
-val make_config :
-  ?rtt_alpha:float -> ?dev_beta:float -> ?loss_window:int -> unit -> config
-(** {!default_config} with overrides. Raises [Invalid_argument] on gains
-    outside (0, 1] or a non-positive window. *)
-
 type t
 
 val create :
@@ -69,11 +64,5 @@ val utilisation : t -> float
 val queue_delay_ms : t -> float
 (** Smoothed path queueing delay; [0.] before any bandwidth sample. *)
 
-val bandwidth_samples : t -> int
-(** Bandwidth signal samples observed so far. *)
-
 val probes : t -> int
 (** Total outcomes observed (successes and losses). *)
-
-val losses : t -> int
-(** Total [`Lost] outcomes observed (not windowed). *)

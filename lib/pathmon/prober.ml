@@ -18,7 +18,6 @@ type t = {
   rng : Rng.t;
   probe : fingerprint:string -> [ `Rtt of float | `Lost ];
   targets : (string, target) Hashtbl.t;
-  mutable tick_count : int;
   mutable probe_count : int;
   obs : obs option;
 }
@@ -51,19 +50,12 @@ let create ?metrics ?(labels = []) ?(interval_ms = 50.0) ?(jitter = 0.1) ?backof
     rng;
     probe;
     targets = Hashtbl.create 16;
-    tick_count = 0;
     probe_count = 0;
     obs;
   }
 
 let watch t ~fingerprint ~estimator =
   Hashtbl.replace t.targets fingerprint { estimator; consecutive_losses = 0; due_s = 0.0 }
-
-let unwatch t ~fingerprint = Hashtbl.remove t.targets fingerprint
-let watched t = Table.sorted_keys t.targets
-
-let estimator t ~fingerprint =
-  Option.map (fun tgt -> tgt.estimator) (Hashtbl.find_opt t.targets fingerprint)
 
 (* One jittered healthy-path interval, in simulated seconds. *)
 let healthy_gap_s t =
@@ -91,7 +83,6 @@ let probe_target t fingerprint tgt ~now_s =
   tgt.due_s <- now_s +. gap_s
 
 let tick t ~now_s =
-  t.tick_count <- t.tick_count + 1;
   (match t.obs with None -> () | Some o -> M.inc o.o_ticks);
   Table.fold_sorted
     (fun fingerprint tgt probed ->
@@ -120,5 +111,4 @@ let attach t ~engine ~until_s =
   in
   arm ()
 
-let ticks t = t.tick_count
 let probes_sent t = t.probe_count

@@ -43,14 +43,6 @@ val watch : t -> fingerprint:string -> estimator:Estimator.t -> unit
     Re-watching an already-watched fingerprint swaps in the new estimator
     and resets its pacing. *)
 
-val unwatch : t -> fingerprint:string -> unit
-(** Remove a path from the rotation; unknown fingerprints are ignored. *)
-
-val watched : t -> string list
-(** Watched fingerprints in ascending order. *)
-
-val estimator : t -> fingerprint:string -> Estimator.t option
-
 val tick : t -> now_s:float -> int
 (** Probe every watched path due at or before [now_s] (simulated seconds)
     and reschedule each; returns how many paths were probed. Exposed so
@@ -66,9 +58,6 @@ val attach : t -> engine:Netsim.Engine.t -> until_s:float -> unit
     [engine], starting one interval from [Netsim.Engine.now engine] and
     stopping once the next tick would land after [until_s]. Without the
     bound the engine's queue would never drain. *)
-
-val ticks : t -> int
-(** Ticks executed so far (via {!tick} or the attached timer). *)
 
 val probes_sent : t -> int
 (** Total probes issued across all watched paths. *)

@@ -80,8 +80,6 @@ type t = {
   config : config;
   mutable challenger : string option;  (** Candidate currently winning the hold count. *)
   mutable streak : int;
-  mutable switches : int;
-  mutable returns : int;
   obs : obs option;
 }
 
@@ -102,7 +100,7 @@ let create ?metrics ?(labels = []) ?(config = default_config) () =
         })
       metrics
   in
-  { config; challenger = None; streak = 0; switches = 0; returns = 0; obs }
+  { config; challenger = None; streak = 0; obs }
 
 (* The deterministic "best" candidate: lowest score, ties towards the lower
    static latency then the lexicographically smaller fingerprint. *)
@@ -138,14 +136,11 @@ let preferred_static candidates =
         first rest
 
 let record_switch t ~to_fp ~candidates =
-  t.switches <- t.switches + 1;
-  let is_return = String.equal (preferred_static candidates).fingerprint to_fp in
-  if is_return then t.returns <- t.returns + 1;
   match t.obs with
   | None -> ()
   | Some o ->
       M.inc o.o_switches;
-      if is_return then M.inc o.o_returns
+      if String.equal (preferred_static candidates).fingerprint to_fp then M.inc o.o_returns
 
 let choose t ~candidates ~active =
   let config = t.config in
@@ -201,5 +196,3 @@ let choose t ~candidates ~active =
   | Some o -> M.set o.o_active_score (score config decided));
   decided.fingerprint
 
-let switches t = t.switches
-let returns t = t.returns

@@ -96,10 +96,3 @@ val choose : t -> candidates:candidate list -> active:string -> string
     smaller static latency, then the smaller fingerprint, so the decision
     is deterministic. Raises [Invalid_argument] on an empty candidate
     list. *)
-
-val switches : t -> int
-(** Soft switches decided so far (including returns). *)
-
-val returns : t -> int
-(** The subset of switches that moved back onto the statically-preferred
-    candidate — the "recovered" direction of the hysteresis loop. *)

@@ -6,8 +6,6 @@
     registries serialise byte-identically, so experiment telemetry can be
     diffed and checked in. *)
 
-val schema : string
-
 val to_json : Metrics.registry -> string
 (** Serialise a snapshot of the registry. *)
 

@@ -82,7 +82,6 @@ let add c n =
   if n < 0 then invalid_arg "Metrics.add: negative increment";
   c.count <- c.count + n
 
-let counter_value c = c.count
 
 let gauge t ?(labels = []) name =
   register t ~name ~labels
@@ -145,11 +144,6 @@ let record s v =
   s.n <- s.n + 1;
   s.s_sum <- s.s_sum +. v
 
-let summary_count s = s.n
-
-let quantile s p =
-  if s.n = 0 then None else Some (Stats.percentile (Array.sub s.samples 0 s.n) p)
-
 (* --- Snapshots --- *)
 
 type value =
@@ -197,6 +191,3 @@ let snapshot t =
     (Table.fold_sorted ~cmp:compare_keys
        (fun (name, labels) m acc -> { sample_name = name; sample_labels = labels; value = read m } :: acc)
        t.table [])
-
-let find t ?(labels = []) name =
-  Option.map read (Hashtbl.find_opt t.table (name, normalize_labels labels))

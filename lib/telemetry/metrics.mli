@@ -33,8 +33,6 @@ val inc : counter -> unit
 val add : counter -> int -> unit
 (** Raises [Invalid_argument] on a negative increment. *)
 
-val counter_value : counter -> int
-
 (** {1 Gauges} — last-written float values. *)
 
 type gauge
@@ -53,18 +51,14 @@ val histogram : registry -> ?labels:labels -> buckets:float list -> string -> hi
 
 val observe : histogram -> float -> unit
 
-(** {1 Quantile summaries} — keep every sample, answer percentiles. *)
+(** {1 Quantile summaries} — keep every sample; snapshots export the 50th,
+    90th and 99th percentiles, computed exactly as
+    {!Scion_util.Stats.percentile}. *)
 
 type summary
 
 val summary : registry -> ?labels:labels -> string -> summary
 val record : summary -> float -> unit
-val summary_count : summary -> int
-
-val quantile : summary -> float -> float option
-(** [quantile s p] is the [p]-th percentile ([0..100]) of everything
-    recorded so far, computed exactly as {!Scion_util.Stats.percentile};
-    [None] when nothing has been recorded. *)
 
 (** {1 Snapshots} *)
 
@@ -89,6 +83,3 @@ type sample = { sample_name : string; sample_labels : labels; value : value }
 val snapshot : registry -> sample list
 (** Point-in-time copy of every series, in ascending (name, labels) order.
     Deterministic for deterministic instrumentation. *)
-
-val find : registry -> ?labels:labels -> string -> value option
-(** Read one series without registering it. *)

@@ -1,7 +1,7 @@
-(* Trace spans and structured events, timestamped by the caller (simulated
-   clock), serialised as JSONL. Records carry a monotonically increasing
-   sequence number assigned at creation so the chronological order of a run
-   is reconstructible even when many records share one simulated instant. *)
+(* Trace spans, timestamped by the caller (simulated clock), serialised as
+   JSONL. Records carry a monotonically increasing sequence number assigned
+   at creation so the chronological order of a run is reconstructible even
+   when many records share one simulated instant. *)
 
 type value = Str of string | Int of int | Float of float | Bool of bool
 
@@ -9,7 +9,7 @@ type record = {
   seq : int;
   name : string;
   start_time : float;
-  end_time : float option;  (* None for point events *)
+  end_time : float;
   fields : (string * value) list;
 }
 
@@ -25,12 +25,6 @@ let create () = { records = []; next_seq = 0 }
 let norm_fields fields =
   List.sort (fun (a, _) (b, _) -> String.compare a b) fields
 
-let event t ~now ?(fields = []) name =
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  t.records <-
-    { seq; name; start_time = now; end_time = None; fields = norm_fields fields } :: t.records
-
 let span t ~now name =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -45,7 +39,7 @@ let finish sp ~now ?(fields = []) () =
       seq = sp.span_seq;
       name = sp.span_name;
       start_time = sp.started;
-      end_time = Some now;
+      end_time = now;
       fields = norm_fields fields;
     }
     :: t.records
@@ -59,10 +53,9 @@ let value_to_json = function
 let record_to_json r =
   let buf = Buffer.create 96 in
   Buffer.add_string buf (Printf.sprintf "{\"seq\":%d,\"name\":\"%s\",\"t\":%s" r.seq (Json.escape r.name) (Json.float_repr r.start_time));
-  (match r.end_time with
-  | None -> ()
-  | Some te ->
-      Buffer.add_string buf (Printf.sprintf ",\"end\":%s,\"dur\":%s" (Json.float_repr te) (Json.float_repr (te -. r.start_time))));
+  Buffer.add_string buf
+    (Printf.sprintf ",\"end\":%s,\"dur\":%s" (Json.float_repr r.end_time)
+       (Json.float_repr (r.end_time -. r.start_time)));
   List.iter
     (fun (k, v) -> Buffer.add_string buf (Printf.sprintf ",\"%s\":%s" (Json.escape k) (value_to_json v)))
     r.fields;

@@ -1,4 +1,4 @@
-(** Trace spans and structured events over the simulated clock.
+(** Trace spans over the simulated clock.
 
     Callers pass [~now] explicitly (typically [Netsim.Engine.now]); the
     tracer never reads a wall clock. Each record gets a sequence number at
@@ -11,18 +11,7 @@ type t
 
 type value = Str of string | Int of int | Float of float | Bool of bool
 
-type record = {
-  seq : int;
-  name : string;
-  start_time : float;
-  end_time : float option;  (** [None] for point events *)
-  fields : (string * value) list;  (** sorted by key *)
-}
-
 val create : unit -> t
-
-val event : t -> now:float -> ?fields:(string * value) list -> string -> unit
-(** Record a point event at simulated time [now]. *)
 
 (** {1 Spans} *)
 

@@ -311,11 +311,6 @@ let depth_table t =
     t.links;
   tbl
 
-let leaf_depth t ia =
-  match Hashtbl.find_opt (depth_table t) ia with
-  | Some d -> d
-  | None -> invalid_arg (Printf.sprintf "Topogen.leaf_depth: unknown AS %s" (Ia.to_string ia))
-
 let max_depth t =
   let tbl = depth_table t in
   List.fold_left

@@ -76,10 +76,6 @@ val to_string : t -> string
     property tests compare across equal seeds. *)
 
 val core_count : t -> int
-val leaf_depth : t -> Scion_addr.Ia.t -> int
-(** Parent-link hops from the AS to its nearest core (0 for cores).
-    Raises [Invalid_argument] for an AS outside the topology. *)
-
 val max_depth : t -> int
-(** Deepest leaf — a lower bound on the beaconing rounds needed to reach
-    every AS. *)
+(** Deepest leaf, counted in parent-link hops to the nearest core — a
+    lower bound on the beaconing rounds needed to reach every AS. *)

@@ -101,7 +101,6 @@ type t = {
   total_weight : float;
   until : float;
   mutable arrivals : int;
-  mutable candidates : int;
 }
 
 (* Instantaneous contribution of each PoP at time [now]:
@@ -159,7 +158,7 @@ let attach ~engine ~rng ?(config = default_config) ~pops ~duration_s ~sink () =
   let total_weight = Array.fold_left (fun acc p -> acc +. p.weight) 0.0 pops in
   let start = Engine.now engine in
   let t =
-    { config; pops; total_weight; until = start +. duration_s; arrivals = 0; candidates = 0 }
+    { config; pops; total_weight; until = start +. duration_s; arrivals = 0 }
   in
   let peak_rate = config.base_rate_per_s *. diurnal_peak config in
   let scratch = Array.make (Array.length pops) 0.0 in
@@ -172,7 +171,6 @@ let attach ~engine ~rng ?(config = default_config) ~pops ~duration_s ~sink () =
     let time = time +. gap in
     if time <= t.until then
       Engine.schedule_at engine ~time (fun () ->
-          t.candidates <- t.candidates + 1;
           let sum = pop_weights_at t (time -. start) scratch in
           let rate = config.base_rate_per_s *. sum /. t.total_weight in
           let accept = Rng.float rng 1.0 < rate /. peak_rate in
@@ -189,4 +187,3 @@ let attach ~engine ~rng ?(config = default_config) ~pops ~duration_s ~sink () =
   t
 
 let arrivals t = t.arrivals
-let candidates t = t.candidates

@@ -62,6 +62,3 @@ val attach :
 val arrivals : t -> int
 (** Accepted arrivals delivered to the sink so far. *)
 
-val candidates : t -> int
-(** Thinning candidates examined so far (accepted + rejected) — exposed
-    for the arrival-rate statistics test. *)

@@ -19,9 +19,6 @@ val split : t -> t
 (** [split t] returns a new generator statistically independent of the
     future output of [t]. [t] itself advances. *)
 
-val next : t -> int64
-(** [next t] returns the next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] returns a uniform integer in \[0, bound). Requires
     [bound > 0]. *)
@@ -31,14 +28,12 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val gaussian : t -> mean:float -> stddev:float -> float
-(** Box-Muller normal sample. *)
-
 val exponential : t -> rate:float -> float
 (** Exponential sample with the given rate (mean [1. /. rate]). *)
 
 val lognormal : t -> mu:float -> sigma:float -> float
-(** Lognormal sample: [exp (gaussian mu sigma)]. *)
+(** Lognormal sample: [exp] of a Box-Muller normal draw with mean [mu] and
+    standard deviation [sigma]. *)
 
 val pick : t -> 'a array -> 'a
 (** [pick t arr] returns a uniformly-chosen element. Requires a non-empty

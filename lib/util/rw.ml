@@ -4,7 +4,6 @@ module Writer = struct
   type t = Buffer.t
 
   let create () = Buffer.create 64
-  let length = Buffer.length
   let u8 t v = Buffer.add_char t (Char.chr (v land 0xFF))
 
   let u16 t v =

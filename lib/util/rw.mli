@@ -8,7 +8,6 @@ module Writer : sig
   type t
 
   val create : unit -> t
-  val length : t -> int
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
   val u32 : t -> int32 -> unit

@@ -73,22 +73,6 @@ let cdf xs =
   in
   dedup !points
 
-let cdf_at c v =
-  let rec go acc = function
-    | (x, f) :: rest -> if x <= v then go f rest else acc
-    | [] -> acc
-  in
-  go 0.0 c
-
-let cdf_inverse c f =
-  assert (f > 0.0 && f <= 1.0);
-  let rec go = function
-    | [ (x, _) ] -> x
-    | (x, frac) :: rest -> if frac >= f then x else go rest
-    | [] -> invalid_arg "cdf_inverse: empty cdf"
-  in
-  go c
-
 let resample_cdf c n =
   let arr = Array.of_list c in
   let len = Array.length arr in

@@ -35,13 +35,6 @@ type cdf = (float * float) list
 val cdf : float array -> cdf
 (** Empirical CDF of the samples. *)
 
-val cdf_at : cdf -> float -> float
-(** [cdf_at c v] returns the empirical P(X <= v). *)
-
-val cdf_inverse : cdf -> float -> float
-(** [cdf_inverse c f] returns the smallest value with cumulative fraction at
-    least [f]. Requires a non-empty CDF and [0. < f <= 1.]. *)
-
 val resample_cdf : cdf -> int -> cdf
 (** [resample_cdf c n] reduces a CDF to at most [n] evenly spaced points,
     keeping the first and last; used to print compact figure series. *)

@@ -7,11 +7,8 @@
     the hash seed and insertion history, so any simulation-visible use of
     them can leak nondeterminism into event scheduling and experiment
     output. The helpers below visit the current bindings in ascending key
-    order instead; [scion-lint]'s [determinism] rule points offenders here. *)
-
-val sorted_keys : ?cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-(** [sorted_keys t] is the list of distinct keys of [t] in ascending order
-    (by [cmp], default {!Stdlib.compare}). *)
+    order (by [cmp], default {!Stdlib.compare}) instead; [scion-lint]'s
+    [determinism] rule points offenders here. *)
 
 val iter_sorted : ?cmp:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [iter_sorted f t] applies [f] to the current binding of every key of

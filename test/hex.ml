@@ -1,3 +1,5 @@
+(* Hexadecimal encoding for test vectors. *)
+
 let encode s =
   let b = Buffer.create (2 * String.length s) in
   String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
@@ -19,7 +21,3 @@ let decode s =
   if String.length s mod 2 <> 0 then invalid_arg "Hex.decode: odd digit count";
   String.init (String.length s / 2) (fun i ->
       Char.chr ((digit s.[2 * i] lsl 4) lor digit s.[(2 * i) + 1]))
-
-let short ?(n = 8) s =
-  let h = encode s in
-  if String.length h <= n then h else String.sub h 0 n

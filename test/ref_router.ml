@@ -7,6 +7,11 @@
 
 open Scion_dataplane
 
+(* The hop MAC check by recomputation, independent of the staged in-place
+   comparison the router uses. *)
+let verify_mac key ~seg_id ~timestamp (hop : Path.hop) =
+  String.equal (Path.compute_mac key ~seg_id ~timestamp hop) hop.Path.mac
+
 (* --- Decoded-path cursor ------------------------------------------------ *)
 (* The structured counterpart of the cursor [Packet.View] keeps in the
    wire buffer: [curr_inf]/[curr_hf] index the current info and hop field,
@@ -15,7 +20,7 @@ open Scion_dataplane
 let current_info (p : Path.t) = p.Path.infos.(p.Path.curr_inf)
 let current_hop (p : Path.t) = p.Path.hops.(p.Path.curr_hf)
 let set_seg_id p v = (current_info p).Path.seg_id <- v land 0xFFFF
-let at_last_hop (p : Path.t) = p.Path.curr_hf = Path.num_hops p - 1
+let at_last_hop (p : Path.t) = p.Path.curr_hf = Array.length p.Path.hops - 1
 
 let seg_start (p : Path.t) inf = Array.fold_left ( + ) 0 (Array.sub p.Path.lens 0 inf)
 let curr_is_seg_first (p : Path.t) = p.Path.curr_hf = seg_start p p.Path.curr_inf
@@ -92,17 +97,17 @@ let verify_current t ~now path =
     in
     let ts = info.Path.timestamp in
     if is_peer_hop then
-      if Path.verify_mac t.key ~seg_id:info.Path.seg_id ~timestamp:ts hop then Ok ()
+      if verify_mac t.key ~seg_id:info.Path.seg_id ~timestamp:ts hop then Ok ()
       else Error Router.Invalid_mac
     else if info.Path.cons_dir then
-      if Path.verify_mac t.key ~seg_id:info.Path.seg_id ~timestamp:ts hop then begin
+      if verify_mac t.key ~seg_id:info.Path.seg_id ~timestamp:ts hop then begin
         set_seg_id path (Path.chain_seg_id ~seg_id:info.Path.seg_id ~mac:hop.Path.mac);
         Ok ()
       end
       else Error Router.Invalid_mac
     else begin
       let beta = Path.chain_seg_id ~seg_id:info.Path.seg_id ~mac:hop.Path.mac in
-      if Path.verify_mac t.key ~seg_id:beta ~timestamp:ts hop then begin
+      if verify_mac t.key ~seg_id:beta ~timestamp:ts hop then begin
         set_seg_id path beta;
         Ok ()
       end

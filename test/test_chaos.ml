@@ -53,8 +53,8 @@ let to_scenario fabric (((shape, link), (from_q, dur_q, mag_q)) : fault_spec) =
       Scenario.flap ~link ~start_s:from_s ~count:(1 + (mag_q mod 3)) ~down_s:0.4 ~up_s:0.4 ()
   | 4 ->
       let node, _ = Netsim.Net.endpoints fabric link in
-      Scenario.partition ~node ~from_s ~to_s
-  | _ -> Scenario.blackout ~from_s ~to_s
+      Scenario.(at from_s [ Node_down node ] ++ at to_s [ Node_up node ])
+  | _ -> Scenario.(at from_s [ Control_down ] ++ at to_s [ Control_up ])
 
 let storm_horizon_s = 15.0 (* every generated fault has cleared by here *)
 

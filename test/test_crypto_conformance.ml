@@ -4,7 +4,7 @@
    Schnorr's comb-table fixed-base powers, the fold-based exponent-field
    reduction, and verify_batch's Straus multi-exponentiation — are each
    pinned against a naive reference implementation built from nothing but
-   Bignum.modpow / Bignum.modulo, so a speed regression fix can never
+   Ref_bignum.modpow / Bignum.modulo, so a speed regression fix can never
    silently change the algebra. The references deliberately restate the
    protocol (same nonce derivation, same challenge hash) instead of calling
    into lib/crypto's fast helpers. *)
@@ -17,7 +17,7 @@ let g3 = Bignum.of_int 3
 
 (* --- naive references ------------------------------------------------- *)
 
-let ref_pow b e = Bignum.modpow b e p
+let ref_pow b e = Ref_bignum.modpow b e p
 let ref_reduce_exp x = Bignum.modulo x p1
 
 (* Reference private scalar for Schnorr.derive's seed: mirror
@@ -55,7 +55,7 @@ let ref_verify ~pub_bytes ~msg ~signature =
     ref_challenge ~r_bytes:(Bignum.to_bytes_be ~width:32 r) ~pub_bytes ~msg
   in
   let pub = Bignum.of_bytes_be pub_bytes in
-  Bignum.equal (ref_pow g3 s) (Bignum.modulo (Bignum.mul r (ref_pow pub e)) p)
+  Ref_bignum.equal (ref_pow g3 s) (Bignum.modulo (Bignum.mul r (ref_pow pub e)) p)
 
 (* --- generators -------------------------------------------------------- *)
 
@@ -75,7 +75,7 @@ let qcheck_windowed_pow_matches_naive =
     (fun (bs, es) ->
       let b = Bignum.modulo (bignum_of_seed bs) p in
       let e = bignum_of_seed ~wide:true es in
-      Bignum.equal (Modp.to_bignum (Modp.pow (Modp.of_bignum b) e)) (ref_pow b e))
+      Ref_bignum.equal (Ref_bignum.bignum_of_felem (Modp.pow (Ref_bignum.felem_of_bignum b) e)) (ref_pow b e))
 
 let qcheck_mul_matches_naive =
   QCheck.Test.make ~name:"flat-limb Modp.mul = naive" ~count:200
@@ -83,14 +83,14 @@ let qcheck_mul_matches_naive =
     (fun (xs, ys) ->
       let x = Bignum.modulo (bignum_of_seed xs) p in
       let y = Bignum.modulo (bignum_of_seed ys) p in
-      Bignum.equal
-        (Modp.to_bignum (Modp.mul (Modp.of_bignum x) (Modp.of_bignum y)))
+      Ref_bignum.equal
+        (Ref_bignum.bignum_of_felem (Modp.mul (Ref_bignum.felem_of_bignum x) (Ref_bignum.felem_of_bignum y)))
         (Bignum.modulo (Bignum.mul x y) p))
 
 let qcheck_reduce_exponent_matches_naive =
   QCheck.Test.make ~name:"fold reduce_exponent = modulo (p-1)" ~count:200 seed_gen (fun s ->
       let x = bignum_of_seed ~wide:true s in
-      Bignum.equal (Modp.reduce_exponent x) (ref_reduce_exp x))
+      Ref_bignum.equal (Modp.reduce_exponent x) (ref_reduce_exp x))
 
 let qcheck_comb_signing_matches_naive =
   QCheck.Test.make ~name:"comb-table sign = naive reference sign" ~count:40

@@ -30,10 +30,9 @@ let test_path_roundtrip () =
   let p = Path.create [ (info, hops) ] in
   let p' = Path.decode (Path.encode p) in
   Alcotest.(check int) "curr_inf" p.Path.curr_inf p'.Path.curr_inf;
-  Alcotest.(check int) "hops" (Path.num_hops p) (Path.num_hops p');
+  Alcotest.(check int) "hops" (Array.length p.Path.hops) (Array.length p'.Path.hops);
   Alcotest.(check string) "re-encode equal" (Path.encode p) (Path.encode p');
-  Alcotest.(check int) "encoded length" (4 + 8 + (3 * 12)) (String.length (Path.encode p));
-  Alcotest.(check int) "encoded_length fn" (String.length (Path.encode p)) (Path.encoded_length p)
+  Alcotest.(check int) "encoded length" (4 + 8 + (3 * 12)) (String.length (Path.encode p))
 
 let test_path_multi_segment_roundtrip () =
   let s1 = mk_segment ~cons_dir:false ~seg_id:1 [ (0, 1); (2, 0) ] in
@@ -45,7 +44,7 @@ let test_path_multi_segment_roundtrip () =
   let p' = Path.decode (Path.encode p) in
   Alcotest.(check int) "curr_hf preserved" 2 p'.Path.curr_hf;
   Alcotest.(check int) "curr_inf preserved" 1 p'.Path.curr_inf;
-  Alcotest.(check (array int)) "seg lens" [| 2; 3; 2 |] (Path.seg_lens p')
+  Alcotest.(check (array int)) "seg lens" [| 2; 3; 2 |] p'.Path.lens
 
 let test_path_create_invalid () =
   let seg = mk_segment ~seg_id:1 [ (0, 1) ] in
@@ -103,8 +102,8 @@ let test_reverse () =
   let s2 = mk_segment ~cons_dir:true ~seg_id:2 [ (0, 4); (5, 0) ] in
   let p = Path.create [ s1; s2 ] in
   let r = Path.reverse p in
-  Alcotest.(check int) "same hops" (Path.num_hops p) (Path.num_hops r);
-  Alcotest.(check (array int)) "lens reversed" [| 2; 2 |] (Path.seg_lens r);
+  Alcotest.(check int) "same hops" (Array.length p.Path.hops) (Array.length r.Path.hops);
+  Alcotest.(check (array int)) "lens reversed" [| 2; 2 |] r.Path.lens;
   (* The reversed path starts with the old last segment (C=1), flipped. *)
   Alcotest.(check bool) "first info flipped" false (Ref_router.current_info r).Path.cons_dir;
   Alcotest.(check int) "positioned at start" 0 r.Path.curr_hf;
@@ -119,7 +118,7 @@ let sample_packet () =
   let info, hops = mk_segment ~seg_id:9 [ (0, 1); (2, 0) ] in
   Packet.make ~proto:Packet.Udp ~flow_id:0xABCDE ~traffic_class:3
     ~src:(ia "71-559", Packet.Ipv4 (Ipv4.of_string "192.168.1.7"))
-    ~dst:(ia "71-2:0:3b", Packet.Service Packet.svc_cs)
+    ~dst:(ia "71-2:0:3b", Packet.Service 2)
     ~path:(Packet.Standard (Path.create [ (info, hops) ]))
     "hello scion"
 
@@ -130,9 +129,9 @@ let test_packet_roundtrip () =
   Alcotest.(check int) "flow id" pkt.Packet.flow_id pkt'.Packet.flow_id;
   Alcotest.(check int) "traffic class" pkt.Packet.traffic_class pkt'.Packet.traffic_class;
   Alcotest.(check bool) "dst ia" true (Ia.equal pkt.Packet.dst_ia pkt'.Packet.dst_ia);
-  Alcotest.(check bool) "src host" true (Packet.host_equal pkt.Packet.src_host pkt'.Packet.src_host);
+  Alcotest.(check bool) "src host" true (pkt.Packet.src_host = pkt'.Packet.src_host);
   Alcotest.(check bool) "dst host svc" true
-    (Packet.host_equal pkt'.Packet.dst_host (Packet.Service Packet.svc_cs));
+    (pkt'.Packet.dst_host = Packet.Service 2);
   Alcotest.(check string) "stable encoding" (Packet.encode pkt) (Packet.encode pkt')
 
 let test_packet_empty_path () =
@@ -269,7 +268,7 @@ let gen_packet_spec =
     let* src = pair (1 -- 0xFFF) (1 -- 0xFFFFFF) in
     let* dst = pair (1 -- 0xFFF) (1 -- 0xFFFFFF) in
     let* src_octet = 1 -- 254 in
-    let* dst_service = oneofl [ None; Some Packet.svc_cs; Some Packet.svc_ds ] in
+    let* dst_service = oneofl [ None; Some 2; Some 1 ] in
     let* payload = string_size ~gen:printable (0 -- 64) in
     let* nhops = 2 -- 6 in
     let* seg_id = 0 -- 0xFFFF in
@@ -300,8 +299,8 @@ let qcheck_packet_roundtrip =
       && pkt'.Packet.traffic_class = traffic_class
       && Ia.equal pkt'.Packet.src_ia (Ia.make si sa)
       && Ia.equal pkt'.Packet.dst_ia (Ia.make di da)
-      && Packet.host_equal pkt'.Packet.src_host src_host
-      && Packet.host_equal pkt'.Packet.dst_host dst_host)
+      && pkt'.Packet.src_host = src_host
+      && pkt'.Packet.dst_host = dst_host)
 
 let gen_hop_spec =
   QCheck.Gen.(

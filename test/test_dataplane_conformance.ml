@@ -90,7 +90,7 @@ let lockstep ?down ~now ~mismatch_at pkt =
     else begin
       let verdict = Ref_router.process ra ~now ~ingress pkt in
       let code = Router.process_view rb ~now ~ingress v in
-      let bytes_agree = String.equal (Packet.encode pkt) (View.contents v) in
+      let bytes_agree = String.equal (Packet.encode pkt) (Bytes.to_string (View.buffer v)) in
       if not bytes_agree then Error (Printf.sprintf "wire bytes diverge after step %d" forwards)
       else begin
         match verdict with
@@ -205,7 +205,7 @@ let qcheck_lockstep =
   QCheck.Test.make ~name:"process_view is decision- and byte-identical to process" ~count:400
     (QCheck.make ~print:print_walk gen_walk) (fun w ->
       let path = build_segs w.segs w.iface_seed in
-      if w.corrupt >= 0 then corrupt_hop path (w.corrupt mod Path.num_hops path);
+      if w.corrupt >= 0 then corrupt_hop path (w.corrupt mod Array.length path.Path.hops);
       let dst_ia = if w.deliver_here then local_ia else other_ia in
       let pkt = mk_packet ~dst_ia (Packet.Standard path) in
       let now = if w.expired then now_valid +. (2.0 *. 86400.0) else now_valid in
@@ -226,7 +226,7 @@ let qcheck_clean_chain_delivers =
   QCheck.Test.make ~name:"clean single-segment chain forwards hop-by-hop then delivers" ~count:200
     (QCheck.make gen) (fun (lens, seg_ids, iface_seed) ->
       let path = build_path lens seg_ids iface_seed in
-      let nhops = Path.num_hops path in
+      let nhops = Array.length path.Path.hops in
       let pkt = mk_packet ~dst_ia:local_ia (Packet.Standard path) in
       match lockstep ~now:now_valid ~mismatch_at:(-1) pkt with
       | Ok forwards -> forwards = nhops - 1
@@ -242,7 +242,7 @@ let test_reversed_and_peer_chains_deliver () =
         [ { len = 3; beta = 0x1234; cons_dir; peer }; { len = 3; beta = 0xBEEF; cons_dir; peer } ]
       in
       let path = build_segs segs (List.init 24 (fun i -> 1 + (i mod max_ifid))) in
-      let nhops = Path.num_hops path in
+      let nhops = Array.length path.Path.hops in
       (* A non-peering boundary is a crossover: one router handles both
          joint hops, so the walk takes one forward fewer. *)
       let expected = if peer then nhops - 1 else nhops - 2 in
@@ -282,7 +282,7 @@ let qcheck_view_roundtrip =
       let pkt = mk_packet ~dst_ia:other_ia path in
       let wire = Packet.encode pkt in
       let v = View.of_string wire in
-      String.equal (View.contents v) wire
+      String.equal (Bytes.to_string (View.buffer v)) wire
       && String.equal (Packet.encode (View.to_packet v)) (Packet.encode (Packet.decode wire)))
 
 (* Hop MACs must still verify out of the re-emitted buffer after a
@@ -307,13 +307,13 @@ let qcheck_mac_verifies_after_forward =
       else begin
         (* Re-parse the patched wire bytes as a fresh packet and verify the
            (now current) next hop against the folded seg_id. *)
-        let pkt' = Packet.decode (View.contents v) in
+        let pkt' = Packet.decode (Bytes.to_string (View.buffer v)) in
         match pkt'.Packet.path with
         | Packet.Empty -> false
         | Packet.Standard p ->
             let info = Ref_router.current_info p in
             let hop = Ref_router.current_hop p in
-            Path.verify_mac cmac ~seg_id:info.Path.seg_id ~timestamp:info.Path.timestamp hop
+            Ref_router.verify_mac cmac ~seg_id:info.Path.seg_id ~timestamp:info.Path.timestamp hop
       end)
 
 (* Mutation fuzz for the untrusted ingest edge: start from a valid wire
@@ -385,7 +385,7 @@ let qcheck_validate_fuzz =
             QCheck.Test.fail_reportf "validate rejected bytes that decode/of_string accept"
           else true
       | Ok (Ok v) ->
-          if not (String.equal (View.contents v) mutated) then
+          if not (String.equal (Bytes.to_string (View.buffer v)) mutated) then
             QCheck.Test.fail_reportf "validated view does not preserve input bytes"
           else begin
             let pkt =
@@ -422,7 +422,7 @@ let qcheck_validate_fuzz =
                              raw wire bytes. *)
                           not
                             (String.equal (Packet.encode packet)
-                               (Packet.encode (Packet.decode (View.contents v))))
+                               (Packet.encode (Packet.decode (Bytes.to_string (View.buffer v)))))
                         then QCheck.Test.fail_reportf "forwarded packets diverge semantically"
                         else true
                     | Ref_router.Drop reason ->

@@ -121,11 +121,17 @@ let test_bootstrap_errors () =
 
 let test_bootstrap_latency_model () =
   let r = rng () in
+  let server, key = mk_server () in
   (* NDP hints read cached RAs and must be fast; mDNS multicasts and waits. *)
-  let avg mech os =
-    let xs = Array.init 200 (fun _ -> Bootstrap.hint_latency_ms ~rng:r ~os mech) in
-    Scion_util.Stats.mean xs
+  let hint_ms mech os =
+    match
+      Bootstrap.run ~rng:r ~os ~env:(env ~ras:true ()) ~server:(Some server) ~as_cert_key:key
+        ~force_mechanism:mech ()
+    with
+    | Ok (_, _, timing) -> timing.Bootstrap.hint_ms
+    | Error e -> Alcotest.fail (Bootstrap.error_to_string e)
   in
+  let avg mech os = Scion_util.Stats.mean (Array.init 200 (fun _ -> hint_ms mech os)) in
   Alcotest.(check bool) "ndp < mdns" true
     (avg Hints.Ipv6_ndp_ra Bootstrap.Linux < avg Hints.Mdns Bootstrap.Linux);
   Alcotest.(check bool) "linux < windows" true
@@ -133,10 +139,18 @@ let test_bootstrap_latency_model () =
 
 let test_topology_tamper () =
   let server, key = mk_server () in
-  let t = server.Bootstrap.topology in
-  Alcotest.(check bool) "genuine verifies" true (Bootstrap.verify_topology t ~key);
-  let tampered = { t with Bootstrap.ia = Ia.of_string "71-666" } in
-  Alcotest.(check bool) "tamper rejected" false (Bootstrap.verify_topology tampered ~key)
+  let verifies server =
+    match
+      Bootstrap.run ~rng:(rng ()) ~os:Bootstrap.Linux ~env:(env ~dhcp:true ()) ~server:(Some server)
+        ~as_cert_key:key ()
+    with
+    | Ok _ -> true
+    | Error Bootstrap.Topology_signature_invalid -> false
+    | Error e -> Alcotest.fail (Bootstrap.error_to_string e)
+  in
+  Alcotest.(check bool) "genuine verifies" true (verifies server);
+  let tampered = { server.Bootstrap.topology with Bootstrap.ia = Ia.of_string "71-666" } in
+  Alcotest.(check bool) "tamper rejected" false (verifies { server with Bootstrap.topology = tampered })
 
 (* --- Daemon --- *)
 
@@ -169,13 +183,9 @@ let test_daemon_cache () =
   let _, src3 = Daemon.lookup d ~now:200.0 ~dst in
   Alcotest.(check bool) "refetch after ttl" true (src3 = Daemon.Fetched);
   Alcotest.(check int) "two backend calls" 2 !calls;
-  Alcotest.(check int) "hits" 1 (Daemon.hits d);
-  Alcotest.(check int) "misses" 2 (Daemon.misses d);
   (* Paths expiring within the margin are filtered and force a refetch. *)
   let paths, _ = Daemon.lookup d ~now:995.0 ~dst in
-  Alcotest.(check int) "near-expiry filtered" 0 (List.length paths);
-  Daemon.flush d;
-  Alcotest.(check int) "flushed" 0 (Daemon.cache_entries d)
+  Alcotest.(check int) "near-expiry filtered" 0 (List.length paths)
 
 let test_daemon_trc_store () =
   let d = Daemon.create ~ia:(Ia.of_string "71-1") ~fetch:(fun ~dst -> ignore dst; []) () in
@@ -332,7 +342,6 @@ let test_conn_reprobe_returns_to_preferred () =
   | Pan.Conn.Send_failed -> Alcotest.fail "failover did not save the send");
   Alcotest.(check string) "detoured to p1" "a"
     (Pan.Conn.current_path conn).Scion_controlplane.Combinator.fingerprint;
-  Alcotest.(check int) "p2 parked, not dropped" 1 (Pan.Conn.dead_candidates conn);
   p2_up := true;
   (* Before the probe timer is due, the detour persists. *)
   (match Pan.Conn.send conn ~now:0.5 ~payload:"x" with
@@ -346,8 +355,7 @@ let test_conn_reprobe_returns_to_preferred () =
   | Pan.Conn.Send_failed -> Alcotest.fail "post-repair send failed");
   Alcotest.(check string) "back on preferred p2" "b"
     (Pan.Conn.current_path conn).Scion_controlplane.Combinator.fingerprint;
-  Alcotest.(check bool) "reprobe counted" true (Pan.Conn.reprobes conn >= 1);
-  Alcotest.(check int) "nothing parked" 0 (Pan.Conn.dead_candidates conn)
+  Alcotest.(check bool) "reprobe counted" true (Pan.Conn.reprobes conn >= 1)
 
 let mk_paths n =
   List.init n (fun i ->
@@ -415,7 +423,7 @@ let test_daemon_revocation () =
     [ p1; p2 ]
   in
   let d =
-    Daemon.create ~ia:(Ia.of_string "71-1") ~fetch ~cache_ttl:600.0 ~revocation_ttl:10.0 ()
+    Daemon.create ~ia:(Ia.of_string "71-1") ~fetch ~cache_ttl:15.0 ~revocation_ttl:10.0 ()
   in
   let dst = Ia.of_string "71-9" in
   let paths, _ = Daemon.lookup d ~now:0.0 ~dst in
@@ -437,8 +445,7 @@ let test_daemon_revocation () =
   (match Daemon.handle_scmp d ~now:2.0 Scion_dataplane.Scmp.Expired_hop_field with
   | None -> ()
   | Some _ -> Alcotest.fail "only External_interface_down revokes");
-  (* After the revocation TTL, a fresh fetch may serve p1 again. *)
-  Daemon.flush d;
+  (* After the revocation TTL, the next fetch may serve p1 again. *)
   let paths, _ = Daemon.lookup d ~now:20.0 ~dst in
   Alcotest.(check int) "revocation expired, p1 back" 2 (List.length paths)
 
@@ -488,16 +495,12 @@ let test_dispatcher () =
   (match Dispatcher.register d ~port:40001 ~app:"b" with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "port conflict accepted");
-  Alcotest.(check int) "registered" 1 (Dispatcher.registered d);
   (match Dispatcher.dispatch d ~dst_port:40001 ~payload:"x" with
   | Dispatcher.Delivered p -> Alcotest.(check string) "payload" "x" p
   | Dispatcher.No_listener -> Alcotest.fail "lost packet");
   (match Dispatcher.dispatch d ~dst_port:9 ~payload:"x" with
   | Dispatcher.No_listener -> ()
   | Dispatcher.Delivered _ -> Alcotest.fail "phantom listener");
-  Dispatcher.unregister d ~port:40001;
-  Alcotest.(check int) "unregistered" 0 (Dispatcher.registered d);
-  Alcotest.(check int) "counted" 2 (Dispatcher.packets_dispatched d);
   (* RSS model: dispatcherless scales with cores, dispatcher does not. *)
   let disp c = Dispatcher.model_throughput ~mode:`Dispatcher ~cores:c ~per_packet_us:1.0 ~dispatcher_overhead_us:2.0 in
   let free c = Dispatcher.model_throughput ~mode:`Dispatcherless ~cores:c ~per_packet_us:1.0 ~dispatcher_overhead_us:2.0 in
@@ -542,110 +545,6 @@ let test_happy_eyeballs () =
   in
   Alcotest.(check bool) "v4 preferred" true (o5.Happy_eyeballs.winner = Some Happy_eyeballs.Ipv4)
 
-(* --- SIG --- *)
-
-let test_sig_routing () =
-  let g = Sig.create ~local_ia:(Ia.of_string "71-559") in
-  Sig.add_route g ~prefix:(Scion_addr.Ipv4.of_string "10.1.0.0") ~bits:16 ~remote:(Ia.of_string "64-559");
-  Sig.add_route g ~prefix:(Scion_addr.Ipv4.of_string "10.1.2.0") ~bits:24 ~remote:(Ia.of_string "64-2:0:9");
-  (* Longest prefix wins. *)
-  (match Sig.route g (Scion_addr.Ipv4.of_string "10.1.2.7") with
-  | Some r -> Alcotest.(check string) "lpm" "64-2:0:9" (Ia.to_string r)
-  | None -> Alcotest.fail "no route");
-  (match Sig.route g (Scion_addr.Ipv4.of_string "10.1.9.1") with
-  | Some r -> Alcotest.(check string) "covering /16" "64-559" (Ia.to_string r)
-  | None -> Alcotest.fail "no route");
-  Alcotest.(check bool) "miss" true (Sig.route g (Scion_addr.Ipv4.of_string "8.8.8.8") = None);
-  Alcotest.(check int) "two routes" 2 (List.length (Sig.routes g));
-  (try
-     Sig.add_route g ~prefix:(Scion_addr.Ipv4.of_string "10.0.0.0") ~bits:40 ~remote:(Ia.of_string "64-559");
-     Alcotest.fail "bad prefix accepted"
-   with Invalid_argument _ -> ());
-  try
-    Sig.add_route g ~prefix:(Scion_addr.Ipv4.of_string "10.0.0.0") ~bits:8 ~remote:(Ia.of_string "71-559");
-    Alcotest.fail "self route accepted"
-  with Invalid_argument _ -> ()
-
-let test_sig_frame_roundtrip () =
-  let f = { Sig.session = 3; seq = 42; inner = "raw ip packet bytes" } in
-  (match Sig.decode_frame (Sig.encode_frame f) with
-  | Ok f' ->
-      Alcotest.(check int) "session" 3 f'.Sig.session;
-      Alcotest.(check int) "seq" 42 f'.Sig.seq;
-      Alcotest.(check string) "inner" "raw ip packet bytes" f'.Sig.inner
-  | Error e -> Alcotest.fail e);
-  (match Sig.decode_frame "garbage" with Error _ -> () | Ok _ -> Alcotest.fail "accepted garbage");
-  match Sig.decode_frame "NOPE\x00\x01\x00\x00\x00\x00\x00\x00" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted bad magic"
-
-let test_sig_tunnel_and_failover () =
-  let g = Sig.create ~local_ia:(Ia.of_string "71-559") in
-  let remote = Ia.of_string "64-2:0:9" in
-  Sig.add_route g ~prefix:(Scion_addr.Ipv4.of_string "192.168.0.0") ~bits:16 ~remote;
-  (* No paths installed yet. *)
-  (match Sig.send_ip g ~dst_ip:(Scion_addr.Ipv4.of_string "192.168.1.1") ~packet:"p0"
-           ~try_path:(fun _ -> true)
-   with
-  | Sig.No_path -> ()
-  | _ -> Alcotest.fail "expected No_path");
-  Sig.set_paths g ~remote [ p1; p2 ];
-  (* p1 dead: the session fails over to p2 transparently. *)
-  let try_path p = p.Scion_controlplane.Combinator.fingerprint <> "a" in
-  (match Sig.send_ip g ~dst_ip:(Scion_addr.Ipv4.of_string "192.168.1.1") ~packet:"payload"
-           ~try_path
-   with
-  | Sig.Tunnelled { remote = r; path; frame; failovers } ->
-      Alcotest.(check bool) "right remote" true (Ia.equal r remote);
-      Alcotest.(check string) "on p2" "b" path.Scion_controlplane.Combinator.fingerprint;
-      Alcotest.(check int) "one failover" 1 failovers;
-      (* The far-end gateway decapsulates the original IP bytes. *)
-      (match Sig.receive_frame g frame with
-      | Ok inner -> Alcotest.(check string) "decapsulated" "payload" inner
-      | Error e -> Alcotest.fail e);
-      (* A replayed frame is rejected. *)
-      (match Sig.receive_frame g frame with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "replay accepted")
-  | Sig.No_route -> Alcotest.fail "no route"
-  | Sig.No_path -> Alcotest.fail "no path");
-  (* Unrouted destinations. *)
-  (match Sig.send_ip g ~dst_ip:(Scion_addr.Ipv4.of_string "1.2.3.4") ~packet:"x"
-           ~try_path:(fun _ -> true)
-   with
-  | Sig.No_route -> ()
-  | _ -> Alcotest.fail "expected No_route");
-  Alcotest.(check int) "one session" 1 (List.length (Sig.sessions g))
-
-let test_sig_sequence_monotone () =
-  let g = Sig.create ~local_ia:(Ia.of_string "71-559") in
-  let remote = Ia.of_string "64-559" in
-  Sig.add_route g ~prefix:(Scion_addr.Ipv4.of_string "10.0.0.0") ~bits:8 ~remote;
-  Sig.set_paths g ~remote [ p1 ];
-  let send i =
-    match
-      Sig.send_ip g ~dst_ip:(Scion_addr.Ipv4.of_string "10.0.0.1")
-        ~packet:(Printf.sprintf "pkt%d" i) ~try_path:(fun _ -> true)
-    with
-    | Sig.Tunnelled { frame; _ } -> frame
-    | _ -> Alcotest.fail "send failed"
-  in
-  let frames = List.map send [ 1; 2; 3 ] in
-  let seqs =
-    List.map
-      (fun f -> match Sig.decode_frame f with Ok d -> d.Sig.seq | Error e -> Alcotest.fail e)
-      frames
-  in
-  Alcotest.(check (list int)) "monotone sequence" [ 0; 1; 2 ] seqs
-
-let qcheck_sig_frame_roundtrip =
-  QCheck.Test.make ~name:"sig frame roundtrip" ~count:200
-    QCheck.(triple (int_bound 0xFFFF) (int_bound 1_000_000) (string_of_size (QCheck.Gen.int_range 0 2000)))
-    (fun (session, seq, inner) ->
-      match Sig.decode_frame (Sig.encode_frame { Sig.session; seq; inner }) with
-      | Ok f -> f.Sig.session = session && f.Sig.seq = seq && f.Sig.inner = inner
-      | Error _ -> false)
-
 let () =
   Alcotest.run "scion_endhost"
     [
@@ -685,13 +584,5 @@ let () =
         [
           Alcotest.test_case "race" `Quick test_happy_eyeballs;
           QCheck_alcotest.to_alcotest qcheck_happy_eyeballs_ip_fallback;
-        ] );
-      ( "sig",
-        [
-          Alcotest.test_case "routing" `Quick test_sig_routing;
-          Alcotest.test_case "frame roundtrip" `Quick test_sig_frame_roundtrip;
-          Alcotest.test_case "tunnel and failover" `Quick test_sig_tunnel_and_failover;
-          Alcotest.test_case "sequence monotone" `Quick test_sig_sequence_monotone;
-          QCheck_alcotest.to_alcotest qcheck_sig_frame_roundtrip;
         ] );
     ]

@@ -206,7 +206,8 @@ let test_network_inject_applies_ops () =
       Scenario.(
         outage ~link:l ~from_s:1.0 ~to_s:3.0
         ++ window ~link:l ~from_s:1.0 ~to_s:3.0 ~extra_ms:25.0
-        ++ blackout ~from_s:2.0 ~to_s:2.5)
+        ++ at 2.0 [ Control_down ]
+        ++ at 2.5 [ Control_up ])
   in
   let control_up () =
     Scenario.control_up (List.filteri (fun i _ -> i < Injector.fired inj) (Injector.events inj))

@@ -76,11 +76,11 @@ let test_injector_rng_isolation () =
           = List.length (Fault.Injector.events inj)))
       scenarios;
     let workload = Sciera.Network.rng net in
-    Array.init 64 (fun _ -> Scion_util.Rng.next workload)
+    Array.init 64 (fun _ -> Scion_util.Rng.int workload max_int)
   in
   let quiet = draws_after_replay [] in
   let faulted = draws_after_replay [ Sciera.Incidents.jan21; Sciera.Incidents.feb6 ] in
-  Alcotest.(check (array int64))
+  Alcotest.(check (array int))
     "workload draws identical with and without injected faults" quiet faulted
 
 (* Switching to full scale after a scale-dependent dataset has been
@@ -90,6 +90,48 @@ let test_full_scale_after_memo () =
   Alcotest.check_raises "use_full_scale refused"
     (Invalid_argument "Evidence.use_full_scale: a dataset is already memoised at evidence scale")
     Harness.Evidence.use_full_scale
+
+(* The fig5 kept-ping gauges of each checked-in tier must count pings: the
+   integers printed on the table's "pings kept:" line. *)
+let test_fig5_kept_pings () =
+  List.iter
+    (fun dir ->
+      let read name = In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all in
+      let scion, ip =
+        match
+          List.find_map
+            (fun line ->
+              if String.starts_with ~prefix:"pings kept:" line then
+                Some (Scanf.sscanf line "pings kept: %d SCION, %d IP" (fun s i -> (s, i)))
+              else None)
+            (String.split_on_char '\n' (read "fig5/table.txt"))
+        with
+        | Some counts -> counts
+        | None -> Alcotest.failf "%s/fig5/table.txt has no \"pings kept:\" line" dir
+      in
+      let samples =
+        match Telemetry.Export.of_json (read "fig5/metrics.jsonl") with
+        | Ok samples -> samples
+        | Error e -> Alcotest.failf "%s/fig5/metrics.jsonl: %s" dir e
+      in
+      let gauge key =
+        match
+          List.find_map
+            (fun (s : Telemetry.Metrics.sample) ->
+              match s.Telemetry.Metrics.value with
+              | Telemetry.Metrics.Gauge v when String.equal s.Telemetry.Metrics.sample_name key ->
+                  Some v
+              | _ -> None)
+            samples
+        with
+        | Some v -> v
+        | None -> Alcotest.failf "%s/fig5: no %s gauge" dir key
+      in
+      Alcotest.(check (float 0.0)) (dir ^ " kept SCION pings") (float_of_int scion)
+        (gauge "exp.fig5.kept_scion_pings");
+      Alcotest.(check (float 0.0)) (dir ^ " kept IP pings") (float_of_int ip)
+        (gauge "exp.fig5.kept_ip_pings"))
+    [ golden_dir; Filename.concat (Filename.dirname golden_dir) "golden-full" ]
 
 let () =
   Alcotest.run "golden"
@@ -104,6 +146,8 @@ let () =
         List.map
           (fun (id, _title) -> Alcotest.test_case id `Slow (check_figure id))
           Harness.Evidence.figures );
+      ( "headlines",
+        [ Alcotest.test_case "fig5 kept pings match the table" `Quick test_fig5_kept_pings ] );
       ( "scale",
         [
           Alcotest.test_case "full scale refused once memoised" `Slow test_full_scale_after_memo;

@@ -55,12 +55,34 @@ let qcheck_core_reachable =
   QCheck.Test.make ~name:"every AS reaches a core over parent links" ~count:30 seed_and_size
     (fun (seed, n) ->
       let g = generate ~seed ~n in
-      let max_depth = Topogen.max_depth g in
-      List.for_all
-        (fun (a : Topogen.as_info) ->
-          let d = Topogen.leaf_depth g a.Topogen.ia in
-          if a.Topogen.core then d = 0 else d >= 1 && d <= max_depth)
-        g.Topogen.ases)
+      (* Parent-link hops to the nearest core, relaxed to a fixpoint: a
+         parent always appears as [a] in its parent-child links. *)
+      let depth = Hashtbl.create (2 * n) in
+      List.iter
+        (fun (a : Topogen.as_info) -> if a.Topogen.core then Hashtbl.replace depth a.Topogen.ia 0)
+        g.Topogen.ases;
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        List.iter
+          (fun (l : Topogen.link_info) ->
+            match (l.Topogen.cls, Hashtbl.find_opt depth l.Topogen.a) with
+            | Mesh.Parent_child, Some d -> (
+                match Hashtbl.find_opt depth l.Topogen.b with
+                | Some e when e <= d + 1 -> ()
+                | Some _ | None ->
+                    Hashtbl.replace depth l.Topogen.b (d + 1);
+                    changed := true)
+            | _ -> ())
+          g.Topogen.links
+      done;
+      let depths =
+        List.map
+          (fun (a : Topogen.as_info) -> Option.value ~default:(-1) (Hashtbl.find_opt depth a.Topogen.ia))
+          g.Topogen.ases
+      in
+      List.for_all (fun d -> d >= 0) depths
+      && List.fold_left max 0 depths = Topogen.max_depth g)
 
 let qcheck_byte_identical =
   QCheck.Test.make ~name:"equal (seed, params) give byte-identical topologies" ~count:20

@@ -56,13 +56,11 @@ let test_capacity_validation () =
   Alcotest.(check (float 1e-9)) "fluid load set" 1e6 (Net.fluid_load net l ~from:a);
   Alcotest.(check (float 1e-9)) "utilisation" 0.5 (Net.utilisation net l ~from:a);
   Alcotest.(check (float 1e-9)) "reverse direction untouched" 0.0 (Net.fluid_load net l ~from:b);
-  Alcotest.(check int) "empty queue" 0 (Net.queue_depth net l ~from:a);
-  Net.clear_capacity net l;
-  Alcotest.(check (option (pair (float 1e-9) int))) "cleared" None (Net.capacity net l);
-  Alcotest.(check (float 1e-9)) "fluid gone with the arm" 0.0 (Net.fluid_load net l ~from:a);
+  let bare = Net.add_link net a b Net.default_params in
+  Alcotest.(check (float 1e-9)) "no fluid load unarmed" 0.0 (Net.fluid_load net bare ~from:a);
   Alcotest.check_raises "fluid load needs an armed link"
     (Invalid_argument "Net.set_fluid_load: link has no capacity armed (call set_capacity first)")
-    (fun () -> Net.set_fluid_load net l ~from:a ~bps:1.0)
+    (fun () -> Net.set_fluid_load net bare ~from:a ~bps:1.0)
 
 let test_utilisation_saturates () =
   let net, nodes, links = chain ~cap:1e6 1 in
@@ -103,8 +101,7 @@ let test_queue_full_drops () =
   done;
   Engine.run engine;
   Alcotest.(check int) "FIFO admits its depth" 4 !delivered;
-  Alcotest.(check int) "the rest tail-drop" 6 !drops;
-  Alcotest.(check int) "queue drained" 0 (Net.queue_depth net links.(0) ~from:nodes.(0))
+  Alcotest.(check int) "the rest tail-drop" 6 !drops
 
 (* --- Fluid flow engine ------------------------------------------------- *)
 
@@ -537,8 +534,6 @@ let test_workload_statistics () =
   in
   Engine.run engine;
   Alcotest.(check int) "sink saw every arrival" !n (Workload.arrivals wl);
-  Alcotest.(check bool) "thinning examined at least as many candidates" true
-    (Workload.candidates wl >= Workload.arrivals wl);
   (* 20/s over 60 s, modulated by the mild diurnal curve — a loose band
      around the 1200 nominal arrivals. *)
   Alcotest.(check bool)
@@ -637,11 +632,11 @@ let test_traffic_rng_isolation () =
       Alcotest.(check int) "campaign drained" 0 (Flow.active_count flows)
     end;
     let workload = Sciera.Network.rng net in
-    Array.init 64 (fun _ -> Rng.next workload)
+    Array.init 64 (fun _ -> Rng.int workload max_int)
   in
   let quiet = draws_after false in
   let loaded = draws_after true in
-  Alcotest.(check (array int64)) "fabric workload stream untouched by traffic" quiet loaded
+  Alcotest.(check (array int)) "fabric workload stream untouched by traffic" quiet loaded
 
 (* --- The load figure ---------------------------------------------------- *)
 
@@ -698,7 +693,6 @@ let test_load_deterministic () =
 
 let test_estimator_bandwidth () =
   let est = Pathmon.Estimator.create () in
-  Alcotest.(check int) "no samples yet" 0 (Pathmon.Estimator.bandwidth_samples est);
   Alcotest.(check (float 1e-9)) "zero util" 0.0 (Pathmon.Estimator.utilisation est);
   Alcotest.check_raises "util above 1"
     (Invalid_argument "Estimator.observe_bandwidth: utilisation must be in [0, 1] (got 1.5)")
@@ -712,8 +706,7 @@ let test_estimator_bandwidth () =
   Alcotest.(check (float 1e-9)) "first delay direct" 40.0 (Pathmon.Estimator.queue_delay_ms est);
   Pathmon.Estimator.observe_bandwidth est ~utilisation:0.0 ~queue_delay_ms:0.0;
   let u = Pathmon.Estimator.utilisation est in
-  Alcotest.(check bool) "EWMA moved down but not to zero" true (u > 0.0 && u < 0.8);
-  Alcotest.(check int) "samples counted" 2 (Pathmon.Estimator.bandwidth_samples est)
+  Alcotest.(check bool) "EWMA moved down but not to zero" true (u > 0.0 && u < 0.8)
 
 let test_selector_bandwidth_aware () =
   let warm est ms =

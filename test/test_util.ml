@@ -5,17 +5,17 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_rng_deterministic () =
   let a = Rng.create 42L and b = Rng.create 42L in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Rng.next a) (Rng.next b)
+    Alcotest.(check int) "same stream" (Rng.int a max_int) (Rng.int b max_int)
   done
 
 let test_rng_labels_differ () =
   let a = Rng.of_label 1L "alpha" and b = Rng.of_label 1L "beta" in
-  Alcotest.(check bool) "different streams" true (Rng.next a <> Rng.next b)
+  Alcotest.(check bool) "different streams" true (Rng.int a max_int <> Rng.int b max_int)
 
 let test_rng_split_independent () =
   let a = Rng.create 7L in
   let b = Rng.split a in
-  Alcotest.(check bool) "split differs" true (Rng.next a <> Rng.next b)
+  Alcotest.(check bool) "split differs" true (Rng.int a max_int <> Rng.int b max_int)
 
 let test_rng_int_bounds () =
   let r = Rng.create 3L in
@@ -33,7 +33,8 @@ let test_rng_float_bounds () =
 
 let test_rng_gaussian_moments () =
   let r = Rng.create 5L in
-  let xs = Array.init 20000 (fun _ -> Rng.gaussian r ~mean:10.0 ~stddev:2.0) in
+  (* The normal draw behind [lognormal], read back through [log]. *)
+  let xs = Array.init 20000 (fun _ -> log (Rng.lognormal r ~mu:10.0 ~sigma:2.0)) in
   let m = Stats.mean xs in
   let s = Stats.stddev xs in
   Alcotest.(check bool) "mean close" true (abs_float (m -. 10.0) < 0.1);
@@ -69,12 +70,8 @@ let test_stats_single_sample () =
 
 let test_stats_cdf () =
   let c = Stats.cdf [| 1.0; 2.0; 2.0; 4.0 |] in
-  Alcotest.(check int) "dedup points" 3 (List.length c);
-  check_float "P(<=2)" 0.75 (Stats.cdf_at c 2.0);
-  check_float "P(<=0)" 0.0 (Stats.cdf_at c 0.5);
-  check_float "P(<=4)" 1.0 (Stats.cdf_at c 4.0);
-  check_float "inverse 0.5" 2.0 (Stats.cdf_inverse c 0.5);
-  check_float "inverse 1.0" 4.0 (Stats.cdf_inverse c 1.0)
+  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
+    "dedup points, cumulative fractions" [ (1.0, 0.25); (2.0, 0.75); (4.0, 1.0) ] c
 
 let test_stats_resample () =
   let c = Stats.cdf (Array.init 1000 float_of_int) in
@@ -163,7 +160,6 @@ let test_table_render () =
 let test_table_sorted_iteration () =
   let t = Hashtbl.create 8 in
   List.iter (fun (k, v) -> Hashtbl.replace t k v) [ (3, "c"); (1, "a"); (2, "b") ];
-  Alcotest.(check (list int)) "sorted keys" [ 1; 2; 3 ] (Table.sorted_keys t);
   let seen = ref [] in
   Table.iter_sorted (fun k v -> seen := (k, v) :: !seen) t;
   Alcotest.(check (list (pair int string)))
@@ -172,7 +168,8 @@ let test_table_sorted_iteration () =
     (Table.fold_sorted (fun k _ acc -> k :: acc) t []);
   (* Hashtbl.add shadowing: only the current binding is visited, once. *)
   Hashtbl.add t 2 "B";
-  Alcotest.(check (list int)) "shadowed key visited once" [ 1; 2; 3 ] (Table.sorted_keys t);
+  Alcotest.(check (list int)) "shadowed key visited once" [ 3; 2; 1 ]
+    (Table.fold_sorted (fun k _ acc -> k :: acc) t []);
   Alcotest.(check string) "current binding wins" "B"
     (String.concat "" (Table.fold_sorted (fun k v acc -> if k = 2 then v :: acc else acc) t []));
   let h = Hashtbl.create 4 in
@@ -224,7 +221,7 @@ let test_backoff_zero_jitter_no_draw () =
   let p = Backoff.make ~jitter:0.0 () in
   let a = Rng.create 3L and b = Rng.create 3L in
   ignore (Backoff.delay_ms p ~rng:a ~attempt:4);
-  Alcotest.(check int64) "stream untouched" (Rng.next b) (Rng.next a)
+  Alcotest.(check int) "stream untouched" (Rng.int b max_int) (Rng.int a max_int)
 
 let test_backoff_retry () =
   let p = Backoff.make ~base_ms:10.0 ~multiplier:2.0 ~cap_ms:100.0 ~jitter:0.0 ~max_attempts:4 () in
