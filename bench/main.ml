@@ -19,7 +19,11 @@
    Artefacts: every id of Harness.Evidence.ids, plus micro. A figure's
    stdout is its Harness.Evidence table, byte-identical to
    test/golden/<id>/table.txt (test/golden-full/<id>/table.txt under
-   --full); its wall-clock timing line goes to stderr. *)
+   --full); its wall-clock timing line goes to stderr. --full starts the
+   one Harness.Evidence session of the run at full scale instead of the
+   evidence scale; every figure and golden command of the run shares that
+   session. Library report functions append to a Buffer; this driver
+   prints the buffer. *)
 
 let time_section name f =
   (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
@@ -28,6 +32,12 @@ let time_section name f =
   (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
   Printf.eprintf "[%s took %.1f s]\n%!" name (Unix.gettimeofday () -. t0);
   r
+
+(* Report functions in lib/ append to a buffer; a smoke prints it. *)
+let print_report report =
+  let b = Buffer.create 4096 in
+  report b;
+  Buffer.output_buffer stdout b
 
 (* --- Microbenchmarks ----------------------------------------------------- *)
 
@@ -456,7 +466,8 @@ let micro ?(json = false) ?(check = false) () =
   (* The Section 4.8 ablation: dispatcher vs dispatcherless throughput under
      the RSS scaling model. *)
   Printf.printf "\n== Ablation: dispatcher vs dispatcherless (Section 4.8) ==\n";
-  Scion_util.Table.print ~header:[ "cores"; "dispatcher pps"; "dispatcherless pps"; "speedup" ]
+  print_string (Scion_util.Table.render
+    ~header:[ "cores"; "dispatcher pps"; "dispatcherless pps"; "speedup" ]
     ~rows:
       (List.map
          (fun cores ->
@@ -474,10 +485,11 @@ let micro ?(json = false) ?(check = false) () =
              Printf.sprintf "%.0f" dl;
              Printf.sprintf "%.1fx" (dl /. d);
            ])
-         [ 1; 4; 8; 16 ]);
+         [ 1; 4; 8; 16 ]));
   (* The beacon-store k ablation: control-plane state vs path diversity. *)
   Printf.printf "\n== Ablation: beacon-store size vs path diversity ==\n%!";
-  Scion_util.Table.print ~header:[ "per_origin"; "UVa->UFMS paths"; "convergence (s)" ]
+  print_string (Scion_util.Table.render
+    ~header:[ "per_origin"; "UVa->UFMS paths"; "convergence (s)" ]
     ~rows:
       (List.map
          (fun k ->
@@ -493,7 +505,7 @@ let micro ?(json = false) ?(check = false) () =
                   ~dst:(Scion_addr.Ia.of_string "71-2:0:5c"))
            in
            [ string_of_int k; string_of_int n; Printf.sprintf "%.1f" dt ])
-         [ 4; 8; 16; 24 ]);
+         [ 4; 8; 16; 24 ]));
   print_newline ()
   end
 
@@ -505,7 +517,7 @@ let micro ?(json = false) ?(check = false) () =
    promoting rewrites only the files that changed. Under `--full` the
    golden directory defaults to test/golden-full (the opt-in @golden-full
    tier). *)
-let golden ~full rest =
+let golden session ~full rest =
   let rec dir_of = function
     | "--dir" :: d :: _ -> d
     | _ :: tl -> dir_of tl
@@ -513,7 +525,7 @@ let golden ~full rest =
   in
   let dir = dir_of rest in
   if List.mem "--promote" rest then begin
-    let results = Harness.Golden.promote ~dir () in
+    let results = Harness.Golden.promote session ~dir in
     List.iter
       (fun (path, status) ->
         Printf.printf "%-9s %s\n" (Harness.Golden.status_to_string status) path)
@@ -524,7 +536,7 @@ let golden ~full rest =
       (count Harness.Golden.Unchanged)
   end
   else begin
-    let files = Harness.Golden.check ~dir () in
+    let files = Harness.Golden.check session ~dir in
     let stale = Harness.Golden.stale files in
     List.iter
       (fun (f : Harness.Golden.file) ->
@@ -616,7 +628,7 @@ let pathmon_smoke () =
   let r =
     time_section "pathmon smoke (4 trials)" (fun () -> Sciera.Exp_pathmon.run ~trials:4 ())
   in
-  Sciera.Exp_pathmon.print_pathmon r;
+  print_report (fun b -> Sciera.Exp_pathmon.print_pathmon b r);
   let a = r.Sciera.Exp_pathmon.adaptive and s = r.Sciera.Exp_pathmon.static_ in
   if a.Sciera.Exp_pathmon.median_degraded_s < s.Sciera.Exp_pathmon.median_degraded_s then
     Printf.printf "pathmon smoke: ok (adaptive %.2f s < static %.2f s median degraded)\n"
@@ -643,7 +655,7 @@ let scaling_smoke () =
   let r = Sciera.Exp_scaling.run ~sizes:[ 100; 300; 1000 ] () in
   (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
   let dt = Unix.gettimeofday () -. t0 in
-  Sciera.Exp_scaling.print_scaling r;
+  print_report (fun b -> Sciera.Exp_scaling.print_scaling b r);
   let check, verdict = smoke_checks "scaling" in
   List.iter
     (fun (w : Sciera.Exp_scaling.row) ->
@@ -672,7 +684,7 @@ let adversary_smoke () =
     time_section "adversary smoke (topogen-60)" (fun () ->
         Sciera.Exp_adversary.run ~topogen_ases:60 ())
   in
-  Sciera.Exp_adversary.print_containment r;
+  print_report (fun b -> Sciera.Exp_adversary.print_containment b r);
   let n = r.Sciera.Exp_adversary.classes_contained in
   if n >= 4 then Printf.printf "adversary smoke: ok (%d/8 classes strictly contained)\n" n
   else begin
@@ -694,7 +706,7 @@ let load_smoke () =
     time_section "load smoke (2 points, topogen-60)" (fun () ->
         Sciera.Exp_load.run ~loads:[ 0.5; 1.5 ] ~duration_s:10.0 ~topogen_ases:60 ())
   in
-  Sciera.Exp_load.print_load r;
+  print_report (fun b -> Sciera.Exp_load.print_load b r);
   let check, verdict = smoke_checks "load" in
   List.iter
     (fun (c : Sciera.Exp_load.cell) ->
@@ -737,11 +749,11 @@ let topogen_cli rest =
 (* --- Driver -------------------------------------------------------------- *)
 
 (* A figure prints its Harness.Evidence table, so the output is the golden
-   evidence of the scale in use. *)
-let artefact ~json ~check = function
+   evidence of the session's scale. *)
+let artefact session ~json ~check = function
   | "micro" -> micro ~json ~check ()
   | id when List.mem id Harness.Evidence.ids ->
-      let e = time_section id (fun () -> Harness.Evidence.run id) in
+      let e = time_section id (fun () -> Harness.Evidence.run session id) in
       Printf.printf "%s%!" e.Harness.Evidence.table
   | other ->
       Printf.eprintf "unknown artefact %S\n" other;
@@ -753,14 +765,14 @@ let () =
   let check = List.mem "--check" args in
   let full = List.mem "--full" args in
   let args = List.filter (fun a -> not (List.mem a [ "--json"; "--check"; "--full" ])) args in
-  if full then Harness.Evidence.use_full_scale ();
+  let session = Harness.Evidence.start ~full in
   match args with
-  | "golden" :: rest -> golden ~full rest
+  | "golden" :: rest -> golden session ~full rest
   | [ "chaos" ] -> chaos ()
   | [ "pathmon-smoke" ] -> pathmon_smoke ()
   | [ "scaling-smoke" ] -> scaling_smoke ()
   | [ "adversary-smoke" ] -> adversary_smoke ()
   | [ "load-smoke" ] -> load_smoke ()
   | "topogen" :: rest -> topogen_cli rest
-  | [] -> List.iter (artefact ~json ~check) (Harness.Evidence.ids @ [ "micro" ])
-  | ids -> List.iter (artefact ~json ~check) ids
+  | [] -> List.iter (artefact session ~json ~check) (Harness.Evidence.ids @ [ "micro" ])
+  | ids -> List.iter (artefact session ~json ~check) ids

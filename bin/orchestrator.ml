@@ -24,7 +24,7 @@ let run day renew =
   end;
   print_newline ();
   (* Per-AS status. *)
-  Scion_util.Table.print
+  print_string (Scion_util.Table.render
     ~header:[ "AS"; "name"; "stack"; "cert expires (h)"; "ifaces"; "down"; "beacons ok" ]
     ~rows:
       (List.map
@@ -56,7 +56,7 @@ let run day renew =
              string_of_int down;
              (if has_segments then "yes" else "NO");
            ])
-         Sciera.Topology.ases);
+         Sciera.Topology.ases));
   Printf.printf "\ncontrol plane: %d convergences, %d PCB verification failures\n"
     (Sciera.Network.rebeacon_count net)
     (Scion_controlplane.Mesh.verification_failures mesh);

@@ -232,11 +232,13 @@ type rule = {
   scope : string -> bool;  (* repo-relative '/'-separated path *)
   on_expr : (ctx -> emitter -> Parsetree.expression -> unit) option;
   on_value_binding : (ctx -> emitter -> Parsetree.value_binding -> unit) option;
+  on_structure : (ctx -> emitter -> Parsetree.structure -> unit) option;
+      (* once per implementation, with its top-level items *)
   on_tree : (files:string list -> (file:string -> line:int -> string -> unit) -> unit) option;
 }
 
 let no_hooks = { id = ""; doc = ""; severity = Error; scope = (fun _ -> true);
-                 on_expr = None; on_value_binding = None; on_tree = None }
+                 on_expr = None; on_value_binding = None; on_structure = None; on_tree = None }
 
 (* ------------------------------------------------------------------ *)
 (* Parsing. Every parse is counted per file so the test suite can assert
@@ -308,7 +310,11 @@ let lint_source ?(registry = empty_registry) ?ast ~rules ~file src =
         }
       in
       (match ast with
-      | Impl str -> iter.structure iter str
+      | Impl str ->
+          List.iter
+            (fun r -> Option.iter (fun h -> h ctx (emitter_of r) str) r.on_structure)
+            active;
+          iter.structure iter str
       | Intf sg -> iter.signature iter sg));
   List.rev !findings
 

@@ -291,12 +291,12 @@ let naked_printf =
     id = "naked-printf";
     severity = Error;
     doc =
-      "Bans direct stdout/stderr printing (Printf.printf, print_endline, ...) in lib/ outside \
-       lib/telemetry/: report output goes through Telemetry.Log.out (redirectable, capturable \
-       in tests) and lib/ has no diagnostics stream (return failures as values or count them \
+      "Bans direct stdout/stderr printing (Printf.printf, print_endline, ...) in lib/: report \
+       text is built in a Buffer the caller passes in (Printf.bprintf, Table.render) and \
+       returned, and lib/ has no diagnostics stream (return failures as values or count them \
        in telemetry), so experiment output stays clean and machine-checkable. Executables in \
        bin/, bench/ and examples/ may print freely.";
-    scope = (fun file -> in_dir "lib/" file && not (in_dir "lib/telemetry/" file));
+    scope = in_dir "lib/";
     on_expr =
       Some
         (fun _ctx emit e ->
@@ -306,8 +306,9 @@ let naked_printf =
               if List.mem name print_idents then
                 emit loc
                   (Printf.sprintf
-                     "%s prints directly from library code; route report output through \
-                      Telemetry.Log.out, and return failures as values or count them in telemetry"
+                     "%s prints directly from library code; build report text in a Buffer the \
+                      caller passes in and return it, and return failures as values or count \
+                      them in telemetry"
                      name)
           | _ -> ());
   }
@@ -386,6 +387,70 @@ let retry_discipline =
   }
 
 (* ------------------------------------------------------------------ *)
+(* R9: global state. *)
+
+let state_allocators = [ "ref"; "Hashtbl.create"; "Array.make"; "Buffer.create" ]
+
+let is_unit (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_construct ({ txt = Longident.Lident "()"; _ }, None) -> true
+  | _ -> false
+
+(* [ref x], [Hashtbl.create n], [Array.make n x], [Buffer.create n], or a
+   [create] / [M.create] applied to [()]. *)
+let rec allocates_state (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_constraint (e, _) -> allocates_state e
+  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
+      List.mem (dotted txt) state_allocators
+      ||
+      match (List.rev (flatten_longident txt), List.rev args) with
+      | "create" :: _, (Nolabel, last) :: _ -> is_unit last
+      | _ -> false)
+  | _ -> false
+
+let global_state =
+  {
+    no_hooks with
+    id = "global-state";
+    severity = Error;
+    doc =
+      "Flags a top-level let in lib/ (nested modules included) whose body applies ref, \
+       Hashtbl.create, Array.make or Buffer.create, or a create / M.create function to (): a \
+       process-global mutable value outlives any one run, so a run's output can depend on \
+       what ran before it in the process. Make the state part of a value the caller creates \
+       and passes in.";
+    scope = in_dir "lib/";
+    on_structure =
+      Some
+        (fun _ctx emit str ->
+          let rec items (str : Parsetree.structure) =
+            List.iter
+              (fun (item : Parsetree.structure_item) ->
+                match item.pstr_desc with
+                | Pstr_value (_, vbs) ->
+                    List.iter
+                      (fun (vb : Parsetree.value_binding) ->
+                        if allocates_state vb.pvb_expr then
+                          let name =
+                            match vb.pvb_pat.ppat_desc with
+                            | Ppat_var { txt; _ } -> txt
+                            | _ -> "binding"
+                          in
+                          emit vb.pvb_pat.ppat_loc
+                            (Printf.sprintf
+                               "top-level %s is process-global mutable state; make it part of \
+                                a value the caller creates and passes in"
+                               name))
+                      vbs
+                | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure s; _ }; _ } -> items s
+                | _ -> ())
+              str
+          in
+          items str);
+  }
+
+(* ------------------------------------------------------------------ *)
 
 let rules : rule list =
   [
@@ -397,4 +462,5 @@ let rules : rule list =
     ignored_result;
     naked_printf;
     retry_discipline;
+    global_state;
   ]

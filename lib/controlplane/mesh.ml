@@ -110,6 +110,10 @@ type obs = {
   o_cert_renewals : M.counter;
   o_sigcache_hits : M.gauge;
   o_sigcache_misses : M.gauge;
+  o_sigcache_base : int * int;
+      (** The shared cache's (hits, misses) when the mesh was created: the
+          gauges count from there, so a mesh's snapshot does not depend on
+          what other meshes verified earlier in the process. *)
   o_quarantine_events : M.counter option;
       (** Only when [config.quarantine] is set: existing figures pin their
           snapshot bytes, so the containment series must stay out of
@@ -117,13 +121,14 @@ type obs = {
   o_quarantine_drops : M.counter option;
 }
 
-let make_obs ~quarantine registry =
+let make_obs ~quarantine ~cache registry =
   {
     o_verif_failures = M.counter registry "mesh.verification_failures";
     o_beaconing_runs = M.counter registry "mesh.beaconing_runs";
     o_cert_renewals = M.counter registry "mesh.cert_renewals";
     o_sigcache_hits = M.gauge registry ~labels:[ ("result", "hit") ] "mesh.sigcache";
     o_sigcache_misses = M.gauge registry ~labels:[ ("result", "miss") ] "mesh.sigcache";
+    o_sigcache_base = (Sigcache.hits cache, Sigcache.misses cache);
     o_quarantine_events =
       (if quarantine then Some (M.counter registry "mesh.quarantine_events") else None);
     o_quarantine_drops =
@@ -380,7 +385,7 @@ let create ?(config = default_config) ?metrics ~now ~ases ~links () =
     fanout_sends = 0;
     fanout_capped = 0;
     obs =
-      Option.map (make_obs ~quarantine:(config.quarantine <> None)) metrics;
+      Option.map (make_obs ~quarantine:(config.quarantine <> None) ~cache:Sigcache.global) metrics;
   }
 
 (* --- Certificates --- *)
@@ -666,8 +671,9 @@ let run_beaconing t ~now =
   | None -> ()
   | Some o ->
       M.inc o.o_beaconing_runs;
-      M.set o.o_sigcache_hits (float_of_int (Sigcache.hits t.cache));
-      M.set o.o_sigcache_misses (float_of_int (Sigcache.misses t.cache))
+      let hits0, misses0 = o.o_sigcache_base in
+      M.set o.o_sigcache_hits (float_of_int (Sigcache.hits t.cache - hits0));
+      M.set o.o_sigcache_misses (float_of_int (Sigcache.misses t.cache - misses0))
 
 (* Repair-triggered re-origination: restoring a down link rebuilds beacon
    state immediately instead of waiting for the next scheduled beaconing

@@ -83,8 +83,9 @@ val create :
     border {!Scion_dataplane.Router}, and the mesh itself maintains
     [mesh.verification_failures], [mesh.beaconing_runs],
     [mesh.cert_renewals] and the [mesh.sigcache{result}] hit/miss gauges
-    (published after each beaconing run, since the signature-verification
-    memo is process-wide). *)
+    (published after each beaconing run; the signature-verification memo
+    is process-wide, so they count its hits and misses since the mesh was
+    created). *)
 
 val config : t -> config
 val ases : t -> Ia.t list

@@ -1,4 +1,3 @@
-module Log = Telemetry.Log
 (* Section 5.2: application enablement effort. The paper SCIONabled three
    existing applications (bat, a Caddy reverse proxy, a Java netcat) with
    minimal diffs (Appendices E-G). This repository carries the same case
@@ -45,17 +44,18 @@ let cases =
     };
   ]
 
-let print_app_effort () =
-  Log.out "== Section 5.2: application enablement effort ==\n";
-  Scion_util.Table.print ~header:[ "application"; "paper equivalent"; "LoC delta" ]
+let print_app_effort b =
+  Printf.bprintf b "== Section 5.2: application enablement effort ==\n";
+  Buffer.add_string b (Scion_util.Table.render
+    ~header:[ "application"; "paper equivalent"; "LoC delta" ]
     ~rows:
       (List.map
          (fun c -> [ c.app; c.upstream_equivalent; string_of_int c.loc_delta ])
-         cases);
+         cases));
   List.iter
     (fun c ->
-      Log.out "%s:\n" c.app;
-      List.iter (fun p -> Log.out "  - %s\n" p) c.integration_points)
+      Printf.bprintf b "%s:\n" c.app;
+      List.iter (fun p -> Printf.bprintf b "  - %s\n" p) c.integration_points)
     cases;
-  Log.out
+  Printf.bprintf b
     "all three integrations stay within tens of lines, matching the paper's frictionless-enablement finding\n\n"

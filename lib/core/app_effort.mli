@@ -10,4 +10,4 @@ type case = {
 }
 
 val cases : case list
-val print_app_effort : unit -> unit
+val print_app_effort : Buffer.t -> unit

@@ -1,4 +1,3 @@
-module Log = Telemetry.Log
 (* Section 5.3, Figure 3 and Appendix C: the SCIERA deployment timeline and
    per-AS deployment effort. Dates and the qualitative effort narrative are
    data from the paper; the effort model turns the narrative into numbers:
@@ -102,9 +101,9 @@ let scored_timeline =
       { event = e; effort = base_effort e.kind *. curve *. automation })
     timeline
 
-let print_fig3 () =
-  Log.out "== Figure 3: SCIERA deployment and estimated effort over time ==\n";
-  Scion_util.Table.print
+let print_fig3 b =
+  Printf.bprintf b "== Figure 3: SCIERA deployment and estimated effort over time ==\n";
+  Buffer.add_string b (Scion_util.Table.render
     ~header:[ "date"; "site"; "AS"; "kind"; "effort"; "note" ]
     ~rows:
       (List.map
@@ -117,7 +116,7 @@ let print_fig3 () =
              Printf.sprintf "%.0f" s.effort;
              s.event.note;
            ])
-         scored_timeline);
+         scored_timeline));
   (* The paper's headline: first-of-kind deployments cost the most and
      subsequent ones get cheaper. *)
   let first_last kind =
@@ -130,9 +129,9 @@ let print_fig3 () =
     (fun kind ->
       match first_last kind with
       | Some (first, last) ->
-          Log.out "%-15s first %.0f -> latest %.0f (%.0f%% cheaper)\n" (kind_to_string kind)
+          Printf.bprintf b "%-15s first %.0f -> latest %.0f (%.0f%% cheaper)\n" (kind_to_string kind)
             first last
             (100.0 *. (first -. last) /. first)
       | None -> ())
     [ Core_backbone; Campus_vlan; Nren_attach; Reused_circuit ];
-  Log.out "\n"
+  Printf.bprintf b "\n"

@@ -18,4 +18,4 @@ val timeline : event list
 type scored = { event : event; effort : float }
 
 val scored_timeline : scored list
-val print_fig3 : unit -> unit
+val print_fig3 : Buffer.t -> unit

@@ -1,4 +1,3 @@
-module Log = Telemetry.Log
 (* The containment figure: per adversary class, blast radius (degraded
    pairs, bogus control-plane state accepted, amplification bytes, flood
    frames through) and time-to-containment, with the defence stack on
@@ -524,9 +523,9 @@ let run ?(seed = 0xADD5_EC4EL) ~topogen_ases ?telemetry () =
 
 (* --- Rendering --------------------------------------------------------- *)
 
-let print_containment r =
-  Log.out "== Containment: blast radius and time-to-containment per adversary class ==\n";
-  Table.print
+let print_containment b r =
+  Printf.bprintf b "== Containment: blast radius and time-to-containment per adversary class ==\n";
+  Buffer.add_string b (Table.render
     ~header:
       [ "attack"; "scale"; "defences"; "degraded%"; "bogus"; "amp KiB"; "flood thru"; "contain s" ]
     ~rows:
@@ -542,8 +541,8 @@ let print_containment r =
              string_of_int c.c_flood_passed;
              Table.fmt_float c.c_contain_s;
            ])
-         r.cells);
-  Log.out
+         r.cells));
+  Printf.bprintf b
     "%d/%d classes strictly contained (smaller blast radius AND faster containment with \
      defences on, at every scale); %d quarantine entries dropped %d beacons, %d SCMP \
      replies suppressed, %d poisoned paths revoked, %d TRC rotations\n\n"

@@ -53,5 +53,6 @@ val run : ?seed:int64 -> topogen_ases:int -> ?telemetry:Obs.t -> unit -> result
     scale a [topogen_ases]-AS generated mesh. With
     [?telemetry], aggregate counters land under [exp.adversary.*]. *)
 
-val print_containment : result -> unit
-(** Render the containment table plus the defence-ledger summary line. *)
+val print_containment : Buffer.t -> result -> unit
+(** Append the containment table plus the defence-ledger summary line to
+    the buffer. *)

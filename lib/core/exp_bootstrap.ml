@@ -1,4 +1,3 @@
-module Log = Telemetry.Log
 (* Section 5.1, Figure 4: end-host bootstrapping performance — hint
    retrieval, configuration retrieval and total latency per OS, 30 runs per
    hinting mechanism; plus Table 2 (Appendix A), the availability matrix of
@@ -112,10 +111,11 @@ let box_row label (b : Stats.boxplot) =
     Scion_util.Table.fmt_ms b.Stats.high_whisker;
   ]
 
-let print_fig4 r =
-  Log.out "== Figure 4: bootstrapping latency per platform (%d runs/mechanism, ms) ==\n"
+let print_fig4 b r =
+  Printf.bprintf b "== Figure 4: bootstrapping latency per platform (%d runs/mechanism, ms) ==\n"
     r.runs_per_mechanism;
-  Scion_util.Table.print ~header:[ "stage/os"; "p5"; "q1"; "median"; "q3"; "p95" ]
+  Buffer.add_string b (Scion_util.Table.render
+    ~header:[ "stage/os"; "p5"; "q1"; "median"; "q3"; "p95" ]
     ~rows:
       (List.concat_map
          (fun s ->
@@ -125,13 +125,13 @@ let print_fig4 r =
              box_row (n ^ " config") s.config;
              box_row (n ^ " total") s.total;
            ])
-         r.per_os);
-  Log.out "worst total median: %.1f ms — %s 150 ms, imperceptible to users (paper: median < 150 ms)\n\n"
+         r.per_os));
+  Printf.bprintf b "worst total median: %.1f ms — %s 150 ms, imperceptible to users (paper: median < 150 ms)\n\n"
     r.all_medians_under_ms
     (if r.all_medians_under_ms < 150.0 then "under" else "OVER")
 
-let print_table2 () =
-  Log.out "== Table 2: hinting mechanisms vs network environment ==\n";
+let print_table2 b =
+  Printf.bprintf b "== Table 2: hinting mechanisms vs network environment ==\n";
   let envs =
     [
       ("static", { Hints.static_ips_only = true; dhcp = false; dhcpv6 = false; ipv6_ras = false; dns_search_domain = false });
@@ -147,7 +147,7 @@ let print_table2 () =
     | Hints.Combined -> "M"
     | Hints.Not_applicable -> "N"
   in
-  Scion_util.Table.print
+  Buffer.add_string b (Scion_util.Table.render
     ~header:("mechanism" :: List.map fst envs)
-    ~rows:(List.map (fun m -> Hints.name m :: List.map (fun (_, e) -> cell m e) envs) Hints.all);
-  Log.out "\n"
+    ~rows:(List.map (fun m -> Hints.name m :: List.map (fun (_, e) -> cell m e) envs) Hints.all));
+  Printf.bprintf b "\n"

@@ -20,5 +20,5 @@ val run : ?runs:int -> ?seed:int64 -> ?telemetry:Obs.t -> unit -> result
     [exp.fig4.latency_ms{os,stage}] summaries — this experiment runs no
     network, so the distribution is the figure's metrics evidence. *)
 
-val print_fig4 : result -> unit
-val print_table2 : unit -> unit
+val print_fig4 : Buffer.t -> result -> unit
+val print_table2 : Buffer.t -> unit

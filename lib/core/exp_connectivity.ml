@@ -1,4 +1,3 @@
-module Log = Telemetry.Log
 module Ia = Scion_addr.Ia
 module Stats = Scion_util.Stats
 module Table = Scion_util.Table
@@ -109,55 +108,55 @@ let run ~days ?(config = Multiping.default_config) ?seed ?(verify_pcbs = false) 
     timeseries;
   }
 
-let print_cdf name values =
+let print_cdf b name values =
   let cdf = Stats.resample_cdf (Stats.cdf values) 15 in
-  Log.out "%s\n" name;
-  Table.print ~header:[ "RTT (ms)"; "P(X<=x)" ]
-    ~rows:(List.map (fun (v, f) -> [ Table.fmt_ms v; Table.fmt_pct f ]) cdf)
+  Printf.bprintf b "%s\n" name;
+  Buffer.add_string b (Table.render ~header:[ "RTT (ms)"; "P(X<=x)" ]
+    ~rows:(List.map (fun (v, f) -> [ Table.fmt_ms v; Table.fmt_pct f ]) cdf))
 
-let print_fig5 r =
-  Log.out "== Figure 5: CDF of ping latency for SCION and IP ==\n";
-  Log.out "pings kept: %d SCION, %d IP (raw: %d / %d)\n" r.dataset.Multiping.scion_pings
+let print_fig5 b r =
+  Printf.bprintf b "== Figure 5: CDF of ping latency for SCION and IP ==\n";
+  Printf.bprintf b "pings kept: %d SCION, %d IP (raw: %d / %d)\n" r.dataset.Multiping.scion_pings
     r.dataset.Multiping.ip_pings r.raw_scion_pings r.raw_ip_pings;
-  print_cdf "SCION RTT CDF:" r.scion_rtts;
-  print_cdf "IP RTT CDF:" r.ip_rtts;
-  Log.out "median: SCION %.1f ms vs IP %.1f ms (%.1f%% reduction; paper: 149.8 vs 160.9, 6.9%%)\n"
+  print_cdf b "SCION RTT CDF:" r.scion_rtts;
+  print_cdf b "IP RTT CDF:" r.ip_rtts;
+  Printf.bprintf b "median: SCION %.1f ms vs IP %.1f ms (%.1f%% reduction; paper: 149.8 vs 160.9, 6.9%%)\n"
     r.scion_median r.ip_median
     (100.0 *. (r.ip_median -. r.scion_median) /. r.ip_median);
-  Log.out "p90:    SCION %.1f ms vs IP %.1f ms (%.1f%% reduction; paper: 287 vs 376, 23.7%%)\n\n"
+  Printf.bprintf b "p90:    SCION %.1f ms vs IP %.1f ms (%.1f%% reduction; paper: 287 vs 376, 23.7%%)\n\n"
     r.scion_p90 r.ip_p90
     (100.0 *. (r.ip_p90 -. r.scion_p90) /. r.ip_p90)
 
-let print_fig6 r =
-  Log.out "== Figure 6: CDF of RTT ratio (SCION / IP) per AS pair ==\n";
+let print_fig6 b r =
+  Printf.bprintf b "== Figure 6: CDF of RTT ratio (SCION / IP) per AS pair ==\n";
   let ratios = Array.of_list (List.map (fun p -> p.ratio) r.pair_ratios) in
   let cdf = Stats.resample_cdf (Stats.cdf ratios) 15 in
-  Table.print ~header:[ "ratio"; "P(X<=x)" ]
-    ~rows:(List.map (fun (v, f) -> [ Table.fmt_ratio v; Table.fmt_pct f ]) cdf);
-  Log.out "pairs with lower latency over SCION: %s (paper: ~38%%)\n"
+  Buffer.add_string b (Table.render ~header:[ "ratio"; "P(X<=x)" ]
+    ~rows:(List.map (fun (v, f) -> [ Table.fmt_ratio v; Table.fmt_pct f ]) cdf));
+  Printf.bprintf b "pairs with lower latency over SCION: %s (paper: ~38%%)\n"
     (Table.fmt_pct r.frac_pairs_faster_on_scion);
-  Log.out "pairs with <= 25%% inflation:         %s (paper: ~80%%)\n"
+  Printf.bprintf b "pairs with <= 25%% inflation:         %s (paper: ~80%%)\n"
     (Table.fmt_pct r.frac_pairs_inflation_le_25pct);
   let outliers =
     List.filter (fun p -> p.ratio > 2.0) r.pair_ratios
     |> List.sort (fun a b -> compare b.ratio a.ratio)
   in
-  Log.out "outliers (ratio > 2.0), as annotated in the paper's figure:\n";
+  Printf.bprintf b "outliers (ratio > 2.0), as annotated in the paper's figure:\n";
   List.iter
     (fun p ->
-      Log.out "  %-14s -> %-14s ratio %.2f\n" (Topology.name_of p.pr_src)
+      Printf.bprintf b "  %-14s -> %-14s ratio %.2f\n" (Topology.name_of p.pr_src)
         (Topology.name_of p.pr_dst) p.ratio)
     (List.filteri (fun i _ -> i < 8) outliers);
-  Log.out "\n"
+  Printf.bprintf b "\n"
 
-let print_fig7 r =
-  Log.out "== Figure 7: SCION/IP RTT ratio over time ==\n";
-  Table.print ~header:[ "day"; "median ratio" ]
-    ~rows:(List.map (fun (d, v) -> [ Printf.sprintf "%.1f" d; Table.fmt_ratio v ]) r.timeseries);
+let print_fig7 b r =
+  Printf.bprintf b "== Figure 7: SCION/IP RTT ratio over time ==\n";
+  Buffer.add_string b (Table.render ~header:[ "day"; "median ratio" ]
+    ~rows:(List.map (fun (d, v) -> [ Printf.sprintf "%.1f" d; Table.fmt_ratio v ]) r.timeseries));
   let values = Array.of_list (List.map snd r.timeseries) in
   if Array.length values > 0 then begin
     let lo, hi = Stats.min_max values in
-    Log.out
+    Printf.bprintf b
       "range %.3f..%.3f — maintenance spike near day 3 (Jan 21), stabilisation after day 7 (Jan 25), upgrade spike near day 19 (Feb 6)\n\n"
       lo hi
   end

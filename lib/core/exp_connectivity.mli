@@ -43,6 +43,6 @@ val run :
     the bundle's registry — the per-figure metrics evidence the golden
     harness checks in. Attaching telemetry never changes RNG draw order. *)
 
-val print_fig5 : result -> unit
-val print_fig6 : result -> unit
-val print_fig7 : result -> unit
+val print_fig5 : Buffer.t -> result -> unit
+val print_fig6 : Buffer.t -> result -> unit
+val print_fig7 : Buffer.t -> result -> unit

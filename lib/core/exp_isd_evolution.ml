@@ -1,4 +1,3 @@
-module Log = Telemetry.Log
 module Ia = Scion_addr.Ia
 module Combinator = Scion_controlplane.Combinator
 
@@ -96,20 +95,23 @@ let run ?seed ?telemetry () =
       publish "regional" regional);
   { single; regional; single_avg_blast = avg single; regional_avg_blast = avg regional; regional_domains }
 
-let print_report r =
-  Log.out "== Section 3.3: ISD evolution — fault isolation of regional ISDs ==\n";
+let print_report b r =
+  Printf.bprintf b "== Section 3.3: ISD evolution — fault isolation of regional ISDs ==\n";
   let rows l =
     List.map
       (fun s ->
         [ s.failed_domain; string_of_int s.dead_ases; Scion_util.Table.fmt_pct s.pairs_lost ])
       l
   in
-  Log.out "CA/TRC incident blast radius, current governance:\n";
-  Scion_util.Table.print ~header:[ "failed domain"; "ASes down"; "pairs lost" ] ~rows:(rows r.single);
-  Log.out "\nCA/TRC incident blast radius, regional ISDs (SCIERA-EU/NA/ASIA/SA):\n";
-  Scion_util.Table.print ~header:[ "failed domain"; "ASes down"; "pairs lost" ]
-    ~rows:(rows r.regional);
-  Log.out
+  Printf.bprintf b "CA/TRC incident blast radius, current governance:\n";
+  Buffer.add_string b (Scion_util.Table.render
+    ~header:[ "failed domain"; "ASes down"; "pairs lost" ]
+    ~rows:(rows r.single));
+  Printf.bprintf b "\nCA/TRC incident blast radius, regional ISDs (SCIERA-EU/NA/ASIA/SA):\n";
+  Buffer.add_string b (Scion_util.Table.render
+    ~header:[ "failed domain"; "ASes down"; "pairs lost" ]
+    ~rows:(rows r.regional));
+  Printf.bprintf b
     "\nmean blast radius: %s (single ISD) -> %s (regional) — the containment the paper expects from regionally scoped ISDs\n\n"
     (Scion_util.Table.fmt_pct r.single_avg_blast)
     (Scion_util.Table.fmt_pct r.regional_avg_blast)

@@ -32,4 +32,4 @@ val run : ?seed:int64 -> ?telemetry:Obs.t -> unit -> result
     publishes one [exp.isd.pairs_lost{domain,governance}] gauge per
     scenario. *)
 
-val print_report : result -> unit
+val print_report : Buffer.t -> result -> unit

@@ -1,4 +1,3 @@
-module Log = Telemetry.Log
 (* The load figure: goodput, flow completion time and queue drops vs
    offered load, SCION multipath-capable endpoints vs a single-path-IP
    baseline, at two scales (the 29-AS Figure-1 mesh and a topogen mesh).
@@ -413,11 +412,11 @@ let run ?(seed = 0x10AD_CAFEL) ~loads ~duration_s ~topogen_ases ?telemetry () =
 
 (* --- Rendering --------------------------------------------------------- *)
 
-let print_load r =
-  Log.out
+let print_load b r =
+  Printf.bprintf b
     "== Load: goodput and FCT vs offered load, multipath vs single-path (%g s cells) ==\n"
     r.duration_s;
-  Table.print
+  Buffer.add_string b (Table.render
     ~header:
       [
         "scale"; "arm"; "load"; "offered Mbps"; "goodput Mbps"; "mean FCT s"; "p99 FCT s";
@@ -438,11 +437,11 @@ let print_load r =
              Table.fmt_float c.c_fg_drop_pct;
              Table.fmt_float c.c_fg_delay_ms;
            ])
-         r.cells);
+         r.cells));
   (* The p99 direction is load-dependent: multipath admits more flows, so
      its completed population can include slower transfers the single-path
      floor would have rejected — word the tail honestly either way. *)
-  Log.out
+  Printf.bprintf b
     "at load %s on the 29-AS mesh, multipath placement carries %sx the single-path goodput %s\n\n"
     (Table.fmt_float (List.fold_left Float.max 0.0 r.loads))
     (Table.fmt_float r.mp_goodput_gain)

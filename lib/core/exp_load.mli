@@ -63,4 +63,4 @@ val run :
     aggregates. Raises [Invalid_argument] on an empty sweep or
     non-positive load/duration. *)
 
-val print_load : result -> unit
+val print_load : Buffer.t -> result -> unit

@@ -1,4 +1,3 @@
-module Log = Telemetry.Log
 module Ia = Scion_addr.Ia
 module Stats = Scion_util.Stats
 module Combinator = Scion_controlplane.Combinator
@@ -138,45 +137,45 @@ let matrix_rows r m =
     (fun i src -> src :: List.mapi (fun j _ -> if i = j then "-" else string_of_int m.(i).(j)) labels)
     labels
 
-let print_matrix r title m =
-  Log.out "%s\n" title;
-  Scion_util.Table.print
+let print_matrix b r title m =
+  Printf.bprintf b "%s\n" title;
+  Buffer.add_string b (Scion_util.Table.render
     ~header:("src\\dst" :: List.map Ia.to_string r.ases)
-    ~rows:(matrix_rows r m)
+    ~rows:(matrix_rows r m))
 
-let print_fig8 r =
-  Log.out "== Figure 8: maximum number of active paths between AS pairs ==\n";
-  print_matrix r "" r.max_paths;
-  let a, b, c = r.best_pair in
-  Log.out "every pair has >= %d paths (paper: >= 2); richest pair %s -> %s with %d (paper: UVa->UFMS 113)\n\n"
-    r.min_paths (Topology.name_of a) (Topology.name_of b) c
+let print_fig8 b r =
+  Printf.bprintf b "== Figure 8: maximum number of active paths between AS pairs ==\n";
+  print_matrix b r "" r.max_paths;
+  let src, dst, n = r.best_pair in
+  Printf.bprintf b "every pair has >= %d paths (paper: >= 2); richest pair %s -> %s with %d (paper: UVa->UFMS 113)\n\n"
+    r.min_paths (Topology.name_of src) (Topology.name_of dst) n
 
-let print_fig9 r =
-  Log.out "== Figure 9: median deviation from the maximum number of active paths ==\n";
-  print_matrix r "" r.median_deviation;
-  Log.out
+let print_fig9 b r =
+  Printf.bprintf b "== Figure 9: median deviation from the maximum number of active paths ==\n";
+  print_matrix b r "" r.median_deviation;
+  Printf.bprintf b
     "most entries are 0 (paper: same); elevated deviations where the incidents bite: the Equinix row/column (flapping Ashburn cross-connect, the paper's UVa-Equinix/BRIDGES finding) and the Singapore-Amsterdam entries (submarine-cable cut, the paper's DJ-SG finding)\n\n"
 
-let print_fig10a r =
-  Log.out "== Figure 10a: CDF of path latency inflation (d2/d1) ==\n";
-  Scion_util.Table.print ~header:[ "inflation"; "P(X<=x)" ]
+let print_fig10a b r =
+  Printf.bprintf b "== Figure 10a: CDF of path latency inflation (d2/d1) ==\n";
+  Buffer.add_string b (Scion_util.Table.render ~header:[ "inflation"; "P(X<=x)" ]
     ~rows:
       (List.map
          (fun (v, f) -> [ Scion_util.Table.fmt_ratio v; Scion_util.Table.fmt_pct f ])
-         (Stats.resample_cdf r.inflation_cdf 12));
-  Log.out "pairs with a near-equal alternative (<=1.05): %s (paper: ~40%% at ~1.0)\n"
+         (Stats.resample_cdf r.inflation_cdf 12)));
+  Printf.bprintf b "pairs with a near-equal alternative (<=1.05): %s (paper: ~40%% at ~1.0)\n"
     (Scion_util.Table.fmt_pct r.frac_inflation_close_to_1);
-  Log.out "pairs with <= 20%% inflation:                  %s (paper: ~80%%)\n\n"
+  Printf.bprintf b "pairs with <= 20%% inflation:                  %s (paper: ~80%%)\n\n"
     (Scion_util.Table.fmt_pct r.frac_inflation_le_1_2)
 
-let print_fig10b r =
-  Log.out "== Figure 10b: CDF of path disjointness ==\n";
-  Scion_util.Table.print ~header:[ "disjointness"; "P(X<=x)" ]
+let print_fig10b b r =
+  Printf.bprintf b "== Figure 10b: CDF of path disjointness ==\n";
+  Buffer.add_string b (Scion_util.Table.render ~header:[ "disjointness"; "P(X<=x)" ]
     ~rows:
       (List.map
          (fun (v, f) -> [ Scion_util.Table.fmt_ratio v; Scion_util.Table.fmt_pct f ])
-         (Stats.resample_cdf r.disjointness_cdf 12));
-  Log.out "fully disjoint combinations: %s (paper: ~30%%)\n"
+         (Stats.resample_cdf r.disjointness_cdf 12)));
+  Printf.bprintf b "fully disjoint combinations: %s (paper: ~30%%)\n"
     (Scion_util.Table.fmt_pct r.frac_fully_disjoint);
-  Log.out "combinations >= 0.7 disjoint: %s (paper: ~80%%)\n\n"
+  Printf.bprintf b "combinations >= 0.7 disjoint: %s (paper: ~80%%)\n\n"
     (Scion_util.Table.fmt_pct r.frac_disjointness_ge_0_7)

@@ -30,7 +30,7 @@ val run :
     {!Exp_connectivity.run}); the epoch sweep's control-plane and data-plane
     counters become the figure's checked-in metrics evidence. *)
 
-val print_fig8 : result -> unit
-val print_fig9 : result -> unit
-val print_fig10a : result -> unit
-val print_fig10b : result -> unit
+val print_fig8 : Buffer.t -> result -> unit
+val print_fig9 : Buffer.t -> result -> unit
+val print_fig10a : Buffer.t -> result -> unit
+val print_fig10b : Buffer.t -> result -> unit

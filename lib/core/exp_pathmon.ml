@@ -1,4 +1,3 @@
-module Log = Telemetry.Log
 (* The pathmon figure: adaptive (prober + selector driven) vs static path
    selection under soft degradation. Each trial injects a latency window or
    a loss burst on a link of the connection's preferred path — degradation
@@ -296,8 +295,8 @@ let run ~trials ?(seed = 0x9A7A_40BFL) ?(per_origin = 8) ?(verify_pcbs = false)
 
 (* --- Rendering --------------------------------------------------------- *)
 
-let print_pathmon r =
-  Log.out
+let print_pathmon b r =
+  Printf.bprintf b
     "== Pathmon: adaptive vs static selection under soft degradation (%d trials) ==\n"
     r.trials;
   let row mode mr =
@@ -310,11 +309,11 @@ let print_pathmon r =
       Table.fmt_pct mr.returned_to_preferred;
     ]
   in
-  Table.print
+  Buffer.add_string b (Table.render
     ~header:
       [ "mode"; "degraded p25 s"; "degraded median s"; "degraded p90 s"; "median inflation"; "back on preferred" ]
-    ~rows:[ row Adaptive r.adaptive; row Static r.static_ ];
-  Log.out
+    ~rows:[ row Adaptive r.adaptive; row Static r.static_ ]);
+  Printf.bprintf b
     "adaptive rode a degraded path %s s median vs %s s static (%sx less); %d soft switches \
      driven by %d probes\n\n"
     (Table.fmt_float r.adaptive.median_degraded_s)

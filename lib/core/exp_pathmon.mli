@@ -53,4 +53,4 @@ val run :
     [pathmon.prober.*] / [pathmon.selector.*] series of the probers and
     selectors themselves. *)
 
-val print_pathmon : result -> unit
+val print_pathmon : Buffer.t -> result -> unit

@@ -1,4 +1,3 @@
-module Log = Telemetry.Log
 (* New recovery figure: time-to-recover CDFs after a link failure on the
    preferred path, with the self-healing stack (SCMP revocation at the
    daemon + capped-exponential re-probe in the connection) versus a
@@ -275,8 +274,8 @@ let run ~trials ?(seed = 0x5EC0_4E4FL) ?(per_origin = 8) ?(verify_pcbs = false)
 
 (* --- Rendering -------------------------------------------------------- *)
 
-let print_recovery r =
-  Log.out "== Recovery: time to first successful send after link failure (%d trials) ==\n"
+let print_recovery b r =
+  Printf.bprintf b "== Recovery: time to first successful send after link failure (%d trials) ==\n"
     r.trials;
   let row mode mr =
     [
@@ -288,10 +287,10 @@ let print_recovery r =
       Table.fmt_pct mr.returned_to_preferred;
     ]
   in
-  Table.print
+  Buffer.add_string b (Table.render
     ~header:[ "mode"; "p25 s"; "median s"; "p75 s"; "p90 s"; "back on preferred" ]
-    ~rows:[ row Healed r.healed; row Baseline r.baseline ];
-  Log.out
+    ~rows:[ row Healed r.healed; row Baseline r.baseline ]);
+  Printf.bprintf b
     "healed median %s s vs baseline %s s: SCMP revocation + backoff re-probe cut \
      time-to-recover %sx; %d revocations evicted %d cached paths, %d re-probes\n\n"
     (Table.fmt_float r.healed.median_s)

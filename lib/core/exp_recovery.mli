@@ -55,4 +55,4 @@ val run :
     [exp.recovery.evicted_paths], [exp.recovery.reprobes] and the
     [exp.recovery.time_to_recover_s{mode}] summaries. *)
 
-val print_recovery : result -> unit
+val print_recovery : Buffer.t -> result -> unit

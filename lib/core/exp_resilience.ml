@@ -1,4 +1,3 @@
-module Log = Telemetry.Log
 (* Figure 10c: impact of link failures on AS connectivity — multipath vs a
    single-path (BGP-like) alternative. Each of [runs] runs removes links one
    by one in random order and tracks the fraction of AS pairs still connected. *)
@@ -132,8 +131,8 @@ let connectivity_at r fraction =
   let i = find 0 in
   (r.multipath_connectivity.(i), r.singlepath_connectivity.(i))
 
-let print_fig10c r =
-  Log.out "== Figure 10c: impact of link failures on AS connectivity (%d runs) ==\n" r.runs;
+let print_fig10c b r =
+  Printf.bprintf b "== Figure 10c: impact of link failures on AS connectivity (%d runs) ==\n" r.runs;
   let n = Array.length r.fractions_removed in
   let rows =
     List.filter_map
@@ -148,8 +147,10 @@ let print_fig10c r =
         else None)
       (List.init n Fun.id)
   in
-  Scion_util.Table.print ~header:[ "links removed"; "multipath"; "single path" ] ~rows;
+  Buffer.add_string b (Scion_util.Table.render
+    ~header:[ "links removed"; "multipath"; "single path" ]
+    ~rows);
   let m20, s20 = connectivity_at r 0.2 in
-  Log.out
+  Printf.bprintf b
     "at 20%% links removed: multipath %s vs single path %s connected (paper: ~90%% vs ~50%%)\n\n"
     (Scion_util.Table.fmt_pct m20) (Scion_util.Table.fmt_pct s20)

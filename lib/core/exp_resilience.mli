@@ -21,4 +21,4 @@ val run : runs:int -> ?seed:int64 -> ?telemetry:Obs.t -> unit -> result
 val connectivity_at : result -> float -> float * float
 (** [(multipath, singlepath)] connectivity at a removed-links fraction. *)
 
-val print_fig10c : result -> unit
+val print_fig10c : Buffer.t -> result -> unit

@@ -1,4 +1,3 @@
-module Log = Telemetry.Log
 module Ia = Scion_addr.Ia
 module Mesh = Scion_controlplane.Mesh
 module Rng = Scion_util.Rng
@@ -148,8 +147,8 @@ let run ?(seed = 0x5CA1_AB1EL) ~sizes ?(pairs = 120) () =
   in
   { rows = baseline :: scaled; sizes; pairs_per_size = pairs }
 
-let print_scaling r =
-  Table.print
+let print_scaling b r =
+  Buffer.add_string b (Table.render
     ~header:
       [
         "topology"; "ASes"; "links"; "cores"; "depth"; "reach%"; "deliv%"; "paths"; "stretch";
@@ -174,6 +173,6 @@ let print_scaling r =
              string_of_int w.fanout_capped;
              Printf.sprintf "%d/%d" w.memo_hits w.memo_misses;
            ])
-         r.rows);
-  Log.out "%d sampled pairs per topology; beaconing profile per_origin=%d k=%d fanout_cap=%d\n"
+         r.rows));
+  Printf.bprintf b "%d sampled pairs per topology; beaconing profile per_origin=%d k=%d fanout_cap=%d\n"
     r.pairs_per_size per_origin propagate_k fanout_cap

@@ -41,4 +41,4 @@ val run : ?seed:int64 -> sizes:int list -> ?pairs:int -> unit -> result
 (** One generated mesh per entry of [sizes], next to the 29-AS baseline.
     Defaults: seed [0x5CA1_AB1E], 120 pairs. *)
 
-val print_scaling : result -> unit
+val print_scaling : Buffer.t -> result -> unit

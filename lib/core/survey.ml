@@ -1,4 +1,3 @@
-module Log = Telemetry.Log
 (* Section 5.6: the operator survey — 8 anonymous respondents, 20 questions
    over deployment experience, CAPEX and OPEX. The per-respondent answers
    are a dataset constructed to be consistent with every aggregate the
@@ -114,11 +113,11 @@ let aggregates =
     vendor_under_3_per_year = pct (fun r -> r.vendor_contacts_per_year < 3);
   }
 
-let print_survey () =
+let print_survey b =
   let a = aggregates in
-  Log.out "== Section 5.6: operator survey (n=%d) ==\n" a.n;
+  Printf.bprintf b "== Section 5.6: operator survey (n=%d) ==\n" a.n;
   let row label v paper = [ label; Printf.sprintf "%.1f%%" v; paper ] in
-  Scion_util.Table.print ~header:[ "question"; "measured"; "paper" ]
+  Buffer.add_string b (Scion_util.Table.render ~header:[ "question"; "measured"; "paper" ]
     ~rows:
       [
         row "over a decade of experience" a.decade_plus "50%";
@@ -136,8 +135,8 @@ let print_survey () =
         row "cost driver: power" a.power_driver "12.5%";
         row "SCIERA tasks < 10% of workload" a.workload_under_10 "87.5%";
         row "vendor support < 3x per year" a.vendor_under_3_per_year "62.5%";
-      ];
-  Log.out "primary delay cause: %s\n\n"
+      ]);
+  Printf.bprintf b "primary delay cause: %s\n\n"
     (let causes = List.map (fun r -> r.delay_cause) respondents in
      let l2 = List.length (List.filter (fun c -> c = "L2 circuit provisioning across multiple networks") causes) in
      Printf.sprintf "L2 circuit provisioning (%d of %d delayed deployments)" l2

@@ -43,4 +43,4 @@ type aggregates = {
 }
 
 val aggregates : aggregates
-val print_survey : unit -> unit
+val print_survey : Buffer.t -> unit

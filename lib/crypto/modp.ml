@@ -43,6 +43,7 @@ let p24 =
     p_limbs16;
   out
 
+(* scion-lint: allow global-state -- a constant: felem is abstract outside this module and every in-place write here targets a fresh copy or scratch array, never [zero] *)
 let zero = Array.make dlimbs 0
 let one = Array.init dlimbs (fun i -> if i = 0 then 1 else 0)
 

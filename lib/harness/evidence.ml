@@ -4,13 +4,14 @@
 
    Figures that share a dataset (the connectivity campaign behind
    Figures 5-7, the epoch sweep behind Figures 8-10b) share one memoised
-   run per process — the stack-level samples are identical across those
+   run per session — the stack-level samples are identical across those
    figures by construction, and each figure adds its own
    [exp.<figure>.<key>] headline gauges on top.
 
-   There are two scales, [evidence] and [full] below. Evidence scale is
-   deliberately smaller than the full EXPERIMENTS.md run so the tier-1
-   golden suite stays fast: 4 simulated days of multiping instead of 20
+   There are two scales, [evidence_scale] and [full_scale] below, and a
+   session runs every dataset at the one it was started with. Evidence
+   scale is deliberately smaller than the full EXPERIMENTS.md run so the
+   tier-1 golden suite stays fast: 4 simulated days of multiping instead of 20
    (the shape claims survive, the wall-clock drops ~5x) and 25
    link-failure runs instead of 100. The multipath sweep keeps its full
    per_origin = 16 at both scales: fewer origins would drop the best pair
@@ -18,7 +19,6 @@
 
 module M = Telemetry.Metrics
 module Export = Telemetry.Export
-module Log = Telemetry.Log
 module Table = Scion_util.Table
 
 type t = { id : string; title : string; table : string; metrics : string }
@@ -37,7 +37,7 @@ type scale = {
   load_topogen : int;
 }
 
-let evidence =
+let evidence_scale =
   {
     connectivity_days = 4.0;
     resilience_runs = 25;
@@ -50,7 +50,7 @@ let evidence =
     load_topogen = 300;
   }
 
-let full =
+let full_scale =
   {
     connectivity_days = 20.0;
     resilience_runs = 100;
@@ -63,109 +63,111 @@ let full =
     load_topogen = 600;
   }
 
-let current_scale = ref evidence
-let scale_read = ref false
-
-(* Every scale-dependent dataset reads its size through here, so
-   [use_full_scale] can tell that one has been memoised. *)
-let scale () =
-  scale_read := true;
-  !current_scale
-
-(* Opting into full scale after a dataset has been memoised would silently
-   mix scales within one process, so it is a programming error. *)
-let use_full_scale () =
-  if !scale_read then
-    invalid_arg "Evidence.use_full_scale: a dataset is already memoised at evidence scale";
-  current_scale := full
-
-(* --- Memoised datasets ------------------------------------------------ *)
+(* --- Sessions ---------------------------------------------------------- *)
 
 (* A dataset run against a fresh telemetry bundle, paired with the
    stack-level samples it recorded. *)
-let observed run =
+type 'a observed = ('a * M.sample list) Lazy.t
+
+(* One tier's memoised datasets: every figure run through the same session
+   shares them, and two sessions share nothing. *)
+type session = {
+  connectivity : Sciera.Exp_connectivity.result observed;
+  multipath : Sciera.Exp_multipath.result observed;
+  resilience : Sciera.Exp_resilience.result observed;
+  recovery : Sciera.Exp_recovery.result observed;
+  pathmon : Sciera.Exp_pathmon.result observed;
+  scaling : Sciera.Exp_scaling.result Lazy.t;
+  load : Sciera.Exp_load.result observed;
+  adversary : Sciera.Exp_adversary.result observed;
+  bootstrap : Sciera.Exp_bootstrap.result observed;
+  isd_evolution : Sciera.Exp_isd_evolution.result observed;
+}
+
+let observed run : _ observed =
   lazy
     (let obs = Sciera.Obs.create () in
      let r = run obs in
      (r, Sciera.Obs.samples obs))
 
-let connectivity =
-  observed (fun telemetry ->
-      Sciera.Exp_connectivity.run ~days:(scale ()).connectivity_days ~telemetry ())
-
-let multipath = observed (fun telemetry -> Sciera.Exp_multipath.run ~telemetry ())
-
-let resilience =
-  observed (fun telemetry ->
-      Sciera.Exp_resilience.run ~runs:(scale ()).resilience_runs ~telemetry ())
-
-let recovery_data =
-  observed (fun telemetry ->
-      Sciera.Exp_recovery.run ~trials:(scale ()).recovery_trials ~telemetry ())
-
-let pathmon_data =
-  observed (fun telemetry ->
-      Sciera.Exp_pathmon.run ~trials:(scale ()).pathmon_trials ~telemetry ())
-
-(* No stack telemetry: the mesh registers per-AS labelled series (beacon
-   stores, border routers), which at N=1000 would explode the metrics
-   snapshot. Scale observability flows through Mesh accessors into the
-   rows and headline gauges instead. *)
-let scaling_data = lazy (Sciera.Exp_scaling.run ~sizes:(scale ()).scaling_sizes ())
-
-(* Stack telemetry only for the 29-AS mesh (the topogen-scale mesh inside
-   the experiment stays telemetry-less — per-AS series, as for scaling). *)
-let load_data =
-  observed (fun telemetry ->
-      let s = scale () in
-      Sciera.Exp_load.run ~loads:s.load_loads ~duration_s:s.load_duration
-        ~topogen_ases:s.load_topogen ~telemetry ())
-
-(* Runs LAST in figure order and keeps its meshes telemetry-less for the
-   same per-AS-series reason as scaling; the [exp.adversary.*] aggregate
-   counters flow through a private Obs bundle instead. Running last also
-   means its (adversarial) use of the process-wide signature cache cannot
-   reorder any earlier figure's hit/miss sequence. *)
-let adversary_data =
-  observed (fun telemetry ->
-      Sciera.Exp_adversary.run ~topogen_ases:(scale ()).adversary_topogen ~telemetry ())
-
-let bootstrap = observed (fun telemetry -> Sciera.Exp_bootstrap.run ~telemetry ())
-let isd_evolution = observed (fun telemetry -> Sciera.Exp_isd_evolution.run ~telemetry ())
+let start ~full =
+  let s = if full then full_scale else evidence_scale in
+  {
+    connectivity =
+      observed (fun telemetry ->
+          Sciera.Exp_connectivity.run ~days:s.connectivity_days ~telemetry ());
+    multipath = observed (fun telemetry -> Sciera.Exp_multipath.run ~telemetry ());
+    resilience =
+      observed (fun telemetry -> Sciera.Exp_resilience.run ~runs:s.resilience_runs ~telemetry ());
+    recovery =
+      observed (fun telemetry -> Sciera.Exp_recovery.run ~trials:s.recovery_trials ~telemetry ());
+    pathmon =
+      observed (fun telemetry -> Sciera.Exp_pathmon.run ~trials:s.pathmon_trials ~telemetry ());
+    (* No stack telemetry: the mesh registers per-AS labelled series (beacon
+       stores, border routers), which at N=1000 would explode the metrics
+       snapshot. Scale observability flows through Mesh accessors into the
+       rows and headline gauges instead. *)
+    scaling = lazy (Sciera.Exp_scaling.run ~sizes:s.scaling_sizes ());
+    (* Stack telemetry only for the 29-AS mesh (the topogen-scale mesh
+       inside the experiment stays telemetry-less — per-AS series, as for
+       scaling). *)
+    load =
+      observed (fun telemetry ->
+          Sciera.Exp_load.run ~loads:s.load_loads ~duration_s:s.load_duration
+            ~topogen_ases:s.load_topogen ~telemetry ());
+    (* Keeps its meshes telemetry-less for the same per-AS-series reason as
+       scaling; the [exp.adversary.*] aggregate counters flow through a
+       private Obs bundle instead. *)
+    adversary =
+      observed (fun telemetry ->
+          Sciera.Exp_adversary.run ~topogen_ases:s.adversary_topogen ~telemetry ());
+    bootstrap = observed (fun telemetry -> Sciera.Exp_bootstrap.run ~telemetry ());
+    isd_evolution = observed (fun telemetry -> Sciera.Exp_isd_evolution.run ~telemetry ());
+  }
 
 (* --- Assembly --------------------------------------------------------- *)
 
 let sample_key (s : M.sample) = (s.M.sample_name, s.M.sample_labels)
 
+(* Counts print exactly: an integral value that a float holds exactly
+   (below 2^53) renders as an integer, anything else with the canonical
+   %.6g of Table.fmt_float. *)
+let headline_value v =
+  if Float.is_integer v && Float.abs v < 0x1p53 then Printf.sprintf "%.0f" v
+  else Table.fmt_float v
+
 let headline_table headline =
   Table.render ~header:[ "headline"; "value" ]
-    ~rows:(List.map (fun (k, v) -> [ k; Table.fmt_float v ]) headline)
+    ~rows:(List.map (fun (k, v) -> [ k; headline_value v ]) headline)
 
-(* [headline] becomes both the table footer (rendered with the canonical
-   %.6g of Table.fmt_float) and one exp.<id>.<key> gauge per entry in the
-   metrics snapshot, merged with the dataset's stack-level samples. *)
+(* [headline] becomes both the table footer and one exp.<id>.<key> gauge
+   per entry in the metrics snapshot, merged with the dataset's
+   stack-level samples. [print] appends the figure's report to the table
+   body. *)
 let make ~id ~title ~samples:stack_samples ~headline print =
   let reg = M.create () in
   (* scion-lint: allow telemetry-registry -- exp.<id>.<key> gauges are scoped to one figure's private registry and pinned by the checked-in goldens, not the tree-wide registry *)
   List.iter (fun (k, v) -> M.set (M.gauge reg (Printf.sprintf "exp.%s.%s" id k)) v) headline;
   let all = List.sort (fun a b -> compare (sample_key a) (sample_key b)) (stack_samples @ M.snapshot reg) in
-  let body, () = Log.capture_report print in
+  let body = Buffer.create 4096 in
+  print body;
   let table =
-    Printf.sprintf "== %s ==\n%s-- headline (canonical %%.6g floats) --\n%s" title body
-      (headline_table headline)
+    Printf.sprintf "== %s ==\n%s-- headline (canonical %%.6g floats) --\n%s" title
+      (Buffer.contents body) (headline_table headline)
   in
   { id; title; table; metrics = Export.samples_to_json all }
 
 (* --- Per-figure runners ----------------------------------------------- *)
 
-let print_table1 () =
-  Table.print ~header:[ "Location"; "Peering NRENs"; "Partner Networks" ]
-    ~rows:(List.map (fun (a, b, c) -> [ a; b; c ]) Sciera.Topology.pops);
-  Log.out "%d ASes in the modelled deployment, %d Layer-2 links\n"
+let print_table1 b =
+  Buffer.add_string b
+    (Table.render ~header:[ "Location"; "Peering NRENs"; "Partner Networks" ]
+       ~rows:(List.map (fun (loc, nrens, partners) -> [ loc; nrens; partners ]) Sciera.Topology.pops));
+  Printf.bprintf b "%d ASes in the modelled deployment, %d Layer-2 links\n"
     (List.length Sciera.Topology.ases)
     (List.length Sciera.Topology.links)
 
-let table1 make =
+let table1 _ make =
   make ~samples:[]
     ~headline:
       [
@@ -175,7 +177,7 @@ let table1 make =
       ]
     print_table1
 
-let fig3 make =
+let fig3 _ make =
   let open Sciera.Deployment in
   (* Learning-curve headline: relative effort drop from the first to the
      last deployment of each kind with at least two instances. *)
@@ -201,8 +203,8 @@ let fig3 make =
     ~headline:(("deployments", float_of_int (List.length timeline)) :: drops)
     print_fig3
 
-let fig4 make =
-  let r, samples = Lazy.force bootstrap in
+let fig4 s make =
+  let r, samples = Lazy.force s.bootstrap in
   let per_os =
     List.map
       (fun (s : Sciera.Exp_bootstrap.os_summary) ->
@@ -215,14 +217,14 @@ let fig4 make =
       (("runs_per_mechanism", float_of_int r.Sciera.Exp_bootstrap.runs_per_mechanism)
       :: ("all_medians_under_ms", r.Sciera.Exp_bootstrap.all_medians_under_ms)
       :: per_os)
-    (fun () -> Sciera.Exp_bootstrap.print_fig4 r)
+    (fun b -> Sciera.Exp_bootstrap.print_fig4 b r)
 
-let table2 make =
+let table2 _ make =
   make ~samples:[]
     ~headline:[ ("mechanisms", float_of_int (List.length Scion_endhost.Hints.all)) ]
     Sciera.Exp_bootstrap.print_table2
 
-let app_effort make =
+let app_effort _ make =
   let total =
     List.fold_left (fun acc c -> acc + c.Sciera.App_effort.loc_delta) 0 Sciera.App_effort.cases
   in
@@ -234,8 +236,8 @@ let app_effort make =
       ]
     Sciera.App_effort.print_app_effort
 
-let fig5 make =
-  let r, samples = Lazy.force connectivity in
+let fig5 s make =
+  let r, samples = Lazy.force s.connectivity in
   let open Sciera.Exp_connectivity in
   make ~samples
     ~headline:
@@ -247,10 +249,10 @@ let fig5 make =
         ("kept_scion_pings", float_of_int r.dataset.Sciera.Multiping.scion_pings);
         ("kept_ip_pings", float_of_int r.dataset.Sciera.Multiping.ip_pings);
       ]
-    (fun () -> print_fig5 r)
+    (fun b -> print_fig5 b r)
 
-let fig6 make =
-  let r, samples = Lazy.force connectivity in
+let fig6 s make =
+  let r, samples = Lazy.force s.connectivity in
   let open Sciera.Exp_connectivity in
   make ~samples
     ~headline:
@@ -259,10 +261,10 @@ let fig6 make =
         ("frac_pairs_faster_on_scion", r.frac_pairs_faster_on_scion);
         ("frac_pairs_inflation_le_25pct", r.frac_pairs_inflation_le_25pct);
       ]
-    (fun () -> print_fig6 r)
+    (fun b -> print_fig6 b r)
 
-let fig7 make =
-  let r, samples = Lazy.force connectivity in
+let fig7 s make =
+  let r, samples = Lazy.force s.connectivity in
   let open Sciera.Exp_connectivity in
   let ratios = List.map snd r.timeseries in
   let rmin = List.fold_left min infinity ratios in
@@ -274,29 +276,29 @@ let fig7 make =
         ("ratio_min", rmin);
         ("ratio_max", rmax);
       ]
-    (fun () -> print_fig7 r)
+    (fun b -> print_fig7 b r)
 
-let fig8 make =
-  let r, samples = Lazy.force multipath in
+let fig8 s make =
+  let r, samples = Lazy.force s.multipath in
   let open Sciera.Exp_multipath in
   let _, _, best = r.best_pair in
   make ~samples
     ~headline:
       [ ("min_paths", float_of_int r.min_paths); ("best_pair_paths", float_of_int best) ]
-    (fun () -> print_fig8 r)
+    (fun b -> print_fig8 b r)
 
-let fig9 make =
-  let r, samples = Lazy.force multipath in
+let fig9 s make =
+  let r, samples = Lazy.force s.multipath in
   let open Sciera.Exp_multipath in
   let maxdev =
     Array.fold_left (fun acc row -> Array.fold_left max acc row) 0 r.median_deviation
   in
   make ~samples
     ~headline:[ ("max_median_deviation", float_of_int maxdev) ]
-    (fun () -> print_fig9 r)
+    (fun b -> print_fig9 b r)
 
-let fig10a make =
-  let r, samples = Lazy.force multipath in
+let fig10a s make =
+  let r, samples = Lazy.force s.multipath in
   let open Sciera.Exp_multipath in
   make ~samples
     ~headline:
@@ -304,10 +306,10 @@ let fig10a make =
         ("frac_inflation_close_to_1", r.frac_inflation_close_to_1);
         ("frac_inflation_le_1_2", r.frac_inflation_le_1_2);
       ]
-    (fun () -> print_fig10a r)
+    (fun b -> print_fig10a b r)
 
-let fig10b make =
-  let r, samples = Lazy.force multipath in
+let fig10b s make =
+  let r, samples = Lazy.force s.multipath in
   let open Sciera.Exp_multipath in
   make ~samples
     ~headline:
@@ -315,10 +317,10 @@ let fig10b make =
         ("frac_fully_disjoint", r.frac_fully_disjoint);
         ("frac_disjointness_ge_0_7", r.frac_disjointness_ge_0_7);
       ]
-    (fun () -> print_fig10b r)
+    (fun b -> print_fig10b b r)
 
-let fig10c make =
-  let r, samples = Lazy.force resilience in
+let fig10c s make =
+  let r, samples = Lazy.force s.resilience in
   let open Sciera.Exp_resilience in
   let m20, s20 = connectivity_at r 0.2 in
   make ~samples
@@ -328,9 +330,9 @@ let fig10c make =
         ("multipath_at_20pct", m20);
         ("singlepath_at_20pct", s20);
       ]
-    (fun () -> print_fig10c r)
+    (fun b -> print_fig10c b r)
 
-let survey make =
+let survey _ make =
   let a = Sciera.Survey.aggregates in
   make ~samples:[]
     ~headline:
@@ -342,8 +344,8 @@ let survey make =
       ]
     Sciera.Survey.print_survey
 
-let isd make =
-  let r, samples = Lazy.force isd_evolution in
+let isd s make =
+  let r, samples = Lazy.force s.isd_evolution in
   let open Sciera.Exp_isd_evolution in
   make ~samples
     ~headline:
@@ -352,10 +354,10 @@ let isd make =
         ("regional_avg_blast", r.regional_avg_blast);
         ("regional_domains", float_of_int (List.length r.regional_domains));
       ]
-    (fun () -> print_report r)
+    (fun b -> print_report b r)
 
-let recovery make =
-  let r, samples = Lazy.force recovery_data in
+let recovery s make =
+  let r, samples = Lazy.force s.recovery in
   let open Sciera.Exp_recovery in
   make ~samples
     ~headline:
@@ -370,10 +372,10 @@ let recovery make =
         ("evicted_paths", float_of_int r.evicted_paths);
         ("reprobes", float_of_int r.reprobes);
       ]
-    (fun () -> print_recovery r)
+    (fun b -> print_recovery b r)
 
-let pathmon make =
-  let r, samples = Lazy.force pathmon_data in
+let pathmon s make =
+  let r, samples = Lazy.force s.pathmon in
   let open Sciera.Exp_pathmon in
   make ~samples
     ~headline:
@@ -388,10 +390,10 @@ let pathmon make =
         ("soft_switches", float_of_int r.adaptive.soft_switches);
         ("probes", float_of_int r.adaptive.probes);
       ]
-    (fun () -> print_pathmon r)
+    (fun b -> print_pathmon b r)
 
-let scaling make =
-  let r = Lazy.force scaling_data in
+let scaling s make =
+  let r = Lazy.force s.scaling in
   let open Sciera.Exp_scaling in
   let slug label = String.map (fun c -> if c = '-' then '_' else c) label in
   let per_row =
@@ -415,10 +417,10 @@ let scaling make =
       (("sizes", float_of_int (List.length r.sizes))
       :: ("pairs_per_size", float_of_int r.pairs_per_size)
       :: per_row)
-    (fun () -> print_scaling r)
+    (fun b -> print_scaling b r)
 
-let load make =
-  let r, samples = Lazy.force load_data in
+let load s make =
+  let r, samples = Lazy.force s.load in
   let open Sciera.Exp_load in
   let slug s = String.map (fun ch -> if ch = '-' then '_' else ch) s in
   let per_cell =
@@ -445,10 +447,10 @@ let load make =
       :: ("mp_goodput_gain", r.mp_goodput_gain)
       :: ("mp_p99_fct_ratio", r.mp_p99_fct_ratio)
       :: per_cell)
-    (fun () -> print_load r)
+    (fun b -> print_load b r)
 
-let containment make =
-  let r, samples = Lazy.force adversary_data in
+let containment s make =
+  let r, samples = Lazy.force s.adversary in
   let open Sciera.Exp_adversary in
   let slug s = String.map (fun ch -> if ch = '-' then '_' else ch) s in
   let per_cell =
@@ -471,13 +473,13 @@ let containment make =
       :: ("poisoned_revocations", float_of_int r.poisoned_revocations)
       :: ("rotations", float_of_int r.rotations)
       :: per_cell)
-    (fun () -> print_containment r)
+    (fun b -> print_containment b r)
 
 (* --- The figure table: EXPERIMENTS.md summary-table order ------------ *)
 
-(* A runner computes its figure and hands [make], already applied to the
-   figure's id and title, the dataset's stack-level samples, the headline
-   and the report printer. *)
+(* A runner reads its dataset from the session and hands [make], already
+   applied to the figure's id and title, the dataset's stack-level samples,
+   the headline and the report printer. *)
 let artefacts =
   [
     ("table1", "Table 1: SCIERA PoPs and collaborating networks", table1);
@@ -506,10 +508,9 @@ let artefacts =
       containment );
   ]
 
-let figures = List.map (fun (id, title, _) -> (id, title)) artefacts
-let ids = List.map fst figures
+let ids = List.map (fun (id, _, _) -> id) artefacts
 
-let run id =
+let run session id =
   match List.find_opt (fun (i, _, _) -> String.equal i id) artefacts with
-  | Some (_, title, runner) -> runner (make ~id ~title)
+  | Some (_, title, runner) -> runner session (make ~id ~title)
   | None -> invalid_arg (Printf.sprintf "Evidence.run: unknown figure %S" id)

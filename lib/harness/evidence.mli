@@ -2,8 +2,8 @@
     figure and table of EXPERIMENTS.md.
 
     Each run produces the figure's result table in canonical text (the
-    experiment's report output, captured through
-    {!Telemetry.Log.capture_report}, plus a headline footer rendered with
+    report the experiment appends to a buffer, plus a headline footer in
+    which integral counts print exactly and every other value with
     {!Scion_util.Table.fmt_float}) — exactly what [bench/main.exe <id>]
     prints — and a telemetry snapshot scoped to that run
     ({!Telemetry.Export} JSONL: the instrumented network's stack-level
@@ -11,12 +11,13 @@
     are byte-stable for the fixed seeds, which is what lets {!Golden}
     check them in and diff them on every test run.
 
-    Figures sharing a dataset (Figures 5-7; Figures 8-10b) share one
-    memoised experiment run per process. Every run uses one of two scales:
-    the evidence scale ([test/golden/], the default) is reduced so the
-    tier-1 suite stays fast and the paper's shape claims still hold;
-    {!use_full_scale} switches to the full EXPERIMENTS.md campaign
-    ([test/golden-full/]). *)
+    Runs go through a {!session}, which fixes one of two scales and
+    memoises the datasets at it: figures sharing a dataset (Figures 5-7;
+    Figures 8-10b) share one experiment run per session, and two sessions
+    share nothing, so a figure's bytes do not depend on what ran before
+    it. The evidence scale ([test/golden/]) is reduced so the tier-1 suite
+    stays fast and the paper's shape claims still hold; the full scale is
+    the complete EXPERIMENTS.md campaign ([test/golden-full/]). *)
 
 type t = {
   id : string;  (** Figure id, e.g. ["fig5"]. *)
@@ -25,20 +26,19 @@ type t = {
   metrics : string;  (** JSONL snapshot ([test/golden/<id>/metrics.jsonl]). *)
 }
 
-val figures : (string * string) list
-(** [(id, title)] for every artefact, in EXPERIMENTS.md summary-table
-    order. *)
-
 val ids : string list
+(** Every artefact id, in EXPERIMENTS.md summary-table order. *)
 
-val use_full_scale : unit -> unit
-(** Switch to the full EXPERIMENTS.md campaign (20 days, 100 failure
-    runs, 40 recovery trials, 30 pathmon trials, scaling up to 3000 ASes)
-    — the [@golden-full] tier.
-    Raises [Invalid_argument] if a scale-dependent dataset has already
-    been memoised in this process, since that would mix scales. *)
+type session
+(** One tier's memoised datasets. *)
 
-val run : string -> t
-(** [run id] regenerates the evidence for one figure. Dataset runs are
-    memoised per process, so regenerating all of Figures 5-7 costs one
+val start : full:bool -> session
+(** A fresh session at the evidence scale, or with [~full:true] at the
+    full EXPERIMENTS.md campaign (20 days, 100 failure runs, 40 recovery
+    trials, 30 pathmon trials, scaling up to 3000 ASes) — the
+    [@golden-full] tier. Nothing runs until a figure needs it. *)
+
+val run : session -> string -> t
+(** [run session id] regenerates the evidence for one figure. Dataset runs
+    are memoised in [session], so regenerating all of Figures 5-7 costs one
     connectivity campaign. Raises [Invalid_argument] on an unknown id. *)

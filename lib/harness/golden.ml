@@ -17,8 +17,8 @@ let read_file path =
   if Sys.file_exists path then Some (In_channel.with_open_bin path In_channel.input_all)
   else None
 
-let check_figure ~dir id =
-  let e = Evidence.run id in
+let check_figure session ~dir id =
+  let e = Evidence.run session id in
   let against path fresh =
     match read_file path with
     | None ->
@@ -37,7 +37,7 @@ let check_figure ~dir id =
   let table_path, metrics_path = paths ~dir id in
   [ against table_path e.Evidence.table; against metrics_path e.Evidence.metrics ]
 
-let check ~dir () = List.concat_map (fun (id, _) -> check_figure ~dir id) Evidence.figures
+let check session ~dir = List.concat_map (check_figure session ~dir) Evidence.ids
 let stale files = List.filter (fun f -> Option.is_some f.diff) files
 
 type status = Created | Updated | Unchanged
@@ -54,10 +54,10 @@ let rec mkdir_p path =
     Sys.mkdir path 0o755
   end
 
-let promote ~dir () =
+let promote session ~dir =
   List.concat_map
-    (fun (id, _) ->
-      let e = Evidence.run id in
+    (fun id ->
+      let e = Evidence.run session id in
       mkdir_p (Filename.concat dir id);
       let write path contents =
         let status =
@@ -73,4 +73,4 @@ let promote ~dir () =
       in
       let table_path, metrics_path = paths ~dir id in
       [ write table_path e.Evidence.table; write metrics_path e.Evidence.metrics ])
-    Evidence.figures
+    Evidence.ids

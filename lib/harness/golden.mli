@@ -12,13 +12,13 @@ type file = {
   diff : string option;  (** [None] when the golden matches byte-for-byte. *)
 }
 
-val check_figure : dir:string -> string -> file list
-(** Regenerate one figure's evidence and diff it against its two golden
-    files. A missing golden reports a diff pointing at the promote
-    command. Dataset memoisation in {!Evidence} makes checking several
-    figures of one dataset cost a single experiment run. *)
+val check_figure : Evidence.session -> dir:string -> string -> file list
+(** Regenerate one figure's evidence in the session and diff it against
+    its two golden files. A missing golden reports a diff pointing at the
+    promote command. Dataset memoisation in the session makes checking
+    several figures of one dataset cost a single experiment run. *)
 
-val check : dir:string -> unit -> file list
+val check : Evidence.session -> dir:string -> file list
 (** {!check_figure} over every figure, in EXPERIMENTS.md order. *)
 
 val stale : file list -> file list
@@ -28,6 +28,6 @@ type status = Created | Updated | Unchanged
 
 val status_to_string : status -> string
 
-val promote : dir:string -> unit -> (string * status) list
+val promote : Evidence.session -> dir:string -> (string * status) list
 (** Regenerate everything and (re)write the golden files, creating
     directories as needed; files already matching are left untouched. *)

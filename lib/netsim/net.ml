@@ -251,14 +251,6 @@ let fluid_load t id ~from =
   | None -> 0.0
   | Some c -> if dir_ab "Net.fluid_load" l from then c.fluid_ab else c.fluid_ba
 
-let utilisation t id ~from =
-  let l = get t id in
-  match l.cap with
-  | None -> 0.0
-  | Some c ->
-      let fluid = if dir_ab "Net.utilisation" l from then c.fluid_ab else c.fluid_ba in
-      Float.min 1.0 (fluid /. c.cap_bps)
-
 (* The packet path keeps a residual floor of 1% of capacity even under
    full fluid load, so foreground probes always drain (slowly) instead of
    dividing by zero — congestion then shows up as queueing delay and

@@ -91,10 +91,6 @@ val set_fluid_load : t -> link_id -> from:node -> bps:float -> unit
 val fluid_load : t -> link_id -> from:node -> float
 (** Current fluid load in bps leaving [from]; [0.] when unarmed. *)
 
-val utilisation : t -> link_id -> from:node -> float
-(** Fluid load as a fraction of capacity, clamped to [\[0, 1\]]; [0.] when
-    unarmed. The bandwidth signal pathmon's estimator consumes. *)
-
 val sample_one_way : t -> link_id -> [ `Delivered of float | `Lost ]
 (** One traversal: [`Delivered ms] or [`Lost]. Down links always lose. *)
 

@@ -26,11 +26,6 @@ type obs = {
   o_loss : M.gauge;
   o_ok : M.counter;
   o_lost : M.counter;
-  (* Bandwidth-signal gauges exist only once the first sample arrives:
-     estimators never fed a bandwidth signal keep their historic snapshot
-     byte-identical (the pathmon golden). *)
-  o_util : M.gauge Lazy.t;
-  o_queue : M.gauge Lazy.t;
 }
 
 type t = {
@@ -41,12 +36,6 @@ type t = {
   mutable window_next : int;
   mutable window_filled : int;
   mutable probe_count : int;
-  (* Optional bandwidth signal (queue/utilisation along the path), EWMA
-     smoothed with the same gain as the RTT — absent until the first
-     [observe_bandwidth]. *)
-  mutable util : float;
-  mutable queue_ms : float;
-  mutable bw_count : int;
   obs : obs option;
 }
 
@@ -57,8 +46,6 @@ let make_obs registry ~labels =
     o_loss = M.gauge registry ~labels "pathmon.loss_rate";
     o_ok = M.counter registry ~labels:(("outcome", "ok") :: labels) "pathmon.probes";
     o_lost = M.counter registry ~labels:(("outcome", "lost") :: labels) "pathmon.probes";
-    o_util = lazy (M.gauge registry ~labels "pathmon.utilisation");
-    o_queue = lazy (M.gauge registry ~labels "pathmon.queue_delay_ms");
   }
 
 let create ?metrics ?(labels = []) ?(config = default_config) () =
@@ -75,9 +62,6 @@ let create ?metrics ?(labels = []) ?(config = default_config) () =
     window_next = 0;
     window_filled = 0;
     probe_count = 0;
-    util = 0.0;
-    queue_ms = 0.0;
-    bw_count = 0;
     obs = Option.map (fun registry -> make_obs registry ~labels) metrics;
   }
 
@@ -122,33 +106,6 @@ let observe t outcome =
       M.set o.o_dev t.dev_ms;
       M.set o.o_loss (loss_rate t)
 
-let observe_bandwidth t ~utilisation ~queue_delay_ms =
-  if Float.is_nan utilisation || utilisation < 0.0 || utilisation > 1.0 then
-    invalid_arg
-      (Printf.sprintf "Estimator.observe_bandwidth: utilisation must be in [0, 1] (got %g)"
-         utilisation);
-  if not (Float.is_finite queue_delay_ms) || queue_delay_ms < 0.0 then
-    invalid_arg
-      (Printf.sprintf "Estimator.observe_bandwidth: queue_delay_ms must be finite and >= 0 (got %g)"
-         queue_delay_ms);
-  if t.bw_count = 0 then begin
-    t.util <- utilisation;
-    t.queue_ms <- queue_delay_ms
-  end
-  else begin
-    let a = t.config.rtt_alpha in
-    t.util <- ((1.0 -. a) *. t.util) +. (a *. utilisation);
-    t.queue_ms <- ((1.0 -. a) *. t.queue_ms) +. (a *. queue_delay_ms)
-  end;
-  t.bw_count <- t.bw_count + 1;
-  match t.obs with
-  | None -> ()
-  | Some o ->
-      M.set (Lazy.force o.o_util) t.util;
-      M.set (Lazy.force o.o_queue) t.queue_ms
-
-let utilisation t = t.util
-let queue_delay_ms t = t.queue_ms
 let rtt_ewma_ms t = t.srtt_ms
 let rtt_deviation_ms t = t.dev_ms
 let probes t = t.probe_count

@@ -47,22 +47,5 @@ val rtt_deviation_ms : t -> float
 val loss_rate : t -> float
 (** Lost fraction of the last [loss_window] probes ([0.] before any). *)
 
-val observe_bandwidth : t -> utilisation:float -> queue_delay_ms:float -> unit
-(** Feed one bandwidth signal sample — typically the worst per-hop
-    {!Netsim.Net.utilisation} and queueing delay along the monitored
-    path. Both are EWMA-smoothed with [rtt_alpha]; with
-    [?metrics] the smoothed values export as the [pathmon.utilisation] and
-    [pathmon.queue_delay_ms] gauges (created on the first sample, so
-    estimators never fed a signal keep their historic snapshot). Raises
-    [Invalid_argument] on a utilisation outside [\[0, 1\]] or a
-    NaN/negative/infinite delay. *)
-
-val utilisation : t -> float
-(** Smoothed path utilisation in [\[0, 1\]]; [0.] before any bandwidth
-    sample. *)
-
-val queue_delay_ms : t -> float
-(** Smoothed path queueing delay; [0.] before any bandwidth sample. *)
-
 val probes : t -> int
 (** Total outcomes observed (successes and losses). *)

@@ -6,8 +6,6 @@ type config = {
   switch_margin : float;
   hold_ticks : int;
   min_probes : int;
-  bandwidth_aware : bool;
-  bw_penalty_ms : float;
 }
 
 let default_config =
@@ -17,17 +15,13 @@ let default_config =
     switch_margin = 0.10;
     hold_ticks = 2;
     min_probes = 3;
-    bandwidth_aware = false;
-    bw_penalty_ms = 150.0;
   }
 
 let make_config ?(loss_penalty_ms = default_config.loss_penalty_ms)
     ?(dev_weight = default_config.dev_weight)
     ?(switch_margin = default_config.switch_margin)
     ?(hold_ticks = default_config.hold_ticks)
-    ?(min_probes = default_config.min_probes)
-    ?(bandwidth_aware = default_config.bandwidth_aware)
-    ?(bw_penalty_ms = default_config.bw_penalty_ms) () =
+    ?(min_probes = default_config.min_probes) () =
   let non_negative name v =
     if Float.is_nan v || v < 0.0 then
       invalid_arg (Printf.sprintf "Selector.make_config: %s must be >= 0 (got %g)" name v)
@@ -39,8 +33,7 @@ let make_config ?(loss_penalty_ms = default_config.loss_penalty_ms)
     invalid_arg (Printf.sprintf "Selector.make_config: hold_ticks must be >= 1 (got %d)" hold_ticks);
   if min_probes < 0 then
     invalid_arg (Printf.sprintf "Selector.make_config: min_probes must be >= 0 (got %d)" min_probes);
-  non_negative "bw_penalty_ms" bw_penalty_ms;
-  { loss_penalty_ms; dev_weight; switch_margin; hold_ticks; min_probes; bandwidth_aware; bw_penalty_ms }
+  { loss_penalty_ms; dev_weight; switch_margin; hold_ticks; min_probes }
 
 type candidate = {
   fingerprint : string;
@@ -59,15 +52,7 @@ let score config c =
                have, and the loss penalty below does the real work. *)
             c.static_ms
       in
-      let congestion =
-        (* Off (and therefore score-neutral) unless the selector was
-           explicitly armed: the pathmon golden and every existing
-           consumer see the historic scoring. *)
-        if config.bandwidth_aware then
-          (config.bw_penalty_ms *. Estimator.utilisation est) +. Estimator.queue_delay_ms est
-        else 0.0
-      in
-      base +. (config.loss_penalty_ms *. Estimator.loss_rate est) +. congestion
+      base +. (config.loss_penalty_ms *. Estimator.loss_rate est)
   | _ -> c.static_ms
 
 type obs = {
@@ -87,8 +72,7 @@ let create ?metrics ?(labels = []) ?(config = default_config) () =
   let config =
     make_config ~loss_penalty_ms:config.loss_penalty_ms ~dev_weight:config.dev_weight
       ~switch_margin:config.switch_margin ~hold_ticks:config.hold_ticks
-      ~min_probes:config.min_probes ~bandwidth_aware:config.bandwidth_aware
-      ~bw_penalty_ms:config.bw_penalty_ms ()
+      ~min_probes:config.min_probes ()
   in
   let obs =
     Option.map

@@ -30,15 +30,6 @@ type config = {
   min_probes : int;
       (** Below this many probe outcomes an estimator is not trusted and
           the static latency is used instead. *)
-  bandwidth_aware : bool;
-      (** When set, the score also penalises the estimator's bandwidth
-          signal (path utilisation and queueing delay). Off by default:
-          scoring is byte-identical to the pre-bandwidth selector unless a
-          consumer opts in. *)
-  bw_penalty_ms : float;
-      (** Score penalty at 100% utilisation (scales linearly); the
-          smoothed queueing delay is added as-is. Only read when
-          [bandwidth_aware]. *)
 }
 
 val default_config : config
@@ -51,8 +42,6 @@ val make_config :
   ?switch_margin:float ->
   ?hold_ticks:int ->
   ?min_probes:int ->
-  ?bandwidth_aware:bool ->
-  ?bw_penalty_ms:float ->
   unit ->
   config
 (** {!default_config} with overrides; raises [Invalid_argument] on
@@ -67,9 +56,7 @@ type candidate = {
 val score : config -> candidate -> float
 (** The blended score (lower is better): the estimator's EWMA RTT (static
     RTT until [min_probes] outcomes) plus [dev_weight] times the RTT
-    deviation plus [loss_penalty_ms] times the windowed loss rate; with
-    [bandwidth_aware], plus [bw_penalty_ms] times the smoothed path
-    utilisation plus the smoothed queueing delay. *)
+    deviation plus [loss_penalty_ms] times the windowed loss rate. *)
 
 type t
 

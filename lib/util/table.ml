@@ -39,10 +39,6 @@ let render ~header ~rows =
   List.iter line rows;
   Buffer.contents buf
 
-(* scion-lint: allow naked-printf -- Table.print IS the sanctioned table renderer; telemetry depends on this module, not vice versa *)
-let printer = ref print_string
-let set_printer f = printer := f
-let print ~header ~rows = !printer (render ~header ~rows)
 let fmt_ms v = Printf.sprintf "%.1f" v
 let fmt_pct v = Printf.sprintf "%.1f%%" (100.0 *. v)
 let fmt_ratio v = Printf.sprintf "%.3f" v

@@ -30,14 +30,6 @@ val render : header:string list -> rows:string list list -> string
 (** [render ~header ~rows] returns an aligned ASCII table. Every row must
     have the same arity as the header. *)
 
-val print : header:string list -> rows:string list list -> unit
-(** Render and emit through the installed {!set_printer} sink
-    ([print_string] by default; [Telemetry.Log] reroutes it through the
-    report channel so captured experiment output includes tables). *)
-
-val set_printer : (string -> unit) -> unit
-(** Redirect {!print} output. The default prints to stdout. *)
-
 val fmt_ms : float -> string
 (** Milliseconds with one decimal, e.g. ["149.8"]. *)
 

@@ -8,6 +8,11 @@
    goldens sit at ./golden; under a bare `dune exec test/test_golden.exe`
    from the repo root they sit at test/golden. *)
 let golden_dir = if Sys.file_exists "golden" then "golden" else Filename.concat "test" "golden"
+let golden_full_dir = Filename.concat (Filename.dirname golden_dir) "golden-full"
+
+(* The evidence-tier session every per-figure case shares, so Figures 5-7
+   cost one connectivity campaign as they do in `bench/main.exe golden`. *)
+let session = Harness.Evidence.start ~full:false
 
 (* Alcotest failure output should stay readable even when a whole table
    changes: keep the head of the diff and say how much was cut. *)
@@ -18,7 +23,7 @@ let truncate_diff ?(max_lines = 60) d =
     String.concat "\n" (List.filteri (fun i _ -> i < max_lines) lines)
     ^ Printf.sprintf "\n... (%d more lines)\n" (List.length lines - max_lines)
 
-let check_figure id () =
+let check_figure ?(session = session) ?(dir = golden_dir) id () =
   List.iter
     (fun (f : Harness.Golden.file) ->
       match f.diff with
@@ -26,7 +31,7 @@ let check_figure id () =
       | Some d ->
           Alcotest.failf "golden mismatch: %s\nrefresh with `%s` if the change is deliberate\n%s"
             f.path "dune exec bench/main.exe -- golden --promote" (truncate_diff d))
-    (Harness.Golden.check_figure ~dir:golden_dir id)
+    (Harness.Golden.check_figure session ~dir id)
 
 (* The diff rendering itself: a one-line perturbation must show up as a
    focused -/+ hunk, not an opaque blob. *)
@@ -83,13 +88,21 @@ let test_injector_rng_isolation () =
   Alcotest.(check (array int))
     "workload draws identical with and without injected faults" quiet faulted
 
-(* Switching to full scale after a scale-dependent dataset has been
-   memoised would mix scales in one process, so it must be refused. *)
-let test_full_scale_after_memo () =
-  ignore (Harness.Evidence.run "containment");
-  Alcotest.check_raises "use_full_scale refused"
-    (Invalid_argument "Evidence.use_full_scale: a dataset is already memoised at evidence scale")
-    Harness.Evidence.use_full_scale
+(* A figure's bytes must not depend on what ran before it in the process:
+   a fresh session running every figure in reverse order reproduces each
+   checked-in table and metrics snapshot, after the shared session has
+   already run them in figure order. *)
+let test_reverse_order () =
+  let fresh = Harness.Evidence.start ~full:false in
+  List.iter (fun id -> check_figure ~session:fresh id ()) (List.rev Harness.Evidence.ids)
+
+(* A full-tier session started after an evidence-tier run in the same
+   process (of a scale-dependent dataset too) renders the full-tier
+   goldens. *)
+let test_full_after_evidence () =
+  List.iter (fun id -> check_figure id ()) [ "table1"; "fig10c" ];
+  let full = Harness.Evidence.start ~full:true in
+  List.iter (fun id -> check_figure ~session:full ~dir:golden_full_dir id ()) [ "table1"; "survey" ]
 
 (* The fig5 kept-ping gauges of each checked-in tier must count pings: the
    integers printed on the table's "pings kept:" line. *)
@@ -131,7 +144,7 @@ let test_fig5_kept_pings () =
         (gauge "exp.fig5.kept_scion_pings");
       Alcotest.(check (float 0.0)) (dir ^ " kept IP pings") (float_of_int ip)
         (gauge "exp.fig5.kept_ip_pings"))
-    [ golden_dir; Filename.concat (Filename.dirname golden_dir) "golden-full" ]
+    [ golden_dir; golden_full_dir ]
 
 let () =
   Alcotest.run "golden"
@@ -143,13 +156,12 @@ let () =
           Alcotest.test_case "injector RNG isolation" `Slow test_injector_rng_isolation;
         ] );
       ( "evidence",
-        List.map
-          (fun (id, _title) -> Alcotest.test_case id `Slow (check_figure id))
-          Harness.Evidence.figures );
+        List.map (fun id -> Alcotest.test_case id `Slow (check_figure id)) Harness.Evidence.ids );
       ( "headlines",
         [ Alcotest.test_case "fig5 kept pings match the table" `Quick test_fig5_kept_pings ] );
-      ( "scale",
+      ( "session",
         [
-          Alcotest.test_case "full scale refused once memoised" `Slow test_full_scale_after_memo;
+          Alcotest.test_case "reverse order matches goldens" `Slow test_reverse_order;
+          Alcotest.test_case "full tier after evidence tier" `Slow test_full_after_evidence;
         ] );
     ]

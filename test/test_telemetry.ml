@@ -5,7 +5,6 @@ module M = Telemetry.Metrics
 module Export = Telemetry.Export
 module Json = Telemetry.Json
 module Trace = Telemetry.Trace
-module Log = Telemetry.Log
 module Stats = Scion_util.Stats
 
 (* One series read back through a registry snapshot. *)
@@ -275,10 +274,6 @@ let test_trace_jsonl_stable () =
      {\"seq\":1,\"name\":\"walk\",\"t\":2,\"end\":3.5,\"dur\":1.5,\"hops\":4,\"ok\":true}\n"
     a
 
-let test_log_capture () =
-  let report, () = Log.capture_report (fun () -> Log.out "table %d\n" 7) in
-  Alcotest.(check string) "report captured" "table 7\n" report
-
 let () =
   Alcotest.run "telemetry"
     [
@@ -306,6 +301,5 @@ let () =
       ( "trace-log",
         [
           Alcotest.test_case "trace JSONL stable" `Quick test_trace_jsonl_stable;
-          Alcotest.test_case "log capture" `Quick test_log_capture;
         ] );
     ]

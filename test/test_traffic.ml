@@ -54,18 +54,12 @@ let test_capacity_validation () =
       Net.set_fluid_load net l ~from:a ~bps:(-1.0));
   Net.set_fluid_load net l ~from:a ~bps:1e6;
   Alcotest.(check (float 1e-9)) "fluid load set" 1e6 (Net.fluid_load net l ~from:a);
-  Alcotest.(check (float 1e-9)) "utilisation" 0.5 (Net.utilisation net l ~from:a);
   Alcotest.(check (float 1e-9)) "reverse direction untouched" 0.0 (Net.fluid_load net l ~from:b);
   let bare = Net.add_link net a b Net.default_params in
   Alcotest.(check (float 1e-9)) "no fluid load unarmed" 0.0 (Net.fluid_load net bare ~from:a);
   Alcotest.check_raises "fluid load needs an armed link"
     (Invalid_argument "Net.set_fluid_load: link has no capacity armed (call set_capacity first)")
     (fun () -> Net.set_fluid_load net bare ~from:a ~bps:1.0)
-
-let test_utilisation_saturates () =
-  let net, nodes, links = chain ~cap:1e6 1 in
-  Net.set_fluid_load net links.(0) ~from:nodes.(0) ~bps:5e6;
-  Alcotest.(check (float 1e-9)) "clamped at 1" 1.0 (Net.utilisation net links.(0) ~from:nodes.(0))
 
 (* --- Packet-level congestion (hybrid fidelity) ------------------------- *)
 
@@ -689,60 +683,7 @@ let test_load_deterministic () =
        false
      with Invalid_argument _ -> true)
 
-(* --- Bandwidth-aware pathmon -------------------------------------------- *)
-
-let test_estimator_bandwidth () =
-  let est = Pathmon.Estimator.create () in
-  Alcotest.(check (float 1e-9)) "zero util" 0.0 (Pathmon.Estimator.utilisation est);
-  Alcotest.check_raises "util above 1"
-    (Invalid_argument "Estimator.observe_bandwidth: utilisation must be in [0, 1] (got 1.5)")
-    (fun () -> Pathmon.Estimator.observe_bandwidth est ~utilisation:1.5 ~queue_delay_ms:0.0);
-  Alcotest.check_raises "negative delay"
-    (Invalid_argument
-       "Estimator.observe_bandwidth: queue_delay_ms must be finite and >= 0 (got -1)")
-    (fun () -> Pathmon.Estimator.observe_bandwidth est ~utilisation:0.5 ~queue_delay_ms:(-1.0));
-  Pathmon.Estimator.observe_bandwidth est ~utilisation:0.8 ~queue_delay_ms:40.0;
-  Alcotest.(check (float 1e-9)) "first sample direct" 0.8 (Pathmon.Estimator.utilisation est);
-  Alcotest.(check (float 1e-9)) "first delay direct" 40.0 (Pathmon.Estimator.queue_delay_ms est);
-  Pathmon.Estimator.observe_bandwidth est ~utilisation:0.0 ~queue_delay_ms:0.0;
-  let u = Pathmon.Estimator.utilisation est in
-  Alcotest.(check bool) "EWMA moved down but not to zero" true (u > 0.0 && u < 0.8)
-
-let test_selector_bandwidth_aware () =
-  let warm est ms =
-    for _ = 1 to 8 do
-      Pathmon.Estimator.observe est (`Rtt ms)
-    done
-  in
-  let congested = Pathmon.Estimator.create () in
-  warm congested 20.0;
-  Pathmon.Estimator.observe_bandwidth congested ~utilisation:1.0 ~queue_delay_ms:150.0;
-  let idle = Pathmon.Estimator.create () in
-  warm idle 22.0;
-  Pathmon.Estimator.observe_bandwidth idle ~utilisation:0.0 ~queue_delay_ms:0.0;
-  let hot =
-    { Pathmon.Selector.fingerprint = "hot"; static_ms = 20.0; estimator = Some congested }
-  in
-  let cool = { Pathmon.Selector.fingerprint = "idle"; static_ms = 22.0; estimator = Some idle } in
-  (* Unaware scoring ignores the congestion signal entirely. *)
-  let blind = Pathmon.Selector.default_config in
-  Alcotest.(check bool) "blind prefers the hot path" true
-    (Pathmon.Selector.score blind hot < Pathmon.Selector.score blind cool);
-  let aware = Pathmon.Selector.make_config ~bandwidth_aware:true ~bw_penalty_ms:150.0 () in
-  Alcotest.(check bool) "aware penalises the hot path" true
-    (Pathmon.Selector.score aware hot > Pathmon.Selector.score aware cool);
-  let sel =
-    Pathmon.Selector.create
-      ~config:
-        (Pathmon.Selector.make_config ~bandwidth_aware:true ~bw_penalty_ms:150.0 ~hold_ticks:1 ())
-      ()
-  in
-  let _first = Pathmon.Selector.choose sel ~candidates:[ hot; cool ] ~active:"hot" in
-  Alcotest.(check string) "choose abandons the congested path" "idle"
-    (Pathmon.Selector.choose sel ~candidates:[ hot; cool ] ~active:"hot");
-  Alcotest.check_raises "negative penalty rejected"
-    (Invalid_argument "Selector.make_config: bw_penalty_ms must be >= 0 (got -1)") (fun () ->
-      ignore (Pathmon.Selector.make_config ~bw_penalty_ms:(-1.0) ()))
+(* --- Headroom-aware flow placement -------------------------------------- *)
 
 let test_pick_flow_path () =
   let net = Sciera.Network.create ~per_origin:4 ~verify_pcbs:false () in
@@ -781,7 +722,6 @@ let () =
       ( "net-capacity",
         [
           Alcotest.test_case "knob validation" `Quick test_capacity_validation;
-          Alcotest.test_case "utilisation clamps" `Quick test_utilisation_saturates;
           Alcotest.test_case "fluid load slows packets" `Quick test_fluid_load_slows_transmit;
           Alcotest.test_case "queue full drops" `Quick test_queue_full_drops;
         ] );
@@ -810,8 +750,6 @@ let () =
         ] );
       ( "pathmon-bandwidth",
         [
-          Alcotest.test_case "estimator bandwidth signal" `Quick test_estimator_bandwidth;
-          Alcotest.test_case "selector bandwidth aware" `Quick test_selector_bandwidth_aware;
           Alcotest.test_case "pan pick_flow_path" `Quick test_pick_flow_path;
         ] );
     ]
