@@ -305,43 +305,3 @@ let build ~ups ~cores ~downs ~src ~dst ~src_core ~dst_core =
       let c = Stdlib.compare (num_hops a) (num_hops b) in
       if c <> 0 then c else Stdlib.compare a.fingerprint b.fingerprint)
     unique
-
-(* --- Memoised lookup --- *)
-
-module Memo = struct
-  type entry = { e_gen : int; e_paths : fullpath list }
-
-  type t = {
-    tbl : (Ia.t * Ia.t, entry) Hashtbl.t;
-    mutable cur_gen : int;
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let create () = { tbl = Hashtbl.create 256; cur_gen = 0; hits = 0; misses = 0 }
-
-  (* Generation moves forward only; a change drops every cached entry at
-     once (the registry they were built from no longer exists). *)
-  let sync t ~generation =
-    if generation <> t.cur_gen then begin
-      Hashtbl.reset t.tbl;
-      t.cur_gen <- generation
-    end
-
-  let find t ~generation ~src ~dst =
-    sync t ~generation;
-    match Hashtbl.find_opt t.tbl (src, dst) with
-    | Some e when e.e_gen = generation ->
-        t.hits <- t.hits + 1;
-        Some e.e_paths
-    | _ ->
-        t.misses <- t.misses + 1;
-        None
-
-  let store t ~generation ~src ~dst paths =
-    sync t ~generation;
-    Hashtbl.replace t.tbl (src, dst) { e_gen = generation; e_paths = paths }
-
-  let hits t = t.hits
-  let misses t = t.misses
-end

@@ -55,33 +55,3 @@ val build :
     terminated core segments available at the relevant core ASes (leaf =
     the AS that received them). Results are deduplicated and loop-free,
     sorted by hop count. *)
-
-(** Memoised path lookup keyed by (src, dst, registry generation).
-
-    [build] is pure in the segment registries, so its result can be reused
-    until the registries change; the owner bumps [generation] on every
-    beaconing run and the memo drops all stale entries in one sweep. *)
-module Memo : sig
-  type t
-
-  val create : unit -> t
-
-  val find :
-    t ->
-    generation:int ->
-    src:Scion_addr.Ia.t ->
-    dst:Scion_addr.Ia.t ->
-    fullpath list option
-  (** Counts a hit or a miss. *)
-
-  val store :
-    t ->
-    generation:int ->
-    src:Scion_addr.Ia.t ->
-    dst:Scion_addr.Ia.t ->
-    fullpath list ->
-    unit
-
-  val hits : t -> int
-  val misses : t -> int
-end

@@ -43,9 +43,7 @@ type config = {
   per_origin : int;
   propagate_k : int;
   rounds : int;
-  exp_time : int;
   verify_pcbs : bool;
-  cert_validity : float;
   fanout_cap : int option;
   quarantine : quarantine_policy option;
 }
@@ -56,12 +54,12 @@ let default_config =
     per_origin = 8;
     propagate_k = 4;
     rounds = 8;
-    exp_time = 255;
     verify_pcbs = true;
-    cert_validity = 3.0 *. 24.0 *. 3600.0;
     fanout_cap = None;
     quarantine = None;
   }
+
+let cert_validity = 3.0 *. 24.0 *. 3600.0
 
 type role = Parent | Child | Core_nbr | Peer
 
@@ -157,8 +155,11 @@ type t = {
   mutable quarantine_events : int;
   mutable quarantine_drops : int;
   mutable verif_failures : int;
-  mutable generation : int;  (** Bumped per beaconing run; keys the memo. *)
-  memo : Combinator.Memo.t;
+  memo : (Ia.t * Ia.t, Combinator.fullpath list) Hashtbl.t;
+      (** {!paths} results; reset by the two registry writers,
+          [run_beaconing] and [register_rogue_segments]. *)
+  mutable memo_hits : int;
+  mutable memo_misses : int;
   mutable fanout_sends : int;
   mutable fanout_capped : int;
   obs : obs option;
@@ -256,7 +257,7 @@ let create ?(config = default_config) ?metrics ~now ~ases ~links () =
       in
       Hashtbl.replace cas isd
         (Ca.create ~ia:ca_spec.spec_ia ~priv:ca_priv ~cert:ca_cert
-           ~default_validity:config.cert_validity ()))
+           ~default_validity:cert_validity ()))
     isds;
   (* AS nodes with certificates. *)
   List.iter
@@ -380,8 +381,9 @@ let create ?(config = default_config) ?metrics ~now ~ases ~links () =
     quarantine_events = 0;
     quarantine_drops = 0;
     verif_failures = 0;
-    generation = 0;
-    memo = Combinator.Memo.create ();
+    memo = Hashtbl.create 256;
+    memo_hits = 0;
+    memo_misses = 0;
     fanout_sends = 0;
     fanout_capped = 0;
     obs =
@@ -424,9 +426,9 @@ let cert_lookup t ia =
 
 let cert_material = cert_lookup
 
-(* The interface over which a stored PCB arrived: the sender's entry names
-   its egress interface; map it back through the declared links. *)
-let arrival_ifid _t (n : node) (pcb : Pcb.t) =
+(* The neighbor a PCB arrived from: the sender's (last) entry names its
+   egress interface, and one (IA, remote ifid) pair names exactly one link. *)
+let sender (n : node) (pcb : Pcb.t) =
   match List.rev pcb.Pcb.entries with
   | [] -> None
   | last :: _ ->
@@ -435,7 +437,6 @@ let arrival_ifid _t (n : node) (pcb : Pcb.t) =
           Ia.equal nb.n_ia last.Pcb.ia
           && nb.n_remote_ifid = last.Pcb.hop.Scion_dataplane.Path.cons_egress)
         n.nbrs
-      |> Option.map (fun nb -> nb.n_ifid)
 
 let peer_links_of (n : node) t =
   List.filter_map
@@ -486,53 +487,42 @@ let receive_pcb t (receiver : node) ~(expected_role : role) pcb ~now store =
   | Ok () -> (
       (* The PCB must arrive over a declared, up link from the sender, and
          the sender must have the expected topological role. *)
-      match List.rev pcb.Pcb.entries with
-      | [] -> false
-      | last :: _ -> (
-          let nbr =
-            List.find_opt
-              (fun nb ->
-                Ia.equal nb.n_ia last.Pcb.ia
-                && nb.n_remote_ifid = last.Pcb.hop.Scion_dataplane.Path.cons_egress
-                && nb.n_role = expected_role
-                && t.link_arr.(nb.n_link).l_up)
-              receiver.nbrs
-          in
-          match nbr with
-          | None -> false
-          | Some nb when quarantined receiver nb.n_ifid ~now ->
-              t.quarantine_drops <- t.quarantine_drops + 1;
-              (match t.obs with
-              | Some { o_quarantine_drops = Some c; _ } -> M.inc c
-              | Some _ | None -> ());
-              false
-          | Some nb ->
-              let ok =
-                if t.cfg.verify_pcbs then begin
-                  (* Freshness first: a replayed beacon past its hop expiry
-                     is rejected even when its signatures still verify. *)
-                  let fresh = Pcb.expiry pcb > now in
-                  let valid =
-                    fresh
-                    &&
-                    match Pcb.verify pcb ~cache:t.cache ~lookup:(cert_lookup t) ~now with
-                    | Ok () -> true
-                    | Error _ -> false
-                  in
-                  if not valid then begin
-                    t.verif_failures <- t.verif_failures + 1;
-                    (match t.obs with None -> () | Some o -> M.inc o.o_verif_failures);
-                    strike t receiver nb ~now
-                  end;
-                  valid
-                end
-                else true
+      match sender receiver pcb with
+      | None -> false
+      | Some nb when nb.n_role <> expected_role || not t.link_arr.(nb.n_link).l_up -> false
+      | Some nb when quarantined receiver nb.n_ifid ~now ->
+          t.quarantine_drops <- t.quarantine_drops + 1;
+          (match t.obs with
+          | Some { o_quarantine_drops = Some c; _ } -> M.inc c
+          | Some _ | None -> ());
+          false
+      | Some nb ->
+          let ok =
+            if t.cfg.verify_pcbs then begin
+              (* Freshness first: a replayed beacon past its hop expiry
+                 is rejected even when its signatures still verify. *)
+              let fresh = Pcb.expiry pcb > now in
+              let valid =
+                fresh
+                &&
+                match Pcb.verify pcb ~cache:t.cache ~lookup:(cert_lookup t) ~now with
+                | Ok () -> true
+                | Error _ -> false
               in
-              if ok then
-                match Beacon_store.insert store pcb with
-                | Beacon_store.Added | Beacon_store.Replaced -> true
-                | Beacon_store.Rejected_full | Beacon_store.Rejected_duplicate -> false
-              else false))
+              if not valid then begin
+                t.verif_failures <- t.verif_failures + 1;
+                (match t.obs with None -> () | Some o -> M.inc o.o_verif_failures);
+                strike t receiver nb ~now
+              end;
+              valid
+            end
+            else true
+          in
+          if ok then
+            match Beacon_store.insert store pcb with
+            | Beacon_store.Added | Beacon_store.Replaced -> true
+            | Beacon_store.Rejected_full | Beacon_store.Rejected_duplicate -> false
+          else false)
 
 let receive t receiver ~expected_role pcb ~now store =
   ignore (receive_pcb t receiver ~expected_role pcb ~now store)
@@ -551,7 +541,7 @@ let send_once t ~sender ~egress ~kind pcb =
 
 let run_beaconing t ~now =
   ignore (renew_certificates t ~now);
-  t.generation <- t.generation + 1;
+  Hashtbl.reset t.memo;
   Hashtbl.reset t.down_registry;
   Hashtbl.reset t.sent_log;
   List.iter
@@ -564,7 +554,7 @@ let run_beaconing t ~now =
     t.order;
   let extend_from (n : node) pcb ~ingress ~egress =
     Pcb.extend pcb ~ia:n.nd_ia ~fwkey:n.fwkey ~signer:n.signer ~ingress ~egress
-      ~peers:(peer_links_of n t) ~note:n.nd_note ~exp_time:t.cfg.exp_time ()
+      ~peers:(peer_links_of n t) ~note:n.nd_note ()
   in
   (* Origination. *)
   List.iter
@@ -607,12 +597,12 @@ let run_beaconing t ~now =
               match send_once t ~sender:n.nd_ia ~egress:nb.n_ifid ~kind pcb with
               | None -> ()
               | Some () -> (
-                  match arrival_ifid t n pcb with
+                  match sender n pcb with
                   | None -> ()
-                  | Some ingress ->
+                  | Some from ->
                       decr budget;
                       t.fanout_sends <- t.fanout_sends + 1;
-                      let ext = extend_from n pcb ~ingress ~egress:nb.n_ifid in
+                      let ext = extend_from n pcb ~ingress:from.n_ifid ~egress:nb.n_ifid in
                       receive t (node t nb.n_ia) ~expected_role ext ~now
                         (store_of (node t nb.n_ia)))
             end
@@ -647,10 +637,10 @@ let run_beaconing t ~now =
       if not n.nd_core then
         List.iter
           (fun pcb ->
-            match arrival_ifid t n pcb with
+            match sender n pcb with
             | None -> ()
-            | Some ingress ->
-                let term = extend_from n pcb ~ingress ~egress:0 in
+            | Some from ->
+                let term = extend_from n pcb ~ingress:from.n_ifid ~egress:0 in
                 n.ups <- term :: n.ups;
                 let existing =
                   match Hashtbl.find_opt t.down_registry n.nd_ia with Some l -> l | None -> []
@@ -660,10 +650,10 @@ let run_beaconing t ~now =
       if n.nd_core then
         List.iter
           (fun pcb ->
-            match arrival_ifid t n pcb with
+            match sender n pcb with
             | None -> ()
-            | Some ingress ->
-                let term = extend_from n pcb ~ingress ~egress:0 in
+            | Some from ->
+                let term = extend_from n pcb ~ingress:from.n_ifid ~egress:0 in
                 n.cores_terminated <- term :: n.cores_terminated)
           (Beacon_store.all n.store_core))
     t.order;
@@ -674,16 +664,6 @@ let run_beaconing t ~now =
       let hits0, misses0 = o.o_sigcache_base in
       M.set o.o_sigcache_hits (float_of_int (Sigcache.hits t.cache - hits0));
       M.set o.o_sigcache_misses (float_of_int (Sigcache.misses t.cache - misses0))
-
-(* Repair-triggered re-origination: restoring a down link rebuilds beacon
-   state immediately instead of waiting for the next scheduled beaconing
-   run, so paths over the repaired link reappear within the same tick. *)
-let restore_link t id ~now =
-  let l = t.link_arr.(id) in
-  let was_down = not l.l_up in
-  set_link_state t id ~up:true;
-  if was_down then run_beaconing t ~now;
-  was_down
 
 let up_segments t ia = (node t ia).ups
 let core_segments_at t ia = (node t ia).cores_terminated
@@ -745,9 +725,12 @@ let path_alive t ~now fp =
 let paths t ~src ~dst =
   if Ia.equal src dst then []
   else begin
-    match Combinator.Memo.find t.memo ~generation:t.generation ~src ~dst with
-    | Some cached -> cached
+    match Hashtbl.find_opt t.memo (src, dst) with
+    | Some cached ->
+        t.memo_hits <- t.memo_hits + 1;
+        cached
     | None ->
+        t.memo_misses <- t.memo_misses + 1;
         let src_core = is_core t src and dst_core = is_core t dst in
         let ups = if src_core then [] else up_segments t src in
         let downs = if dst_core then [] else down_segments t dst in
@@ -757,11 +740,11 @@ let paths t ~src ~dst =
         in
         let cores = List.concat_map (fun c -> core_segments_at t c) core_sources in
         let built = Combinator.build ~ups ~cores ~downs ~src ~dst ~src_core ~dst_core in
-        Combinator.Memo.store t.memo ~generation:t.generation ~src ~dst built;
+        Hashtbl.replace t.memo (src, dst) built;
         built
   end
 
-let memo_stats t = (Combinator.Memo.hits t.memo, Combinator.Memo.misses t.memo)
+let memo_stats t = (t.memo_hits, t.memo_misses)
 let beacon_fanout t = t.fanout_sends
 let fanout_capped t = t.fanout_capped
 
@@ -834,7 +817,7 @@ let rotate_trc t ~isd ~now =
       ~issuer:ca_ia ~issuer_key_name:root_name ~issuer_priv:root_priv
   in
   Hashtbl.replace t.cas isd
-    (Ca.create ~ia:ca_ia ~priv:ca_priv ~cert:ca_cert ~default_validity:t.cfg.cert_validity ());
+    (Ca.create ~ia:ca_ia ~priv:ca_priv ~cert:ca_cert ~default_validity:cert_validity ());
   (* Re-issue every AS certificate in the ISD from the node's true key:
      attacker-held identities are rotated out here. *)
   let ca = ca_for t.cas isd in
@@ -867,24 +850,10 @@ let signer_of t (n : node) =
 
 let inject_pcb t ~receiver pcb ~now =
   let n = node t receiver in
-  match List.rev pcb.Pcb.entries with
-  | [] -> false
-  | last :: _ -> (
-      let nbr =
-        List.find_opt
-          (fun nb ->
-            Ia.equal nb.n_ia last.Pcb.ia
-            && nb.n_remote_ifid = last.Pcb.hop.Scion_dataplane.Path.cons_egress
-            && t.link_arr.(nb.n_link).l_up)
-          n.nbrs
-      in
-      match nbr with
-      | None -> false
-      | Some nb -> (
-          match nb.n_role with
-          | Parent -> receive_pcb t n ~expected_role:Parent pcb ~now n.store_intra
-          | Core_nbr -> receive_pcb t n ~expected_role:Core_nbr pcb ~now n.store_core
-          | Child | Peer -> false))
+  match sender n pcb with
+  | Some { n_role = Parent; _ } -> receive_pcb t n ~expected_role:Parent pcb ~now n.store_intra
+  | Some { n_role = Core_nbr; _ } -> receive_pcb t n ~expected_role:Core_nbr pcb ~now n.store_core
+  | Some { n_role = Child | Peer; _ } | None -> false
 
 (* Flip one signature byte: structurally intact, cryptographically dead. *)
 let tamper_signature s =
@@ -909,7 +878,7 @@ let tamper_last_entry pcb =
 let craft_beacon t (n : node) ~rng ~now ~egress =
   let pcb = Pcb.originate ~rng ~now in
   Pcb.extend pcb ~ia:n.nd_ia ~fwkey:n.fwkey ~signer:(signer_of t n) ~ingress:0 ~egress
-    ~peers:(peer_links_of n t) ~note:"byzantine" ~exp_time:t.cfg.exp_time ()
+    ~peers:(peer_links_of n t) ~note:"byzantine" ()
 
 let downstream_nbrs (n : node) t =
   List.filter
@@ -970,11 +939,11 @@ let register_rogue_segments t ~compromised ~victim ~rng ~now ~count =
     let pcb = Pcb.originate ~rng ~now in
     let pcb =
       Pcb.extend pcb ~ia:origin ~fwkey:atk.fwkey ~signer:(signer_of t atk) ~ingress:0 ~egress:1
-        ~note:"rogue" ~exp_time:t.cfg.exp_time ()
+        ~note:"rogue" ()
     in
     let pcb =
       Pcb.extend pcb ~ia:victim ~fwkey:atk.fwkey ~signer:(signer_of t atk) ~ingress:1 ~egress:0
-        ~note:"rogue" ~exp_time:t.cfg.exp_time ()
+        ~note:"rogue" ()
     in
     let existing =
       match Hashtbl.find_opt t.down_registry victim with Some l -> l | None -> []
@@ -982,7 +951,7 @@ let register_rogue_segments t ~compromised ~victim ~rng ~now ~count =
     Hashtbl.replace t.down_registry victim (pcb :: existing);
     incr registered
   done;
-  (* The path memo predates the poisoning; invalidate it so lookups see
-     the registry as it now stands. *)
-  if !registered > 0 then t.generation <- t.generation + 1;
+  (* The path memo predates the poisoning; drop it so lookups see the
+     registry as it now stands. *)
+  Hashtbl.reset t.memo;
   !registered

@@ -31,9 +31,7 @@ type config = {
   per_origin : int;  (** Beacon-store bucket size. *)
   propagate_k : int;  (** Beacons forwarded per origin per round. *)
   rounds : int;  (** Propagation rounds per beaconing run. *)
-  exp_time : int;  (** Hop-field expiry encoding (255 = ~24 h). *)
   verify_pcbs : bool;  (** Cryptographically verify PCBs on receipt. *)
-  cert_validity : float;  (** AS certificate lifetime in seconds. *)
   fanout_cap : int option;
       (** Upper bound on beacon extensions a node sends per propagation
           round ([None] = unlimited, the historic behaviour). Each send
@@ -116,13 +114,6 @@ val find_links : t -> Ia.t -> Ia.t -> link_id list
 
 val set_link_state : t -> link_id -> up:bool -> unit
 
-val restore_link : t -> link_id -> now:float -> bool
-(** Bring a link back up and, when it was actually down, immediately
-    re-run beaconing so segments over the repaired link reappear without
-    waiting for the next scheduled run (self-healing on restoration).
-    Returns whether a re-origination happened ([false] when the link was
-    already up — restoring an up link is a no-op). *)
-
 val run_beaconing : t -> now:float -> unit
 (** Clear all beacon state, originate at core ASes, propagate for
     [config.rounds] rounds over the currently-up links, then terminate and
@@ -135,13 +126,15 @@ val core_segments_at : t -> Ia.t -> Pcb.t list
 
 val paths : t -> src:Ia.t -> dst:Ia.t -> Combinator.fullpath list
 (** All known end-to-end paths (control-plane view; liveness is the data
-    plane's problem). Returns [[]] when [src = dst]. Results are memoised
-    per (src, dst) until the next beaconing run invalidates them (see
-    {!generation}), so repeated lookups — the access pattern of the
-    scaling sweeps — pay the combinator cost once. *)
+    plane's problem). Returns [[]] when [src = dst]. This is the only path
+    memo: results are kept per (src, dst) until a writer of the segment
+    registries ({!run_beaconing}, {!register_rogue_segments}) drops them
+    all, so repeated lookups pay the combinator cost once per
+    registry state. *)
 
 val memo_stats : t -> int * int
-(** (hits, misses) of the {!paths} memo since mesh creation. *)
+(** (hits, misses) of the {!paths} memo since mesh creation; a lookup with
+    [src = dst] counts as neither. *)
 
 val beacon_fanout : t -> int
 (** Total beacon extensions propagated across all beaconing runs. *)
@@ -256,5 +249,5 @@ val register_rogue_segments :
     modeled path-server gap). Their AS-level route joins real up/core
     segments, but every hop field is MACed with the attacker's key, so
     honest routers drop the traffic — poisoned paths are served until the
-    daemon's feedback loop revokes them. Invalidates the {!paths} memo. *)
+    daemon's feedback loop revokes them. Drops the {!paths} memo. *)
 

@@ -16,7 +16,6 @@ type t = {
   calendar : Incidents.timeline;  (** The incident calendar over the fabric's links. *)
   mutable day : float;
   mutable last_beacon_day : float;
-  path_cache : (string, Combinator.fullpath list) Hashtbl.t;
   links_cache : (string, Net.link_id list) Hashtbl.t;
       (** fullpath fingerprint -> fabric links; safe across epochs because
           the interface-id assignment is fixed at construction. *)
@@ -41,19 +40,20 @@ let lookup what to_string tbl key =
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Network: unknown %s %s" what (to_string key))
 
+(* Write a link's state to the fabric, the mesh and its routers; returns
+   whether the fabric link changed state (nothing is written otherwise). *)
 let set_link_up t id up =
-  Net.set_link_up t.net id up;
-  Mesh.set_link_state t.mesh id ~up
-
-(* The control plane re-converged: cached paths are stale. *)
-let reconverged t =
-  Hashtbl.reset t.path_cache;
-  t.last_beacon_day <- t.day;
-  t.rebeacons <- t.rebeacons + 1
+  let changed = Net.link_up t.net id <> up in
+  if changed then begin
+    Net.set_link_up t.net id up;
+    Mesh.set_link_state t.mesh id ~up
+  end;
+  changed
 
 let rebeacon t =
   Mesh.run_beaconing t.mesh ~now:(now_unix t);
-  reconverged t
+  t.last_beacon_day <- t.day;
+  t.rebeacons <- t.rebeacons + 1
 
 (* Write only the link state that differs from the calendar's for [day]. *)
 let set_day t day =
@@ -64,10 +64,7 @@ let set_day t day =
   List.iteri
     (fun id _ ->
       let { Incidents.up; extra_ms } = Incidents.state_at t.calendar id day in
-      if Net.link_up t.net id <> up then begin
-        changed := true;
-        set_link_up t id up
-      end;
+      if set_link_up t id up then changed := true;
       if not (Float.equal (Net.extra_latency t.net id) extra_ms) then
         Net.set_extra_latency t.net id extra_ms)
     t.topo.Topology.spec_links;
@@ -78,7 +75,6 @@ let create ?(seed = 0x5C1E_7A5EL) ?(per_origin = 20) ?(verify_pcbs = true)
     ?quarantine ?telemetry () =
   let config =
     {
-      Mesh.default_config with
       Mesh.seed;
       per_origin;
       propagate_k = (match propagate_k with Some k -> k | None -> per_origin);
@@ -183,7 +179,6 @@ let create ?(seed = 0x5C1E_7A5EL) ?(per_origin = 20) ?(verify_pcbs = true)
       calendar = Incidents.compile Incidents.calendar topology.Topology.spec_links;
       day = 0.0;
       last_beacon_day = -1.0;
-      path_cache = Hashtbl.create 256;
       links_cache = Hashtbl.create 256;
       rebeacons = 0;
       probe_seq = 0;
@@ -194,27 +189,22 @@ let create ?(seed = 0x5C1E_7A5EL) ?(per_origin = 20) ?(verify_pcbs = true)
   t
 
 (* Apply one fault-injector op to the network: both the link fabric and
-   the control plane see it. A repaired link immediately re-originates
-   beacons (Mesh.restore_link), so recovery does not wait for the next
-   scheduled convergence. *)
+   the control plane see it. Failures never re-beacon (the data plane has
+   to discover them); a repair that brings any link up re-beacons once, so
+   recovery does not wait for the next scheduled convergence. *)
 let apply_fault t op =
   match op with
-  | Fault.Scenario.Link_down id -> set_link_up t id false
-  | Fault.Scenario.Link_up id ->
-      Net.set_link_up t.net id true;
-      if Mesh.restore_link t.mesh id ~now:(now_unix t) then reconverged t
+  | Fault.Scenario.Link_down id -> ignore (set_link_up t id false)
+  | Fault.Scenario.Link_up id -> if set_link_up t id true then rebeacon t
   | Fault.Scenario.Extra_latency { link; ms } -> Net.set_extra_latency t.net link ms
   | Fault.Scenario.Loss_burst { link; loss } -> Net.set_extra_loss t.net link loss
-  | Fault.Scenario.Node_down n -> List.iter (fun id -> set_link_up t id false) (Net.links_of t.net n)
+  | Fault.Scenario.Node_down n ->
+      List.iter (fun id -> ignore (set_link_up t id false)) (Net.links_of t.net n)
   | Fault.Scenario.Node_up n ->
       let restored =
-        List.fold_left
-          (fun acc id ->
-            Net.set_link_up t.net id true;
-            Mesh.restore_link t.mesh id ~now:(now_unix t) || acc)
-          false (Net.links_of t.net n)
+        List.fold_left (fun acc id -> set_link_up t id true || acc) false (Net.links_of t.net n)
       in
-      if restored then reconverged t
+      if restored then rebeacon t
   | Fault.Scenario.Control_down | Fault.Scenario.Control_up -> ()
 
 let inject t ~engine ~rng scenario =
@@ -352,9 +342,7 @@ let attach_adversary t ~engine ~rng ?(defended = false) adversary =
         let n =
           Mesh.register_rogue_segments t.mesh ~compromised ~victim ~rng ~now:(now ()) ~count
         in
-        stats.adv_rogue <- stats.adv_rogue + n;
-        (* The mesh memo was invalidated; this cache sits above it. *)
-        Hashtbl.reset t.path_cache
+        stats.adv_rogue <- stats.adv_rogue + n
     | Fault.Adversary.Wormhole_up { a; b } ->
         if not (wormhole_active stats ~a ~b) then
           stats.adv_wormholes <- (a, b) :: stats.adv_wormholes
@@ -420,14 +408,7 @@ let attach_adversary t ~engine ~rng ?(defended = false) adversary =
   in
   (Fault.Injector.attach ~engine ~apply (Fault.Adversary.elaborate adversary ~rng), stats)
 
-let paths t ~src ~dst =
-  let key = Ia.to_string src ^ ">" ^ Ia.to_string dst in
-  match Hashtbl.find_opt t.path_cache key with
-  | Some ps -> ps
-  | None ->
-      let ps = Mesh.paths t.mesh ~src ~dst in
-      Hashtbl.replace t.path_cache key ps;
-      ps
+let paths t ~src ~dst = Mesh.paths t.mesh ~src ~dst
 
 let live_paths t ~src ~dst =
   List.filter (fun p -> Mesh.path_alive t.mesh ~now:(now_unix t) p) (paths t ~src ~dst)

@@ -61,11 +61,11 @@ val inject :
   Fault.Scenario.t ->
   Fault.Scenario.op Fault.Injector.t
 (** Attach a fault scenario to this network on the given engine. Each op
-    drives both the link fabric and the control plane: bringing a down
-    link (or node) back triggers an immediate beacon re-origination
-    ({!Scion_controlplane.Mesh.restore_link}) and drops the memoised path
-    cache; [Control_*] ops touch neither (read them back with
-    {!Fault.Scenario.control_up}).
+    drives both the link fabric and the control plane. Failures never
+    re-beacon: the data plane has to discover them. A [Link_up] or
+    [Node_up] that brings any link back re-runs beaconing once, as
+    {!set_day} does, which also drops the mesh path memo; [Control_*] ops
+    touch neither (read them back with {!Fault.Scenario.control_up}).
     Determinism contract: [rng] must be a stream of its own (e.g.
     [Rng.of_label seed "fault"]), never the network's workload stream —
     then attaching any scenario leaves every workload draw, and therefore
@@ -116,11 +116,12 @@ val attach_adversary :
     The control-plane defences are create-time choices: [~verify_pcbs],
     [?quarantine], and operator drills ([Trc_rotate]) in the campaign
     itself. Beacon injections land through the mesh acceptance pipeline;
-    rogue registrations drop both the mesh path memo and this network's
-    cache. *)
+    rogue registrations drop the mesh path memo, so the next {!paths}
+    serves them. *)
 
 val paths : t -> src:Ia.t -> dst:Ia.t -> Combinator.fullpath list
-(** Control-plane paths under the current epoch (memoised per epoch). *)
+(** {!Scion_controlplane.Mesh.paths} on this network's mesh: control-plane
+    paths under the current segment registries, from the mesh's memo. *)
 
 val live_paths : t -> src:Ia.t -> dst:Ia.t -> Combinator.fullpath list
 (** Paths that currently deliver on the data plane (walked through the

@@ -7,6 +7,8 @@ module Net = Netsim.Net
 module Engine = Netsim.Engine
 module Scenario = Fault.Scenario
 module Injector = Fault.Injector
+module Mesh = Scion_controlplane.Mesh
+module Combinator = Scion_controlplane.Combinator
 
 let rng () = Rng.of_label 42L "fault"
 
@@ -231,6 +233,68 @@ let test_network_inject_applies_ops () =
     (List.length (Injector.events inj))
     (Injector.fired inj)
 
+(* Failures never re-beacon; a node repair re-beacons once, however many
+   links it brings back, and [rebeacon_count] counts that one pass. *)
+let test_node_repair_rebeacons_once () =
+  let obs = Sciera.Obs.create () in
+  let net = Sciera.Network.create ~per_origin:4 ~verify_pcbs:false ~telemetry:obs () in
+  let node = 0 in
+  Alcotest.(check bool) "node has several links" true
+    (List.length (Net.links_of (Sciera.Network.scion_fabric net) node) >= 2);
+  let runs () =
+    match
+      List.find_opt
+        (fun (s : Telemetry.Metrics.sample) -> s.sample_name = "mesh.beaconing_runs")
+        (Sciera.Obs.samples obs)
+    with
+    | Some { value = Telemetry.Metrics.Counter n; _ } -> n
+    | Some _ | None -> Alcotest.fail "mesh.beaconing_runs missing"
+  in
+  let runs0 = runs () and rebeacons0 = Sciera.Network.rebeacon_count net in
+  let engine = Engine.create () in
+  ignore
+    (Sciera.Network.inject net ~engine ~rng:(rng ())
+       Scenario.(at 1.0 [ Node_down node ] ++ at 2.0 [ Node_up node ]));
+  Engine.run engine ~until:1.5;
+  Alcotest.(check int) "node failure does not re-beacon" runs0 (runs ());
+  Engine.run engine;
+  Alcotest.(check int) "node repair runs one beaconing pass" (runs0 + 1) (runs ());
+  Alcotest.(check int) "rebeacon_count agrees with the mesh" (rebeacons0 + 1)
+    (Sciera.Network.rebeacon_count net)
+
+(* A rogue registration reaches the very next lookup: the path memo is
+   dropped with the registry write, even when the pair was just looked up. *)
+let test_rogue_segments_served_next_lookup () =
+  let net = Sciera.Network.create ~per_origin:4 ~verify_pcbs:false () in
+  let mesh = Sciera.Network.mesh net in
+  let victim =
+    List.find (fun a -> not (Mesh.is_core mesh a)) (List.rev (Mesh.ases mesh))
+  in
+  let src =
+    match Mesh.down_segments mesh victim with
+    | seg :: _ -> Scion_controlplane.Pcb.origin seg
+    | [] -> Alcotest.fail "victim has no down segment"
+  in
+  let before = Sciera.Network.paths net ~src ~dst:victim in
+  let engine = Engine.create () in
+  ignore
+    (Sciera.Network.attach_adversary net ~engine ~rng:(adv_rng ())
+       (Adversary.at 1.0
+          [ Adversary.Rogue_segments { compromised = src; victim; count = 1 } ]));
+  Engine.run engine;
+  let fresh =
+    List.filter
+      (fun (p : Combinator.fullpath) ->
+        not
+          (List.exists
+             (fun (q : Combinator.fullpath) -> q.Combinator.segments = p.Combinator.segments)
+             before))
+      (Sciera.Network.paths net ~src ~dst:victim)
+  in
+  Alcotest.(check int) "the rogue path is served" 1 (List.length fresh);
+  Alcotest.(check bool) "and it does not deliver" false
+    (List.exists (Mesh.path_alive mesh ~now:(Sciera.Network.now_unix net)) fresh)
+
 (* --- Canned incident replays --------------------------------------------- *)
 
 let test_canned_replays () =
@@ -423,6 +487,9 @@ let () =
           Alcotest.test_case "attach fires in order" `Quick test_attach_fires_in_order;
           Alcotest.test_case "past ops rejected" `Quick test_attach_rejects_past_ops;
           Alcotest.test_case "Network.inject applies ops" `Quick test_network_inject_applies_ops;
+          Alcotest.test_case "node repair re-beacons once" `Quick test_node_repair_rebeacons_once;
+          Alcotest.test_case "rogue segments served by the next lookup" `Quick
+            test_rogue_segments_served_next_lookup;
         ] );
       ( "incidents",
         [

@@ -152,6 +152,12 @@ let test_memo_and_fanout_cap () =
   ignore (Mesh.paths mesh ~src ~dst);
   let hits, misses = Mesh.memo_stats mesh in
   Alcotest.(check bool) "memo miss then hit" true (hits >= 1 && misses >= 1);
+  (* Network.paths reads the same memo: a repeat lookup is a mesh hit. *)
+  ignore (Sciera.Network.paths net ~src ~dst);
+  ignore (Sciera.Network.paths net ~src ~dst);
+  let hits', misses' = Mesh.memo_stats mesh in
+  Alcotest.(check (pair int int)) "Network.paths hits the mesh memo" (hits + 2, misses)
+    (hits', misses');
   Alcotest.(check bool) "tight cap dropped sends" true (Mesh.fanout_capped mesh > 0)
 
 let () =
