@@ -361,6 +361,14 @@ let micro ?(json = false) ?(check = false) () =
            ignore (Scion_controlplane.Mesh.paths mesh ~src ~dst);
            Staged.stage (fun () ->
                ignore (Scion_controlplane.Mesh.paths mesh ~src ~dst))) );
+      ( "ip_rtt_sample_ns",
+        (* One ICMP sample of the BGP baseline on a pair whose overlay route
+           and detour factor are already compiled: the Fig. 5-7 inner loop. *)
+        Test.make ~name:"ip rtt sample (warm pair)"
+          (let net = Sciera.Network.create ~per_origin:4 ~verify_pcbs:false () in
+           let src = ia "71-225" and dst = ia "71-2:0:5c" in
+           ignore (Sciera.Network.ip_rtt_sample net ~src ~dst);
+           Staged.stage (fun () -> ignore (Sciera.Network.ip_rtt_sample net ~src ~dst))) );
       ( "traffic_fair_share_ns",
         (* Steady-state reallocation cost: 64 long-lived fluid flows over a
            10-node capacity-armed chain, one full max-min recompute per

@@ -91,7 +91,7 @@ let run net ?(config = default_config) ?(days = Incidents.window_days) ?sources 
   let samples = ref [] in
   let scion_total = ref 0 and ip_total = ref 0 in
   (* Path probes are refreshed whenever the control plane re-converged. *)
-  let probe_cache : (string, Combinator.fullpath list) Hashtbl.t = Hashtbl.create 512 in
+  let probe_cache : (Ia.t * Ia.t, Combinator.fullpath list) Hashtbl.t = Hashtbl.create 512 in
   let probe_epoch = ref (-1) in
   for i = 0 to intervals - 1 do
     let t = float_of_int i *. config.interval_s in
@@ -111,7 +111,7 @@ let run net ?(config = default_config) ?(days = Incidents.window_days) ?sources 
         List.iter
           (fun dst ->
             if not (Ia.equal src dst) then begin
-              let key = Ia.to_string src ^ ">" ^ Ia.to_string dst in
+              let key = (src, dst) in
               let paths =
                 match Hashtbl.find_opt probe_cache key with
                 | Some p -> p

@@ -16,6 +16,11 @@ type t = {
   calendar : Incidents.timeline;  (** The incident calendar over the fabric's links. *)
   mutable day : float;
   mutable last_beacon_day : float;
+  ip_routes : (Ia.t * Ia.t, (Net.link_id list * float) option) Hashtbl.t;
+      (** (src, dst) -> overlay route and BGP detour factor, compiled on
+          first use. Never invalidated: [ip] is written only inside
+          {!create} (calendar days, faults and adversaries touch the SCION
+          fabric alone), so both are fixed for the network's lifetime. *)
   links_cache : (string, Net.link_id list) Hashtbl.t;
       (** fullpath fingerprint -> fabric links; safe across epochs because
           the interface-id assignment is fixed at construction. *)
@@ -179,6 +184,7 @@ let create ?(seed = 0x5C1E_7A5EL) ?(per_origin = 20) ?(verify_pcbs = true)
       calendar = Incidents.compile Incidents.calendar topology.Topology.spec_links;
       day = 0.0;
       last_beacon_day = -1.0;
+      ip_routes = Hashtbl.create 512;
       links_cache = Hashtbl.create 256;
       rebeacons = 0;
       probe_seq = 0;
@@ -500,11 +506,6 @@ let scmp_probe t ~rng (fp : Combinator.fullpath) =
           | Mesh.Walk_delivered _ | Mesh.Walk_dropped _ -> `Lost))
   | Mesh.Walk_delivered _ -> `Lost
 
-let ip_route t ~src ~dst =
-  let a = lookup "AS" Ia.to_string t.ipnode src
-  and b = lookup "AS" Ia.to_string t.ipnode dst in
-  Net.min_hop_route t.ip ~src:a ~dst:b
-
 (* BGP path quality is heterogeneous: most pairs get a reasonable route,
    but a sizeable minority detour through distant exchange points or
    congested transit (the well-documented BGP path-inflation long tail).
@@ -522,16 +523,32 @@ let bgp_detour_factor src dst =
   else if u < 0.40 then 1.16
   else 0.94
 
+(* The pair's min-hop overlay route and detour factor ([None] if the
+   overlay is partitioned), compiled on first use. *)
+let ip_route t ~src ~dst =
+  let key = (src, dst) in
+  match Hashtbl.find_opt t.ip_routes key with
+  | Some r -> r
+  | None ->
+      let a = lookup "AS" Ia.to_string t.ipnode src
+      and b = lookup "AS" Ia.to_string t.ipnode dst in
+      let r =
+        Option.map
+          (fun route -> (route, bgp_detour_factor src dst))
+          (Net.min_hop_route t.ip ~src:a ~dst:b)
+      in
+      Hashtbl.replace t.ip_routes key r;
+      r
+
 let ip_rtt_sample t ~src ~dst =
   match ip_route t ~src ~dst with
   | None -> `Lost
-  | Some route -> (
+  | Some (route, f) -> (
       match Net.path_rtt t.ip route with
       | `Lost -> `Lost
-      | `Rtt ms -> `Rtt (ms *. bgp_detour_factor src dst))
+      | `Rtt ms -> `Rtt (ms *. f))
 
 let ip_rtt_base t ~src ~dst =
   match ip_route t ~src ~dst with
   | None -> None
-  | Some route ->
-      Some (2.0 *. Net.path_base_latency t.ip route *. bgp_detour_factor src dst)
+  | Some (route, f) -> Some (2.0 *. Net.path_base_latency t.ip route *. f)

@@ -165,10 +165,17 @@ val scmp_probe :
     behind [Pathmon.Prober]. *)
 
 val ip_rtt_sample : t -> src:Ia.t -> dst:Ia.t -> [ `Rtt of float | `Lost ]
-(** One ICMP ping over the BGP route of the Internet overlay. *)
+(** One ICMP ping over the BGP route of the Internet overlay: per-link
+    jitter and loss drawn from the overlay's stream, times the pair's BGP
+    detour factor. The min-hop route and the detour factor are compiled
+    once per (src, dst) on first use (here or in {!ip_rtt_base}) and never
+    invalidated, since nothing writes the overlay after {!create}; only
+    the draws are per call. [`Lost] if the overlay is partitioned. *)
 
 val ip_rtt_base : t -> src:Ia.t -> dst:Ia.t -> float option
-(** Deterministic IP RTT; [None] if the overlay is partitioned. *)
+(** Deterministic IP RTT (2x one-way base latency along the pair's compiled
+    route, times its detour factor); [None] if the overlay is partitioned.
+    Draws nothing. *)
 
 val scion_fabric : t -> Netsim.Net.t
 (** The underlying SCION link model (for failure experiments). *)

@@ -1,17 +1,24 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in 8 bytes rather than a mutable [int64]
+   field: [Bytes.get_int64_le]/[set_int64_le] read and write it unboxed,
+   so advancing the stream allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 seed;
+  t
 
-let next t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next t =
+  let state = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 state;
+  mix64 state
 
 let of_label seed label =
   let h = ref seed in
@@ -35,22 +42,18 @@ let float t bound =
 
 let bool t = Int64.logand (next t) 1L = 1L
 
-let gaussian t ~mean ~stddev =
-  let rec draw () =
-    let u1 = float t 1.0 in
-    if u1 <= 1e-300 then draw ()
-    else
-      let u2 = float t 1.0 in
-      mean +. (stddev *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-  in
-  draw ()
+(* Both retry loops redraw only on a uniform of (almost) zero, whose log
+   would be infinite; top-level recursion keeps each call closure-free. *)
+let rec gaussian t ~mean ~stddev =
+  let u1 = float t 1.0 in
+  if u1 <= 1e-300 then gaussian t ~mean ~stddev
+  else
+    let u2 = float t 1.0 in
+    mean +. (stddev *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
 
-let exponential t ~rate =
-  let rec draw () =
-    let u = float t 1.0 in
-    if u <= 1e-300 then draw () else -.log u /. rate
-  in
-  draw ()
+let rec exponential t ~rate =
+  let u = float t 1.0 in
+  if u <= 1e-300 then exponential t ~rate else -.log u /. rate
 
 let lognormal t ~mu ~sigma = exp (gaussian t ~mean:mu ~stddev:sigma)
 

@@ -263,6 +263,61 @@ let test_network_ip_baseline () =
   let b = Network.ip_rtt_base net ~src:(ia "71-225") ~dst:(ia "71-2:0:5c") in
   Alcotest.(check bool) "deterministic" true (a = b)
 
+(* Every ordered pair of distinct Figure-1 ASes (29 x 28 = 812). *)
+let fig1_pairs =
+  let ias = List.map (fun (a : Topology.as_info) -> a.Topology.ia) Topology.ases in
+  List.concat_map
+    (fun src -> List.filter_map (fun dst -> if Ia.equal src dst then None else Some (src, dst)) ias)
+    ias
+
+(* MD5 over the exact bits of a float sequence ([None] / lost as a tag). *)
+let float_bits_digest values =
+  let b = Buffer.create 4096 in
+  List.iter
+    (function
+      | Some f -> Buffer.add_string b (Printf.sprintf "%016Lx;" (Int64.bits_of_float f))
+      | None -> Buffer.add_string b "-;")
+    values;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let ip_base_digest net =
+  float_bits_digest (List.map (fun (src, dst) -> Network.ip_rtt_base net ~src ~dst) fig1_pairs)
+
+(* Recorded from the uncached baseline, which recomputed the route and the
+   detour factor on every call. *)
+let ip_base_pinned = "d5172333483e732319f7d2ea4dd80819"
+let ip_sample_pinned = "e41e82b72277cbbb67767693a8786d0d"
+
+let test_ip_base_pinned_across_calendar () =
+  Alcotest.(check int) "ordered pairs" 812 (List.length fig1_pairs);
+  let net = Network.create ~per_origin:4 ~verify_pcbs:false () in
+  Alcotest.(check string) "day 0" ip_base_pinned (ip_base_digest net);
+  List.iter
+    (fun day ->
+      Network.set_day net day;
+      Alcotest.(check string) (Printf.sprintf "day %g" day) ip_base_pinned (ip_base_digest net))
+    Incidents.change_points;
+  (* The same days walked before the first IP lookup. *)
+  let cold = Network.create ~per_origin:4 ~verify_pcbs:false () in
+  List.iter (Network.set_day cold) Incidents.change_points;
+  Alcotest.(check string) "first lookup after the walk" ip_base_pinned (ip_base_digest cold)
+
+let test_ip_sample_warm_matches_cold () =
+  let warm = Network.create ~per_origin:4 ~verify_pcbs:false ()
+  and cold = Network.create ~per_origin:4 ~verify_pcbs:false () in
+  List.iter (fun (src, dst) -> ignore (Network.ip_rtt_base warm ~src ~dst)) (List.rev fig1_pairs);
+  let samples net =
+    List.concat_map
+      (fun (src, dst) ->
+        List.init 3 (fun _ ->
+            match Network.ip_rtt_sample net ~src ~dst with `Rtt ms -> Some ms | `Lost -> None))
+      fig1_pairs
+  in
+  let cold_digest = float_bits_digest (samples cold) in
+  Alcotest.(check string) "warm memo samples the cold bits" cold_digest
+    (float_bits_digest (samples warm));
+  Alcotest.(check string) "sample sequence" ip_sample_pinned cold_digest
+
 let test_network_incident_day () =
   (* A private network instance because this test mutates day state. *)
   let net = Network.create ~per_origin:6 ~verify_pcbs:false () in
@@ -567,6 +622,9 @@ let () =
           Alcotest.test_case "paths exist" `Quick test_network_paths_exist;
           Alcotest.test_case "rtt consistency" `Quick test_network_rtt_consistency;
           Alcotest.test_case "ip baseline" `Quick test_network_ip_baseline;
+          Alcotest.test_case "ip base pinned across the calendar" `Quick
+            test_ip_base_pinned_across_calendar;
+          Alcotest.test_case "ip samples: warm memo = cold memo" `Quick test_ip_sample_warm_matches_cold;
           Alcotest.test_case "incident day" `Slow test_network_incident_day;
           Alcotest.test_case "ufms detour" `Quick test_network_ufms_detour;
           Alcotest.test_case "set_day matches the per-day oracle" `Quick test_set_day_matches_oracle;

@@ -53,6 +53,48 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is permutation" (Array.init 50 Fun.id) sorted
 
+(* The first outputs of three kinds of stream, pinned bit for bit (floats
+   as hex literals): any change to the generator's state handling or to a
+   draw's retry loop shows up here before it reaches a figure. *)
+let stream_outputs r =
+  let floats xs = String.concat " " (List.map (Printf.sprintf "%h") xs) in
+  let ints = List.init 3 (fun _ -> Rng.int r 1000) in
+  let uniform = List.init 2 (fun _ -> Rng.float r 1.0) in
+  let expo = List.init 2 (fun _ -> Rng.exponential r ~rate:0.5) in
+  let logn = List.init 2 (fun _ -> Rng.lognormal r ~mu:1.0 ~sigma:0.5) in
+  let raw = Rng.bytes r 6 in
+  let perm = Array.init 8 Fun.id in
+  Rng.shuffle r perm;
+  Printf.sprintf "int %s | float %s | exp %s | logn %s | bytes %s | shuffle %s"
+    (String.concat " " (List.map string_of_int ints))
+    (floats uniform) (floats expo) (floats logn) (Hex.encode (Bytes.to_string raw))
+    (String.concat "" (Array.to_list (Array.map string_of_int perm)))
+
+let test_rng_pinned_streams () =
+  let split_parent = Rng.create 42L in
+  List.iter
+    (fun (name, r, expected) -> Alcotest.(check string) name expected (stream_outputs r))
+    [
+      ( "create",
+        Rng.create 42L,
+        "int 853 72 964 | float 0x1.607387fc392b8p-2 0x1.378b0b448904p-5 \
+         | exp 0x1.2162556b54adp-2 0x1.857aaf06cbb09p+1 \
+         | logn 0x1.230c73338925p+1 0x1.8f0aca99bc8d8p+1 \
+         | bytes bee6b7dcf275 | shuffle 15463027" );
+      ( "of_label",
+        Rng.of_label 7L "pin",
+        "int 657 667 105 | float 0x1.6ad3686d053d4p-1 0x1.9ab2f1317d1ep-6 \
+         | exp 0x1.a00f1f3c9559p-3 0x1.9fbbbb7211c95p-5 \
+         | logn 0x1.d0efd5bc78eb1p+1 0x1.04fe86532e8e7p+2 \
+         | bytes d03509fc5a00 | shuffle 64723150" );
+      ( "split",
+        Rng.split split_parent,
+        "int 417 829 700 | float 0x1.13e5dec6f8fd8p-4 0x1.5a94b320c5fa2p-1 \
+         | exp 0x1.59054eb92199ep+2 0x1.a2094deaad22dp+1 \
+         | logn 0x1.d5d1623422db1p+1 0x1.0ced29427b037p+1 \
+         | bytes bc52bc6ce201 | shuffle 50372461" );
+    ]
+
 let test_stats_mean_stddev () =
   check_float "mean" 3.0 (Stats.mean [| 1.0; 2.0; 3.0; 4.0; 5.0 |]);
   check_float "stddev" (sqrt 2.0) (Stats.stddev [| 1.0; 2.0; 3.0; 4.0; 5.0 |])
@@ -300,6 +342,7 @@ let () =
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned_streams;
         ] );
       ( "stats",
         [
