@@ -544,7 +544,9 @@ let golden session ~full rest =
       (count Harness.Golden.Unchanged)
   end
   else begin
-    let files = Harness.Golden.check session ~dir in
+    let files =
+      List.concat_map (Harness.Golden.check_figure session ~dir) Harness.Evidence.ids
+    in
     let stale = Harness.Golden.stale files in
     List.iter
       (fun (f : Harness.Golden.file) ->

@@ -706,12 +706,16 @@ let walk_packet t ~now ~from ?(max_steps = 64) pkt =
   in
   step from 0 0
 
+(* The end-host addresses of every walked packet, parsed once. *)
+let walk_src_host = Scion_dataplane.Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.0.0.1")
+let walk_dst_host = Scion_dataplane.Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.0.0.2")
+
 let walk t ~now ?(payload = "") ?(proto = Scion_dataplane.Packet.Udp) (fp : Combinator.fullpath) =
   let module Packet = Scion_dataplane.Packet in
   let pkt =
     Packet.make ~proto
-      ~src:(fp.Combinator.src, Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.0.0.1"))
-      ~dst:(fp.Combinator.dst, Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.0.0.2"))
+      ~src:(fp.Combinator.src, walk_src_host)
+      ~dst:(fp.Combinator.dst, walk_dst_host)
       ~path:(Packet.Standard (Combinator.fresh_raw fp))
       payload
   in

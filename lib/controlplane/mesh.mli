@@ -121,7 +121,6 @@ val run_beaconing : t -> now:float -> unit
     registry, core segments at core ASes). *)
 
 val up_segments : t -> Ia.t -> Pcb.t list
-val down_segments : t -> Ia.t -> Pcb.t list
 val core_segments_at : t -> Ia.t -> Pcb.t list
 
 val paths : t -> src:Ia.t -> dst:Ia.t -> Combinator.fullpath list

@@ -80,8 +80,12 @@ let signed_bytes_upto t i =
     t.entries;
   Rw.Writer.contents w
 
-let extend t ~ia ~fwkey ~signer ~ingress ~egress ?(peers = []) ?(mtu = 1472) ?(note = "")
-    ?(exp_time = Path.max_exp_time) () =
+(* Every entry advertises the same MTU and the longest hop-field
+   validity. *)
+let mtu = 1472
+let exp_time = Path.max_exp_time
+
+let extend t ~ia ~fwkey ~signer ~ingress ~egress ?(peers = []) ?(note = "") () =
   let key = Scion_dataplane.Fwkey.cmac_key fwkey in
   let n = num_entries t in
   let beta = beta_at t n in

@@ -47,11 +47,6 @@ val contains : t -> Scion_addr.Ia.t -> bool
 val beta_at : t -> int -> int
 (** [beta_at t i] folds hop MACs of entries [0..i-1] into [seg_id]. *)
 
-val signed_bytes_upto : t -> int -> string
-(** Canonical bytes covered by entry [i]'s signature: header, entries
-    [0..i-1] including their signatures, and entry [i] without its
-    signature. *)
-
 val extend :
   t ->
   ia:Scion_addr.Ia.t ->
@@ -60,15 +55,15 @@ val extend :
   ingress:int ->
   egress:int ->
   ?peers:(Scion_addr.Ia.t * int * int) list ->
-  ?mtu:int ->
   ?note:string ->
-  ?exp_time:int ->
   unit ->
   t
-(** Append this AS's signed entry. [ingress] is the interface the PCB
-    arrived on (0 at the origin), [egress] the interface it will leave on
-    (0 terminates the PCB into a segment). [peers] lists
-    [(peer_ia, local_if, remote_if)] for each up peering link. *)
+(** Append this AS's signed entry, with MTU 1472 and hop fields of the
+    longest validity ({!Scion_dataplane.Path.max_exp_time}). [ingress] is
+    the interface the PCB arrived on (0 at the origin), [egress] the
+    interface it will leave on (0 terminates the PCB into a segment).
+    [peers] lists [(peer_ia, local_if, remote_if)] for each up peering
+    link. *)
 
 type check_error =
   | Empty

@@ -441,7 +441,9 @@ let strictly_contained cells scales attack =
       | _ -> false)
     scales
 
-let run ?(seed = 0xADD5_EC4EL) ~topogen_ases ?telemetry () =
+let seed = 0xADD5_EC4EL
+
+let run ~topogen_ases ?telemetry () =
   (* Dedicated streams: attaching the adversary never touches a workload
      stream, and measurement sampling never touches the adversary's. *)
   let rng_adv = Rng.of_label seed "fault.adv" in

@@ -51,7 +51,9 @@ let make_server () =
   ( { Boot.endpoint = Scion_addr.Ipv4.endpoint_of_string "192.168.1.1:8041"; topology; trcs = [ trc ] },
     pub )
 
-let run ?(runs = 30) ?(seed = 0xB007L) ?telemetry () =
+let seed = 0xB007L
+
+let run ?(runs = 30) ?telemetry () =
   let server, as_key = make_server () in
   (* No Network underneath this experiment: the metrics evidence is the
      timing distribution itself, one summary per OS and stage. *)

@@ -15,8 +15,11 @@ type result = {
   all_medians_under_ms : float;
 }
 
-val run : ?runs:int -> ?seed:int64 -> ?telemetry:Obs.t -> unit -> result
-(** [?telemetry] records every timing sample into
+val run : ?runs:int -> ?telemetry:Obs.t -> unit -> result
+(** [runs] bootstraps per mechanism and OS (default 30, the paper's count).
+    The seed is fixed at [0xB007], one labelled stream per OS, so Figure 4
+    is byte-reproducible. No network is built, so there are no beacon stores
+    and nothing to verify. [?telemetry] records every timing sample into
     [exp.fig4.latency_ms{os,stage}] summaries — this experiment runs no
     network, so the distribution is the figure's metrics evidence. *)
 

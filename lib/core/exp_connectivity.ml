@@ -20,9 +20,9 @@ type result = {
   timeseries : (float * float) list;
 }
 
-let run ~days ?(config = Multiping.default_config) ?seed ?(verify_pcbs = false) ?telemetry () =
-  let net = Network.create ?seed ~per_origin:8 ~verify_pcbs ?telemetry () in
-  let raw = Multiping.run net ~config ~days () in
+let run ~days ?telemetry () =
+  let net = Network.create ~per_origin:8 ~verify_pcbs:false ?telemetry () in
+  let raw = Multiping.run net ~days () in
   let ds = Multiping.excluded_ip_majority raw in
   let scion_rtts =
     Array.of_list (List.filter_map (fun s -> s.Multiping.scion_rtt) ds.Multiping.samples)

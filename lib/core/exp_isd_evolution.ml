@@ -37,8 +37,8 @@ type result = {
   regional_domains : (string * int) list;
 }
 
-let run ?seed ?telemetry () =
-  let net = Network.create ?seed ~per_origin:6 ~verify_pcbs:false ?telemetry () in
+let run ?telemetry () =
+  let net = Network.create ~per_origin:6 ~verify_pcbs:false ?telemetry () in
   let all = List.map (fun (a : Topology.as_info) -> a.Topology.ia) Topology.ases in
   let pairs =
     List.concat_map

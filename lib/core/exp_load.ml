@@ -344,7 +344,9 @@ let find_cell cells ~scale ~arm ~load =
       && Float.abs (c.c_load -. load) < 1e-9)
     cells
 
-let run ?(seed = 0x10AD_CAFEL) ~loads ~duration_s ~topogen_ases ?telemetry () =
+let seed = 0x10AD_CAFEL
+
+let run ~loads ~duration_s ~topogen_ases ?telemetry () =
   (match loads with [] -> invalid_arg "Exp_load.run: empty load sweep" | _ :: _ -> ());
   List.iter
     (fun l ->

@@ -47,7 +47,6 @@ type result = {
 }
 
 val run :
-  ?seed:int64 ->
   loads:float list ->
   duration_s:float ->
   topogen_ases:int ->
@@ -55,12 +54,15 @@ val run :
   unit ->
   result
 (** Run the sweep: [duration_s] cells at each offered-load multiplier of
-    [loads], on a [topogen_ases]-AS generated mesh beside the 29-AS one.
-    One engine per scale carries its cells sequentially; the workload
-    stream is re-derived from [seed] for every cell, so both arms see
-    identical arrivals at each load point. [?telemetry] wires the 29-AS network stack, the
-    [traffic.*] series (labelled [scale]/[arm]) and the [exp.load.*]
-    aggregates. Raises [Invalid_argument] on an empty sweep or
-    non-positive load/duration. *)
+    [loads], on a [topogen_ases]-AS generated mesh beside the 29-AS one. One
+    engine per scale carries its cells sequentially; the workload stream is
+    re-derived from the fixed seed [0x10AD_CAFE] for every cell, so both
+    arms see identical arrivals at each load point and the figure is
+    byte-reproducible. The 29-AS network keeps 4 beacons per origin and the
+    generated one 2: multipath needs a few disjoint paths, not a full store.
+    Neither verifies PCBs, since no beacon is forged. [?telemetry] wires the
+    29-AS network stack, the [traffic.*] series (labelled [scale]/[arm]) and
+    the [exp.load.*] aggregates. Raises [Invalid_argument] on an empty sweep
+    or non-positive load/duration. *)
 
 val print_load : Buffer.t -> result -> unit

@@ -26,8 +26,8 @@ let weighted_median obs =
   in
   go 0.0 sorted
 
-let run ?seed ?(per_origin = 16) ?(verify_pcbs = false) ?telemetry () =
-  let net = Network.create ?seed ~per_origin ~verify_pcbs ?telemetry () in
+let run ?seed ?telemetry () =
+  let net = Network.create ?seed ~per_origin:16 ~verify_pcbs:false ?telemetry () in
   let ases = Topology.fig8_ases in
   let n = List.length ases in
   let arr = Array.of_list ases in

@@ -90,7 +90,7 @@ let measure net ~mode ~rng ~daemon_rng ~conn_rng (tr : trial) =
     | Healed ->
         Daemon.create ~ia:tr.t_src
           ~fetch:(fun ~dst -> Network.paths net ~src:tr.t_src ~dst)
-          ~cache_ttl:600.0 ~revocation_ttl:10.0 ~retry:fetch_policy ~rng:daemon_rng ()
+          ~cache_ttl:600.0 ~revocation_ttl:10.0 ~retry:(fetch_policy, daemon_rng) ()
     | Baseline ->
         Daemon.create ~ia:tr.t_src
           ~fetch:(fun ~dst -> Network.paths net ~src:tr.t_src ~dst)
@@ -117,7 +117,7 @@ let measure net ~mode ~rng ~daemon_rng ~conn_rng (tr : trial) =
     let shortlist = take shortlist_n (Pan.sort_paths latency_policy ~latency_of paths) in
     match mode with
     | Healed ->
-        Pan.Conn.dial ~reprobe:reprobe_policy ~rng:conn_rng ~policy:latency_policy ~latency_of
+        Pan.Conn.dial ~reprobe:(reprobe_policy, conn_rng) ~policy:latency_policy ~latency_of
           ~transport ~paths:shortlist ()
     | Baseline ->
         Pan.Conn.dial ~policy:latency_policy ~latency_of ~transport ~paths:shortlist ()
@@ -203,13 +203,14 @@ let summarize outcomes =
     returned_to_preferred = float_of_int returned /. float_of_int (Array.length outcomes);
   }
 
-let run ~trials ?(seed = 0x5EC0_4E4FL) ?(per_origin = 8) ?(verify_pcbs = false)
-    ?telemetry () =
+let seed = 0x5EC0_4E4FL
+
+let run ~trials ?telemetry () =
   (* The fault stream is derived by label, never split from a workload
      stream: attaching the injector cannot perturb any workload draw. *)
   let fault_rng = Rng.of_label seed "fault" in
   let sender_rng = Rng.of_label seed "sender" in
-  let net = Network.create ~seed ~per_origin ~verify_pcbs ?telemetry () in
+  let net = Network.create ~seed ~per_origin:8 ~verify_pcbs:false ?telemetry () in
   let ias = List.map (fun (a : Topology.as_info) -> a.Topology.ia) Topology.ases in
   let pairs =
     List.concat_map

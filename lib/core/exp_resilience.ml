@@ -38,7 +38,9 @@ let build_fabric rng =
     Topology.links;
   (net, nodes)
 
-let run ~runs ?(seed = 0xF1C5EEDL) ?telemetry () =
+let seed = 0xF1C5EEDL
+
+let run ~runs ?telemetry () =
   let rng = Rng.create seed in
   let probe = build_fabric (Rng.split rng) in
   let net0, nodes0 = probe in

@@ -10,10 +10,12 @@ type result = {
   runs : int;
 }
 
-val run : runs:int -> ?seed:int64 -> ?telemetry:Obs.t -> unit -> result
-(** [runs] random link-removal orders per fraction. [?telemetry] records
-    the sweep into the bundle's registry
-    ([exp.fig10c.runs], [exp.fig10c.links] and per-mode
+val run : runs:int -> ?telemetry:Obs.t -> unit -> result
+(** [runs] random link-removal orders per fraction, drawn from the fixed
+    seed [0xF1C5EED] so Figure 10c is byte-reproducible. The sweep uses a
+    bare fabric with no control plane, so there are no beacon stores and
+    nothing to verify. [?telemetry] records the sweep into the bundle's
+    registry ([exp.fig10c.runs], [exp.fig10c.links] and per-mode
     [exp.fig10c.connectivity{mode}] summaries); this experiment drives a
     bare fabric, so the stack-level router/link instrumentation does not
     apply. *)

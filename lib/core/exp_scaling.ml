@@ -121,7 +121,10 @@ let measure ~label ~n_target ~depth ~pairs ~rng net =
     memo_misses;
   }
 
-let run ?(seed = 0x5CA1_AB1EL) ~sizes ?(pairs = 120) () =
+let seed = 0x5CA1_AB1EL
+let pairs = 120
+
+let run ~sizes () =
   (* scion-lint: rng-stream scaling.pairs -- pair sampling is private to this experiment *)
   let rng = Rng.of_label seed "scaling.pairs" in
   let baseline =

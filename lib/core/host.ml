@@ -46,7 +46,7 @@ let campus_env =
     dns_search_domain = true;
   }
 
-let attach network ~ia ?(daemon_available = true) ?(bootstrapper_available = true) () =
+let attach network ~ia () =
   match Topology.find ia with
   | exception Not_found -> Error (Printf.sprintf "AS %s is not part of SCIERA" (Ia.to_string ia))
   | _info -> (
@@ -56,16 +56,15 @@ let attach network ~ia ?(daemon_available = true) ?(bootstrapper_available = tru
         Boot.run ~rng ~os:Boot.Linux ~env:campus_env ~server:(Some server) ~as_cert_key:as_key ()
       with
       | Error e -> Error (Boot.error_to_string e)
-      | Ok (_topo, trc, timing) ->
+      | Ok (_topo, _trc, timing) ->
           let fetch ~dst = Network.paths network ~src:ia ~dst in
           let metrics = Option.map Obs.registry (Network.telemetry network) in
           let host_daemon = Daemon.create ~ia ~fetch ?metrics () in
-          Daemon.store_trc host_daemon trc;
           Ok
             {
               network;
               host_ia = ia;
-              host_mode = Pan.choose_mode ~daemon_available ~bootstrapper_available;
+              host_mode = Pan.choose_mode ~daemon_available:true ~bootstrapper_available:true;
               timing;
               host_daemon;
             })

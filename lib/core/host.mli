@@ -9,13 +9,13 @@ type t
 val attach :
   Network.t ->
   ia:Scion_addr.Ia.t ->
-  ?daemon_available:bool ->
-  ?bootstrapper_available:bool ->
   unit ->
   (t, string) result
 (** Join the network at the given AS: discover the bootstrapping server,
     fetch and verify the signed topology and the TRC, and set up path
-    lookup. The operating mode follows {!Scion_endhost.Pan.choose_mode}. *)
+    lookup. Every simulated AS runs both a daemon and a bootstrapping
+    server, so the mode is {!Scion_endhost.Pan.choose_mode}'s pick for that
+    case. *)
 
 val mode : t -> Scion_endhost.Pan.mode
 val bootstrap_timing : t -> Scion_endhost.Bootstrap.timing

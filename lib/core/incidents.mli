@@ -71,11 +71,13 @@ val compile : incident list -> Topology.link_info list -> timeline
 val state_at : timeline -> Netsim.Net.link_id -> float -> state
 (** Raises [Invalid_argument] on an unknown link. *)
 
-val replay : timeline -> origin_day:float -> Fault.Scenario.t
-(** A scenario with one event per state change of each link (from [up],
-    [0.] ms): [Link_down]/[Link_up], then [Extra_latency] with the summed
-    latency. Day [d] fires at [max 0 ((d - origin_day) * day_seconds)]
-    seconds; simultaneous changes fire in ascending link id order. *)
+(** {1 Canned replays}
+
+    Each replays a slice of the compiled calendar: one event per state
+    change of each link (from [up], [0.] ms), [Link_down]/[Link_up] then
+    [Extra_latency] with the summed latency. Day [d] fires at
+    [max 0 ((d - origin_day) * day_seconds)] seconds; simultaneous changes
+    fire in ascending link id order. *)
 
 val jan21 : Fault.Scenario.t
 (** The Jan 21 maintenance replay (day 3): the transatlantic GEANT link,

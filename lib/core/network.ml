@@ -248,6 +248,10 @@ let reflect_reply_bytes =
     (String.length
        (Scmp.encode (Scmp.Echo_reply { id = 0xDD05; seq = 0; data = String.make 1024 'R' })))
 
+(* The end-host addresses of a forged-hop-field packet, parsed once. *)
+let forged_src_host = Scion_dataplane.Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.66.0.1")
+let forged_dst_host = Scion_dataplane.Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.0.0.2")
+
 (* Interpret one adversary op against the live network. [defended] arms
    the data-plane half of the containment story: a LightningFilter in
    front of flood targets and the SCMP emission throttle on reflectors
@@ -330,8 +334,8 @@ let attach_adversary t ~engine ~rng ?(defended = false) adversary =
                    MAC byte in place through the wire view. *)
                 let pkt =
                   Packet.make ~proto:Packet.Udp
-                    ~src:(compromised, Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.66.0.1"))
-                    ~dst:(dst, Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.0.0.2"))
+                    ~src:(compromised, forged_src_host)
+                    ~dst:(dst, forged_dst_host)
                     ~path:(Packet.Standard (Combinator.fresh_raw fp))
                     "forged-hop-field"
                 in

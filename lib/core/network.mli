@@ -24,7 +24,7 @@ val create :
   unit ->
   t
 (** Build a network at day 0 of the window and run initial beaconing.
-    [per_origin] sizes the beacon stores (default 12). [?topology]
+    [per_origin] sizes the beacon stores (default 20). [?topology]
     selects the AS/link description (default {!Topology.sciera}, the
     Figure-1 deployment); pass [Topology.of_topogen] output to
     instantiate a generated mesh — the incident calendar then matches no

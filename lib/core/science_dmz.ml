@@ -12,7 +12,6 @@ module Filter = struct
 
   type t = {
     local_secret : string;
-    window_s : float;
     allowed : (Ia.t, bucket) Hashtbl.t;
     mutable accepted_count : int;
     mutable rejected_count : int;
@@ -25,7 +24,10 @@ module Filter = struct
   let derive_key secret peer =
     Scion_crypto.Hmac.kdf ~secret ~info:("drkey|" ^ Ia.to_string peer) 16
 
-  let create ?(dedup_window_s = 1.0) ~local_secret ~allowed () =
+  (* Length of the replay-suppression window, in seconds. *)
+  let dedup_window_s = 1.0
+
+  let create ~local_secret ~allowed () =
     let table = Hashtbl.create 16 in
     List.iter
       (fun (ia, rate) ->
@@ -35,7 +37,6 @@ module Filter = struct
       allowed;
     {
       local_secret;
-      window_s = dedup_window_s;
       allowed = table;
       accepted_count = 0;
       rejected_count = 0;
@@ -54,7 +55,7 @@ module Filter = struct
         Unknown_source
     | Some bucket ->
         (* scion-lint: allow hotpath-allocation -- dedup window index is float math by design *)
-        let window = int_of_float (now /. t.window_s) in
+        let window = int_of_float (now /. dedup_window_s) in
         if window <> bucket.window then begin
           bucket.window <- window;
           Hashtbl.reset bucket.seen

@@ -13,16 +13,10 @@ module Filter : sig
 
   type verdict = Accepted | Bad_mac | Rate_limited | Unknown_source | Duplicate
 
-  val create :
-    ?dedup_window_s:float ->
-    local_secret:string ->
-    allowed:(Scion_addr.Ia.t * float) list ->
-    unit ->
-    t
+  val create : local_secret:string -> allowed:(Scion_addr.Ia.t * float) list -> unit -> t
   (** [allowed] maps each authorised peer AS to its rate limit in
-      packets/second (token bucket with a 1-second burst).
-      [dedup_window_s] (default 1.0) is the length of the replay-suppression
-      window: within one window, a tag is MAC-verified at most once per
+      packets/second (token bucket with a 1-second burst). Replays are
+      suppressed in 1-second windows: within one window, a tag is MAC-verified at most once per
       source AS; any later packet carrying the same tag is dropped as
       {!Duplicate} at hashtable-lookup cost, without touching the payload. *)
 

@@ -61,7 +61,7 @@ let sign_base ~isd ~validity:(not_before, not_after) ~core_ases ~ca_ases ~quorum
 
 let find_root t name = List.find_opt (fun r -> r.name = name) t.roots
 
-let update ~prev ?rotate_roots ?core_ases ?ca_ases ~validity:(not_before, not_after) ~votes () =
+let update ~prev ?rotate_roots ~validity:(not_before, not_after) ~votes () =
   let next =
     {
       prev with
@@ -69,8 +69,6 @@ let update ~prev ?rotate_roots ?core_ases ?ca_ases ~validity:(not_before, not_af
       not_before;
       not_after;
       roots = (match rotate_roots with Some r -> r | None -> prev.roots);
-      core_ases = (match core_ases with Some c -> c | None -> prev.core_ases);
-      ca_ases = (match ca_ases with Some c -> c | None -> prev.ca_ases);
       signatures = [];
     }
   in

@@ -35,14 +35,14 @@ val sign_base :
 val update :
   prev:t ->
   ?rotate_roots:root list ->
-  ?core_ases:Scion_addr.Ia.t list ->
-  ?ca_ases:Scion_addr.Ia.t list ->
   validity:float * float ->
   votes:(string * Scion_crypto.Schnorr.private_key) list ->
   unit ->
   (t, string) result
 (** Produce the successor TRC (serial + 1) signed by the given voters,
-    which must be roots of [prev] and reach [prev.quorum]. *)
+    which must be roots of [prev] and reach [prev.quorum]. It keeps the
+    core and CA AS sets of [prev], and its roots unless [rotate_roots]
+    replaces them. *)
 
 val verify_chain : base:t -> t list -> (t, string) result
 (** Walk [base -> updates...] and return the latest TRC if every link

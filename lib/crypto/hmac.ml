@@ -10,15 +10,6 @@ let sha256 ~key msg =
   let inner = Sha256.digest (pad 0x36 ^ msg) in
   Sha256.digest (pad 0x5C ^ inner)
 
-let verify ~key ~msg ~tag =
-  let expected = sha256 ~key msg in
-  if String.length expected <> String.length tag then false
-  else begin
-    let diff = ref 0 in
-    String.iteri (fun i c -> diff := !diff lor (Char.code c lxor Char.code tag.[i])) expected;
-    !diff = 0
-  end
-
 let kdf ~secret ~info n =
   let out = Buffer.create n in
   let counter = ref 1 in

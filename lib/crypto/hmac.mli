@@ -5,9 +5,6 @@
 val sha256 : key:string -> string -> string
 (** [sha256 ~key msg] returns the 32-byte HMAC tag. *)
 
-val verify : key:string -> msg:string -> tag:string -> bool
-(** Constant-time tag comparison. *)
-
 val kdf : secret:string -> info:string -> int -> string
 (** [kdf ~secret ~info n] expands [secret] into [n] bytes of keying material
     using HKDF-style counter expansion with [info] as the context label. *)

@@ -157,61 +157,6 @@ let sqr (a : felem) : felem =
   done;
   reduce_scratch w scratch_len
 
-let add (a : felem) (b : felem) : felem =
-  (* a + b < 2p < 2^257 never carries out of limb 10's 24 bits *)
-  let out = Array.make dlimbs 0 in
-  let carry = ref 0 in
-  for i = 0 to dlimbs - 1 do
-    let s = a.(i) + b.(i) + !carry in
-    out.(i) <- s land dmask;
-    carry := s asr dbits
-  done;
-  if out.(10) asr 16 <> 0 then begin
-    (* fold bit 256 before the compare so the subtract is single-shot *)
-    let h = out.(10) asr 16 in
-    out.(10) <- out.(10) land 0xFFFF;
-    let t0 = out.(0) + (h * 977) in
-    out.(0) <- t0 land dmask;
-    let t1 = out.(1) + (h lsl 8) + (t0 asr dbits) in
-    out.(1) <- t1 land dmask;
-    let c = ref (t1 asr dbits) in
-    let i = ref 2 in
-    while !c <> 0 && !i < dlimbs do
-      let t = out.(!i) + !c in
-      out.(!i) <- t land dmask;
-      c := t asr dbits;
-      incr i
-    done
-  end;
-  if cmp24 out p24 >= 0 then sub24_in_place out p24;
-  out
-
-let sub (a : felem) (b : felem) : felem =
-  let out = Array.copy a in
-  if cmp24 out b < 0 then begin
-    let carry = ref 0 in
-    for i = 0 to dlimbs - 1 do
-      let s = out.(i) + p24.(i) + !carry in
-      out.(i) <- s land dmask;
-      carry := s asr dbits
-    done;
-    let borrow = ref 0 in
-    for i = 0 to dlimbs - 1 do
-      let d = out.(i) - b.(i) - !borrow in
-      if d < 0 then begin
-        out.(i) <- d + (1 lsl dbits);
-        borrow := 1
-      end
-      else begin
-        out.(i) <- d;
-        borrow := 0
-      end
-    done;
-    assert (!borrow = !carry)
-  end
-  else sub24_in_place out b;
-  out
-
 (* --- Bignum interop (cold: key setup, codec, tests) -------------------- *)
 
 let of_limbs16_any l =

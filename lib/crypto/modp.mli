@@ -13,8 +13,6 @@ val zero : felem
 val one : felem
 val of_int : int -> felem
 val equal : felem -> felem -> bool
-val add : felem -> felem -> felem
-val sub : felem -> felem -> felem
 val mul : felem -> felem -> felem
 
 val sqr : felem -> felem

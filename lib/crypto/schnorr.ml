@@ -47,10 +47,6 @@ let private_of_scalar x =
 
 let public_of_private priv = pow_g priv.x
 
-let generate rng =
-  let priv = private_of_scalar (scalar_of_bytes (Bytes.to_string (Scion_util.Rng.bytes rng 32))) in
-  (priv, public_of_private priv)
-
 let derive ~seed =
   let priv = private_of_scalar (scalar_of_bytes (Hmac.kdf ~secret:seed ~info:"schnorr-key" 32)) in
   (priv, public_of_private priv)
@@ -203,4 +199,3 @@ let verify_batch items =
       end
 
 let public_to_string = Modp.to_bytes
-let public_of_string = Modp.of_bytes

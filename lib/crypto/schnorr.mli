@@ -14,10 +14,6 @@
 type private_key
 type public_key
 
-(* scion-lint: rng-stream keygen -- key generation draws from the caller's keygen stream, never a shared one *)
-val generate : Scion_util.Rng.t -> private_key * public_key
-(** Draw a fresh key pair from the deterministic RNG. *)
-
 val derive : seed:string -> private_key * public_key
 (** Derive a key pair from a seed string (used to give every simulated AS a
     stable identity). *)
@@ -40,5 +36,3 @@ val verify_batch : (public_key * string * string) list -> bool
 
 val public_to_string : public_key -> string
 (** 32-byte encoding, suitable for embedding in certificates. *)
-
-val public_of_string : string -> public_key option

@@ -5,10 +5,3 @@
 val digest : string -> string
 (** [digest msg] returns the 32-byte binary digest of [msg]. *)
 
-type ctx
-(** Streaming interface for incremental hashing. *)
-
-val init : unit -> ctx
-val update : ctx -> string -> unit
-val finalize : ctx -> string
-(** [finalize ctx] returns the digest; the context must not be reused. *)

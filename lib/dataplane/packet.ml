@@ -26,9 +26,9 @@ type t = {
   payload : string;
 }
 
-let make ?(traffic_class = 0) ?(flow_id = 0) ~proto ~src ~dst ~path payload =
+let make ~proto ~src ~dst ~path payload =
   let src_ia, src_host = src and dst_ia, dst_host = dst in
-  { traffic_class; flow_id; proto; dst_ia; src_ia; dst_host; src_host; path; payload }
+  { traffic_class = 0; flow_id = 0; proto; dst_ia; src_ia; dst_host; src_host; path; payload }
 
 exception Malformed of string
 
@@ -267,26 +267,3 @@ let reply_skeleton t ~payload =
     path = (match t.path with Empty -> Empty | Standard p -> Standard (Path.reverse p));
     payload;
   }
-
-module Udp = struct
-  type datagram = { src_port : int; dst_port : int; data : string }
-
-  let encode d =
-    let w = Rw.Writer.create () in
-    Rw.Writer.u16 w d.src_port;
-    Rw.Writer.u16 w d.dst_port;
-    Rw.Writer.u16 w (String.length d.data);
-    Rw.Writer.raw w d.data;
-    Rw.Writer.contents w
-
-  let decode s =
-    let r = Rw.Reader.of_string s in
-    try
-      let src_port = Rw.Reader.u16 r in
-      let dst_port = Rw.Reader.u16 r in
-      let len = Rw.Reader.u16 r in
-      let data = Rw.Reader.raw r len in
-      Rw.Reader.expect_end r;
-      { src_port; dst_port; data }
-    with Rw.Truncated -> malformed "truncated UDP datagram"
-end

@@ -28,14 +28,13 @@ type t = {
 }
 
 val make :
-  ?traffic_class:int ->
-  ?flow_id:int ->
   proto:proto ->
   src:Scion_addr.Ia.t * host ->
   dst:Scion_addr.Ia.t * host ->
   path:path ->
   string ->
   t
+(** A packet with traffic class and flow id 0. *)
 
 exception Malformed of string
 
@@ -115,12 +114,4 @@ module View : sig
 
   val traversal_ingress : view -> int
   val traversal_egress : view -> int
-end
-
-module Udp : sig
-  type datagram = { src_port : int; dst_port : int; data : string }
-
-  val encode : datagram -> string
-  val decode : string -> datagram
-  (** Raises [Malformed]. *)
 end

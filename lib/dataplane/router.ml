@@ -89,7 +89,6 @@ type scmp_limiter = {
   mutable sl_spent : int;
   mutable sl_limited : int;  (* messages suppressed *)
   mutable sl_limited_bytes : int;
-  sl_obs : (M.counter * M.counter) option;
 }
 
 type t = {
@@ -167,12 +166,11 @@ let scmp_answer t = function
   | Not_for_us -> Some Scmp.Destination_unreachable
   | Ingress_mismatch _ | Path_malformed _ -> None
 
-let configure_scmp_limiter t ?metrics ~budget_bytes_per_s () =
+let configure_scmp_limiter t ~budget_bytes_per_s () =
   if not (Float.is_finite budget_bytes_per_s) || budget_bytes_per_s <= 0.0 then
     invalid_arg
       (Printf.sprintf "Router.configure_scmp_limiter: budget must be > 0 (got %g)"
          budget_bytes_per_s);
-  let labels = [ ("ia", Scion_addr.Ia.to_string t.ia) ] in
   t.scmp_limiter <-
     Some
       {
@@ -181,12 +179,6 @@ let configure_scmp_limiter t ?metrics ~budget_bytes_per_s () =
         sl_spent = 0;
         sl_limited = 0;
         sl_limited_bytes = 0;
-        sl_obs =
-          Option.map
-            (fun registry ->
-              ( M.counter registry ~labels "scmp.rate_limited",
-                M.counter registry ~labels "scmp.rate_limited_bytes" ))
-            metrics;
       }
 
 let scmp_allow t ~now ~bytes =
@@ -204,11 +196,6 @@ let scmp_allow t ~now ~bytes =
       else begin
         sl.sl_limited <- sl.sl_limited + 1;
         sl.sl_limited_bytes <- sl.sl_limited_bytes + bytes;
-        (match sl.sl_obs with
-        | Some (c_msgs, c_bytes) ->
-            M.inc c_msgs;
-            M.add c_bytes bytes
-        | None -> ());
         false
       end
 

@@ -80,14 +80,12 @@ val scmp_answer : t -> drop_reason -> Scmp.t option
     [Path_malformed] get no reply ([None]): answering an unverifiable
     packet would make the router an amplifier. *)
 
-val configure_scmp_limiter :
-  t -> ?metrics:Telemetry.Metrics.registry -> budget_bytes_per_s:float -> unit -> unit
+val configure_scmp_limiter : t -> budget_bytes_per_s:float -> unit -> unit
 (** Arm the SCMP emission throttle: at most [budget_bytes_per_s] bytes of
     error/echo traffic per one-second window, counted against the
     simulated clock passed to {!scmp_allow}. Without it (the default)
-    emission is unlimited, the historic behaviour. With [?metrics] the
-    suppressions are published as [scmp.rate_limited{ia}] /
-    [scmp.rate_limited_bytes{ia}]. Raises [Invalid_argument] on a
+    emission is unlimited, the historic behaviour. {!scmp_rate_limited}
+    counts the suppressions. Raises [Invalid_argument] on a
     non-positive budget. *)
 
 val scmp_allow : t -> now:float -> bytes:int -> bool

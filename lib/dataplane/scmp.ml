@@ -47,25 +47,3 @@ let echo_reply_for s =
         Some (encode (Echo_reply { id; seq; data }))
     | _ -> None
   with Rw.Truncated -> None
-
-let decode s =
-  let r = Rw.Reader.of_string s in
-  try
-    let ty = Rw.Reader.u8 r in
-    let code = Rw.Reader.u8 r in
-    let _checksum = Rw.Reader.u16 r in
-    match (ty, code) with
-    | 128, 0 | 129, 0 ->
-        let id = Rw.Reader.u16 r in
-        let seq = Rw.Reader.u16 r in
-        let data = Rw.Reader.raw r (Rw.Reader.remaining r) in
-        if ty = 128 then Ok (Echo_request { id; seq; data }) else Ok (Echo_reply { id; seq; data })
-    | 1, 0 -> Ok Destination_unreachable
-    | 5, 0 ->
-        let ia = Scion_addr.Ia.decode r in
-        let ifid = Rw.Reader.u16 r in
-        Ok (External_interface_down { ia; ifid })
-    | 4, 1 -> Ok Expired_hop_field
-    | 4, 2 -> Ok Invalid_hop_field_mac
-    | _ -> Error (Printf.sprintf "unknown SCMP type/code %d/%d" ty code)
-  with Rw.Truncated -> Error "truncated SCMP message"

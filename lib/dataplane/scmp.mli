@@ -13,7 +13,6 @@ type t =
   | Invalid_hop_field_mac
 
 val encode : t -> string
-val decode : string -> (t, string) result
 
 val echo_reply_for : string -> string option
 (** [echo_reply_for payload] is the encoded echo reply answering [payload]

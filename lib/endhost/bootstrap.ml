@@ -91,12 +91,6 @@ let hint_latency_ms ~rng ~os mech = sample ~rng ~os (mech_base_ms mech)
    a LAN server, ~3 round trips plus server work. *)
 let config_latency_ms ~rng ~os = sample ~rng ~os 16.0
 
-type retry_info = { attempts : int; backoff_ms : float }
-
-let transient_error = function
-  | No_hint_available | Server_unreachable -> true
-  | Topology_signature_invalid | Trc_chain_invalid _ -> false
-
 let run ~rng ~os ~env ~server ~as_cert_key ?force_mechanism () =
   let mechanisms =
     match force_mechanism with
@@ -125,30 +119,3 @@ let run ~rng ~os ~env ~server ~as_cert_key ?force_mechanism () =
                         latest,
                         { mechanism = mech; hint_ms; config_ms; total_ms = hint_ms +. config_ms } ))
           end))
-
-(* Bootstrapping with self-healing: transient failures (no hint yet, server
-   unreachable — e.g. a control-service blackout in a fault scenario) are
-   retried under the shared capped-exponential backoff, while verification
-   failures (bad signature, broken TRC chain) abort immediately: retrying
-   cannot make forged material verify. The backoff waits are simulated
-   milliseconds folded into [total_ms]; nothing sleeps. *)
-let run_with_retry ~rng ~os ~env ~server ~as_cert_key ?force_mechanism
-    ?(policy = Scion_util.Backoff.default) () =
-  let backoff_ms = ref 0.0 in
-  let on_wait ~attempt:_ ~delay_ms = backoff_ms := !backoff_ms +. delay_ms in
-  let info attempts = { attempts; backoff_ms = !backoff_ms } in
-  match
-    Scion_util.Backoff.retry policy ~rng ~on_wait (fun ~attempt ->
-        match run ~rng ~os ~env ~server:(server ~attempt) ~as_cert_key ?force_mechanism () with
-        | Ok v -> Ok (Ok v)
-        | Error e when transient_error e -> Error e
-        | Error e -> Ok (Error e))
-  with
-  | Ok (Ok (topo, trc, timing), attempts) ->
-      Ok (topo, trc, { timing with total_ms = timing.total_ms +. !backoff_ms }, info attempts)
-  | Ok (Error e, attempts) -> Error (e, info attempts)
-  | Error g ->
-      Error
-        ( g.Scion_util.Backoff.last_error,
-          { attempts = g.Scion_util.Backoff.attempts; backoff_ms = g.Scion_util.Backoff.waited_ms }
-        )

@@ -62,27 +62,3 @@ val run :
     (or only [force_mechanism]), contact the server, verify the topology
     signature against the AS certificate key and walk the TRC chain.
     [server = None] models an AS without a bootstrapping service. *)
-
-type retry_info = { attempts : int; backoff_ms : float }
-(** How hard {!run_with_retry} had to work: attempts made and simulated
-    milliseconds spent waiting between them. *)
-
-(* scion-lint: rng-stream bootstrap -- retries reuse the same bootstrap stream as [run] *)
-val run_with_retry :
-  rng:Scion_util.Rng.t ->
-  os:os ->
-  env:Hints.network_env ->
-  server:(attempt:int -> server option) ->
-  as_cert_key:Scion_crypto.Schnorr.public_key ->
-  ?force_mechanism:Hints.mechanism ->
-  ?policy:Scion_util.Backoff.policy ->
-  unit ->
-  ( topology_file * Scion_cppki.Trc.t * timing * retry_info,
-    error * retry_info )
-  result
-(** {!run} under the shared capped-exponential backoff (default
-    {!Scion_util.Backoff.default}). Transient errors are retried with the
-    [server] thunk re-queried per attempt (so a server that comes back
-    mid-blackout is found); permanent errors abort at once. On success the
-    accumulated backoff wait is folded into [timing.total_ms] — recovery
-    time is visible in the bootstrap timing, nothing sleeps. *)

@@ -12,13 +12,11 @@ type t = {
   ia : Ia.t;
   fetch : fetch;
   cache_ttl : float;
-  expiry_margin : float;
   revocation_ttl : float;
   retry : (Scion_util.Backoff.policy * Scion_util.Rng.t) option;
   cache : (Ia.t, cache_entry) Hashtbl.t;
   revoked : (string, float) Hashtbl.t;  (** "ia#ifid" -> active until *)
   poisoned : (string, float) Hashtbl.t;  (** path fingerprint -> active until *)
-  trcs : (int, Scion_cppki.Trc.t) Hashtbl.t;
   mutable revocation_count : int;
   mutable poisoned_count : int;
   mutable evicted_count : int;
@@ -33,25 +31,19 @@ let make_obs registry ~ia =
     o_misses = M.counter registry ~labels:(("source", "fetch") :: base) "daemon.lookups";
   }
 
-let create ~ia ~fetch ?(cache_ttl = 300.0) ?(expiry_margin = 60.0) ?(revocation_ttl = 10.0)
-    ?retry ?rng ?quality ?metrics () =
-  let retry : (Scion_util.Backoff.policy * Scion_util.Rng.t) option =
-    match (retry, rng) with
-    | Some policy, Some rng -> Some (policy, rng)
-    | Some _, None -> invalid_arg "Daemon.create: ?retry requires ?rng for jitter draws"
-    | None, _ -> None
-  in
+(* Paths expiring within this many seconds of [now] are never served. *)
+let expiry_margin = 60.0
+
+let create ~ia ~fetch ?(cache_ttl = 300.0) ?(revocation_ttl = 10.0) ?retry ?quality ?metrics () =
   {
     ia;
     fetch;
     cache_ttl;
-    expiry_margin;
     revocation_ttl;
     retry;
     cache = Hashtbl.create 32;
     revoked = Hashtbl.create 8;
     poisoned = Hashtbl.create 8;
-    trcs = Hashtbl.create 4;
     revocation_count = 0;
     poisoned_count = 0;
     evicted_count = 0;
@@ -104,7 +96,7 @@ let path_poisoned t ~now (p : Combinator.fullpath) =
 let usable t ~now paths =
   List.filter
     (fun p ->
-      p.Combinator.expiry > now +. t.expiry_margin
+      p.Combinator.expiry > now +. expiry_margin
       && (not (crosses_revoked t ~now p))
       && not (path_poisoned t ~now p))
     paths
@@ -196,11 +188,3 @@ let handle_scmp t ~now ?path msg =
 let revocations t = t.revocation_count
 let poisoned_revocations t = t.poisoned_count
 let evicted_paths t = t.evicted_count
-
-let store_trc t trc =
-  let isd = trc.Scion_cppki.Trc.isd in
-  match Hashtbl.find_opt t.trcs isd with
-  | Some existing when existing.Scion_cppki.Trc.serial >= trc.Scion_cppki.Trc.serial -> ()
-  | Some _ | None -> Hashtbl.replace t.trcs isd trc
-
-let trc_for t ~isd = Hashtbl.find_opt t.trcs isd

@@ -1,6 +1,5 @@
 (** The SCION daemon (sciond): the end-host's control-plane broker.
-    It fetches paths on demand, caches them until close to expiry, and
-    keeps the TRC store. Applications in daemon-dependent mode share one
+    It fetches paths on demand and caches them until close to expiry. Applications in daemon-dependent mode share one
     daemon per host (shared cache); bootstrapper-dependent and standalone
     libraries embed the same logic in-process (Section 4.2.1). *)
 
@@ -9,30 +8,26 @@ type t
 type fetch = dst:Scion_addr.Ia.t -> Scion_controlplane.Combinator.fullpath list
 (** Backend query to the AS control service / path servers. *)
 
-(* scion-lint: rng-stream daemon -- cache-expiry jitter draws from the daemon's own stream *)
+(* scion-lint: rng-stream daemon -- fetch-retry jitter draws from the stream passed with ?retry, never a shared one *)
 val create :
   ia:Scion_addr.Ia.t ->
   fetch:fetch ->
   ?cache_ttl:float ->
-  ?expiry_margin:float ->
   ?revocation_ttl:float ->
-  ?retry:Scion_util.Backoff.policy ->
-  ?rng:Scion_util.Rng.t ->
+  ?retry:Scion_util.Backoff.policy * Scion_util.Rng.t ->
   ?quality:Pathmon.Cache.t ->
   ?metrics:Telemetry.Metrics.registry ->
   unit ->
   t
-(** [cache_ttl] caps how long a cached path set is served (default 300 s);
-    [expiry_margin] discards paths that expire within the margin (default
-    60 s), mirroring the paper's path-expiration lessons.
+(** [cache_ttl] caps how long a cached path set is served (default 300 s).
+    Paths that expire within 60 s are discarded, mirroring the paper's
+    path-expiration lessons.
     [revocation_ttl] (default 10 s) bounds how long an SCMP-learnt
     interface revocation suppresses paths — after it lapses the interface
     is trusted again (the data plane re-answers if it is still dead).
-    With [?retry] (and its mandatory [?rng] for jitter draws), a fetch
-    that returns no paths is retried under the given
-    {!Scion_util.Backoff} policy; the backoff waits are simulated, never
-    slept. Raises
-    [Invalid_argument] when [?retry] is given without [?rng]. With
+    With [?retry:(policy, rng)], a fetch that returns no paths is retried
+    under the given {!Scion_util.Backoff} policy, drawing its jitter from
+    [rng]; the backoff waits are simulated, never slept. With
     [?metrics], every lookup counts into [daemon.lookups{ia,source}] with
     source [cache] or [fetch]. *)
 
@@ -68,7 +63,3 @@ val poisoned_revocations : t -> int
 
 val evicted_paths : t -> int
 (** Total cached paths evicted by revocations. *)
-
-val store_trc : t -> Scion_cppki.Trc.t -> unit
-val trc_for : t -> isd:int -> Scion_cppki.Trc.t option
-(** Latest stored TRC for the ISD. *)

@@ -148,13 +148,7 @@ module Conn = struct
         (if adapting then Some (M.counter registry ~labels:base "pan.soft_switches") else None);
     }
 
-  let dial ?metrics ?(peer = "") ?reprobe ?rng ?adaptive ~policy ~latency_of ~transport ~paths () =
-    let reprobe =
-      match (reprobe, rng) with
-      | Some policy, Some rng -> Some (policy, rng)
-      | Some _, None -> invalid_arg "Conn.dial: ?reprobe requires ?rng for jitter draws"
-      | None, _ -> None
-    in
+  let dial ?metrics ?(peer = "") ?reprobe ?adaptive ~policy ~latency_of ~transport ~paths () =
     match sort_paths policy ~latency_of (filter_paths policy paths) with
     | [] -> Error "no path satisfies the policy"
     | ranked ->

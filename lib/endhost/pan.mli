@@ -74,8 +74,7 @@ module Conn : sig
   val dial :
     ?metrics:Telemetry.Metrics.registry ->
     ?peer:string ->
-    ?reprobe:Scion_util.Backoff.policy ->
-    ?rng:Scion_util.Rng.t ->
+    ?reprobe:Scion_util.Backoff.policy * Scion_util.Rng.t ->
     ?adaptive:adaptive ->
     policy:policy ->
     latency_of:(Combinator.fullpath -> float) ->
@@ -88,10 +87,9 @@ module Conn : sig
       (outcome [sent]/[failed], after any failovers) and
       [pan.failovers{peer}]; [?peer] labels the series.
 
-      With [?reprobe] (and its mandatory [?rng] for jitter draws — raises
-      [Invalid_argument] otherwise), a failed path is parked rather than
+      With [?reprobe:(policy, rng)], a failed path is parked rather than
       dropped forever and re-probed under the capped-exponential
-      {!Scion_util.Backoff} policy: pass [~now] (seconds) to {!send} and
+      {!Scion_util.Backoff} policy, drawing its jitter from [rng]: pass [~now] (seconds) to {!send} and
       every parked path whose probe timer is due is re-inserted at its
       original preference rank, so the connection returns to the preferred
       path after repair instead of sticking to the detour. Re-probing

@@ -80,7 +80,10 @@ let lcs_ops a b =
     List.rev !ops
   end
 
-let unified ?(context = 3) ?(label_a = "expected") ?(label_b = "actual") sa sb =
+(* Kept lines around each change. *)
+let context = 3
+
+let unified ?(label_a = "expected") ?(label_b = "actual") sa sb =
   if String.equal sa sb then None
   else begin
     let a = Array.of_list (lines_of sa) and b = Array.of_list (lines_of sb) in

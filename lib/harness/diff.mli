@@ -6,10 +6,9 @@
     blobs. Missing trailing newlines are made visible the way diff(1)
     annotates them, so byte equality and line equality coincide. *)
 
-val unified :
-  ?context:int -> ?label_a:string -> ?label_b:string -> string -> string -> string option
+val unified : ?label_a:string -> ?label_b:string -> string -> string -> string option
 (** [unified a b] is [None] when the strings are byte-identical, and
-    [Some diff] otherwise — a unified diff with [context] kept lines
-    (default 3) around each change and a [--- label_a] / [+++ label_b]
+    [Some diff] otherwise — a unified diff with 3 kept lines of context
+    around each change and a [--- label_a] / [+++ label_b]
     header. Worst-case inputs degrade to a single replace hunk rather
     than an unbounded LCS table. *)

@@ -37,7 +37,6 @@ let check_figure session ~dir id =
   let table_path, metrics_path = paths ~dir id in
   [ against table_path e.Evidence.table; against metrics_path e.Evidence.metrics ]
 
-let check session ~dir = List.concat_map (check_figure session ~dir) Evidence.ids
 let stale files = List.filter (fun f -> Option.is_some f.diff) files
 
 type status = Created | Updated | Unchanged

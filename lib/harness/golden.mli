@@ -1,7 +1,7 @@
 (** Checked-in golden evidence under [test/golden/<figure>/].
 
     Each figure owns two files: [table.txt] (canonical result table) and
-    [metrics.jsonl] (telemetry snapshot). {!check} byte-compares them
+    [metrics.jsonl] (telemetry snapshot). {!check_figure} byte-compares them
     against freshly regenerated {!Evidence}; {!promote} rewrites them —
     the only sanctioned way to update goldens
     ([dune exec bench/main.exe -- golden --promote]). *)
@@ -17,9 +17,6 @@ val check_figure : Evidence.session -> dir:string -> string -> file list
     its two golden files. A missing golden reports a diff pointing at the
     promote command. Dataset memoisation in the session makes checking
     several figures of one dataset cost a single experiment run. *)
-
-val check : Evidence.session -> dir:string -> file list
-(** {!check_figure} over every figure, in EXPERIMENTS.md order. *)
 
 val stale : file list -> file list
 (** The files whose diff is non-empty. *)

@@ -11,11 +11,11 @@ type t = {
   mutable processed : int;
 }
 
-let create ?(start = 0.0) () =
+let create () =
   {
     heap = Array.make 64 { time = 0.0; seq = 0; action = ignore };
     size = 0;
-    clock = start;
+    clock = 0.0;
     next_seq = 0;
     processed = 0;
   }

@@ -5,7 +5,9 @@
 
 type t
 
-val create : ?start:float -> unit -> t
+val create : unit -> t
+(** An empty engine at simulated time [0.]. *)
+
 val now : t -> float
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** [schedule_at t ~time f] runs [f] at simulated [time], which must not be

@@ -258,7 +258,7 @@ let fluid_load t id ~from =
 let avail_bps c fluid = Float.max (0.01 *. c.cap_bps) (c.cap_bps -. fluid)
 
 (* Effective per-traversal loss. The base + burst sum keeps the RNG draw
-   discipline of [transmit]/[sample_one_way] intact: with no burst active
+   discipline of [transmit]/[sample_one_way_with] intact: with no burst active
    the guard and the draw are exactly the pre-burst ones. *)
 let loss_of l = Float.min 1.0 (l.p.loss +. l.extra_loss)
 
@@ -272,8 +272,6 @@ let sample_one_way_with t ~rng id =
   if not l.up then `Lost
   else if loss_of l > 0.0 && Rng.float rng 1.0 < loss_of l then `Lost
   else `Delivered (one_way_ms_with ~rng l)
-
-let sample_one_way t id = sample_one_way_with t ~rng:t.rng id
 
 let path_rtt_with t ~rng ids =
   let rec go acc = function

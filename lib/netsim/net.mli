@@ -91,12 +91,9 @@ val set_fluid_load : t -> link_id -> from:node -> bps:float -> unit
 val fluid_load : t -> link_id -> from:node -> float
 (** Current fluid load in bps leaving [from]; [0.] when unarmed. *)
 
-val sample_one_way : t -> link_id -> [ `Delivered of float | `Lost ]
-(** One traversal: [`Delivered ms] or [`Lost]. Down links always lose. *)
-
 val path_rtt : t -> link_id list -> [ `Rtt of float | `Lost ]
 (** Round trip over the link sequence (forward then back, independent
-    samples). Any lost traversal loses the ping. *)
+    samples). Any lost traversal loses the ping; down links always lose. *)
 
 (* scion-lint: rng-stream caller -- draws come from the observer's private stream, never the fabric's *)
 val path_rtt_with :

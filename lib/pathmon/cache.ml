@@ -1,18 +1,8 @@
 module Table = Scion_util.Table
 
-type t = {
-  metrics : Telemetry.Metrics.registry option;
-  config : Estimator.config;
-  by_dst : (string, (string, Estimator.t) Hashtbl.t) Hashtbl.t;
-}
+type t = { by_dst : (string, (string, Estimator.t) Hashtbl.t) Hashtbl.t }
 
-let create ?metrics ?(config = Estimator.default_config) () =
-  { metrics; config; by_dst = Hashtbl.create 8 }
-
-(* Telemetry label for a path: enough fingerprint to disambiguate, short
-   enough to keep series names readable. *)
-let path_label fingerprint =
-  if String.length fingerprint <= 12 then fingerprint else String.sub fingerprint 0 12
+let create () = { by_dst = Hashtbl.create 8 }
 
 let find t ~dst ~fingerprint =
   let dst_table =
@@ -26,11 +16,7 @@ let find t ~dst ~fingerprint =
   match Hashtbl.find_opt dst_table fingerprint with
   | Some est -> est
   | None ->
-      let est =
-        Estimator.create ?metrics:t.metrics
-          ~labels:[ ("dst", dst); ("path", path_label fingerprint) ]
-          ~config:t.config ()
-      in
+      let est = Estimator.create () in
       Hashtbl.replace dst_table fingerprint est;
       est
 

@@ -16,12 +16,9 @@
 
 type t
 
-val create :
-  ?metrics:Telemetry.Metrics.registry -> ?config:Estimator.config -> unit -> t
-(** With [?metrics], each estimator created by {!find} exports its
-    [pathmon.*] series labelled [{dst; path}] (where [path] is a short
-    fingerprint prefix) in that registry. [?config] applies to every
-    estimator the cache creates. *)
+val create : unit -> t
+(** An empty cache; {!find} creates estimators with the default
+    configuration. *)
 
 val find : t -> dst:string -> fingerprint:string -> Estimator.t
 (** Get-or-create the estimator for one (destination, path) pair. *)

@@ -6,14 +6,7 @@
     by the {!Selector} and by operator tooling ([bin/showpaths]). They hold
     no clock and draw no randomness: every input is an explicit probe
     outcome, so a seeded probing schedule replays to byte-identical
-    estimator state — the property the [pathmon] golden figure pins.
-
-    With [?metrics], each estimator exports its live state as [pathmon.*]
-    series ([pathmon.rtt_ewma_ms], [pathmon.rtt_deviation_ms],
-    [pathmon.loss_rate] gauges and the [pathmon.probes{outcome}] counters),
-    labelled by whatever [?labels] the creator scopes it with — snapshots
-    come out in the registry's canonical sorted order, byte-stable across
-    runs. *)
+    estimator state — the property the [pathmon] golden figure pins. *)
 
 type config = {
   rtt_alpha : float;  (** EWMA gain for the smoothed RTT, in (0, 1]. *)
@@ -21,17 +14,12 @@ type config = {
   loss_window : int;  (** Probe outcomes kept for the loss rate ([>= 1]). *)
 }
 
-val default_config : config
-(** alpha 1/4, beta 1/8 (the TCP SRTT constants), 16-probe loss window. *)
-
 type t
 
-val create :
-  ?metrics:Telemetry.Metrics.registry ->
-  ?labels:Telemetry.Metrics.labels ->
-  ?config:config ->
-  unit ->
-  t
+val create : ?config:config -> unit -> t
+(** The default [config] is alpha 1/4, beta 1/8 (the TCP SRTT constants)
+    and a 16-probe loss window. Raises [Invalid_argument] on a gain
+    outside (0, 1] or an empty window. *)
 
 val observe : t -> [ `Rtt of float | `Lost ] -> unit
 (** Feed one probe outcome. [`Rtt ms] must be finite and non-negative

@@ -22,24 +22,21 @@ type t = {
   obs : obs option;
 }
 
-let create ?metrics ?(labels = []) ?(interval_ms = 50.0) ?(jitter = 0.1) ?backoff ~rng ~probe () =
+let create ?metrics ?(interval_ms = 50.0) ?(jitter = 0.1) ~rng ~probe () =
   if Float.is_nan interval_ms || interval_ms <= 0.0 then
     invalid_arg (Printf.sprintf "Prober.create: interval_ms must be > 0 (got %g)" interval_ms);
   if Float.is_nan jitter || jitter < 0.0 || jitter > 1.0 then
     invalid_arg (Printf.sprintf "Prober.create: jitter must be in [0, 1] (got %g)" jitter);
   let backoff =
-    match backoff with
-    | Some p -> p
-    | None ->
-        Backoff.make ~base_ms:interval_ms ~multiplier:2.0 ~cap_ms:(16.0 *. interval_ms)
-          ~jitter ~max_attempts:max_int ()
+    Backoff.make ~base_ms:interval_ms ~multiplier:2.0 ~cap_ms:(16.0 *. interval_ms) ~jitter
+      ~max_attempts:max_int ()
   in
   let obs =
     Option.map
       (fun registry ->
         {
-          o_probes = M.counter registry ~labels "pathmon.prober.probes";
-          o_ticks = M.counter registry ~labels "pathmon.prober.ticks";
+          o_probes = M.counter registry "pathmon.prober.probes";
+          o_ticks = M.counter registry "pathmon.prober.ticks";
         })
       metrics
   in

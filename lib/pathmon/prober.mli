@@ -21,21 +21,18 @@ type t
 (* scion-lint: rng-stream pathmon.probe -- the prober's private stream; isolation is pinned by test_golden *)
 val create :
   ?metrics:Telemetry.Metrics.registry ->
-  ?labels:Telemetry.Metrics.labels ->
   ?interval_ms:float ->
   ?jitter:float ->
-  ?backoff:Scion_util.Backoff.policy ->
   rng:Scion_util.Rng.t ->
   probe:(fingerprint:string -> [ `Rtt of float | `Lost ]) ->
   unit ->
   t
 (** [interval_ms] (default [50.]) is the healthy-path probe period;
     [jitter] (default [0.1], in [\[0, 1\]]) scales each period uniformly in
-    [\[1 - jitter, 1 + jitter\]]. [backoff] (default
-    [Backoff.make ~base_ms:interval_ms ~cap_ms:(16 *. interval_ms) ()])
-    paces paths with consecutive losses. With [?metrics], the prober
-    counts [pathmon.prober.probes] and [pathmon.prober.ticks] under
-    [?labels]. Raises [Invalid_argument] on a non-positive interval or
+    [\[1 - jitter, 1 + jitter\]]. Paths with consecutive losses back off
+    from [interval_ms], doubling up to [16 *. interval_ms], with the same
+    jitter. With [?metrics], the prober counts [pathmon.prober.probes] and
+    [pathmon.prober.ticks]. Raises [Invalid_argument] on a non-positive interval or
     out-of-range jitter. *)
 
 val watch : t -> fingerprint:string -> estimator:Estimator.t -> unit

@@ -17,11 +17,7 @@ let default_config =
     min_probes = 3;
   }
 
-let make_config ?(loss_penalty_ms = default_config.loss_penalty_ms)
-    ?(dev_weight = default_config.dev_weight)
-    ?(switch_margin = default_config.switch_margin)
-    ?(hold_ticks = default_config.hold_ticks)
-    ?(min_probes = default_config.min_probes) () =
+let validate ({ loss_penalty_ms; dev_weight; switch_margin; hold_ticks; min_probes } as config) =
   let non_negative name v =
     if Float.is_nan v || v < 0.0 then
       invalid_arg (Printf.sprintf "Selector.make_config: %s must be >= 0 (got %g)" name v)
@@ -33,7 +29,10 @@ let make_config ?(loss_penalty_ms = default_config.loss_penalty_ms)
     invalid_arg (Printf.sprintf "Selector.make_config: hold_ticks must be >= 1 (got %d)" hold_ticks);
   if min_probes < 0 then
     invalid_arg (Printf.sprintf "Selector.make_config: min_probes must be >= 0 (got %d)" min_probes);
-  { loss_penalty_ms; dev_weight; switch_margin; hold_ticks; min_probes }
+  config
+
+let make_config ?(dev_weight = default_config.dev_weight) () =
+  validate { default_config with dev_weight }
 
 type candidate = {
   fingerprint : string;
@@ -68,19 +67,15 @@ type t = {
   obs : obs option;
 }
 
-let create ?metrics ?(labels = []) ?(config = default_config) () =
-  let config =
-    make_config ~loss_penalty_ms:config.loss_penalty_ms ~dev_weight:config.dev_weight
-      ~switch_margin:config.switch_margin ~hold_ticks:config.hold_ticks
-      ~min_probes:config.min_probes ()
-  in
+let create ?metrics ?(config = default_config) () =
+  let config = validate config in
   let obs =
     Option.map
       (fun registry ->
         {
-          o_switches = M.counter registry ~labels "pathmon.selector.switches";
-          o_returns = M.counter registry ~labels "pathmon.selector.returns";
-          o_active_score = M.gauge registry ~labels "pathmon.selector.active_score";
+          o_switches = M.counter registry "pathmon.selector.switches";
+          o_returns = M.counter registry "pathmon.selector.returns";
+          o_active_score = M.gauge registry "pathmon.selector.active_score";
         })
       metrics
   in

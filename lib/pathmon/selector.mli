@@ -36,16 +36,9 @@ val default_config : config
 (** 250 ms loss penalty, deviation weight 2.0, 10% margin, 2-tick hold,
     3-probe warmup. *)
 
-val make_config :
-  ?loss_penalty_ms:float ->
-  ?dev_weight:float ->
-  ?switch_margin:float ->
-  ?hold_ticks:int ->
-  ?min_probes:int ->
-  unit ->
-  config
-(** {!default_config} with overrides; raises [Invalid_argument] on
-    negative weights/margins/penalties or non-positive [hold_ticks]. *)
+val make_config : ?dev_weight:float -> unit -> config
+(** {!default_config} with another deviation weight; raises
+    [Invalid_argument] on a negative one. *)
 
 type candidate = {
   fingerprint : string;  (** {!Scion_controlplane.Combinator.fullpath} id. *)
@@ -60,15 +53,11 @@ val score : config -> candidate -> float
 
 type t
 
-val create :
-  ?metrics:Telemetry.Metrics.registry ->
-  ?labels:Telemetry.Metrics.labels ->
-  ?config:config ->
-  unit ->
-  t
-(** With [?metrics], the selector counts [pathmon.selector.switches] and
-    [pathmon.selector.returns] and gauges [pathmon.selector.active_score]
-    under [?labels]. *)
+val create : ?metrics:Telemetry.Metrics.registry -> ?config:config -> unit -> t
+(** Raises [Invalid_argument] on negative weights/margins/penalties,
+    a non-positive [hold_ticks] or a negative [min_probes] in [config].
+    With [?metrics], the selector counts [pathmon.selector.switches] and
+    [pathmon.selector.returns] and gauges [pathmon.selector.active_score]. *)
 
 val choose : t -> candidates:candidate list -> active:string -> string
 (** [choose t ~candidates ~active] is the fingerprint the connection

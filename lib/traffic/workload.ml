@@ -60,11 +60,9 @@ let default_config =
   }
 
 let make_config ?(base_rate_per_s = default_config.base_rate_per_s)
-    ?(pareto_alpha = default_config.pareto_alpha)
     ?(pareto_xm_bytes = default_config.pareto_xm_bytes)
-    ?(max_flow_bytes = default_config.max_flow_bytes) ?(diurnal = default_config.diurnal)
-    ?(day_s = default_config.day_s) () =
-  let c = { base_rate_per_s; pareto_alpha; pareto_xm_bytes; max_flow_bytes; diurnal; day_s } in
+    ?(max_flow_bytes = default_config.max_flow_bytes) ?(day_s = default_config.day_s) () =
+  let c = { default_config with base_rate_per_s; pareto_xm_bytes; max_flow_bytes; day_s } in
   check_config c;
   c
 

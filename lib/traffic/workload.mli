@@ -26,16 +26,17 @@ type config = {
 
 val make_config :
   ?base_rate_per_s:float ->
-  ?pareto_alpha:float ->
   ?pareto_xm_bytes:float ->
   ?max_flow_bytes:float ->
-  ?diurnal:float array ->
   ?day_s:float ->
   unit ->
   config
-(** Raises [Invalid_argument] on non-positive/non-finite rates, shapes,
-    sizes or day length, a cap below the scale, or an empty/negative/
-    all-zero diurnal curve. *)
+(** The Pareto shape is 1.4 and the diurnal curve a mild 24-point day
+    (overnight trough, evening peak, mean close to 1). Defaults for the
+    rest: 4 arrivals/s, 30 kB minimum, 30 MB cap, 86 400 s day. Raises
+    [Invalid_argument] on non-positive/non-finite rates, sizes or day
+    length, or a cap below the scale. {!attach} applies the same checks to
+    every field of a config it is given. *)
 
 type t
 

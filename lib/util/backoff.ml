@@ -46,7 +46,7 @@ let exhausted p ~attempt = attempt > p.max_attempts
 
 type 'e give_up = { attempts : int; waited_ms : float; last_error : 'e }
 
-let retry p ~rng ?(on_wait = fun ~attempt:_ ~delay_ms:_ -> ()) f =
+let retry p ~rng f =
   let rec go attempt waited =
     match f ~attempt with
     | Ok v -> Ok (v, attempt)
@@ -55,7 +55,6 @@ let retry p ~rng ?(on_wait = fun ~attempt:_ ~delay_ms:_ -> ()) f =
           Error { attempts = attempt; waited_ms = waited; last_error = e }
         else begin
           let d = delay_ms p ~rng ~attempt in
-          on_wait ~attempt ~delay_ms:d;
           go (attempt + 1) (waited +. d)
         end
   in

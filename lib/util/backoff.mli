@@ -22,9 +22,6 @@ type policy = {
   max_attempts : int;  (** Total tries (first attempt included, [>= 1]). *)
 }
 
-val default : policy
-(** 100 ms base, doubling, capped at 30 s, 20% jitter, 6 attempts. *)
-
 val make :
   ?base_ms:float ->
   ?multiplier:float ->
@@ -33,7 +30,8 @@ val make :
   ?max_attempts:int ->
   unit ->
   policy
-(** {!default} with overrides. Raises [Invalid_argument] on non-finite or
+(** A policy with the given fields; the defaults are a 100 ms base,
+    doubling, a 30 s cap, 20% jitter and 6 attempts. Raises [Invalid_argument] on non-finite or
     out-of-range fields (negative [base_ms], [multiplier < 1.0],
     [cap_ms < base_ms], [jitter] outside [\[0, 1\]], [max_attempts < 1]). *)
 
@@ -52,11 +50,9 @@ type 'e give_up = { attempts : int; waited_ms : float; last_error : 'e }
 val retry :
   policy ->
   rng:Rng.t ->
-  ?on_wait:(attempt:int -> delay_ms:float -> unit) ->
   (attempt:int -> ('a, 'e) result) ->
   ('a * int, 'e give_up) result
 (** [retry p ~rng f] runs [f ~attempt:1], [f ~attempt:2], ... until [f]
     returns [Ok] or the policy is exhausted. [Ok (v, attempts)] carries how
-    many tries the success took. Between attempts, [on_wait] observes the
-    jittered delay so the caller can advance its simulated clock or
-    schedule the wakeup. *)
+    many tries the success took. On failure, [waited_ms] sums the jittered
+    delays drawn between the attempts. *)

@@ -68,10 +68,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let bytes t n =
-  let b = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set b i (Char.chr (Int64.to_int (Int64.logand (next t) 0xFFL)))
-  done;
-  b

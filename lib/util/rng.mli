@@ -42,5 +42,3 @@ val pick : t -> 'a array -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
-val bytes : t -> int -> bytes
-(** [bytes t n] returns [n] random bytes. *)

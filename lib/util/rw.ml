@@ -54,11 +54,6 @@ module Reader = struct
     let b = u16 t in
     (a lsl 16) lor b
 
-  let u64 t =
-    let a = u32_to_int t in
-    let b = u32_to_int t in
-    Int64.logor (Int64.shift_left (Int64.of_int a) 32) (Int64.of_int b)
-
   let raw t n =
     if n < 0 || remaining t < n then raise Truncated;
     let s = String.sub t.src t.pos n in

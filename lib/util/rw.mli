@@ -28,7 +28,6 @@ module Reader : sig
   val u16 : t -> int
   val u32 : t -> int32
   val u32_to_int : t -> int
-  val u64 : t -> int64
   val raw : t -> int -> string
   val expect_end : t -> unit
   (** Raises [Truncated] if any bytes remain. *)

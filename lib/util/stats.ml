@@ -2,12 +2,6 @@ let mean xs =
   assert (Array.length xs > 0);
   Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
 
-let stddev xs =
-  assert (Array.length xs > 0);
-  let m = mean xs in
-  let acc = Array.fold_left (fun a x -> a +. ((x -. m) *. (x -. m))) 0.0 xs in
-  sqrt (acc /. float_of_int (Array.length xs))
-
 let min_max xs =
   assert (Array.length xs > 0);
   Array.fold_left
@@ -84,17 +78,3 @@ let resample_cdf c n =
       out := arr.(idx) :: !out
     done;
     !out
-
-let histogram xs ~bins =
-  assert (Array.length xs > 0);
-  assert (bins > 0);
-  let lo, hi = min_max xs in
-  let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-  let counts = Array.make bins 0 in
-  Array.iter
-    (fun x ->
-      let i = int_of_float ((x -. lo) /. width) in
-      let i = if i >= bins then bins - 1 else i in
-      counts.(i) <- counts.(i) + 1)
-    xs;
-  Array.mapi (fun i c -> (lo +. (float_of_int i *. width), c)) counts

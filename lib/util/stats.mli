@@ -4,9 +4,6 @@
 val mean : float array -> float
 (** Arithmetic mean. Requires a non-empty array. *)
 
-val stddev : float array -> float
-(** Population standard deviation. Requires a non-empty array. *)
-
 val min_max : float array -> float * float
 (** Smallest and largest element. Requires a non-empty array. *)
 
@@ -38,7 +35,3 @@ val cdf : float array -> cdf
 val resample_cdf : cdf -> int -> cdf
 (** [resample_cdf c n] reduces a CDF to at most [n] evenly spaced points,
     keeping the first and last; used to print compact figure series. *)
-
-val histogram : float array -> bins:int -> (float * int) array
-(** [histogram xs ~bins] returns [(bin_left_edge, count)] pairs covering
-    the data range. Requires a non-empty array and [bins > 0]. *)

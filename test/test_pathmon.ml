@@ -38,7 +38,8 @@ let test_estimator_math () =
   Alcotest.(check int) "probe count" 4 (Est.probes est)
 
 let test_estimator_window_and_validation () =
-  let est = Est.create ~config:{ Est.default_config with Est.loss_window = 4 } () in
+  let config = { Est.rtt_alpha = 0.25; dev_beta = 0.125; loss_window = 4 } in
+  let est = Est.create ~config () in
   List.iter (Est.observe est) [ `Lost; `Lost; `Lost; `Lost ];
   feq "all lost" 1.0 (Est.loss_rate est);
   List.iter (Est.observe est) [ `Rtt 10.0; `Rtt 10.0; `Rtt 10.0; `Rtt 10.0 ];
@@ -52,7 +53,7 @@ let test_estimator_window_and_validation () =
     (fun () -> Est.observe est (`Rtt Float.nan));
   Alcotest.check_raises "zero alpha rejected"
     (Invalid_argument "Estimator.make_config: rtt_alpha must be in (0, 1] (got 0)")
-    (fun () -> ignore (Est.create ~config:{ Est.default_config with Est.rtt_alpha = 0.0 } ()))
+    (fun () -> ignore (Est.create ~config:{ config with Est.rtt_alpha = 0.0 } ()))
 
 (* --- Selector ---------------------------------------------------------- *)
 
@@ -197,7 +198,7 @@ let campaign_snapshot () =
   let rng = Rng.of_label 0xCAFEL "test.pathmon.campaign" in
   let world = Rng.split rng in
   let fps = [ "alpha"; "beta"; "gamma" ] in
-  let ests = List.map (fun fp -> (fp, Est.create ~metrics:reg ~labels:[ ("path", fp) ] ())) fps in
+  let ests = List.map (fun fp -> (fp, Est.create ())) fps in
   let pr =
     Pathmon.Prober.create ~metrics:reg ~interval_ms:50.0 ~rng
       ~probe:(fun ~fingerprint:_ ->

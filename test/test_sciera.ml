@@ -421,7 +421,7 @@ let test_filter_verdicts () =
 let test_filter_duplicate_suppression () =
   let module F = Sciera.Science_dmz.Filter in
   let peer = ia "71-50999" in
-  let filter = F.create ~dedup_window_s:1.0 ~local_secret:"s" ~allowed:[ (peer, 100.0) ] () in
+  let filter = F.create ~local_secret:"s" ~allowed:[ (peer, 100.0) ] () in
   let key = F.host_key filter ~peer in
   let tag = F.authenticate ~key ~payload:"data" in
   Alcotest.(check bool) "first seen accepted" true

@@ -505,7 +505,8 @@ let test_workload_validation () =
     (fun () -> ignore (Workload.attach ~engine ~rng ~pops:(pops 1) ~duration_s:1.0 ~sink ()));
   Alcotest.check_raises "bad alpha"
     (Invalid_argument "Workload: pareto_alpha must be finite and > 0 (got 0)") (fun () ->
-      ignore (Workload.make_config ~pareto_alpha:0.0 ()));
+      let config = { (Workload.make_config ()) with Workload.pareto_alpha = 0.0 } in
+      ignore (Workload.attach ~engine ~rng ~config ~pops:(pops 2) ~duration_s:1.0 ~sink ()));
   Alcotest.check_raises "cap below scale"
     (Invalid_argument "Workload: max_flow_bytes must be >= pareto_xm_bytes") (fun () ->
       ignore (Workload.make_config ~pareto_xm_bytes:1e6 ~max_flow_bytes:1e3 ()))
