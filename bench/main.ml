@@ -11,10 +11,6 @@
      dune exec bench/main.exe -- micro --check  # fast key-set guard vs BENCH_micro.json
      dune exec bench/main.exe -- golden [--promote] [--full] [--dir DIR]
      dune exec bench/main.exe -- chaos     # Jan 21 / Feb 6 incident replays
-     dune exec bench/main.exe -- pathmon-smoke  # quick adaptive-selection sanity run
-     dune exec bench/main.exe -- scaling-smoke  # evidence-tier scaling sweep, 60 s budget
-     dune exec bench/main.exe -- adversary-smoke  # reduced containment grid, defences on/off
-     dune exec bench/main.exe -- load-smoke  # reduced load sweep, multipath vs single-path
      dune exec bench/main.exe -- topogen [N] [SEED]  # dump a generated topology
    Artefacts: every id of Harness.Evidence.ids, plus micro. A figure's
    stdout is its Harness.Evidence table, byte-identical to
@@ -22,8 +18,8 @@
    --full); its wall-clock timing line goes to stderr. --full starts the
    one Harness.Evidence session of the run at full scale instead of the
    evidence scale; every figure and golden command of the run shares that
-   session. Library report functions append to a Buffer; this driver
-   prints the buffer. *)
+   session. Library report functions append to a Buffer that
+   Harness.Evidence renders into the table this driver prints. *)
 
 let time_section name f =
   (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
@@ -32,12 +28,6 @@ let time_section name f =
   (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
   Printf.eprintf "[%s took %.1f s]\n%!" name (Unix.gettimeofday () -. t0);
   r
-
-(* Report functions in lib/ append to a buffer; a smoke prints it. *)
-let print_report report =
-  let b = Buffer.create 4096 in
-  report b;
-  Buffer.output_buffer stdout b
 
 (* --- Microbenchmarks ----------------------------------------------------- *)
 
@@ -567,29 +557,6 @@ let golden session ~full rest =
     else Printf.printf "\nall %d golden files match\n" (List.length files)
   end
 
-(* --- Smoke checks ------------------------------------------------------------ *)
-
-(* [check name ok] prints a FAIL line for each failed check as it runs;
-   [verdict ?failed passed] closes the smoke with "<smoke> smoke: N
-   check(s) failed" plus [failed] and exit 1, or "all checks passed" plus
-   [passed]. *)
-let smoke_checks smoke =
-  let failures = ref 0 in
-  let check name ok =
-    if not ok then begin
-      incr failures;
-      Printf.printf "  FAIL %s\n%!" name
-    end
-  in
-  let verdict ?(failed = "") passed =
-    if !failures > 0 then begin
-      Printf.printf "\n%s smoke: %d check(s) failed%s\n" smoke !failures failed;
-      exit 1
-    end
-    else Printf.printf "\n%s smoke: all checks passed%s\n" smoke passed
-  in
-  (check, verdict)
-
 (* --- Chaos smoke --------------------------------------------------------- *)
 
 (* `main.exe chaos`: replay the canned Jan 21 and Feb 6 incident scenarios
@@ -607,7 +574,13 @@ let chaos () =
   let src = Scion_addr.Ia.of_string "71-20965" (* GEANT *) in
   let dst = Scion_addr.Ia.of_string "71-225" (* UVa *) in
   let live () = List.length (Sciera.Network.live_paths net ~src ~dst) in
-  let check, verdict = smoke_checks "chaos" in
+  let failures = ref 0 in
+  let check name ok =
+    if not ok then begin
+      incr failures;
+      Printf.printf "  FAIL %s\n%!" name
+    end
+  in
   let before = live () in
   check "delivery before replay" (before > 0);
   List.iter
@@ -625,122 +598,12 @@ let chaos () =
         (Fault.Scenario.control_up (Fault.Injector.events inj));
       check (name ^ ": delivery recovered") (after > 0))
     [ ("jan21", Sciera.Incidents.jan21); ("feb6", Sciera.Incidents.feb6) ];
-  verdict (Printf.sprintf " (%d live GEANT->UVa paths pre-replay)" before)
-
-(* --- Pathmon smoke -------------------------------------------------------- *)
-
-(* `main.exe pathmon-smoke`: a reduced-trial run of the pathmon experiment
-   asserting the headline property — adaptive selection strictly reduces
-   median time-in-degraded-path vs static — without paying for the full
-   golden figure. Wired into `dune build @pathmon`. *)
-let pathmon_smoke () =
-  Printf.printf "== Pathmon smoke: adaptive vs static under soft degradation ==\n%!";
-  let r =
-    time_section "pathmon smoke (4 trials)" (fun () -> Sciera.Exp_pathmon.run ~trials:4 ())
-  in
-  print_report (fun b -> Sciera.Exp_pathmon.print_pathmon b r);
-  let a = r.Sciera.Exp_pathmon.adaptive and s = r.Sciera.Exp_pathmon.static_ in
-  if a.Sciera.Exp_pathmon.median_degraded_s < s.Sciera.Exp_pathmon.median_degraded_s then
-    Printf.printf "pathmon smoke: ok (adaptive %.2f s < static %.2f s median degraded)\n"
-      a.Sciera.Exp_pathmon.median_degraded_s s.Sciera.Exp_pathmon.median_degraded_s
-  else begin
-    Printf.printf
-      "pathmon smoke: FAIL — adaptive median degraded %.2f s is not below static %.2f s\n"
-      a.Sciera.Exp_pathmon.median_degraded_s s.Sciera.Exp_pathmon.median_degraded_s;
+  if !failures > 0 then begin
+    Printf.printf "\nchaos smoke: %d check(s) failed\n" !failures;
     exit 1
   end
-
-(* --- Scaling smoke -------------------------------------------------------- *)
-
-(* `main.exe scaling-smoke`: the evidence-tier scaling sweep (synthetic
-   Topogen meshes at 100/300/1000 ASes next to the 29-AS baseline) under a
-   wall-clock budget. The figure itself is fully deterministic and never
-   reads the clock (the lint forbids it in lib/), so the < 60 s bound on
-   the N=1000 sweep is enforced here, in the driver. Wired into
-   `dune build @scaling`. *)
-let scaling_smoke () =
-  Printf.printf "== Scaling smoke: topogen sweep under the 60 s budget ==\n%!";
-  (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
-  let t0 = Unix.gettimeofday () in
-  let r = Sciera.Exp_scaling.run ~sizes:[ 100; 300; 1000 ] () in
-  (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
-  let dt = Unix.gettimeofday () -. t0 in
-  print_report (fun b -> Sciera.Exp_scaling.print_scaling b r);
-  let check, verdict = smoke_checks "scaling" in
-  List.iter
-    (fun (w : Sciera.Exp_scaling.row) ->
-      check
-        (Printf.sprintf "%s: control-plane reachability" w.Sciera.Exp_scaling.label)
-        (w.Sciera.Exp_scaling.reachable_pct > 90.0);
-      check
-        (Printf.sprintf "%s: packet delivery" w.Sciera.Exp_scaling.label)
-        (w.Sciera.Exp_scaling.delivered_pct > 80.0))
-    r.Sciera.Exp_scaling.rows;
-  check "sweep under 60 s wall clock" (dt < 60.0);
-  let took = Printf.sprintf " (sweep took %.1f s)" dt in
-  verdict ~failed:took took
-
-(* --- Adversary smoke ------------------------------------------------------ *)
-
-(* `main.exe adversary-smoke`: the containment grid with the generated
-   mesh reduced to 60 ASes, asserting the headline property — at least
-   four attack classes end with a strictly smaller blast radius AND
-   strictly faster containment when the defences are armed — without
-   paying for the golden figure's 300-AS scale. Wired into
-   `dune build @adversary`. *)
-let adversary_smoke () =
-  Printf.printf "== Adversary smoke: containment grid at reduced scale ==\n%!";
-  let r =
-    time_section "adversary smoke (topogen-60)" (fun () ->
-        Sciera.Exp_adversary.run ~topogen_ases:60 ())
-  in
-  print_report (fun b -> Sciera.Exp_adversary.print_containment b r);
-  let n = r.Sciera.Exp_adversary.classes_contained in
-  if n >= 4 then Printf.printf "adversary smoke: ok (%d/8 classes strictly contained)\n" n
-  else begin
-    Printf.printf "adversary smoke: FAIL — only %d/8 classes strictly contained (need >= 4)\n" n;
-    exit 1
-  end
-
-(* --- Load smoke ------------------------------------------------------------ *)
-
-(* `main.exe load-smoke`: a reduced sweep of the traffic-engine figure —
-   two load points, short cells, the generated mesh shrunk to 60 ASes —
-   asserting the headline property: at the top load, multipath flow
-   placement carries at least as much goodput as the single-path baseline
-   without a worse p99 FCT, and conservation holds per cell (goodput never
-   exceeds offered). Wired into `dune build @load`. *)
-let load_smoke () =
-  Printf.printf "== Load smoke: reduced sweep, multipath vs single-path ==\n%!";
-  let r =
-    time_section "load smoke (2 points, topogen-60)" (fun () ->
-        Sciera.Exp_load.run ~loads:[ 0.5; 1.5 ] ~duration_s:10.0 ~topogen_ases:60 ())
-  in
-  print_report (fun b -> Sciera.Exp_load.print_load b r);
-  let check, verdict = smoke_checks "load" in
-  List.iter
-    (fun (c : Sciera.Exp_load.cell) ->
-      check
-        (Printf.sprintf "%s/%s/%.2g: goodput <= offered" c.Sciera.Exp_load.c_scale
-           (Sciera.Exp_load.arm_name c.Sciera.Exp_load.c_arm)
-           c.Sciera.Exp_load.c_load)
-        (c.Sciera.Exp_load.c_goodput_mbps <= c.Sciera.Exp_load.c_offered_mbps +. 1e-6);
-      check
-        (Printf.sprintf "%s/%s/%.2g: flows completed" c.Sciera.Exp_load.c_scale
-           (Sciera.Exp_load.arm_name c.Sciera.Exp_load.c_arm)
-           c.Sciera.Exp_load.c_load)
-        (c.Sciera.Exp_load.c_completed > 0))
-    r.Sciera.Exp_load.cells;
-  check "multipath goodput >= single-path at top load" (r.Sciera.Exp_load.mp_goodput_gain >= 1.0);
-  (* The p99 direction is load-dependent (multipath admits more flows, so
-     its completed population can include slower transfers), so only pin
-     that the ratio is a sane positive number. *)
-  check "p99 FCT ratio is finite and positive"
-    (Float.is_finite r.Sciera.Exp_load.mp_p99_fct_ratio
-    && r.Sciera.Exp_load.mp_p99_fct_ratio > 0.0);
-  verdict
-    (Printf.sprintf " (mp %.2fx goodput, sp/mp p99 ratio %.2f)" r.Sciera.Exp_load.mp_goodput_gain
-       r.Sciera.Exp_load.mp_p99_fct_ratio)
+  else
+    Printf.printf "\nchaos smoke: all checks passed (%d live GEANT->UVa paths pre-replay)\n" before
 
 (* --- Topogen dump ---------------------------------------------------------- *)
 
@@ -779,10 +642,6 @@ let () =
   match args with
   | "golden" :: rest -> golden session ~full rest
   | [ "chaos" ] -> chaos ()
-  | [ "pathmon-smoke" ] -> pathmon_smoke ()
-  | [ "scaling-smoke" ] -> scaling_smoke ()
-  | [ "adversary-smoke" ] -> adversary_smoke ()
-  | [ "load-smoke" ] -> load_smoke ()
   | "topogen" :: rest -> topogen_cli rest
   | [] -> List.iter (artefact session ~json ~check) (Harness.Evidence.ids @ [ "micro" ])
   | ids -> List.iter (artefact session ~json ~check) ids

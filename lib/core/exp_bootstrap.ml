@@ -52,8 +52,9 @@ let make_server () =
     pub )
 
 let seed = 0xB007L
+let runs = 30
 
-let run ?(runs = 30) ?telemetry () =
+let run ?telemetry () =
   let server, as_key = make_server () in
   (* No Network underneath this experiment: the metrics evidence is the
      timing distribution itself, one summary per OS and stage. *)

@@ -21,7 +21,13 @@ module M = Telemetry.Metrics
 module Export = Telemetry.Export
 module Table = Scion_util.Table
 
-type t = { id : string; title : string; table : string; metrics : string }
+type t = {
+  id : string;
+  title : string;
+  table : string;
+  metrics : string;
+  failed_claims : string list;
+}
 
 (* --- Scale (documented in EXPERIMENTS.md, "Recording") --------------- *)
 
@@ -142,9 +148,11 @@ let headline_table headline =
 
 (* [headline] becomes both the table footer and one exp.<id>.<key> gauge
    per entry in the metrics snapshot, merged with the dataset's
-   stack-level samples. [print] appends the figure's report to the table
-   body. *)
-let make ~id ~title ~samples:stack_samples ~headline print =
+   stack-level samples. [claims] pairs each shape claim EXPERIMENTS.md
+   makes for the figure with whether this run carries it; only the names
+   of the broken ones are kept. [print] appends the figure's report to the
+   table body. *)
+let make ~id ~title ~samples:stack_samples ~headline ~claims print =
   let reg = M.create () in
   (* scion-lint: allow telemetry-registry -- exp.<id>.<key> gauges are scoped to one figure's private registry and pinned by the checked-in goldens, not the tree-wide registry *)
   List.iter (fun (k, v) -> M.set (M.gauge reg (Printf.sprintf "exp.%s.%s" id k)) v) headline;
@@ -155,7 +163,8 @@ let make ~id ~title ~samples:stack_samples ~headline print =
     Printf.sprintf "== %s ==\n%s-- headline (canonical %%.6g floats) --\n%s" title
       (Buffer.contents body) (headline_table headline)
   in
-  { id; title; table; metrics = Export.samples_to_json all }
+  let failed_claims = List.filter_map (fun (name, ok) -> if ok then None else Some name) claims in
+  { id; title; table; metrics = Export.samples_to_json all; failed_claims }
 
 (* --- Per-figure runners ----------------------------------------------- *)
 
@@ -175,6 +184,7 @@ let table1 _ make =
         ("ases", float_of_int (List.length Sciera.Topology.ases));
         ("links", float_of_int (List.length Sciera.Topology.links));
       ]
+    ~claims:[]
     print_table1
 
 let fig3 _ make =
@@ -201,27 +211,38 @@ let fig3 _ make =
   let drops = List.filter_map (fun (k, key) -> Option.map (fun d -> (key, d)) (drop k)) kinds in
   make ~samples:[]
     ~headline:(("deployments", float_of_int (List.length timeline)) :: drops)
+    ~claims:[]
     print_fig3
 
 let fig4 s make =
   let r, samples = Lazy.force s.bootstrap in
+  let open Sciera.Exp_bootstrap in
   let per_os =
     List.map
-      (fun (s : Sciera.Exp_bootstrap.os_summary) ->
+      (fun (s : os_summary) ->
         ( String.lowercase_ascii (Scion_endhost.Bootstrap.os_name s.os) ^ "_total_median_ms",
           s.total.Scion_util.Stats.med ))
-      r.Sciera.Exp_bootstrap.per_os
+      r.per_os
   in
   make ~samples
     ~headline:
-      (("runs_per_mechanism", float_of_int r.Sciera.Exp_bootstrap.runs_per_mechanism)
-      :: ("all_medians_under_ms", r.Sciera.Exp_bootstrap.all_medians_under_ms)
+      (("runs_per_mechanism", float_of_int r.runs_per_mechanism)
+      :: ("all_medians_under_ms", r.all_medians_under_ms)
       :: per_os)
+    ~claims:
+      (("3 OSes", List.length r.per_os = 3)
+      :: ("all_medians_under_ms < 150", r.all_medians_under_ms < 150.0)
+      :: List.map
+           (fun (s : os_summary) ->
+             ( Scion_endhost.Bootstrap.os_name s.os ^ ": q1 <= median <= q3",
+               s.total.q1 <= s.total.med && s.total.med <= s.total.q3 ))
+           r.per_os)
     (fun b -> Sciera.Exp_bootstrap.print_fig4 b r)
 
 let table2 _ make =
   make ~samples:[]
     ~headline:[ ("mechanisms", float_of_int (List.length Scion_endhost.Hints.all)) ]
+    ~claims:[]
     Sciera.Exp_bootstrap.print_table2
 
 let app_effort _ make =
@@ -234,6 +255,7 @@ let app_effort _ make =
         ("cases", float_of_int (List.length Sciera.App_effort.cases));
         ("total_loc_delta", float_of_int total);
       ]
+    ~claims:[]
     Sciera.App_effort.print_app_effort
 
 let fig5 s make =
@@ -249,6 +271,7 @@ let fig5 s make =
         ("kept_scion_pings", float_of_int r.dataset.Sciera.Multiping.scion_pings);
         ("kept_ip_pings", float_of_int r.dataset.Sciera.Multiping.ip_pings);
       ]
+    ~claims:[]
     (fun b -> print_fig5 b r)
 
 let fig6 s make =
@@ -261,6 +284,7 @@ let fig6 s make =
         ("frac_pairs_faster_on_scion", r.frac_pairs_faster_on_scion);
         ("frac_pairs_inflation_le_25pct", r.frac_pairs_inflation_le_25pct);
       ]
+    ~claims:[]
     (fun b -> print_fig6 b r)
 
 let fig7 s make =
@@ -276,6 +300,7 @@ let fig7 s make =
         ("ratio_min", rmin);
         ("ratio_max", rmax);
       ]
+    ~claims:[]
     (fun b -> print_fig7 b r)
 
 let fig8 s make =
@@ -285,6 +310,7 @@ let fig8 s make =
   make ~samples
     ~headline:
       [ ("min_paths", float_of_int r.min_paths); ("best_pair_paths", float_of_int best) ]
+    ~claims:[ ("min_paths >= 2", r.min_paths >= 2); ("best pair > 100 paths", best > 100) ]
     (fun b -> print_fig8 b r)
 
 let fig9 s make =
@@ -295,6 +321,7 @@ let fig9 s make =
   in
   make ~samples
     ~headline:[ ("max_median_deviation", float_of_int maxdev) ]
+    ~claims:[]
     (fun b -> print_fig9 b r)
 
 let fig10a s make =
@@ -306,6 +333,7 @@ let fig10a s make =
         ("frac_inflation_close_to_1", r.frac_inflation_close_to_1);
         ("frac_inflation_le_1_2", r.frac_inflation_le_1_2);
       ]
+    ~claims:[]
     (fun b -> print_fig10a b r)
 
 let fig10b s make =
@@ -317,18 +345,31 @@ let fig10b s make =
         ("frac_fully_disjoint", r.frac_fully_disjoint);
         ("frac_disjointness_ge_0_7", r.frac_disjointness_ge_0_7);
       ]
+    ~claims:[ ("frac_fully_disjoint > 0", r.frac_fully_disjoint > 0.0) ]
     (fun b -> print_fig10b b r)
 
 let fig10c s make =
   let r, samples = Lazy.force s.resilience in
   let open Sciera.Exp_resilience in
   let m20, s20 = connectivity_at r 0.2 in
+  let mp = r.multipath_connectivity and sp = r.singlepath_connectivity in
+  let n = Array.length mp in
+  let at_every k f = List.for_all f (List.init k Fun.id) in
   make ~samples
     ~headline:
       [
         ("runs", float_of_int r.runs);
         ("multipath_at_20pct", m20);
         ("singlepath_at_20pct", s20);
+      ]
+    ~claims:
+      [
+        ("multipath starts at 1", n > 0 && Float.abs (mp.(0) -. 1.0) <= 1e-9);
+        ("multipath ends at 0", n > 0 && Float.abs mp.(n - 1) <= 1e-9);
+        ( "multipath >= single-path at every fraction",
+          at_every n (fun i -> mp.(i) >= sp.(i) -. 1e-9) );
+        ("multipath non-increasing", at_every (n - 1) (fun i -> mp.(i + 1) <= mp.(i) +. 1e-9));
+        ("multipath - single-path > 0.1 at 20%", m20 -. s20 > 0.1);
       ]
     (fun b -> print_fig10c b r)
 
@@ -342,17 +383,39 @@ let survey _ make =
         ("opex_comparable_or_lower_pct", a.Sciera.Survey.opex_comparable_or_lower);
         ("workload_under_10_pct", a.Sciera.Survey.workload_under_10);
       ]
+    ~claims:[]
     Sciera.Survey.print_survey
 
 let isd s make =
   let r, samples = Lazy.force s.isd_evolution in
   let open Sciera.Exp_isd_evolution in
+  (* 0 when the ISD-71 scenario is missing, which breaks the first claim on it. *)
+  let isd71 =
+    List.find_map
+      (fun sc ->
+        if String.equal sc.failed_domain "ISD 71 (SCIERA)" then Some sc.pairs_lost else None)
+      r.single
+    |> Option.value ~default:0.0
+  in
+  let isd71_ases =
+    List.fold_left
+      (fun acc (d, n) -> if String.equal d "ISD 64 (Swiss)" then acc else acc + n)
+      0 r.regional_domains
+  in
   make ~samples
     ~headline:
       [
         ("single_avg_blast", r.single_avg_blast);
         ("regional_avg_blast", r.regional_avg_blast);
         ("regional_domains", float_of_int (List.length r.regional_domains));
+      ]
+    ~claims:
+      [
+        ("regional average blast < single average", r.regional_avg_blast < r.single_avg_blast);
+        ("ISD 71 loses > 0.9 of pairs", isd71 > 0.9);
+        ( "every regional domain loses less than ISD 71",
+          List.for_all (fun sc -> sc.pairs_lost < isd71) r.regional );
+        ("regional domains partition the 27 ISD-71 ASes", isd71_ases = 27);
       ]
     (fun b -> print_report b r)
 
@@ -372,6 +435,7 @@ let recovery s make =
         ("evicted_paths", float_of_int r.evicted_paths);
         ("reprobes", float_of_int r.reprobes);
       ]
+    ~claims:[]
     (fun b -> print_recovery b r)
 
 let pathmon s make =
@@ -389,6 +453,11 @@ let pathmon s make =
         ("adaptive_back_on_preferred", r.adaptive.returned_to_preferred);
         ("soft_switches", float_of_int r.adaptive.soft_switches);
         ("probes", float_of_int r.adaptive.probes);
+      ]
+    ~claims:
+      [
+        ( "adaptive median degraded < static",
+          r.adaptive.median_degraded_s < r.static_.median_degraded_s );
       ]
     (fun b -> print_pathmon b r)
 
@@ -417,6 +486,14 @@ let scaling s make =
       (("sizes", float_of_int (List.length r.sizes))
       :: ("pairs_per_size", float_of_int r.pairs_per_size)
       :: per_row)
+    ~claims:
+      (List.concat_map
+         (fun w ->
+           [
+             (w.label ^ ": reachable_pct > 90", w.reachable_pct > 90.0);
+             (w.label ^ ": delivered_pct > 80", w.delivered_pct > 80.0);
+           ])
+         r.rows)
     (fun b -> print_scaling b r)
 
 let load s make =
@@ -447,6 +524,20 @@ let load s make =
       :: ("mp_goodput_gain", r.mp_goodput_gain)
       :: ("mp_p99_fct_ratio", r.mp_p99_fct_ratio)
       :: per_cell)
+    ~claims:
+      (("mp_goodput_gain >= 1", r.mp_goodput_gain >= 1.0)
+      :: ( "mp_p99_fct_ratio finite and > 0",
+           Float.is_finite r.mp_p99_fct_ratio && r.mp_p99_fct_ratio > 0.0 )
+      :: List.concat_map
+           (fun c ->
+             let cell =
+               Printf.sprintf "%s/%s/%s" c.c_scale (arm_name c.c_arm) (Table.fmt_float c.c_load)
+             in
+             [
+               (cell ^ ": goodput <= offered", c.c_goodput_mbps <= c.c_offered_mbps +. 1e-6);
+               (cell ^ ": completed > 0", c.c_completed > 0);
+             ])
+           r.cells)
     (fun b -> print_load b r)
 
 let containment s make =
@@ -473,6 +564,7 @@ let containment s make =
       :: ("poisoned_revocations", float_of_int r.poisoned_revocations)
       :: ("rotations", float_of_int r.rotations)
       :: per_cell)
+    ~claims:[ ("classes_contained >= 4", r.classes_contained >= 4) ]
     (fun b -> print_containment b r)
 
 (* --- The figure table: EXPERIMENTS.md summary-table order ------------ *)

@@ -9,7 +9,9 @@
     ({!Telemetry.Export} JSONL: the instrumented network's stack-level
     series merged with one [exp.<figure>.<key>] gauge per headline). Both
     are byte-stable for the fixed seeds, which is what lets {!Golden}
-    check them in and diff them on every test run.
+    check them in and diff them on every test run. The figure's shape
+    claims are evaluated from the same typed result as its headline, and
+    {!Golden} fails the figure on any that breaks.
 
     Runs go through a {!session}, which fixes one of two scales and
     memoises the datasets at it: figures sharing a dataset (Figures 5-7;
@@ -24,6 +26,9 @@ type t = {
   title : string;
   table : string;  (** Canonical result table ([test/golden/<id>/table.txt]). *)
   metrics : string;  (** JSONL snapshot ([test/golden/<id>/metrics.jsonl]). *)
+  failed_claims : string list;
+      (** The figure's shape claims that this run breaks, by name; empty
+          when the run carries every claim EXPERIMENTS.md makes for it. *)
 }
 
 val ids : string list

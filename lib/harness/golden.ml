@@ -1,5 +1,6 @@
 (* Checked-in golden evidence: compare or promote test/golden/<figure>/
-   {table.txt,metrics.jsonl} against freshly regenerated Evidence. *)
+   {table.txt,metrics.jsonl} against freshly regenerated Evidence, and
+   report the shape claims that evidence breaks. *)
 
 module Export = Telemetry.Export
 
@@ -34,8 +35,17 @@ let check_figure session ~dir id =
           diff = Diff.unified ~label_a:(path ^ " (golden)") ~label_b:"regenerated" golden fresh;
         }
   in
+  (* A broken shape claim fails like a stale file, named <id>: <claim>. *)
+  let claim c =
+    {
+      figure = id;
+      path = Printf.sprintf "%s: %s" id c;
+      diff = Some "shape claim broken by the regenerated evidence; promoting does not clear it\n";
+    }
+  in
   let table_path, metrics_path = paths ~dir id in
   [ against table_path e.Evidence.table; against metrics_path e.Evidence.metrics ]
+  @ List.map claim e.Evidence.failed_claims
 
 let stale files = List.filter (fun f -> Option.is_some f.diff) files
 

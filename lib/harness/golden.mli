@@ -8,15 +8,17 @@
 
 type file = {
   figure : string;
-  path : string;
+  path : string;  (** The golden file, or [<figure>: <claim>] for a broken claim. *)
   diff : string option;  (** [None] when the golden matches byte-for-byte. *)
 }
 
 val check_figure : Evidence.session -> dir:string -> string -> file list
 (** Regenerate one figure's evidence in the session and diff it against
-    its two golden files. A missing golden reports a diff pointing at the
-    promote command. Dataset memoisation in the session makes checking
-    several figures of one dataset cost a single experiment run. *)
+    its two golden files, then add one always-stale entry per shape claim
+    the evidence breaks ([Evidence.t.failed_claims]). A missing golden
+    reports a diff pointing at the promote command. Dataset memoisation in
+    the session makes checking several figures of one dataset cost a
+    single experiment run. *)
 
 val stale : file list -> file list
 (** The files whose diff is non-empty. *)

@@ -33,6 +33,20 @@ let check_figure ?(session = session) ?(dir = golden_dir) id () =
             f.path "dune exec bench/main.exe -- golden --promote" (truncate_diff d))
     (Harness.Golden.check_figure session ~dir id)
 
+(* The scaling figure never reads the clock (the lint forbids it in lib/),
+   so its wall-clock budget is enforced here: the shared session's first,
+   unmemoised scaling run (the evidence-tier sweep up to 1000 ASes) must
+   take under 60 s. *)
+let check_scaling_budget () =
+  (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
+  let t0 = Unix.gettimeofday () in
+  ignore (Harness.Evidence.run session "scaling");
+  (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) (Printf.sprintf "scaling sweep under 60 s wall clock (took %.1f s)" dt) true
+    (dt < 60.0);
+  check_figure "scaling" ()
+
 (* The diff rendering itself: a one-line perturbation must show up as a
    focused -/+ hunk, not an opaque blob. *)
 let test_unified_diff_readable () =
@@ -156,7 +170,11 @@ let () =
           Alcotest.test_case "injector RNG isolation" `Slow test_injector_rng_isolation;
         ] );
       ( "evidence",
-        List.map (fun id -> Alcotest.test_case id `Slow (check_figure id)) Harness.Evidence.ids );
+        List.map
+          (fun id ->
+            Alcotest.test_case id `Slow
+              (if String.equal id "scaling" then check_scaling_budget else check_figure id))
+          Harness.Evidence.ids );
       ( "headlines",
         [ Alcotest.test_case "fig5 kept pings match the table" `Quick test_fig5_kept_pings ] );
       ( "session",

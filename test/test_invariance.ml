@@ -1,10 +1,11 @@
 (* Cross-seed invariance: the paper's Figure 8 shape claims must not be
-   an artefact of the one seed the goldens pin. Rerun the multipath
-   epoch sweep under three seeds and assert the claims the text makes:
-   every AS pair keeps at least two active paths, and the extreme pairs
-   exceed 100. *)
+   an artefact of the one seed the goldens pin. Harness.Evidence checks
+   them on the pinned seed's dataset on every golden run; here the
+   multipath epoch sweep reruns under two other seeds and asserts the same
+   claims: every AS pair keeps at least two active paths, and the extreme
+   pairs exceed 100. *)
 
-let seeds = [ 0x5C1E_7A5EL; 42L; 1337L ]
+let seeds = [ 42L; 1337L ]
 
 let check_shape seed () =
   let r = Sciera.Exp_multipath.run ~seed () in

@@ -540,66 +540,6 @@ let test_host_roundtrip () =
   | Ok (`Reply (ans, _)) -> Alcotest.(check string) "echoed" "q!" ans
   | Error e -> Alcotest.fail e
 
-(* --- Resilience & bootstrap experiments (reduced scale) --- *)
-
-let test_resilience_shape () =
-  let r = Sciera.Exp_resilience.run ~runs:5 () in
-  let n = Array.length r.Sciera.Exp_resilience.fractions_removed in
-  Alcotest.(check (float 1e-9)) "starts full" 1.0 r.Sciera.Exp_resilience.multipath_connectivity.(0);
-  Alcotest.(check (float 1e-9)) "ends empty" 0.0
-    r.Sciera.Exp_resilience.multipath_connectivity.(n - 1);
-  for i = 0 to n - 1 do
-    Alcotest.(check bool) "multipath >= singlepath" true
-      (r.Sciera.Exp_resilience.multipath_connectivity.(i)
-      >= r.Sciera.Exp_resilience.singlepath_connectivity.(i) -. 1e-9)
-  done;
-  for i = 1 to n - 1 do
-    Alcotest.(check bool) "multipath monotone" true
-      (r.Sciera.Exp_resilience.multipath_connectivity.(i)
-      <= r.Sciera.Exp_resilience.multipath_connectivity.(i - 1) +. 1e-9)
-  done;
-  let m20, s20 = Sciera.Exp_resilience.connectivity_at r 0.2 in
-  Alcotest.(check bool) "multipath clearly better at 20%" true (m20 -. s20 > 0.1)
-
-let test_isd_evolution () =
-  let r = Sciera.Exp_isd_evolution.run () in
-  Alcotest.(check bool) "regional blast radius smaller" true
-    (r.Sciera.Exp_isd_evolution.regional_avg_blast < r.Sciera.Exp_isd_evolution.single_avg_blast);
-  (* The single-ISD scenario for ISD 71 is a near-total outage. *)
-  let isd71 =
-    List.find
-      (fun s -> s.Sciera.Exp_isd_evolution.failed_domain = "ISD 71 (SCIERA)")
-      r.Sciera.Exp_isd_evolution.single
-  in
-  Alcotest.(check bool) "single ISD loses nearly everything" true
-    (isd71.Sciera.Exp_isd_evolution.pairs_lost > 0.9);
-  (* Every regional scenario is strictly smaller than the ISD-71 one. *)
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) (s.Sciera.Exp_isd_evolution.failed_domain ^ " contained") true
-        (s.Sciera.Exp_isd_evolution.pairs_lost < isd71.Sciera.Exp_isd_evolution.pairs_lost))
-    r.Sciera.Exp_isd_evolution.regional;
-  (* Domain assignment is total and regional domains partition ISD 71. *)
-  let n71 =
-    List.fold_left (fun a (_, n) -> a + n)
-      0
-      (List.filter (fun (d, _) -> d <> "ISD 64 (Swiss)") r.Sciera.Exp_isd_evolution.regional_domains)
-  in
-  Alcotest.(check int) "regional domains partition ISD 71" 27 n71
-
-let test_bootstrap_experiment () =
-  let r = Sciera.Exp_bootstrap.run ~runs:5 () in
-  Alcotest.(check int) "three OSes" 3 (List.length r.Sciera.Exp_bootstrap.per_os);
-  Alcotest.(check bool) "medians under 150ms" true
-    (r.Sciera.Exp_bootstrap.all_medians_under_ms < 150.0);
-  List.iter
-    (fun s ->
-      let open Scion_util.Stats in
-      Alcotest.(check bool) "box ordered" true
-        (s.Sciera.Exp_bootstrap.total.q1 <= s.Sciera.Exp_bootstrap.total.med
-        && s.Sciera.Exp_bootstrap.total.med <= s.Sciera.Exp_bootstrap.total.q3))
-    r.Sciera.Exp_bootstrap.per_os
-
 let () =
   Alcotest.run "sciera"
     [
@@ -648,10 +588,4 @@ let () =
           Alcotest.test_case "app effort" `Quick test_app_effort_cases;
         ] );
       ("host", [ Alcotest.test_case "roundtrip" `Quick test_host_roundtrip ]);
-      ( "experiments",
-        [
-          Alcotest.test_case "resilience shape" `Slow test_resilience_shape;
-          Alcotest.test_case "isd evolution" `Slow test_isd_evolution;
-          Alcotest.test_case "bootstrap experiment" `Quick test_bootstrap_experiment;
-        ] );
     ]
