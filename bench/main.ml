@@ -12,6 +12,8 @@
      dune exec bench/main.exe -- golden [--promote] [--full] [--dir DIR]
      dune exec bench/main.exe -- chaos     # Jan 21 / Feb 6 incident replays
      dune exec bench/main.exe -- topogen [N] [SEED]  # dump a generated topology
+     dune exec bench/main.exe -- compare A.exe B.exe [--workload W] [--pairs N]
+                                   [--seconds S] [--seed N]  # alternating e2e pairs
    Artefacts: every id of Harness.Evidence.ids, plus micro. A figure's
    stdout is its Harness.Evidence table, byte-identical to
    test/golden/<id>/table.txt (test/golden-full/<id>/table.txt under
@@ -146,6 +148,9 @@ let micro ?(json = false) ?(check = false) () =
         Test.make ~name:"schnorr sign (PCB entry)"
           (Staged.stage (fun () -> ignore (Scion_crypto.Schnorr.sign priv "msg"))) );
       ( "schnorr_verify_ns",
+        (* Reuses one key, so after the first iteration its comb table is
+           built and this times a warm verify. The table build is paid once
+           per key, on its first verification. *)
         Test.make ~name:"schnorr verify (PCB entry)"
           (Staged.stage (fun () -> ignore (Scion_crypto.Schnorr.verify pub ~msg:"msg" ~signature))) );
       ( "schnorr_verify_batch8_ns",
@@ -619,6 +624,130 @@ let topogen_cli rest =
     (List.length gen.Topogen.ases) (Topogen.core_count gen)
     (List.length gen.Topogen.links) (Topogen.max_depth gen) seed
 
+(* --- Alternating e2e comparison ----------------------------------------------- *)
+
+(* `main.exe compare A.exe B.exe [--workload W] [--pairs N] [--seconds S]
+   [--seed N]`: run two builds of bench/e2e/main.exe (typically the parent
+   commit's and a change's) in N alternating pairs, one child process at a
+   time, A first in even pairs and B first in odd ones. For every
+   end-to-end metric of BENCHMARK.json it prints each side's median and
+   quartiles, the change of the medians, how many pairs B won, and whether
+   the medians differ by more than A's interquartile range. It also checks
+   that both sides print the same digest and pass-0 counts in every pair.
+   Without --workload it compares every workload of BENCHMARK.json. *)
+
+(* Quartiles as Python's statistics.quantiles(values, n=4) computes them
+   (the default exclusive method), as bench/e2e does. *)
+let quartiles values =
+  let d = Array.of_list values in
+  Array.sort compare d;
+  let n = Array.length d in
+  if n < 2 then (match values with v :: _ -> (v, v, v) | [] -> (0.0, 0.0, 0.0))
+  else begin
+    let q i =
+      let j = max 1 (min (n - 1) (i * (n + 1) / 4)) in
+      let delta = (i * (n + 1)) - (j * 4) in
+      ((d.(j - 1) *. float_of_int (4 - delta)) +. (d.(j) *. float_of_int delta)) /. 4.0
+    in
+    (q 1, q 2, q 3)
+  end
+
+type e2e_run = { metrics : (string * float) list; fingerprint : string list }
+
+let run_e2e exe args =
+  let ic = Unix.open_process_args_in exe (Array.of_list (exe :: args)) in
+  let output = In_channel.input_all ic in
+  let status = Unix.close_process_in ic in
+  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' output) in
+  let module J = Telemetry.Json in
+  match (status, List.rev lines) with
+  | Unix.WEXITED 0, last :: _ -> (
+      match J.parse last with
+      | Ok j when J.member "correct" j = Some (J.Bool true) ->
+          let metrics =
+            match J.member "metrics" j with
+            | Some (J.Obj fields) ->
+                List.filter_map
+                  (fun (name, v) -> Option.map (fun x -> (name, x)) (Option.bind (J.member "value" v) J.to_num_opt))
+                  fields
+            | Some _ | None -> []
+          in
+          { metrics; fingerprint =
+              List.filter
+                (fun l -> String.starts_with ~prefix:"digest " l || String.starts_with ~prefix:"counts " l)
+                lines;
+          }
+      | Ok _ | Error _ ->
+          print_string output;
+          failwith (Printf.sprintf "compare: %s did not report a correct run" exe))
+  | _ ->
+      print_string output;
+      failwith (Printf.sprintf "compare: %s failed" exe)
+
+let compare_e2e rest =
+  let module J = Telemetry.Json in
+  let rec parse (exes, opts) = function
+    | key :: value :: tl when String.starts_with ~prefix:"--" key -> parse (exes, (key, value) :: opts) tl
+    | exe :: tl -> parse (exe :: exes, opts) tl
+    | [] -> (List.rev exes, opts)
+  in
+  let exes, opts = parse ([], []) rest in
+  let a, b =
+    match exes with
+    | [ a; b ] -> (a, b)
+    | _ -> failwith "usage: main.exe compare A.exe B.exe [--workload W] [--pairs N] [--seconds S] [--seed N]"
+  in
+  let opt key default = Option.value ~default (List.assoc_opt key opts) in
+  let pairs = int_of_string (opt "--pairs" "10") and seconds = opt "--seconds" "15" and seed = opt "--seed" "1" in
+  let bench =
+    match J.parse (read_file "BENCHMARK.json") with
+    | Ok j -> j
+    | Error e -> failwith ("compare: cannot parse BENCHMARK.json: " ^ e)
+  in
+  let entries key = match J.member key bench with Some (J.Arr l) -> l | Some _ | None -> [] in
+  let str key j = Option.value ~default:"" (Option.bind (J.member key j) J.to_string_opt) in
+  let end_to_end = List.map (fun m -> (str "name" m, str "better" m = "higher")) (entries "end_to_end") in
+  let workloads =
+    match List.assoc_opt "--workload" opts with
+    | Some w -> [ w ]
+    | None -> List.map (str "name") (entries "workloads")
+  in
+  List.iter
+    (fun workload ->
+      Printf.printf "== %s: %d pairs of %s s, seed %s ==\n%!" workload pairs seconds seed;
+      let args = [ "--workload"; workload; "--seed"; seed; "--seconds"; seconds; "--trace"; "0" ] in
+      let runs =
+        List.init pairs (fun i ->
+            let first, second = if i mod 2 = 0 then (a, b) else (b, a) in
+            let r1 = run_e2e first args in
+            let r2 = run_e2e second args in
+            let ra, rb = if i mod 2 = 0 then (r1, r2) else (r2, r1) in
+            let value r m = Option.value ~default:Float.nan (List.assoc_opt m r.metrics) in
+            Printf.printf "  pair %2d:%s\n%!" (i + 1)
+              (String.concat ""
+                 (List.map (fun (m, _) -> Printf.sprintf "  %s %g -> %g" m (value ra m) (value rb m)) end_to_end));
+            (ra, rb))
+      in
+      Printf.printf "  %-14s %-6s %-30s %-30s %8s %7s %s\n" "metric" "better" "A median [q1, q3]"
+        "B median [q1, q3]" "change" "B wins" "|dmedian| > IQR(A)";
+      List.iter
+        (fun (m, higher) ->
+          let side f = List.map (fun p -> Option.value ~default:Float.nan (List.assoc_opt m (f p).metrics)) runs in
+          let va = side fst and vb = side snd in
+          let q1a, meda, q3a = quartiles va and q1b, medb, q3b = quartiles vb in
+          let wins = List.length (List.filter (fun (x, y) -> if higher then y > x else y < x) (List.combine va vb)) in
+          Printf.printf "  %-14s %-6s %-30s %-30s %+7.1f%% %4d/%d %s\n" m
+            (if higher then "higher" else "lower")
+            (Printf.sprintf "%.6g [%.6g, %.6g]" meda q1a q3a)
+            (Printf.sprintf "%.6g [%.6g, %.6g]" medb q1b q3b)
+            (100.0 *. ((medb /. meda) -. 1.0))
+            wins pairs
+            (if Float.abs (medb -. meda) > q3a -. q1a then "yes" else "no"))
+        end_to_end;
+      let same = List.length (List.filter (fun (ra, rb) -> ra.fingerprint = rb.fingerprint) runs) in
+      Printf.printf "  digest and pass-0 counts equal in %d/%d pairs\n\n%!" same pairs)
+    workloads
+
 (* --- Driver -------------------------------------------------------------- *)
 
 (* A figure prints its Harness.Evidence table, so the output is the golden
@@ -642,6 +771,7 @@ let () =
   match args with
   | "golden" :: rest -> golden session ~full rest
   | [ "chaos" ] -> chaos ()
+  | "compare" :: rest -> compare_e2e rest
   | "topogen" :: rest -> topogen_cli rest
   | [] -> List.iter (artefact session ~json ~check) (Harness.Evidence.ids @ [ "micro" ])
   | ids -> List.iter (artefact session ~json ~check) ids

@@ -138,9 +138,8 @@ let mul (a : felem) (b : felem) : felem =
   reduce_scratch w scratch_len
 
 (* Dedicated squaring: the 55 off-diagonal products are shared (doubled), so
-   a square costs ~half a general multiply. The 4-bit exponentiation ladders
-   are ~80% squarings, making this the single hottest function in signing
-   and verification. *)
+   a square costs ~half a general multiply. Half of every comb power is
+   squarings, making this one of the hottest functions in verification. *)
 let sqr (a : felem) : felem =
   let w = Array.make scratch_len 0 in
   for i = 0 to dlimbs - 1 do
@@ -256,38 +255,73 @@ let reduce_exponent x =
   let l = Bignum.limbs x in
   Bignum.of_limbs (fold16_tail l (Array.length l))
 
-(* --- exponentiation ----------------------------------------------------- *)
+(* --- fixed-base comb ------------------------------------------------------ *)
 
-(* 4-bit windowed exponentiation: precompute b^0..b^15, then one pass over
-   the exponent nibbles with four squarings per nibble. Quarter the
-   multiplies of plain square-and-multiply for 256-bit exponents. *)
-let pow (b : felem) (e : Bignum.t) : felem =
-  let el = Bignum.limbs e in
-  let n = Array.length el in
-  if n = 0 then Array.copy one
-  else begin
-    let table = Array.make 16 one in
-    table.(1) <- b;
-    for i = 2 to 15 do
-      table.(i) <- mul table.(i - 1) b
-    done;
-    let nib_count = n * 4 in
-    let nibble j = (el.(j / 4) lsr ((j mod 4) * 4)) land 0xF in
-    let top = ref (nib_count - 1) in
-    while !top > 0 && nibble !top = 0 do
-      decr top
-    done;
-    let acc = ref table.(nibble !top) in
-    for j = !top - 1 downto 0 do
-      acc := sqr !acc;
-      acc := sqr !acc;
-      acc := sqr !acc;
-      acc := sqr !acc;
-      let d = nibble j in
-      if d <> 0 then acc := mul !acc table.(d)
-    done;
-    !acc
-  end
+(* Lim-Lee comb with [comb_teeth] rows of [comb_cols] bits: a 256-bit
+   exponent e is read as a [comb_teeth] x [comb_cols] bit matrix whose row j
+   holds bits j*cols .. j*cols + cols - 1. Entry i of a base's table is
+   prod over the set bits j of i of b^(2^(j*cols)), so column k of the
+   matrix selects one entry, and a power costs [comb_cols] squarings and at
+   most [comb_cols] multiplies instead of the 256 squarings of a ladder.
+   The teeth trade table size (2^teeth felems) against columns. *)
+let comb_teeth = 4
+let comb_cols = (256 + comb_teeth - 1) / comb_teeth
+
+type comb = felem array (* length 2^comb_teeth; entry 0 is one *)
+
+let comb (b : felem) : comb =
+  let t = Array.make (1 lsl comb_teeth) one in
+  let row = ref b in
+  for j = 0 to comb_teeth - 1 do
+    if j > 0 then
+      for _ = 1 to comb_cols do
+        row := sqr !row
+      done;
+    let bit = 1 lsl j in
+    t.(bit) <- !row;
+    for i = bit + 1 to (2 * bit) - 1 do
+      t.(i) <- mul !row t.(i - bit)
+    done
+  done;
+  t
+
+(* Bit [k] of little-endian base-2^16 limbs. *)
+let limb_bit l k =
+  let i = k lsr 4 in
+  i < Array.length l && (Array.unsafe_get l i lsr (k land 15)) land 1 = 1
+
+let comb_pow_multi (combs : (comb * Bignum.t) array) (smalls : (felem * int) array) =
+  let exps =
+    Array.map
+      (fun (_, e) ->
+        let l = Bignum.limbs e in
+        if Array.length l > 16 then invalid_arg "Modp.comb_pow: exponent wider than 256 bits";
+        l)
+      combs
+  in
+  (* The 64 columns also cover every bit of a non-negative OCaml int. *)
+  Array.iter (fun (_, z) -> if z < 0 then invalid_arg "Modp.comb_pow_multi: negative exponent") smalls;
+  let acc = ref one and started = ref false in
+  let times x =
+    acc := if !started then mul !acc x else x;
+    started := true
+  in
+  for k = comb_cols - 1 downto 0 do
+    if !started then acc := sqr !acc;
+    Array.iteri
+      (fun i (table, _) ->
+        let e = exps.(i) in
+        let idx = ref 0 in
+        for j = comb_teeth - 1 downto 0 do
+          idx := (!idx lsl 1) lor Bool.to_int (limb_bit e ((j * comb_cols) + k))
+        done;
+        if !idx <> 0 then times table.(!idx))
+      combs;
+    Array.iter (fun (b, z) -> if (z lsr k) land 1 = 1 then times b) smalls
+  done;
+  !acc
+
+let comb_pow c e = comb_pow_multi [| (c, e) |] [||]
 
 (* --- codec -------------------------------------------------------------- *)
 

@@ -15,15 +15,26 @@ val of_int : int -> felem
 val equal : felem -> felem -> bool
 val mul : felem -> felem -> felem
 
-val sqr : felem -> felem
-(** [sqr x = mul x x], sharing the off-diagonal limb products — roughly half
-    the cost of a general multiply. Exponentiation ladders are ~80%
-    squarings, so they call this instead of {!mul}. *)
+type comb
+(** A Lim-Lee comb table for one fixed base: 4 teeth, so 16 field elements
+    (15 besides [one]), about 1.6 KB on the heap. Building one costs 192
+    squarings and 11 multiplies, about a variable-base ladder's worth;
+    every later power through it costs 64 squarings and at most 64
+    multiplies. *)
 
-val pow : felem -> Bignum.t -> felem
-(** [pow b e] computes [b ^ e] in the field with a 4-bit windowed ladder over
-    the fast reduction (quarter the multiplies of plain square-and-multiply
-    for 256-bit exponents). *)
+val comb : felem -> comb
+(** [comb b] builds [b]'s table. *)
+
+val comb_pow : comb -> Bignum.t -> felem
+(** [comb_pow (comb b) e = b ^ e] for [0 <= e < 2^256]; raises
+    [Invalid_argument] on a wider exponent. *)
+
+val comb_pow_multi : (comb * Bignum.t) array -> (felem * int) array -> felem
+(** [comb_pow_multi combs smalls] is the product of every [comb_pow c e] in
+    [combs] and every [b ^ z] in [smalls] ([z >= 0]), in one shared
+    schedule of 64 squarings, with each small base multiplied in bit by
+    bit. Raises [Invalid_argument] as {!comb_pow} does, or on a negative
+    [z]. *)
 
 val reduce_exponent : Bignum.t -> Bignum.t
 (** Reduces an arbitrary value modulo [p - 1] (the {!Schnorr} exponent

@@ -1,5 +1,14 @@
-(* SHA-256 over OCaml's native 63-bit ints: every word is kept masked to 32
-   bits, which avoids boxed Int32 arithmetic in the compression loop. *)
+(* SHA-256 over OCaml's native 63-bit ints, which avoids boxed Int32
+   arithmetic in the compression loop. Every stored word is masked to 32
+   bits; a rotation is written as two shifts whose bits above 31 are left
+   in place until the one mask that ends each sum, since they never reach
+   the low 32 bits.
+
+   The digest is one-shot and copy-free: message words are read straight
+   from the input string, one 64-word schedule serves every block, and only
+   the padded tail (one or two blocks) is built in a fresh buffer. Signing,
+   the signature-cache keys and the path fingerprints all hash short
+   strings, so the per-digest allocations are what this avoids. *)
 
 let mask = 0xFFFFFFFF
 
@@ -18,37 +27,19 @@ let k =
     0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
-type ctx = {
-  h : int array; (* 8 state words *)
-  buf : Bytes.t; (* 64-byte block buffer *)
-  mutable buf_len : int;
-  mutable total : int; (* total message bytes *)
-}
-
-let init () =
-  {
-    h =
-      [|
-        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
-        0x1f83d9ab; 0x5be0cd19;
-      |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-  }
-
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
-
-let compress h block off =
-  let w = Array.make 64 0 in
+(* One block of [s] at byte offset [off] into the state [h], with [w] as
+   the message schedule. *)
+let compress h w s off =
   for i = 0 to 15 do
-    let b j = Char.code (Bytes.get block (off + (4 * i) + j)) in
-    w.(i) <- (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+    let b j = Char.code (String.unsafe_get s (off + (4 * i) + j)) in
+    Array.unsafe_set w i ((b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3)
   done;
   for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
+    let s0 = ((w15 lsr 7) lor (w15 lsl 25)) lxor ((w15 lsr 18) lor (w15 lsl 14)) lxor (w15 lsr 3) in
+    let s1 = ((w2 lsr 17) lor (w2 lsl 15)) lxor ((w2 lsr 19) lor (w2 lsl 13)) lxor (w2 lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1) land mask)
   done;
   let a = ref h.(0)
   and b = ref h.(1)
@@ -59,12 +50,13 @@ let compress h block off =
   and g = ref h.(6)
   and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
+    let e' = !e and a' = !a in
+    let s1 = ((e' lsr 6) lor (e' lsl 26)) lxor ((e' lsr 11) lor (e' lsl 21)) lxor ((e' lsr 25) lor (e' lsl 7)) in
+    let ch = (e' land !f) lxor (lnot e' land !g) in
+    let t1 = !hh + (s1 land mask) + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = ((a' lsr 2) lor (a' lsl 30)) lxor ((a' lsr 13) lor (a' lsl 19)) lxor ((a' lsr 22) lor (a' lsl 10)) in
+    let maj = (a' land (!b lor !c)) lor (!b land !c) in
+    let t2 = (s0 land mask) + maj in
     hh := !g;
     g := !f;
     f := !e;
@@ -83,52 +75,26 @@ let compress h block off =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
-let update ctx msg =
-  let len = String.length msg in
-  ctx.total <- ctx.total + len;
-  let pos = ref 0 in
-  (* Fill a partial block first. *)
-  if ctx.buf_len > 0 then begin
-    let take = min (64 - ctx.buf_len) len in
-    Bytes.blit_string msg 0 ctx.buf ctx.buf_len take;
-    ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
-    if ctx.buf_len = 64 then begin
-      compress ctx.h ctx.buf 0;
-      ctx.buf_len <- 0
-    end
-  end;
-  while len - !pos >= 64 do
-    Bytes.blit_string msg !pos ctx.buf 0 64;
-    compress ctx.h ctx.buf 0;
-    pos := !pos + 64
-  done;
-  if !pos < len then begin
-    Bytes.blit_string msg !pos ctx.buf 0 (len - !pos);
-    ctx.buf_len <- len - !pos
-  end
-
-let finalize ctx =
-  let bitlen = Int64.of_int (8 * ctx.total) in
-  let pad_len =
-    let rem = (ctx.buf_len + 9) mod 64 in
-    if rem = 0 then 9 else 9 + (64 - rem)
-  in
-  let pad = Bytes.make pad_len '\x00' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad
-      (pad_len - 1 - i)
-      (Char.chr (Int64.to_int (Int64.shift_right_logical bitlen (8 * i)) land 0xFF))
-  done;
-  update ctx (Bytes.to_string pad);
-  assert (ctx.buf_len = 0);
-  String.init 32 (fun i ->
-      let word = ctx.h.(i / 4) in
-      Char.chr ((word lsr (8 * (3 - (i mod 4)))) land 0xFF))
-
 let digest msg =
-  let ctx = init () in
-  update ctx msg;
-  finalize ctx
-
+  let h =
+    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+  in
+  let w = Array.make 64 0 in
+  let len = String.length msg in
+  let whole = len / 64 * 64 in
+  let off = ref 0 in
+  while !off < whole do
+    compress h w msg !off;
+    off := !off + 64
+  done;
+  (* The tail: the last partial block, the 0x80 marker, zeros and the
+     64-bit big-endian bit length, in one block or, past 55 bytes, two. *)
+  let rest = len - whole in
+  let tail = Bytes.make (if rest < 56 then 64 else 128) '\x00' in
+  Bytes.blit_string msg whole tail 0 rest;
+  Bytes.set tail rest '\x80';
+  Bytes.set_int64_be tail (Bytes.length tail - 8) (Int64.of_int (8 * len));
+  let tail = Bytes.unsafe_to_string tail in
+  compress h w tail 0;
+  if String.length tail = 128 then compress h w tail 64;
+  String.init 32 (fun i -> Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xFF))

@@ -1,13 +1,14 @@
-(* Differential conformance suite for the fast-path crypto (PR 8).
+(* Differential conformance suite for the fast-path crypto.
 
-   The optimised code paths — Modp's flat-limb windowed exponentiation,
-   Schnorr's comb-table fixed-base powers, the fold-based exponent-field
-   reduction, and verify_batch's Straus multi-exponentiation — are each
-   pinned against a naive reference implementation built from nothing but
-   Ref_bignum.modpow / Bignum.modulo, so a speed regression fix can never
-   silently change the algebra. The references deliberately restate the
-   protocol (same nonce derivation, same challenge hash) instead of calling
-   into lib/crypto's fast helpers. *)
+   The optimised code paths — Modp's flat-limb multiply and per-base comb
+   tables, Schnorr's fixed-base powers of g, the fold-based exponent-field
+   reduction, verify_batch's shared comb schedule and the copy-free
+   SHA-256 — are each pinned against a naive reference implementation
+   built from nothing but Ref_bignum.modpow / Bignum.modulo (or, for the
+   hash, Ref_sha256), so a speed regression fix can never silently change
+   the algebra. The references deliberately restate the protocol (same
+   nonce derivation, same challenge hash) instead of calling into
+   lib/crypto's fast helpers. *)
 
 open Scion_crypto
 
@@ -69,13 +70,51 @@ let seed_gen = QCheck.string_of_size (QCheck.Gen.int_range 0 24)
 
 (* --- properties -------------------------------------------------------- *)
 
-let qcheck_windowed_pow_matches_naive =
-  QCheck.Test.make ~name:"windowed Modp.pow = naive modpow" ~count:60
-    QCheck.(pair seed_gen seed_gen)
-    (fun (bs, es) ->
+(* Comb exponents: the edges 0, 1 and p - 2, values with bit 255 forced
+   set, and plain 256-bit values. *)
+let exponent_of (kind, seed) =
+  match kind with
+  | 0 -> Bignum.zero
+  | 1 -> Bignum.one
+  | 2 -> Bignum.sub p (Bignum.of_int 2)
+  | 3 -> Bignum.add (Bignum.modulo (bignum_of_seed seed) (Ref_bignum.pow2 255)) (Ref_bignum.pow2 255)
+  | _ -> bignum_of_seed seed
+
+let exponent_arb = QCheck.(pair (int_bound 4) seed_gen)
+
+let qcheck_comb_pow_matches_naive =
+  QCheck.Test.make ~name:"comb power = naive modpow" ~count:60
+    QCheck.(pair seed_gen exponent_arb)
+    (fun (bs, ek) ->
       let b = Bignum.modulo (bignum_of_seed bs) p in
-      let e = bignum_of_seed ~wide:true es in
-      Ref_bignum.equal (Ref_bignum.bignum_of_felem (Modp.pow (Ref_bignum.felem_of_bignum b) e)) (ref_pow b e))
+      let e = exponent_of ek in
+      Ref_bignum.equal
+        (Ref_bignum.bignum_of_felem (Modp.comb_pow (Modp.comb (Ref_bignum.felem_of_bignum b)) e))
+        (ref_pow b e))
+
+let qcheck_comb_pow_multi_matches_naive =
+  QCheck.Test.make ~name:"shared comb schedule = product of naive powers" ~count:25
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 0 3) (pair seed_gen exponent_arb))
+        (list_of_size (Gen.int_range 0 3) (pair seed_gen (int_bound max_int))))
+    (fun (combs, smalls) ->
+      let base s = Bignum.modulo (bignum_of_seed s) p in
+      let combs = List.map (fun (bs, ek) -> (base bs, exponent_of ek)) combs in
+      let smalls = List.map (fun (bs, z) -> (base bs, z)) smalls in
+      let expect =
+        List.fold_left
+          (fun acc (b, e) -> Bignum.modulo (Bignum.mul acc (ref_pow b e)) p)
+          Bignum.one
+          (combs @ List.map (fun (b, z) -> (b, Bignum.of_int z)) smalls)
+      in
+      Ref_bignum.equal
+        (Ref_bignum.bignum_of_felem
+           (Modp.comb_pow_multi
+              (Array.of_list
+                 (List.map (fun (b, e) -> (Modp.comb (Ref_bignum.felem_of_bignum b), e)) combs))
+              (Array.of_list (List.map (fun (b, z) -> (Ref_bignum.felem_of_bignum b, z)) smalls))))
+        expect)
 
 let qcheck_mul_matches_naive =
   QCheck.Test.make ~name:"flat-limb Modp.mul = naive" ~count:200
@@ -169,6 +208,38 @@ let qcheck_batch_rejects_any_forgery =
       in
       not (Schnorr.verify_batch forged))
 
+(* Each item is valid (0), has one corrupted byte (1) or is checked under
+   another key (2). Under [warm] every key's comb table is built by an
+   earlier single verify; otherwise the batch is the first to use the keys
+   and builds their tables itself. *)
+let qcheck_verify_matches_ref =
+  QCheck.Test.make ~name:"single and batch verify = ref_verify, warm and cold keys" ~count:25
+    QCheck.(pair (list_of_size (Gen.int_range 1 5) (pair seed_gen (int_bound 2))) bool)
+    (fun (specs, warm) ->
+      let items =
+        List.map
+          (fun (seed, mode) ->
+            let priv, pub = Schnorr.derive ~seed in
+            let msg = "beacon:" ^ seed in
+            let signature = Schnorr.sign priv msg in
+            match mode with
+            | 0 -> (pub, msg, signature)
+            | 1 -> (pub, msg, String.mapi (fun i c -> if i = 37 then Char.chr (Char.code c lxor 0x10) else c) signature)
+            | _ -> (snd (Schnorr.derive ~seed:(seed ^ "'")), msg, signature))
+          specs
+      in
+      let single () = List.map (fun (pub, msg, signature) -> Schnorr.verify pub ~msg ~signature) items in
+      let warmed = if warm then single () else [] in
+      let batch = Schnorr.verify_batch items in
+      let expect =
+        List.map
+          (fun (pub, msg, signature) -> ref_verify ~pub_bytes:(Schnorr.public_to_string pub) ~msg ~signature)
+          items
+      in
+      batch = List.for_all Fun.id expect
+      && single () = expect
+      && (warmed = [] || warmed = expect))
+
 let test_batch_edge_cases () =
   Alcotest.(check bool) "empty batch is vacuously true" true (Schnorr.verify_batch []);
   let priv, pub = Schnorr.derive ~seed:"edge" in
@@ -180,19 +251,36 @@ let test_batch_edge_cases () =
   Alcotest.(check bool) "wrong-message entry fails batch" false
     (Schnorr.verify_batch [ (pub, msg, signature); (pub, "other", signature) ])
 
+(* --- SHA-256 against the streaming reference ---------------------------- *)
+
+let padding_edges = [ 55; 56; 63; 64; 119; 120; 128 ]
+
+let test_sha256_every_length () =
+  for n = 0 to 300 do
+    let msg = String.init n (fun i -> Char.chr (((i * 131) + n) land 0xFF)) in
+    Alcotest.(check string) (Printf.sprintf "length %d" n) (Ref_sha256.digest msg) (Sha256.digest msg)
+  done
+
+let qcheck_sha256_matches_ref =
+  QCheck.Test.make ~name:"copy-free digest = streaming reference" ~count:300
+    (QCheck.string_of_size (QCheck.Gen.oneof [ QCheck.Gen.int_range 0 300; QCheck.Gen.oneofl padding_edges ]))
+    (fun msg -> String.equal (Sha256.digest msg) (Ref_sha256.digest msg))
+
 let () =
   Alcotest.run "crypto-conformance"
     [
       ( "modp",
         [
           QCheck_alcotest.to_alcotest qcheck_mul_matches_naive;
-          QCheck_alcotest.to_alcotest qcheck_windowed_pow_matches_naive;
+          QCheck_alcotest.to_alcotest qcheck_comb_pow_matches_naive;
+          QCheck_alcotest.to_alcotest qcheck_comb_pow_multi_matches_naive;
           QCheck_alcotest.to_alcotest qcheck_reduce_exponent_matches_naive;
         ] );
       ( "schnorr",
         [
           QCheck_alcotest.to_alcotest qcheck_comb_signing_matches_naive;
           QCheck_alcotest.to_alcotest qcheck_verify_matches_naive_on_corrupted;
+          QCheck_alcotest.to_alcotest qcheck_verify_matches_ref;
         ] );
       ( "batch",
         [
@@ -200,5 +288,10 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_batch_of_one_equals_single;
           QCheck_alcotest.to_alcotest qcheck_batch_rejects_any_forgery;
           Alcotest.test_case "edge cases" `Quick test_batch_edge_cases;
+        ] );
+      ( "sha256",
+        [
+          Alcotest.test_case "every length 0-300" `Quick test_sha256_every_length;
+          QCheck_alcotest.to_alcotest qcheck_sha256_matches_ref;
         ] );
     ]
