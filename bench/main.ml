@@ -356,6 +356,25 @@ let micro ?(json = false) ?(check = false) () =
            ignore (Scion_controlplane.Mesh.paths mesh ~src ~dst);
            Staged.stage (fun () ->
                ignore (Scion_controlplane.Mesh.paths mesh ~src ~dst))) );
+      ( "mesh_walk_1200b_ns",
+        (* One warm walk of a fixed 5-hop SCIERA path (UVa to UFMS, the
+           first path the memo returns) with a 1200 B payload: header and
+           payload copied into a fresh buffer, five routers, one decode at
+           delivery. *)
+        Test.make ~name:"mesh walk (5 hops, 1200 B payload)"
+          (let net = Sciera.Network.create ~per_origin:4 ~verify_pcbs:false () in
+           let mesh = Sciera.Network.mesh net in
+           let now = Sciera.Network.now_unix net in
+           let payload = String.make 1200 'x' in
+           let fp =
+             match Scion_controlplane.Mesh.paths mesh ~src:(ia "71-225") ~dst:(ia "71-2:0:5c") with
+             | fp :: _ -> fp
+             | [] -> failwith "bench: no path from 71-225 to 71-2:0:5c"
+           in
+           (match Scion_controlplane.Mesh.walk mesh ~now ~payload fp with
+           | Scion_controlplane.Mesh.Walk_delivered _ -> ()
+           | Scion_controlplane.Mesh.Walk_dropped _ -> failwith "bench: mesh walk dropped");
+           Staged.stage (fun () -> ignore (Scion_controlplane.Mesh.walk mesh ~now ~payload fp))) );
       ( "ip_rtt_sample_ns",
         (* One ICMP sample of the BGP baseline on a pair whose overlay route
            and detour factor are already compiled: the Fig. 5-7 inner loop. *)

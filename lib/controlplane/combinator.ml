@@ -10,10 +10,16 @@ type fullpath = {
   expiry : float;
   mtu : int;
   fingerprint : string;
+  mutable wire : string;
 }
 
+(* Forwarding writes [seg_id] into the path's info records, so each
+   instance gets its own copies; the hop records are immutable. *)
 let fresh_raw t =
-  Path.create (List.map (fun (info, hops) -> (info, hops)) t.segments)
+  Path.create
+    (List.map
+       (fun ((info : Path.info), hops) -> ({ info with Path.seg_id = info.Path.seg_id }, hops))
+       t.segments)
 
 let num_hops t = List.length t.interfaces
 let contains_ia t ia = List.exists (fun h -> Ia.equal h.Hop_pred.ia ia) t.interfaces
@@ -184,6 +190,7 @@ let assemble ~src ~dst pieces =
             expiry = List.fold_left (fun a p -> Float.min a p.piece_expiry) Float.max_float pieces;
             mtu = List.fold_left (fun a p -> min a p.piece_mtu) max_int pieces;
             fingerprint = trace_fingerprint trace;
+            wire = "";
           }
   end
 

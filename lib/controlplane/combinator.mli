@@ -24,11 +24,18 @@ type fullpath = {
   expiry : float;
   mtu : int;
   fingerprint : string;  (** Stable identity derived from the trace. *)
+  mutable wire : string;
+      (** Cache: the path's encoded packet header ([""] until filled).
+          [Mesh.walk] fills it on the first walk of this path and copies
+          it on every walk after that. Because the field changes, never
+          compare fullpaths structurally; compare {!fingerprint}s. *)
 }
 
 val fresh_raw : fullpath -> Path.t
-(** A new mutable data-plane path positioned at the first hop. Each packet
-    send must use a fresh instance because forwarding mutates path state. *)
+(** A new mutable data-plane path positioned at the first hop, with its
+    own copy of every info field. Each packet send must use a fresh
+    instance because forwarding mutates path state; forwarding it leaves
+    [segments] untouched. *)
 
 val num_hops : fullpath -> int
 val contains_ia : fullpath -> Scion_addr.Ia.t -> bool

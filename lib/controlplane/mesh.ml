@@ -675,20 +675,23 @@ type walk_result =
   | Walk_delivered of { dst : Ia.t; hops : int; packet : Scion_dataplane.Packet.t }
   | Walk_dropped of { at : Ia.t; reason : Router.drop_reason }
 
-(* The walk encodes the packet once and pushes the zero-copy view through
-   [Router.process_view] hop by hop — the border routers patch the wire
-   buffer in place — then decodes only at the delivery point. *)
-let walk_packet t ~now ~from ?(max_steps = 64) pkt =
-  let module Packet = Scion_dataplane.Packet in
-  let v = Packet.View.of_packet pkt in
+(* Where the stepper left a packet. An arrived packet is still in the
+   view; only callers that return it decode it. *)
+type stop =
+  | Arrived of { at : Ia.t; hops : int }
+  | Stopped of { at : Ia.t; reason : Router.drop_reason }
+
+(* The stepper pushes a wire view through [Router.process_view] hop by
+   hop; the border routers patch the buffer in place. *)
+let walk_view t ~now ~from ~max_steps v =
   let rec step at ingress hops =
     if hops > max_steps then
-      Walk_dropped { at; reason = Router.Path_malformed "forwarding loop suspected" }
+      Stopped { at; reason = Router.Path_malformed "forwarding loop suspected" }
     else begin
       let r = router t at in
       let verdict = Router.process_view r ~now ~ingress v in
-      if verdict = 0 then Walk_delivered { dst = at; hops; packet = Packet.View.to_packet v }
-      else if verdict < 0 then Walk_dropped { at; reason = Router.last_drop r }
+      if verdict = 0 then Arrived { at; hops }
+      else if verdict < 0 then Stopped { at; reason = Router.last_drop r }
       else begin
         let egress = verdict in
         let n = node t at in
@@ -696,35 +699,59 @@ let walk_packet t ~now ~from ?(max_steps = 64) pkt =
           if egress >= 0 && egress < Array.length n.nbr_tbl then n.nbr_tbl.(egress) else None
         in
         match nbr with
-        | None -> Walk_dropped { at; reason = Router.Unknown_interface egress }
+        | None -> Stopped { at; reason = Router.Unknown_interface egress }
         | Some nb ->
             if not t.link_arr.(nb.n_link).l_up then
-              Walk_dropped { at; reason = Router.Interface_down egress }
+              Stopped { at; reason = Router.Interface_down egress }
             else step nb.n_ia nb.n_remote_ifid (hops + 1)
       end
     end
   in
   step from 0 0
 
+let outcome v = function
+  | Arrived { at; hops } ->
+      Walk_delivered { dst = at; hops; packet = Scion_dataplane.Packet.View.to_packet v }
+  | Stopped { at; reason } -> Walk_dropped { at; reason }
+
+let walk_packet t ~now ~from ?(max_steps = 64) pkt =
+  let v = Scion_dataplane.Packet.View.of_packet pkt in
+  outcome v (walk_view t ~now ~from ~max_steps v)
+
 (* The end-host addresses of every walked packet, parsed once. *)
 let walk_src_host = Scion_dataplane.Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.0.0.1")
 let walk_dst_host = Scion_dataplane.Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.0.0.2")
 
-let walk t ~now ?(payload = "") ?(proto = Scion_dataplane.Packet.Udp) (fp : Combinator.fullpath) =
+(* A fresh wire view of a walk over [fp]: its header template, encoded on
+   the path's first walk, plus the payload. *)
+let path_view (fp : Combinator.fullpath) ~proto payload =
   let module Packet = Scion_dataplane.Packet in
-  let pkt =
-    Packet.make ~proto
-      ~src:(fp.Combinator.src, walk_src_host)
-      ~dst:(fp.Combinator.dst, walk_dst_host)
-      ~path:(Packet.Standard (Combinator.fresh_raw fp))
-      payload
-  in
-  walk_packet t ~now ~from:fp.Combinator.src ~max_steps:(3 * Combinator.num_hops fp) pkt
+  if fp.Combinator.wire = "" then
+    fp.Combinator.wire <-
+      Packet.encode
+        (Packet.make ~proto:Packet.Udp
+           ~src:(fp.Combinator.src, walk_src_host)
+           ~dst:(fp.Combinator.dst, walk_dst_host)
+           ~path:(Packet.Standard (Combinator.fresh_raw fp))
+           "");
+  Packet.View.of_header fp.Combinator.wire ~proto payload
+
+let walk_path t ~now (fp : Combinator.fullpath) v =
+  walk_view t ~now ~from:fp.Combinator.src ~max_steps:(3 * Combinator.num_hops fp) v
+
+let walk t ~now ?(payload = "") ?(proto = Scion_dataplane.Packet.Udp) fp =
+  let v = path_view fp ~proto payload in
+  outcome v (walk_path t ~now fp v)
 
 let path_alive t ~now fp =
-  match walk t ~now fp with
-  | Walk_delivered { dst; _ } -> Ia.equal dst fp.Combinator.dst
-  | Walk_dropped _ -> false
+  match walk_path t ~now fp (path_view fp ~proto:Scion_dataplane.Packet.Udp "") with
+  | Arrived { at; _ } -> Ia.equal at fp.Combinator.dst
+  | Stopped _ -> false
+
+let walk_tampered t ~now ~tamper ~payload fp =
+  let v = path_view fp ~proto:Scion_dataplane.Packet.Udp payload in
+  tamper v;
+  match walk_path t ~now fp v with Arrived _ -> true | Stopped _ -> false
 
 let paths t ~src ~dst =
   if Ia.equal src dst then []

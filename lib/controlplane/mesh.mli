@@ -165,10 +165,30 @@ val walk :
   walk_result
 (** Push a packet hop by hop through the border routers along [fullpath] —
     the data-plane ground truth used for liveness probing ("active" paths
-    in Figure 8) and for the integration tests. *)
+    in Figure 8) and for the integration tests.
+
+    The packet is built on the wire: [fullpath]'s header template
+    (its [wire] field, encoded on the path's first walk) and
+    [payload] are copied into a fresh buffer, and the routers forward
+    that buffer in place. Only a delivered packet is decoded, once, into
+    [Walk_delivered.packet]. The result equals {!walk_packet} on the
+    packet [Packet.make] builds from a {!Combinator.fresh_raw} of the
+    path, hosts 10.0.0.1 and 10.0.0.2. *)
 
 val path_alive : t -> now:float -> Combinator.fullpath -> bool
-(** [walk] delivered to the path's destination AS. *)
+(** [walk] with an empty payload delivered to the path's destination AS.
+    Decodes nothing. *)
+
+val walk_tampered :
+  t ->
+  now:float ->
+  tamper:(Scion_dataplane.Packet.View.view -> unit) ->
+  payload:string ->
+  Combinator.fullpath ->
+  bool
+(** An attacker's packet: [walk]'s wire view of the path, edited in place
+    by [tamper] before the first hop. [true] when some router delivers it.
+    Decodes nothing. *)
 
 val walk_packet :
   t ->
@@ -178,7 +198,8 @@ val walk_packet :
   Scion_dataplane.Packet.t ->
   walk_result
 (** Lower-level walk for an already-built packet (e.g. a reply skeleton
-    travelling the reversed path). *)
+    travelling the reversed path). Encodes the packet once, forwards the
+    encoded buffer like {!walk}, and decodes only a delivered packet. *)
 
 val renew_certificates : t -> now:float -> int
 (** Run the automated-renewal sweep (Section 4.5): every AS whose

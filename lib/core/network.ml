@@ -248,10 +248,6 @@ let reflect_reply_bytes =
     (String.length
        (Scmp.encode (Scmp.Echo_reply { id = 0xDD05; seq = 0; data = String.make 1024 'R' })))
 
-(* The end-host addresses of a forged-hop-field packet, parsed once. *)
-let forged_src_host = Scion_dataplane.Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.66.0.1")
-let forged_dst_host = Scion_dataplane.Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.0.0.2")
-
 (* Interpret one adversary op against the live network. [defended] arms
    the data-plane half of the containment story: a LightningFilter in
    front of flood targets and the SCMP emission throttle on reflectors
@@ -332,21 +328,14 @@ let attach_adversary t ~engine ~rng ?(defended = false) adversary =
                 stats.adv_forged_sent <- stats.adv_forged_sent + 1;
                 (* A real path with one attacker-chosen hop field: flip a
                    MAC byte in place through the wire view. *)
-                let pkt =
-                  Packet.make ~proto:Packet.Udp
-                    ~src:(compromised, forged_src_host)
-                    ~dst:(dst, forged_dst_host)
-                    ~path:(Packet.Standard (Combinator.fresh_raw fp))
-                    "forged-hop-field"
+                let flip_mac v =
+                  let off = Packet.View.curr_mac_off v and buf = Packet.View.buffer v in
+                  Bytes.set buf off (Char.chr (Char.code (Bytes.get buf off) lxor 0xff))
                 in
-                let v = Packet.View.of_string (Packet.encode pkt) in
-                let off = Packet.View.curr_mac_off v in
-                let buf = Packet.View.buffer v in
-                Bytes.set buf off (Char.chr (Char.code (Bytes.get buf off) lxor 0xff));
-                match Mesh.walk_packet t.mesh ~now:(now ()) ~from:compromised (Packet.View.to_packet v) with
-                | Mesh.Walk_delivered _ ->
-                    stats.adv_forged_delivered <- stats.adv_forged_delivered + 1
-                | Mesh.Walk_dropped _ -> ())
+                if
+                  Mesh.walk_tampered t.mesh ~now:(now ()) ~tamper:flip_mac
+                    ~payload:"forged-hop-field" fp
+                then stats.adv_forged_delivered <- stats.adv_forged_delivered + 1)
           done
     | Fault.Adversary.Rogue_segments { compromised; victim; count } ->
         let n =

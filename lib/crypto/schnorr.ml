@@ -101,9 +101,10 @@ let verify pub ~msg ~signature =
    64-column comb schedule: each pub_i^(z_i e_i) goes through its key's comb
    table, and each r_i^(z_i) multiplies in bit by bit inside the same
    columns, so the whole batch shares 64 squarings. Coefficients are
-   derived deterministically from a hash of the whole batch transcript
-   (this code base is a deployment reproduction, not an adversarial
-   setting; see the .mli note). A valid batch always passes; an invalid one
+   derived deterministically: the whole batch transcript is hashed once,
+   and z_i is read off the hash of that digest and i (this code base is a
+   deployment reproduction, not an adversarial setting; see the .mli
+   note). A valid batch always passes; an invalid one
    passes only if the coefficients hit a ~2^-62 relation. *)
 let verify_batch items =
   match items with
@@ -126,8 +127,9 @@ let verify_batch items =
           String.concat ""
             (List.map (fun (pub, msg, signature) -> pub.y_bytes ^ Sha256.digest msg ^ signature) items)
         in
+        let td = Sha256.digest transcript in
         let coeff i =
-          let h = Sha256.digest (transcript ^ string_of_int i) in
+          let h = Sha256.digest (td ^ string_of_int i) in
           let z = ref 0 in
           for j = 0 to 7 do
             z := (!z lsl 8) lor Char.code h.[j]

@@ -195,6 +195,20 @@ module View = struct
   let of_packet p = of_bytes (Bytes.unsafe_of_string (encode p))
   let of_string s = of_bytes (Bytes.of_string s)
 
+  (* One fresh buffer: the header, then the payload, with the two header
+     fields that depend on the payload patched in. Validation is the same
+     as for any other view. *)
+  let of_header header ~proto payload =
+    let hlen = String.length header and plen = String.length payload in
+    if hlen < path_off then malformed "truncated packet";
+    let buf = Bytes.create (hlen + plen) in
+    Bytes.blit_string header 0 buf 0 hlen;
+    Bytes.blit_string payload 0 buf hlen plen;
+    Bytes.set buf 4 (Char.chr (proto_to_int proto));
+    Bytes.set buf 8 (Char.unsafe_chr ((plen lsr 8) land 0xFF));
+    Bytes.set buf 9 (Char.unsafe_chr (plen land 0xFF));
+    of_bytes buf
+
   (* Total hardening wrapper for untrusted wire bytes: every structural
      rejection comes back as a verdict, never an exception, so a router
      front-end can drop malformed frames without an exception handler on

@@ -66,6 +66,14 @@ module View : sig
   (** Validate and view a copy of the bytes. Raises [Malformed] on
       anything {!decode} would reject structurally. *)
 
+  val of_header : string -> proto:proto -> string -> view
+  (** [of_header header ~proto payload] views a fresh buffer holding
+      [header] (an encoded packet with an empty payload) followed by
+      [payload], with the protocol and payload-length fields set to match.
+      Same result as [of_packet] on the packet [header] decodes to with
+      [proto] and [payload] put in, at the cost of two blits instead of an
+      encode. Raises [Malformed] as {!of_string} does. *)
+
   val validate : string -> (view, string) result
   (** Exception-free acceptance of untrusted wire bytes: [Ok] is a view
       over a private copy, [Error] carries the structural rejection

@@ -675,6 +675,191 @@ let qcheck_warm_matches_cold =
       | Error a, Error b -> String.equal (Pcb.check_error_to_string a) (Pcb.check_error_to_string b)
       | Ok (), Error _ | Error _, Ok () -> false)
 
+(* --- Walks on the wire: header template vs structured packet ----------- *)
+
+module Packet = Scion_dataplane.Packet
+module Path = Scion_dataplane.Path
+
+let walk_host_src = Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.0.0.1")
+let walk_host_dst = Packet.Ipv4 (Scion_addr.Ipv4.of_string "10.0.0.2")
+
+(* The packet [Mesh.walk] is specified to send, built field by field. *)
+let structured_packet ~proto ~payload (fp : Combinator.fullpath) =
+  Packet.make ~proto
+    ~src:(fp.Combinator.src, walk_host_src)
+    ~dst:(fp.Combinator.dst, walk_host_dst)
+    ~path:(Packet.Standard (Combinator.fresh_raw fp))
+    payload
+
+let structured_walk m ~now ~proto ~payload (fp : Combinator.fullpath) =
+  Mesh.walk_packet m ~now ~from:fp.Combinator.src
+    ~max_steps:(3 * Combinator.num_hops fp)
+    (structured_packet ~proto ~payload fp)
+
+(* Deep copies, so a later write into the original shows up as a diff. *)
+let copy_segments (fp : Combinator.fullpath) =
+  List.map
+    (fun ((i : Path.info), hops) -> ({ i with Path.seg_id = i.Path.seg_id }, hops))
+    fp.Combinator.segments
+
+let copy_wire (fp : Combinator.fullpath) = Bytes.to_string (Bytes.of_string fp.Combinator.wire)
+
+let describe = function
+  | Mesh.Walk_delivered { dst; hops; _ } ->
+      Printf.sprintf "delivered at %s after %d" (Ia.to_string dst) hops
+  | Mesh.Walk_dropped { at; reason } ->
+      Printf.sprintf "dropped at %s: %s" (Ia.to_string at) (Router.drop_reason_to_string reason)
+
+let same_result a b =
+  match (a, b) with
+  | Mesh.Walk_delivered x, Mesh.Walk_delivered y ->
+      Ia.equal x.dst y.dst && x.hops = y.hops && x.packet = y.packet
+  | Mesh.Walk_dropped x, Mesh.Walk_dropped y -> Ia.equal x.at y.at && x.reason = y.reason
+  | Mesh.Walk_delivered _, Mesh.Walk_dropped _ | Mesh.Walk_dropped _, Mesh.Walk_delivered _ -> false
+
+(* The fullpath with the last MAC of its first segment flipped, as a new
+   path (no template yet). *)
+let tamper_mac (fp : Combinator.fullpath) =
+  let flip (h : Path.hop) =
+    let flip_first i c = if i = 0 then Char.chr (Char.code c lxor 0xFF) else c in
+    { h with Path.mac = String.mapi flip_first h.Path.mac }
+  in
+  let segments =
+    match fp.Combinator.segments with
+    | (info, hops) :: rest ->
+        let last = List.length hops - 1 in
+        (info, List.mapi (fun i h -> if i = last then flip h else h) hops) :: rest
+    | [] -> []
+  in
+  { fp with Combinator.segments; wire = "" }
+
+let sciera_pairs m =
+  let ases = Mesh.ases m in
+  List.concat_map
+    (fun src ->
+      List.filter_map (fun dst -> if Ia.equal src dst then None else Some (src, dst)) ases)
+    ases
+
+(* Every memoised path of every SCIERA pair, under every payload and
+   protocol: the template walk, the structured walk and [path_alive] must
+   agree, and a second template walk must repeat the first. Returns the
+   number of delivered template walks. *)
+let check_walks m ~now ~label fps =
+  let delivered = ref 0 in
+  List.iter
+    (fun (fp : Combinator.fullpath) ->
+      List.iter
+        (fun payload ->
+          List.iter
+            (fun proto ->
+              let w = Mesh.walk m ~now ~payload ~proto fp in
+              let again = Mesh.walk m ~now ~payload ~proto fp in
+              let s = structured_walk m ~now ~proto ~payload fp in
+              if not (same_result w s) then
+                Alcotest.failf "%s %s -> %s, %d B: template %s, structured %s" label
+                  (Ia.to_string fp.Combinator.src) (Ia.to_string fp.Combinator.dst)
+                  (String.length payload) (describe w) (describe s);
+              if not (same_result w again) then
+                Alcotest.failf "%s: a second walk of the same path differs (%s vs %s)" label
+                  (describe w) (describe again);
+              match w with Mesh.Walk_delivered _ -> incr delivered | Mesh.Walk_dropped _ -> ())
+            [ Packet.Udp; Packet.Scmp ])
+        [ ""; "x"; String.make 1200 'p' ];
+      let walked =
+        match Mesh.walk m ~now fp with
+        | Mesh.Walk_delivered { dst; _ } -> Ia.equal dst fp.Combinator.dst
+        | Mesh.Walk_dropped _ -> false
+      in
+      Alcotest.(check bool) (label ^ ": path_alive = walk") walked (Mesh.path_alive m ~now fp))
+    fps;
+  !delivered
+
+let test_template_walk_matches_structured () =
+  let net = Sciera.Network.create ~per_origin:8 ~verify_pcbs:false () in
+  let m = Sciera.Network.mesh net in
+  let now = Sciera.Network.now_unix net in
+  let pairs = sciera_pairs m in
+  let all_paths () = List.concat_map (fun (src, dst) -> Mesh.paths m ~src ~dst) pairs in
+  let fps = all_paths () in
+  Alcotest.(check bool) "every path starts without a template" true
+    (List.for_all (fun (fp : Combinator.fullpath) -> fp.Combinator.wire = "") fps);
+  let n = List.length fps in
+  Alcotest.(check int) "every template walk delivers" (6 * n)
+    (check_walks m ~now ~label:"live" fps);
+  Alcotest.(check bool) "every walked path has a template" true
+    (List.for_all (fun (fp : Combinator.fullpath) -> fp.Combinator.wire <> "") fps);
+  (* Expired hop fields: dropped at the first hop, the same way. *)
+  Alcotest.(check int) "nothing delivers two days later" 0
+    (check_walks m ~now:(now +. (2.0 *. 86400.0)) ~label:"expired" fps);
+  (* A tampered MAC: the template is encoded from the tampered segments. *)
+  let firsts =
+    List.filter_map
+      (fun (src, dst) -> match Mesh.paths m ~src ~dst with fp :: _ -> Some fp | [] -> None)
+      pairs
+  in
+  Alcotest.(check int) "no tampered path delivers" 0
+    (check_walks m ~now ~label:"tampered" (List.map tamper_mac firsts));
+  (* A downed link: paths over it drop at its interface, the rest deliver. *)
+  let link = fst (List.hd (Mesh.links m)) in
+  Mesh.set_link_state m link ~up:false;
+  let survivors = check_walks m ~now ~label:"link down" fps in
+  Mesh.set_link_state m link ~up:true;
+  Alcotest.(check bool) "the downed link cuts some paths but not all" true
+    (survivors > 0 && survivors < 6 * n);
+  (* A new day re-beacons: fresh fullpaths, fresh (empty) templates. *)
+  Sciera.Network.set_day net 1.0;
+  let fresh = all_paths () in
+  Alcotest.(check bool) "after set_day every path starts without a template" true
+    (fresh <> [] && List.for_all (fun (fp : Combinator.fullpath) -> fp.Combinator.wire = "") fresh)
+
+(* A reference-router walk of [pkt]: the structured engine forwards the
+   decoded path, writing [seg_id] into its info fields as it goes. *)
+let ref_walk m ~now ~from pkt =
+  let seed = Int64.to_string (Mesh.config m).Mesh.seed in
+  let rec step at ingress n =
+    if n > 64 then Alcotest.fail "reference walk loops"
+    else
+      let r = Mesh.router m at in
+      let oracle =
+        Ref_router.create ~ia:at ~key:(Scion_dataplane.Fwkey.of_seed ~ia:at ~seed)
+          ~ifaces:(Router.interfaces r)
+      in
+      match Ref_router.process oracle ~now ~ingress pkt with
+      | Ref_router.Deliver p -> Some p
+      | Ref_router.Drop _ -> None
+      | Ref_router.Forward { egress; _ } -> (
+          match Router.interface r egress with
+          | Some nb -> step nb.Router.remote_ia nb.Router.remote_ifid (n + 1)
+          | None -> None)
+  in
+  step from 0 0
+
+let test_fresh_raw_shares_nothing () =
+  let m = build_mesh () in
+  let ps = paths m e f @ paths m g e in
+  Alcotest.(check bool) "paths to walk" true (List.length ps >= 2);
+  List.iteri
+    (fun i (fp : Combinator.fullpath) ->
+      (* Half the paths get their template before the reference walk, half
+         after it. *)
+      if i mod 2 = 0 then ignore (Mesh.walk m ~now fp);
+      let segments = copy_segments fp and wire = copy_wire fp in
+      let pkt = structured_packet ~proto:Packet.Udp ~payload:"ref" fp in
+      let delivered =
+        match ref_walk m ~now ~from:fp.Combinator.src pkt with
+        | Some p -> p
+        | None -> Alcotest.fail "reference walk dropped"
+      in
+      Alcotest.(check bool) "segments unchanged" true (segments = fp.Combinator.segments);
+      Alcotest.(check string) "template unchanged" wire fp.Combinator.wire;
+      match Mesh.walk m ~now ~payload:"ref" fp with
+      | Mesh.Walk_delivered { dst; packet; _ } ->
+          Alcotest.(check bool) "walk delivers" true (Ia.equal dst fp.Combinator.dst);
+          Alcotest.(check string) "same bytes as the reference router"
+            (Packet.encode delivered) (Packet.encode packet)
+      | Mesh.Walk_dropped _ as w -> Alcotest.failf "walk after the reference walk: %s" (describe w))
+    ps
+
 let () =
   Alcotest.run "scion_controlplane"
     [
@@ -698,6 +883,13 @@ let () =
           Alcotest.test_case "mixed profiles" `Quick test_mixed_profiles_interoperate;
           Alcotest.test_case "pcb verify tamper" `Quick test_pcb_verify_rejects_tamper;
           Alcotest.test_case "disjointness metric" `Quick test_disjointness_metric;
+        ] );
+      ( "walk on the wire",
+        [
+          Alcotest.test_case "template walk = structured walk" `Quick
+            test_template_walk_matches_structured;
+          Alcotest.test_case "fresh_raw shares nothing with the memo" `Quick
+            test_fresh_raw_shares_nothing;
         ] );
       ("beacon_store", [ Alcotest.test_case "policy" `Quick test_beacon_store_policy ]);
       ( "containment",

@@ -163,6 +163,7 @@ let dummy_path () : Scion_controlplane.Combinator.fullpath =
     expiry = 1000.0;
     mtu = 1472;
     fingerprint = "fp";
+    wire = "";
   }
 
 let test_daemon_cache () =
@@ -201,6 +202,7 @@ let fp ~hops ~mtu ~expiry ~fprint : Scion_controlplane.Combinator.fullpath =
     expiry;
     mtu;
     fingerprint = fprint;
+    wire = "";
   }
 
 let p1 = fp ~hops:[ ("71-1", 0, 1); ("71-5", 1, 2); ("71-9", 3, 0) ] ~mtu:1400 ~expiry:100.0 ~fprint:"a"
