@@ -884,7 +884,7 @@ let () =
           Alcotest.test_case "pcb verify tamper" `Quick test_pcb_verify_rejects_tamper;
           Alcotest.test_case "disjointness metric" `Quick test_disjointness_metric;
         ] );
-      ( "walk on the wire",
+      ( "wire walk",
         [
           Alcotest.test_case "template walk = structured walk" `Quick
             test_template_walk_matches_structured;
