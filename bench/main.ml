@@ -144,6 +144,15 @@ let micro ?(json = false) ?(check = false) () =
       ( "packet_decode_ns",
         Test.make ~name:"packet decode"
           (Staged.stage (fun () -> ignore (Scion_dataplane.Packet.decode encoded))) );
+      ( "modp_mul_ns",
+        Test.make ~name:"field multiply (Modp.mul)"
+          (let felem s =
+             match Scion_crypto.Modp.of_bytes (Scion_crypto.Sha256.digest s) with
+             | Some x -> x
+             | None -> failwith "digest not below p"
+           in
+           let a = felem "a" and b = felem "b" in
+           Staged.stage (fun () -> ignore (Scion_crypto.Modp.mul a b))) );
       ( "schnorr_sign_ns",
         Test.make ~name:"schnorr sign (PCB entry)"
           (Staged.stage (fun () -> ignore (Scion_crypto.Schnorr.sign priv "msg"))) );
@@ -272,13 +281,22 @@ let micro ?(json = false) ?(check = false) () =
            Staged.stage (fun () ->
                now := !now +. 1.0;
                ignore (Sciera.Science_dmz.Filter.check_batch filter ~now:!now frames))) );
+      ( "sigcache_hit_ns",
+        (* A warm lookup: the verdict is cached by the first iteration. *)
+        Test.make ~name:"sigcache verify (warm hit, 300 B message)"
+          (let cache = Scion_controlplane.Sigcache.create () in
+           let msg = String.make 300 'm' in
+           let signature = Scion_crypto.Schnorr.sign priv msg in
+           Staged.stage (fun () ->
+               ignore (Scion_controlplane.Sigcache.verify cache pub ~msg ~signature))) );
       ( "pcb_verify_forged_ns",
         (* Steady-state cost of rejecting a forged beacon from a warm
            cache. After the first iteration every verdict is cached: the
            genuine prefix entries, the tampered entry's [false], and both
            certificate-chain signatures of every entry. So no Schnorr
            verification runs; each iteration pays the chain's non-signature
-           checks, the signed-message rebuild and the cache-key hashing. *)
+           checks, the one-pass signed-message encoding and the exact-key
+           cache lookups. *)
         Test.make ~name:"pcb verify (forged entry, cached prefix)"
           (let net = Sciera.Network.create () in
            let mesh = Sciera.Network.mesh net in

@@ -50,7 +50,10 @@ let encode_hop w (h : Path.hop) =
   Rw.Writer.u16 w h.Path.cons_egress;
   Rw.Writer.raw w h.Path.mac
 
-let encode_entry w ~with_signature e =
+(* An entry's signed encoding is its unsigned encoding followed by the
+   signature, so the message entry [i] signs is a prefix of the encoding
+   that carries entry [i]'s signature. *)
+let encode_unsigned w e =
   Scion_addr.Ia.encode w e.ia;
   encode_hop w e.hop;
   Rw.Writer.u16 w (List.length e.peers);
@@ -63,20 +66,24 @@ let encode_entry w ~with_signature e =
     e.peers;
   Rw.Writer.u16 w e.mtu;
   Rw.Writer.u16 w (String.length e.note);
-  Rw.Writer.raw w e.note;
-  if with_signature then begin
-    Rw.Writer.u16 w (String.length e.signature);
-    Rw.Writer.raw w e.signature
-  end
+  Rw.Writer.raw w e.note
+
+let encode_signature w e =
+  Rw.Writer.u16 w (String.length e.signature);
+  Rw.Writer.raw w e.signature
+
+let encode_header w t =
+  Rw.Writer.raw w "PCB1";
+  Rw.Writer.u16 w t.seg_id;
+  Rw.Writer.u32 w t.timestamp
 
 let signed_bytes_upto t i =
   let w = Rw.Writer.create () in
-  Rw.Writer.raw w "PCB1";
-  Rw.Writer.u16 w t.seg_id;
-  Rw.Writer.u32 w t.timestamp;
+  encode_header w t;
   List.iteri
-    (fun idx e -> if idx < i then encode_entry w ~with_signature:true e
-      else if idx = i then encode_entry w ~with_signature:false e)
+    (fun idx e ->
+      if idx <= i then encode_unsigned w e;
+      if idx < i then encode_signature w e)
     t.entries;
   Rw.Writer.contents w
 
@@ -146,12 +153,17 @@ let verify t ~cache ~lookup ~now =
   else begin
     (* Pass 1: certificate-chain checks and signed-message reconstruction
        for every entry; both certificate signatures go through [cache], so
-       an unchanged chain is verified once per key epoch. Pass 2: the entry
-       signatures go through one [Sigcache.verify_batch]. In steady state a
-       received PCB extends an already-verified prefix by one entry, so
-       there is a single miss and it costs one plain Schnorr verification;
-       only a PCB with several unseen entries pays a batched check. *)
-    let rec collect i acc = function
+       an unchanged chain is verified once per key epoch. One writer encodes
+       the PCB once: entry i's message is snapshot after its unsigned
+       fields, then its signature is appended for the entries after it.
+       Pass 2: the entry signatures go through one [Sigcache.verify_batch].
+       In steady state a received PCB extends an already-verified prefix by
+       one entry, so there is a single miss and it costs one plain Schnorr
+       verification; only a PCB with several unseen entries pays a batched
+       check. *)
+    let w = Rw.Writer.create () in
+    encode_header w t;
+    let rec collect acc = function
       | [] -> Ok (List.rev acc)
       | e :: rest -> (
           match lookup e.ia with
@@ -163,12 +175,12 @@ let verify t ~cache ~lookup ~now =
               with
               | Error err -> Error (Bad_signature (e.ia, Scion_cppki.Verify.error_to_string err))
               | Ok () ->
-                  let msg = signed_bytes_upto t i in
-                  collect (i + 1)
-                    ((e.ia, (as_cert.Scion_cppki.Cert.pubkey, msg, e.signature)) :: acc)
-                    rest))
+                  encode_unsigned w e;
+                  let msg = Rw.Writer.contents w in
+                  encode_signature w e;
+                  collect ((e.ia, (as_cert.Scion_cppki.Cert.pubkey, msg, e.signature)) :: acc) rest))
     in
-    match collect 0 [] t.entries with
+    match collect [] t.entries with
     | Error _ as err -> err
     | Ok items ->
         let verdicts = Sigcache.verify_batch cache (List.map snd items) in

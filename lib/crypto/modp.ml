@@ -1,15 +1,19 @@
-(* p = 2^256 - c with c = 2^32 + 977, so 2^256 === c (mod p): reduction of a
-   512-bit product is a couple of cheap "fold the high part times c" passes
-   plus a conditional subtract, instead of a generic long division.
+(* p = 2^256 - c with c = 2^32 + 977, so 2^256 === c (mod p): a 512-bit
+   product reduces without long division. Its one reduction routine
+   ([reduce]) makes one carry pass over the product columns, one descending
+   fold of the limbs above 2^264 through 2^264 === 2^8 * c, a short settle
+   loop for the bits between 2^256 and 2^264, and a single conditional
+   subtract of p.
 
    Field elements are flat 11-limb radix-2^24 int arrays, always fully
    reduced below p. The radix is chosen so that (a) an 11x11 schoolbook
    product needs only 121 limb multiplications whose column sums stay far
    inside OCaml's 63-bit native int, and (b) limbs align exactly with bytes
    (3 bytes per limb), keeping the 32-byte codec branch-free. This is the
-   inner loop of every Schnorr signature in the repo, so the hot helpers use
-   unsafe array accesses over fixed-size scratch buffers whose indices are
-   all statically in range. *)
+   inner loop of every Schnorr signature in the repo, so [mul] and [sqr]
+   allocate their scratch and their result as array literals (inline minor
+   allocations, no C call) and use unsafe accesses at indices that are all
+   statically in range. *)
 
 let dlimbs = 11
 let dbits = 24
@@ -55,78 +59,77 @@ let cmp24 a m =
   let rec go i = if i < 0 then 0 else if a.(i) <> m.(i) then compare a.(i) m.(i) else go (i - 1) in
   go (dlimbs - 1)
 
-(* a <- a - m; caller guarantees a >= m *)
-let sub24_in_place a m =
-  let borrow = ref 0 in
-  for i = 0 to dlimbs - 1 do
-    let d = a.(i) - m.(i) - !borrow in
-    if d < 0 then begin
-      a.(i) <- d + (1 lsl dbits);
-      borrow := 1
-    end
-    else begin
-      a.(i) <- d;
-      borrow := 0
-    end
-  done
+(* Reduce the 21 product columns in [w.(0..20)] (each below 2^53; [w] has
+   one spare slot) to a fresh canonical felem.
 
-(* Reduce a scratch accumulator [w] (length [len] >= 13, column values below
-   ~2^55) to a fresh canonical felem. One carry pass turns columns into
-   limbs, then high limbs fold down through 2^264 === 2^8*c (limb h at
-   position 11+j contributes h*250112 at limb j and h*2^16 at limb j+1),
-   the bit-256 overhang of limb 10 folds through 2^256 === c, and at most
-   two conditional subtracts finish the job. *)
-let reduce_scratch w len =
+   - One carry pass turns the columns into 24-bit limbs; the last carry
+     lands in limb 21.
+   - One descending fold clears limbs 21..11: limb h at position 11 + j
+     stands for h * 2^264 * 2^(24j), and 2^264 === 2^8 * c = 2^40 + 250112,
+     so it adds h * 250112 to limb j and h * 2^16 to limb j + 1. Folding
+     from the top down lets limb 21's spill into limb 11 be folded in the
+     same pass.
+   - The settle loop carries limbs 0..10 and folds the bits of limb 10
+     above position 255 through 2^256 === c = 2^32 + 977 (h * 977 at limb
+     0, h * 2^8 at limb 1), until nothing overhangs. The value is then
+     below 2^256 < 2p.
+   - One conditional subtract: v >= p exactly when v + c carries into bit
+     256, and then v - p is v + c with that bit dropped. *)
+let reduce (w : int array) : felem =
   let carry = ref 0 in
-  for k = 0 to len - 1 do
+  for k = 0 to 20 do
     let t = Array.unsafe_get w k + !carry in
     Array.unsafe_set w k (t land dmask);
     carry := t asr dbits
   done;
-  (* columns < 2^55 so the final carry is below 2^31 < one limb's worth
-     beyond the last column; callers size w with two spare limbs. *)
-  let active = ref (len - 1) in
-  let continue_ = ref true in
-  while !continue_ do
-    continue_ := false;
-    for j = dlimbs to !active do
-      let h = w.(j) in
-      if h <> 0 then begin
-        w.(j) <- 0;
-        w.(j - dlimbs) <- w.(j - dlimbs) + (h * 250112);
-        w.(j - dlimbs + 1) <- w.(j - dlimbs + 1) + (h lsl 16)
-      end
-    done;
-    (* fold the bits of limb 10 above position 255: 2^256 === 2^32 + 977 *)
-    let h = w.(10) asr 16 in
-    if h <> 0 then begin
-      w.(10) <- w.(10) land 0xFFFF;
-      w.(0) <- w.(0) + (h * 977);
-      w.(1) <- w.(1) + (h lsl 8)
-    end;
-    let carry = ref 0 in
-    for k = 0 to min (dlimbs + 2) !active do
-      let t = w.(k) + !carry in
-      w.(k) <- t land dmask;
-      carry := t asr dbits;
-      if k >= dlimbs && w.(k) <> 0 then continue_ := true
-    done;
-    if !carry <> 0 then begin
-      w.(dlimbs + 3) <- w.(dlimbs + 3) + !carry;
-      continue_ := true
-    end;
-    if w.(10) asr 16 <> 0 then continue_ := true;
-    active := dlimbs + 3
+  Array.unsafe_set w 21 !carry;
+  for j = 21 downto dlimbs do
+    let h = Array.unsafe_get w j and lo = j - dlimbs in
+    Array.unsafe_set w lo (Array.unsafe_get w lo + (h * 250112));
+    Array.unsafe_set w (lo + 1) (Array.unsafe_get w (lo + 1) + (h lsl 16))
   done;
-  let out = Array.sub w 0 dlimbs in
-  if cmp24 out p24 >= 0 then sub24_in_place out p24;
-  if cmp24 out p24 >= 0 then sub24_in_place out p24;
-  out
+  let overhang = ref 1 in
+  while !overhang <> 0 do
+    let carry = ref 0 in
+    for k = 0 to dlimbs - 2 do
+      let t = Array.unsafe_get w k + !carry in
+      Array.unsafe_set w k (t land dmask);
+      carry := t asr dbits
+    done;
+    let top = Array.unsafe_get w 10 + !carry in
+    let h = top asr 16 in
+    Array.unsafe_set w 10 (top land 0xFFFF);
+    Array.unsafe_set w 0 (Array.unsafe_get w 0 + (h * 977));
+    Array.unsafe_set w 1 (Array.unsafe_get w 1 + (h lsl 8));
+    overhang := h
+  done;
+  let w0 = Array.unsafe_get w 0 and w1 = Array.unsafe_get w 1 and w2 = Array.unsafe_get w 2
+  and w3 = Array.unsafe_get w 3 and w4 = Array.unsafe_get w 4 and w5 = Array.unsafe_get w 5
+  and w6 = Array.unsafe_get w 6 and w7 = Array.unsafe_get w 7 and w8 = Array.unsafe_get w 8
+  and w9 = Array.unsafe_get w 9 and w10 = Array.unsafe_get w 10 in
+  let t0 = w0 + 977 in
+  let t1 = w1 + 256 + (t0 asr dbits) in
+  let t2 = w2 + (t1 asr dbits) in
+  let t3 = w3 + (t2 asr dbits) in
+  let t4 = w4 + (t3 asr dbits) in
+  let t5 = w5 + (t4 asr dbits) in
+  let t6 = w6 + (t5 asr dbits) in
+  let t7 = w7 + (t6 asr dbits) in
+  let t8 = w8 + (t7 asr dbits) in
+  let t9 = w9 + (t8 asr dbits) in
+  let t10 = w10 + (t9 asr dbits) in
+  if t10 asr 16 = 0 then [| w0; w1; w2; w3; w4; w5; w6; w7; w8; w9; w10 |]
+  else
+    [| t0 land dmask; t1 land dmask; t2 land dmask; t3 land dmask; t4 land dmask;
+       t5 land dmask; t6 land dmask; t7 land dmask; t8 land dmask; t9 land dmask;
+       t10 land 0xFFFF |]
 
-let scratch_len = 24 (* 21 product columns + carry spill + fold headroom *)
+(* A fresh scratch: 21 product columns plus the top carry. An array
+   literal is allocated inline on the minor heap, with no C call. *)
+let[@inline] scratch () = [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]
 
 let mul (a : felem) (b : felem) : felem =
-  let w = Array.make scratch_len 0 in
+  let w = scratch () in
   for i = 0 to dlimbs - 1 do
     let ai = Array.unsafe_get a i in
     if ai <> 0 then
@@ -135,13 +138,13 @@ let mul (a : felem) (b : felem) : felem =
         Array.unsafe_set w k (Array.unsafe_get w k + (ai * Array.unsafe_get b j))
       done
   done;
-  reduce_scratch w scratch_len
+  reduce w
 
 (* Dedicated squaring: the 55 off-diagonal products are shared (doubled), so
    a square costs ~half a general multiply. Half of every comb power is
    squarings, making this one of the hottest functions in verification. *)
 let sqr (a : felem) : felem =
-  let w = Array.make scratch_len 0 in
+  let w = scratch () in
   for i = 0 to dlimbs - 1 do
     let ai = Array.unsafe_get a i in
     if ai <> 0 then begin
@@ -154,29 +157,17 @@ let sqr (a : felem) : felem =
       done
     end
   done;
-  reduce_scratch w scratch_len
+  reduce w
 
-(* --- Bignum interop (cold: key setup, codec, tests) -------------------- *)
-
-let of_limbs16_any l =
-  (* repack little-endian base-2^16 limbs of any length into a radix-24
-     scratch, then reduce *)
-  let n = Array.length l in
-  let len = max scratch_len (((n * 16) / dbits) + 3) in
-  let w = Array.make len 0 in
-  for i = 0 to n - 1 do
-    let bit = 16 * i in
-    let limb = bit / dbits and sh = bit mod dbits in
-    w.(limb) <- w.(limb) + ((l.(i) lsl sh) land dmask);
-    if sh > dbits - 16 then w.(limb + 1) <- w.(limb + 1) + (l.(i) lsr (dbits - sh))
-  done;
-  reduce_scratch w len
-
-let of_bignum x = of_limbs16_any (Bignum.limbs x)
-
+(* A non-negative OCaml int is below 2^62 < p, so it is already canonical:
+   three limbs, the top one below 2^14. *)
 let of_int v =
   assert (v >= 0);
-  of_bignum (Bignum.of_int v)
+  let out = Array.make dlimbs 0 in
+  out.(0) <- v land dmask;
+  out.(1) <- (v lsr dbits) land dmask;
+  out.(2) <- v lsr (2 * dbits);
+  out
 
 (* --- exponent-field reduction ------------------------------------------ *)
 

@@ -453,6 +453,50 @@ let test_sigcache_epoch_flush () =
   ignore (Sigcache.verify cache pub ~msg:"msg" ~signature);
   Alcotest.(check int) "re-setting the same epoch is a no-op" m1 (Sigcache.misses cache)
 
+(* The cache answers only for the exact (key, message, signature) bytes
+   it proved: a message that differs by one byte, or is one byte longer or
+   shorter, is a miss and gets Schnorr's own verdict. *)
+let test_sigcache_exact () =
+  let cache = Sigcache.create () in
+  let priv, pub = Scion_crypto.Schnorr.derive ~seed:"exact" in
+  let msg = String.init 300 (fun i -> Char.chr ((i * 7) land 0xFF)) in
+  let signature = Scion_crypto.Schnorr.sign priv msg in
+  Alcotest.(check bool) "genuine verifies" true (Sigcache.verify cache pub ~msg ~signature);
+  let flipped = String.mapi (fun i c -> if i = 150 then Char.chr (Char.code c lxor 1) else c) msg in
+  List.iter
+    (fun (what, forged) ->
+      let m0 = Sigcache.misses cache in
+      Alcotest.(check bool)
+        (what ^ ": Schnorr rejects")
+        false
+        (Scion_crypto.Schnorr.verify pub ~msg:forged ~signature);
+      Alcotest.(check bool) (what ^ ": cache rejects") false
+        (Sigcache.verify cache pub ~msg:forged ~signature);
+      Alcotest.(check int) (what ^ ": is a miss") (m0 + 1) (Sigcache.misses cache))
+    [ ("one byte flipped", flipped); ("one byte longer", msg ^ "\x00");
+      ("one byte shorter", String.sub msg 0 299) ];
+  let h0 = Sigcache.hits cache in
+  Alcotest.(check bool) "genuine still a hit" true (Sigcache.verify cache pub ~msg ~signature);
+  Alcotest.(check int) "hit counted" (h0 + 1) (Sigcache.hits cache);
+  (* A batch with a duplicated genuine item and one forged item gets exact
+     per-item verdicts: the duplicate is a hit, the forgery a miss. *)
+  let fresh = Sigcache.create () in
+  let other = "another message" in
+  let other_sig = Scion_crypto.Schnorr.sign priv other in
+  let batch = [ (pub, other, other_sig); (pub, flipped, signature); (pub, other, other_sig) ] in
+  Alcotest.(check (list bool)) "batch verdicts exact" [ true; false; true ]
+    (Sigcache.verify_batch fresh batch);
+  Alcotest.(check (pair int int)) "two misses, one in-batch hit" (2, 1)
+    (Sigcache.misses fresh, Sigcache.hits fresh);
+  Alcotest.(check (list bool)) "re-received batch: same verdicts" [ true; false; true ]
+    (Sigcache.verify_batch fresh batch);
+  Alcotest.(check (pair int int)) "all hits" (2, 4) (Sigcache.misses fresh, Sigcache.hits fresh);
+  (* An epoch change still drops a cached verdict. *)
+  Sigcache.set_epoch fresh "7:1";
+  Alcotest.(check bool) "re-proved after epoch change" true
+    (Sigcache.verify fresh pub ~msg:other ~signature:other_sig);
+  Alcotest.(check int) "epoch change drops the verdict" 3 (Sigcache.misses fresh)
+
 let test_quarantine_contains_corruption () =
   let config = { Mesh.default_config with Mesh.quarantine = Some Mesh.default_quarantine } in
   let m = build_mesh ~config () in
@@ -898,6 +942,7 @@ let () =
           Alcotest.test_case "quarantine contains corruption" `Quick
             test_quarantine_contains_corruption;
           Alcotest.test_case "seize, rotate, re-contain" `Quick test_seize_rotate_epoch;
+          Alcotest.test_case "sigcache verdicts are exact" `Quick test_sigcache_exact;
         ] );
       ( "chain cache",
         [

@@ -126,6 +126,76 @@ let qcheck_mul_matches_naive =
         (Ref_bignum.bignum_of_felem (Modp.mul (Ref_bignum.felem_of_bignum x) (Ref_bignum.felem_of_bignum y)))
         (Bignum.modulo (Bignum.mul x y) p))
 
+(* Uniform operands almost never reach the reduction's rare branches: a
+   second settle pass, or the final subtract of p. These operands do. *)
+let test_mul_reduction_edges () =
+  let two256 = Ref_bignum.pow2 256 in
+  let big = Bignum.of_int in
+  let operands =
+    [ Bignum.zero; Bignum.one; big 2; Ref_bignum.pow2 255;
+      Bignum.sub p Bignum.one (* = 2^256 - c - 1 *); Bignum.sub p (big 2);
+      (* limbs 0..9 all 0xFFFFFF, limb 10 0xFFFE and 0 *)
+      Bignum.sub (Bignum.sub two256 (Ref_bignum.pow2 240)) Bignum.one;
+      Bignum.sub (Ref_bignum.pow2 240) Bignum.one ]
+  in
+  (* Pairs whose integer product lands in [p, 2^256): no fold, no
+     overhang, only the final subtract. *)
+  let in_range (x, y) =
+    let xy = Bignum.mul x y in
+    Bignum.compare xy p >= 0 && Bignum.compare xy two256 < 0
+  in
+  let above_p =
+    List.concat_map
+      (fun x ->
+        let x = big x in
+        let q, r = Ref_bignum.divmod p x in
+        let lo = if Bignum.is_zero r then q else Bignum.add q Bignum.one in
+        let hi = fst (Ref_bignum.divmod (Bignum.sub two256 Bignum.one) x) in
+        List.filter in_range
+          (List.map (fun y -> (x, y))
+             [ lo; Bignum.add lo Bignum.one; Bignum.add lo (big 2); Bignum.sub hi (big 2);
+               Bignum.sub hi Bignum.one; hi ]))
+      [ 2; 3; 5; 977; 0x1000001; 0x1000003D1 ]
+  in
+  Alcotest.(check bool) "enough products in [p, 2^256)" true (List.length above_p >= 25);
+  (* Products m * y = k * 2^256 - d with 2 <= k < m and 1 <= d <= (k - 1) * c:
+     the first settle pass leaves 2^256 - d + (k - 1) * c >= 2^256, so a
+     second pass must fold again. *)
+  let c = Bignum.sub two256 p in
+  let second_settle =
+    List.concat_map
+      (fun (m, k) ->
+        let m = big m and top = Bignum.mul (big k) two256 in
+        let d = Bignum.add (snd (Ref_bignum.divmod top m)) m in
+        Alcotest.(check bool) "d within (k - 1) * c" true
+          (Bignum.compare d (Bignum.mul (big (k - 1)) c) <= 0);
+        [ (m, fst (Ref_bignum.divmod (Bignum.sub top d) m)) ])
+      [ (3, 2); (5, 2); (5, 4); (257, 2); (257, 256) ]
+  in
+  List.iter
+    (fun (_, y) -> Alcotest.(check bool) "second-settle operand below p" true (Bignum.compare y p < 0))
+    second_settle;
+  let check_mul (x, y) =
+    let got =
+      Ref_bignum.bignum_of_felem (Modp.mul (Ref_bignum.felem_of_bignum x) (Ref_bignum.felem_of_bignum y))
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "%s * %s" (Ref_bignum.to_hex x) (Ref_bignum.to_hex y))
+      (Ref_bignum.to_hex (Bignum.modulo (Bignum.mul x y) p))
+      (Ref_bignum.to_hex got)
+  in
+  List.iter (fun x -> List.iter (fun y -> check_mul (x, y)) operands) operands;
+  List.iter (fun (x, y) -> check_mul (x, y); check_mul (y, x)) (above_p @ second_settle);
+  (* Squaring: comb_pow with exponent 2 ends in one [sqr] of the base. *)
+  List.iter
+    (fun x ->
+      let got = Modp.comb_pow (Modp.comb (Ref_bignum.felem_of_bignum x)) (big 2) in
+      Alcotest.(check string)
+        (Printf.sprintf "%s ^ 2" (Ref_bignum.to_hex x))
+        (Ref_bignum.to_hex (Bignum.modulo (Bignum.mul x x) p))
+        (Ref_bignum.to_hex (Ref_bignum.bignum_of_felem got)))
+    (operands @ List.map snd (above_p @ second_settle))
+
 let qcheck_reduce_exponent_matches_naive =
   QCheck.Test.make ~name:"fold reduce_exponent = modulo (p-1)" ~count:200 seed_gen (fun s ->
       let x = bignum_of_seed ~wide:true s in
@@ -272,6 +342,7 @@ let () =
       ( "modp",
         [
           QCheck_alcotest.to_alcotest qcheck_mul_matches_naive;
+          Alcotest.test_case "mul and sqr reduction edges" `Quick test_mul_reduction_edges;
           QCheck_alcotest.to_alcotest qcheck_comb_pow_matches_naive;
           QCheck_alcotest.to_alcotest qcheck_comb_pow_multi_matches_naive;
           QCheck_alcotest.to_alcotest qcheck_reduce_exponent_matches_naive;
