@@ -170,6 +170,17 @@ let micro ?(json = false) ?(check = false) () =
                  (pub, msg, Scion_crypto.Schnorr.sign priv msg))
            in
            Staged.stage (fun () -> ignore (Scion_crypto.Schnorr.verify_batch batch))) );
+      ( "schnorr_verify_batch8_keys_ns",
+        (* The distinct-key case: one comb entry per key, where the
+           single-key batch above merges its 8 into one. *)
+        Test.make ~name:"schnorr verify_batch (8 sigs, 8 keys)"
+          (let batch =
+             List.init 8 (fun i ->
+                 let priv, pub = Scion_crypto.Schnorr.derive ~seed:(Printf.sprintf "bench-%d" i) in
+                 let msg = Printf.sprintf "msg-%d" i in
+                 (pub, msg, Scion_crypto.Schnorr.sign priv msg))
+           in
+           Staged.stage (fun () -> ignore (Scion_crypto.Schnorr.verify_batch batch))) );
       ( "dispatcher_demux_ns",
         Test.make ~name:"dispatcher demux (shared port)"
           (Staged.stage (fun () ->

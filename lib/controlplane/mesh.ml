@@ -210,6 +210,10 @@ let verification_failures t = t.verif_failures
 (* --- Construction --- *)
 
 let create ?(config = default_config) ?metrics ~now ~ases ~links () =
+  (match config.quarantine with
+  | Some q when not (Float.equal q.q_backoff.Scion_util.Backoff.jitter 0.0) ->
+      invalid_arg "Mesh.create: a quarantine backoff must use zero jitter"
+  | Some _ | None -> ());
   let rng = Scion_util.Rng.create config.seed in
   let nodes = Hashtbl.create 64 in
   let seed_str = Int64.to_string config.seed in
@@ -539,7 +543,36 @@ let send_once t ~sender ~egress ~kind pcb =
     Some ()
   end
 
+(* Deliver what one sender queued in one origination or propagation step.
+   With verification on, the entry the sender just signed on each PCB is
+   proved first, in one batch under the sender's key; then each PCB is
+   received in the order it was queued. Deferring the receptions to the
+   end of the sender's step changes nothing: the step reads only its own
+   stores, [sent_log], its budget, the link states and [t.rng], and
+   [receive] writes none of them (a strike draws from [t.rng] only with a
+   jittered backoff, which [create] refuses). A later node of the same
+   round, by contrast, reads stores that earlier receptions wrote, which
+   is why the batch is per sender and not per round. [Sigcache.prove]
+   counts nothing and a rejected batch records nothing, so every verdict
+   and every hit and miss is what immediate delivery would give. *)
+let deliver t ~now queued =
+  if t.cfg.verify_pcbs then
+    Sigcache.prove t.cache
+      (List.filter_map
+         (fun (_, _, pcb, _) ->
+           match Pcb.newest_signed pcb with
+           | None -> None
+           | Some (ia, msg, signature) ->
+               Option.map
+                 (fun (as_cert, _, _) -> (as_cert.Cert.pubkey, msg, signature))
+                 (cert_lookup t ia))
+         queued);
+  List.iter
+    (fun (receiver, expected_role, pcb, store) -> receive t receiver ~expected_role pcb ~now store)
+    queued
+
 let run_beaconing t ~now =
+  Sigcache.next_generation t.cache;
   ignore (renew_certificates t ~now);
   Hashtbl.reset t.memo;
   Hashtbl.reset t.down_registry;
@@ -560,24 +593,25 @@ let run_beaconing t ~now =
   List.iter
     (fun ia ->
       let n = node t ia in
-      if n.nd_core then
+      if n.nd_core then begin
+        let queued = ref [] in
         List.iter
           (fun nb ->
             if t.link_arr.(nb.n_link).l_up then begin
+              let recv = node t nb.n_ia in
+              let originate expected_role store =
+                let pcb = Pcb.originate ~rng:t.rng ~now in
+                let pcb = extend_from n pcb ~ingress:0 ~egress:nb.n_ifid in
+                queued := (recv, expected_role, pcb, store) :: !queued
+              in
               match nb.n_role with
-              | Core_nbr ->
-                  let pcb = Pcb.originate ~rng:t.rng ~now in
-                  let pcb = extend_from n pcb ~ingress:0 ~egress:nb.n_ifid in
-                  receive t (node t nb.n_ia) ~expected_role:Core_nbr pcb ~now
-                    (node t nb.n_ia).store_core
-              | Child ->
-                  let pcb = Pcb.originate ~rng:t.rng ~now in
-                  let pcb = extend_from n pcb ~ingress:0 ~egress:nb.n_ifid in
-                  receive t (node t nb.n_ia) ~expected_role:Parent pcb ~now
-                    (node t nb.n_ia).store_intra
+              | Core_nbr -> originate Core_nbr recv.store_core
+              | Child -> originate Parent recv.store_intra
               | Parent | Peer -> ()
             end)
-          n.nbrs)
+          n.nbrs;
+        deliver t ~now (List.rev !queued)
+      end)
     t.order;
   (* Propagation rounds. Each extension signs, so per-node sends are the
      cost driver at scale; [fanout_cap] bounds them per node per round
@@ -590,6 +624,7 @@ let run_beaconing t ~now =
       (fun ia ->
         let n = node t ia in
         let budget = ref per_round_budget in
+        let queued = ref [] in
         let propagate ~kind ~expected_role store_of nb pcb =
           if not (Pcb.contains pcb nb.n_ia) then begin
             if !budget <= 0 then t.fanout_capped <- t.fanout_capped + 1
@@ -603,8 +638,8 @@ let run_beaconing t ~now =
                       decr budget;
                       t.fanout_sends <- t.fanout_sends + 1;
                       let ext = extend_from n pcb ~ingress:from.n_ifid ~egress:nb.n_ifid in
-                      receive t (node t nb.n_ia) ~expected_role ext ~now
-                        (store_of (node t nb.n_ia)))
+                      let recv = node t nb.n_ia in
+                      queued := (recv, expected_role, ext, store_of recv) :: !queued)
             end
           end
         in
@@ -627,7 +662,8 @@ let run_beaconing t ~now =
                   (propagate ~kind:"c" ~expected_role:Core_nbr (fun nd -> nd.store_core) nb)
                   core)
             n.nbrs
-        end)
+        end;
+        deliver t ~now (List.rev !queued))
       t.order
   done;
   (* Termination and registration. *)

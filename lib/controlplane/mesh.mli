@@ -53,8 +53,11 @@ and quarantine_policy = {
           quarantined (strikes reset when the window opens). *)
   q_backoff : Scion_util.Backoff.policy;
       (** Window growth per repeat offence ([delay_ms ~attempt:offences]).
-          Must use zero jitter if attaching an adversary is to leave every
-          workload RNG stream untouched — {!default_quarantine} does. *)
+          Must use zero jitter, as {!default_quarantine} does: a strike
+          then draws nothing, so attaching an adversary leaves every
+          workload RNG stream untouched and {!run_beaconing} may defer a
+          sender's deliveries to the end of its step. {!create} raises
+          [Invalid_argument] on a jittered backoff. *)
 }
 
 val default_config : config
@@ -74,7 +77,7 @@ val create :
   t
 (** Build the mesh and its PKI. Raises [Invalid_argument] on inconsistent
     specs (unknown link endpoints, missing core/CA in an ISD, duplicate
-    ASes).
+    ASes) and on a quarantine backoff with nonzero jitter.
 
     With [?metrics], the registry is threaded into every per-AS
     {!Beacon_store} (stores named ["<ia>/intra"] / ["<ia>/core"]) and
@@ -118,7 +121,10 @@ val run_beaconing : t -> now:float -> unit
 (** Clear all beacon state, originate at core ASes, propagate for
     [config.rounds] rounds over the currently-up links, then terminate and
     register segments (up segments locally, down segments in the global
-    registry, core segments at core ASes). *)
+    registry, core segments at core ASes). It starts a new
+    {!Sigcache.next_generation} of the signature cache. With
+    [verify_pcbs], each sender's step batch-proves the entries it signed
+    ({!Sigcache.prove}) before its PCBs are received. *)
 
 val up_segments : t -> Ia.t -> Pcb.t list
 val core_segments_at : t -> Ia.t -> Pcb.t list

@@ -87,6 +87,11 @@ let signed_bytes_upto t i =
     t.entries;
   Rw.Writer.contents w
 
+let newest_signed t =
+  match List.rev t.entries with
+  | [] -> None
+  | e :: rest -> Some (e.ia, signed_bytes_upto t (List.length rest), e.signature)
+
 (* Every entry advertises the same MTU and the longest hop-field
    validity. *)
 let mtu = 1472
@@ -158,9 +163,10 @@ let verify t ~cache ~lookup ~now =
        fields, then its signature is appended for the entries after it.
        Pass 2: the entry signatures go through one [Sigcache.verify_batch].
        In steady state a received PCB extends an already-verified prefix by
-       one entry, so there is a single miss and it costs one plain Schnorr
-       verification; only a PCB with several unseen entries pays a batched
-       check. *)
+       one entry, so there is a single miss. During beaconing that entry
+       was already proved in its sender's batch ([Sigcache.prove]), so the
+       miss runs no crypto; only a PCB with several unseen entries pays a
+       batched check here. *)
     let w = Rw.Writer.create () in
     encode_header w t;
     let rec collect acc = function

@@ -65,6 +65,11 @@ val extend :
     [peers] lists [(peer_ia, local_if, remote_if)] for each up peering
     link. *)
 
+val newest_signed : t -> (Scion_addr.Ia.t * string * string) option
+(** The newest entry's AS, the exact message it signed and its signature:
+    the one item of a freshly extended PCB that no receiver has checked
+    yet. [None] on an empty PCB. *)
+
 type check_error =
   | Empty
   | Loop of Scion_addr.Ia.t

@@ -14,75 +14,146 @@ end
 
 module Table = Hashtbl.Make (Key)
 
+(* [Proved] is a verdict {!prove} established ahead of its first lookup.
+   That lookup counts as the miss it would have been and turns it into
+   [Valid]. All three are constant constructors, so storing one allocates
+   nothing beyond the table binding. *)
+type verdict = Valid | Invalid | Proved
+
+(* Two generations: lookups and inserts land in [current]; an entry found
+   only in [previous] moves to [current]. {!next_generation} drops
+   [previous], so whatever was neither inserted nor read between two calls
+   is gone after the second. *)
 type t = {
-  table : bool Table.t;
+  mutable current : verdict Table.t;
+  mutable previous : verdict Table.t;
   mutable epoch : string;
   mutable hit_count : int;
   mutable miss_count : int;
 }
 
-let create () = { table = Table.create 1024; epoch = ""; hit_count = 0; miss_count = 0 }
+(* [previous] starts small: it only ever holds what [current] held, and
+   grows in place when the two swap. *)
+let create () =
+  { current = Table.create 1024; previous = Table.create 16; epoch = ""; hit_count = 0; miss_count = 0 }
+
 let global = create ()
 
 let key pub ~msg ~signature =
   { Key.pub = Scion_crypto.Schnorr.public_to_string pub; signature; msg }
+
+let find t k =
+  match Table.find_opt t.current k with
+  | Some _ as v -> v
+  | None -> (
+      match Table.find_opt t.previous k with
+      | Some v as found ->
+          Table.remove t.previous k;
+          Table.replace t.current k v;
+          found
+      | None -> None)
+
+let mem t k = Table.mem t.current k || Table.mem t.previous k
+
+let next_generation t =
+  let dropped = t.previous in
+  Table.clear dropped;
+  t.previous <- t.current;
+  t.current <- dropped
+
+let reset_tables t =
+  Table.reset t.current;
+  Table.reset t.previous
 
 (* Verdicts proved under a rotated-out trust root must not answer lookups
    made after the rotation, so changing the epoch drops them all. *)
 let set_epoch t epoch =
   if not (String.equal t.epoch epoch) then begin
     t.epoch <- epoch;
-    Table.reset t.table
+    reset_tables t
   end
 
 let verify t pub ~msg ~signature =
   let k = key pub ~msg ~signature in
-  match Table.find_opt t.table k with
-  | Some v ->
+  match find t k with
+  | Some Valid ->
       t.hit_count <- t.hit_count + 1;
-      v
+      true
+  | Some Invalid ->
+      t.hit_count <- t.hit_count + 1;
+      false
+  | Some Proved ->
+      t.miss_count <- t.miss_count + 1;
+      Table.replace t.current k Valid;
+      true
   | None ->
       t.miss_count <- t.miss_count + 1;
       let v = Scion_crypto.Schnorr.verify pub ~msg ~signature in
-      Table.replace t.table k v;
+      Table.replace t.current k (if v then Valid else Invalid);
       v
 
 (* Cache lookups first, then one batched Schnorr pass over the misses in
-   first-seen order. A miss claims its slot with a provisional [false] at
-   once, so a duplicate later in the same batch counts as a hit; the
-   verdicts below overwrite every claim. Schnorr.verify_batch is
-   all-or-nothing, so a rejected batch falls back to per-signature
-   verification to attribute the failure; either way each result lands in
-   the cache, so re-receiving the same PCB is pure hits. *)
+   first-seen order. A miss claims its slot at once (a proved entry with
+   [Valid], any other with a provisional [Invalid]), so a duplicate later
+   in the same batch counts as a hit; the verdicts below overwrite every
+   claim. Schnorr.verify_batch is all-or-nothing, so a rejected batch
+   falls back to per-signature verification to attribute the failure;
+   either way each result lands in the cache, so re-receiving the same PCB
+   is pure hits. *)
 let verify_batch t items =
   let keys = List.map (fun (pub, msg, signature) -> key pub ~msg ~signature) items in
   let misses =
     List.fold_left2
       (fun misses k item ->
-        if Table.mem t.table k then begin
-          t.hit_count <- t.hit_count + 1;
-          misses
-        end
-        else begin
-          t.miss_count <- t.miss_count + 1;
-          Table.replace t.table k false;
-          (k, item) :: misses
-        end)
+        match find t k with
+        | Some (Valid | Invalid) ->
+            t.hit_count <- t.hit_count + 1;
+            misses
+        | Some Proved ->
+            t.miss_count <- t.miss_count + 1;
+            Table.replace t.current k Valid;
+            misses
+        | None ->
+            t.miss_count <- t.miss_count + 1;
+            Table.replace t.current k Invalid;
+            (k, item) :: misses)
       [] keys items
     |> List.rev
   in
   if Scion_crypto.Schnorr.verify_batch (List.map snd misses) then
-    List.iter (fun (k, _) -> Table.replace t.table k true) misses
+    List.iter (fun (k, _) -> Table.replace t.current k Valid) misses
   else
     List.iter
-      (fun (k, (p, m, s)) -> Table.replace t.table k (Scion_crypto.Schnorr.verify p ~msg:m ~signature:s))
+      (fun (k, (p, m, s)) ->
+        let v = Scion_crypto.Schnorr.verify p ~msg:m ~signature:s in
+        Table.replace t.current k (if v then Valid else Invalid))
       misses;
-  List.map (fun k -> match Table.find_opt t.table k with Some v -> v | None -> false) keys
+  List.map (fun k -> Table.find_opt t.current k = Some Valid) keys
+
+(* Only the items the table has never seen are checked, first-seen and
+   once each. Nothing is counted, and a rejected batch records nothing,
+   so every later lookup pays exactly what it would have without this
+   call. *)
+let prove t items =
+  let fresh =
+    List.fold_left
+      (fun fresh (pub, msg, signature) ->
+        let k = key pub ~msg ~signature in
+        if mem t k || List.exists (fun (k', _) -> Key.equal k k') fresh then fresh
+        else (k, (pub, msg, signature)) :: fresh)
+      [] items
+    |> List.rev
+  in
+  match fresh with
+  | [] -> ()
+  | _ :: _ ->
+      if Scion_crypto.Schnorr.verify_batch (List.map snd fresh) then
+        List.iter (fun (k, _) -> Table.replace t.current k Proved) fresh
 
 let hits t = t.hit_count
 let misses t = t.miss_count
 
 let clear t =
-  Table.reset t.table;
+  reset_tables t;
   t.hit_count <- 0;
   t.miss_count <- 0

@@ -17,9 +17,19 @@
 
     Keys are the exact (issuer key, signature, message) bytes, hashed on
     the signature alone and compared in full, so a lookup runs no digest
-    and a verdict answers only for the bytes it was proved on. The table
-    holds each message it has seen until the next {!set_epoch} or
-    {!clear}. *)
+    and a verdict answers only for the bytes it was proved on.
+
+    The table keeps two generations. {!next_generation} (called at the
+    start of every {!Mesh.run_beaconing}) drops every entry that was
+    neither inserted nor read since the previous call, so a verdict that
+    keeps being read, such as a certificate-chain verdict, survives, while
+    one beaconing run's one-off beacon verdicts are gone two runs later.
+    {!set_epoch} and {!clear} drop everything.
+
+    An entry is [valid], [invalid] or {e proved, not yet read}: {!prove}
+    checked it ahead of its first lookup. The counters count lookups as if
+    {!prove} had never run: a proved entry's first lookup is a {b miss}
+    that runs no crypto and turns it [valid]; later lookups are hits. *)
 
 type t
 
@@ -45,6 +55,20 @@ val verify_batch :
     random-linear-combination pass, in first-seen order (a duplicate within
     the batch counts as a hit). If the batched check rejects, each miss is re-verified
     individually so verdicts stay exact per item. All results are cached. *)
+
+val prove :
+  t -> (Scion_crypto.Schnorr.public_key * string * string) list -> unit
+(** [prove t items] checks, in one {!Scion_crypto.Schnorr.verify_batch}
+    pass, every item the table holds in no state, first-seen and once
+    each, and records them as proved, not yet read. It counts nothing. If
+    the batch rejects, it records nothing, so every later lookup of those
+    items runs Schnorr as before and gets its exact verdict. Hit and miss
+    counts, and every verdict, are the same with or without a [prove]. *)
+
+val next_generation : t -> unit
+(** Start a new generation: drop every entry neither inserted nor read
+    since the previous call, proved-but-unread entries included. Counters
+    are untouched. *)
 
 val hits : t -> int
 val misses : t -> int

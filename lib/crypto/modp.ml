@@ -11,9 +11,10 @@
    inside OCaml's 63-bit native int, and (b) limbs align exactly with bytes
    (3 bytes per limb), keeping the 32-byte codec branch-free. This is the
    inner loop of every Schnorr signature in the repo, so [mul] and [sqr]
-   allocate their scratch and their result as array literals (inline minor
-   allocations, no C call) and use unsafe accesses at indices that are all
-   statically in range. *)
+   are straight-line code over limbs loaded once, allocate their columns
+   and their result as array literals (inline minor allocations, no C
+   call) and use unsafe accesses at indices that are all statically in
+   range. *)
 
 let dlimbs = 11
 let dbits = 24
@@ -124,40 +125,117 @@ let reduce (w : int array) : felem =
        t5 land dmask; t6 land dmask; t7 land dmask; t8 land dmask; t9 land dmask;
        t10 land 0xFFFF |]
 
-(* A fresh scratch: 21 product columns plus the top carry. An array
-   literal is allocated inline on the minor heap, with no C call. *)
-let[@inline] scratch () = [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |]
-
+(* The product columns are written out: every limb is loaded once, each
+   column is one straight-line sum of its limb products (each below 2^48,
+   so a column stays below 2^52), and the 21 columns plus a zero slot for
+   the top carry go to [reduce] as one array literal, allocated inline on
+   the minor heap with no C call. *)
 let mul (a : felem) (b : felem) : felem =
-  let w = scratch () in
-  for i = 0 to dlimbs - 1 do
-    let ai = Array.unsafe_get a i in
-    if ai <> 0 then
-      for j = 0 to dlimbs - 1 do
-        let k = i + j in
-        Array.unsafe_set w k (Array.unsafe_get w k + (ai * Array.unsafe_get b j))
-      done
-  done;
-  reduce w
+  let a0 = Array.unsafe_get a 0
+  and a1 = Array.unsafe_get a 1
+  and a2 = Array.unsafe_get a 2
+  and a3 = Array.unsafe_get a 3
+  and a4 = Array.unsafe_get a 4
+  and a5 = Array.unsafe_get a 5
+  and a6 = Array.unsafe_get a 6
+  and a7 = Array.unsafe_get a 7
+  and a8 = Array.unsafe_get a 8
+  and a9 = Array.unsafe_get a 9
+  and a10 = Array.unsafe_get a 10 in
+  let b0 = Array.unsafe_get b 0
+  and b1 = Array.unsafe_get b 1
+  and b2 = Array.unsafe_get b 2
+  and b3 = Array.unsafe_get b 3
+  and b4 = Array.unsafe_get b 4
+  and b5 = Array.unsafe_get b 5
+  and b6 = Array.unsafe_get b 6
+  and b7 = Array.unsafe_get b 7
+  and b8 = Array.unsafe_get b 8
+  and b9 = Array.unsafe_get b 9
+  and b10 = Array.unsafe_get b 10 in
+  reduce
+    [|
+      a0 * b0;
+      (a0 * b1) + (a1 * b0);
+      (a0 * b2) + (a1 * b1) + (a2 * b0);
+      (a0 * b3) + (a1 * b2) + (a2 * b1) + (a3 * b0);
+      (a0 * b4) + (a1 * b3) + (a2 * b2) + (a3 * b1) + (a4 * b0);
+      (a0 * b5) + (a1 * b4) + (a2 * b3) + (a3 * b2) + (a4 * b1) + (a5 * b0);
+      (a0 * b6) + (a1 * b5) + (a2 * b4) + (a3 * b3) + (a4 * b2) + (a5 * b1) + (a6 * b0);
+      (a0 * b7) + (a1 * b6) + (a2 * b5) + (a3 * b4) + (a4 * b3) + (a5 * b2) + (a6 * b1) + (a7 * b0);
+      (a0 * b8) + (a1 * b7) + (a2 * b6) + (a3 * b5) + (a4 * b4) + (a5 * b3) + (a6 * b2) +
+        (a7 * b1) + (a8 * b0);
+      (a0 * b9) + (a1 * b8) + (a2 * b7) + (a3 * b6) + (a4 * b5) + (a5 * b4) + (a6 * b3) +
+        (a7 * b2) + (a8 * b1) + (a9 * b0);
+      (a0 * b10) + (a1 * b9) + (a2 * b8) + (a3 * b7) + (a4 * b6) + (a5 * b5) + (a6 * b4) +
+        (a7 * b3) + (a8 * b2) + (a9 * b1) + (a10 * b0);
+      (a1 * b10) + (a2 * b9) + (a3 * b8) + (a4 * b7) + (a5 * b6) + (a6 * b5) + (a7 * b4) +
+        (a8 * b3) + (a9 * b2) + (a10 * b1);
+      (a2 * b10) + (a3 * b9) + (a4 * b8) + (a5 * b7) + (a6 * b6) + (a7 * b5) + (a8 * b4) +
+        (a9 * b3) + (a10 * b2);
+      (a3 * b10) + (a4 * b9) + (a5 * b8) + (a6 * b7) + (a7 * b6) + (a8 * b5) + (a9 * b4) +
+        (a10 * b3);
+      (a4 * b10) + (a5 * b9) + (a6 * b8) + (a7 * b7) + (a8 * b6) + (a9 * b5) + (a10 * b4);
+      (a5 * b10) + (a6 * b9) + (a7 * b8) + (a8 * b7) + (a9 * b6) + (a10 * b5);
+      (a6 * b10) + (a7 * b9) + (a8 * b8) + (a9 * b7) + (a10 * b6);
+      (a7 * b10) + (a8 * b9) + (a9 * b8) + (a10 * b7);
+      (a8 * b10) + (a9 * b9) + (a10 * b8);
+      (a9 * b10) + (a10 * b9);
+      a10 * b10;
+      0;
+    |]
 
-(* Dedicated squaring: the 55 off-diagonal products are shared (doubled), so
-   a square costs ~half a general multiply. Half of every comb power is
-   squarings, making this one of the hottest functions in verification. *)
+(* Dedicated squaring: the 55 off-diagonal products are shared (doubled
+   through [d_j = 2 * a_j]), so a square costs ~half a general multiply.
+   Half of every comb power is squarings, making this one of the hottest
+   functions in verification. *)
 let sqr (a : felem) : felem =
-  let w = scratch () in
-  for i = 0 to dlimbs - 1 do
-    let ai = Array.unsafe_get a i in
-    if ai <> 0 then begin
-      let k = 2 * i in
-      Array.unsafe_set w k (Array.unsafe_get w k + (ai * ai));
-      let ai2 = 2 * ai in
-      for j = i + 1 to dlimbs - 1 do
-        let k = i + j in
-        Array.unsafe_set w k (Array.unsafe_get w k + (ai2 * Array.unsafe_get a j))
-      done
-    end
-  done;
-  reduce w
+  let a0 = Array.unsafe_get a 0
+  and a1 = Array.unsafe_get a 1
+  and a2 = Array.unsafe_get a 2
+  and a3 = Array.unsafe_get a 3
+  and a4 = Array.unsafe_get a 4
+  and a5 = Array.unsafe_get a 5
+  and a6 = Array.unsafe_get a 6
+  and a7 = Array.unsafe_get a 7
+  and a8 = Array.unsafe_get a 8
+  and a9 = Array.unsafe_get a 9
+  and a10 = Array.unsafe_get a 10 in
+  let d1 = 2 * a1
+  and d2 = 2 * a2
+  and d3 = 2 * a3
+  and d4 = 2 * a4
+  and d5 = 2 * a5
+  and d6 = 2 * a6
+  and d7 = 2 * a7
+  and d8 = 2 * a8
+  and d9 = 2 * a9
+  and d10 = 2 * a10 in
+  reduce
+    [|
+      a0 * a0;
+      a0 * d1;
+      (a0 * d2) + (a1 * a1);
+      (a0 * d3) + (a1 * d2);
+      (a0 * d4) + (a1 * d3) + (a2 * a2);
+      (a0 * d5) + (a1 * d4) + (a2 * d3);
+      (a0 * d6) + (a1 * d5) + (a2 * d4) + (a3 * a3);
+      (a0 * d7) + (a1 * d6) + (a2 * d5) + (a3 * d4);
+      (a0 * d8) + (a1 * d7) + (a2 * d6) + (a3 * d5) + (a4 * a4);
+      (a0 * d9) + (a1 * d8) + (a2 * d7) + (a3 * d6) + (a4 * d5);
+      (a0 * d10) + (a1 * d9) + (a2 * d8) + (a3 * d7) + (a4 * d6) + (a5 * a5);
+      (a1 * d10) + (a2 * d9) + (a3 * d8) + (a4 * d7) + (a5 * d6);
+      (a2 * d10) + (a3 * d9) + (a4 * d8) + (a5 * d7) + (a6 * a6);
+      (a3 * d10) + (a4 * d9) + (a5 * d8) + (a6 * d7);
+      (a4 * d10) + (a5 * d9) + (a6 * d8) + (a7 * a7);
+      (a5 * d10) + (a6 * d9) + (a7 * d8);
+      (a6 * d10) + (a7 * d9) + (a8 * a8);
+      (a7 * d10) + (a8 * d9);
+      (a8 * d10) + (a9 * a9);
+      a9 * d10;
+      a10 * a10;
+      0;
+    |]
 
 (* A non-negative OCaml int is below 2^62 < p, so it is already canonical:
    three limbs, the top one below 2^14. *)
@@ -313,6 +391,72 @@ let comb_pow_multi (combs : (comb * Bignum.t) array) (smalls : (felem * int) arr
   !acc
 
 let comb_pow c e = comb_pow_multi [| (c, e) |] [||]
+
+(* --- wide comb for one long-lived base --------------------------------------- *)
+
+(* Lim-Lee comb with 8 teeth of 32 columns, the columns split into 4 blocks
+   of 8. Bit j*32 + s*8 + k of an exponent is tooth j, block s, column k.
+   Sub-table s holds, for every 8-bit index i, the product over the set
+   bits j of i of b^(2^(32j + 8s)), so column k of block s selects one
+   entry of sub-table s. A power walks the 8 columns from the top, one
+   squaring between columns and one multiply per block: 7 squarings and at
+   most 32 multiplies. Each sub-table has 255 entries besides [one], 1020
+   field elements in all. *)
+let wide_teeth = 8
+let wide_blocks = 4
+let wide_cols = 256 / (wide_teeth * wide_blocks)
+
+type wide_comb = felem array array (* [wide_blocks] tables of 2^wide_teeth; entry 0 is one *)
+
+let wide_comb (b : felem) : wide_comb =
+  (* rows.(m) = b^(2^(8m)): tooth j of block s is row 4j + s. *)
+  let rows = Array.make (wide_teeth * wide_blocks) b in
+  for m = 1 to Array.length rows - 1 do
+    let r = ref rows.(m - 1) in
+    for _ = 1 to wide_cols do
+      r := sqr !r
+    done;
+    rows.(m) <- !r
+  done;
+  Array.init wide_blocks (fun s ->
+      let t = Array.make (1 lsl wide_teeth) one in
+      for j = 0 to wide_teeth - 1 do
+        let row = rows.((j * wide_blocks) + s) and bit = 1 lsl j in
+        t.(bit) <- row;
+        for i = bit + 1 to (2 * bit) - 1 do
+          t.(i) <- mul row t.(i - bit)
+        done
+      done;
+      t)
+
+let wide_comb_pow (c : wide_comb) e =
+  let l = Bignum.limbs e in
+  let n = Array.length l in
+  if n > 16 then invalid_arg "Modp.wide_comb_pow: exponent wider than 256 bits";
+  (* Tooth j reads the 32-bit word of bits 32j .. 32j + 31. *)
+  let words =
+    Array.init wide_teeth (fun j ->
+        let lo = if 2 * j < n then l.(2 * j) else 0
+        and hi = if (2 * j) + 1 < n then l.((2 * j) + 1) else 0 in
+        lo lor (hi lsl 16))
+  in
+  let acc = ref one and started = ref false in
+  for k = wide_cols - 1 downto 0 do
+    if !started then acc := sqr !acc;
+    for s = 0 to wide_blocks - 1 do
+      let col = (s * wide_cols) + k in
+      let idx = ref 0 in
+      for j = wide_teeth - 1 downto 0 do
+        idx := (!idx lsl 1) lor ((Array.unsafe_get words j lsr col) land 1)
+      done;
+      if !idx <> 0 then begin
+        let x = Array.unsafe_get (Array.unsafe_get c s) !idx in
+        acc := if !started then mul !acc x else x;
+        started := true
+      end
+    done
+  done;
+  !acc
 
 (* --- codec -------------------------------------------------------------- *)
 

@@ -10,7 +10,6 @@ type felem
 
 val p : Bignum.t
 val zero : felem
-val one : felem
 val of_int : int -> felem
 val equal : felem -> felem -> bool
 val mul : felem -> felem -> felem
@@ -35,6 +34,20 @@ val comb_pow_multi : (comb * Bignum.t) array -> (felem * int) array -> felem
     schedule of 64 squarings, with each small base multiplied in bit by
     bit. Raises [Invalid_argument] as {!comb_pow} does, or on a negative
     [z]. *)
+
+type wide_comb
+(** A wider Lim-Lee comb for one long-lived base: 8 teeth of 32 columns,
+    split into 4 blocks of 8 columns with one 255-entry sub-table each, so
+    1020 field elements (about 100 KB). Building one costs 248 squarings
+    and 988 multiplies; a power through it costs 7 squarings and at most
+    32 multiplies. Too large per key, it suits a constant base such as
+    {!Schnorr}'s generator. *)
+
+val wide_comb : felem -> wide_comb
+
+val wide_comb_pow : wide_comb -> Bignum.t -> felem
+(** [wide_comb_pow (wide_comb b) e = b ^ e] for [0 <= e < 2^256]; raises
+    [Invalid_argument] on a wider exponent. *)
 
 val reduce_exponent : Bignum.t -> Bignum.t
 (** Reduces an arbitrary value modulo [p - 1] (the {!Schnorr} exponent

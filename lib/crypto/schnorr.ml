@@ -11,34 +11,11 @@ let g = Modp.of_int 3
 let exponent_modulus = Bignum.sub Modp.p Bignum.one
 let signature_size = 64
 
-(* Fixed-base exponentiation: g is constant, so precompute a comb table
-   g^(d * 16^i) for every nibble position i in [0, 64) and digit d in
-   [1, 15]. Any 256-bit g^e then costs at most 64 multiplications and zero
-   squarings. Signing happens for every PCB entry during beaconing and a
-   fixed-base power anchors every verification, so this matters. *)
-let g_comb =
-  lazy
-    (let table = Array.make_matrix 64 15 Modp.one in
-     let base = ref g in
-     for i = 0 to 63 do
-       table.(i).(0) <- !base;
-       for d = 1 to 14 do
-         table.(i).(d) <- Modp.mul table.(i).(d - 1) !base
-       done;
-       if i < 63 then base := Modp.mul table.(i).(14) !base (* g^(16^(i+1)) *)
-     done;
-     table)
-
-let pow_g e =
-  let table = Lazy.force g_comb in
-  let limbs = Bignum.limbs e in
-  let n = Array.length limbs in
-  let acc = ref Modp.one in
-  for j = 0 to (n * 4) - 1 do
-    let d = (limbs.(j / 4) lsr ((j mod 4) * 4)) land 0xF in
-    if d <> 0 && j < 64 then acc := Modp.mul !acc table.(j).(d - 1)
-  done;
-  !acc
+(* Fixed-base exponentiation through one shared wide comb ({!Modp.wide_comb}):
+   7 squarings and at most 32 multiplies per power. Every signature, every
+   key derivation and every verification's left side is a power of g. *)
+let g_comb = lazy (Modp.wide_comb g)
+let pow_g e = Modp.wide_comb_pow (Lazy.force g_comb) e
 
 (* Map 32 uniform bytes into [1, p-2]: reduce mod (p-3) then add 1. The bias
    is negligible (p is within 2^-190 of 2^256). *)
@@ -51,8 +28,10 @@ let derive ~seed =
   let pub = public_of_felem (pow_g x) in
   ({ x; x_bytes = Bignum.to_bytes_be ~width:32 x; pub_bytes = pub.y_bytes }, pub)
 
+let challenge_digest ~r_bytes ~pub_bytes ~msg = Sha256.digest (r_bytes ^ pub_bytes ^ msg)
+
 let challenge ~r_bytes ~pub_bytes ~msg =
-  Modp.reduce_exponent (Bignum.of_bytes_be (Sha256.digest (r_bytes ^ pub_bytes ^ msg)))
+  Modp.reduce_exponent (Bignum.of_bytes_be (challenge_digest ~r_bytes ~pub_bytes ~msg))
 
 let sign priv msg =
   let pub_bytes = priv.pub_bytes in
@@ -91,68 +70,87 @@ let verify pub ~msg ~signature =
       let e = challenge ~r_bytes ~pub_bytes:pub.y_bytes ~msg in
       Modp.equal (pow_g s) (Modp.mul r (Modp.comb_pow (Lazy.force pub.table) e))
 
+let same_key a b = a == b || String.equal a.y_bytes b.y_bytes
+
+(* Coefficient [i] of a batch: 62 bits read from 8 bytes of the digest of
+   the transcript digest [td] and [i / 4], so one digest serves 4 items. *)
+let coefficients td n =
+  let zs = Array.make n 0 in
+  for blk = 0 to (n - 1) / 4 do
+    let h = Sha256.digest (td ^ string_of_int blk) in
+    for q = 0 to min 3 (n - 1 - (4 * blk)) do
+      let z = ref 0 in
+      for j = 0 to 7 do
+        z := (!z lsl 8) lor Char.code h.[(8 * q) + j]
+      done;
+      let z = !z land max_int in
+      zs.((4 * blk) + q) <- (if z = 0 then 1 else z)
+    done
+  done;
+  zs
+
 (* Batch verification by random linear combination: each equation
    g^(s_i) = r_i * pub_i^(e_i) is raised to a per-item 62-bit coefficient
    z_i and the products compared:
 
-     g^(sum z_i * s_i)  =?=  prod r_i^(z_i) * pub_i^(z_i * e_i)
+     g^(sum z_i * s_i)  =?=  prod r_i^(z_i) * prod_keys pub^(sum_{i: pub_i = pub} z_i * e_i)
 
-   The left side is one fixed-base power of g. The right side is a single
-   64-column comb schedule: each pub_i^(z_i e_i) goes through its key's comb
-   table, and each r_i^(z_i) multiplies in bit by bit inside the same
-   columns, so the whole batch shares 64 squarings. Coefficients are
-   derived deterministically: the whole batch transcript is hashed once,
-   and z_i is read off the hash of that digest and i (this code base is a
-   deployment reproduction, not an adversarial setting; see the .mli
-   note). A valid batch always passes; an invalid one
-   passes only if the coefficients hit a ~2^-62 relation. *)
+   Items under one key share one comb entry: their z_i * e_i are summed
+   first. The left side is one fixed-base power of g. The right side is a
+   single 64-column comb schedule: one entry per distinct key through its
+   table, and each r_i^(z_i) multiplied in bit by bit inside the same
+   columns, so the whole batch shares 64 squarings. Exponent sums are
+   reduced modulo p - 1 once each; g, every key and every r_i lie in
+   Z_p^*, so their (p-1)-th powers are 1 and an unreduced challenge digest
+   serves as e_i.
+
+   Coefficients are derived deterministically: the transcript is every
+   item's challenge digest (which binds r_i, the key and the message) and
+   signature, hashed once, and each further digest of that hash yields 4
+   coefficients (this code base is a deployment reproduction, not an
+   adversarial setting; see the .mli note). A valid batch always passes;
+   an invalid one passes only if the coefficients hit a ~2^-62
+   relation. *)
 let verify_batch items =
   match items with
   | [] -> true
   | [ (pub, msg, signature) ] -> verify pub ~msg ~signature
-  | _ ->
-      let parsed =
-        List.map
-          (fun (pub, msg, signature) ->
+  | _ -> (
+      let rec parse acc = function
+        | [] -> Some (Array.of_list (List.rev acc))
+        | (pub, msg, signature) :: rest -> (
             match parse_signature signature with
             | None -> None
             | Some (r, r_bytes, s) ->
-                Some (pub, r, s, challenge ~r_bytes ~pub_bytes:pub.y_bytes ~msg))
-          items
+                let d = challenge_digest ~r_bytes ~pub_bytes:pub.y_bytes ~msg in
+                parse ((pub, r, s, d, signature) :: acc) rest)
       in
-      if List.exists Option.is_none parsed then false
-      else begin
-        let parsed = Array.of_list (List.filter_map Fun.id parsed) in
-        let transcript =
-          String.concat ""
-            (List.map (fun (pub, msg, signature) -> pub.y_bytes ^ Sha256.digest msg ^ signature) items)
-        in
-        let td = Sha256.digest transcript in
-        let coeff i =
-          let h = Sha256.digest (td ^ string_of_int i) in
-          let z = ref 0 in
-          for j = 0 to 7 do
-            z := (!z lsl 8) lor Char.code h.[j]
-          done;
-          let z = !z land max_int in
-          if z = 0 then 1 else z
-        in
-        let zs = Array.init (Array.length parsed) coeff in
-        (* left: g^(sum z_i s_i mod (p-1)) *)
-        let lhs_exp = ref Bignum.zero in
-        Array.iteri
-          (fun i (_, _, s, _) ->
-            lhs_exp := Modp.reduce_exponent (Bignum.add !lhs_exp (Bignum.mul (Bignum.of_int zs.(i)) s)))
-          parsed;
-        let rhs =
-          Modp.comb_pow_multi
-            (Array.mapi
-               (fun i (pub, _, _, e) ->
-                 (Lazy.force pub.table, Modp.reduce_exponent (Bignum.mul (Bignum.of_int zs.(i)) e)))
-               parsed)
-            (Array.mapi (fun i (_, r, _, _) -> (r, zs.(i))) parsed)
-        in
-        Modp.equal (pow_g !lhs_exp) rhs
-      end
+      match parse [] items with
+      | None -> false
+      | Some parsed ->
+          let td =
+            Sha256.digest
+              (String.concat "" (Array.to_list (Array.map (fun (_, _, _, d, sg) -> d ^ sg) parsed)))
+          in
+          let zs = coefficients td (Array.length parsed) in
+          let lhs = ref Bignum.zero and keys = ref [] in
+          Array.iteri
+            (fun i (pub, _, s, d, _) ->
+              let z = Bignum.of_int zs.(i) in
+              lhs := Bignum.add !lhs (Bignum.mul z s);
+              let ze = Bignum.mul z (Bignum.of_bytes_be d) in
+              match List.find_opt (fun (k, _) -> same_key k pub) !keys with
+              | Some (_, sum) -> sum := Bignum.add !sum ze
+              | None -> keys := (pub, ref ze) :: !keys)
+            parsed;
+          let rhs =
+            Modp.comb_pow_multi
+              (Array.of_list
+                 (List.rev_map
+                    (fun (pub, sum) -> (Lazy.force pub.table, Modp.reduce_exponent !sum))
+                    !keys))
+              (Array.mapi (fun i (_, r, _, _, _) -> (r, zs.(i))) parsed)
+          in
+          Modp.equal (pow_g (Modp.reduce_exponent !lhs)) rhs)
 
 let public_to_string pub = pub.y_bytes

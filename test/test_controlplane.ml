@@ -530,6 +530,125 @@ let test_seize_rotate_epoch () =
   Mesh.run_beaconing m ~now;
   Alcotest.(check bool) "honest paths survive rotation" true (Mesh.paths m ~src:e ~dst:f <> [])
 
+
+(* --- Per-sender proofs and verdict-cache generations --------------------- *)
+
+let signed_items priv pub n =
+  List.init n (fun i ->
+      let msg = Printf.sprintf "prove %d" i in
+      (pub, msg, Scion_crypto.Schnorr.sign priv msg))
+
+let counts cache = (Sigcache.misses cache, Sigcache.hits cache)
+
+let test_prove_counts_as_miss () =
+  let cache = Sigcache.create () in
+  let priv, pub = Scion_crypto.Schnorr.derive ~seed:"prove" in
+  let items = signed_items priv pub 5 in
+  Sigcache.prove cache items;
+  Alcotest.(check (pair int int)) "prove counts nothing" (0, 0) (counts cache);
+  let pub0, msg0, sig0 = List.hd items in
+  Alcotest.(check bool) "proved entry verifies" true
+    (Sigcache.verify cache pub0 ~msg:msg0 ~signature:sig0);
+  Alcotest.(check (pair int int)) "first lookup is one miss" (1, 0) (counts cache);
+  Alcotest.(check bool) "second lookup" true (Sigcache.verify cache pub0 ~msg:msg0 ~signature:sig0);
+  Alcotest.(check (pair int int)) "second lookup is a hit" (1, 1) (counts cache);
+  (* The rest through one batch lookup: four misses, one hit. *)
+  Alcotest.(check (list bool)) "batch of proved entries" [ true; true; true; true; true ]
+    (Sigcache.verify_batch cache items);
+  Alcotest.(check (pair int int)) "batch: four misses, one hit" (5, 2) (counts cache)
+
+let test_prove_cached_is_noop () =
+  let cache = Sigcache.create () in
+  let priv, pub = Scion_crypto.Schnorr.derive ~seed:"prove-cached" in
+  let items = signed_items priv pub 3 in
+  let forged =
+    let p, m, s = List.nth items 2 in
+    (p, m ^ "!", s)
+  in
+  List.iter (fun (p, m, s) -> ignore (Sigcache.verify cache p ~msg:m ~signature:s)) (forged :: items);
+  Alcotest.(check (pair int int)) "four misses" (4, 0) (counts cache);
+  Sigcache.prove cache (forged :: items);
+  Alcotest.(check (pair int int)) "prove counts nothing" (4, 0) (counts cache);
+  Alcotest.(check (list bool)) "cached verdicts unchanged" [ false; true; true; true ]
+    (Sigcache.verify_batch cache (forged :: items));
+  Alcotest.(check (pair int int)) "all hits" (4, 4) (counts cache)
+
+let test_prove_forged_records_nothing () =
+  let cache = Sigcache.create () in
+  let priv, pub = Scion_crypto.Schnorr.derive ~seed:"prove-forged" in
+  let items = signed_items priv pub 4 in
+  let forged =
+    List.mapi
+      (fun i (p, m, s) ->
+        if i = 2 then (p, m, String.mapi (fun j c -> if j = 40 then Char.chr (Char.code c lxor 1) else c) s)
+        else (p, m, s))
+      items
+  in
+  Sigcache.prove cache forged;
+  Alcotest.(check (pair int int)) "prove counts nothing" (0, 0) (counts cache);
+  Alcotest.(check (list bool)) "exact per-item verdicts" [ true; true; false; true ]
+    (Sigcache.verify_batch cache forged);
+  Alcotest.(check (pair int int)) "every item a miss" (4, 0) (counts cache);
+  Alcotest.(check (list bool)) "re-read: same verdicts" [ true; true; false; true ]
+    (Sigcache.verify_batch cache forged);
+  Alcotest.(check (pair int int)) "then all hits" (4, 4) (counts cache)
+
+let test_generations_drop_unread () =
+  let cache = Sigcache.create () in
+  let priv, pub = Scion_crypto.Schnorr.derive ~seed:"generations" in
+  let verify (p, m, s) = ignore (Sigcache.verify cache p ~msg:m ~signature:s) in
+  match signed_items priv pub 3 with
+  | [ kept; dropped; proved ] ->
+      verify kept;
+      verify dropped;
+      Sigcache.prove cache [ proved ];
+      Sigcache.next_generation cache;
+      verify kept;
+      Alcotest.(check (pair int int)) "read in the next generation: a hit" (2, 1) (counts cache);
+      Sigcache.next_generation cache;
+      verify kept;
+      Alcotest.(check (pair int int)) "read since the previous call: kept" (2, 2) (counts cache);
+      verify dropped;
+      Alcotest.(check (pair int int)) "unread for a generation: dropped" (3, 2) (counts cache);
+      verify proved;
+      Alcotest.(check (pair int int)) "proved, unread: dropped, a miss" (4, 2) (counts cache)
+  | _ -> Alcotest.fail "three items"
+
+let test_jittered_quarantine_rejected () =
+  let q_backoff = { Mesh.default_quarantine.Mesh.q_backoff with Scion_util.Backoff.jitter = 0.1 } in
+  let config =
+    { Mesh.default_config with
+      Mesh.quarantine = Some { Mesh.default_quarantine with Mesh.q_backoff } }
+  in
+  match build_mesh ~config () with
+  | _ -> Alcotest.fail "a jittered quarantine backoff was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* A seized core signs its beacons with its true key while its certificate
+   carries the attacker's, so every beacon it originates fails
+   verification, strikes and, repeated, is quarantined. Two re-beaconings
+   later every counter equals the one recorded before beacon deliveries
+   were deferred and batch-proved per sender. The seed is used by no
+   other test, so the process-wide cache holds none of these verdicts. *)
+let test_seized_rebeacon_counts () =
+  let config =
+    { Mesh.default_config with Mesh.seed = 31_337L; quarantine = Some Mesh.default_quarantine }
+  in
+  let h0 = Sigcache.hits Sigcache.global and m0 = Sigcache.misses Sigcache.global in
+  let m = build_mesh ~config () in
+  Mesh.seize_as m ~ia:c1 ~now;
+  Mesh.run_beaconing m ~now:(now +. 1.0);
+  Mesh.run_beaconing m ~now:(now +. 2.0);
+  Alcotest.(check (list int)) "failures, quarantine events, drops, sigcache hits, misses"
+    [ 10; 2; 2; 158; 61 ]
+    [
+      Mesh.verification_failures m;
+      Mesh.quarantine_events m;
+      Mesh.quarantine_drops m;
+      Sigcache.hits Sigcache.global - h0;
+      Sigcache.misses Sigcache.global - m0;
+    ]
+
 (* --- Certificate-chain verdicts in the shared sigcache ------------------- *)
 
 module Verify = Scion_cppki.Verify
@@ -943,6 +1062,12 @@ let () =
             test_quarantine_contains_corruption;
           Alcotest.test_case "seize, rotate, re-contain" `Quick test_seize_rotate_epoch;
           Alcotest.test_case "sigcache verdicts are exact" `Quick test_sigcache_exact;
+          Alcotest.test_case "prove, then one miss" `Quick test_prove_counts_as_miss;
+          Alcotest.test_case "prove on cached items" `Quick test_prove_cached_is_noop;
+          Alcotest.test_case "forged proof records nothing" `Quick test_prove_forged_records_nothing;
+          Alcotest.test_case "generations drop unread" `Quick test_generations_drop_unread;
+          Alcotest.test_case "jittered quarantine rejected" `Quick test_jittered_quarantine_rejected;
+          Alcotest.test_case "seized mesh re-beacons, same counts" `Quick test_seized_rebeacon_counts;
         ] );
       ( "chain cache",
         [

@@ -116,6 +116,17 @@ let qcheck_comb_pow_multi_matches_naive =
               (Array.of_list (List.map (fun (b, z) -> (Ref_bignum.felem_of_bignum b, z)) smalls))))
         expect)
 
+let qcheck_wide_comb_pow_matches_naive =
+  QCheck.Test.make ~name:"wide comb power = naive modpow" ~count:30
+    QCheck.(pair seed_gen exponent_arb)
+    (fun (bs, ek) ->
+      let b = Bignum.modulo (bignum_of_seed bs) p in
+      let e = exponent_of ek in
+      Ref_bignum.equal
+        (Ref_bignum.bignum_of_felem
+           (Modp.wide_comb_pow (Modp.wide_comb (Ref_bignum.felem_of_bignum b)) e))
+        (ref_pow b e))
+
 let qcheck_mul_matches_naive =
   QCheck.Test.make ~name:"flat-limb Modp.mul = naive" ~count:200
     QCheck.(pair seed_gen seed_gen)
@@ -321,6 +332,75 @@ let test_batch_edge_cases () =
   Alcotest.(check bool) "wrong-message entry fails batch" false
     (Schnorr.verify_batch [ (pub, msg, signature); (pub, "other", signature) ])
 
+(* Batches of 2-12 items under 1-3 keys with 0-2 corrupted items (one
+   signature byte flipped). With [shift], items 0 and 1 share a key and
+   carry (s_0 + d, s_1 - d): each is invalid, but their product equation
+   g^(s_0 + s_1) = r_0 r_1 pub^(e_0 + e_1) still holds, so a batch that
+   multiplied the equations without coefficients would accept it. The
+   reference checks the tampered items first, so a rejected batch costs
+   one naive verification. *)
+let qcheck_batch_mixed_keys_matches_ref =
+  QCheck.Test.make ~name:"mixed-key batch = ref_verify" ~count:20
+    QCheck.(
+      quad (pair seed_gen (int_range 1 3))
+        (list_of_size (Gen.int_range 2 12) (int_bound 2))
+        (list_of_size (Gen.int_range 0 2) (pair (int_bound 11) (int_bound 63)))
+        (pair bool seed_gen))
+    (fun ((kseed, nkeys), key_of, corrupt, (shift, dseed)) ->
+      let keys = Array.init nkeys (fun k -> Schnorr.derive ~seed:(Printf.sprintf "%s/%d" kseed k)) in
+      let n = List.length key_of in
+      let key_of = Array.of_list (List.map (fun k -> k mod nkeys) key_of) in
+      if shift then key_of.(1) <- key_of.(0);
+      let items =
+        Array.init n (fun i ->
+            let priv, pub = keys.(key_of.(i)) in
+            let msg = Printf.sprintf "beacon %d:%s" i kseed in
+            (pub, msg, Schnorr.sign priv msg))
+      in
+      let tampered = Array.make n false in
+      let s_of i = let _, _, sg = items.(i) in Bignum.of_bytes_be (String.sub sg 32 32) in
+      let with_s i s =
+        let pub, msg, sg = items.(i) in
+        items.(i) <- (pub, msg, String.sub sg 0 32 ^ Bignum.to_bytes_be ~width:32 s);
+        tampered.(i) <- true
+      in
+      let cancelling =
+        (not shift)
+        ||
+        let d = Bignum.add (Bignum.modulo (bignum_of_seed dseed) (Bignum.sub p1 Bignum.one)) Bignum.one in
+        let s0 = s_of 0 and s1 = s_of 1 in
+        with_s 0 (Bignum.modulo (Bignum.add s0 d) p1);
+        with_s 1 (Bignum.modulo (Bignum.sub (Bignum.add s1 p1) d) p1);
+        (* The shifted pair's product equation holds. *)
+        let pub_bytes = Schnorr.public_to_string (snd keys.(key_of.(0))) in
+        let r i = let _, _, sg = items.(i) in String.sub sg 0 32 in
+        let e i = let _, msg, _ = items.(i) in ref_challenge ~r_bytes:(r i) ~pub_bytes ~msg in
+        Ref_bignum.equal
+          (ref_pow g3 (Bignum.add (s_of 0) (s_of 1)))
+          (Bignum.modulo
+             (Bignum.mul
+                (Bignum.mul (Bignum.of_bytes_be (r 0)) (Bignum.of_bytes_be (r 1)))
+                (ref_pow (Bignum.of_bytes_be pub_bytes) (Bignum.add (e 0) (e 1))))
+             p)
+      in
+      List.iter
+        (fun (i, pos) ->
+          let i = i mod n in
+          let pub, msg, sg = items.(i) in
+          items.(i) <- (pub, msg, String.mapi (fun j c -> if j = pos then Char.chr (Char.code c lxor 0x01) else c) sg);
+          tampered.(i) <- true)
+        corrupt;
+      let ordered =
+        List.filter_map (fun i -> if tampered.(i) then Some items.(i) else None) (List.init n Fun.id)
+        @ List.filter_map (fun i -> if tampered.(i) then None else Some items.(i)) (List.init n Fun.id)
+      in
+      let expect =
+        List.for_all
+          (fun (pub, msg, signature) -> ref_verify ~pub_bytes:(Schnorr.public_to_string pub) ~msg ~signature)
+          ordered
+      in
+      cancelling && Schnorr.verify_batch (Array.to_list items) = expect)
+
 (* --- SHA-256 against the streaming reference ---------------------------- *)
 
 let padding_edges = [ 55; 56; 63; 64; 119; 120; 128 ]
@@ -346,6 +426,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_comb_pow_matches_naive;
           QCheck_alcotest.to_alcotest qcheck_comb_pow_multi_matches_naive;
           QCheck_alcotest.to_alcotest qcheck_reduce_exponent_matches_naive;
+          QCheck_alcotest.to_alcotest qcheck_wide_comb_pow_matches_naive;
         ] );
       ( "schnorr",
         [
@@ -359,6 +440,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_batch_of_one_equals_single;
           QCheck_alcotest.to_alcotest qcheck_batch_rejects_any_forgery;
           Alcotest.test_case "edge cases" `Quick test_batch_edge_cases;
+          QCheck_alcotest.to_alcotest qcheck_batch_mixed_keys_matches_ref;
         ] );
       ( "sha256",
         [
