@@ -443,6 +443,65 @@ let micro ?(json = false) ?(check = false) () =
              | `Rejected -> failwith "bench: traffic flow unexpectedly rejected"
            done;
            Staged.stage (fun () -> Traffic.Flow.recompute_now flows)) );
+      ( "traffic_churn_ns",
+        (* What one flow arrival plus one departure costs the flow engine
+           at ~200 active flows on a meshed topology: 200 long-lived flows
+           on random walks over a 24-node ring with 24 chords, then per
+           iteration one short flow offered and run to completion (two
+           reallocations, the cost of an e2e flows op). Each iteration
+           advances the clock 1 s; the long flows never drain, and each
+           departure leaves one far-future timer queued, so the event heap
+           grows by one entry per iteration. *)
+        Test.make ~name:"traffic churn (arrival + departure, 200 flows)"
+          (let rng = Scion_util.Rng.of_label 0xC4A7L "bench.traffic.churn" in
+           let net = Netsim.Net.create ~rng in
+           let n = 24 in
+           let nodes = Array.init n (fun i -> Netsim.Net.add_node net (Printf.sprintf "m%d" i)) in
+           let caps = [| 100.0e6; 100.0e6; 250.0e6; 40.0e6 |] in
+           let add a b =
+             let id = Netsim.Net.add_link net nodes.(a) nodes.(b) Netsim.Net.default_params in
+             Netsim.Net.set_capacity net id
+               ~bps:caps.(Scion_util.Rng.int rng (Array.length caps))
+               ~queue_pkts:64;
+             (id, a, b)
+           in
+           let links =
+             Array.of_list
+               (List.init n (fun i -> add i ((i + 1) mod n))
+               @ List.init n (fun _ ->
+                     let a = Scion_util.Rng.int rng n in
+                     add a ((a + 1 + Scion_util.Rng.int rng (n - 1)) mod n)))
+           in
+           let walk () =
+             let rec go node k acc =
+               if k = 0 then List.rev acc
+               else
+                 let incident =
+                   List.filter (fun (_, a, b) -> a = node || b = node) (Array.to_list links)
+                 in
+                 let id, a, b = List.nth incident (Scion_util.Rng.int rng (List.length incident)) in
+                 go (if a = node then b else a) (k - 1)
+                   ({ Traffic.Flow.link = id; from = nodes.(node) } :: acc)
+             in
+             go (Scion_util.Rng.int rng n) (2 + Scion_util.Rng.int rng 4) []
+           in
+           let engine = Netsim.Engine.create () in
+           let flows = Traffic.Flow.create ~engine net in
+           let population = 200 in
+           let offer hops size_bytes =
+             match Traffic.Flow.offer flows ~hops ~size_bytes with
+             | `Started _ -> ()
+             | `Rejected -> failwith "bench: traffic flow unexpectedly rejected"
+           in
+           let walks = Array.init population (fun _ -> walk ()) in
+           Array.iter (fun hops -> offer hops 1.0e15) walks;
+           let next = ref 0 in
+           Staged.stage (fun () ->
+               offer walks.(!next) 1000.0;
+               next := (!next + 1) mod population;
+               while Traffic.Flow.active_count flows > population do
+                 Netsim.Engine.run ~until:(Netsim.Engine.now engine +. 1.0) engine
+               done)) );
       ( "workload_arrivals_ns",
         (* Cost of generating one 5 s open-loop arrival window (Poisson
            thinning + Pareto sizes + weighted PoP picks), engine included. *)

@@ -485,51 +485,59 @@ let strike t (n : node) (nb : neighbor) ~now =
         | Some _ | None -> ()
       end
 
-let receive_pcb t (receiver : node) ~(expected_role : role) pcb ~now store =
+(* The gates a PCB passes before anything is counted: it must be
+   structurally sound, arrive over a declared, up link from the sender,
+   and the sender must have the expected topological role. None of them
+   reads state that a reception writes. *)
+let gate t (receiver : node) ~(expected_role : role) pcb =
   match Pcb.structural_check pcb ~receiver:receiver.nd_ia with
-  | Error _ -> false
+  | Error _ -> None
   | Ok () -> (
-      (* The PCB must arrive over a declared, up link from the sender, and
-         the sender must have the expected topological role. *)
       match sender receiver pcb with
-      | None -> false
-      | Some nb when nb.n_role <> expected_role || not t.link_arr.(nb.n_link).l_up -> false
-      | Some nb when quarantined receiver nb.n_ifid ~now ->
-          t.quarantine_drops <- t.quarantine_drops + 1;
-          (match t.obs with
-          | Some { o_quarantine_drops = Some c; _ } -> M.inc c
-          | Some _ | None -> ());
-          false
-      | Some nb ->
-          let ok =
-            if t.cfg.verify_pcbs then begin
-              (* Freshness first: a replayed beacon past its hop expiry
-                 is rejected even when its signatures still verify. *)
-              let fresh = Pcb.expiry pcb > now in
-              let valid =
-                fresh
-                &&
-                match Pcb.verify pcb ~cache:t.cache ~lookup:(cert_lookup t) ~now with
-                | Ok () -> true
-                | Error _ -> false
-              in
-              if not valid then begin
-                t.verif_failures <- t.verif_failures + 1;
-                (match t.obs with None -> () | Some o -> M.inc o.o_verif_failures);
-                strike t receiver nb ~now
-              end;
-              valid
-            end
-            else true
-          in
-          if ok then
-            match Beacon_store.insert store pcb with
-            | Beacon_store.Added | Beacon_store.Replaced -> true
-            | Beacon_store.Rejected_full | Beacon_store.Rejected_duplicate -> false
-          else false)
+      | Some nb when nb.n_role = expected_role && t.link_arr.(nb.n_link).l_up -> Some nb
+      | Some _ | None -> None)
 
-let receive t receiver ~expected_role pcb ~now store =
-  ignore (receive_pcb t receiver ~expected_role pcb ~now store)
+(* Reception of a PCB that passed [gate] from neighbor [nb]. *)
+let accept t (receiver : node) (nb : neighbor) pcb ~now store =
+  if quarantined receiver nb.n_ifid ~now then begin
+    t.quarantine_drops <- t.quarantine_drops + 1;
+    (match t.obs with
+    | Some { o_quarantine_drops = Some c; _ } -> M.inc c
+    | Some _ | None -> ());
+    false
+  end
+  else
+    let ok =
+      if t.cfg.verify_pcbs then begin
+        (* Freshness first: a replayed beacon past its hop expiry is
+           rejected even when its signatures still verify. *)
+        let fresh = Pcb.expiry pcb > now in
+        let valid =
+          fresh
+          &&
+          match Pcb.verify pcb ~cache:t.cache ~lookup:(cert_lookup t) ~now with
+          | Ok () -> true
+          | Error _ -> false
+        in
+        if not valid then begin
+          t.verif_failures <- t.verif_failures + 1;
+          (match t.obs with None -> () | Some o -> M.inc o.o_verif_failures);
+          strike t receiver nb ~now
+        end;
+        valid
+      end
+      else true
+    in
+    if ok then
+      match Beacon_store.insert store pcb with
+      | Beacon_store.Added | Beacon_store.Replaced -> true
+      | Beacon_store.Rejected_full | Beacon_store.Rejected_duplicate -> false
+    else false
+
+let receive_pcb t receiver ~expected_role pcb ~now store =
+  match gate t receiver ~expected_role pcb with
+  | None -> false
+  | Some nb -> accept t receiver nb pcb ~now store
 
 let send_once t ~sender ~egress ~kind pcb =
   (* Dedup log so each (pcb, link) pair is extended and delivered once; the
@@ -544,32 +552,44 @@ let send_once t ~sender ~egress ~kind pcb =
   end
 
 (* Deliver what one sender queued in one origination or propagation step.
-   With verification on, the entry the sender just signed on each PCB is
-   proved first, in one batch under the sender's key; then each PCB is
-   received in the order it was queued. Deferring the receptions to the
+   Each PCB passes [gate] first, and only the PCBs that pass go further.
+   With verification on, the entry the sender just signed is proved for
+   every gated PCB that is fresh and not arriving on a quarantined
+   interface, in one batch under the sender's key; then each gated PCB is
+   accepted in the order it was queued. Deferring the receptions to the
    end of the sender's step changes nothing: the step reads only its own
    stores, [sent_log], its budget, the link states and [t.rng], and
-   [receive] writes none of them (a strike draws from [t.rng] only with a
-   jittered backoff, which [create] refuses). A later node of the same
-   round, by contrast, reads stores that earlier receptions wrote, which
-   is why the batch is per sender and not per round. [Sigcache.prove]
-   counts nothing and a rejected batch records nothing, so every verdict
-   and every hit and miss is what immediate delivery would give. *)
+   [accept] writes none of them
+   (a strike draws from [t.rng] only with a jittered backoff, which
+   [create] refuses). A strike inside this delivery can only open or
+   extend a quarantine window, never shorten one, so [accept] re-checks
+   quarantine and a PCB left out of the proof for it is still dropped. A
+   later node of the same round, by contrast, reads stores that earlier
+   receptions wrote, which is why the batch is per sender and not per
+   round. [Sigcache.prove] counts nothing and a rejected batch records
+   nothing, so every verdict and every hit and miss is what immediate
+   delivery would give. *)
 let deliver t ~now queued =
+  let gated =
+    List.filter_map
+      (fun (receiver, expected_role, pcb, store) ->
+        Option.map (fun nb -> (receiver, nb, pcb, store)) (gate t receiver ~expected_role pcb))
+      queued
+  in
   if t.cfg.verify_pcbs then
     Sigcache.prove t.cache
       (List.filter_map
-         (fun (_, _, pcb, _) ->
-           match Pcb.newest_signed pcb with
-           | None -> None
-           | Some (ia, msg, signature) ->
-               Option.map
-                 (fun (as_cert, _, _) -> (as_cert.Cert.pubkey, msg, signature))
-                 (cert_lookup t ia))
-         queued);
-  List.iter
-    (fun (receiver, expected_role, pcb, store) -> receive t receiver ~expected_role pcb ~now store)
-    queued
+         (fun (receiver, nb, pcb, _) ->
+           if quarantined receiver nb.n_ifid ~now || Pcb.expiry pcb <= now then None
+           else
+             match Pcb.newest_signed pcb with
+             | None -> None
+             | Some (ia, msg, signature) ->
+                 Option.map
+                   (fun (as_cert, _, _) -> (as_cert.Cert.pubkey, msg, signature))
+                   (cert_lookup t ia))
+         gated);
+  List.iter (fun (receiver, nb, pcb, store) -> ignore (accept t receiver nb pcb ~now store)) gated
 
 let run_beaconing t ~now =
   Sigcache.next_generation t.cache;

@@ -4,7 +4,10 @@
    foreground sees the background load as consumed capacity (hybrid
    fidelity). The engine drives completions with a single pending timer
    for the earliest-finishing flow; a generation counter invalidates
-   timers made stale by a recompute. Nothing here draws randomness — all
+   timers made stale by a recompute. The per-directed-link flow index the
+   allocator reads is kept across events: an arrival appends to its links'
+   member arrays, a departure compacts them, and only the progressive
+   filling itself runs from scratch. Nothing here draws randomness — all
    stochasticity lives in [Workload] — so attaching a flow engine never
    perturbs any other RNG stream. *)
 
@@ -70,14 +73,17 @@ type metrics = {
 }
 
 (* Per-directed-link state, indexed by directed link and grown on demand.
-   [crossing] lives across recomputes; the rest is recompute scratch, valid
-   only for the directed links the current recompute uses. *)
+   [crossing], [members] and [n_members] live across recomputes; the rest
+   is recompute scratch, valid only for the directed links in use. *)
 type links = {
   mutable crossing : int array;  (* distinct active flows crossing *)
-  mutable count : int array;  (* hop entries this recompute; 0 outside it *)
-  mutable first : int array;  (* offset of the link's entries in [entries] *)
+  (* The active flows' hop entries on the link in ascending flow order, in
+     [members.(d).(0 .. n_members.(d) - 1)]: a flow crossing the link
+     twice appears twice, adjacently. Slots past the count hold [vacant]. *)
+  mutable members : flow array array;
+  mutable n_members : int array;
   mutable unfrozen : int array;
-  mutable stamp : int array;  (* last round that queued the link as touched *)
+  mutable stamp : int array;  (* last filling round or completion sweep to visit the link *)
   mutable cap : float array;
   mutable frozen_load : float array;
   mutable share : float array;
@@ -96,14 +102,19 @@ type t = {
   mutable last_update : float;
   mutable generation : int;
   links : links;
-  (* Per recompute, each used directed link's entries (indices into
-     [active]) stored contiguously in ascending flow order. *)
-  mutable entries : int array;
-  (* [used] collects this recompute's directed links; [loaded] holds the
-     last push's, ascending, zeroed before each new push so departures
-     release their capacity. *)
+  (* The directed links with at least one member, ascending: the set the
+     filling scans, kept on the first entry and the last departure. *)
   mutable used : int array;
-  mutable loaded : int array;
+  mutable n_used : int;
+  (* Links that lost their last member since the last push; the next push
+     releases the ones still empty. *)
+  mutable released : int array;
+  mutable n_released : int;
+  (* Filling scratch, sized to [used]. *)
+  mutable live : int array;
+  mutable touched : int array;
+  (* Filler for vacated slots, so no completed flow stays reachable. *)
+  vacant : flow;
   mutable round : int;
   mutable started : int;
   mutable completed : int;
@@ -150,17 +161,31 @@ let create ?metrics ?labels ?(min_rate_bps = 0.0) ?on_complete ~engine net =
     links =
       {
         crossing = [||];
-        count = [||];
-        first = [||];
+        members = [||];
+        n_members = [||];
         unfrozen = [||];
         stamp = [||];
         cap = [||];
         frozen_load = [||];
         share = [||];
       };
-    entries = [||];
     used = [||];
-    loaded = [||];
+    n_used = 0;
+    released = [||];
+    n_released = 0;
+    live = [||];
+    touched = [||];
+    vacant =
+      {
+        id = -1;
+        dirs = [||];
+        distinct = [||];
+        size = 0.0;
+        t_start = 0.0;
+        remaining = 0.0;
+        rate = 0.0;
+        frozen = false;
+      };
     round = 0;
     started = 0;
     completed = 0;
@@ -190,8 +215,8 @@ let cover net l d =
   if d >= Array.length l.crossing then begin
     let n = Int.max (d + 1) (2 * Net.num_links net) in
     l.crossing <- grow l.crossing n 0;
-    l.count <- grow l.count n 0;
-    l.first <- grow l.first n 0;
+    l.members <- grow l.members n [||];
+    l.n_members <- grow l.n_members n 0;
     l.unfrozen <- grow l.unfrozen n 0;
     l.stamp <- grow l.stamp n 0;
     l.cap <- grow l.cap n 0.0;
@@ -216,79 +241,103 @@ let elapse t =
 let refresh_share l d =
   l.share.(d) <- Float.max 0.0 (l.cap.(d) -. l.frozen_load.(d)) /. float_of_int l.unfrozen.(d)
 
-(* The frozen load on [d], summed from 0.0 over its entries in ascending
+(* The frozen load on [d], summed from 0.0 over its members in ascending
    flow order: the summation order fixes the bits of every share. *)
-let refresh_frozen_load t d =
-  let l = t.links in
+let refresh_frozen_load l d =
+  let members = l.members.(d) in
   let load = ref 0.0 in
-  for e = l.first.(d) to l.first.(d) + l.count.(d) - 1 do
-    let f = t.active.(t.entries.(e)) in
+  for e = 0 to l.n_members.(d) - 1 do
+    let f = members.(e) in
     if f.frozen then load := !load +. f.rate
   done;
   l.frozen_load.(d) <- !load
 
-(* Max-min fair share by progressive filling over flat arrays. Each round
-   freezes the unfrozen flows of the directed link with the smallest fair
-   share (ties to the smallest directed link), then re-sums the frozen
-   load only on the links those flows cross. Per recompute: O(H + U log U)
-   to group the H hop entries by the U used directed links, then per round
-   (at most U of them) an O(U) minimum scan plus a re-sum of the touched
-   links' entries — flows are bulk background load, deliberately off the
+(* Insert [d] into / remove it from the ascending [used] set. *)
+let use t d =
+  t.used <- grow t.used (t.n_used + 1) 0;
+  let k = ref t.n_used in
+  while !k > 0 && t.used.(!k - 1) > d do
+    t.used.(!k) <- t.used.(!k - 1);
+    decr k
+  done;
+  t.used.(!k) <- d;
+  t.n_used <- t.n_used + 1
+
+let unuse t d =
+  let k = ref 0 in
+  while t.used.(!k) <> d do
+    incr k
+  done;
+  Array.blit t.used (!k + 1) t.used !k (t.n_used - !k - 1);
+  t.n_used <- t.n_used - 1;
+  t.released <- grow t.released (t.n_released + 1) 0;
+  t.released.(t.n_released) <- d;
+  t.n_released <- t.n_released + 1
+
+(* Append [f], the newest active flow, to the members of every link it
+   crosses (twice for a link crossed twice), keeping flow order. *)
+let add_members t f =
+  let l = t.links in
+  Array.iter
+    (fun d ->
+      let n = l.n_members.(d) in
+      if n = 0 then use t d;
+      l.members.(d) <- grow l.members.(d) (n + 1) t.vacant;
+      l.members.(d).(n) <- f;
+      l.n_members.(d) <- n + 1)
+    f.dirs
+
+let is_done f = f.remaining <= eps_bits
+
+(* Drop the completed flows' entries from [d], keeping the survivors'
+   order, and clear the vacated slots. *)
+let compact t d =
+  let l = t.links in
+  let members = l.members.(d) and n = l.n_members.(d) in
+  let kept = ref 0 in
+  for e = 0 to n - 1 do
+    let f = members.(e) in
+    if not (is_done f) then begin
+      members.(!kept) <- f;
+      incr kept
+    end
+  done;
+  Array.fill members !kept (n - !kept) t.vacant;
+  l.n_members.(d) <- !kept;
+  if !kept = 0 then unuse t d
+
+(* Max-min fair share by progressive filling over the persistent member
+   arrays. Each round freezes the unfrozen flows of the directed link with
+   the smallest fair share (ties to the smallest directed link), then
+   re-sums the frozen load only on the links those flows cross. Per
+   recompute: O(U) to reset the U used directed links, then per round (at
+   most U of them) an O(U) minimum scan plus a re-sum of the touched
+   links' members — flows are bulk background load, deliberately off the
    per-packet hot path. *)
 let allocate t =
   let l = t.links in
-  (* Count the entries per directed link and collect the links in use. *)
-  let n_used = ref 0 and n_entries = ref 0 in
   for i = 0 to t.n_active - 1 do
-    let f = t.active.(i) in
-    f.frozen <- false;
-    for k = 0 to Array.length f.dirs - 1 do
-      let d = f.dirs.(k) in
-      if l.count.(d) = 0 then begin
-        t.used <- grow t.used (!n_used + 1) 0;
-        t.used.(!n_used) <- d;
-        incr n_used
-      end;
-      l.count.(d) <- l.count.(d) + 1
-    done;
-    n_entries := !n_entries + Array.length f.dirs
+    t.active.(i).frozen <- false
   done;
-  let used = Array.sub t.used 0 !n_used in
-  Array.sort Int.compare used;
-  let n_used = Array.length used in
-  (* CSR offsets in directed-link order, then the entries in flow order
-     ([unfrozen] doubles as the fill cursor). *)
-  t.entries <- grow t.entries !n_entries 0;
-  let next = ref 0 in
+  let n_used = t.n_used in
   for k = 0 to n_used - 1 do
-    let d = used.(k) in
+    let d = t.used.(k) in
     let link = link_of_dir d in
     (match Net.capacity t.net link with
     | Some (bps, _) -> l.cap.(d) <- bps
     | None ->
-        Array.iter (fun d -> l.count.(d) <- 0) used;
         invalid_arg (Printf.sprintf "Flow: link %d crossed by a flow has no capacity armed" link));
-    l.first.(d) <- !next;
-    next := !next + l.count.(d);
-    l.unfrozen.(d) <- 0
-  done;
-  for i = 0 to t.n_active - 1 do
-    let dirs = t.active.(i).dirs in
-    for k = 0 to Array.length dirs - 1 do
-      let d = dirs.(k) in
-      t.entries.(l.first.(d) + l.unfrozen.(d)) <- i;
-      l.unfrozen.(d) <- l.unfrozen.(d) + 1
-    done
-  done;
-  for k = 0 to n_used - 1 do
-    let d = used.(k) in
     l.frozen_load.(d) <- 0.0;
+    l.unfrozen.(d) <- l.n_members.(d);
     refresh_share l d
   done;
   (* Progressive filling. [live] holds the directed links that still have
      unfrozen entries, ascending; each scan compacts it and picks the
      smallest share with a strict [<], so ties go to the smallest link. *)
-  let live = Array.copy used and touched = Array.make n_used 0 in
+  t.live <- grow t.live n_used 0;
+  t.touched <- grow t.touched n_used 0;
+  let live = t.live and touched = t.touched in
+  Array.blit t.used 0 live 0 n_used;
   let n_live = ref n_used in
   while !n_live > 0 do
     let best = ref (-1) and best_share = ref 0.0 and kept = ref 0 in
@@ -308,8 +357,9 @@ let allocate t =
       let d = !best and share = !best_share in
       t.round <- t.round + 1;
       let n_touched = ref 0 in
-      for e = l.first.(d) to l.first.(d) + l.count.(d) - 1 do
-        let f = t.active.(t.entries.(e)) in
+      let members = l.members.(d) in
+      for e = 0 to l.n_members.(d) - 1 do
+        let f = members.(e) in
         if not f.frozen then begin
           f.frozen <- true;
           f.rate <- share;
@@ -324,36 +374,48 @@ let allocate t =
           done
         end
       done;
+      (* An unfrozen entry that no member flow holds would spin forever. *)
+      if !n_touched = 0 then invalid_arg "Flow: per-link index out of step with the active flows";
       for k = 0 to !n_touched - 1 do
         let d' = touched.(k) in
-        refresh_frozen_load t d';
+        refresh_frozen_load l d';
         if l.unfrozen.(d') > 0 then refresh_share l d'
       done
     end
   done;
   (* Every flow is frozen now, so each used link's frozen load is its full
-     sum in flow order. Release the links the last push loaded, then push
-     in ascending directed-link order. *)
-  Array.iter
-    (fun d -> Net.set_fluid_load t.net (link_of_dir d) ~from:(from_of_dir t.net d) ~bps:0.0)
-    t.loaded;
-  Array.iter
-    (fun d ->
-      Net.set_fluid_load t.net (link_of_dir d) ~from:(from_of_dir t.net d) ~bps:l.frozen_load.(d);
-      l.count.(d) <- 0)
-    used;
-  t.loaded <- used;
+     sum in flow order. Release the links that lost their last member and
+     stayed empty, then push in ascending directed-link order. *)
+  for k = 0 to t.n_released - 1 do
+    let d = t.released.(k) in
+    if l.n_members.(d) = 0 then
+      Net.set_fluid_load t.net (link_of_dir d) ~from:(from_of_dir t.net d) ~bps:0.0
+  done;
+  t.n_released <- 0;
+  for k = 0 to n_used - 1 do
+    let d = t.used.(k) in
+    Net.set_fluid_load t.net (link_of_dir d) ~from:(from_of_dir t.net d) ~bps:l.frozen_load.(d)
+  done;
   with_metrics t (fun m -> M.inc m.m_recomputes)
 
 let rec finish_due t =
   let now = Engine.now t.engine in
   (* Compact the survivors in place, releasing each finished flow's
-     admission counts before any callback can offer a new flow. *)
+     admission counts and index entries before any callback can offer a
+     new flow. *)
   let due = ref [] and kept = ref 0 in
+  t.round <- t.round + 1;
   for i = 0 to t.n_active - 1 do
     let f = t.active.(i) in
-    if f.remaining <= eps_bits then begin
-      Array.iter (fun d -> t.links.crossing.(d) <- t.links.crossing.(d) - 1) f.distinct;
+    if is_done f then begin
+      Array.iter
+        (fun d ->
+          t.links.crossing.(d) <- t.links.crossing.(d) - 1;
+          if t.links.stamp.(d) <> t.round then begin
+            t.links.stamp.(d) <- t.round;
+            compact t d
+          end)
+        f.distinct;
       due := f :: !due
     end
     else begin
@@ -361,6 +423,7 @@ let rec finish_due t =
       incr kept
     end
   done;
+  Array.fill t.active !kept (t.n_active - !kept) t.vacant;
   t.n_active <- !kept;
   List.iter
     (fun f ->
@@ -458,10 +521,11 @@ let offer t ~hops ~size_bytes =
     (* Elapse the others before the population changes, then append in id
        order and reallocate. *)
     elapse t;
-    t.active <- grow t.active (t.n_active + 1) f;
+    t.active <- grow t.active (t.n_active + 1) t.vacant;
     t.active.(t.n_active) <- f;
     t.n_active <- t.n_active + 1;
     Array.iter (fun d -> t.links.crossing.(d) <- t.links.crossing.(d) + 1) distinct;
+    add_members t f;
     t.started <- t.started + 1;
     with_metrics t (fun m ->
         M.inc m.m_started;

@@ -4,9 +4,11 @@
     fair share, recomputed on each arrival and departure; between
     recomputes every rate is constant, so per-flow byte integration is
     exact, not sampled. The allocator is progressive filling over flat
-    arrays: each recompute groups the flows' hops per directed link
-    (ascending flow order), then each round freezes the flows of the
-    directed link with the smallest fair share (ties to the lowest
+    arrays: each directed link keeps the hop entries of the active flows
+    crossing it in ascending flow order, across events (an arrival
+    appends, a departure compacts the links it crossed). Each recompute
+    fills from scratch over that index: each round freezes the flows of
+    the directed link with the smallest fair share (ties to the lowest
     [(link, from)]) and re-sums the frozen load only on the links those
     flows cross. Shares and pushed loads are summed in ascending flow
     order, so the allocation is a deterministic function of the active

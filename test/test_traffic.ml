@@ -398,6 +398,119 @@ let random_walk net rng links ~start ~len =
   in
   go start len []
 
+(* The engine under test beside a model of its active set: (id, hops) in
+   id order, pruned to what the engine still carries after each event. *)
+type harness = {
+  h_net : Net.t;
+  h_links : Net.link_id array;
+  h_engine : Engine.t;
+  h_flows : Flow.t;
+  h_min_rate_bps : float;
+  mutable h_active : (int * Flow.hop array) list;
+}
+
+let harness ?(min_rate_bps = 0.0) net links =
+  let engine = Engine.create () in
+  {
+    h_net = net;
+    h_links = links;
+    h_engine = engine;
+    h_flows = Flow.create ~min_rate_bps ~engine net;
+    h_min_rate_bps = min_rate_bps;
+    h_active = [];
+  }
+
+(* Every active rate and every directed link's fluid load equal the
+   reference allocation bit for bit, and the allocation is max-min fair. *)
+let check_allocation h what =
+  let net = h.h_net and flows = h.h_flows in
+  h.h_active <- List.filter (fun (id, _) -> Flow.rate flows id <> None) h.h_active;
+  if List.length h.h_active <> Flow.active_count flows then
+    QCheck.Test.fail_reportf "%s: model holds %d flows, engine %d" what
+      (List.length h.h_active) (Flow.active_count flows);
+  let rates, sums = reference_allocate net (List.map snd h.h_active) in
+  List.iter2
+    (fun (id, _) r ->
+      match Flow.rate flows id with
+      | Some r' when Float.equal r r' -> ()
+      | got ->
+          QCheck.Test.fail_reportf "%s: flow %d rate %s, reference %h" what id
+            (match got with Some x -> Printf.sprintf "%h" x | None -> "none")
+            r)
+    h.h_active rates;
+  Array.iter
+    (fun l ->
+      let a, b = Net.endpoints net l in
+      List.iter
+        (fun from ->
+          let want = Option.value (LMap.find_opt (l, from) sums) ~default:0.0 in
+          let got = Net.fluid_load net l ~from in
+          if not (Float.equal want got) then
+            QCheck.Test.fail_reportf "%s: link %d from %d carries %h, reference %h" what l from
+              got want)
+        [ a; b ])
+    h.h_links;
+  (* Max-min: each flow is bottlenecked on a saturated link where no flow
+     gets more than it does. *)
+  List.iter2
+    (fun (id, (hops : Flow.hop array)) r ->
+      let bottleneck (h' : Flow.hop) =
+        let cap = match Net.capacity net h'.Flow.link with Some (c, _) -> c | None -> 0.0 in
+        let load = Net.fluid_load net h'.Flow.link ~from:h'.Flow.from in
+        Float.abs (load -. cap) <= 1e-9 *. cap
+        && List.for_all2
+             (fun (_, hops') r' ->
+               (not
+                  (Array.exists
+                     (fun (x : Flow.hop) ->
+                       x.Flow.link = h'.Flow.link && x.Flow.from = h'.Flow.from)
+                     hops'))
+               || r' <= r *. (1.0 +. 1e-9))
+             h.h_active rates
+      in
+      if not (Array.exists bottleneck hops) then
+        QCheck.Test.fail_reportf "%s: flow %d (rate %g) has no bottleneck link" what id r)
+    h.h_active rates
+
+(* Offer [hops] now, check admission against the reference bound and the
+   allocation against the reference; the started id, if any. *)
+let offer_checked h hops ~size_bytes =
+  let arr = Array.of_list hops in
+  let expect = reference_admissible h.h_net ~min_rate_bps:h.h_min_rate_bps h.h_active arr in
+  let started =
+    match Flow.offer h.h_flows ~hops ~size_bytes with
+    | `Started id ->
+        if not expect then QCheck.Test.fail_reportf "flow %d admitted, reference rejects" id;
+        h.h_active <- h.h_active @ [ (id, arr) ];
+        Some id
+    | `Rejected ->
+        if expect then QCheck.Test.fail_report "flow rejected, reference admits";
+        None
+  in
+  check_allocation h "offer";
+  started
+
+(* Run the engine dry, checking after every event; true once drained. *)
+let drain_checked h =
+  while Engine.step h.h_engine do
+    check_allocation h "event"
+  done;
+  Flow.active_count h.h_flows = 0
+
+(* Random walks from random starts, offered at random times in [0, 2) s
+   (the first [pinned] specs at 0), then a checked drain. *)
+let random_churn rng h ~nodes ~n ~specs ~pinned =
+  List.iteri
+    (fun i hops ->
+      let at = if i < pinned then 0.0 else float_of_int (Rng.int rng 2000) /. 1000.0 in
+      let size_bytes = float_of_int (1 + Rng.int rng 200) *. 1000.0 in
+      Engine.schedule_at h.h_engine ~time:at (fun () -> ignore (offer_checked h hops ~size_bytes)))
+    (specs
+    @ List.init n (fun _ ->
+          random_walk h.h_net rng h.h_links ~start:(Rng.int rng nodes)
+            ~len:(1 + Rng.int rng 4)));
+  drain_checked h
+
 let qcheck_differential =
   QCheck.Test.make ~name:"array allocator matches the reference, bit for bit" ~count:200
     QCheck.(triple (int_bound 100_000) (int_range 3 6) (int_range 2 30))
@@ -405,87 +518,81 @@ let qcheck_differential =
       let rng = Rng.of_label (Int64.of_int seed) "test.traffic.differential" in
       let net, links = random_mesh rng n (Rng.int rng 4) in
       let min_rate_bps = if Rng.bool rng then 0.0 else 150_000.0 in
-      let engine = Engine.create () in
-      let flows = Flow.create ~min_rate_bps ~engine net in
-      (* The model: active (id, hops) in id order, pruned to what the
-         engine still carries after each event. *)
-      let active = ref [] in
-      let check_allocation what =
-        active := List.filter (fun (id, _) -> Flow.rate flows id <> None) !active;
-        if List.length !active <> Flow.active_count flows then
-          QCheck.Test.fail_reportf "%s: model holds %d flows, engine %d" what
-            (List.length !active) (Flow.active_count flows);
-        let rates, sums = reference_allocate net (List.map snd !active) in
-        List.iter2
-          (fun (id, _) r ->
-            match Flow.rate flows id with
-            | Some r' when Float.equal r r' -> ()
-            | got ->
-                QCheck.Test.fail_reportf "%s: flow %d rate %s, reference %h" what id
-                  (match got with Some x -> Printf.sprintf "%h" x | None -> "none")
-                  r)
-          !active rates;
-        Array.iter
-          (fun l ->
-            let a, b = Net.endpoints net l in
-            List.iter
-              (fun from ->
-                let want = Option.value (LMap.find_opt (l, from) sums) ~default:0.0 in
-                let got = Net.fluid_load net l ~from in
-                if not (Float.equal want got) then
-                  QCheck.Test.fail_reportf "%s: link %d from %d carries %h, reference %h" what l
-                    from got want)
-              [ a; b ])
-          links;
-        (* Max-min: each flow is bottlenecked on a saturated link where no
-           flow gets more than it does. *)
-        List.iter2
-          (fun (id, (hops : Flow.hop array)) r ->
-            let bottleneck (h : Flow.hop) =
-              let cap = match Net.capacity net h.Flow.link with Some (c, _) -> c | None -> 0.0 in
-              let load = Net.fluid_load net h.Flow.link ~from:h.Flow.from in
-              Float.abs (load -. cap) <= 1e-9 *. cap
-              && List.for_all2
-                   (fun (_, hops') r' ->
-                     (not
-                        (Array.exists
-                           (fun (h' : Flow.hop) ->
-                             h'.Flow.link = h.Flow.link && h'.Flow.from = h.Flow.from)
-                           hops'))
-                     || r' <= r *. (1.0 +. 1e-9))
-                   !active rates
-            in
-            if not (Array.exists bottleneck hops) then
-              QCheck.Test.fail_reportf "%s: flow %d (rate %g) has no bottleneck link" what id r)
-          !active rates
-      in
+      let h = harness ~min_rate_bps net links in
       (* Two flows enter link 0 from either end, then random walks. *)
       let l0 = links.(0) in
       let a0, b0 = Net.endpoints net l0 in
-      let specs =
-        [ [ { Flow.link = l0; from = a0 } ]; [ { Flow.link = l0; from = b0 } ] ]
-        @ List.init n_flows (fun _ ->
-              random_walk net rng links ~start:(Rng.int rng n) ~len:(1 + Rng.int rng 4))
-      in
-      List.iteri
-        (fun i hops ->
-          let at = if i < 2 then 0.0 else float_of_int (Rng.int rng 2000) /. 1000.0 in
-          let size_bytes = float_of_int (1 + Rng.int rng 200) *. 1000.0 in
-          Engine.schedule_at engine ~time:at (fun () ->
-              let arr = Array.of_list hops in
-              let expect = reference_admissible net ~min_rate_bps !active arr in
-              (match Flow.offer flows ~hops ~size_bytes with
-              | `Started id ->
-                  if not expect then QCheck.Test.fail_reportf "flow %d admitted, reference rejects" id;
-                  active := !active @ [ (id, arr) ]
-              | `Rejected ->
-                  if expect then QCheck.Test.fail_report "flow rejected, reference admits");
-              check_allocation "offer"))
-        specs;
-      while Engine.step engine do
-        check_allocation "event"
-      done;
-      Flow.active_count flows = 0)
+      random_churn rng h ~nodes:n ~n:n_flows ~pinned:2
+        ~specs:[ [ { Flow.link = l0; from = a0 } ]; [ { Flow.link = l0; from = b0 } ] ])
+
+(* --- The persistent per-link flow index -------------------------------- *)
+
+let started = function Some id -> id | None -> Alcotest.fail "flow rejected"
+
+(* Three equal flows over links 0-1 and a long one over links 1-2 all get
+   a quarter of link 1; the three finish in one event, leaving link 0
+   empty and the long flow alone on links 1-2. *)
+let test_same_instant_departures () =
+  let net, nodes, links = chain ~cap:1e6 3 in
+  let h = harness net links in
+  for _ = 1 to 3 do
+    ignore (started (offer_checked h (hops_of links nodes 0 2) ~size_bytes:125_000.0))
+  done;
+  let long = started (offer_checked h (hops_of links nodes 1 2) ~size_bytes:1e9) in
+  (* 1 Mbit each at 250 kbps: done at 4 s. *)
+  Engine.run ~until:5.0 h.h_engine;
+  check_allocation h "departures";
+  Alcotest.(check int) "all three done" 3 (Flow.stats h.h_flows).Flow.completed;
+  Alcotest.(check (option (float 0.0))) "long flow takes the link" (Some 1e6)
+    (Flow.rate h.h_flows long);
+  Alcotest.(check (float 0.0)) "link 0 released" 0.0 (Net.fluid_load net links.(0) ~from:nodes.(0));
+  Alcotest.(check bool) "drains" true (drain_checked h)
+
+(* A flow walking n0 -> n1 -> n0 -> n1 holds two entries on the directed
+   link (l0, n0); its departure must take both. *)
+let test_double_crossing_departs () =
+  let net, nodes, links = chain ~cap:1e6 1 in
+  let h = harness net links in
+  let fwd = { Flow.link = links.(0); from = nodes.(0) }
+  and back = { Flow.link = links.(0); from = nodes.(1) } in
+  let long = started (offer_checked h [ fwd ] ~size_bytes:1e9) in
+  let twice = started (offer_checked h [ fwd; back; fwd ] ~size_bytes:1e5) in
+  Alcotest.(check (option (float 0.0))) "a third of the link per entry" (Some (1e6 /. 3.0))
+    (Flow.rate h.h_flows twice);
+  (* 800 kbit at a third of 1 Mbps: done at 2.4 s. *)
+  Engine.run ~until:3.0 h.h_engine;
+  check_allocation h "departure";
+  Alcotest.(check (option (float 0.0))) "gone" None (Flow.rate h.h_flows twice);
+  Alcotest.(check (option (float 0.0))) "long flow takes the link" (Some 1e6)
+    (Flow.rate h.h_flows long);
+  Alcotest.(check (float 0.0)) "reverse released" 0.0
+    (Net.fluid_load net links.(0) ~from:nodes.(1));
+  Alcotest.(check bool) "drains" true (drain_checked h)
+
+(* Link 1 loses its only flow, carries nothing, then takes a new one. *)
+let test_link_reused () =
+  let net, nodes, links = chain ~cap:1e6 2 in
+  let h = harness net links in
+  ignore (started (offer_checked h (hops_of links nodes 0 1) ~size_bytes:1e9));
+  ignore (started (offer_checked h (hops_of links nodes 1 1) ~size_bytes:1e5));
+  (* 800 kbit at 1 Mbps: done at 0.8 s. *)
+  Engine.run ~until:1.0 h.h_engine;
+  check_allocation h "departure";
+  Alcotest.(check int) "link 1's flow done" 1 (Flow.stats h.h_flows).Flow.completed;
+  Alcotest.(check (float 0.0)) "link 1 empty" 0.0 (Net.fluid_load net links.(1) ~from:nodes.(1));
+  ignore (started (offer_checked h (hops_of links nodes 0 2) ~size_bytes:1e5));
+  Alcotest.(check (float 0.0)) "link 1 reused" 5e5 (Net.fluid_load net links.(1) ~from:nodes.(1));
+  Alcotest.(check bool) "drains" true (drain_checked h)
+
+let qcheck_index_churn =
+  QCheck.Test.make ~name:"index churn = reference" ~count:20
+    QCheck.(triple (int_bound 100_000) (int_range 8 12) (int_range 40 120))
+    (fun (seed, n, n_flows) ->
+      let rng = Rng.of_label (Int64.of_int seed) "test.traffic.churn" in
+      let net, links = random_mesh rng n (n / 2 + Rng.int rng n) in
+      let min_rate_bps = if Rng.bool rng then 0.0 else 50_000.0 in
+      random_churn rng (harness ~min_rate_bps net links) ~nodes:n ~n:n_flows ~specs:[]
+        ~pinned:0)
 
 (* --- Workload generator ------------------------------------------------ *)
 
@@ -737,6 +844,10 @@ let () =
           Alcotest.test_case "admission counts per direction" `Quick test_admission_counts;
           QCheck_alcotest.to_alcotest qcheck_fair_share_and_conservation;
           QCheck_alcotest.to_alcotest qcheck_differential;
+          Alcotest.test_case "same-instant departures" `Quick test_same_instant_departures;
+          Alcotest.test_case "double crossing departs" `Quick test_double_crossing_departs;
+          Alcotest.test_case "emptied link reused" `Quick test_link_reused;
+          QCheck_alcotest.to_alcotest qcheck_index_churn;
         ] );
       ( "workload",
         [
