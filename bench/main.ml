@@ -5,23 +5,21 @@
    Usage:
      dune exec bench/main.exe              # every figure, then micro
      dune exec bench/main.exe -- fig5      # one artefact
-     dune exec bench/main.exe -- fig5 --full    # one artefact at full scale
      dune exec bench/main.exe -- micro     # microbenchmarks only
      dune exec bench/main.exe -- micro --json   # also write BENCH_micro.json
      dune exec bench/main.exe -- micro --check  # fast key-set guard vs BENCH_micro.json
-     dune exec bench/main.exe -- golden [--promote] [--full] [--dir DIR]
+     dune exec bench/main.exe -- golden [--promote] [--dir DIR]
      dune exec bench/main.exe -- chaos     # Jan 21 / Feb 6 incident replays
      dune exec bench/main.exe -- topogen [N] [SEED]  # dump a generated topology
      dune exec bench/main.exe -- compare A.exe B.exe [--workload W] [--pairs N]
                                    [--seconds S] [--seed N]  # alternating e2e pairs
    Artefacts: every id of Harness.Evidence.ids, plus micro. A figure's
    stdout is its Harness.Evidence table, byte-identical to
-   test/golden/<id>/table.txt (test/golden-full/<id>/table.txt under
-   --full); its wall-clock timing line goes to stderr. --full starts the
-   one Harness.Evidence session of the run at full scale instead of the
-   evidence scale; every figure and golden command of the run shares that
-   session. Library report functions append to a Buffer that
-   Harness.Evidence renders into the table this driver prints. *)
+   test/golden/<id>/table.txt; its wall-clock timing line goes to stderr.
+   Every figure and golden command of the run shares one Harness.Evidence
+   session, so figures of one dataset cost one experiment run. Library
+   report functions append to a Buffer that Harness.Evidence renders into
+   the table this driver prints. *)
 
 let time_section name f =
   (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
@@ -621,17 +619,15 @@ let micro ?(json = false) ?(check = false) () =
 
 (* --- Golden evidence ----------------------------------------------------- *)
 
-(* `main.exe golden [--promote] [--full] [--dir DIR]`: check (default) or
-   refresh the checked-in per-figure evidence under test/golden/. Checking
-   exits non-zero and prints unified diffs when any golden is stale;
-   promoting rewrites only the files that changed. Under `--full` the
-   golden directory defaults to test/golden-full (the opt-in @golden-full
-   tier). *)
-let golden session ~full rest =
+(* `main.exe golden [--promote] [--dir DIR]`: check (default) or refresh
+   the checked-in per-figure evidence under test/golden/. Checking exits
+   non-zero and prints unified diffs when any golden is stale; promoting
+   rewrites only the files that changed. *)
+let golden session rest =
   let rec dir_of = function
     | "--dir" :: d :: _ -> d
     | _ :: tl -> dir_of tl
-    | [] -> Filename.concat "test" (if full then "golden-full" else "golden")
+    | [] -> Filename.concat "test" "golden"
   in
   let dir = dir_of rest in
   if List.mem "--promote" rest then begin
@@ -857,8 +853,8 @@ let compare_e2e rest =
 
 (* --- Driver -------------------------------------------------------------- *)
 
-(* A figure prints its Harness.Evidence table, so the output is the golden
-   evidence of the session's scale. *)
+(* A figure prints its Harness.Evidence table, so the output is its golden
+   evidence. *)
 let artefact session ~json ~check = function
   | "micro" -> micro ~json ~check ()
   | id when List.mem id Harness.Evidence.ids ->
@@ -872,11 +868,10 @@ let () =
   let args = match Array.to_list Sys.argv with [] -> [] | _exe :: rest -> rest in
   let json = List.mem "--json" args in
   let check = List.mem "--check" args in
-  let full = List.mem "--full" args in
-  let args = List.filter (fun a -> not (List.mem a [ "--json"; "--check"; "--full" ])) args in
-  let session = Harness.Evidence.start ~full in
+  let args = List.filter (fun a -> not (List.mem a [ "--json"; "--check" ])) args in
+  let session = Harness.Evidence.start () in
   match args with
-  | "golden" :: rest -> golden session ~full rest
+  | "golden" :: rest -> golden session rest
   | [ "chaos" ] -> chaos ()
   | "compare" :: rest -> compare_e2e rest
   | "topogen" :: rest -> topogen_cli rest

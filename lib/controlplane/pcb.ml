@@ -161,12 +161,13 @@ let verify t ~cache ~lookup ~now =
        an unchanged chain is verified once per key epoch. One writer encodes
        the PCB once: entry i's message is snapshot after its unsigned
        fields, then its signature is appended for the entries after it.
-       Pass 2: the entry signatures go through one [Sigcache.verify_batch].
-       In steady state a received PCB extends an already-verified prefix by
-       one entry, so there is a single miss. During beaconing that entry
-       was already proved in its sender's batch ([Sigcache.prove]), so the
-       miss runs no crypto; only a PCB with several unseen entries pays a
-       batched check here. *)
+       Pass 2: every entry signature is looked up in [cache], all of them
+       even after a bad one, and the first bad entry is reported. In steady
+       state a received PCB extends an already-verified prefix by one
+       entry, so there is a single miss. During beaconing that entry was
+       already proved in its sender's batch ([Sigcache.prove]), so the miss
+       runs no crypto; only an entry nobody proved pays a Schnorr check
+       here. *)
     let w = Rw.Writer.create () in
     encode_header w t;
     let rec collect acc = function
@@ -184,20 +185,18 @@ let verify t ~cache ~lookup ~now =
                   encode_unsigned w e;
                   let msg = Rw.Writer.contents w in
                   encode_signature w e;
-                  collect ((e.ia, (as_cert.Scion_cppki.Cert.pubkey, msg, e.signature)) :: acc) rest))
+                  collect ((e.ia, as_cert.Scion_cppki.Cert.pubkey, msg, e.signature) :: acc) rest))
     in
     match collect [] t.entries with
     | Error _ as err -> err
     | Ok items ->
-        let verdicts = Sigcache.verify_batch cache (List.map snd items) in
-        let rec first_bad items verdicts =
-          match (items, verdicts) with
-          | (ia, _) :: _, false :: _ ->
-              Error (Bad_signature (ia, "PCB entry signature does not verify"))
-          | _ :: irest, _ :: vrest -> first_bad irest vrest
-          | _, _ -> Ok ()
-        in
-        first_bad items verdicts
+        List.fold_left
+          (fun first_bad (ia, pub, msg, signature) ->
+            let ok = Sigcache.verify cache pub ~msg ~signature in
+            match first_bad with
+            | Ok () when not ok -> Error (Bad_signature (ia, "PCB entry signature does not verify"))
+            | _ -> first_bad)
+          (Ok ()) items
   end
 
 let interface_fingerprint t =

@@ -92,44 +92,6 @@ let verify t pub ~msg ~signature =
       Table.replace t.current k (if v then Valid else Invalid);
       v
 
-(* Cache lookups first, then one batched Schnorr pass over the misses in
-   first-seen order. A miss claims its slot at once (a proved entry with
-   [Valid], any other with a provisional [Invalid]), so a duplicate later
-   in the same batch counts as a hit; the verdicts below overwrite every
-   claim. Schnorr.verify_batch is all-or-nothing, so a rejected batch
-   falls back to per-signature verification to attribute the failure;
-   either way each result lands in the cache, so re-receiving the same PCB
-   is pure hits. *)
-let verify_batch t items =
-  let keys = List.map (fun (pub, msg, signature) -> key pub ~msg ~signature) items in
-  let misses =
-    List.fold_left2
-      (fun misses k item ->
-        match find t k with
-        | Some (Valid | Invalid) ->
-            t.hit_count <- t.hit_count + 1;
-            misses
-        | Some Proved ->
-            t.miss_count <- t.miss_count + 1;
-            Table.replace t.current k Valid;
-            misses
-        | None ->
-            t.miss_count <- t.miss_count + 1;
-            Table.replace t.current k Invalid;
-            (k, item) :: misses)
-      [] keys items
-    |> List.rev
-  in
-  if Scion_crypto.Schnorr.verify_batch (List.map snd misses) then
-    List.iter (fun (k, _) -> Table.replace t.current k Valid) misses
-  else
-    List.iter
-      (fun (k, (p, m, s)) ->
-        let v = Scion_crypto.Schnorr.verify p ~msg:m ~signature:s in
-        Table.replace t.current k (if v then Valid else Invalid))
-      misses;
-  List.map (fun k -> Table.find_opt t.current k = Some Valid) keys
-
 (* Only the items the table has never seen are checked, first-seen and
    once each. Nothing is counted, and a rejected batch records nothing,
    so every later lookup pays exactly what it would have without this

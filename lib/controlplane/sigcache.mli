@@ -46,15 +46,9 @@ val set_epoch : t -> string -> unit
 
 val verify :
   t -> Scion_crypto.Schnorr.public_key -> msg:string -> signature:string -> bool
-
-val verify_batch :
-  t -> (Scion_crypto.Schnorr.public_key * string * string) list -> bool list
-(** [verify_batch t [(pub, msg, signature); ...]] returns one verdict per
-    item, in order. Cached triples are answered from the table; the misses
-    are checked in a single {!Scion_crypto.Schnorr.verify_batch}
-    random-linear-combination pass, in first-seen order (a duplicate within
-    the batch counts as a hit). If the batched check rejects, each miss is re-verified
-    individually so verdicts stay exact per item. All results are cached. *)
+(** The verdict for one triple: from the table when it holds one (a hit,
+    or the miss that first reads a {!prove}d entry), otherwise from one
+    {!Scion_crypto.Schnorr.verify}, which is then cached (a miss). *)
 
 val prove :
   t -> (Scion_crypto.Schnorr.public_key * string * string) list -> unit

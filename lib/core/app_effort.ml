@@ -45,7 +45,6 @@ let cases =
   ]
 
 let print_app_effort b =
-  Printf.bprintf b "== Section 5.2: application enablement effort ==\n";
   Buffer.add_string b (Scion_util.Table.render
     ~header:[ "application"; "paper equivalent"; "LoC delta" ]
     ~rows:

@@ -442,8 +442,9 @@ let strictly_contained cells scales attack =
     scales
 
 let seed = 0xADD5_EC4EL
+let topogen_ases = 600
 
-let run ~topogen_ases ?telemetry () =
+let run () =
   (* Dedicated streams: attaching the adversary never touches a workload
      stream, and measurement sampling never touches the adversary's. *)
   let rng_adv = Rng.of_label seed "fault.adv" in
@@ -498,30 +499,16 @@ let run ~topogen_ases ?telemetry () =
   let classes_contained =
     List.length (List.filter (strictly_contained cells scale_names) attacks)
   in
-  let result =
-    {
-      cells;
-      scales = scale_names;
-      classes_contained;
-      quarantine_events = !q_events;
-      quarantine_drops = !q_drops;
-      scmp_suppressed = !suppressed;
-      poisoned_revocations = !poisoned;
-      rotations = !rotations;
-    }
-  in
-  (match telemetry with
-  | None -> ()
-  | Some o ->
-      let module M = Telemetry.Metrics in
-      let reg = Obs.registry o in
-      M.add (M.counter reg "exp.adversary.classes_contained") result.classes_contained;
-      M.add (M.counter reg "exp.adversary.quarantine_events") result.quarantine_events;
-      M.add (M.counter reg "exp.adversary.quarantine_drops") result.quarantine_drops;
-      M.add (M.counter reg "exp.adversary.scmp_suppressed") result.scmp_suppressed;
-      M.add (M.counter reg "exp.adversary.poisoned_revocations") result.poisoned_revocations;
-      M.add (M.counter reg "exp.adversary.rotations") result.rotations);
-  result
+  {
+    cells;
+    scales = scale_names;
+    classes_contained;
+    quarantine_events = !q_events;
+    quarantine_drops = !q_drops;
+    scmp_suppressed = !suppressed;
+    poisoned_revocations = !poisoned;
+    rotations = !rotations;
+  }
 
 (* --- Rendering --------------------------------------------------------- *)
 

@@ -48,15 +48,14 @@ val blast_scalar : cell -> float
 (** The class-specific blast-radius scalar of a cell. *)
 
 (* scion-lint: rng-stream fault.adv -- the experiment builds the adversary stream itself; workload sampling uses a private stream *)
-val run : topogen_ases:int -> ?telemetry:Obs.t -> unit -> result
+val run : unit -> result
 (** Run the full grid (8 classes x 2 scales x defences on/off), the second
-    scale a [topogen_ases]-AS generated mesh. The seed is fixed at
+    scale a 600-AS generated mesh. The seed is fixed at
     [0xADD5_EC4E], so the containment figure is byte-reproducible; the
     adversary and workload streams are labelled from it. The 29-AS
     networks keep 4 beacons per origin and the generated ones 2, which
     keeps the grid of networks cheap to beacon. PCB verification is
-    on exactly in the defended cells: it is the defence under test. With
-    [?telemetry], aggregate counters land under [exp.adversary.*]. *)
+    on exactly in the defended cells: it is the defence under test. *)
 
 val print_containment : Buffer.t -> result -> unit
 (** Append the containment table plus the defence-ledger summary line to

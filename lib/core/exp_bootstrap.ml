@@ -54,18 +54,15 @@ let make_server () =
 let seed = 0xB007L
 let runs = 30
 
-let run ?telemetry () =
+let run ~telemetry =
   let server, as_key = make_server () in
   (* No Network underneath this experiment: the metrics evidence is the
      timing distribution itself, one summary per OS and stage. *)
   let record_stage =
-    match telemetry with
-    | None -> fun ~os:_ ~stage:_ _ -> ()
-    | Some obs ->
-        let module M = Telemetry.Metrics in
-        let reg = Obs.registry obs in
-        fun ~os ~stage ms ->
-          M.record (M.summary reg ~labels:[ ("os", os); ("stage", stage) ] "exp.fig4.latency_ms") ms
+    let module M = Telemetry.Metrics in
+    let reg = Obs.registry telemetry in
+    fun ~os ~stage ms ->
+      M.record (M.summary reg ~labels:[ ("os", os); ("stage", stage) ] "exp.fig4.latency_ms") ms
   in
   let per_os =
     List.map
@@ -134,7 +131,6 @@ let print_fig4 b r =
     (if r.all_medians_under_ms < 150.0 then "under" else "OVER")
 
 let print_table2 b =
-  Printf.bprintf b "== Table 2: hinting mechanisms vs network environment ==\n";
   let envs =
     [
       ("static", { Hints.static_ips_only = true; dhcp = false; dhcpv6 = false; ipv6_ras = false; dns_search_domain = false });

@@ -20,9 +20,9 @@ type result = {
   timeseries : (float * float) list;
 }
 
-let run ~days ?telemetry () =
-  let net = Network.create ~per_origin:8 ~verify_pcbs:false ?telemetry () in
-  let raw = Multiping.run net ~days () in
+let run ~telemetry =
+  let net = Network.create ~per_origin:8 ~verify_pcbs:false ~telemetry () in
+  let raw = Multiping.run net () in
   let ds = Multiping.excluded_ip_majority raw in
   let scion_rtts =
     Array.of_list (List.filter_map (fun s -> s.Multiping.scion_rtt) ds.Multiping.samples)

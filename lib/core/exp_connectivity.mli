@@ -29,15 +29,15 @@ type result = {
   timeseries : (float * float) list;  (** (day, median pair ratio). *)
 }
 
-val run : days:float -> ?telemetry:Obs.t -> unit -> result
-(** A [days]-long multiping campaign ({!Incidents.window_days} is the
-    paper's) with {!Multiping.default_config}. The network uses
+val run : telemetry:Obs.t -> result
+(** The paper's {!Incidents.window_days}-long multiping campaign with
+    {!Multiping.default_config}. The network uses
     {!Network.create}'s default seed, so Figures 5-7 come from the same
     fabric draws as the other SCIERA figures. It keeps 8 beacons per origin,
     which bounds the cost of the re-beaconing at every incident change point
     of the campaign. PCB verification is off: an honest run forges no
     beacon, so verifying changes no table, only the sigcache gauges, and it
-    slowed the full golden tier 2.8-fold. [?telemetry] threads an
+    slowed the golden suite 2.8-fold. [~telemetry] threads an
     observability bundle through the underlying {!Network.create}, so the
     campaign's router/beacon/link counters land in the bundle's registry —
     the per-figure metrics evidence the golden harness checks in. Attaching

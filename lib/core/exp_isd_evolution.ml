@@ -37,8 +37,8 @@ type result = {
   regional_domains : (string * int) list;
 }
 
-let run ?telemetry () =
-  let net = Network.create ~per_origin:6 ~verify_pcbs:false ?telemetry () in
+let run ~telemetry =
+  let net = Network.create ~per_origin:6 ~verify_pcbs:false ~telemetry () in
   let all = List.map (fun (a : Topology.as_info) -> a.Topology.ia) Topology.ases in
   let pairs =
     List.concat_map
@@ -76,23 +76,20 @@ let run ?telemetry () =
   let regional_domains =
     List.map (fun s -> (s.failed_domain, s.dead_ases)) regional
   in
-  (match telemetry with
-  | None -> ()
-  | Some obs ->
-      let module M = Telemetry.Metrics in
-      let reg = Obs.registry obs in
-      let publish governance scenarios =
-        List.iter
-          (fun s ->
-            M.set
-              (M.gauge reg
-                 ~labels:[ ("domain", s.failed_domain); ("governance", governance) ]
-                 "exp.isd.pairs_lost")
-              s.pairs_lost)
-          scenarios
-      in
-      publish "single" single;
-      publish "regional" regional);
+  let module M = Telemetry.Metrics in
+  let reg = Obs.registry telemetry in
+  let publish governance scenarios =
+    List.iter
+      (fun s ->
+        M.set
+          (M.gauge reg
+             ~labels:[ ("domain", s.failed_domain); ("governance", governance) ]
+             "exp.isd.pairs_lost")
+          s.pairs_lost)
+      scenarios
+  in
+  publish "single" single;
+  publish "regional" regional;
   { single; regional; single_avg_blast = avg single; regional_avg_blast = avg regional; regional_domains }
 
 let print_report b r =

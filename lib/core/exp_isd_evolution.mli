@@ -27,11 +27,11 @@ type result = {
   regional_domains : (string * int) list;  (** (domain, ASes governed). *)
 }
 
-val run : ?telemetry:Obs.t -> unit -> result
+val run : telemetry:Obs.t -> result
 (** The network uses {!Network.create}'s default seed, so the figure is
     byte-reproducible, and 6 beacons per origin: a pair survives if any path
     avoids the dead ASes, so a small store suffices. PCBs are not verified,
-    since no beacon is forged. [?telemetry] instruments the underlying
+    since no beacon is forged. [~telemetry] instruments the underlying
     network and additionally publishes one
     [exp.isd.pairs_lost{domain,governance}] gauge per scenario. *)
 

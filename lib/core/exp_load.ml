@@ -123,7 +123,7 @@ let spaced_ases n (ases : Topology.as_info list) =
 let make_ctx ~seed ~telemetry ~name ~topogen_n =
   let net =
     match topogen_n with
-    | None -> Network.create ~seed ~per_origin:4 ~verify_pcbs:false ?telemetry ()
+    | None -> Network.create ~seed ~per_origin:4 ~verify_pcbs:false ~telemetry ()
     | Some n_ases ->
         (* Telemetry-less at topogen scale: per-AS labelled stack series
            would explode the snapshot (same reason as the scaling figure). *)
@@ -238,7 +238,7 @@ let run_cell ~seed ~metrics ~duration_s ctx arm load =
   let fcts = ref [] in
   let labels = [ ("scale", ctx.s_name); ("arm", arm_name arm) ] in
   let flows =
-    Traffic.Flow.create ?metrics ~labels ~min_rate_bps
+    Traffic.Flow.create ~metrics ~labels ~min_rate_bps
       ~on_complete:(fun ~fct_s ~size_bytes:_ -> fcts := fct_s :: !fcts)
       ~engine fabric
   in
@@ -345,17 +345,12 @@ let find_cell cells ~scale ~arm ~load =
     cells
 
 let seed = 0x10AD_CAFEL
+let loads = [ 0.3; 0.6; 1.0; 1.5; 2.0 ]
+let duration_s = 45.0
+let topogen_ases = 600
 
-let run ~loads ~duration_s ~topogen_ases ?telemetry () =
-  (match loads with [] -> invalid_arg "Exp_load.run: empty load sweep" | _ :: _ -> ());
-  List.iter
-    (fun l ->
-      if not (Float.is_finite l) || l <= 0.0 then
-        invalid_arg (Printf.sprintf "Exp_load.run: load multipliers must be > 0 (got %g)" l))
-    loads;
-  if not (Float.is_finite duration_s) || duration_s <= 0.0 then
-    invalid_arg (Printf.sprintf "Exp_load.run: duration_s must be > 0 (got %g)" duration_s);
-  let metrics = Option.map Obs.registry telemetry in
+let run ~telemetry =
+  let metrics = Obs.registry telemetry in
   let scales =
     [
       ("sciera-29", None);
@@ -389,27 +384,23 @@ let run ~loads ~duration_s ~topogen_ases ?telemetry () =
       mp_p99_fct_ratio = sp.c_p99_fct_s /. Float.max 1e-9 mp.c_p99_fct_s;
     }
   in
-  (match telemetry with
-  | None -> ()
-  | Some o ->
-      let module M = Telemetry.Metrics in
-      let reg = Obs.registry o in
-      let sum f = List.fold_left (fun acc c -> acc + f c) 0 cells in
-      M.add (M.counter reg "exp.load.arrivals") (sum (fun c -> c.c_arrivals));
-      M.add (M.counter reg "exp.load.completed") (sum (fun c -> c.c_completed));
+  let module M = Telemetry.Metrics in
+  let sum f = List.fold_left (fun acc c -> acc + f c) 0 cells in
+  M.add (M.counter metrics "exp.load.arrivals") (sum (fun c -> c.c_arrivals));
+  M.add (M.counter metrics "exp.load.completed") (sum (fun c -> c.c_completed));
+  List.iter
+    (fun arm ->
+      let labels = [ ("arm", arm_name arm) ] in
+      let g = M.summary metrics ~labels "exp.load.goodput_mbps" in
+      let f = M.summary metrics ~labels "exp.load.p99_fct_s" in
       List.iter
-        (fun arm ->
-          let labels = [ ("arm", arm_name arm) ] in
-          let g = M.summary reg ~labels "exp.load.goodput_mbps" in
-          let f = M.summary reg ~labels "exp.load.p99_fct_s" in
-          List.iter
-            (fun c ->
-              if c.c_arm = arm then begin
-                M.record g c.c_goodput_mbps;
-                M.record f c.c_p99_fct_s
-              end)
-            cells)
-        [ Multipath; Singlepath ]);
+        (fun c ->
+          if c.c_arm = arm then begin
+            M.record g c.c_goodput_mbps;
+            M.record f c.c_p99_fct_s
+          end)
+        cells)
+    [ Multipath; Singlepath ];
   result
 
 (* --- Rendering --------------------------------------------------------- *)

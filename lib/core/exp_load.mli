@@ -46,23 +46,16 @@ type result = {
       (** Single-path/multipath p99 FCT ratio at the top load, 29-AS mesh. *)
 }
 
-val run :
-  loads:float list ->
-  duration_s:float ->
-  topogen_ases:int ->
-  ?telemetry:Obs.t ->
-  unit ->
-  result
-(** Run the sweep: [duration_s] cells at each offered-load multiplier of
-    [loads], on a [topogen_ases]-AS generated mesh beside the 29-AS one. One
+val run : telemetry:Obs.t -> result
+(** Run the sweep: 45 s cells at each offered-load multiplier of
+    0.3, 0.6, 1.0, 1.5 and 2.0, on a 600-AS generated mesh beside the 29-AS one. One
     engine per scale carries its cells sequentially; the workload stream is
     re-derived from the fixed seed [0x10AD_CAFE] for every cell, so both
     arms see identical arrivals at each load point and the figure is
     byte-reproducible. The 29-AS network keeps 4 beacons per origin and the
     generated one 2: multipath needs a few disjoint paths, not a full store.
-    Neither verifies PCBs, since no beacon is forged. [?telemetry] wires the
+    Neither verifies PCBs, since no beacon is forged. [~telemetry] wires the
     29-AS network stack, the [traffic.*] series (labelled [scale]/[arm]) and
-    the [exp.load.*] aggregates. Raises [Invalid_argument] on an empty sweep
-    or non-positive load/duration. *)
+    the [exp.load.*] aggregates. *)
 
 val print_load : Buffer.t -> result -> unit

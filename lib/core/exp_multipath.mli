@@ -24,13 +24,13 @@ type result = {
   best_pair : Scion_addr.Ia.t * Scion_addr.Ia.t * int;  (** Paper: > 100. *)
 }
 
-val run : ?seed:int64 -> ?telemetry:Obs.t -> unit -> result
+val run : ?seed:int64 -> telemetry:Obs.t -> unit -> result
 (** [?seed] defaults to {!Network.create}'s; the invariance tests sweep it.
     The network keeps 16 beacons per origin, because Figure 8 counts paths
     and a smaller store would cap the counts. PCB verification is off: an
     honest run forges no beacon, so verifying changes no table, only the
-    sigcache gauges, and it slowed the full golden tier 2.8-fold.
-    [?telemetry] instruments the underlying network (see
+    sigcache gauges, and it slowed the golden suite 2.8-fold.
+    [~telemetry] instruments the underlying network (see
     {!Exp_connectivity.run}); the epoch sweep's control-plane and data-plane
     counters become the figure's checked-in metrics evidence. *)
 

@@ -124,7 +124,7 @@ let measure net ~mode ~metrics ~rng ~probe_rng (tr : trial) =
           shortlist;
         let sample_rng = Rng.split probe_rng in
         let pr =
-          Pathmon.Prober.create ?metrics ~interval_ms:probe_interval_ms
+          Pathmon.Prober.create ~metrics ~interval_ms:probe_interval_ms
             ~rng:(Rng.split probe_rng)
             ~probe:(fun ~fingerprint ->
               match Hashtbl.find_opt by_fp fingerprint with
@@ -146,7 +146,7 @@ let measure net ~mode ~metrics ~rng ~probe_rng (tr : trial) =
       | Adaptive ->
           let adaptive =
             {
-              Pan.Conn.selector = Pathmon.Selector.create ?metrics ~config:selector_config ();
+              Pan.Conn.selector = Pathmon.Selector.create ~metrics ~config:selector_config ();
               quality = (fun fp -> Pathmon.Cache.peek quality ~dst:dst_key ~fingerprint:fp);
             }
           in
@@ -212,15 +212,16 @@ let summarize rows =
   }
 
 let seed = 0x9A7A_40BFL
+let trials = 30
 
-let run ~trials ?telemetry () =
+let run ~telemetry =
   (* Label-derived streams: fault, probe and sender draws are independent
      of each other and of every workload stream. *)
   let fault_rng = Rng.of_label seed "fault" in
   let probe_rng = Rng.of_label seed "pathmon.probe" in
   let sender_rng = Rng.of_label seed "sender" in
-  let net = Network.create ~seed ~per_origin:8 ~verify_pcbs:false ?telemetry () in
-  let metrics = Option.map Obs.registry telemetry in
+  let net = Network.create ~seed ~per_origin:8 ~verify_pcbs:false ~telemetry () in
+  let metrics = Obs.registry telemetry in
   let latency_of = Network.scion_rtt_base net in
   let ias = List.map (fun (a : Topology.as_info) -> a.Topology.ia) Topology.ases in
   let pairs =
@@ -276,22 +277,15 @@ let run ~trials ?telemetry () =
   let adaptive = run_mode Adaptive in
   let static_ = run_mode Static in
   let result = { trials; adaptive; static_ } in
-  (match telemetry with
-  | None -> ()
-  | Some o ->
-      let module M = Telemetry.Metrics in
-      let reg = Obs.registry o in
-      M.add (M.counter reg "exp.pathmon.trials") trials;
-      M.add (M.counter reg "exp.pathmon.soft_switches") adaptive.soft_switches;
-      M.add (M.counter reg "exp.pathmon.probes") adaptive.probes;
-      List.iter
-        (fun (mode, mr) ->
-          let labels = [ ("mode", mode_name mode) ] in
-          let d = M.summary reg ~labels "exp.pathmon.time_in_degraded_s" in
-          Array.iter (M.record d) mr.degraded_s;
-          let i = M.summary reg ~labels "exp.pathmon.latency_inflation" in
-          Array.iter (M.record i) mr.inflation)
-        [ (Adaptive, adaptive); (Static, static_) ]);
+  let module M = Telemetry.Metrics in
+  List.iter
+    (fun (mode, mr) ->
+      let labels = [ ("mode", mode_name mode) ] in
+      let d = M.summary metrics ~labels "exp.pathmon.time_in_degraded_s" in
+      Array.iter (M.record d) mr.degraded_s;
+      let i = M.summary metrics ~labels "exp.pathmon.latency_inflation" in
+      Array.iter (M.record i) mr.inflation)
+    [ (Adaptive, adaptive); (Static, static_) ];
   result
 
 (* --- Rendering --------------------------------------------------------- *)

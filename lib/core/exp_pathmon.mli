@@ -36,15 +36,14 @@ type mode_result = {
 
 type result = { trials : int; adaptive : mode_result; static_ : mode_result }
 
-val run : trials:int -> ?telemetry:Obs.t -> unit -> result
-(** [trials] soft degradations. The seed is fixed at [0x9A7A_40BF], with
+val run : telemetry:Obs.t -> result
+(** 30 soft degradations. The seed is fixed at [0x9A7A_40BF], with
     labelled fault, probe and sender streams, so the figure is
     byte-reproducible. The network keeps 8 beacons per origin, which keeps
     the per-trial beaconing cheap. PCB verification is off: an honest run
     forges no beacon, so verifying changes no table, only the sigcache
-    gauges, and it slowed the full golden tier 2.8-fold. With [?telemetry],
-    publishes [exp.pathmon.trials], [exp.pathmon.soft_switches],
-    [exp.pathmon.probes], the [exp.pathmon.time_in_degraded_s{mode}] and
+    gauges, and it slowed the golden suite 2.8-fold. [~telemetry] instruments
+    the network and receives the [exp.pathmon.time_in_degraded_s{mode}] and
     [exp.pathmon.latency_inflation{mode}] summaries, plus the aggregate
     [pathmon.prober.*] / [pathmon.selector.*] series of the probers and
     selectors themselves. *)

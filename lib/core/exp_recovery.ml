@@ -204,13 +204,14 @@ let summarize outcomes =
   }
 
 let seed = 0x5EC0_4E4FL
+let trials = 40
 
-let run ~trials ?telemetry () =
+let run ~telemetry =
   (* The fault stream is derived by label, never split from a workload
      stream: attaching the injector cannot perturb any workload draw. *)
   let fault_rng = Rng.of_label seed "fault" in
   let sender_rng = Rng.of_label seed "sender" in
-  let net = Network.create ~seed ~per_origin:8 ~verify_pcbs:false ?telemetry () in
+  let net = Network.create ~seed ~per_origin:8 ~verify_pcbs:false ~telemetry () in
   let ias = List.map (fun (a : Topology.as_info) -> a.Topology.ia) Topology.ases in
   let pairs =
     List.concat_map
@@ -255,22 +256,13 @@ let run ~trials ?telemetry () =
   let healed, revocations, evicted_paths, reprobes = run_mode Healed in
   let baseline, _, _, _ = run_mode Baseline in
   let result = { trials; healed; baseline; revocations; evicted_paths; reprobes } in
-  (match telemetry with
-  | None -> ()
-  | Some o ->
-      let module M = Telemetry.Metrics in
-      let reg = Obs.registry o in
-      M.add (M.counter reg "exp.recovery.trials") trials;
-      M.add (M.counter reg "exp.recovery.revocations") revocations;
-      M.add (M.counter reg "exp.recovery.evicted_paths") evicted_paths;
-      M.add (M.counter reg "exp.recovery.reprobes") reprobes;
-      List.iter
-        (fun (mode, mr) ->
-          let s =
-            M.summary reg ~labels:[ ("mode", mode_name mode) ] "exp.recovery.time_to_recover_s"
-          in
-          Array.iter (M.record s) mr.recovery_s)
-        [ (Healed, healed); (Baseline, baseline) ]);
+  let module M = Telemetry.Metrics in
+  let reg = Obs.registry telemetry in
+  List.iter
+    (fun (mode, mr) ->
+      let s = M.summary reg ~labels:[ ("mode", mode_name mode) ] "exp.recovery.time_to_recover_s" in
+      Array.iter (M.record s) mr.recovery_s)
+    [ (Healed, healed); (Baseline, baseline) ];
   result
 
 (* --- Rendering -------------------------------------------------------- *)

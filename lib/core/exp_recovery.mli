@@ -39,15 +39,14 @@ type result = {
   reprobes : int;  (** Parked paths re-probed by the healed connections. *)
 }
 
-val run : trials:int -> ?telemetry:Obs.t -> unit -> result
-(** [trials] link failures. The seed is fixed at [0x5EC0_4E4F], with
+val run : telemetry:Obs.t -> result
+(** 40 link failures. The seed is fixed at [0x5EC0_4E4F], with
     labelled fault and sender streams, so the figure is byte-reproducible.
     The network keeps 8 beacons per origin: every repair re-runs beaconing,
     so beaconing cost dominates the run. PCB verification is off: an honest
     run forges no beacon, so verifying changes no table, only the sigcache
-    gauges, and it slowed the full golden tier 2.8-fold. With [?telemetry],
-    publishes [exp.recovery.trials], [exp.recovery.revocations],
-    [exp.recovery.evicted_paths], [exp.recovery.reprobes] and the
-    [exp.recovery.time_to_recover_s{mode}] summaries. *)
+    gauges, and it slowed the golden suite 2.8-fold. [~telemetry] instruments
+    the network and receives the [exp.recovery.time_to_recover_s{mode}]
+    summaries. *)
 
 val print_recovery : Buffer.t -> result -> unit

@@ -39,8 +39,9 @@ let build_fabric rng =
   (net, nodes)
 
 let seed = 0xF1C5EEDL
+let runs = 100
 
-let run ~runs ?telemetry () =
+let run ~telemetry =
   let rng = Rng.create seed in
   let probe = build_fabric (Rng.split rng) in
   let net0, nodes0 = probe in
@@ -112,17 +113,13 @@ let run ~runs ?telemetry () =
   in
   (* This experiment owns its fabric rather than a full Network, so the
      stack-level instrumentation never sees it; publish the sweep itself. *)
-  (match telemetry with
-  | None -> ()
-  | Some obs ->
-      let module M = Telemetry.Metrics in
-      let reg = Obs.registry obs in
-      M.add (M.counter reg "exp.fig10c.runs") runs;
-      M.add (M.counter reg "exp.fig10c.links") nlinks;
-      let m_conn = M.summary reg ~labels:[ ("mode", "multipath") ] "exp.fig10c.connectivity" in
-      let s_conn = M.summary reg ~labels:[ ("mode", "singlepath") ] "exp.fig10c.connectivity" in
-      Array.iter (M.record m_conn) result.multipath_connectivity;
-      Array.iter (M.record s_conn) result.singlepath_connectivity);
+  let module M = Telemetry.Metrics in
+  let reg = Obs.registry telemetry in
+  M.add (M.counter reg "exp.fig10c.links") nlinks;
+  let m_conn = M.summary reg ~labels:[ ("mode", "multipath") ] "exp.fig10c.connectivity" in
+  let s_conn = M.summary reg ~labels:[ ("mode", "singlepath") ] "exp.fig10c.connectivity" in
+  Array.iter (M.record m_conn) result.multipath_connectivity;
+  Array.iter (M.record s_conn) result.singlepath_connectivity;
   result
 
 

@@ -123,8 +123,9 @@ let measure ~label ~n_target ~depth ~pairs ~rng net =
 
 let seed = 0x5CA1_AB1EL
 let pairs = 120
+let sizes = [ 100; 300; 1000; 3000 ]
 
-let run ~sizes () =
+let run () =
   (* scion-lint: rng-stream scaling.pairs -- pair sampling is private to this experiment *)
   let rng = Rng.of_label seed "scaling.pairs" in
   let baseline =

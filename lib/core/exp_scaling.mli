@@ -37,9 +37,9 @@ type result = {
   pairs_per_size : int;
 }
 
-val run : sizes:int list -> unit -> result
-(** One generated mesh per entry of [sizes], next to the 29-AS baseline,
-    120 sampled pairs each. The seed is fixed at [0x5CA1_AB1E] for the
+val run : unit -> result
+(** One generated mesh each of 100, 300, 1000 and 3000 ASes, next to the
+    29-AS baseline, 120 sampled pairs each. The seed is fixed at [0x5CA1_AB1E] for the
     generator and the pair stream, so the figure is byte-reproducible.
     Every network keeps 2 beacons per origin and propagates 2 with a
     fan-out cap of 40: one capped profile keeps the large meshes cheap to

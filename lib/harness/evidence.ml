@@ -8,14 +8,10 @@
    figures by construction, and each figure adds its own
    [exp.<figure>.<key>] headline gauges on top.
 
-   There are two scales, [evidence_scale] and [full_scale] below, and a
-   session runs every dataset at the one it was started with. Evidence
-   scale is deliberately smaller than the full EXPERIMENTS.md run so the
-   tier-1 golden suite stays fast: 4 simulated days of multiping instead of 20
-   (the shape claims survive, the wall-clock drops ~5x) and 25
-   link-failure runs instead of 100. The multipath sweep keeps its full
-   per_origin = 16 at both scales: fewer origins would drop the best pair
-   below the paper's ">100 paths" claim. *)
+   Every dataset runs the complete EXPERIMENTS.md campaign, at the scale
+   each experiment fixes as module constants: 20 multiping days, 100
+   link-failure runs, 40 recovery and 30 pathmon trials, scaling meshes up
+   to 3000 ASes, and 600-AS meshes for the load and containment figures. *)
 
 module M = Telemetry.Metrics
 module Export = Telemetry.Export
@@ -29,54 +25,14 @@ type t = {
   failed_claims : string list;
 }
 
-(* --- Scale (documented in EXPERIMENTS.md, "Recording") --------------- *)
-
-type scale = {
-  connectivity_days : float;
-  resilience_runs : int;
-  recovery_trials : int;
-  pathmon_trials : int;
-  scaling_sizes : int list;
-  adversary_topogen : int;
-  load_loads : float list;
-  load_duration : float;
-  load_topogen : int;
-}
-
-let evidence_scale =
-  {
-    connectivity_days = 4.0;
-    resilience_runs = 25;
-    recovery_trials = 12;
-    pathmon_trials = 10;
-    scaling_sizes = [ 100; 300; 1000 ];
-    adversary_topogen = 300;
-    load_loads = [ 0.3; 0.6; 1.0; 1.5 ];
-    load_duration = 20.0;
-    load_topogen = 300;
-  }
-
-let full_scale =
-  {
-    connectivity_days = 20.0;
-    resilience_runs = 100;
-    recovery_trials = 40;
-    pathmon_trials = 30;
-    scaling_sizes = [ 100; 300; 1000; 3000 ];
-    adversary_topogen = 600;
-    load_loads = [ 0.3; 0.6; 1.0; 1.5; 2.0 ];
-    load_duration = 45.0;
-    load_topogen = 600;
-  }
-
 (* --- Sessions ---------------------------------------------------------- *)
 
 (* A dataset run against a fresh telemetry bundle, paired with the
    stack-level samples it recorded. *)
 type 'a observed = ('a * M.sample list) Lazy.t
 
-(* One tier's memoised datasets: every figure run through the same session
-   shares them, and two sessions share nothing. *)
+(* One session's memoised datasets: every figure run through the same
+   session shares them, and two sessions share nothing. *)
 type session = {
   connectivity : Sciera.Exp_connectivity.result observed;
   multipath : Sciera.Exp_multipath.result observed;
@@ -85,7 +41,7 @@ type session = {
   pathmon : Sciera.Exp_pathmon.result observed;
   scaling : Sciera.Exp_scaling.result Lazy.t;
   load : Sciera.Exp_load.result observed;
-  adversary : Sciera.Exp_adversary.result observed;
+  adversary : Sciera.Exp_adversary.result Lazy.t;
   bootstrap : Sciera.Exp_bootstrap.result observed;
   isd_evolution : Sciera.Exp_isd_evolution.result observed;
 }
@@ -96,39 +52,28 @@ let observed run : _ observed =
      let r = run obs in
      (r, Sciera.Obs.samples obs))
 
-let start ~full =
-  let s = if full then full_scale else evidence_scale in
+let start () =
   {
-    connectivity =
-      observed (fun telemetry ->
-          Sciera.Exp_connectivity.run ~days:s.connectivity_days ~telemetry ());
+    connectivity = observed (fun telemetry -> Sciera.Exp_connectivity.run ~telemetry);
     multipath = observed (fun telemetry -> Sciera.Exp_multipath.run ~telemetry ());
-    resilience =
-      observed (fun telemetry -> Sciera.Exp_resilience.run ~runs:s.resilience_runs ~telemetry ());
-    recovery =
-      observed (fun telemetry -> Sciera.Exp_recovery.run ~trials:s.recovery_trials ~telemetry ());
-    pathmon =
-      observed (fun telemetry -> Sciera.Exp_pathmon.run ~trials:s.pathmon_trials ~telemetry ());
+    resilience = observed (fun telemetry -> Sciera.Exp_resilience.run ~telemetry);
+    recovery = observed (fun telemetry -> Sciera.Exp_recovery.run ~telemetry);
+    pathmon = observed (fun telemetry -> Sciera.Exp_pathmon.run ~telemetry);
     (* No stack telemetry: the mesh registers per-AS labelled series (beacon
        stores, border routers), which at N=1000 would explode the metrics
        snapshot. Scale observability flows through Mesh accessors into the
        rows and headline gauges instead. *)
-    scaling = lazy (Sciera.Exp_scaling.run ~sizes:s.scaling_sizes ());
+    scaling = lazy (Sciera.Exp_scaling.run ());
     (* Stack telemetry only for the 29-AS mesh (the topogen-scale mesh
        inside the experiment stays telemetry-less — per-AS series, as for
        scaling). *)
-    load =
-      observed (fun telemetry ->
-          Sciera.Exp_load.run ~loads:s.load_loads ~duration_s:s.load_duration
-            ~topogen_ases:s.load_topogen ~telemetry ());
+    load = observed (fun telemetry -> Sciera.Exp_load.run ~telemetry);
     (* Keeps its meshes telemetry-less for the same per-AS-series reason as
-       scaling; the [exp.adversary.*] aggregate counters flow through a
-       private Obs bundle instead. *)
-    adversary =
-      observed (fun telemetry ->
-          Sciera.Exp_adversary.run ~topogen_ases:s.adversary_topogen ~telemetry ());
-    bootstrap = observed (fun telemetry -> Sciera.Exp_bootstrap.run ~telemetry ());
-    isd_evolution = observed (fun telemetry -> Sciera.Exp_isd_evolution.run ~telemetry ());
+       scaling; its aggregate counts reach the metrics snapshot only as the
+       figure's [exp.containment.*] headline gauges. *)
+    adversary = lazy (Sciera.Exp_adversary.run ());
+    bootstrap = observed (fun telemetry -> Sciera.Exp_bootstrap.run ~telemetry);
+    isd_evolution = observed (fun telemetry -> Sciera.Exp_isd_evolution.run ~telemetry);
   }
 
 (* --- Assembly --------------------------------------------------------- *)
@@ -541,7 +486,7 @@ let load s make =
     (fun b -> print_load b r)
 
 let containment s make =
-  let r, samples = Lazy.force s.adversary in
+  let r = Lazy.force s.adversary in
   let open Sciera.Exp_adversary in
   let slug s = String.map (fun ch -> if ch = '-' then '_' else ch) s in
   let per_cell =
@@ -555,7 +500,7 @@ let containment s make =
         [ (key "blast", blast_scalar c); (key "contain_s", c.c_contain_s) ])
       r.cells
   in
-  make ~samples
+  make ~samples:[]
     ~headline:
       (("classes_contained", float_of_int r.classes_contained)
       :: ("quarantine_events", float_of_int r.quarantine_events)

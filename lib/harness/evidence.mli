@@ -13,13 +13,11 @@
     claims are evaluated from the same typed result as its headline, and
     {!Golden} fails the figure on any that breaks.
 
-    Runs go through a {!session}, which fixes one of two scales and
-    memoises the datasets at it: figures sharing a dataset (Figures 5-7;
+    Runs go through a {!session}, which memoises the datasets of the one
+    EXPERIMENTS.md campaign: figures sharing a dataset (Figures 5-7;
     Figures 8-10b) share one experiment run per session, and two sessions
     share nothing, so a figure's bytes do not depend on what ran before
-    it. The evidence scale ([test/golden/]) is reduced so the tier-1 suite
-    stays fast and the paper's shape claims still hold; the full scale is
-    the complete EXPERIMENTS.md campaign ([test/golden-full/]). *)
+    it. The checked-in goldens live under [test/golden/]. *)
 
 type t = {
   id : string;  (** Figure id, e.g. ["fig5"]. *)
@@ -35,13 +33,12 @@ val ids : string list
 (** Every artefact id, in EXPERIMENTS.md summary-table order. *)
 
 type session
-(** One tier's memoised datasets. *)
+(** One campaign's memoised datasets. *)
 
-val start : full:bool -> session
-(** A fresh session at the evidence scale, or with [~full:true] at the
-    full EXPERIMENTS.md campaign (20 days, 100 failure runs, 40 recovery
-    trials, 30 pathmon trials, scaling up to 3000 ASes) — the
-    [@golden-full] tier. Nothing runs until a figure needs it. *)
+val start : unit -> session
+(** A fresh session over the full EXPERIMENTS.md campaign (20 days, 100
+    failure runs, 40 recovery trials, 30 pathmon trials, scaling up to
+    3000 ASes). Nothing runs until a figure needs it. *)
 
 val run : session -> string -> t
 (** [run session id] regenerates the evidence for one figure. Dataset runs

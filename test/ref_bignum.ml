@@ -2,9 +2,10 @@
 
    lib/ keeps only the arithmetic Modp and Schnorr run on. The helpers the
    tests need on top of it (int and hex conversions, shifts, exact
-   quotients, and the generic square-and-multiply that the Modp
-   conformance suite compares its fast ladders against) live here, built
-   from nothing but Bignum's public interface. *)
+   quotients, and the generic modular powers that the Modp conformance
+   suite compares its fast ladders against) live here, built from nothing
+   but Bignum's public interface. Every product is reduced with
+   Bignum.modulo, so the cost of a power is its number of products. *)
 
 open Scion_crypto
 
@@ -49,12 +50,49 @@ let divmod a b =
 
 let shift_right a n = fst (divmod a (pow2 n))
 
+let mulmod a b m = Bignum.modulo (Bignum.mul a b) m
+
+(* Left to right in 4-bit windows: the powers b^0 .. b^15 first, then per
+   window four squarings and at most one product. *)
 let modpow b e m =
-  let result = ref (Bignum.modulo Bignum.one m) and acc = ref (Bignum.modulo b m) in
-  for i = 0 to bit_length e - 1 do
-    if bit e i then result := Bignum.modulo (Bignum.mul !result !acc) m;
-    acc := Bignum.modulo (Bignum.mul !acc !acc) m
+  let powers = Array.make 16 (Bignum.modulo Bignum.one m) in
+  powers.(1) <- Bignum.modulo b m;
+  for j = 2 to 15 do
+    powers.(j) <- mulmod powers.(j - 1) powers.(1) m
   done;
+  let window i =
+    List.fold_left (fun acc k -> (acc lsl 1) lor if bit e ((4 * i) + k) then 1 else 0) 0 [ 3; 2; 1; 0 ]
+  in
+  let windows = (bit_length e + 3) / 4 in
+  if windows = 0 then powers.(0)
+  else begin
+    let result = ref powers.(window (windows - 1)) in
+    for i = windows - 2 downto 0 do
+      for _ = 1 to 4 do
+        result := mulmod !result !result m
+      done;
+      let w = window i in
+      if w <> 0 then result := mulmod !result powers.(w) m
+    done;
+    !result
+  end
+
+(* A fixed base's powers b^(2^i) mod m for i < [bits], by repeated
+   squaring; [fixed_pow] then multiplies the entries of the exponent's set
+   bits, one product per set bit and no squaring. *)
+type fixed_base = { squares : Bignum.t array; modulus : Bignum.t }
+
+let fixed_base b m ~bits =
+  let squares = Array.make bits (Bignum.modulo b m) in
+  for i = 1 to bits - 1 do
+    squares.(i) <- mulmod squares.(i - 1) squares.(i - 1) m
+  done;
+  { squares; modulus = m }
+
+let fixed_pow { squares; modulus } e =
+  if bit_length e > Array.length squares then invalid_arg "Ref_bignum.fixed_pow: exponent too wide";
+  let result = ref (Bignum.modulo Bignum.one modulus) in
+  Array.iteri (fun i sq -> if bit e i then result := mulmod !result sq modulus) squares;
   !result
 
 let of_hex s = Bignum.of_bytes_be (Hex.decode (if String.length s mod 2 = 1 then "0" ^ s else s))

@@ -276,14 +276,22 @@ let test_pcb_verify_rejects_tamper () =
       (match Pcb.verify pcb ~cache ~lookup ~now with
       | Ok () -> ()
       | Error err -> Alcotest.fail ("genuine PCB rejected: " ^ Pcb.check_error_to_string err));
-      (* Tamper with a signed field: verification must fail. *)
+      (* Tamper with a signed field of the first entry: verification must
+         fail and name that entry. Every later entry signs over it, so
+         every entry signature is a fresh miss, and all are looked up. *)
       let tampered =
         match pcb.Pcb.entries with
         | e0 :: rest -> { pcb with Pcb.entries = { e0 with Pcb.mtu = e0.Pcb.mtu + 1 } :: rest }
         | [] -> pcb
       in
+      let m0 = Sigcache.misses cache in
       (match Pcb.verify tampered ~cache ~lookup ~now with
-      | Error (Pcb.Bad_signature _) -> ()
+      | Error (Pcb.Bad_signature (ia, _)) ->
+          Alcotest.(check bool) "first entry reported" true
+            (match pcb.Pcb.entries with e0 :: _ -> Ia.equal ia e0.Pcb.ia | [] -> false);
+          Alcotest.(check int) "every entry looked up"
+            (m0 + List.length pcb.Pcb.entries)
+            (Sigcache.misses cache)
       | Ok () -> Alcotest.fail "tampered PCB accepted"
       | Error err -> Alcotest.fail ("unexpected error: " ^ Pcb.check_error_to_string err));
       (* And with no certificate material at all. *)
@@ -453,6 +461,11 @@ let test_sigcache_epoch_flush () =
   ignore (Sigcache.verify cache pub ~msg:"msg" ~signature);
   Alcotest.(check int) "re-setting the same epoch is a no-op" m1 (Sigcache.misses cache)
 
+(* One lookup per item, in order, as Pcb.verify looks up a PCB's entry
+   signatures. *)
+let verify_each cache items =
+  List.map (fun (pub, msg, signature) -> Sigcache.verify cache pub ~msg ~signature) items
+
 (* The cache answers only for the exact (key, message, signature) bytes
    it proved: a message that differs by one byte, or is one byte longer or
    shorter, is a miss and gets Schnorr's own verdict. *)
@@ -478,18 +491,18 @@ let test_sigcache_exact () =
   let h0 = Sigcache.hits cache in
   Alcotest.(check bool) "genuine still a hit" true (Sigcache.verify cache pub ~msg ~signature);
   Alcotest.(check int) "hit counted" (h0 + 1) (Sigcache.hits cache);
-  (* A batch with a duplicated genuine item and one forged item gets exact
-     per-item verdicts: the duplicate is a hit, the forgery a miss. *)
+  (* A PCB's lookups with a duplicated genuine item and one forged item get
+     exact per-item verdicts: the duplicate is a hit, the forgery a miss. *)
   let fresh = Sigcache.create () in
   let other = "another message" in
   let other_sig = Scion_crypto.Schnorr.sign priv other in
   let batch = [ (pub, other, other_sig); (pub, flipped, signature); (pub, other, other_sig) ] in
   Alcotest.(check (list bool)) "batch verdicts exact" [ true; false; true ]
-    (Sigcache.verify_batch fresh batch);
+    (verify_each fresh batch);
   Alcotest.(check (pair int int)) "two misses, one in-batch hit" (2, 1)
     (Sigcache.misses fresh, Sigcache.hits fresh);
   Alcotest.(check (list bool)) "re-received batch: same verdicts" [ true; false; true ]
-    (Sigcache.verify_batch fresh batch);
+    (verify_each fresh batch);
   Alcotest.(check (pair int int)) "all hits" (2, 4) (Sigcache.misses fresh, Sigcache.hits fresh);
   (* An epoch change still drops a cached verdict. *)
   Sigcache.set_epoch fresh "7:1";
@@ -552,9 +565,9 @@ let test_prove_counts_as_miss () =
   Alcotest.(check (pair int int)) "first lookup is one miss" (1, 0) (counts cache);
   Alcotest.(check bool) "second lookup" true (Sigcache.verify cache pub0 ~msg:msg0 ~signature:sig0);
   Alcotest.(check (pair int int)) "second lookup is a hit" (1, 1) (counts cache);
-  (* The rest through one batch lookup: four misses, one hit. *)
+  (* All five looked up in order: four misses, one hit. *)
   Alcotest.(check (list bool)) "batch of proved entries" [ true; true; true; true; true ]
-    (Sigcache.verify_batch cache items);
+    (verify_each cache items);
   Alcotest.(check (pair int int)) "batch: four misses, one hit" (5, 2) (counts cache)
 
 let test_prove_cached_is_noop () =
@@ -570,7 +583,7 @@ let test_prove_cached_is_noop () =
   Sigcache.prove cache (forged :: items);
   Alcotest.(check (pair int int)) "prove counts nothing" (4, 0) (counts cache);
   Alcotest.(check (list bool)) "cached verdicts unchanged" [ false; true; true; true ]
-    (Sigcache.verify_batch cache (forged :: items));
+    (verify_each cache (forged :: items));
   Alcotest.(check (pair int int)) "all hits" (4, 4) (counts cache)
 
 let test_prove_forged_records_nothing () =
@@ -587,10 +600,10 @@ let test_prove_forged_records_nothing () =
   Sigcache.prove cache forged;
   Alcotest.(check (pair int int)) "prove counts nothing" (0, 0) (counts cache);
   Alcotest.(check (list bool)) "exact per-item verdicts" [ true; true; false; true ]
-    (Sigcache.verify_batch cache forged);
+    (verify_each cache forged);
   Alcotest.(check (pair int int)) "every item a miss" (4, 0) (counts cache);
   Alcotest.(check (list bool)) "re-read: same verdicts" [ true; true; false; true ]
-    (Sigcache.verify_batch cache forged);
+    (verify_each cache forged);
   Alcotest.(check (pair int int)) "then all hits" (4, 4) (counts cache)
 
 let test_generations_drop_unread () =

@@ -4,7 +4,7 @@
    tables, Schnorr's fixed-base powers of g, the fold-based exponent-field
    reduction, verify_batch's shared comb schedule and the copy-free
    SHA-256 — are each pinned against a naive reference implementation
-   built from nothing but Ref_bignum.modpow / Bignum.modulo (or, for the
+   built from nothing but Ref_bignum's powers / Bignum.modulo (or, for the
    hash, Ref_sha256), so a speed regression fix can never silently change
    the algebra. The references deliberately restate the protocol (same
    nonce derivation, same challenge hash) instead of calling into
@@ -21,6 +21,11 @@ let g3 = Bignum.of_int 3
 let ref_pow b e = Ref_bignum.modpow b e p
 let ref_reduce_exp x = Bignum.modulo x p1
 
+(* Powers of g for the reference signer and verifier: every exponent they
+   raise g to (a private scalar, a nonce, an [s]) is below p < 2^256. *)
+let g3_table = lazy (Ref_bignum.fixed_base g3 p ~bits:256)
+let ref_pow_g e = Ref_bignum.fixed_pow (Lazy.force g3_table) e
+
 (* Reference private scalar for Schnorr.derive's seed: mirror
    scalar_of_bytes over the same KDF output. *)
 let ref_scalar_of_seed seed =
@@ -32,12 +37,12 @@ let ref_challenge ~r_bytes ~pub_bytes ~msg =
 
 let ref_sign ~x ~msg =
   let x_bytes = Bignum.to_bytes_be ~width:32 x in
-  let pub_bytes = Bignum.to_bytes_be ~width:32 (ref_pow g3 x) in
+  let pub_bytes = Bignum.to_bytes_be ~width:32 (ref_pow_g x) in
   let k =
     let k = ref_reduce_exp (Bignum.of_bytes_be (Hmac.sha256 ~key:x_bytes ("nonce" ^ msg))) in
     if Bignum.is_zero k then Bignum.one else k
   in
-  let r = ref_pow g3 k in
+  let r = ref_pow_g k in
   let r_bytes = Bignum.to_bytes_be ~width:32 r in
   let e = ref_challenge ~r_bytes ~pub_bytes ~msg in
   let s = ref_reduce_exp (Bignum.add k (Bignum.mul e x)) in
@@ -56,7 +61,7 @@ let ref_verify ~pub_bytes ~msg ~signature =
     ref_challenge ~r_bytes:(Bignum.to_bytes_be ~width:32 r) ~pub_bytes ~msg
   in
   let pub = Bignum.of_bytes_be pub_bytes in
-  Ref_bignum.equal (ref_pow g3 s) (Bignum.modulo (Bignum.mul r (ref_pow pub e)) p)
+  Ref_bignum.equal (ref_pow_g s) (Bignum.modulo (Bignum.mul r (ref_pow pub e)) p)
 
 (* --- generators -------------------------------------------------------- *)
 
@@ -219,7 +224,7 @@ let qcheck_comb_signing_matches_naive =
       let priv, pub = Schnorr.derive ~seed in
       let x = ref_scalar_of_seed seed in
       (* same key material... *)
-      Schnorr.public_to_string pub = Bignum.to_bytes_be ~width:32 (ref_pow g3 x)
+      Schnorr.public_to_string pub = Bignum.to_bytes_be ~width:32 (ref_pow_g x)
       (* ...same signature bytes... *)
       && Schnorr.sign priv msg = ref_sign ~x ~msg
       (* ...and both verifiers agree on it *)

@@ -8,7 +8,7 @@
 let seeds = [ 42L; 1337L ]
 
 let check_shape seed () =
-  let r = Sciera.Exp_multipath.run ~seed () in
+  let r = Sciera.Exp_multipath.run ~seed ~telemetry:(Sciera.Obs.create ()) () in
   let _, _, best = r.Sciera.Exp_multipath.best_pair in
   Alcotest.(check bool)
     (Printf.sprintf "min_paths >= 2 (got %d)" r.Sciera.Exp_multipath.min_paths)
