@@ -377,7 +377,7 @@ let micro ?(json = false) ?(check = false) () =
            Staged.stage (fun () -> ignore (Netsim.Net.dijkstra net ~src ~dst))) );
       ( "combine_memo_ns",
         Test.make ~name:"mesh paths (combinator memo hit)"
-          (let net = Sciera.Network.create ~per_origin:4 ~verify_pcbs:false () in
+          (let net = Sciera.Network.create ~per_origin:4 () in
            let mesh = Sciera.Network.mesh net in
            let src = ia "71-225" and dst = ia "71-2:0:5c" in
            ignore (Scion_controlplane.Mesh.paths mesh ~src ~dst);
@@ -389,7 +389,7 @@ let micro ?(json = false) ?(check = false) () =
            payload copied into a fresh buffer, five routers, one decode at
            delivery. *)
         Test.make ~name:"mesh walk (5 hops, 1200 B payload)"
-          (let net = Sciera.Network.create ~per_origin:4 ~verify_pcbs:false () in
+          (let net = Sciera.Network.create ~per_origin:4 () in
            let mesh = Sciera.Network.mesh net in
            let now = Sciera.Network.now_unix net in
            let payload = String.make 1200 'x' in
@@ -406,7 +406,7 @@ let micro ?(json = false) ?(check = false) () =
         (* One ICMP sample of the BGP baseline on a pair whose overlay route
            and detour factor are already compiled: the Fig. 5-7 inner loop. *)
         Test.make ~name:"ip rtt sample (warm pair)"
-          (let net = Sciera.Network.create ~per_origin:4 ~verify_pcbs:false () in
+          (let net = Sciera.Network.create ~per_origin:4 () in
            let src = ia "71-225" and dst = ia "71-2:0:5c" in
            ignore (Sciera.Network.ip_rtt_sample net ~src ~dst);
            Staged.stage (fun () -> ignore (Sciera.Network.ip_rtt_sample net ~src ~dst))) );
@@ -603,7 +603,7 @@ let micro ?(json = false) ?(check = false) () =
          (fun k ->
            (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
            let t0 = Unix.gettimeofday () in
-           let net = Sciera.Network.create ~per_origin:k ~verify_pcbs:false () in
+           let net = Sciera.Network.create ~per_origin:k () in
            (* scion-lint: allow determinism -- wall-clock timing of the bench harness itself, not simulated time *)
            let dt = Unix.gettimeofday () -. t0 in
            let n =
@@ -677,7 +677,7 @@ let chaos () =
   Printf.printf "== Chaos smoke: canned incident replays ==\n%!";
   let net =
     time_section "network build" (fun () ->
-        Sciera.Network.create ~per_origin:8 ~verify_pcbs:false ())
+        Sciera.Network.create ~per_origin:8 ())
   in
   let src = Scion_addr.Ia.of_string "71-20965" (* GEANT *) in
   let dst = Scion_addr.Ia.of_string "71-225" (* UVa *) in

@@ -6,7 +6,7 @@
 open Cmdliner
 
 let run days interval pings =
-  let net = Sciera.Network.create ~verify_pcbs:false () in
+  let net = Sciera.Network.create () in
   let config =
     { Sciera.Multiping.default_config with Sciera.Multiping.interval_s = interval; pings_per_interval = pings }
   in

@@ -9,7 +9,7 @@
 open Cmdliner
 
 let run day renew =
-  let net = Sciera.Network.create ~verify_pcbs:false () in
+  let net = Sciera.Network.create () in
   Sciera.Network.set_day net day;
   let mesh = Sciera.Network.mesh net in
   let now = Sciera.Network.now_unix net in

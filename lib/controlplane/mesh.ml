@@ -108,10 +108,6 @@ type obs = {
   o_cert_renewals : M.counter;
   o_sigcache_hits : M.gauge;
   o_sigcache_misses : M.gauge;
-  o_sigcache_base : int * int;
-      (** The shared cache's (hits, misses) when the mesh was created: the
-          gauges count from there, so a mesh's snapshot does not depend on
-          what other meshes verified earlier in the process. *)
   o_quarantine_events : M.counter option;
       (** Only when [config.quarantine] is set: existing figures pin their
           snapshot bytes, so the containment series must stay out of
@@ -119,14 +115,13 @@ type obs = {
   o_quarantine_drops : M.counter option;
 }
 
-let make_obs ~quarantine ~cache registry =
+let make_obs ~quarantine registry =
   {
     o_verif_failures = M.counter registry "mesh.verification_failures";
     o_beaconing_runs = M.counter registry "mesh.beaconing_runs";
     o_cert_renewals = M.counter registry "mesh.cert_renewals";
     o_sigcache_hits = M.gauge registry ~labels:[ ("result", "hit") ] "mesh.sigcache";
     o_sigcache_misses = M.gauge registry ~labels:[ ("result", "miss") ] "mesh.sigcache";
-    o_sigcache_base = (Sigcache.hits cache, Sigcache.misses cache);
     o_quarantine_events =
       (if quarantine then Some (M.counter registry "mesh.quarantine_events") else None);
     o_quarantine_drops =
@@ -377,7 +372,7 @@ let create ?(config = default_config) ?metrics ~now ~ases ~links () =
     cas;
     down_registry = Hashtbl.create 64;
     sent_log = Hashtbl.create 4096;
-    cache = Sigcache.global;
+    cache = Sigcache.create ();
     routers;
     roots;
     seized = Hashtbl.create 4;
@@ -390,8 +385,7 @@ let create ?(config = default_config) ?metrics ~now ~ases ~links () =
     memo_misses = 0;
     fanout_sends = 0;
     fanout_capped = 0;
-    obs =
-      Option.map (make_obs ~quarantine:(config.quarantine <> None) ~cache:Sigcache.global) metrics;
+    obs = Option.map (make_obs ~quarantine:(config.quarantine <> None)) metrics;
   }
 
 (* --- Certificates --- *)
@@ -717,9 +711,8 @@ let run_beaconing t ~now =
   | None -> ()
   | Some o ->
       M.inc o.o_beaconing_runs;
-      let hits0, misses0 = o.o_sigcache_base in
-      M.set o.o_sigcache_hits (float_of_int (Sigcache.hits t.cache - hits0));
-      M.set o.o_sigcache_misses (float_of_int (Sigcache.misses t.cache - misses0))
+      M.set o.o_sigcache_hits (float_of_int (Sigcache.hits t.cache));
+      M.set o.o_sigcache_misses (float_of_int (Sigcache.misses t.cache))
 
 let up_segments t ia = (node t ia).ups
 let core_segments_at t ia = (node t ia).cores_terminated

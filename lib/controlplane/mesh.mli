@@ -84,9 +84,8 @@ val create :
     border {!Scion_dataplane.Router}, and the mesh itself maintains
     [mesh.verification_failures], [mesh.beaconing_runs],
     [mesh.cert_renewals] and the [mesh.sigcache{result}] hit/miss gauges
-    (published after each beaconing run; the signature-verification memo
-    is process-wide, so they count its hits and misses since the mesh was
-    created). *)
+    (published after each beaconing run: the hits and misses of the
+    mesh's own signature-verification cache, which no other mesh reads). *)
 
 val config : t -> config
 val ases : t -> Ia.t list

@@ -37,7 +37,17 @@ type t = {
 let create () =
   { current = Table.create 1024; previous = Table.create 16; epoch = ""; hit_count = 0; miss_count = 0 }
 
+(* The process-wide tally: every other cache adds its counts here and no
+   mesh reads or writes its table. *)
 let global = create ()
+
+let count_hit t =
+  t.hit_count <- t.hit_count + 1;
+  if t != global then global.hit_count <- global.hit_count + 1
+
+let count_miss t =
+  t.miss_count <- t.miss_count + 1;
+  if t != global then global.miss_count <- global.miss_count + 1
 
 let key pub ~msg ~signature =
   { Key.pub = Scion_crypto.Schnorr.public_to_string pub; signature; msg }
@@ -77,17 +87,17 @@ let verify t pub ~msg ~signature =
   let k = key pub ~msg ~signature in
   match find t k with
   | Some Valid ->
-      t.hit_count <- t.hit_count + 1;
+      count_hit t;
       true
   | Some Invalid ->
-      t.hit_count <- t.hit_count + 1;
+      count_hit t;
       false
   | Some Proved ->
-      t.miss_count <- t.miss_count + 1;
+      count_miss t;
       Table.replace t.current k Valid;
       true
   | None ->
-      t.miss_count <- t.miss_count + 1;
+      count_miss t;
       let v = Scion_crypto.Schnorr.verify pub ~msg ~signature in
       Table.replace t.current k (if v then Valid else Invalid);
       v

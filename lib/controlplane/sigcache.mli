@@ -3,8 +3,10 @@
     Beacon propagation re-verifies the same (message, signature, key)
     triples many times: every PCB received by an AS contains the signatures
     of all upstream ASes, and the same PCB prefix flows down every branch of
-    the ISD. Verification results are immutable facts, so a global cache is
+    the ISD. Verification results are immutable facts, so caching them is
     sound and turns the beaconing cost from quadratic to linear in practice.
+    Each {!Mesh} owns its cache, so no mesh's verdicts or counts depend on
+    what another mesh verified earlier in the process.
 
     The same table also holds the certificate-chain signature verdicts
     ({!Pcb.verify} passes {!verify} to [Scion_cppki.Verify.chain]): the TRC
@@ -35,7 +37,8 @@ type t
 
 val create : unit -> t
 val global : t
-(** A process-wide cache used by default. *)
+(** The process-wide tally: every other cache also adds its hits and misses
+    here, and {!clear} zeroes it. It holds no verdict any mesh reads. *)
 
 val set_epoch : t -> string -> unit
 (** Bind the cache to a key epoch — canonically the concatenation of every

@@ -21,7 +21,7 @@ type result = {
 }
 
 let run ~telemetry =
-  let net = Network.create ~per_origin:8 ~verify_pcbs:false ~telemetry () in
+  let net = Network.create ~per_origin:8 ~telemetry () in
   let raw = Multiping.run net () in
   let ds = Multiping.excluded_ip_majority raw in
   let scion_rtts =

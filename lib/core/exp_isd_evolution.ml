@@ -38,7 +38,7 @@ type result = {
 }
 
 let run ~telemetry =
-  let net = Network.create ~per_origin:6 ~verify_pcbs:false ~telemetry () in
+  let net = Network.create ~per_origin:6 ~telemetry () in
   let all = List.map (fun (a : Topology.as_info) -> a.Topology.ia) Topology.ases in
   let pairs =
     List.concat_map

@@ -123,15 +123,13 @@ let spaced_ases n (ases : Topology.as_info list) =
 let make_ctx ~seed ~telemetry ~name ~topogen_n =
   let net =
     match topogen_n with
-    | None -> Network.create ~seed ~per_origin:4 ~verify_pcbs:false ~telemetry ()
+    | None -> Network.create ~seed ~per_origin:4 ~telemetry ()
     | Some n_ases ->
         (* Telemetry-less at topogen scale: per-AS labelled stack series
            would explode the snapshot (same reason as the scaling figure). *)
         let gen = Topogen.generate ~seed (Topogen.default ~n_ases) in
         Network.create ~seed ~topology:(Topology.of_topogen gen) ~per_origin:2 ~propagate_k:2
-          ~fanout_cap:40
-          ~rounds:(Topogen.max_depth gen + 2)
-          ~verify_pcbs:false ()
+          ~fanout_cap:40 ~rounds:(Topogen.max_depth gen + 2) ()
   in
   Network.arm_capacities net ~bps:cap_bps ~queue_pkts;
   let as_infos =

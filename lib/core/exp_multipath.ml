@@ -27,7 +27,7 @@ let weighted_median obs =
   go 0.0 sorted
 
 let run ?seed ~telemetry () =
-  let net = Network.create ?seed ~per_origin:16 ~verify_pcbs:false ~telemetry () in
+  let net = Network.create ?seed ~per_origin:16 ~telemetry () in
   let ases = Topology.fig8_ases in
   let n = List.length ases in
   let arr = Array.of_list ases in

@@ -220,7 +220,7 @@ let run ~telemetry =
   let fault_rng = Rng.of_label seed "fault" in
   let probe_rng = Rng.of_label seed "pathmon.probe" in
   let sender_rng = Rng.of_label seed "sender" in
-  let net = Network.create ~seed ~per_origin:8 ~verify_pcbs:false ~telemetry () in
+  let net = Network.create ~seed ~per_origin:8 ~telemetry () in
   let metrics = Obs.registry telemetry in
   let latency_of = Network.scion_rtt_base net in
   let ias = List.map (fun (a : Topology.as_info) -> a.Topology.ia) Topology.ases in

@@ -211,7 +211,7 @@ let run ~telemetry =
      stream: attaching the injector cannot perturb any workload draw. *)
   let fault_rng = Rng.of_label seed "fault" in
   let sender_rng = Rng.of_label seed "sender" in
-  let net = Network.create ~seed ~per_origin:8 ~verify_pcbs:false ~telemetry () in
+  let net = Network.create ~seed ~per_origin:8 ~telemetry () in
   let ias = List.map (fun (a : Topology.as_info) -> a.Topology.ia) Topology.ases in
   let pairs =
     List.concat_map

@@ -129,9 +129,7 @@ let run () =
   (* scion-lint: rng-stream scaling.pairs -- pair sampling is private to this experiment *)
   let rng = Rng.of_label seed "scaling.pairs" in
   let baseline =
-    let net =
-      Network.create ~seed ~per_origin ~propagate_k ~fanout_cap ~verify_pcbs:false ()
-    in
+    let net = Network.create ~seed ~per_origin ~propagate_k ~fanout_cap () in
     measure ~label:"sciera-29" ~n_target:29 ~depth:1 ~pairs ~rng net
   in
   let scaled =
@@ -141,8 +139,7 @@ let run () =
         let topology = Topology.of_topogen gen in
         let net =
           Network.create ~seed ~topology ~per_origin ~propagate_k ~fanout_cap
-            ~rounds:(Topogen.max_depth gen + 2)
-            ~verify_pcbs:false ()
+            ~rounds:(Topogen.max_depth gen + 2) ()
         in
         measure
           ~label:(Printf.sprintf "topogen-%d" n_ases)

@@ -31,7 +31,11 @@ val create :
     links and day changes only trigger periodic re-beaconing. [?rounds]
     and [?propagate_k] tune beaconing (defaults 10 and [per_origin]);
     [?fanout_cap] forwards to {!Scion_controlplane.Mesh.config} for
-    large generated meshes.
+    large generated meshes. [?verify_pcbs] (default [true]: every AS
+    verifies every beacon it receives, with the mesh's own signature
+    cache) is turned off only where an unverifying control plane is what
+    is modelled: {!Exp_adversary}'s undefended arm and
+    [showpaths] without [--verify-pcbs].
     [?quarantine] arms per-neighbor beacon-origin containment
     ({!Scion_controlplane.Mesh.quarantine_policy}); omitted means no
     quarantine, the historic behaviour.

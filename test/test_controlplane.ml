@@ -31,7 +31,7 @@ let spec ?(core = false) ?(ca = false) ?(profile = Cert.Open_source) spec_ia =
 
 let link ?(cls = Mesh.Parent_child) l_a l_b = { Mesh.l_a; l_b; cls }
 
-let build_mesh ?config () =
+let build_mesh ?config ?metrics () =
   let ases =
     [
       spec ~core:true ~ca:true c1;
@@ -63,7 +63,7 @@ let build_mesh ?config () =
       link ~cls:Mesh.Peering a b;
     ]
   in
-  let m = Mesh.create ?config ~now ~ases ~links () in
+  let m = Mesh.create ?config ?metrics ~now ~ases ~links () in
   Mesh.run_beaconing m ~now;
   m
 
@@ -641,8 +641,8 @@ let test_jittered_quarantine_rejected () =
    carries the attacker's, so every beacon it originates fails
    verification, strikes and, repeated, is quarantined. Two re-beaconings
    later every counter equals the one recorded before beacon deliveries
-   were deferred and batch-proved per sender. The seed is used by no
-   other test, so the process-wide cache holds none of these verdicts. *)
+   were deferred and batch-proved per sender. The mesh's own cache starts
+   empty, so the tally's deltas are this mesh's counts alone. *)
 let test_seized_rebeacon_counts () =
   let config =
     { Mesh.default_config with Mesh.seed = 31_337L; quarantine = Some Mesh.default_quarantine }
@@ -662,7 +662,39 @@ let test_seized_rebeacon_counts () =
       Sigcache.misses Sigcache.global - m0;
     ]
 
-(* --- Certificate-chain verdicts in the shared sigcache ------------------- *)
+(* Two same-seed verifying meshes built one after the other verify the
+   same signatures. Each owns its cache, so the second is not answered by
+   the first one's verdicts: both publish the same [mesh.sigcache] gauges
+   and add the same counts to the process-wide tally, and the gauges are
+   those counts. *)
+let test_meshes_share_no_verdicts () =
+  let build () =
+    let registry = Telemetry.Metrics.create () in
+    let h0 = Sigcache.hits Sigcache.global and m0 = Sigcache.misses Sigcache.global in
+    ignore (build_mesh ~metrics:registry ());
+    let gauge result =
+      List.find_map
+        (fun (s : Telemetry.Metrics.sample) ->
+          match s.Telemetry.Metrics.value with
+          | Telemetry.Metrics.Gauge v
+            when String.equal s.sample_name "mesh.sigcache"
+                 && s.sample_labels = [ ("result", result) ] ->
+              Some (int_of_float v)
+          | _ -> None)
+        (Telemetry.Metrics.snapshot registry)
+      |> Option.value ~default:(-1)
+    in
+    ( (gauge "hit", gauge "miss"),
+      (Sigcache.hits Sigcache.global - h0, Sigcache.misses Sigcache.global - m0) )
+  in
+  let first_gauges, first_tally = build () in
+  let second_gauges, second_tally = build () in
+  Alcotest.(check bool) "the first mesh verifies" true (snd first_tally > 0);
+  Alcotest.(check (pair int int)) "gauges are the tally's counts" first_tally first_gauges;
+  Alcotest.(check (pair int int)) "same gauges" first_gauges second_gauges;
+  Alcotest.(check (pair int int)) "same tally deltas" first_tally second_tally
+
+(* --- Certificate-chain verdicts in the sigcache -------------------------- *)
 
 module Verify = Scion_cppki.Verify
 module Schnorr = Scion_crypto.Schnorr
@@ -1081,6 +1113,7 @@ let () =
           Alcotest.test_case "generations drop unread" `Quick test_generations_drop_unread;
           Alcotest.test_case "jittered quarantine rejected" `Quick test_jittered_quarantine_rejected;
           Alcotest.test_case "seized mesh re-beacons, same counts" `Quick test_seized_rebeacon_counts;
+          Alcotest.test_case "meshes share no verdicts" `Quick test_meshes_share_no_verdicts;
         ] );
       ( "chain cache",
         [

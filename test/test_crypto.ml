@@ -157,6 +157,19 @@ let qcheck_bignum_divmod_identity =
       && Ref_bignum.equal a (Bignum.add (Bignum.mul q b) r)
       && Bignum.compare r b < 0)
 
+(* Moduli of 1 to 20 bytes (an odd byte count leaves a top limb below
+   2^8), and inputs below m^2, half of them m^2 - 1, the widest a Barrett
+   reduction takes. *)
+let qcheck_barrett_matches_modulo =
+  QCheck.Test.make ~name:"barrett reduce = modulo" ~count:300
+    QCheck.(triple (string_of_size (QCheck.Gen.int_range 1 20)) (string_of_size (QCheck.Gen.return 40)) bool)
+    (fun (mbytes, xbytes, widest) ->
+      let m = Bignum.of_bytes_be mbytes in
+      QCheck.assume (not (Bignum.is_zero m));
+      let m2 = Bignum.mul m m in
+      let x = if widest then Bignum.sub m2 Bignum.one else Bignum.modulo (Bignum.of_bytes_be xbytes) m2 in
+      Ref_bignum.equal (Ref_bignum.reduce (Ref_bignum.barrett m) x) (Bignum.modulo x m))
+
 let qcheck_bignum_bytes_roundtrip =
   QCheck.Test.make ~name:"bytes_be roundtrip" ~count:300
     (QCheck.string_of_size (QCheck.Gen.int_range 0 40))
@@ -311,6 +324,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_bignum_divmod_identity;
           QCheck_alcotest.to_alcotest qcheck_bignum_bytes_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_bignum_shift_inverse;
+          QCheck_alcotest.to_alcotest qcheck_barrett_matches_modulo;
         ] );
       ( "modp",
         [
