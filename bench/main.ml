@@ -383,6 +383,44 @@ let micro ?(json = false) ?(check = false) () =
            ignore (Scion_controlplane.Mesh.paths mesh ~src ~dst);
            Staged.stage (fun () ->
                ignore (Scion_controlplane.Mesh.paths mesh ~src ~dst))) );
+      ( "combine_cold_ns",
+        (* One cold combinator call, averaged over 64 fixed AS pairs of a
+           200-AS generated mesh: the segment lists are gathered once, the
+           way Mesh.paths gathers them, and every call enumerates, merges,
+           hashes, deduplicates and sorts from scratch. A leaf's down
+           segments are its up segments after beaconing. *)
+        Test.make ~name:"combinator build (cold, 200-AS topogen)"
+          (let gen = Topogen.generate ~seed:0xBE7CL (Topogen.default ~n_ases:200) in
+           let net =
+             Sciera.Network.create ~topology:(Sciera.Topology.of_topogen gen) ~per_origin:2
+               ~propagate_k:2 ~rounds:(Topogen.max_depth gen + 2) ()
+           in
+           let mesh = Sciera.Network.mesh net in
+           let module M = Scion_controlplane.Mesh in
+           let ases = Array.of_list (M.ases mesh) in
+           let n = Array.length ases in
+           let inputs =
+             Array.init 64 (fun k ->
+                 let src = ases.(k * 7 mod n) and dst = ases.(((k * 13) + 5) mod n) in
+                 let src_core = M.is_core mesh src and dst_core = M.is_core mesh dst in
+                 let ups = if src_core then [] else M.up_segments mesh src in
+                 let downs = if dst_core then [] else M.up_segments mesh dst in
+                 let sources =
+                   if src_core then [ src ]
+                   else
+                     List.sort_uniq Scion_addr.Ia.compare
+                       (List.map Scion_controlplane.Pcb.origin ups)
+                 in
+                 let cores = List.concat_map (M.core_segments_at mesh) sources in
+                 (ups, cores, downs, src, dst, src_core, dst_core))
+           in
+           let next = ref 0 in
+           Staged.stage (fun () ->
+               let ups, cores, downs, src, dst, src_core, dst_core = inputs.(!next) in
+               next := (!next + 1) mod Array.length inputs;
+               ignore
+                 (Scion_controlplane.Combinator.build ~ups ~cores ~downs ~src ~dst ~src_core
+                    ~dst_core))) );
       ( "mesh_walk_1200b_ns",
         (* One warm walk of a fixed 5-hop SCIERA path (UVa to UFMS, the
            first path the memo returns) with a 1200 B payload: header and

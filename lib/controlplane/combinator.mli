@@ -60,5 +60,13 @@ val build :
 (** Enumerate all valid combinations. [ups] are terminated segments with
     leaf [src]; [downs] terminated segments with leaf [dst]; [cores]
     terminated core segments available at the relevant core ASes (leaf =
-    the AS that received them). Results are deduplicated and loop-free,
-    sorted by hop count. *)
+    the AS that received them). The output contract:
+
+    - every result is loop-free (no AS twice in [interfaces]) and passes
+      {!Path.check};
+    - results are sorted by (hop count, [fingerprint] bytes);
+    - of two candidates with the same fingerprint (the same trace, though
+      possibly from different segments), the one enumerated last is kept;
+    - results share the segment data of the pieces they have in common
+      (the [info] records and hop lists in [segments]). Nothing writes
+      them: {!fresh_raw} copies every info field before forwarding. *)

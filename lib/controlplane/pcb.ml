@@ -28,8 +28,9 @@ let origin t =
   | [] -> invalid_arg "Pcb.origin: empty PCB"
 
 let leaf t =
-  match List.rev t.entries with
-  | e :: _ -> e.ia
+  let rec last e = function [] -> e.ia | e' :: rest -> last e' rest in
+  match t.entries with
+  | e :: rest -> last e rest
   | [] -> invalid_arg "Pcb.leaf: empty PCB"
 
 let num_entries t = List.length t.entries

@@ -44,8 +44,6 @@ type cell = {
 }
 
 type result = {
-  loads : float list;
-  duration_s : float;
   cells : cell list;
   mp_goodput_gain : float;  (** mp/sp goodput at the top load, 29-AS mesh. *)
   mp_p99_fct_ratio : float;  (** sp/mp p99 FCT at the top load, 29-AS mesh. *)
@@ -58,6 +56,14 @@ type result = {
    for bulk R&E transfers, so the sweep reaches saturation with evidence-
    sized workloads. *)
 let cap_bps = 1.5e6
+
+(* The sweep: every cell replays the workload stream of [seed] for
+   [duration_s] of simulated time at one offered-load multiplier. *)
+let seed = 0x10AD_CAFEL
+let loads = [ 0.3; 0.6; 1.0; 1.5; 2.0 ]
+let duration_s = 45.0
+let topogen_ases = 600
+
 let queue_pkts = 32
 let min_rate_bps = 500.0e3 (* admission floor: the fluid analogue of a tail drop *)
 let base_rate_per_s = 6.0 (* aggregate arrivals/s at load multiplier 1 *)
@@ -120,7 +126,7 @@ let spaced_ases n (ases : Topology.as_info list) =
   let step = Stdlib.max 1 (total / n) in
   take n (List.filteri (fun i _ -> i mod step = 0) ases)
 
-let make_ctx ~seed ~telemetry ~name ~topogen_n =
+let make_ctx ~telemetry ~name ~topogen_n =
   let net =
     match topogen_n with
     | None -> Network.create ~seed ~per_origin:4 ~telemetry ()
@@ -228,7 +234,7 @@ let make_ctx ~seed ~telemetry ~name ~topogen_n =
 
 (* --- One cell: (scale, arm, load multiplier) --------------------------- *)
 
-let run_cell ~seed ~metrics ~duration_s ctx arm load =
+let run_cell ~metrics ctx arm load =
   let engine = ctx.s_engine and net = ctx.s_net in
   let fabric = Network.scion_fabric net in
   let latency_of = Network.scion_rtt_base net in
@@ -342,11 +348,6 @@ let find_cell cells ~scale ~arm ~load =
       && Float.abs (c.c_load -. load) < 1e-9)
     cells
 
-let seed = 0x10AD_CAFEL
-let loads = [ 0.3; 0.6; 1.0; 1.5; 2.0 ]
-let duration_s = 45.0
-let topogen_ases = 600
-
 let run ~telemetry =
   let metrics = Obs.registry telemetry in
   let scales =
@@ -358,9 +359,9 @@ let run ~telemetry =
   let cells =
     List.concat_map
       (fun (name, topogen_n) ->
-        let ctx = make_ctx ~seed ~telemetry ~name ~topogen_n in
+        let ctx = make_ctx ~telemetry ~name ~topogen_n in
         List.concat_map
-          (fun arm -> List.map (fun load -> run_cell ~seed ~metrics ~duration_s ctx arm load) loads)
+          (fun arm -> List.map (fun load -> run_cell ~metrics ctx arm load) loads)
           [ Multipath; Singlepath ])
       scales
   in
@@ -375,8 +376,6 @@ let run ~telemetry =
   in
   let result =
     {
-      loads;
-      duration_s;
       cells;
       mp_goodput_gain = mp.c_goodput_mbps /. Float.max 1e-9 sp.c_goodput_mbps;
       mp_p99_fct_ratio = sp.c_p99_fct_s /. Float.max 1e-9 mp.c_p99_fct_s;
@@ -406,7 +405,7 @@ let run ~telemetry =
 let print_load b r =
   Printf.bprintf b
     "== Load: goodput and FCT vs offered load, multipath vs single-path (%g s cells) ==\n"
-    r.duration_s;
+    duration_s;
   Buffer.add_string b (Table.render
     ~header:
       [
@@ -434,7 +433,7 @@ let print_load b r =
      floor would have rejected — word the tail honestly either way. *)
   Printf.bprintf b
     "at load %s on the 29-AS mesh, multipath placement carries %sx the single-path goodput %s\n\n"
-    (Table.fmt_float (List.fold_left Float.max 0.0 r.loads))
+    (Table.fmt_float (List.fold_left Float.max 0.0 loads))
     (Table.fmt_float r.mp_goodput_gain)
     (if r.mp_p99_fct_ratio >= 1.0 then
        Printf.sprintf "with %sx lower p99 FCT" (Table.fmt_float r.mp_p99_fct_ratio)

@@ -36,9 +36,13 @@ type cell = {
   c_completed : int;
 }
 
+val loads : float list
+(** The offered-load multipliers of the sweep, in cell order. *)
+
+val duration_s : float
+(** Simulated length of each cell's arrival window. *)
+
 type result = {
-  loads : float list;
-  duration_s : float;
   cells : cell list;
   mp_goodput_gain : float;
       (** Multipath/single-path goodput ratio at the top load, 29-AS mesh. *)

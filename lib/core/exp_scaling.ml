@@ -19,7 +19,6 @@ type row = {
   links : int;
   cores : int;
   depth : int;  (** Deepest leaf (0 for the hand-built baseline's shape). *)
-  pairs : int;  (** Sampled (src, dst) pairs. *)
   reachable_pct : float;  (** Pairs with at least one control-plane path. *)
   delivered_pct : float;  (** Packet-level echoes delivered over the best path. *)
   mean_paths : float;  (** Mean path count over reachable pairs. *)
@@ -32,7 +31,7 @@ type row = {
   memo_misses : int;
 }
 
-type result = { rows : row list; sizes : int list; pairs_per_size : int }
+type result = { rows : row list }
 
 (* Beaconing profile shared by every row so the sizes are comparable:
    small stores and a per-round fan-out budget keep the signature count —
@@ -40,8 +39,9 @@ type result = { rows : row list; sizes : int list; pairs_per_size : int }
 let per_origin = 2
 let propagate_k = 2
 let fanout_cap = 40
+let pairs_per_size = 120
 
-let measure ~label ~n_target ~depth ~pairs ~rng net =
+let measure ~label ~n_target ~depth ~rng net =
   let mesh = Network.mesh net in
   let order = Array.of_list (Mesh.ases mesh) in
   let n = Array.length order in
@@ -56,7 +56,7 @@ let measure ~label ~n_target ~depth ~pairs ~rng net =
   let delivered = ref 0 in
   let path_counts = ref 0 in
   let stretches = ref [] in
-  for _ = 1 to pairs do
+  for _ = 1 to pairs_per_size do
     let i = Rng.int rng n in
     let j = (i + 1 + Rng.int rng (n - 1)) mod n in
     let src = order.(i) and dst = order.(j) in
@@ -104,9 +104,8 @@ let measure ~label ~n_target ~depth ~pairs ~rng net =
     links = List.length (Mesh.links mesh);
     cores;
     depth;
-    pairs;
-    reachable_pct = pct !reachable pairs;
-    delivered_pct = pct !delivered pairs;
+    reachable_pct = pct !reachable pairs_per_size;
+    delivered_pct = pct !delivered pairs_per_size;
     mean_paths =
       (if !reachable = 0 then 0.0 else float_of_int !path_counts /. float_of_int !reachable);
     mean_stretch =
@@ -122,7 +121,6 @@ let measure ~label ~n_target ~depth ~pairs ~rng net =
   }
 
 let seed = 0x5CA1_AB1EL
-let pairs = 120
 let sizes = [ 100; 300; 1000; 3000 ]
 
 let run () =
@@ -130,7 +128,7 @@ let run () =
   let rng = Rng.of_label seed "scaling.pairs" in
   let baseline =
     let net = Network.create ~seed ~per_origin ~propagate_k ~fanout_cap () in
-    measure ~label:"sciera-29" ~n_target:29 ~depth:1 ~pairs ~rng net
+    measure ~label:"sciera-29" ~n_target:29 ~depth:1 ~rng net
   in
   let scaled =
     List.map
@@ -143,10 +141,10 @@ let run () =
         in
         measure
           ~label:(Printf.sprintf "topogen-%d" n_ases)
-          ~n_target:n_ases ~depth:(Topogen.max_depth gen) ~pairs ~rng net)
+          ~n_target:n_ases ~depth:(Topogen.max_depth gen) ~rng net)
       sizes
   in
-  { rows = baseline :: scaled; sizes; pairs_per_size = pairs }
+  { rows = baseline :: scaled }
 
 let print_scaling b r =
   Buffer.add_string b (Table.render
@@ -176,4 +174,4 @@ let print_scaling b r =
            ])
          r.rows));
   Printf.bprintf b "%d sampled pairs per topology; beaconing profile per_origin=%d k=%d fanout_cap=%d\n"
-    r.pairs_per_size per_origin propagate_k fanout_cap
+    pairs_per_size per_origin propagate_k fanout_cap

@@ -18,7 +18,6 @@ type row = {
   links : int;
   cores : int;
   depth : int;  (** Deepest leaf (0 for the hand-built baseline's shape). *)
-  pairs : int;  (** Sampled (src, dst) pairs. *)
   reachable_pct : float;  (** Pairs with at least one control-plane path. *)
   delivered_pct : float;  (** Packet-level echoes delivered over the best path. *)
   mean_paths : float;  (** Mean path count over reachable pairs. *)
@@ -31,11 +30,13 @@ type row = {
   memo_misses : int;
 }
 
-type result = {
-  rows : row list;  (** Baseline first, then one row per requested size. *)
-  sizes : int list;
-  pairs_per_size : int;
-}
+val sizes : int list
+(** The generated-mesh sizes, in row order after the baseline. *)
+
+val pairs_per_size : int
+(** AS pairs sampled per topology. *)
+
+type result = { rows : row list  (** Baseline first, then one row per size of {!sizes}. *) }
 
 val run : unit -> result
 (** One generated mesh each of 100, 300, 1000 and 3000 ASes, next to the

@@ -22,22 +22,33 @@ let mac_len = 6
 let max_seg_hops = 63
 
 
-let create segments =
+(* The structural rule of a standard path, first violation reported. The
+   combinator filters its candidates with it, and [create] raises it. *)
+let check segments =
+  let segment_problem (_, hops) =
+    let l = List.length hops in
+    if l = 0 || l > max_seg_hops then
+      Some (Printf.sprintf "segment must have 1-%d hops, got %d" max_seg_hops l)
+    else None
+  in
+  let hop_problem h =
+    if String.length h.mac <> mac_len then Some (Printf.sprintf "hop MAC must be %d bytes" mac_len)
+    else if h.exp_time < 0 || h.exp_time > max_exp_time then
+      Some (Printf.sprintf "bad exp_time %d" h.exp_time)
+    else None
+  in
   let n = List.length segments in
-  if n = 0 || n > 3 then malformed "path must have 1-3 segments, got %d" n;
-  List.iter
-    (fun (_, hops) ->
-      let l = List.length hops in
-      if l = 0 || l > max_seg_hops then malformed "segment must have 1-%d hops, got %d" max_seg_hops l)
-    segments;
-  List.iter
-    (fun (_, hops) ->
-      List.iter
-        (fun h ->
-          if String.length h.mac <> mac_len then malformed "hop MAC must be %d bytes" mac_len;
-          if h.exp_time < 0 || h.exp_time > max_exp_time then malformed "bad exp_time %d" h.exp_time)
-        hops)
-    segments;
+  let problem =
+    if n = 0 || n > 3 then Some (Printf.sprintf "path must have 1-3 segments, got %d" n)
+    else
+      match List.find_map segment_problem segments with
+      | Some _ as p -> p
+      | None -> List.find_map (fun (_, hops) -> List.find_map hop_problem hops) segments
+  in
+  match problem with None -> Ok () | Some m -> Error m
+
+let create segments =
+  (match check segments with Ok () -> () | Error m -> raise (Malformed m));
   {
     curr_inf = 0;
     curr_hf = 0;

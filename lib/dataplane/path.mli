@@ -36,10 +36,15 @@ type t = {
 
 exception Malformed of string
 
+val check : (info * hop list) list -> (unit, string) result
+(** The structural rule of a standard path: 1-3 segments, 1-63 hop fields
+    per segment, every MAC {!mac_len} bytes and every [exp_time] within
+    [0..max_exp_time]. [Error] describes the first violation. *)
+
 val create : (info * hop list) list -> t
 (** [create segments] builds a path positioned at its first hop. Raises
-    [Malformed] when the segment structure is invalid (0 or > 3 segments,
-    empty or oversized segment). *)
+    [Malformed] with {!check}'s description when [segments] break its
+    rule. *)
 
 val hop_expiry : info -> hop -> float
 (** Absolute expiry time in unix seconds: the spec's relative encoding

@@ -428,8 +428,8 @@ let scaling s make =
   in
   make ~samples:[]
     ~headline:
-      (("sizes", float_of_int (List.length r.sizes))
-      :: ("pairs_per_size", float_of_int r.pairs_per_size)
+      (("sizes", float_of_int (List.length sizes))
+      :: ("pairs_per_size", float_of_int pairs_per_size)
       :: per_row)
     ~claims:
       (List.concat_map
@@ -464,8 +464,8 @@ let load s make =
   in
   make ~samples
     ~headline:
-      (("loads", float_of_int (List.length r.loads))
-      :: ("cell_duration_s", r.duration_s)
+      (("loads", float_of_int (List.length loads))
+      :: ("cell_duration_s", duration_s)
       :: ("mp_goodput_gain", r.mp_goodput_gain)
       :: ("mp_p99_fct_ratio", r.mp_p99_fct_ratio)
       :: per_cell)

@@ -1044,29 +1044,126 @@ let ref_walk m ~now ~from pkt =
 
 let test_fresh_raw_shares_nothing () =
   let m = build_mesh () in
-  let ps = paths m e f @ paths m g e in
-  Alcotest.(check bool) "paths to walk" true (List.length ps >= 2);
-  List.iteri
-    (fun i (fp : Combinator.fullpath) ->
-      (* Half the paths get their template before the reference walk, half
-         after it. *)
-      if i mod 2 = 0 then ignore (Mesh.walk m ~now fp);
-      let segments = copy_segments fp and wire = copy_wire fp in
-      let pkt = structured_packet ~proto:Packet.Udp ~payload:"ref" fp in
-      let delivered =
-        match ref_walk m ~now ~from:fp.Combinator.src pkt with
-        | Some p -> p
-        | None -> Alcotest.fail "reference walk dropped"
-      in
-      Alcotest.(check bool) "segments unchanged" true (segments = fp.Combinator.segments);
-      Alcotest.(check string) "template unchanged" wire fp.Combinator.wire;
-      match Mesh.walk m ~now ~payload:"ref" fp with
-      | Mesh.Walk_delivered { dst; packet; _ } ->
-          Alcotest.(check bool) "walk delivers" true (Ia.equal dst fp.Combinator.dst);
-          Alcotest.(check string) "same bytes as the reference router"
-            (Packet.encode delivered) (Packet.encode packet)
-      | Mesh.Walk_dropped _ as w -> Alcotest.failf "walk after the reference walk: %s" (describe w))
-    ps
+  List.iter
+    (fun ps ->
+      Alcotest.(check bool) "paths to walk" true (List.length ps >= 2);
+      (* One lookup's paths share the segment data of the pieces they have
+         in common, so a walk that wrote into its path's segments would
+         show up in a sibling. *)
+      let segs (fp : Combinator.fullpath) = List.map fst fp.Combinator.segments in
+      let share p q = p != q && List.exists (fun s -> List.memq s (segs q)) (segs p) in
+      Alcotest.(check bool) "siblings share segment data" true
+        (List.exists (fun p -> List.exists (share p) ps) ps);
+      let before = Array.of_list (List.map (fun fp -> (copy_segments fp, copy_wire fp)) ps) in
+      List.iteri
+        (fun i (fp : Combinator.fullpath) ->
+          (* Half the paths get their template before the reference walk,
+             half after it. *)
+          if i mod 2 = 0 then ignore (Mesh.walk m ~now fp);
+          let segments = copy_segments fp and wire = copy_wire fp in
+          let pkt = structured_packet ~proto:Packet.Udp ~payload:"ref" fp in
+          let delivered =
+            match ref_walk m ~now ~from:fp.Combinator.src pkt with
+            | Some p -> p
+            | None -> Alcotest.fail "reference walk dropped"
+          in
+          Alcotest.(check bool) "segments unchanged" true (segments = fp.Combinator.segments);
+          Alcotest.(check string) "template unchanged" wire fp.Combinator.wire;
+          (match Mesh.walk m ~now ~payload:"ref" fp with
+          | Mesh.Walk_delivered { dst; packet; _ } ->
+              Alcotest.(check bool) "walk delivers" true (Ia.equal dst fp.Combinator.dst);
+              Alcotest.(check string) "same bytes as the reference router"
+                (Packet.encode delivered) (Packet.encode packet)
+          | Mesh.Walk_dropped _ as w ->
+              Alcotest.failf "walk after the reference walk: %s" (describe w));
+          (* Only this path's own template may have been filled. *)
+          before.(i) <- (segments, fp.Combinator.wire);
+          List.iteri
+            (fun j (sib : Combinator.fullpath) ->
+              if j <> i then begin
+                let segments, wire = before.(j) in
+                Alcotest.(check bool) "sibling segments unchanged" true
+                  (segments = sib.Combinator.segments);
+                Alcotest.(check string) "sibling template unchanged" wire sib.Combinator.wire
+              end)
+            ps)
+        ps)
+    [ paths m e f; paths m g e ]
+
+(* --- The combinator against its reference ----------------------------- *)
+
+(* The segments [Mesh.paths] hands the combinator for one pair. After
+   beaconing with no rogue registration, a leaf's down segments are its up
+   segments in the same order; [check_combinator] confirms that by
+   comparing with what [Mesh.paths] serves. *)
+let build_both m ~src ~dst =
+  let src_core = Mesh.is_core m src and dst_core = Mesh.is_core m dst in
+  let ups = if src_core then [] else Mesh.up_segments m src in
+  let downs = if dst_core then [] else Mesh.up_segments m dst in
+  let core_sources =
+    if src_core then [ src ] else List.sort_uniq Ia.compare (List.map Pcb.origin ups)
+  in
+  let cores = List.concat_map (Mesh.core_segments_at m) core_sources in
+  ( Combinator.build ~ups ~cores ~downs ~src ~dst ~src_core ~dst_core,
+    Ref_combinator.build ~ups ~cores ~downs ~src ~dst ~src_core ~dst_core,
+    Ref_combinator.assembled ~ups ~cores ~downs ~src ~dst ~src_core ~dst_core )
+
+(* Candidates whose trace equals an earlier one's while their segments
+   differ: where keeping the first or the last duplicate shows. *)
+let differing_duplicates (assembled : Combinator.fullpath list) =
+  let by_fp =
+    List.stable_sort
+      (fun (a : Combinator.fullpath) b ->
+        String.compare a.Combinator.fingerprint b.Combinator.fingerprint)
+      assembled
+  in
+  let rec count n = function
+    | (a : Combinator.fullpath) :: (b :: _ as rest) ->
+        let differ =
+          a.Combinator.fingerprint = b.Combinator.fingerprint
+          && a.Combinator.segments <> b.Combinator.segments
+        in
+        count (if differ then n + 1 else n) rest
+    | [ _ ] | [] -> n
+  in
+  count 0 by_fp
+
+(* Every ordered pair: [Combinator.build] returns the reference's list, in
+   its order, with every field equal, and [Mesh.paths] serves that list.
+   Returns the number of differing duplicates met. *)
+let check_combinator ~label m =
+  List.fold_left
+    (fun dups (src, dst) ->
+      let got, want, assembled = build_both m ~src ~dst in
+      let pair = Printf.sprintf "%s: %s -> %s" label (Ia.to_string src) (Ia.to_string dst) in
+      if got <> want then
+        Alcotest.failf "%s: build differs from the reference (%d vs %d paths)" pair
+          (List.length got) (List.length want);
+      let fingerprints = List.map (fun (p : Combinator.fullpath) -> p.Combinator.fingerprint) in
+      if fingerprints (Mesh.paths m ~src ~dst) <> fingerprints got then
+        Alcotest.failf "%s: Mesh.paths serves another list" pair;
+      dups + differing_duplicates assembled)
+    0 (sciera_pairs m)
+
+let topogen_network n_ases =
+  let gen = Topogen.generate ~seed:0xC0B1L (Topogen.default ~n_ases) in
+  Sciera.Network.create ~topology:(Sciera.Topology.of_topogen gen) ~per_origin:4 ~propagate_k:4
+    ~rounds:(Topogen.max_depth gen + 2) ()
+
+let test_build_matches_reference () =
+  let meshes =
+    [
+      ("sciera", Sciera.Network.create ~per_origin:8 ());
+      ("topogen-20", topogen_network 20);
+      ("topogen-40", topogen_network 40);
+    ]
+  in
+  List.iter
+    (fun (label, net) ->
+      let dups = check_combinator ~label (Sciera.Network.mesh net) in
+      Printf.printf "%s: %d differing duplicates\n" label dups;
+      Alcotest.(check bool) (label ^ ": some duplicate trace has other segments") true (dups > 0))
+    meshes
 
 let () =
   Alcotest.run "scion_controlplane"
@@ -1091,6 +1188,7 @@ let () =
           Alcotest.test_case "mixed profiles" `Quick test_mixed_profiles_interoperate;
           Alcotest.test_case "pcb verify tamper" `Quick test_pcb_verify_rejects_tamper;
           Alcotest.test_case "disjointness metric" `Quick test_disjointness_metric;
+          Alcotest.test_case "build = reference combinator" `Quick test_build_matches_reference;
         ] );
       ( "wire walk",
         [
