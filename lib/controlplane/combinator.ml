@@ -191,7 +191,18 @@ let trace_bytes rev n =
   Bytes.unsafe_to_string b
 
 let build ~ups ~cores ~downs ~src ~dst ~src_core ~dst_core =
-  let ups = List.map view ups and cores = List.map view cores and downs = List.map view downs in
+  let ups = List.map view ups and downs = List.map view downs in
+  (* Every use below joins a core segment at its origin: to dst itself
+     when dst is a core AS, and otherwise to some down segment's origin.
+     Only those segments are viewed, in their given order. *)
+  let cores =
+    List.filter_map
+      (fun pcb ->
+        let o = Pcb.origin pcb in
+        let joins = if dst_core then Ia.equal o dst else List.exists (fun d -> Ia.equal o d.origin) downs in
+        if joins then Some (view pcb) else None)
+      cores
+  in
   let candidates = ref [] in
   let add pieces = candidates := pieces :: !candidates in
   (* Core-to-core: a core segment originated at dst, received at src. *)

@@ -535,10 +535,12 @@ let receive_pcb t receiver ~expected_role pcb ~now store =
 
 let send_once t ~sender ~egress ~kind pcb =
   (* Dedup log so each (pcb, link) pair is extended and delivered once; the
-     egress interface id distinguishes parallel links to the same AS. *)
-  let key =
-    kind ^ Ia.to_string sender ^ "#" ^ string_of_int egress ^ Pcb.interface_fingerprint pcb
-  in
+     egress interface id distinguishes parallel links to the same AS. The
+     key is only ever compared, so the PCB's interface encoding goes in as
+     it is, unhashed. Its length is a multiple of 12 and an egress id has
+     at most 5 digits, so no two keys of one kind and sender alias across
+     the egress digits. *)
+  let key = kind ^ Ia.to_string sender ^ "#" ^ string_of_int egress ^ Pcb.interface_encoding pcb in
   if Hashtbl.mem t.sent_log key then None
   else begin
     Hashtbl.replace t.sent_log key ();

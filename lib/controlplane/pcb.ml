@@ -200,7 +200,7 @@ let verify t ~cache ~lookup ~now =
           (Ok ()) items
   end
 
-let interface_fingerprint t =
+let interface_encoding t =
   let w = Rw.Writer.create () in
   List.iter
     (fun e ->
@@ -208,7 +208,9 @@ let interface_fingerprint t =
       Rw.Writer.u16 w e.hop.Path.cons_ingress;
       Rw.Writer.u16 w e.hop.Path.cons_egress)
     t.entries;
-  Scion_crypto.Sha256.digest (Rw.Writer.contents w)
+  Rw.Writer.contents w
+
+let interface_fingerprint t = Scion_crypto.Sha256.digest (interface_encoding t)
 
 let expiry t =
   let info = { Path.cons_dir = true; peer = false; seg_id = t.seg_id; timestamp = t.timestamp } in

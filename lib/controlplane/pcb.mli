@@ -94,10 +94,17 @@ val verify :
     are all answered through [cache]; validity windows and the other chain
     checks are re-run against [now] on every call. *)
 
-val interface_fingerprint : t -> string
+val interface_encoding : t -> string
 (** Identity of the segment as a sequence of (IA, ingress, egress)
-    triples — stable across re-originations, used for store dedup and for
-    tracking "the same path" over time (Figure 9). *)
+    triples, 12 bytes per entry: the IA's 8-byte wire form, then the
+    construction ingress and egress as big-endian u16. Stable across
+    re-originations. Where only equality counts (the mesh's send dedup),
+    this is the key itself. *)
+
+val interface_fingerprint : t -> string
+(** The SHA-256 digest of {!interface_encoding}: a fixed-size identity,
+    used for store dedup and tie order and for tracking "the same path"
+    over time (Figure 9). *)
 
 val expiry : t -> float
 (** Earliest hop-field expiry. *)

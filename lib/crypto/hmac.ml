@@ -1,21 +1,36 @@
 let block_size = 64
 
-let sha256 ~key msg =
+(* The inner pad's chaining value, then the outer pad's: 64 bytes. *)
+type key = string
+
+let prepare key =
   let key = if String.length key > block_size then Sha256.digest key else key in
-  let pad fill =
-    String.init block_size (fun i ->
-        let k = if i < String.length key then Char.code key.[i] else 0 in
-        Char.chr (k lxor fill))
+  let chain fill =
+    let st = Sha256.init () in
+    Sha256.feed st
+      (String.init block_size (fun i ->
+           let k = if i < String.length key then Char.code key.[i] else 0 in
+           Char.chr (k lxor fill)));
+    Sha256.chain st
   in
-  let inner = Sha256.digest (pad 0x36 ^ msg) in
-  Sha256.digest (pad 0x5C ^ inner)
+  chain 0x36 ^ chain 0x5C
+
+let start key = Sha256.resume key ~pos:0 ~length:block_size
+
+let finish key inner =
+  let outer = Sha256.resume key ~pos:32 ~length:block_size in
+  Sha256.feed outer (Sha256.finish inner);
+  Sha256.finish outer
 
 let kdf ~secret ~info n =
+  let key = prepare secret in
   let out = Buffer.create n in
   let counter = ref 1 in
   while Buffer.length out < n do
-    let block = sha256 ~key:secret (info ^ String.make 1 (Char.chr !counter)) in
-    Buffer.add_string out block;
+    let st = start key in
+    Sha256.feed st info;
+    Sha256.feed st (String.make 1 (Char.chr !counter));
+    Buffer.add_string out (finish key st);
     incr counter
   done;
   String.sub (Buffer.contents out) 0 n

@@ -1,4 +1,7 @@
-type private_key = { x : Bignum.t; x_bytes : string; pub_bytes : string }
+(* The nonce key is HMAC's prepared form of the scalar's 32-byte encoding:
+   the two pad blocks are compressed once, when the key is derived, so a
+   signature's nonce costs only the message's blocks and one outer block. *)
+type private_key = { x : Bignum.t; nonce_key : Hmac.key; pub_bytes : string }
 
 (* The encoding is cached because every signature check hashes it; the comb
    over the key's field element is built on the first verification against
@@ -26,9 +29,14 @@ let scalar_of_bytes b =
 let derive ~seed =
   let x = scalar_of_bytes (Hmac.kdf ~secret:seed ~info:"schnorr-key" 32) in
   let pub = public_of_felem (pow_g x) in
-  ({ x; x_bytes = Bignum.to_bytes_be ~width:32 x; pub_bytes = pub.y_bytes }, pub)
+  ({ x; nonce_key = Hmac.prepare (Bignum.to_bytes_be ~width:32 x); pub_bytes = pub.y_bytes }, pub)
 
-let challenge_digest ~r_bytes ~pub_bytes ~msg = Sha256.digest (r_bytes ^ pub_bytes ^ msg)
+let challenge_digest ~r_bytes ~pub_bytes ~msg =
+  let st = Sha256.init () in
+  Sha256.feed st r_bytes;
+  Sha256.feed st pub_bytes;
+  Sha256.feed st msg;
+  Sha256.finish st
 
 let challenge ~r_bytes ~pub_bytes ~msg =
   Modp.reduce_exponent (Bignum.of_bytes_be (challenge_digest ~r_bytes ~pub_bytes ~msg))
@@ -36,7 +44,10 @@ let challenge ~r_bytes ~pub_bytes ~msg =
 let sign priv msg =
   let pub_bytes = priv.pub_bytes in
   let k =
-    let raw = Hmac.sha256 ~key:priv.x_bytes ("nonce" ^ msg) in
+    let st = Hmac.start priv.nonce_key in
+    Sha256.feed st "nonce";
+    Sha256.feed st msg;
+    let raw = Hmac.finish priv.nonce_key st in
     let k = Modp.reduce_exponent (Bignum.of_bytes_be raw) in
     if Bignum.is_zero k then Bignum.one else k
   in
@@ -76,8 +87,14 @@ let same_key a b = a == b || String.equal a.y_bytes b.y_bytes
    the transcript digest [td] and [i / 4], so one digest serves 4 items. *)
 let coefficients td n =
   let zs = Array.make n 0 in
+  let prefix = Sha256.init () in
+  Sha256.feed prefix td;
   for blk = 0 to (n - 1) / 4 do
-    let h = Sha256.digest (td ^ string_of_int blk) in
+    let h =
+      let st = Sha256.copy prefix in
+      Sha256.feed st (string_of_int blk);
+      Sha256.finish st
+    in
     for q = 0 to min 3 (n - 1 - (4 * blk)) do
       let z = ref 0 in
       for j = 0 to 7 do
@@ -129,8 +146,13 @@ let verify_batch items =
       | None -> false
       | Some parsed ->
           let td =
-            Sha256.digest
-              (String.concat "" (Array.to_list (Array.map (fun (_, _, _, d, sg) -> d ^ sg) parsed)))
+            let st = Sha256.init () in
+            Array.iter
+              (fun (_, _, _, d, sg) ->
+                Sha256.feed st d;
+                Sha256.feed st sg)
+              parsed;
+            Sha256.finish st
           in
           let zs = coefficients td (Array.length parsed) in
           let lhs = ref Bignum.zero and keys = ref [] in

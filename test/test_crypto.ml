@@ -22,20 +22,28 @@ let test_sha256_million_a () =
 
 (* --- HMAC: RFC 4231 vectors --- *)
 
+(* Through the prepared-key path that signing uses: pad midstates, then
+   one state per MAC. *)
+let hmac ~key msg =
+  let key = Hmac.prepare key in
+  let st = Hmac.start key in
+  Sha256.feed st msg;
+  Hmac.finish key st
+
 let test_hmac_rfc4231 () =
-  let tag1 = Hmac.sha256 ~key:(String.make 20 '\x0b') "Hi There" in
+  let tag1 = hmac ~key:(String.make 20 '\x0b') "Hi There" in
   Alcotest.(check string) "tc1"
     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" (Hex.encode tag1);
-  let tag2 = Hmac.sha256 ~key:"Jefe" "what do ya want for nothing?" in
+  let tag2 = hmac ~key:"Jefe" "what do ya want for nothing?" in
   Alcotest.(check string) "tc2"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" (Hex.encode tag2);
   (* tc3: 20 x 0xaa key, 50 x 0xdd data *)
-  let tag3 = Hmac.sha256 ~key:(String.make 20 '\xaa') (String.make 50 '\xdd') in
+  let tag3 = hmac ~key:(String.make 20 '\xaa') (String.make 50 '\xdd') in
   Alcotest.(check string) "tc3"
     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" (Hex.encode tag3);
   (* tc6: 131-byte key (forces key hashing) *)
   let tag6 =
-    Hmac.sha256 ~key:(String.make 131 '\xaa') "Test Using Larger Than Block-Size Key - Hash Key First"
+    hmac ~key:(String.make 131 '\xaa') "Test Using Larger Than Block-Size Key - Hash Key First"
   in
   Alcotest.(check string) "tc6"
     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" (Hex.encode tag6)

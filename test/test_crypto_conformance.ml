@@ -3,10 +3,12 @@
    The optimised code paths — Modp's flat-limb multiply and per-base comb
    tables, Schnorr's fixed-base powers of g, the fold-based exponent-field
    reduction, verify_batch's shared comb schedule and the copy-free
-   SHA-256 — are each pinned against a naive reference implementation
-   built from nothing but Ref_bignum's powers / Bignum.modulo (or, for the
-   hash, Ref_sha256), so a speed regression fix can never silently change
-   the algebra. The references deliberately restate the protocol (same
+   SHA-256 with its incremental states and HMAC's prepared-key midstates
+   — are each pinned against a naive reference implementation built from
+   nothing but Ref_bignum's powers / Bignum.modulo (or, for the hash and
+   the MAC, Ref_sha256 and a pad-concatenating HMAC over it), so a speed
+   regression fix can never silently change the algebra or the bytes. The
+   references deliberately restate the protocol (same key derivation, same
    nonce derivation, same challenge hash) instead of calling into
    lib/crypto's fast helpers. *)
 
@@ -26,20 +28,30 @@ let ref_reduce_exp x = Bignum.modulo x p1
 let g3_table = lazy (Ref_bignum.fixed_base g3 p ~bits:256)
 let ref_pow_g e = Ref_bignum.fixed_pow (Lazy.force g3_table) e
 
+(* Reference HMAC-SHA256 (RFC 2104) as the RFC writes it: both pads are
+   built in full and concatenated in front of the data, and every hash is
+   a one-shot Ref_sha256 digest, so no midstate is involved. *)
+let ref_hmac ~key msg =
+  let key = if String.length key > 64 then Ref_sha256.digest key else key in
+  let pad fill =
+    String.init 64 (fun i -> Char.chr ((if i < String.length key then Char.code key.[i] else 0) lxor fill))
+  in
+  Ref_sha256.digest (pad 0x5C ^ Ref_sha256.digest (pad 0x36 ^ msg))
+
 (* Reference private scalar for Schnorr.derive's seed: mirror
-   scalar_of_bytes over the same KDF output. *)
+   scalar_of_bytes over the first block of the KDF's counter expansion. *)
 let ref_scalar_of_seed seed =
-  let raw = Hmac.kdf ~secret:seed ~info:"schnorr-key" 32 in
+  let raw = ref_hmac ~key:seed ("schnorr-key" ^ "\x01") in
   Bignum.add (Bignum.modulo (Bignum.of_bytes_be raw) (Bignum.sub p (Bignum.of_int 3))) Bignum.one
 
 let ref_challenge ~r_bytes ~pub_bytes ~msg =
-  ref_reduce_exp (Bignum.of_bytes_be (Sha256.digest (r_bytes ^ pub_bytes ^ msg)))
+  ref_reduce_exp (Bignum.of_bytes_be (Ref_sha256.digest (r_bytes ^ pub_bytes ^ msg)))
 
 let ref_sign ~x ~msg =
   let x_bytes = Bignum.to_bytes_be ~width:32 x in
   let pub_bytes = Bignum.to_bytes_be ~width:32 (ref_pow_g x) in
   let k =
-    let k = ref_reduce_exp (Bignum.of_bytes_be (Hmac.sha256 ~key:x_bytes ("nonce" ^ msg))) in
+    let k = ref_reduce_exp (Bignum.of_bytes_be (ref_hmac ~key:x_bytes ("nonce" ^ msg))) in
     if Bignum.is_zero k then Bignum.one else k
   in
   let r = ref_pow_g k in
@@ -421,6 +433,65 @@ let qcheck_sha256_matches_ref =
     (QCheck.string_of_size (QCheck.Gen.oneof [ QCheck.Gen.int_range 0 300; QCheck.Gen.oneofl padding_edges ]))
     (fun msg -> String.equal (Sha256.digest msg) (Ref_sha256.digest msg))
 
+(* A message and the points it is cut at, so a state is fed in pieces:
+   cuts land anywhere, block boundaries included, and may repeat (an empty
+   feed). *)
+let split_arb =
+  let open QCheck.Gen in
+  let gen =
+    oneof [ int_range 0 300; oneofl padding_edges ] >>= fun n ->
+    pair (string_size (return n)) (list_size (int_range 0 6) (int_range 0 n))
+  in
+  QCheck.make
+    ~print:(fun (msg, cuts) ->
+      Printf.sprintf "len %d cuts [%s]" (String.length msg) (String.concat "; " (List.map string_of_int cuts)))
+    gen
+
+let pieces msg cuts =
+  let cuts = List.sort Int.compare cuts @ [ String.length msg ] in
+  let _, rev =
+    List.fold_left (fun (from, acc) c -> (c, String.sub msg from (c - from) :: acc)) (0, []) cuts
+  in
+  List.rev rev
+
+(* The state is also copied halfway through its pieces, and both the copy
+   and the original are finished on the same remaining input. *)
+let qcheck_incremental_matches_ref =
+  QCheck.Test.make ~name:"incremental digest over random feeds = streaming reference" ~count:300
+    split_arb (fun (msg, cuts) ->
+      let ps = pieces msg cuts in
+      let half = List.length ps / 2 in
+      let st = Sha256.init () in
+      List.iteri (fun i piece -> if i < half then Sha256.feed st piece) ps;
+      let fork = Sha256.copy st in
+      List.iteri
+        (fun i piece ->
+          if i >= half then begin
+            Sha256.feed st piece;
+            Sha256.feed fork piece
+          end)
+        ps;
+      let expect = Ref_sha256.digest msg in
+      String.equal (Sha256.finish st) expect && String.equal (Sha256.finish fork) expect)
+
+(* Two keys are prepared before either is used, so a state shared between
+   prepared keys shows up as a wrong tag for one of them. *)
+let qcheck_prepared_hmac_matches_ref =
+  let key_gen =
+    QCheck.Gen.(oneof [ int_range 0 200; oneofl [ 0; 63; 64; 65; 128; 200 ] ] >>= fun n -> string_size (return n))
+  in
+  QCheck.Test.make ~name:"prepared-key MAC over random feeds = pad-concatenating reference" ~count:300
+    QCheck.(triple (make ~print:(fun k -> Printf.sprintf "key len %d" (String.length k)) key_gen)
+              (make ~print:(fun k -> Printf.sprintf "key len %d" (String.length k)) key_gen) split_arb)
+    (fun (key_a, key_b, (msg, cuts)) ->
+      let a = Hmac.prepare key_a and b = Hmac.prepare key_b in
+      let mac key prepared =
+        let st = Hmac.start prepared in
+        List.iter (Sha256.feed st) (pieces msg cuts);
+        String.equal (Hmac.finish prepared st) (ref_hmac ~key msg)
+      in
+      mac key_a a && mac key_b b && mac key_a a)
+
 let () =
   Alcotest.run "crypto-conformance"
     [
@@ -451,5 +522,7 @@ let () =
         [
           Alcotest.test_case "every length 0-300" `Quick test_sha256_every_length;
           QCheck_alcotest.to_alcotest qcheck_sha256_matches_ref;
+          QCheck_alcotest.to_alcotest qcheck_incremental_matches_ref;
         ] );
+      ("hmac", [ QCheck_alcotest.to_alcotest qcheck_prepared_hmac_matches_ref ]);
     ]
