@@ -8,7 +8,6 @@
      dune exec bench/main.exe -- micro     # microbenchmarks only
      dune exec bench/main.exe -- micro --json   # also write BENCH_micro.json
      dune exec bench/main.exe -- micro --check  # fast key-set guard vs BENCH_micro.json
-     dune exec bench/main.exe -- golden [--promote] [--dir DIR]
      dune exec bench/main.exe -- chaos     # Jan 21 / Feb 6 incident replays
      dune exec bench/main.exe -- topogen [N] [SEED]  # dump a generated topology
      dune exec bench/main.exe -- compare A.exe B.exe [--workload W] [--pairs N]
@@ -16,7 +15,8 @@
    Artefacts: every id of Harness.Evidence.ids, plus micro. A figure's
    stdout is its Harness.Evidence table, byte-identical to
    test/golden/<id>/table.txt; its wall-clock timing line goes to stderr.
-   Every figure and golden command of the run shares one Harness.Evidence
+   `dune runtest` checks every golden file and `dune promote` refreshes
+   them (test/dune). Every figure of the run shares one Harness.Evidence
    session, so figures of one dataset cost one experiment run. Library
    report functions append to a Buffer that Harness.Evidence renders into
    the table this driver prints. *)
@@ -655,54 +655,6 @@ let micro ?(json = false) ?(check = false) () =
   print_newline ()
   end
 
-(* --- Golden evidence ----------------------------------------------------- *)
-
-(* `main.exe golden [--promote] [--dir DIR]`: check (default) or refresh
-   the checked-in per-figure evidence under test/golden/. Checking exits
-   non-zero and prints unified diffs when any golden is stale; promoting
-   rewrites only the files that changed. *)
-let golden session rest =
-  let rec dir_of = function
-    | "--dir" :: d :: _ -> d
-    | _ :: tl -> dir_of tl
-    | [] -> Filename.concat "test" "golden"
-  in
-  let dir = dir_of rest in
-  if List.mem "--promote" rest then begin
-    let results = Harness.Golden.promote session ~dir in
-    List.iter
-      (fun (path, status) ->
-        Printf.printf "%-9s %s\n" (Harness.Golden.status_to_string status) path)
-      results;
-    let count st = List.length (List.filter (fun (_, s) -> s = st) results) in
-    Printf.printf "\n%d created, %d updated, %d unchanged\n"
-      (count Harness.Golden.Created) (count Harness.Golden.Updated)
-      (count Harness.Golden.Unchanged)
-  end
-  else begin
-    let files =
-      List.concat_map (Harness.Golden.check_figure session ~dir) Harness.Evidence.ids
-    in
-    let stale = Harness.Golden.stale files in
-    List.iter
-      (fun (f : Harness.Golden.file) ->
-        Printf.printf "%-5s %s\n" (if Option.is_some f.diff then "STALE" else "ok") f.path)
-      files;
-    List.iter
-      (fun (f : Harness.Golden.file) ->
-        match f.diff with
-        | Some d -> Printf.printf "\n--- stale: %s ---\n%s" f.path d
-        | None -> ())
-      stale;
-    if stale <> [] then begin
-      Printf.printf
-        "\n%d of %d golden files stale; refresh with `dune exec bench/main.exe -- golden --promote`\n"
-        (List.length stale) (List.length files);
-      exit 1
-    end
-    else Printf.printf "\nall %d golden files match\n" (List.length files)
-  end
-
 (* --- Chaos smoke --------------------------------------------------------- *)
 
 (* `main.exe chaos`: replay the canned Jan 21 and Feb 6 incident scenarios
@@ -909,7 +861,6 @@ let () =
   let args = List.filter (fun a -> not (List.mem a [ "--json"; "--check" ])) args in
   let session = Harness.Evidence.start () in
   match args with
-  | "golden" :: rest -> golden session rest
   | [ "chaos" ] -> chaos ()
   | "compare" :: rest -> compare_e2e rest
   | "topogen" :: rest -> topogen_cli rest

@@ -8,16 +8,18 @@
     prints — and a telemetry snapshot scoped to that run
     ({!Telemetry.Export} JSONL: the instrumented network's stack-level
     series merged with one [exp.<figure>.<key>] gauge per headline). Both
-    are byte-stable for the fixed seeds, which is what lets {!Golden}
-    check them in and diff them on every test run. The figure's shape
-    claims are evaluated from the same typed result as its headline, and
-    {!Golden} fails the figure on any that breaks.
+    are byte-stable for the fixed seeds, which is what lets them be
+    checked in under [test/golden/] and diffed by dune on every test run
+    ([test/golden_gen.ml] writes them; [dune promote] refreshes the
+    goldens). The figure's shape claims are evaluated from the same typed
+    result as its headline, and a golden session fails on any that
+    breaks.
 
     Runs go through a {!session}, which memoises the datasets of the one
     EXPERIMENTS.md campaign: figures sharing a dataset (Figures 5-7;
     Figures 8-10b) share one experiment run per session, and two sessions
     share nothing, so a figure's bytes do not depend on what ran before
-    it. The checked-in goldens live under [test/golden/]. *)
+    it. *)
 
 type t = {
   id : string;  (** Figure id, e.g. ["fig5"]. *)

@@ -14,7 +14,7 @@ module Adversary = Fault.Adversary
 
 (* One shared network: every generated scenario is self-closing, and the
    property checks full replay, so each case hands the fabric back healed
-   (the same reuse discipline as test_golden's injector-isolation test). *)
+   (the same reuse discipline as test_golden_diff's injector-isolation test). *)
 let net = lazy (Sciera.Network.create ~per_origin:8 ~verify_pcbs:false ())
 
 let reachable_pairs net =

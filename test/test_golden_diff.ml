@@ -1,29 +1,17 @@
-(* Tier-1 golden-evidence suite, the quick cases: the diff rendering, the
-   figure-id coverage, the headline gauges of the checked-in fig5 golden,
-   and the fault-injection RNG isolation every golden relies on. The
-   per-figure checks are test_golden and test_golden_reverse. *)
+(* Tier-1 golden-evidence suite, the quick cases: the figure-id
+   coverage, the headline gauges of the checked-in fig5 golden, and the
+   fault-injection RNG isolation every golden relies on. The per-figure
+   checks are test/dune's golden_gen sessions and their diff rules. *)
 
-(* The diff rendering itself: a one-line perturbation must show up as a
-   focused -/+ hunk, not an opaque blob. *)
-let test_unified_diff_readable () =
-  (match Harness.Diff.unified "a\nb\nc\nd\ne\n" "a\nb\nX\nd\ne\n" with
-  | None -> Alcotest.fail "differing strings reported equal"
-  | Some d ->
-      let has needle =
-        List.exists (String.equal needle) (String.split_on_char '\n' d)
-      in
-      Alcotest.(check bool) "deleted line" true (has "-c");
-      Alcotest.(check bool) "added line" true (has "+X");
-      Alcotest.(check bool) "context kept" true (has " b"));
-  Alcotest.(check bool) "equal strings yield no diff" true
-    (Harness.Diff.unified "same\n" "same\n" = None);
-  match Harness.Diff.unified "x" "x\n" with
-  | Some _ -> ()
-  | None -> Alcotest.fail "missing trailing newline not detected"
+(* Under `dune runtest` the cwd is the sandboxed test/ directory and the
+   goldens sit at ./golden; under a bare `dune exec
+   test/test_golden_diff.exe` from the repo root they sit at test/golden. *)
+let golden_dir = if Sys.file_exists "golden" then "golden" else Filename.concat "test" "golden"
 
 let test_all_figures_covered () =
   (* Every artefact of the EXPERIMENTS.md summary table (except the
-     wall-clock micro benchmarks) has golden evidence. *)
+     wall-clock micro benchmarks) has golden evidence, and test/dune
+     holds the diff rules of exactly these ids. *)
   Alcotest.(check (list string))
     "figure ids"
     [
@@ -61,7 +49,7 @@ let test_injector_rng_isolation () =
 (* The checked-in fig5 kept-ping gauges must count pings: the integers
    printed on the table's "pings kept:" line. *)
 let test_fig5_kept_pings () =
-  let dir = Golden_case.golden_dir in
+  let dir = golden_dir in
   let read name = In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all in
   let scion, ip =
     match
@@ -103,7 +91,6 @@ let () =
     [
       ( "diff",
         [
-          Alcotest.test_case "unified diff readable" `Quick test_unified_diff_readable;
           Alcotest.test_case "all figures covered" `Quick test_all_figures_covered;
           Alcotest.test_case "injector RNG isolation" `Slow test_injector_rng_isolation;
         ] );
